@@ -2,21 +2,35 @@
 
 Each benchmark runs its experiment through pytest-benchmark (one round --
 these are reproduction harnesses, not microbenchmarks), prints the
-regenerated table for the log, and archives it under
-``benchmarks/results/`` for EXPERIMENTS.md.  Performance-trajectory
-benches additionally archive a machine-readable ``BENCH_<name>.json``
-(same document shape as ``repro.experiments.runner --json``) so CI can
-track the numbers across PRs without parsing tables.
+regenerated table for the log, and writes it to :data:`RESULTS_DIR`.
+Performance-trajectory benches additionally write a machine-readable
+``BENCH_<name>.json`` (same document shape as
+``repro.experiments.runner --json``) so CI can track the numbers across
+PRs without parsing tables.
+
+A plain test run must not rewrite tracked files, so the tracked
+archive (``benchmarks/results/`` plus the repo-root ``BENCH_*.json``
+mirrors) is only updated by a *recording* run::
+
+    REPRO_RECORD_BENCH=1 PYTHONPATH=src python -m pytest -q benchmarks/...
+
+Every other run writes to the untracked, gitignored ``benchmarks/out/``.
 """
 
 import json
+import os
 import pathlib
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: Whether this run records into the tracked archive.
+RECORDING = os.environ.get("REPRO_RECORD_BENCH") == "1"
+#: Where tables and BENCH documents go: the tracked archive when
+#: recording, else an untracked scratch directory.
+RESULTS_DIR = pathlib.Path(__file__).parent / (
+    "results" if RECORDING else "out")
 #: The repo-root perf-trajectory collector scans for ``BENCH_*.json``
-#: at the repository root, so every benchmark document is mirrored
+#: at the repository root, so a recorded benchmark document is mirrored
 #: there as well as archived under ``benchmarks/results/``.
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -41,11 +55,11 @@ def write_bench_document(name, title, rows, notes=(), seconds=None):
     Builds the document once in memory (runner ``--json`` shape:
     ``{"experiments": [{experiment_id, title, rows, notes, name,
     seconds}]}`` with native-Python row values) and serializes that
-    one record to both locations -- ``benchmarks/results/`` (the
-    archive) and the repo root (what the perf-trajectory collector
-    scans) -- via atomic replace.  Both copies come from the same
-    bytes by construction, so they can never drift; no benchmark
-    should ever write a ``BENCH_*.json`` through any other path.
+    one record via atomic replace to :data:`RESULTS_DIR` and, on a
+    recording run, to the repo root as well (what the perf-trajectory
+    collector scans).  Both copies come from the same bytes by
+    construction, so they can never drift; no benchmark should ever
+    write a ``BENCH_*.json`` through any other path.
     """
     def _native(value):
         return value.item() if hasattr(value, "item") else value
@@ -62,7 +76,10 @@ def write_bench_document(name, title, rows, notes=(), seconds=None):
     text = json.dumps(document, indent=2) + "\n"
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{name}.json"
-    for target in (path, REPO_ROOT / f"BENCH_{name}.json"):
+    targets = [path]
+    if RECORDING:
+        targets.append(REPO_ROOT / f"BENCH_{name}.json")
+    for target in targets:
         tmp = target.with_suffix(".json.tmp")
         tmp.write_text(text)
         tmp.replace(target)
@@ -74,8 +91,7 @@ def record_bench_json():
     """Persist a benchmark as ``BENCH_<name>.json`` (runner ``--json`` shape).
 
     Thin fixture wrapper over :func:`write_bench_document`, the single
-    writer that mirrors one in-memory record to ``benchmarks/results/``
-    and the repo root.
+    writer of benchmark documents.
     """
     return write_bench_document
 

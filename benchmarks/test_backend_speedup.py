@@ -11,7 +11,6 @@ PRs have a trajectory to improve on.  Outputs must be bit-identical:
   even corrupted counter images match bit for bit.
 """
 
-import pathlib
 import time
 
 import numpy as np
@@ -20,9 +19,8 @@ from repro.dram.faults import FaultModel
 from repro.engine.machine import CountingEngine
 from repro.kernels.gemv import ternary_gemv
 
-from conftest import run_once
+from conftest import RESULTS_DIR, run_once
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 K, N = 64, 256
 

@@ -13,7 +13,6 @@ against the interpreted path, and records the trajectory under
 """
 
 import contextlib
-import pathlib
 import time
 
 import numpy as np
@@ -22,9 +21,8 @@ from repro.device import Device
 from repro.dram.faults import FaultModel
 from repro.isa.trace import fusion_disabled
 
-from conftest import run_once
+from conftest import RESULTS_DIR, run_once
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 K, N, QUERIES = 48, 128, 4
 MAG = 200           # per-element magnitude bound of the query stream
@@ -89,8 +87,11 @@ def test_fault_fusion(benchmark, record_bench_json):
             assert s_f.broadcasts == s_i.broadcasts
             assert s_f.injected_faults == s_i.injected_faults
             assert s_f.injected_faults > 0
-            assert s_f.trace_replays > 0       # fused path really fused
+            # Fused path really fused: a warm plan(x) replays one
+            # stitched megatrace (carry flush as its tail) per query.
+            assert s_f.megatrace_replays > 0
             assert s_i.trace_replays == 0      # bypass really bypassed
+            assert s_i.megatrace_replays == 0
             total_f += t_f
             total_i += t_i
             rows.append({
@@ -101,6 +102,7 @@ def test_fault_fusion(benchmark, record_bench_json):
                 "speedup": round(t_i / t_f, 2),
                 "injected": int(s_f.injected_faults),
                 "trace_replays": int(s_f.trace_replays),
+                "megatrace_replays": int(s_f.megatrace_replays),
             })
         return rows, total_f, total_i
 
@@ -124,7 +126,8 @@ def test_fault_fusion(benchmark, record_bench_json):
             f"  p_cim={row['p_cim']:g} p_read={row['p_read']:g} "
             f"margin={'on' if row['margin_aware'] else 'off'}: "
             f"{row['speedup']:.2f}x ({row['injected']} flips, "
-            f"{row['trace_replays']} fused replays)")
+            f"{row['trace_replays']} trace + "
+            f"{row['megatrace_replays']} megatrace replays)")
     lines.append("  parity                : fused == interpreted "
                  "(outputs, ops, broadcasts, injected streams) "
                  "asserted per point")
@@ -144,6 +147,8 @@ def test_fault_fusion(benchmark, record_bench_json):
             "speedup": round(speedup, 2),
             "injected": int(sum(r["injected"] for r in rows)),
             "trace_replays": int(sum(r["trace_replays"] for r in rows)),
+            "megatrace_replays": int(sum(r["megatrace_replays"]
+                                         for r in rows)),
         }],
         notes=["fused path asserted bit-, counter- and fault-stream-"
                "identical to the interpreted path per sweep point "

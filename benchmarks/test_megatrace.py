@@ -23,7 +23,6 @@ compile and replay counters in the JSON are measured, not modeled.
 """
 
 import contextlib
-import pathlib
 import time
 
 import numpy as np
@@ -33,9 +32,8 @@ from repro.isa.trace import fusion_disabled, megatrace_disabled
 from repro.reliability import Campaign, FaultPoint
 from repro.serve import Server
 
-from conftest import run_once
+from conftest import RESULTS_DIR, run_once
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 K, N, QUERIES = 64, 256, 16
 PASSES = 4

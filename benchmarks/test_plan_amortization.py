@@ -10,7 +10,6 @@ one-shot kernel and the golden :class:`~repro.core.counter.CounterArray`
 agree on every query, on both the word and the per-bit backend.
 """
 
-import pathlib
 import time
 
 import numpy as np
@@ -19,9 +18,8 @@ from repro.core.counter import CounterArray
 from repro.device import Device
 from repro.kernels import required_digits, ternary_gemv
 
-from conftest import run_once
+from conftest import RESULTS_DIR, run_once
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 K, N, QUERIES = 64, 256, 32
 

@@ -14,7 +14,6 @@ latency/energy derives from the wave's *measured* op delta through
 recomputation).
 """
 
-import pathlib
 import time
 
 import numpy as np
@@ -24,9 +23,8 @@ from repro.dram.energy import DDR5_ENERGY
 from repro.dram.timing import time_for_aaps_ns
 from repro.serve import Server
 
-from conftest import run_once
+from conftest import RESULTS_DIR, run_once
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 K, N, QUERIES = 64, 256, 32
 

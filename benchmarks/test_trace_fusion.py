@@ -15,7 +15,6 @@ broadcast command streams, thousands of lanes) and where per-op Python
 interpretation used to bound the simulator.
 """
 
-import pathlib
 import time
 
 import numpy as np
@@ -23,9 +22,8 @@ import numpy as np
 from repro.device import Device
 from repro.isa.trace import fusion_disabled
 
-from conftest import run_once
+from conftest import RESULTS_DIR, run_once
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 K, N, QUERIES = 64, 256, 6
 MAG = 500          # per-element magnitude bound of the query stream
@@ -91,8 +89,12 @@ def test_trace_fusion(benchmark, record_bench_json):
     assert ops_fused == ops_interp
     assert (s1.broadcasts - s0.broadcasts) == (s3.broadcasts
                                               - s2.broadcasts)
-    assert s1.trace_replays > s0.trace_replays        # fused path ran
+    # Fused path ran: a warm plan(x) is one stitched megatrace replay
+    # per query (carry flush as its tail), no per-μProgram trace.
+    assert s1.megatrace_replays - s0.megatrace_replays == 3 * QUERIES
+    assert s1.trace_replays == s0.trace_replays
     assert s3.trace_replays == s2.trace_replays       # bypassed cleanly
+    assert s3.megatrace_replays == s2.megatrace_replays
 
     speedup = t_interp / t_fused
     per_query_f = t_fused / QUERIES * 1e3
@@ -109,6 +111,9 @@ def test_trace_fusion(benchmark, record_bench_json):
         f"(identical on both paths, asserted)",
         f"  trace cache        : {s1.trace_compiles} compiled, "
         f"{(s1.trace_replays - s0.trace_replays) // 3} replayed/pass",
+        f"  megatrace cache    : {s1.megatrace_compiles} compiled, "
+        f"{(s1.megatrace_replays - s0.megatrace_replays) // 3} "
+        f"replayed/pass",
         "  bit-exact          : fused == interpreted == numpy == "
         "bit backend",
     ])
@@ -129,6 +134,8 @@ def test_trace_fusion(benchmark, record_bench_json):
             "trace_compiles": int(s1.trace_compiles),
             "trace_replays_per_pass":
                 int((s1.trace_replays - s0.trace_replays) // 3),
+            "megatrace_replays_per_pass":
+                int((s1.megatrace_replays - s0.megatrace_replays) // 3),
         }],
         notes=["fused path asserted bit-exact and counter-exact "
                "against the interpreted word path and the bit backend"],

@@ -398,7 +398,9 @@ class _StreamPlan:
         q_idx, lanes, mags = q_idx[keep], lanes[keep], mags[keep]
         if mags.size == 0:
             return np.zeros((n_chunk, self._width), dtype=np.int64)
-        order = np.lexsort((lanes, q_idx, mags))
+        order = np.argsort(np.ravel_multi_index(   # == lexsort, faster
+            (mags, q_idx, lanes),
+            (int(mags.max()) + 1, n_chunk, self._width)), kind="stable")
         q_s, l_s, m_s = q_idx[order], lanes[order], mags[order]
         upd = np.arange(m_s.size)
         new_queue = np.ones(m_s.size, dtype=bool)
@@ -432,7 +434,8 @@ class _StreamPlan:
                             dtype=np.uint8)
             wide[wave_id[sel] - lo, bank_col[sel], l_s[sel]] = 1
             packed = pack_rows(wide.reshape(hi - lo, -1))
-            eng.run_waves(mag_of_wave[lo:hi], packed)
+            eng.run_waves(mag_of_wave[lo:hi], packed,
+                          flush=hi == n_waves)
         self._broadcasts += n_waves
         partials = cluster.read_bank_values(
             strict=self.config.strict_reads)

@@ -98,7 +98,26 @@ class BaseScheduler:
         """
 
 
-class UnitScheduler(BaseScheduler):
+class _Stateless:
+    """Snapshot protocol of a scheduler whose events depend on the
+    input value alone.
+
+    ``state()`` returns a hashable snapshot of everything the next
+    events depend on and ``restore(state)`` reinstates one, so a
+    schedule is a pure function of ``(state, values)``.  The engine
+    memoizes whole wave sequences by that key (see :meth:`~repro.
+    engine.machine.CountingEngine.run_waves`); a scheduler without
+    the protocol is simply never memoized.
+    """
+
+    def state(self) -> tuple:
+        return ()
+
+    def restore(self, state: tuple) -> None:
+        """Nothing to reinstate."""
+
+
+class UnitScheduler(_Stateless, BaseScheduler):
     """Unary counting with digit-wise carry rippling (paper Sec. 4.4).
 
     Every input costs ``D + sum(d_i)`` unit increments: ``d_i`` unit steps
@@ -123,7 +142,7 @@ class UnitScheduler(BaseScheduler):
         return events
 
 
-class NaiveKaryScheduler(BaseScheduler):
+class NaiveKaryScheduler(_Stateless, BaseScheduler):
     """k-ary increments with full carry propagation per input (Fig. 8b).
 
     Each non-zero input digit triggers one k-ary increment; afterwards a
@@ -179,6 +198,15 @@ class IARMScheduler(BaseScheduler):
                    for d in range(self.n_digits)]
         self.lb = [0] * self.n_digits
         self._direction = 0  # sign of the current run; 0 = fresh
+
+    def state(self) -> tuple:
+        """Hashable snapshot of the virtual counter (bounds + sign)."""
+        return tuple(self.ub), tuple(self.lb), self._direction
+
+    def restore(self, state: tuple) -> None:
+        """Reinstate a :meth:`state` snapshot exactly."""
+        ub, lb, self._direction = state
+        self.ub, self.lb = list(ub), list(lb)
 
     # -- internal helpers ------------------------------------------------
     def _bump_ub(self, digit: int, amount: int) -> None:

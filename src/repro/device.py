@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.dram.faults import FAULT_FREE, FaultModel
-from repro.dram.wordline import pack_rows
+from repro.dram.wordline import pack_blocks
 from repro.engine.cluster import BankCluster
 from repro.engine.machine import CountingEngine
 from repro.kernels.lowering import (DEFAULT_BANKS, digits_for_budget,
@@ -802,20 +802,11 @@ class GemvPlan:
                              "use a ternary plan for signed streams")
         return x
 
-    def _updates(self, x: np.ndarray):
-        """Resident-mask ``(value, mask)`` pairs for one query."""
-        if self.kind == "ternary":
-            return [(int(abs(x[i])), self._masks[i, 0 if x[i] > 0 else 1])
-                    for i in range(self.k) if x[i] != 0]
-        return [(int(x[i]), self._masks[i]) for i in range(self.k)
-                if x[i] != 0]
-
     def _reduce(self, reduced: np.ndarray) -> np.ndarray:
         """Fold a reduced lane vector to the signed output (ternary)."""
         if self.kind == "ternary":
-            halves = reduced.reshape(2, self.n)
-            return halves[0].astype(np.int64) - halves[1].astype(np.int64)
-        return reduced.astype(np.int64)
+            return reduced[:self.n] - reduced[self.n:]
+        return reduced
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Answer one query against the resident Z."""
@@ -825,12 +816,22 @@ class GemvPlan:
             self.config.n_bits, int(np.abs(x).sum())))
         self._queries += 1
         strict = self.config.strict_reads
-        if self._cluster is not None:
-            before = self._cluster.broadcasts
-            self._cluster.reset()
-            self._cluster.dispatch(self._updates(x))
-            self._broadcasts += self._cluster.broadcasts - before
-            return self._reduce(self._cluster.read_reduced(strict=strict))
+        cluster = self._cluster
+        if cluster is not None:
+            # Deal the query as arrays: the planted row of input i is
+            # 2i (positive) or 2i + 1 (negative) on ternary plans, and
+            # rows whose planted mask is all-zero are skipped.
+            idx = np.flatnonzero(x)
+            vals = x[idx]
+            rows = (2 * idx + (vals < 0) if self.kind == "ternary"
+                    else idx)
+            keep = self._planted_nonzero[rows]
+            before = cluster.broadcasts
+            cluster.reset()
+            cluster.dispatch(np.abs(vals[keep]),
+                             self._flat_masks[rows[keep]], flush=True)
+            self._broadcasts += cluster.broadcasts - before
+            return self._reduce(cluster.read_reduced(strict=strict))
         for eng in self._engines:
             eng.reset_counters()
         if self.kind == "binary":
@@ -841,7 +842,7 @@ class GemvPlan:
                 eng.load_mask(0, self._masks[i])
                 eng.accumulate(int(x[i]))
                 self._broadcasts += 1
-            return eng.read_values(strict=strict).astype(np.int64)
+            return eng.read_values(strict=strict)
         pos, neg = self._engines
         for i in range(self.k):
             if x[i] == 0:
@@ -857,8 +858,8 @@ class GemvPlan:
                 neg.load_mask(0, down)
                 neg.accumulate(magnitude)
                 self._broadcasts += 1
-        return (pos.read_values(strict=strict).astype(np.int64)
-                - neg.read_values(strict=strict).astype(np.int64))
+        return (pos.read_values(strict=strict)
+                - neg.read_values(strict=strict))
 
     def run_many(self, xs: np.ndarray) -> np.ndarray:
         """Answer a batch of queries ``xs [Q, K]`` -> ``[Q, N]``.
@@ -924,8 +925,12 @@ class GemvPlan:
             return np.zeros((n_queries, self.n), dtype=np.int64)
         # Deal updates: sort by (magnitude, slot, row) so each (m, q)
         # queue is deterministic, then position p in the queue lands in
-        # bank p % banks of wave p // banks.
-        order = np.lexsort((rows, q_idx, mags))
+        # bank p % banks of wave p // banks.  (One stable argsort of the
+        # flattened key: lexsort's order at a fraction of its cost.)
+        order = np.argsort(np.ravel_multi_index(
+            (mags, q_idx, rows),
+            (int(mags.max()) + 1, n_queries, self._resident_rows)),
+            kind="stable")
         q_s, r_s, m_s = q_idx[order], rows[order], mags[order]
         upd = np.arange(m_s.size)
         new_queue = np.ones(m_s.size, dtype=bool)
@@ -953,20 +958,19 @@ class GemvPlan:
         slots, banks = self._batch[0], self._batch[1]  # cached may differ
         eng = cluster.engine
         width = self._width
-        # Scatter planted masks into wave images (blockwise, so huge
-        # chunks never materialize hundreds of MB at once), pack the
-        # whole block once, and broadcast each wave from its packed
-        # image -- masks never unpack per wave.
+        # Stage planted masks into packed wave images (blockwise, so
+        # huge chunks never materialize hundreds of MB at once) and
+        # broadcast each wave from its packed image -- masks never
+        # unpack per wave.
         block = max(1, (1 << 24) // max(1, cluster.n_lanes))
         for lo in range(0, n_waves, block):
             hi = min(lo + block, n_waves)
             sel = (wave_id >= lo) & (wave_id < hi)
-            wide = np.zeros((hi - lo, slots * banks, width),
-                            dtype=np.uint8)
-            wide[wave_id[sel] - lo, bank_col[sel]] = \
-                self._flat_masks[r_s[sel]]
-            packed = pack_rows(wide.reshape(hi - lo, -1))
-            eng.run_waves(mag_of_wave[lo:hi], packed)
+            packed = pack_blocks(hi - lo, slots * banks,
+                                 wave_id[sel] - lo, bank_col[sel],
+                                 self._flat_masks[r_s[sel]])
+            eng.run_waves(mag_of_wave[lo:hi], packed,
+                          flush=hi == n_waves)
         self._broadcasts += n_waves
         partials = cluster.read_bank_values(strict=self.config.strict_reads)
         per_slot = partials.reshape(slots, banks, width).sum(axis=1)

@@ -164,12 +164,22 @@ class AmbitSubarray:
             raise ValueError("row image shape mismatch")
         self.array.cells[[self._data_row(i) for i in indices]] = values
 
+    def clear_rows(self, indices: Sequence[int]) -> None:
+        """Zero several data rows in one host transfer."""
+        self.array.cells[[self._data_row(i) for i in indices]] = 0
+
     def read_data_row(self, index: int) -> np.ndarray:
         return self.array.read_row(self._data_row(index))
 
     def read_rows(self, indices: Sequence[int]) -> np.ndarray:
         """Stack several data rows into a ``[len(indices), n_cols]`` array."""
         return np.stack([self.read_data_row(i) for i in indices])
+
+    def read_rows_packed(self, indices: Sequence[int]) -> np.ndarray:
+        """Several data rows as packed ``uint64`` words (interface
+        parity with the word backend's packed read-out)."""
+        from repro.dram.wordline import pack_rows
+        return pack_rows(self.read_rows(indices))
 
     @property
     def ops_issued(self) -> int:

@@ -41,8 +41,8 @@ import numpy as np
 from repro.dram.ambit import _DATA_BASE, _b_group_map, _C0, _C1
 from repro.dram.faults import FAULT_FREE, FaultModel
 
-__all__ = ["WordlineSubarray", "pack_bits", "pack_rows", "unpack_bits",
-           "DEFAULT_PROGRAM_CACHE", "DEFAULT_MEGATRACE_CACHE"]
+__all__ = ["WordlineSubarray", "pack_bits", "pack_blocks", "pack_rows",
+           "unpack_bits", "DEFAULT_PROGRAM_CACHE", "DEFAULT_MEGATRACE_CACHE"]
 
 # The trace compiler lives in repro.isa.trace, which (through the isa
 # package) transitively imports this module -- resolved lazily at the
@@ -127,6 +127,33 @@ def pack_rows(bits) -> np.ndarray:
     packed = np.packbits(bits, axis=1, bitorder="little")
     buf[:, :packed.shape[1]] = packed
     return buf.view(np.uint64)
+
+
+def pack_blocks(n_rows: int, n_blocks: int, rows, blocks,
+                bits) -> np.ndarray:
+    """Pack rows assembled from equal-width bit blocks.
+
+    Row ``rows[i]``'s block ``blocks[i]`` holds ``bits[i]`` (a
+    ``[n, width]`` uint8 matrix); every other block is zero.  The
+    result equals :func:`pack_rows` of the dense ``[n_rows, n_blocks *
+    width]`` image -- how the dispatchers stage wave images of masks
+    dealt into bank slots.  When ``width`` is a multiple of 64 every
+    block owns whole words, so the blocks are packed first and their
+    words scattered (write-combining: the dense image is never built).
+
+    >>> pack_blocks(2, 2, [1], [0], [[1, 0, 1]]).tolist()
+    [[0], [5]]
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    width = bits.shape[1]
+    if width % 64 == 0:
+        words = pack_rows(bits)
+        out = np.zeros((n_rows, n_blocks, width // 64), dtype=np.uint64)
+        out[rows, blocks] = words
+        return out.reshape(n_rows, -1)
+    wide = np.zeros((n_rows, n_blocks, width), dtype=np.uint8)
+    wide[rows, blocks] = bits
+    return pack_rows(wide.reshape(n_rows, -1))
 
 
 def unpack_bits(words: np.ndarray, n_cols: int) -> np.ndarray:
@@ -231,6 +258,14 @@ class WordlineSubarray:
             raise IndexError(f"data row {index} out of range "
                              f"(0..{self.n_data_rows - 1})")
         return _DATA_BASE + index
+
+    def _data_rows(self, indices: Sequence[int]) -> np.ndarray:
+        """Vectorized :meth:`_data_row` for the bulk host transfers."""
+        rows = np.asarray(indices, dtype=np.intp)
+        bad = (rows < 0) | (rows >= self.n_data_rows)
+        if bad.any():
+            self._data_row(int(rows[bad][0]))      # raises IndexError
+        return rows + _DATA_BASE
 
     # ------------------------------------------------------------------
     # sensing (shared by AAP's first activation and AP)
@@ -479,17 +514,20 @@ class WordlineSubarray:
         """Write several data rows in one batched host transfer.
 
         One :func:`pack_rows` call covers the whole block; an all-zero
-        image (the counter-reset case) degenerates to a single
-        slice-assign with no packing at all.
+        image degenerates to a single slice-assign with no packing.
         """
         values = np.asarray(values, dtype=np.uint8)
         if values.shape != (len(indices), self.n_cols):
             raise ValueError("row image shape mismatch")
-        rows = [self._data_row(i) for i in indices]
+        rows = self._data_rows(indices)
         if not values.any():
             self.cells[rows] = 0
             return
         self.cells[rows] = pack_rows(values)
+
+    def clear_rows(self, indices: Sequence[int]) -> None:
+        """Zero several data rows (one slice-assign, no image built)."""
+        self.cells[self._data_rows(indices)] = 0
 
     def read_data_row(self, index: int) -> np.ndarray:
         return unpack_bits(self.cells[self._data_row(index)], self.n_cols)
@@ -501,9 +539,14 @@ class WordlineSubarray:
         (``CountingEngine.read_values`` over many digits and banks)
         leans on this.
         """
-        rows = self.cells[[self._data_row(i) for i in indices]]
+        rows = self.cells[self._data_rows(indices)]
         return np.unpackbits(np.ascontiguousarray(rows).view(np.uint8),
                              axis=1, count=self.n_cols, bitorder="little")
+
+    def read_rows_packed(self, indices: Sequence[int]) -> np.ndarray:
+        """Copy several data rows out as packed ``[len(indices), words]``
+        ``uint64`` words; tail bits past ``n_cols`` are don't-care."""
+        return self.cells[self._data_rows(indices)]
 
     def read_b_row(self, address: Address) -> np.ndarray:
         """Debug read of a B/C-group address through its first port."""

@@ -29,13 +29,13 @@ array([6, 3, 8, 5])
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.iarm import BaseScheduler
 from repro.dram.faults import FAULT_FREE, FaultModel
-from repro.dram.wordline import pack_rows
+from repro.dram.wordline import pack_blocks
 from repro.engine.machine import CountingEngine
 
 __all__ = ["BankCluster"]
@@ -81,32 +81,45 @@ class BankCluster:
         self.broadcasts = 0      # accumulate() calls actually issued
 
     # ------------------------------------------------------------------
-    def dispatch(self, updates: Iterable[Tuple[int, Sequence[int]]]) -> None:
-        """Execute a batch of ``(value, mask)`` masked accumulations.
+    def dispatch(self, updates, masks=None, flush: bool = False) -> None:
+        """Execute a batch of masked accumulations.
 
-        Updates are grouped by value (first-occurrence order, so batches
-        replay deterministically) and dealt across banks in waves of
-        ``n_banks``; every wave costs a single broadcast accumulate.
-        All-zero masks and zero values are skipped.
+        ``updates`` is an iterable of ``(value, mask)`` pairs; or, with
+        ``masks`` given, a value vector whose ``i``-th entry pairs with
+        row ``i`` of the ``[n, lanes_per_bank]`` mask matrix ``masks``
+        (the array form the plan layer deals queries in, which skips
+        per-pair normalization).  Updates are grouped by value
+        (first-occurrence order, so batches replay deterministically)
+        and dealt across banks in waves of ``n_banks``; every wave costs
+        a single broadcast accumulate.  All-zero masks and zero values
+        are skipped.  ``flush=True`` folds the carry flush into the
+        wave sequence's tail (see :meth:`~repro.engine.machine.
+        CountingEngine.run_waves`) for callers that read out next.
 
         Wave assembly is fully vectorized: one NumPy group-by over the
-        update values, one pad/reshape scattering every mask into its
-        ``(wave, bank)`` slot, and one :func:`~repro.dram.wordline.
-        pack_rows` staging the whole wave block in packed form -- the
-        per-wave work left in Python is just the broadcast itself.
+        update values and one :func:`~repro.dram.wordline.pack_blocks`
+        staging every mask into its ``(wave, bank)`` slot of the packed
+        wave block -- the per-wave work left in Python is just the
+        broadcast itself.
         """
-        pairs = [(int(v), m) for v, m in updates if int(v) != 0]
-        if not pairs:
-            return
-        values = np.array([v for v, _ in pairs], dtype=np.int64)
-        try:
-            masks = np.asarray([m for _, m in pairs], dtype=np.uint8)
-        except ValueError:
-            raise ValueError(
-                "mask width must equal lanes_per_bank") from None
+        if masks is None:
+            pairs = [(int(v), m) for v, m in updates if int(v) != 0]
+            values = np.array([v for v, _ in pairs], dtype=np.int64)
+            try:
+                masks = np.asarray([m for _, m in pairs], dtype=np.uint8)
+            except ValueError:
+                raise ValueError(
+                    "mask width must equal lanes_per_bank") from None
+            if not pairs:
+                masks = masks.reshape(0, self.lanes_per_bank)
+        else:
+            values = np.asarray(updates, dtype=np.int64)
+            masks = np.asarray(masks, dtype=np.uint8)
         if masks.ndim != 2 or masks.shape[1] != self.lanes_per_bank:
             raise ValueError("mask width must equal lanes_per_bank")
-        keep = masks.any(axis=1)
+        if values.shape != masks.shape[:1]:
+            raise ValueError("dispatch needs one value per mask row")
+        keep = (values != 0) & masks.any(axis=1)
         values, masks = values[keep], masks[keep]
         if values.size == 0:
             return
@@ -128,14 +141,12 @@ class BankCluster:
         pos = np.arange(values.size) - np.repeat(group_start, counts)
         wave_id = wave_base[rank[order]] + pos // self.n_banks
         n_waves = int(waves_per_group.sum())
-        wide = np.zeros((n_waves, self.n_banks, self.lanes_per_bank),
-                        dtype=np.uint8)
-        wide[wave_id, pos % self.n_banks] = masks[order]
-        packed = pack_rows(wide.reshape(n_waves, self.n_lanes))
+        packed = pack_blocks(n_waves, self.n_banks, wave_id,
+                             pos % self.n_banks, masks[order])
         magnitudes = np.repeat(uniq[np.argsort(first)], waves_per_group)
         # One stitched pass over the whole wave sequence (megatrace on
         # the word path; the per-wave load/accumulate loop otherwise).
-        self.engine.run_waves(magnitudes, packed)
+        self.engine.run_waves(magnitudes, packed, flush=flush)
         self.broadcasts += n_waves
 
     # ------------------------------------------------------------------

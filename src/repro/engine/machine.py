@@ -27,7 +27,7 @@ from repro.core.johnson import decode_lanes, transition_pattern
 from repro.core.opcount import event_ops
 from repro.dram.ambit import AmbitSubarray
 from repro.dram.faults import FAULT_FREE, FaultModel
-from repro.dram.wordline import WordlineSubarray
+from repro.dram.wordline import WordlineSubarray, pack_bits
 from repro.ecc.protection import CIMProtection
 from repro.engine.mapping import CounterLayout
 from repro.isa.templates import (kary_increment_program, masked_update_ops,
@@ -47,10 +47,12 @@ __all__ = ["CountingEngine", "EngineCounters"]
 #: bounded cache governs the compiled-trace side independently.
 ENGINE_PROGRAM_CACHE = 4096
 
-#: Bound on the engine-level megaprogram LRU cache (stitched whole-wave
-#: sequences keyed by their event signatures).  A serving process sees
-#: one distinct signature per (resident plan, magnitude profile) chunk;
-#: the subarray's own bounded megatrace cache governs the compiled side.
+#: Bound on the engine-level megaprogram LRU cache: stitched whole-wave
+#: chunks keyed by their event signatures, plus the schedule memo of
+#: whole ``run_waves`` calls keyed by scheduler state and magnitudes.  A
+#: serving process sees one distinct entry of each per (resident plan,
+#: magnitude profile); the subarray's own bounded megatrace cache
+#: governs the compiled side.
 ENGINE_MEGATRACE_CACHE = 256
 
 
@@ -159,8 +161,9 @@ class CountingEngine:
         self._prog_cache: "OrderedDict" = OrderedDict()
         self.prog_compiles = 0   # cache misses: μPrograms built
         self.prog_replays = 0    # cache hits: compiled μPrograms reused
-        # Stitched wave-sequence megaprograms, keyed by the chunk's
-        # event signatures (bounded LRU; see run_waves).
+        # Stitched wave-sequence megaprograms keyed by the chunk's
+        # event signatures, and memoized run_waves calls keyed by the
+        # scheduler state (one bounded LRU; see run_waves).
         self._mega_cache: "OrderedDict" = OrderedDict()
         # Cache namespace for compiled μPrograms/megatraces.  The
         # row-image store stamps the owning image's generation here
@@ -189,6 +192,17 @@ class CountingEngine:
         # fault-aware traces whose pre-drawn flip masks preserve the
         # seeded stream exactly.
         self._fusable = self.backend == "word" and not self.fr_checks
+        # Counter rows (every digit's bit rows, then the O_next rows),
+        # which a reset clears and a read decodes, and the packed-word
+        # mask of real lanes: tail bits of a row's last word are
+        # don't-care on the word backend.
+        self._readout_rows = [r for rows in self.layout.digit_bit_rows
+                              for r in rows] + list(self.layout.onext_rows)
+        self._tail = pack_bits(np.ones(n_lanes, dtype=np.uint8))
+        # Decode accumulator: the narrowest dtype holding the largest
+        # (lenient, every O_next flag set) decode, at most 3 * radix^D.
+        acc = np.min_scalar_type(2 * self.radix ** (n_digits + 1))
+        self._acc_dtype = acc if acc.itemsize < 8 else np.dtype(np.int64)
 
     # ------------------------------------------------------------------
     # operand staging
@@ -217,13 +231,10 @@ class CountingEngine:
         virtual counter restarts from the all-zero bound, but loaded
         mask rows are untouched -- plan reuse depends on that invariant
         (pinned by ``tests/test_device.py``).  The zeroing lands as one
-        batched ``write_rows`` (a single slice-assign on the word
-        backend), not a per-row host write.
+        batched ``clear_rows`` (a single slice-assign), not a per-row
+        host write.
         """
-        rows = [r for digit in self.layout.digit_bit_rows for r in digit]
-        rows.extend(self.layout.onext_rows)
-        self.subarray.write_rows(
-            rows, np.zeros((len(rows), self.n_lanes), dtype=np.uint8))
+        self.subarray.clear_rows(self._readout_rows)
         # Zeroed rows mean no outstanding carries anywhere: the next
         # read needs no flush and the scheduler restarts tight.
         self.scheduler.reset()
@@ -493,8 +504,8 @@ class CountingEngine:
         self.execute_events(self.scheduler.schedule_value(int(value)),
                             mask_index)
 
-    def run_waves(self, magnitudes, packed_masks,
-                  mask_index: int = 0) -> None:
+    def run_waves(self, magnitudes, packed_masks, mask_index: int = 0,
+                  flush: bool = False) -> None:
         """Execute a whole sequence of (mask, magnitude) waves at once.
 
         Semantically identical to the per-wave loop::
@@ -502,40 +513,71 @@ class CountingEngine:
             for mag, mask in zip(magnitudes, packed_masks):
                 engine.load_mask_packed(mask_index, mask)
                 engine.accumulate(int(mag), mask_index)
+            if flush:
+                engine.flush()
 
         but on the unprotected word path the entire sequence -- every
         wave's event batch plus the interleaved host mask writes --
         stitches into :class:`~repro.isa.trace.MegaProgram` chunks that
         replay as single compiled traces (see
         :meth:`~repro.dram.wordline.WordlineSubarray.run_megaprogram`).
-        Cell states, AAP/AP/activation accounting, the paper-formula
-        ``model_ops``, and a seeded fault stream are exactly what the
-        per-wave loop produces; only the compile/replay cache counters
-        see the coarser (per-chunk) granularity.
+        ``flush=True`` (for callers whose next step is a read) appends
+        the scheduler's flush events to the last wave's batch, so the
+        carry flush rides the stitched tail instead of replaying as a
+        separate trace.  Cell states, AAP/AP/activation accounting, the
+        paper-formula ``model_ops``, and a seeded fault stream are
+        exactly what the per-wave loop produces; only the
+        compile/replay cache counters see the coarser (per-chunk)
+        granularity.
 
-        The IARM scheduler still runs wave by wave -- its event stream
-        is state-dependent, so the stitched sequence is keyed by the
-        *scheduled* event signatures, never by magnitudes alone.  Long
-        sequences split into chunks under a fixed replay-scratch
-        budget; chunk boundaries are deterministic in the event
-        signatures, so cache keys stay stable across identical queries.
+        The IARM event stream is a pure function of the scheduler state
+        and the magnitudes, so a scheduler exposing ``state()`` /
+        ``restore()`` lets a repeated ``(state, magnitudes, flush)``
+        call skip scheduling altogether: the chunk megaprograms, the
+        ``model_ops`` delta and the post-call scheduler state are
+        memoized under that key, and a hit replays the chunks and
+        restores the state exactly.  A miss schedules wave by wave and
+        keys each chunk's megaprogram by its *scheduled* event
+        signatures, so different states that schedule alike share one
+        compiled trace.  Long sequences split into chunks under a fixed
+        replay-scratch budget; chunk boundaries are deterministic in the
+        event signatures, so cache keys stay stable across identical
+        queries.
         """
         n_waves = len(magnitudes)
-        if n_waves == 0:
-            return
-        if not (self._fusable and fusion_enabled()
-                and megatrace_enabled()):
+        if n_waves == 0 or not (self._fusable and fusion_enabled()
+                                and megatrace_enabled()):
             for w in range(n_waves):
                 self.load_mask_packed(mask_index, packed_masks[w])
                 self.accumulate(int(magnitudes[w]), mask_index)
+            if flush and not self._flushed:
+                self.flush()
             return
-        self._flushed = False
         mask_row = self.layout.mask_rows[mask_index]
-        wave_events, sigs = [], []
-        for w in range(n_waves):
-            events = list(self.scheduler.schedule_value(
-                int(magnitudes[w])))
-            wave_events.append(events)
+        sched = self.scheduler
+        memo_key = None
+        if hasattr(sched, "state") and hasattr(sched, "restore"):
+            memo_key = ("memo", self.cache_epoch, mask_row, sched,
+                        sched.state(), flush,
+                        np.asarray(magnitudes, dtype=np.int64).tobytes())
+            memo = self._mega_cache.get(memo_key)
+            if memo is not None:
+                self._mega_cache.move_to_end(memo_key)
+                chunks, ops, post = memo
+                for lo, hi, mega in chunks:
+                    self.subarray.run_megaprogram(mega, packed_masks[lo:hi])
+                self.model_ops += ops
+                sched.restore(post)
+                self._flushed = flush
+                return
+        ops_before = self.model_ops
+        self._flushed = False
+        wave_events = [list(sched.schedule_value(int(m)))
+                       for m in magnitudes]
+        if flush:
+            wave_events[-1].extend(sched.flush())
+        sigs = []
+        for events in wave_events:
             sigs.append(tuple(
                 (ev.digit, ev.k) if isinstance(ev, Increment)
                 else ("resolve", ev.digit, ev.direction)
@@ -547,15 +589,16 @@ class CountingEngine:
         # by splitting the sequence into chunks of roughly
         # budget-many value slots (coarse per-wave estimate).
         budget = max(8, (1 << 24) // (2 * self.subarray.n_words))
-        chunks, start, used = [], 0, 0
+        bounds, start, used = [], 0, 0
         for w in range(n_waves):
             cost = 8 + 48 * len(wave_events[w])
             if w > start and used + cost > budget:
-                chunks.append((start, w))
+                bounds.append((start, w))
                 start, used = w, 0
             used += cost
-        chunks.append((start, n_waves))
-        for lo, hi in chunks:
+        bounds.append((start, n_waves))
+        chunks = []
+        for lo, hi in bounds:
             key = (self.cache_epoch, mask_row) + tuple(sigs[lo:hi])
             mega = self._mega_cache.get(key)
             if mega is not None:
@@ -567,10 +610,20 @@ class CountingEngine:
                     for w in range(lo, hi))
                 mega = MegaProgram(f"mega[{hi - lo}]", segments,
                                    mask_row)
-                self._mega_cache[key] = mega
-                while len(self._mega_cache) > ENGINE_MEGATRACE_CACHE:
-                    self._mega_cache.popitem(last=False)
+                self._cache_mega(key, mega)
+            chunks.append((lo, hi, mega))
             self.subarray.run_megaprogram(mega, packed_masks[lo:hi])
+        self._flushed = flush
+        if memo_key is not None:
+            self._cache_mega(memo_key, (tuple(chunks),
+                                        self.model_ops - ops_before,
+                                        sched.state()))
+
+    def _cache_mega(self, key, entry) -> None:
+        """Insert into the bounded megaprogram LRU cache."""
+        self._mega_cache[key] = entry
+        while len(self._mega_cache) > ENGINE_MEGATRACE_CACHE:
+            self._mega_cache.popitem(last=False)
 
     def flush(self) -> None:
         """Resolve all pending carries (read-out barrier)."""
@@ -583,27 +636,52 @@ class CountingEngine:
         ``strict=False`` decodes invalid (fault-corrupted) Johnson states
         leniently and folds surviving O_next flags in -- the behavior the
         accuracy studies rely on.
+
+        The decode runs on the packed row words (both backends hand
+        them out): a digit whose LSB is clear but which is not all-zero
+        is *wrapped* (value ``2n - ones``), so XOR-ing its bits with that
+        flag turns both cases into one popcount, ``value = popcount(bits
+        ^ wrap) + n * wrap`` -- exactly :func:`~repro.core.johnson.
+        decode_lanes`, invalid states included.  A valid state's XORed
+        bits are a run of ones from the LSB, which is the strict check.
         """
         if not self._flushed:
             self.flush()
         d_count, n, lanes = self.n_digits, self.n_bits, self.n_lanes
-        planes = self.subarray.read_rows(
-            [r for rows in self.layout.digit_bit_rows for r in rows])
-        # One decode call covers all digits: [D, n, L] -> [n, D*L].  The
-        # flattened order is digit-major, so a strict invalid-state
-        # error still reports the lowest corrupted digit first.
-        values = decode_lanes(
-            planes.reshape(d_count, n, lanes).transpose(1, 0, 2)
-            .reshape(n, d_count * lanes),
-            strict=strict).reshape(d_count, lanes)
-        onext = self.subarray.read_rows(self.layout.onext_rows)
+        words = self.subarray.read_rows_packed(self._readout_rows)
+        bits = words[:d_count * n].reshape(d_count, n, words.shape[1])
+        onext = words[d_count * n:] & self._tail
+        wrap = ~bits[:, 0] & np.bitwise_or.reduce(bits, axis=1)
+        xored = bits ^ wrap[:, None]
+        if strict and n > 2 and (
+                ~xored[:, :-1] & xored[:, 1:] & self._tail).any():
+            # Report the lowest corrupted digit exactly as the unpacked
+            # decoder always has.
+            planes = np.unpackbits(bits.view(np.uint8), axis=2,
+                                   count=lanes, bitorder="little")
+            decode_lanes(planes.transpose(1, 0, 2).reshape(n, -1),
+                         strict=True)
         if strict and onext[-1].any():
             raise OverflowError("counter capacity exceeded")
-        weights = self.radix ** np.arange(d_count, dtype=np.int64)
-        totals = weights @ values
-        if onext.any():       # surviving flags only occur in faulty runs
-            totals = totals + (weights * self.radix) @ onext.astype(np.int64)
-        return totals
+        flagged = bool(onext.any())   # surviving flags: faulty runs only
+        stack = (xored.reshape(d_count * n, words.shape[1]), wrap)
+        planes = np.unpackbits(
+            np.concatenate(stack + (onext,) if flagged else stack)
+            .view(np.uint8), axis=1, count=lanes, bitorder="little")
+        digits = planes[d_count * n:d_count * (n + 1)] * np.uint8(n)
+        for i in range(n):
+            digits += planes[i:d_count * n:n]
+        # Horner's rule in the narrowest dtype that holds a counter; a
+        # surviving O_next flag is one more unit of the next digit up.
+        totals = np.zeros(lanes, dtype=self._acc_dtype)
+        if flagged:
+            flags = planes[d_count * (n + 1):]
+            totals += flags[-1]
+            digits[1:] += flags[:-1]
+        for d in range(d_count - 1, -1, -1):
+            totals *= self.radix
+            totals += digits[d]
+        return totals.astype(np.int64)
 
     # ------------------------------------------------------------------
     # counter-row relocation (Sec. 5.2.2's GEMM row reuse)

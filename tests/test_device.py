@@ -269,13 +269,21 @@ class TestBudgetAndStats:
             compiles_after_first = plan.stats.program_compiles
             plan(x)
             stats = plan.stats
+            plan(x)
+            third = plan.stats
         assert stats.queries == 2
         assert stats.resident_rows == 16             # both orientations
         assert stats.measured_ops > 0
         assert stats.broadcasts > 0
-        # The second identical query recompiles nothing new.
+        # The second identical query recompiles nothing new: it replays
+        # the memoized schedule, so no μProgram is even looked up, and
+        # its stitched wave sequence (flush tail included) compiles once.
         assert stats.program_compiles == compiles_after_first
-        assert stats.program_replays > 0
+        assert stats.program_replays == 0
+        assert (stats.megatrace_compiles, stats.megatrace_replays) == (1, 0)
+        # Reuse from then on is one megatrace replay per query.
+        assert third.program_compiles == compiles_after_first
+        assert (third.megatrace_compiles, third.megatrace_replays) == (1, 1)
 
     def test_gemm_plan_reuse(self, rng):
         z = rng.integers(-1, 2, (10, 12)).astype(np.int8)

@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 from repro.core.iarm import Increment
 from repro.dram.ambit import AmbitSubarray
 from repro.dram.faults import FaultModel
-from repro.dram.wordline import (WordlineSubarray, pack_bits, pack_rows,
-                                 unpack_bits)
+from repro.dram.wordline import (WordlineSubarray, pack_bits, pack_blocks,
+                                 pack_rows, unpack_bits)
 from repro.engine import BankCluster, CountingEngine
-from repro.isa.microprogram import MicroProgram, aap, ap
-from repro.isa.trace import compile_trace, fusion_disabled, fusion_enabled
+from repro.isa.microprogram import MicroProgram, aap, ap, concat
+from repro.isa.trace import (TraceScratch, compile_trace, fusion_disabled,
+                             fusion_enabled, megatrace_disabled)
 
 
 def _subarray_counters(subarray):
@@ -247,9 +248,45 @@ def test_trace_counter_totals_match_program():
     assert trace.n_activations == 2 * prog.aap_count + prog.ap_count
 
 
+def test_batched_and_per_node_replay_agree(monkeypatch):
+    """Both replay strategies (level-batched gathers for narrow rows,
+    per-node row views for wide ones) leave identical cells."""
+    import repro.isa.trace as trace_mod
+    from repro.isa.templates import kary_increment_program
+    sa = WordlineSubarray(n_data_rows=8, n_cols=300)
+    prog = concat("pair", [kary_increment_program([0, 1], 2, 3, [3], 4),
+                           kary_increment_program([5, 6], 2, -2, [3], 7)])
+    trace = compile_trace(prog, sa.resolve)
+    rng = np.random.default_rng(11)
+    start = rng.integers(0, 2**63, sa.cells.shape, dtype=np.uint64)
+    results = []
+    for threshold in (1, 1 << 30):         # force each strategy
+        monkeypatch.setattr(trace_mod, "_NODE_EXEC_WORDS", threshold)
+        cells = start.copy()
+        trace.execute(cells, TraceScratch())    # fresh scratch: replan
+        results.append(cells)
+    assert (results[0] == results[1]).all()
+    assert not (results[0] == start).all()
+
+
 # ----------------------------------------------------------------------
 # packed operand staging
 # ----------------------------------------------------------------------
+@settings(deadline=None, max_examples=30)
+@given(n_rows=st.integers(1, 5), n_blocks=st.integers(1, 4),
+       width=st.sampled_from([3, 64, 70, 128]), seed=st.integers(0, 999))
+def test_pack_blocks_equals_dense_pack(n_rows, n_blocks, width, seed):
+    """Write-combined staging == packing the dense scattered image."""
+    rng = np.random.default_rng(seed)
+    cells = rng.permutation(n_rows * n_blocks)[:rng.integers(0, 6)]
+    rows, blocks = cells // n_blocks, cells % n_blocks
+    bits = rng.integers(0, 2, (cells.size, width)).astype(np.uint8)
+    dense = np.zeros((n_rows, n_blocks, width), dtype=np.uint8)
+    dense[rows, blocks] = bits
+    assert (pack_blocks(n_rows, n_blocks, rows, blocks, bits)
+            == pack_rows(dense.reshape(n_rows, -1))).all()
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_pack_rows_roundtrip(data):
@@ -330,9 +367,9 @@ def test_dispatch_wave_order_is_first_occurrence(monkeypatch):
     seen = []
     original = cluster.engine.run_waves
 
-    def spy(magnitudes, packed_masks, mask_index=0):
+    def spy(magnitudes, packed_masks, mask_index=0, flush=False):
         seen.extend(int(m) for m in magnitudes)
-        return original(magnitudes, packed_masks, mask_index)
+        return original(magnitudes, packed_masks, mask_index, flush)
 
     monkeypatch.setattr(cluster.engine, "run_waves", spy)
     cluster.dispatch([(5, [1, 0]), (2, [0, 1]), (5, [1, 1]),
@@ -373,6 +410,22 @@ def test_plan_stats_surface_trace_counters(rng):
         second = plan.stats
         plan(x)                        # steady state: pure replay
         third = plan.stats
+    # A warm plan(x) is one stitched sequence with the carry flush as
+    # its tail: it compiles once as a megatrace and then replays once
+    # per query; no per-μProgram trace is ever compiled.
+    split = ("trace_compiles", "trace_replays", "megatrace_compiles",
+             "megatrace_replays")
+    assert [getattr(second, f) for f in split] == [0, 0, 1, 0]
+    assert [getattr(third, f) for f in split] == [0, 0, 1, 1]
+    # With megatraces off the same queries ride per-μProgram traces
+    # (one fused program per wave plus the separate flush).
+    with megatrace_disabled(), Device(n_bits=2) as dev:
+        plan = dev.plan_gemv(z, kind="ternary")
+        plan(x)
+        plan(x)
+        second = plan.stats
+        plan(x)
+        third = plan.stats
     assert second.trace_compiles > 0
     assert third.trace_compiles == second.trace_compiles
     assert third.trace_replays > second.trace_replays
@@ -392,11 +445,24 @@ def test_serve_report_carries_trace_stats(rng):
     from repro.serve import Server
     z = rng.integers(-1, 2, (8, 16)).astype(np.int8)
     x = rng.integers(-5, 6, 8)
+    split = ("trace_compiles", "trace_replays", "megatrace_compiles",
+             "megatrace_replays")
     with Server(n_bits=2) as srv:
         srv.register("m", z, kind="ternary")
         r1 = srv.query("m", x).report     # warm-up wave: interpreted
         r2 = srv.query("m", x).report     # same wave again: compiles
         r3 = srv.query("m", x).report     # steady state: replays
+    # The wave's flush rides the stitched tail, so the whole wave is one
+    # megatrace: compiled by the second wave, replayed by the third.
+    assert [getattr(r1, f) for f in split] == [0, 0, 0, 0]
+    assert [getattr(r2, f) for f in split] == [0, 0, 1, 0]
+    assert [getattr(r3, f) for f in split] == [0, 0, 0, 1]
+    # Per-μProgram traces surface the same way with megatraces off.
+    with megatrace_disabled(), Server(n_bits=2) as srv:
+        srv.register("m", z, kind="ternary")
+        r1 = srv.query("m", x).report
+        r2 = srv.query("m", x).report
+        r3 = srv.query("m", x).report
     assert r1.trace_replays == 0
     assert r2.trace_compiles > 0
     assert r3.trace_replays > 0 and r3.trace_compiles == 0
