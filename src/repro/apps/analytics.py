@@ -191,7 +191,7 @@ class _StreamPlan:
         self._cluster = BankCluster(
             cfg.n_bits, self.n_digits, self._width, n_banks=slots * banks,
             fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
-            backend=cfg.resolved_backend)
+            backend=cfg.resolved_backend, programs=self._device.programs)
         self._slots, self._banks = slots, banks
         return self._cluster
 
@@ -232,7 +232,7 @@ class _StreamPlan:
         cluster = BankCluster(
             cfg.n_bits, n_digits, self._width, n_banks=slots * banks,
             fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
-            backend=cfg.resolved_backend)
+            backend=cfg.resolved_backend, programs=self._device.programs)
         cluster.import_counters(image)
         self._cluster = cluster
         self._slots, self._banks = slots, banks

@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.dram.faults import FAULT_FREE, FaultModel
+from repro.dram.programs import ProgramStore
 from repro.dram.wordline import pack_blocks
 from repro.engine.cluster import BankCluster
 from repro.engine.machine import CountingEngine
@@ -150,10 +151,12 @@ class PlanStats:
     is directly comparable with the analytical
     :class:`repro.perf.C2MModel` op accounting (the serving telemetry
     prices latency/energy from exactly this number);
-    ``program_compiles`` / ``program_replays`` split μProgram cache
-    misses from hits and ``trace_compiles`` / ``trace_replays`` do the
-    same for the word backend's fused-trace cache (zero on the bit
-    backend and under active fault models, which bypass fusion),
+    ``program_compiles`` / ``program_replays`` split this plan's
+    lookups in the device's :class:`~repro.dram.programs.ProgramStore`
+    into μPrograms built and reused, and ``trace_compiles`` /
+    ``trace_replays`` do the same for the word backend's fused traces
+    (zero on the bit backend, which never fuses) -- a plan whose
+    programs another tenant already warmed compiles nothing,
     ``resident_rows`` is the number of planted mask-row images (binary:
     one per Z row; ternary: both sign orientations per row), and
     ``parks`` / ``unparks`` count eviction round-trips through the
@@ -330,7 +333,8 @@ class GemvPlan:
             engines = [
                 CountingEngine(cfg.n_bits, n_digits, self.n,
                                fault_model=cfg.fault_model,
-                               fr_checks=cfg.fr_checks, backend="bit")
+                               fr_checks=cfg.fr_checks, backend="bit",
+                               programs=self._device.programs)
                 for _ in range(count)]
             for eng in engines:
                 eng.reset_counters()
@@ -343,7 +347,8 @@ class GemvPlan:
             n_banks = slots * banks
         cluster = BankCluster(
             cfg.n_bits, n_digits, self._width, n_banks=n_banks,
-            fault_model=cfg.fault_model, fr_checks=cfg.fr_checks)
+            fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
+            programs=self._device.programs)
         return cluster, None
 
     def _unmount(self, role: str) -> None:
@@ -629,9 +634,10 @@ class GemvPlan:
         acquires the *new* content address (which clones the image --
         or re-merges with a tenant that already planted the mutated
         matrix) and drops its reference on the old one.  The next
-        query unparks against the new image; because store generations
-        stamp engine ``cache_epoch``, no stale compiled μProgram or
-        megatrace replays against the swapped rows.
+        query unparks against the new image with a fresh ``run_waves``
+        memo (store generations stamp engine ``cache_epoch``) and
+        replays the device's warm compiled traces, which read no cell
+        contents and so hold for any row image.
         """
         self._check_open()
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
@@ -1136,6 +1142,11 @@ class Device:
         # before.  The serving registry funnels every tenant through
         # one device, so tenants dedup against each other there.
         self.store = store if store is not None else RowImageStore()
+        # Compiled-program scope: one store per device, passed to every
+        # engine body its plans build, so parked/unparked and co-tenant
+        # plans replay warm traces.  Campaign trials build one device
+        # each, so their trials never share compiled state.
+        self.programs = ProgramStore()
         self._plans: Dict[int, object] = {}
         self._next_handle = 0
         self._closed = False
@@ -1242,6 +1253,7 @@ class Device:
             return
         for plan in list(self._plans.values()):
             plan._close("plan is closed (device shut down)")
+        self.programs.clear()
         self._closed = True
 
     def __enter__(self) -> "Device":

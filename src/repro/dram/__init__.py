@@ -3,6 +3,7 @@ Ambit CIM model (plus its word-parallel fast twin), fault injection, and
 energy/area accounting."""
 
 from repro.dram.ambit import AmbitSubarray
+from repro.dram.programs import ProgramStore
 from repro.dram.wordline import WordlineSubarray
 from repro.dram.energy import DDR5_ENERGY, EnergyModel
 from repro.dram.faults import DRAM_READ_FAULT_RATE, FAULT_FREE, FaultModel
@@ -13,7 +14,7 @@ from repro.dram.timing import (DDR5_4400_TIMING, TimingParams, aap_period_ns,
                                time_for_aaps_ns)
 
 __all__ = [
-    "AmbitSubarray", "WordlineSubarray",
+    "AmbitSubarray", "ProgramStore", "WordlineSubarray",
     "DDR5_ENERGY", "EnergyModel",
     "DRAM_READ_FAULT_RATE", "FAULT_FREE", "FaultModel",
     "DDR5_4400", "DRAMGeometry",

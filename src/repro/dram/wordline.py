@@ -33,16 +33,16 @@ fault model stays bit-for-bit reproducible on any path
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.dram.ambit import _DATA_BASE, _b_group_map, _C0, _C1
 from repro.dram.faults import FAULT_FREE, FaultModel
+from repro.dram.programs import ProgramStore
 
 __all__ = ["WordlineSubarray", "pack_bits", "pack_blocks", "pack_rows",
-           "unpack_bits", "DEFAULT_PROGRAM_CACHE", "DEFAULT_MEGATRACE_CACHE"]
+           "unpack_bits"]
 
 # The trace compiler lives in repro.isa.trace, which (through the isa
 # package) transitively imports this module -- resolved lazily at the
@@ -59,30 +59,18 @@ def _trace_module():
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Default bound on the per-subarray compiled-program LRU cache (both
-#: the resolved op lists and the fused traces live under this bound).
-#: Cached entries are small -- a few index arrays per trace; replay
-#: buffers live in one shared per-subarray scratch -- so the bound is
-#: sized for working sets (distinct event batches across magnitudes),
-#: not for memory.
-DEFAULT_PROGRAM_CACHE = 1024
-
-#: Default bound on the per-subarray compiled-megatrace LRU cache.  A
-#: megatrace covers a whole replay sequence (every wave of a resident
-#: plan's query), so a working set holds one entry per resident plan
-#: chunk, not per μProgram -- the bound is correspondingly smaller than
-#: :data:`DEFAULT_PROGRAM_CACHE`.
-DEFAULT_MEGATRACE_CACHE = 64
-
 #: The run number on which a program's trace is compiled: run 1
 #: interprets (a one-shot program never pays compilation -- the cold
 #: kernel path stays cold-fast), run ``FUSE_AFTER_RUNS`` compiles and
-#: fuses, and every further replay is pure fused execution.  The JIT
-#: warm-up is therefore exactly **one** interpreted run (pinned by
-#: ``tests/test_fault_fusion_parity.py::test_warmup_interpreted_run_
+#: fuses, and every further replay is pure fused execution.  Runs are
+#: counted per entry of the subarray's
+#: :class:`~repro.dram.programs.ProgramStore`, so with a device-wide
+#: store a program interprets once per device, not once per engine.
+#: The JIT warm-up is therefore exactly **one** interpreted run (pinned
+#: by ``tests/test_fault_fusion_parity.py::test_warmup_interpreted_run_
 #: count``), not ``FUSE_AFTER_RUNS`` interpreted runs.  Programs
-#: evicted from the LRU before their second run never compile at all,
-#: which keeps cache thrash no slower than the interpreter.
+#: evicted from the store before their second run never compile at
+#: all, which keeps cache thrash no slower than the interpreter.
 FUSE_AFTER_RUNS = 2
 
 Address = Union[str, int]
@@ -178,11 +166,11 @@ class WordlineSubarray:
         Bitlines (= SIMD lanes); packed into ``ceil(n_cols / 64)`` words.
     fault_model:
         Per-bit fault injection, shared with the bit-level backend.
-    program_cache_size:
-        Bound on the compiled-program LRU cache (resolved op lists and
-        fused traces share one bound) -- a long-running process replays
-        many distinct μPrograms, and an unbounded identity-keyed cache
-        would pin every one of them forever.
+    programs:
+        The :class:`~repro.dram.programs.ProgramStore` holding compiled
+        traces, megatraces and replay scratch -- the owning device's
+        store, so every engine it builds replays the same warm traces.
+        ``None`` gives the subarray a private store.
 
     Bits past ``n_cols`` in the last word are *don't-care*: they never
     reach the fault model or a host read, and negation may set them
@@ -194,7 +182,7 @@ class WordlineSubarray:
 
     def __init__(self, n_data_rows: int, n_cols: int,
                  fault_model: FaultModel = FAULT_FREE,
-                 program_cache_size: int = DEFAULT_PROGRAM_CACHE):
+                 programs: Optional[ProgramStore] = None):
         self.n_data_rows = int(n_data_rows)
         self.n_cols = int(n_cols)
         self.n_words = (self.n_cols + 63) // 64
@@ -212,22 +200,12 @@ class WordlineSubarray:
             for name, ports in _b_group_map().items()}
         self._ports["C0"] = ((_C0, False),)
         self._ports["C1"] = ((_C1, False),)
-        # Compiled μProgram LRU cache: id(program) -> [program, op list,
-        # trace-or-None].  The strong reference keeps each cached
-        # program alive so its id can never be reused by a *different*
-        # live object, and the identity check on lookup guards against
-        # reuse of an evicted entry's id.  Resolved op lists and fused
-        # traces share the one bound.
-        self._compiled: "OrderedDict[int, list]" = OrderedDict()
-        self._program_cache_size = max(1, int(program_cache_size))
-        self._trace_scratch = None   # shared replay buffers, lazy
-        self.trace_compiles = 0   # cache misses: traces compiled
-        self.trace_replays = 0    # cache hits: fused traces re-executed
-        # Stitched whole-sequence traces (repro.isa.trace.MegaProgram),
-        # same identity-keyed LRU discipline as ``_compiled``:
-        # id(mega) -> [mega, compiled trace, fault sig].
-        self._mega: "OrderedDict[int, list]" = OrderedDict()
-        self._mega_cache_size = DEFAULT_MEGATRACE_CACHE
+        # Resolved op lists, compiled traces, megatraces and replay
+        # scratch live in the (usually device-wide) program store; the
+        # counters below count what *this* subarray compiled/replayed.
+        self.programs = programs if programs is not None else ProgramStore()
+        self.trace_compiles = 0   # traces this subarray compiled
+        self.trace_replays = 0    # fused traces this subarray re-executed
         self.megatrace_compiles = 0  # stitched traces compiled
         self.megatrace_replays = 0   # stitched traces re-executed
         # Monotonic count of fault-model bit flips this subarray's
@@ -328,31 +306,15 @@ class WordlineSubarray:
         self._sense(self.resolve(address))
         self.ap_count += 1
 
-    def _lookup_program(self, program) -> list:
-        """LRU-cached ``[program, ops, trace, runs, fault sig]`` entry."""
-        key = id(program)
-        entry = self._compiled.get(key)
-        if entry is not None and entry[0] is program:
-            self._compiled.move_to_end(key)
-            return entry
-        ops = tuple(
-            (op.kind == "AAP", self.resolve(op.src),
-             self.resolve(op.dst) if op.kind == "AAP" else None)
-            for op in program.ops)
-        entry = [program, ops, None, 0, None]
-        self._compiled[key] = entry
-        self._compiled.move_to_end(key)
-        while len(self._compiled) > self._program_cache_size:
-            self._compiled.popitem(last=False)
-        return entry
-
     def run_program(self, program) -> None:
         """Execute a :class:`~repro.isa.microprogram.MicroProgram`.
 
-        Programs are compiled once to resolved port tuples and cached
-        (bounded LRU, identity-keyed), so replaying the same
-        (engine-cached) program skips all address resolution.  Replay
-        goes further after a one-interpreted-run JIT warm-up: the
+        Programs are resolved once to port tuples and cached in the
+        subarray's :class:`~repro.dram.programs.ProgramStore` (bounded
+        LRU, keyed by ``(n_data_rows, program)``), so replaying the same
+        store-canonical program skips all address resolution -- on any
+        engine sharing the store.  Replay goes further after a
+        one-interpreted-run JIT warm-up (counted per store entry): the
         program is lowered once by :func:`repro.isa.trace.
         compile_trace` into a fused trace and re-executed as batched
         NumPy operations -- no per-op Python loop at all.  An *active*
@@ -363,41 +325,32 @@ class WordlineSubarray:
         ``ap_count``, ``activations``, ``multi_row_activations``,
         ``fault_injections``) *and the seeded fault stream* are exactly
         what the interpreted path -- and the bit-level backend -- would
-        produce.  If the model's rates or margin flag change under a
-        cached trace, the trace is recompiled against the new regime.
+        produce.  If the model's rates or margin flag differ from the
+        cached trace's spec, the trace is recompiled against the new
+        regime.
         """
-        entry = self._lookup_program(program)
+        entry = self.programs.compiled(self.n_data_rows, program,
+                                       self.resolve)
         trace = _trace_module()
         if trace.fusion_enabled():
             fm = self.fault_model
             spec = trace.FaultSpec.of(fm)
-            compiled = entry[2]
-            if compiled is not None and entry[4] != spec:
-                compiled = entry[2] = None    # fault regime changed
+            compiled = entry[4]
+            if compiled is not None and entry[3] != spec:
+                compiled = entry[4] = None    # fault regime changed
             if compiled is None:
                 # JIT warm-up: interpret run 1, compile once on run
                 # FUSE_AFTER_RUNS (exactly one interpreted run).
-                entry[3] += 1
-                if entry[3] >= FUSE_AFTER_RUNS:
-                    compiled = entry[2] = trace.compile_trace(
+                entry[2] += 1
+                if entry[2] >= FUSE_AFTER_RUNS:
+                    compiled = entry[4] = trace.compile_trace(
                         program, self.resolve, fault=spec)
-                    entry[4] = spec
+                    entry[3] = spec
                     self.trace_compiles += 1
             else:
                 self.trace_replays += 1
             if compiled is not None:
-                if self._trace_scratch is None:
-                    self._trace_scratch = trace.TraceScratch()
-                if compiled.faulty:
-                    self.fault_injections += compiled.execute(
-                        self.cells, self._trace_scratch,
-                        fault_model=fm, n_cols=self.n_cols)
-                else:
-                    compiled.execute(self.cells, self._trace_scratch)
-                self.aap_count += compiled.n_aap
-                self.ap_count += compiled.n_ap
-                self.activations += compiled.n_activations
-                self.multi_row_activations += compiled.n_multi
+                self._replay(compiled)
                 return
         cells = self.cells
         for is_aap, src_ports, dst_ports in entry[1]:
@@ -409,6 +362,21 @@ class WordlineSubarray:
                 self.aap_count += 1
             else:
                 self.ap_count += 1
+
+    def _replay(self, compiled, stream: np.ndarray = None) -> None:
+        """Execute a compiled (mega)trace on the store's shared replay
+        scratch and accrue its command counts."""
+        scratch = self.programs.scratch
+        if compiled.faulty:
+            self.fault_injections += compiled.execute(
+                self.cells, scratch, fault_model=self.fault_model,
+                n_cols=self.n_cols, stream=stream)
+        else:
+            compiled.execute(self.cells, scratch, stream=stream)
+        self.aap_count += compiled.n_aap
+        self.ap_count += compiled.n_ap
+        self.activations += compiled.n_activations
+        self.multi_row_activations += compiled.n_multi
 
     def run_megaprogram(self, mega, stream: np.ndarray) -> None:
         """Execute a stitched :class:`~repro.isa.trace.MegaProgram`.
@@ -429,64 +397,45 @@ class WordlineSubarray:
         query stream -- distinct magnitudes, never repeated -- pays no
         stitched-compilation cost at all), and run ``FUSE_AFTER_RUNS``
         compiles the whole sequence once; every further run is a
-        single-trace replay.  The cache is bounded by the same
-        identity-keyed LRU discipline as the per-program cache, and a
-        fault-regime change (p_cim/p_read/margin mutation) recompiles
-        the entry just like :meth:`run_program` does.
+        single-trace replay.  Compiled megatraces live in the
+        megatrace tier of the subarray's
+        :class:`~repro.dram.programs.ProgramStore` (bounded LRU, keyed
+        by ``(n_data_rows, mega)``), so an engine rebuilt over the same
+        store replays them warm, and a fault-regime change
+        (p_cim/p_read/margin mutation) recompiles the entry just like
+        :meth:`run_program` does.
         """
         trace = _trace_module()
-        key = id(mega)
-        entry = None
-        if trace.fusion_enabled() and trace.megatrace_enabled():
-            entry = self._mega.get(key)
-            if entry is not None and entry[0] is mega:
-                self._mega.move_to_end(key)
-            else:
-                entry = [mega, None, None, 0]
-                self._mega[key] = entry
-                while len(self._mega) > self._mega_cache_size:
-                    self._mega.popitem(last=False)
-        if entry is None:
-            for i, segment in enumerate(mega.segments):
-                self.write_data_row_packed(mega.stream_row, stream[i])
-                self.run_program(segment)
+        if not (trace.fusion_enabled() and trace.megatrace_enabled()):
+            self._run_segments(mega, stream)
             return
-        fm = self.fault_model
-        spec = trace.FaultSpec.of(fm)
-        compiled = entry[1]
+        entry = self.programs.megatrace(self.n_data_rows, mega)
+        spec = trace.FaultSpec.of(self.fault_model)
+        compiled = entry[3]
         if compiled is not None and entry[2] != spec:
-            compiled = entry[1] = None        # fault regime changed
+            compiled = entry[3] = None        # fault regime changed
         if compiled is None:
-            entry[3] += 1
-            if entry[3] < FUSE_AFTER_RUNS:
+            entry[1] += 1
+            if entry[1] < FUSE_AFTER_RUNS:
                 # Warm-up run: the literal per-wave sequence (its
                 # μPrograms JIT independently, so even this run fuses
                 # at μProgram granularity once warm).
-                for i, segment in enumerate(mega.segments):
-                    self.write_data_row_packed(mega.stream_row,
-                                               stream[i])
-                    self.run_program(segment)
+                self._run_segments(mega, stream)
                 return
-            compiled = trace.compile_megatrace(mega, self.resolve,
-                                               fault=spec)
-            entry[1], entry[2] = compiled, spec
+            compiled = entry[3] = trace.compile_megatrace(
+                mega, self.resolve, fault=spec)
+            entry[2] = spec
             self.megatrace_compiles += 1
         else:
             self.megatrace_replays += 1
-        if self._trace_scratch is None:
-            self._trace_scratch = trace.TraceScratch()
-        stream = np.ascontiguousarray(stream, dtype=np.uint64)
-        if compiled.faulty:
-            self.fault_injections += compiled.execute(
-                self.cells, self._trace_scratch, fault_model=fm,
-                n_cols=self.n_cols, stream=stream)
-        else:
-            compiled.execute(self.cells, self._trace_scratch,
-                             stream=stream)
-        self.aap_count += compiled.n_aap
-        self.ap_count += compiled.n_ap
-        self.activations += compiled.n_activations
-        self.multi_row_activations += compiled.n_multi
+        self._replay(compiled,
+                     np.ascontiguousarray(stream, dtype=np.uint64))
+
+    def _run_segments(self, mega, stream: np.ndarray) -> None:
+        """The per-wave loop a megaprogram stands for."""
+        for i, segment in enumerate(mega.segments):
+            self.write_data_row_packed(mega.stream_row, stream[i])
+            self.run_program(segment)
 
     # ------------------------------------------------------------------
     # host-side access (RD/WR path; used to stage operands and read out)

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.iarm import BaseScheduler
 from repro.dram.faults import FAULT_FREE, FaultModel
+from repro.dram.programs import ProgramStore
 from repro.dram.wordline import pack_blocks
 from repro.engine.machine import CountingEngine
 
@@ -53,10 +54,12 @@ class BankCluster:
     n_banks:
         Bank shards executing the broadcast stream in lockstep; also the
         wave width of :meth:`dispatch`.
-    fault_model, fr_checks, scheduler, backend:
+    fault_model, fr_checks, scheduler, backend, programs:
         Forwarded to the underlying :class:`~repro.engine.machine.
         CountingEngine`; the backend defaults to the word-parallel fast
-        subarray (pass ``backend="bit"`` for the bit-accurate reference).
+        subarray (pass ``backend="bit"`` for the bit-accurate reference),
+        and ``programs`` is the (device-wide) program store, private
+        when omitted.
     """
 
     def __init__(self, n_bits: int, n_digits: int, lanes_per_bank: int,
@@ -64,7 +67,8 @@ class BankCluster:
                  fault_model: FaultModel = FAULT_FREE,
                  fr_checks: int = 0,
                  scheduler: Optional[BaseScheduler] = None,
-                 backend: str = "word"):
+                 backend: str = "word",
+                 programs: Optional[ProgramStore] = None):
         if n_banks < 1:
             raise ValueError("n_banks must be positive")
         if lanes_per_bank < 0:
@@ -76,7 +80,8 @@ class BankCluster:
                                      fault_model=fault_model,
                                      fr_checks=fr_checks,
                                      scheduler=scheduler,
-                                     backend=backend)
+                                     backend=backend,
+                                     programs=programs)
         self.engine.reset_counters()
         self.broadcasts = 0      # accumulate() calls actually issued
 

@@ -27,6 +27,7 @@ from repro.core.johnson import decode_lanes, transition_pattern
 from repro.core.opcount import event_ops
 from repro.dram.ambit import AmbitSubarray
 from repro.dram.faults import FAULT_FREE, FaultModel
+from repro.dram.programs import ProgramStore
 from repro.dram.wordline import WordlineSubarray, pack_bits
 from repro.ecc.protection import CIMProtection
 from repro.engine.mapping import CounterLayout
@@ -39,20 +40,12 @@ from repro.isa.trace import MegaProgram, fusion_enabled, megatrace_enabled
 
 __all__ = ["CountingEngine", "EngineCounters"]
 
-#: Bound on the engine-level μProgram LRU cache.  Per-event keys are
-#: naturally bounded by (digit, k, mask row), but macro-fusion adds one
-#: entry per distinct *event batch* -- unbounded over a long-running
-#: serving process -- so the cache evicts least-recently-used programs.
-#: Entries are small (a MicroProgram is a few KB); the subarray's own
-#: bounded cache governs the compiled-trace side independently.
-ENGINE_PROGRAM_CACHE = 4096
-
-#: Bound on the engine-level megaprogram LRU cache: stitched whole-wave
-#: chunks keyed by their event signatures, plus the schedule memo of
-#: whole ``run_waves`` calls keyed by scheduler state and magnitudes.  A
-#: serving process sees one distinct entry of each per (resident plan,
-#: magnitude profile); the subarray's own bounded megatrace cache
-#: governs the compiled side.
+#: Bound on the engine's ``run_waves`` memo: whole calls keyed by
+#: scheduler state and magnitudes (see :meth:`CountingEngine.
+#: run_waves`).  A serving process sees one distinct entry per
+#: (resident plan, magnitude profile); the programs and compiled traces
+#: the entries reference live in the shared
+#: :class:`~repro.dram.programs.ProgramStore` under its own bounds.
 ENGINE_MEGATRACE_CACHE = 256
 
 
@@ -63,9 +56,13 @@ class EngineCounters(NamedTuple):
     latency/energy from: AAP/AP command sequences the subarray actually
     executed, retries included -- as opposed to the analytical op counts
     of :mod:`repro.perf` which never see the executed path.
-    ``trace_compiles`` / ``trace_replays`` split the word backend's
-    fused-trace cache the same way ``prog_compiles`` / ``prog_replays``
-    split the μProgram cache; both stay zero on the bit backend (which
+    ``trace_compiles`` / ``trace_replays`` count the fused traces this
+    engine's subarray compiled and replayed the same way
+    ``prog_compiles`` / ``prog_replays`` count its μPrograms built and
+    reused -- all four are lookups in the shared
+    :class:`~repro.dram.programs.ProgramStore`, so an engine whose
+    programs another engine of its device already warmed compiles
+    nothing; the trace counters stay zero on the bit backend (which
     never fuses).  ``injected_faults`` is the monotonic count of fault-
     model bit flips this engine's subarray injected (identical on the
     interpreted and fused paths) -- the serving telemetry reports its
@@ -113,6 +110,11 @@ class CountingEngine:
         :class:`~repro.dram.wordline.WordlineSubarray`.  Both backends
         are cell-state and fault-stream identical; ``"word"`` is simply
         orders of magnitude faster.
+    programs:
+        The :class:`~repro.dram.programs.ProgramStore` the engine's
+        μPrograms, compiled traces and replay scratch live in --
+        normally the owning device's, so a rebuilt or co-tenant engine
+        replays warm.  ``None`` gives the engine a private store.
     """
 
     #: Accepted spellings of the two functional backends.
@@ -140,7 +142,8 @@ class CountingEngine:
                  scheduler: Optional[BaseScheduler] = None,
                  protection_code=None,
                  max_retries: int = 64,
-                 backend: str = "bit"):
+                 backend: str = "bit",
+                 programs: Optional[ProgramStore] = None):
         self.n_bits = n_bits
         self.n_digits = n_digits
         self.n_lanes = n_lanes
@@ -149,26 +152,31 @@ class CountingEngine:
         self.layout = CounterLayout(n_bits, n_digits, n_masks,
                                     protected=self.fr_checks > 0)
         self.backend = self.normalize_backend(backend)
-        subarray_cls = (WordlineSubarray if self.backend == "word"
-                        else AmbitSubarray)
-        self.subarray = subarray_cls(self.layout.total_rows, n_lanes,
-                                     fault_model)
-        # Increment/resolve μPrograms depend only on (digit, k, mask
-        # row) and macro-fused batches on the full event signature, so
-        # they compile once and replay from this bounded LRU cache.
-        # The plan layer surfaces the compile/replay split through
-        # Plan.stats.
-        self._prog_cache: "OrderedDict" = OrderedDict()
-        self.prog_compiles = 0   # cache misses: μPrograms built
-        self.prog_replays = 0    # cache hits: compiled μPrograms reused
-        # Stitched wave-sequence megaprograms keyed by the chunk's
-        # event signatures, and memoized run_waves calls keyed by the
-        # scheduler state (one bounded LRU; see run_waves).
+        # Increment/resolve μPrograms depend only on the layout and
+        # (digit, k, mask row), macro-fused batches and stitched chunks
+        # on the layout and the event signatures: they are built once
+        # per store -- the device's, shared by every engine it builds
+        # -- under the layout signature below.  The plan layer surfaces
+        # this engine's build/reuse split through Plan.stats.
+        self.programs = programs if programs is not None else ProgramStore()
+        self._layout_key = (n_bits, n_digits, n_masks, self.fr_checks > 0)
+        if self.backend == "word":
+            self.subarray = WordlineSubarray(
+                self.layout.total_rows, n_lanes, fault_model,
+                programs=self.programs)
+        else:
+            self.subarray = AmbitSubarray(self.layout.total_rows, n_lanes,
+                                          fault_model)
+        self.prog_compiles = 0   # store misses: μPrograms built
+        self.prog_replays = 0    # store hits: stored μPrograms reused
+        # Memoized run_waves calls keyed by the scheduler state (one
+        # bounded LRU; see run_waves).
         self._mega_cache: "OrderedDict" = OrderedDict()
-        # Cache namespace for compiled μPrograms/megatraces.  The
-        # row-image store stamps the owning image's generation here
-        # when it builds shared engines, so a copy-on-write row swap
-        # can never replay a trace compiled against the old rows.
+        # Namespace of the run_waves memo.  The row-image store stamps
+        # the owning image's generation here when it builds shared
+        # engines, so a copy-on-write row swap starts a fresh memo.
+        # Store keys carry no epoch: compiled traces read no cell
+        # contents, so they are valid for any row image.
         self.cache_epoch = 0
         self.scheduler = scheduler or IARMScheduler(n_bits, n_digits)
         if self.fr_checks:
@@ -317,22 +325,17 @@ class CountingEngine:
     # event execution
     # ------------------------------------------------------------------
     def _cached_program(self, key):
-        """LRU lookup in the engine μProgram cache (counts a replay)."""
-        key = (self.cache_epoch,) + tuple(key)
-        prog = self._prog_cache.get(key)
+        """Store lookup of this layout's μProgram (counts a replay)."""
+        prog = self.programs.get((self._layout_key, key))
         if prog is not None:
-            self._prog_cache.move_to_end(key)
             self.prog_replays += 1
         return prog
 
     def _store_program(self, key, prog):
-        """Insert into the bounded μProgram cache (counts a compile)."""
-        key = (self.cache_epoch,) + tuple(key)
-        self._prog_cache[key] = prog
+        """Insert this layout's μProgram into the store (counts a
+        compile)."""
         self.prog_compiles += 1
-        while len(self._prog_cache) > ENGINE_PROGRAM_CACHE:
-            self._prog_cache.popitem(last=False)
-        return prog
+        return self.programs.put((self._layout_key, key), prog)
 
     def _run_increment(self, digit: int, k: int, mask_row: int) -> None:
         lay = self.layout
@@ -536,13 +539,15 @@ class CountingEngine:
         call skip scheduling altogether: the chunk megaprograms, the
         ``model_ops`` delta and the post-call scheduler state are
         memoized under that key, and a hit replays the chunks and
-        restores the state exactly.  A miss schedules wave by wave and
-        keys each chunk's megaprogram by its *scheduled* event
-        signatures, so different states that schedule alike share one
-        compiled trace.  Long sequences split into chunks under a fixed
-        replay-scratch budget; chunk boundaries are deterministic in the
-        event signatures, so cache keys stay stable across identical
-        queries.
+        restores the state exactly.  The memo is per engine; a miss
+        schedules wave by wave and looks each chunk's megaprogram up in
+        the shared :class:`~repro.dram.programs.ProgramStore` by its
+        layout and *scheduled* event signatures, so different states --
+        and different engines of one device -- that schedule alike
+        share one compiled trace.  Long sequences split into chunks
+        under a fixed replay-scratch budget; chunk boundaries are
+        deterministic in the event signatures, so cache keys stay stable
+        across identical queries.
         """
         n_waves = len(magnitudes)
         if n_waves == 0 or not (self._fusable and fusion_enabled()
@@ -599,31 +604,24 @@ class CountingEngine:
         bounds.append((start, n_waves))
         chunks = []
         for lo, hi in bounds:
-            key = (self.cache_epoch, mask_row) + tuple(sigs[lo:hi])
-            mega = self._mega_cache.get(key)
-            if mega is not None:
-                self._mega_cache.move_to_end(key)
-            else:
+            key = (self._layout_key, mask_row) + tuple(sigs[lo:hi])
+            mega = self.programs.get_mega(key)
+            if mega is None:
                 segments = tuple(
                     self._fused_batch_program(wave_events[w], mask_row)
                     if wave_events[w] else MicroProgram("noop", ())
                     for w in range(lo, hi))
-                mega = MegaProgram(f"mega[{hi - lo}]", segments,
-                                   mask_row)
-                self._cache_mega(key, mega)
+                mega = self.programs.put_mega(key, MegaProgram(
+                    f"mega[{hi - lo}]", segments, mask_row))
             chunks.append((lo, hi, mega))
             self.subarray.run_megaprogram(mega, packed_masks[lo:hi])
         self._flushed = flush
         if memo_key is not None:
-            self._cache_mega(memo_key, (tuple(chunks),
-                                        self.model_ops - ops_before,
-                                        sched.state()))
-
-    def _cache_mega(self, key, entry) -> None:
-        """Insert into the bounded megaprogram LRU cache."""
-        self._mega_cache[key] = entry
-        while len(self._mega_cache) > ENGINE_MEGATRACE_CACHE:
-            self._mega_cache.popitem(last=False)
+            self._mega_cache[memo_key] = (tuple(chunks),
+                                          self.model_ops - ops_before,
+                                          sched.state())
+            while len(self._mega_cache) > ENGINE_MEGATRACE_CACHE:
+                self._mega_cache.popitem(last=False)
 
     def flush(self) -> None:
         """Resolve all pending carries (read-out barrier)."""

@@ -60,6 +60,7 @@ hatch (benchmark baselines, differential tests).
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
@@ -225,6 +226,10 @@ class FaultSpec:
         return "select" if self.p_read > 0.0 else "contested"
 
 
+#: Empty per-width plan map of a trace the scratch holds no plan for.
+_NO_PLANS: Dict[int, tuple] = {}
+
+
 @dataclass(frozen=True)
 class _Level:
     """One dependence level: ``hi - lo`` independent majority nodes.
@@ -244,40 +249,50 @@ class _Level:
 
 
 class TraceScratch:
-    """Replay scratch shared by every compiled trace of one subarray.
+    """Replay scratch shared by every compiled trace of one store.
 
-    One growable pair of buffers -- value slots (``vals``) and
-    auxiliary rows (gather/temporary/readout, ``aux``) -- serves every
-    trace the owning subarray replays, so a subarray's scratch
-    footprint is one buffer set, not one per cached trace.  Buffers
-    only ever grow; ``version`` bumps on every (re)allocation so traces
-    know to rebuild their precomputed views.
+    One growable flat word buffer serves every trace replayed through
+    one :class:`~repro.dram.programs.ProgramStore`, at any row width:
+    :meth:`ensure` carves it into value slots (``vals``) and auxiliary
+    rows (gather/temporary/readout, ``aux``) of the requested width.
+    A store's replays are serialized, so views of different widths may
+    alias the same words, and the footprint is the largest single
+    replay's need -- not one buffer per cached trace, per engine or per
+    width.  The buffer only ever grows.
+
+    The scratch also owns the traces' replay plans (precomputed views
+    into the buffer, one per trace and row width; see
+    :meth:`CompiledTrace.execute`), weakly keyed by trace, so a
+    reallocation drops every view of the old buffer at once -- no
+    cached trace pins a buffer the scratch has outgrown.
     """
 
-    __slots__ = ("version", "n_words", "cap_slots", "cap_aux", "vals",
-                 "aux")
+    __slots__ = ("vals", "aux", "plans", "_buf", "_shape")
 
     def __init__(self):
-        self.version = 0
-        self.n_words = -1
-        self.cap_slots = 0
-        self.cap_aux = 0
         self.vals = None
         self.aux = None
+        #: trace -> {n_words: replay plan}
+        self.plans = weakref.WeakKeyDictionary()
+        self._buf = np.empty(0, np.uint64)
+        self._shape = None
 
     def ensure(self, n_slots: int, n_aux: int, n_words: int) -> None:
-        """Grow the buffers to cover a trace's requirements."""
-        if (n_words == self.n_words and n_slots <= self.cap_slots
-                and n_aux <= self.cap_aux):
+        """Point ``vals`` / ``aux`` at ``n_slots`` / ``n_aux`` rows of
+        ``n_words`` words, growing the buffer if it is too small."""
+        shape = (n_slots, n_aux, n_words)
+        if shape == self._shape:
             return
-        self.cap_slots = max(self.cap_slots, 64,
-                             1 << (max(n_slots, 1) - 1).bit_length())
-        self.cap_aux = max(self.cap_aux, 16,
-                           1 << (max(n_aux, 1) - 1).bit_length())
-        self.n_words = n_words
-        self.vals = np.empty((self.cap_slots, n_words), np.uint64)
-        self.aux = np.empty((self.cap_aux, n_words), np.uint64)
-        self.version += 1
+        split = n_slots * n_words
+        need = split + n_aux * n_words
+        if need > self._buf.size:
+            self.plans.clear()           # every plan views the old buffer
+            # Power-of-two growth: few reallocations (each one rebuilds
+            # every plan), and untouched tail pages cost no memory.
+            self._buf = np.empty(1 << (need - 1).bit_length(), np.uint64)
+        self._shape = shape
+        self.vals = self._buf[:split].reshape(n_slots, n_words)
+        self.aux = self._buf[split:need].reshape(n_aux, n_words)
 
 
 @dataclass(eq=False)
@@ -287,13 +302,14 @@ class CompiledTrace:
     Execution staging: one gather of the live input rows into the value
     buffer, one batched majority step per dependence level, one final
     scatter of surviving row bindings back into the cell matrix.  The
-    value buffer is mirrored -- slot ``n_slots + s`` holds the
+    value buffer is mirrored -- slot id ``n_slots + s`` names the
     complement of slot ``s`` (materialized lazily, only for values some
-    consumer reads negated) -- so DCC port polarity costs an index, not
-    an XOR pass.  Every view the replay loop touches is precomputed
-    into a shared :class:`TraceScratch`, and every word operation
-    writes into preallocated ``out=`` buffers: a replay allocates
-    nothing on the hot path.
+    consumer reads negated, into rows packed after the value slots) --
+    so DCC port polarity costs an index, not an XOR pass.  Every view
+    the replay loop touches is precomputed into a shared
+    :class:`TraceScratch`, and every word operation writes into
+    preallocated ``out=`` buffers: a replay allocates nothing on the
+    hot path.
 
     Counter totals (``n_aap``, ``n_ap``, ``n_activations``,
     ``n_multi``) replicate exactly what the interpreted path would have
@@ -316,7 +332,6 @@ class CompiledTrace:
     faulty = False
 
     def __post_init__(self):
-        self._plan = None            # cached views into a TraceScratch
         self._own_scratch = None     # fallback when none is supplied
 
     @property
@@ -354,50 +369,71 @@ class CompiledTrace:
           each node executes on direct row *views* of the value buffer
           -- no gather copies at all, operand reads stream straight
           from the slots.
+
+        Complement slots are packed: only the mirrored prefixes (of the
+        inputs and of each level) get a row, right after the value
+        slots, and the plan's operand indices are remapped onto them --
+        the scratch holds ``n_slots`` plus the mirrored values, not
+        twice ``n_slots``.
         """
         batched = n_words < _NODE_EXEC_WORDS
         width_max = max([1] + [level.hi - level.lo
                                for level in self.levels])
         n_out = self.out_rows.size
         n_aux = (5 * width_max + n_out) if batched else (2 + n_out)
-        scratch.ensure(2 * self.n_slots, n_aux, n_words)
+        n_slots, im = self.n_slots, self.n_input_mirror
+        # Level L's mirrored prefix [lo, lo + m) packs into rows
+        # [base, base + m): remap[n_slots + s] is the packed row of slot
+        # s's complement (inputs keep theirs at n_slots + s).
+        los = np.array([level.lo for level in self.levels], dtype=np.intp)
+        ms = np.array([level.n_mirror for level in self.levels],
+                      dtype=np.intp)
+        base = n_slots + im + np.cumsum(ms) - ms
+        row = n_slots + im + int(ms.sum())
+        packed = np.arange(n_slots + im, row, dtype=np.intp)
+        remap = np.arange(2 * n_slots, dtype=np.intp)
+        remap[n_slots + np.repeat(los - base, ms) + packed] = packed
+        idx = remap[np.concatenate([level.idx for level in self.levels])
+                    if self.levels else np.empty(0, dtype=np.intp)]
+        scratch.ensure(row, n_aux, n_words)
         vals, aux = scratch.vals, scratch.aux
-        mirror = self.n_slots
         steps = []
         if batched:
             gather = aux[:3 * width_max]
             t1 = aux[3 * width_max:4 * width_max]
             t2 = aux[4 * width_max:5 * width_max]
             out = aux[5 * width_max:5 * width_max + n_out]
-            for level in self.levels:
+            at = 0
+            for level, mb in zip(self.levels, base.tolist()):
                 lo, hi = level.lo, level.hi
                 width = hi - lo
                 g = gather[:3 * width]
                 m = level.n_mirror
                 steps.append((
-                    level.idx, g, g[:width], g[width:2 * width],
-                    g[2 * width:], t1[:width], t2[:width], vals[lo:hi],
+                    idx[at:at + 3 * width], g, g[:width],
+                    g[width:2 * width], g[2 * width:], t1[:width],
+                    t2[:width], vals[lo:hi],
                     vals[lo:lo + m] if m else None,
-                    vals[mirror + lo:mirror + lo + m] if m else None))
+                    vals[mb:mb + m] if m else None))
+                at += 3 * width
         else:
             u, v = aux[0], aux[1]
             out = aux[2:2 + n_out]
-            for level in self.levels:
+            at = 0
+            for level, mb in zip(self.levels, base.tolist()):
                 lo, width = level.lo, level.hi - level.lo
-                idx = level.idx
+                ix = idx[at:at + 3 * width].tolist()
+                at += 3 * width
                 for j in range(width):
                     steps.append((
-                        vals[idx[j]], vals[idx[width + j]],
-                        vals[idx[2 * width + j]], u, v, vals[lo + j],
-                        vals[mirror + lo + j]
-                        if j < level.n_mirror else None))
-        im = self.n_input_mirror
-        plan = (scratch, scratch.version, batched, vals,
-                self._fill_plan(vals),
+                        vals[ix[j]], vals[ix[width + j]],
+                        vals[ix[2 * width + j]], u, v, vals[lo + j],
+                        vals[mb + j] if j < level.n_mirror else None))
+        plan = (batched, vals, self._fill_plan(vals),
                 vals[:im] if im else None,
-                vals[mirror:mirror + im] if im else None,
-                tuple(steps), out)
-        self._plan = plan
+                vals[n_slots:n_slots + im] if im else None,
+                tuple(steps), out, remap[self.out_slots])
+        scratch.plans.setdefault(self, {})[n_words] = plan
         return plan
 
     def execute(self, cells: np.ndarray, scratch: TraceScratch = None,
@@ -407,12 +443,13 @@ class CompiledTrace:
             if self._own_scratch is None:
                 self._own_scratch = TraceScratch()
             scratch = self._own_scratch
-        plan = self._plan
-        if (plan is None or plan[0] is not scratch
-                or plan[1] != scratch.version
-                or scratch.n_words != cells.shape[1]):
-            plan = self._build_plan(scratch, cells.shape[1])
-        _, _, batched, vals, fills, im_src, im_dst, steps, out = plan
+        # One plan per row width: a store-shared trace replays on every
+        # width the device serves.
+        n_words = cells.shape[1]
+        plan = scratch.plans.get(self, _NO_PLANS).get(n_words)
+        if plan is None:
+            plan = self._build_plan(scratch, n_words)
+        batched, vals, fills, im_src, im_dst, steps, out, out_slots = plan
         # Gathers call the ndarray.take method, not the np.take wrapper
         # (its dispatch is most of the cost of a small gather), in
         # mode="clip": the compiled indices are in range by
@@ -445,7 +482,7 @@ class CompiledTrace:
                 if m_dst is not None:
                     invert(dst, out=m_dst)
         if out.shape[0]:
-            take(self.out_slots, axis=0, out=out, mode="clip")
+            take(out_slots, axis=0, out=out, mode="clip")
             cells[self.out_rows] = out
 
 
@@ -1015,8 +1052,10 @@ class MegaProgram:
     to row ``i`` of the replay-time *stream* operand (the packed wave
     masks) -- exactly the ``load_mask_packed`` + ``run_program``
     sequence the per-wave path executes, expressed as one dataflow
-    graph.  Compiled and LRU-cached per subarray by
-    :meth:`~repro.dram.wordline.WordlineSubarray.run_megaprogram`.
+    graph.  Compiled by
+    :meth:`~repro.dram.wordline.WordlineSubarray.run_megaprogram` and
+    LRU-cached in the subarray's
+    :class:`~repro.dram.programs.ProgramStore`.
     """
 
     __slots__ = ("name", "segments", "stream_row")

@@ -27,8 +27,11 @@ embedding blocks -- planting each copy privately wastes both.
   diverging rows, acquires the new content address (which may re-merge
   with another tenant's image) and releases the old one.  Every entry
   carries a monotonic ``generation``; engines built for an entry adopt
-  it as their compiled-trace ``cache_epoch``, so no stale μProgram or
-  megatrace replays against swapped rows.
+  it as their ``cache_epoch``, so a swapped image starts a fresh
+  ``run_waves`` memo.  Compiled μPrograms and megatraces need no such
+  stamp: the device's :class:`~repro.dram.programs.ProgramStore` keys
+  them by content, and a trace reads no cell contents at compile time,
+  so it replays correctly against any row image.
 
 Counter-state multiplexing is exact because the plan layer already
 resets counters at the start of every query and flushes pending
@@ -342,9 +345,9 @@ class RowImageHandle:
                      engines: Optional[list] = None) -> SharedResource:
         """Register a freshly built engine body under this image.
 
-        Its engines adopt the image's generation as their compiled
-        trace ``cache_epoch`` -- the cache-generation invariant that
-        keeps copy-on-write row swaps from replaying stale traces.
+        Its engines adopt the image's generation as their
+        ``cache_epoch`` -- the namespace of their ``run_waves`` memo,
+        so a copy-on-write row swap starts a fresh memo.
         """
         res = SharedResource(role, token, geometry, n_digits,
                              self._entry, lease, cluster=cluster,

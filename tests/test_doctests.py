@@ -13,6 +13,7 @@ import pytest
 import repro.apps.analytics
 import repro.core.kary
 import repro.device
+import repro.dram.programs
 import repro.dram.wordline
 import repro.engine.cluster
 import repro.fleet.fleet
@@ -34,7 +35,8 @@ import repro.util
 
 @pytest.mark.parametrize("module", [
     repro.util, repro.core.kary, repro.kernels.bitslice,
-    repro.dram.wordline, repro.engine.cluster, repro.isa.trace,
+    repro.dram.wordline, repro.dram.programs, repro.engine.cluster,
+    repro.isa.trace,
     repro.kernels.gemv, repro.kernels.gemm,
     repro.kernels.lowering, repro.device, repro.perf.metrics,
     repro.fleet.shm, repro.fleet.placement, repro.fleet.fleet,

@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 from repro.core.iarm import Increment
 from repro.dram.ambit import AmbitSubarray
 from repro.dram.faults import FaultModel
+from repro.dram import programs
+from repro.dram.programs import ProgramStore
 from repro.dram.wordline import (WordlineSubarray, pack_bits, pack_blocks,
                                  pack_rows, unpack_bits)
 from repro.engine import BankCluster, CountingEngine
@@ -184,14 +186,21 @@ def test_fusion_disabled_context_restores():
     assert fusion_enabled()
 
 
-def test_program_cache_is_bounded_lru():
-    sa = WordlineSubarray(n_data_rows=4, n_cols=16, program_cache_size=2)
+def test_program_cache_is_bounded_lru(monkeypatch):
+    """The store's compiled-μProgram tier is a bounded LRU."""
+    monkeypatch.setattr(programs, "STORE_BOUND", 2)
+    store = ProgramStore()
+    sa = WordlineSubarray(n_data_rows=4, n_cols=16, programs=store)
     progs = [MicroProgram(f"p{i}", (aap(i % 4, "B0"),)) for i in range(3)]
+
+    def held(prog):
+        return (sa.n_data_rows, id(prog)) in store._compiled
+
     for prog in progs:
         sa.run_program(prog)
         sa.run_program(prog)                       # past JIT warm-up
-    assert len(sa._compiled) == 2
-    assert id(progs[0]) not in sa._compiled        # LRU victim
+    assert len(store._compiled) == 2
+    assert not held(progs[0])                      # LRU victim
     compiles = sa.trace_compiles
     # Re-entering the evicted program restarts its warm-up: the first
     # run interprets, the second recompiles the trace.
@@ -202,21 +211,23 @@ def test_program_cache_is_bounded_lru():
     # Touching an entry protects it from the next eviction.
     sa.run_program(progs[2])                       # refresh p2
     sa.run_program(progs[1])                       # evicts p0 again
-    assert id(progs[2]) in sa._compiled
-    assert id(progs[0]) not in sa._compiled
+    assert held(progs[2])
+    assert not held(progs[0])
 
 
 def test_engine_program_cache_is_bounded(monkeypatch):
-    """Macro-batch keys must not grow the engine cache without bound."""
-    import repro.engine.machine as machine
-    monkeypatch.setattr(machine, "ENGINE_PROGRAM_CACHE", 8)
-    eng = CountingEngine(2, 6, 8, backend="word")
+    """Macro-batch keys must not grow the store's program tier without
+    bound."""
+    monkeypatch.setattr(programs, "STORE_BOUND", 8)
+    store = ProgramStore()
+    eng = CountingEngine(2, 6, 8, backend="word", programs=store)
     eng.reset_counters()
     eng.load_mask(0, np.ones(8, dtype=np.uint8))
     rng = np.random.default_rng(3)
     for _ in range(40):                    # many distinct event batches
         eng.accumulate(int(rng.integers(1, 400)))
-    assert len(eng._prog_cache) <= 8
+    assert len(store._programs) <= 8
+    assert len(store._compiled) <= 8
     assert eng.prog_compiles > 8           # evictions really happened
 
 

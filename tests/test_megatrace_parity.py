@@ -30,6 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram.faults import FaultModel
+from repro.dram import programs
+from repro.dram.programs import ProgramStore
 from repro.dram.wordline import pack_rows
 from repro.engine import CountingEngine
 from repro.isa.trace import (fusion_disabled, megatrace_disabled,
@@ -216,17 +218,18 @@ def test_megatrace_warmup_run_counts():
     assert eng.subarray.megatrace_replays == 1
 
 
-def test_megatrace_lru_bound_respected():
-    """The per-subarray stitched-trace cache never exceeds its bound."""
-    eng = CountingEngine(2, 4, 16, backend="word")
-    eng.subarray._mega_cache_size = 2
+def test_megatrace_lru_bound_respected(monkeypatch):
+    """The store's stitched-trace tier never exceeds its bound."""
+    monkeypatch.setattr(programs, "DEFAULT_MEGATRACE_CACHE", 2)
+    store = ProgramStore()
+    eng = CountingEngine(2, 4, 16, backend="word", programs=store)
     rng = np.random.default_rng(0)
     masks = pack_rows(rng.integers(0, 2, (3, 16)).astype(np.uint8))
     for offset in range(5):                # 5 distinct wave sequences
         mags = np.arange(1, 4) + offset
         for _ in range(3):                 # warm + compile + replay
             _one_pass(eng, mags, masks)
-        assert len(eng.subarray._mega) <= 2
+        assert len(store._megas) <= 2
     assert eng.subarray.megatrace_compiles == 5
     # The two resident entries still replay without recompiling.
     before = eng.subarray.megatrace_compiles
