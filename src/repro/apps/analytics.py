@@ -54,41 +54,25 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.dram.faults import FaultModel
-from repro.dram.wordline import pack_rows
-from repro.engine.cluster import BankCluster
+from repro.engine.cluster import BankCluster, chunk_geometry, run_chunked
 from repro.kernels.lowering import digits_for_budget
 from repro.serve.pool import BankLease
 
 __all__ = ["HistogramPlan", "GroupByPlan", "radix_sort",
            "histogram_fault_trial"]
 
-#: Query slots one analytics chunk deals records across.
-_MAX_SLOTS = 32
-
-#: Bank shards per query slot (repeats of one magnitude within a slot
-#: deal across these before spilling into deeper waves).
-_SLOT_BANKS = 4
-
-#: Total lane budget of a chunk's subarray (keeps the wave images
-#: cache-friendly; wider plans get proportionally fewer slots).
-_MAX_CHUNK_LANES = 1 << 18
-
 
 class _StreamPlan:
     """Shared lifecycle of the analytics plans (histogram / group-by).
 
-    One :class:`~repro.engine.cluster.BankCluster` of
-    ``slots * banks`` bank shards, each ``width`` lanes wide, leased
-    from the owning device's :class:`~repro.serve.pool.BankPool`.
-    Subclasses translate a query into per-record updates ``(slot,
-    lane, magnitude)``; this class deals them into broadcast waves
-    (mirroring the GEMV batch path: same-magnitude records from
-    different slots share a broadcast, repeats within a slot deal
-    across its banks and then into successive waves), stages each wave
-    block through :func:`~repro.dram.wordline.pack_rows` and executes
-    the whole sequence with
-    :meth:`~repro.engine.machine.CountingEngine.run_waves` -- so on the
-    word backend an entire key stream replays as stitched megatraces.
+    One :class:`~repro.engine.cluster.BankCluster` of bank shards,
+    each ``width`` lanes wide, leased from the owning device's
+    :class:`~repro.serve.pool.BankPool`.  Subclasses translate a query
+    into per-record updates ``(slot, lane, magnitude)``; this class
+    hands them to :func:`~repro.engine.cluster.run_chunked` against
+    one-hot lane masks -- the same dealer and chunk geometry as the
+    GEMV path (a lone query deals over 4 banks) -- so on the word
+    backend an entire key stream replays as stitched megatraces.
 
     The plan protocol matches :class:`~repro.device.GemvPlan` where the
     serve layer depends on it: ``validate_query`` / ``run_many`` /
@@ -116,8 +100,6 @@ class _StreamPlan:
                          digits_for_budget(self.config.n_bits,
                                            self.x_budget))
         self._cluster: Optional[BankCluster] = None
-        self._slots = 0
-        self._banks = 0
         self._lease: Optional[BankLease] = None
         self._parked: Optional[tuple] = None
         self._closed = False
@@ -132,7 +114,7 @@ class _StreamPlan:
         self._retired = np.zeros(8, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # resource management (single cluster role)
+    # resource management (one private cluster)
     # ------------------------------------------------------------------
     @property
     def is_resident(self) -> bool:
@@ -166,8 +148,16 @@ class _StreamPlan:
             self._lease.release()
             self._lease = None
 
-    def _ensure(self, slots: int, banks: int, n_digits: int) -> BankCluster:
-        """(Re)build the wave cluster for at least this geometry.
+    def _build(self, n_banks: int, n_digits: int) -> BankCluster:
+        cfg = self.config
+        return BankCluster(
+            cfg.n_bits, n_digits, self._width, n_banks=n_banks,
+            fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
+            backend=cfg.resolved_backend, programs=self._device.programs)
+
+    def _ensure(self, n_banks: int, bound: int) -> BankCluster:
+        """(Re)build the wave cluster for at least ``n_banks`` banks and
+        digits covering ``bound`` (floored by the declared budget).
 
         The bank lease is exchanged atomically *before* the old cluster
         is torn down (:meth:`~repro.serve.pool.BankPool.exchange`), so
@@ -177,22 +167,18 @@ class _StreamPlan:
         """
         if self._parked is not None:
             self.unpark()
-        cfg = self.config
-        if self._cluster is not None:
-            if (self._slots >= slots and self._banks == banks
-                    and self._cluster.engine.n_digits >= n_digits):
-                return self._cluster
-            slots = max(slots, self._slots)
+        n_digits = digits_for_budget(self.config.n_bits, bound)
+        cluster = self._cluster
+        if cluster is not None:
+            if (cluster.n_banks >= n_banks
+                    and cluster.engine.n_digits >= n_digits):
+                return cluster
             self._replans += 1
         self.n_digits = max(n_digits, self.n_digits or 1)
-        self._lease = self._device.pool.exchange(self._lease,
-                                                 slots * banks, owner=self)
+        self._lease = self._device.pool.exchange(self._lease, n_banks,
+                                                 owner=self)
         self._retire_cluster()
-        self._cluster = BankCluster(
-            cfg.n_bits, self.n_digits, self._width, n_banks=slots * banks,
-            fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
-            backend=cfg.resolved_backend, programs=self._device.programs)
-        self._slots, self._banks = slots, banks
+        self._cluster = self._build(n_banks, self.n_digits)
         return self._cluster
 
     def park(self) -> None:
@@ -209,7 +195,7 @@ class _StreamPlan:
         self._check_open()
         if self._parked is not None or self._cluster is None:
             return
-        self._parked = (self._slots, self._banks,
+        self._parked = (self._cluster.n_banks,
                         self._cluster.engine.n_digits,
                         self._cluster.export_counters())
         self._retire_cluster()
@@ -226,16 +212,11 @@ class _StreamPlan:
         self._check_open()
         if self._parked is None:
             return
-        slots, banks, n_digits, image = self._parked
-        cfg = self.config
-        self._lease = self._device.pool.lease(slots * banks, owner=self)
-        cluster = BankCluster(
-            cfg.n_bits, n_digits, self._width, n_banks=slots * banks,
-            fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
-            backend=cfg.resolved_backend, programs=self._device.programs)
+        n_banks, n_digits, image = self._parked
+        self._lease = self._device.pool.lease(n_banks, owner=self)
+        cluster = self._build(n_banks, n_digits)
         cluster.import_counters(image)
         self._cluster = cluster
-        self._slots, self._banks = slots, banks
         self._parked = None
         self._unparks += 1
 
@@ -262,7 +243,7 @@ class _StreamPlan:
                              "needs a fresh (or parked-empty) plan")
         # Adopt the image's digit sizing so the first query never tears
         # the restored counters down for a smaller rebuild.
-        self.n_digits = max(self.n_digits or 1, parked[2])
+        self.n_digits = max(self.n_digits or 1, parked[1])
         self._parked = parked
         self.unpark()
 
@@ -355,92 +336,29 @@ class _StreamPlan:
     # ------------------------------------------------------------------
     def _run_records(self, q_idx: np.ndarray, lanes: np.ndarray,
                      mags: np.ndarray, n_queries: int) -> np.ndarray:
-        """Deal per-record updates into waves, chunked by slot budget.
+        """Run per-record one-hot lane increments, chunked by slot
+        budget.
 
         ``q_idx`` / ``lanes`` / ``mags`` are parallel arrays (one entry
-        per surviving record).  Returns ``[n_queries, width]`` decoded
-        lane totals.
+        per record, in ascending query order; zero magnitudes are
+        skipped).  Unlike GEMV, the same lane may repeat within a query
+        (duplicate keys); repeats simply deal into further banks and
+        waves.  Returns ``[n_queries, width]`` decoded lane totals.
         """
-        pool = self._device.pool
-        banks = pool.clamp(_SLOT_BANKS)
-        slot_cap = _MAX_CHUNK_LANES // max(1, banks * self._width)
-        if pool.bounded:
-            slot_cap = min(slot_cap, pool.n_banks // banks)
-        slots = max(1, min(_MAX_SLOTS, n_queries, slot_cap))
-        out = np.zeros((n_queries, self._width), dtype=np.int64)
-        for start in range(0, n_queries, slots):
-            n_chunk = min(slots, n_queries - start)
-            sel = (q_idx >= start) & (q_idx < start + n_chunk)
-            out[start:start + n_chunk] = self._run_chunk(
-                q_idx[sel] - start, lanes[sel], mags[sel],
-                n_chunk, slots, banks)
+        if self._parked is not None:
+            self.unpark()           # so a wider parked cluster is reused
+        keep = mags > 0
+        geometry = chunk_geometry(self._device.pool, n_queries,
+                                  self._width, 4, self.leased_banks)
+        out, waves = run_chunked(mags[keep], lanes[keep], q_idx[keep],
+                                 n_queries, None, geometry, self._ensure,
+                                 strict=self.config.strict_reads)
         # Queries count once per completed call, after every chunk ran:
         # a PoolExhausted mid-stream (caught by the registry, which
         # evicts and re-invokes the whole call) never double-counts.
+        self._broadcasts += waves
         self._queries += n_queries
         return out
-
-    def _run_chunk(self, q_idx: np.ndarray, lanes: np.ndarray,
-                   mags: np.ndarray, n_chunk: int, slots: int,
-                   banks: int) -> np.ndarray:
-        """One chunk: same-magnitude waves of one-hot lane increments.
-
-        Mirrors the GEMV batch path's dealing: records are sorted by
-        ``(magnitude, slot, lane)``, position ``p`` of each
-        ``(magnitude, slot)`` queue lands in bank ``p % banks`` of wave
-        ``p // banks``, so the worst-case lane sees ``depth(m) =
-        max_slot ceil(count / banks)`` hits per magnitude -- the bound
-        the digit sizing uses.  Unlike GEMV, the same lane may repeat
-        within a queue (duplicate keys); repeats simply occupy later
-        positions and accumulate across banks/waves.
-        """
-        keep = mags > 0
-        q_idx, lanes, mags = q_idx[keep], lanes[keep], mags[keep]
-        if mags.size == 0:
-            return np.zeros((n_chunk, self._width), dtype=np.int64)
-        order = np.argsort(np.ravel_multi_index(   # == lexsort, faster
-            (mags, q_idx, lanes),
-            (int(mags.max()) + 1, n_chunk, self._width)), kind="stable")
-        q_s, l_s, m_s = q_idx[order], lanes[order], mags[order]
-        upd = np.arange(m_s.size)
-        new_queue = np.ones(m_s.size, dtype=bool)
-        new_queue[1:] = (m_s[1:] != m_s[:-1]) | (q_s[1:] != q_s[:-1])
-        pos = upd - np.maximum.accumulate(np.where(new_queue, upd, 0))
-        new_mag = np.ones(m_s.size, dtype=bool)
-        new_mag[1:] = m_s[1:] != m_s[:-1]
-        mag_id = np.cumsum(new_mag) - 1
-        depth = np.zeros(int(mag_id[-1]) + 1, dtype=np.int64)
-        np.maximum.at(depth, mag_id, pos // banks + 1)
-        wave_base = np.concatenate(([0], np.cumsum(depth)[:-1]))
-        wave_id = wave_base[mag_id] + pos // banks
-        bank_col = q_s * banks + pos % banks
-        n_waves = int(depth.sum())
-        mag_of_wave = np.repeat(m_s[new_mag], depth)
-        bound = int((m_s[new_mag] * depth).sum())
-        cluster = self._ensure(
-            slots, banks, max(digits_for_budget(self.config.n_bits, bound),
-                              self.n_digits or 1))
-        cluster.reset()
-        slots, banks = self._slots, self._banks      # cached may be wider
-        eng = cluster.engine
-        # Scatter one-hot bucket masks into wave images blockwise, pack
-        # the whole block once, and broadcast every wave from its packed
-        # image (the bulk packed-row I/O path).
-        block = max(1, (1 << 24) // max(1, cluster.n_lanes))
-        for lo in range(0, n_waves, block):
-            hi = min(lo + block, n_waves)
-            sel = (wave_id >= lo) & (wave_id < hi)
-            wide = np.zeros((hi - lo, slots * banks, self._width),
-                            dtype=np.uint8)
-            wide[wave_id[sel] - lo, bank_col[sel], l_s[sel]] = 1
-            packed = pack_rows(wide.reshape(hi - lo, -1))
-            eng.run_waves(mag_of_wave[lo:hi], packed,
-                          flush=hi == n_waves)
-        self._broadcasts += n_waves
-        partials = cluster.read_bank_values(
-            strict=self.config.strict_reads)
-        per_slot = partials.reshape(slots, banks, self._width).sum(axis=1)
-        return per_slot[:n_chunk]
 
 
 class HistogramPlan(_StreamPlan):

@@ -20,16 +20,19 @@ module is the session-oriented front door:
   declared input budget (with an automatic re-plan guard when a query
   exceeds it), cache compiled μPrograms across queries, and reset
   *counters only* -- never the planted masks -- between queries.
-  ``plan.run_many(X)`` additionally batches whole query groups across
-  bank shards so repeated traffic amortizes both planting and command
-  broadcasts (the recorded speedup lives in
-  ``benchmarks/results/plan_amortization.txt``).
+  ``plan.run_many(X)`` batches whole query groups across bank shards so
+  repeated traffic amortizes both planting and command broadcasts (the
+  recorded speedup lives in ``benchmarks/results/plan_amortization.txt``);
+  on the word backend ``plan(x)`` is exactly ``run_many(x[None])[0]``,
+  one query path dealt by :meth:`repro.engine.BankCluster.deal` on the
+  plan's one bank cluster.
 * ``plan.park()`` / ``plan.unpark()`` relocate a plan off its banks:
-  parking exports the counter image (``export_counters``), drops the
-  engines and returns the bank leases; unparking (done transparently on
-  the next query) rebuilds the engines, re-plants masks and
-  ``import_counters()`` the image back.  This is the eviction primitive
-  the :class:`repro.serve.ModelRegistry` plan cache is built on.
+  parking exports the counter image (``export_counters``), detaches
+  the engine body and returns the bank lease; unparking (done
+  transparently on the next query) rebuilds the body, re-plants masks
+  and ``import_counters()`` the image back.  This is the eviction
+  primitive the :class:`repro.serve.ModelRegistry` plan cache is built
+  on.
 
 >>> import numpy as np
 >>> from repro.device import Device
@@ -51,32 +54,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.dram.faults import FAULT_FREE, FaultModel
 from repro.dram.programs import ProgramStore
-from repro.dram.wordline import pack_blocks
-from repro.engine.cluster import BankCluster
+from repro.engine.cluster import BankCluster, chunk_geometry, run_chunked
 from repro.engine.machine import CountingEngine
 from repro.kernels.lowering import (DEFAULT_BANKS, digits_for_budget,
                                     infer_kind, ternary_row_masks)
-from repro.serve.pool import BankPool, PoolExhausted
+from repro.serve.pool import BankPool
 from repro.serve.rowstore import RowImageStore, SharedResource
 
 __all__ = ["EngineConfig", "Device", "GemvPlan", "GemmPlan", "PlanStats",
            "AmbiguousKindWarning", "DeviceClosedError", "PlanClosedError"]
-
-#: Query slots a single run_many() chunk spreads across bank shards.
-_MAX_BATCH_SLOTS = 32
-
-#: Bank shards dealt to each query slot inside a batched chunk.
-_BATCH_BANKS = 4
-
-#: Total lane budget of a batched chunk's subarray (keeps row images
-#: cache-friendly; larger matrices get proportionally fewer slots).
-_MAX_BATCH_LANES = 1 << 18
 
 
 class DeviceClosedError(RuntimeError):
@@ -201,10 +193,11 @@ class PlanStats:
 class GemvPlan:
     """A planted GEMV: one resident Z matrix, many streamed queries.
 
-    Created through :meth:`Device.plan_gemv`.  ``plan(x)`` answers one
-    query; :meth:`run_many` streams a batch with cross-query bank
-    sharding.  Between queries only counters are reset -- planted masks
-    and compiled μPrograms stay resident, which is where the amortized
+    Created through :meth:`Device.plan_gemv`.  :meth:`run_many`
+    streams a batch with cross-query bank sharding; ``plan(x)`` answers
+    one query, on the word backend as exactly ``run_many(x[None])[0]``.
+    Between queries only counters are reset -- planted masks and
+    compiled μPrograms stay resident, which is where the amortized
     speedup over the one-shot kernels comes from.
 
     ``x_budget`` declares the largest total magnitude ``sum(|x|)`` any
@@ -213,9 +206,11 @@ class GemvPlan:
     the declared budget triggers an automatic re-plan to more digits
     (counted in ``stats.replans``) instead of a counter overflow.
 
-    Every engine/cluster the plan builds leases its banks from the
-    owning device's :class:`~repro.serve.pool.BankPool`; when the pool
-    is bounded and exhausted, resource builds raise
+    The plan holds one engine body -- a bank cluster on the word
+    backend, one engine per sign on the bit backend -- whose banks are
+    leased from the owning device's :class:`~repro.serve.pool.BankPool`
+    (or shared with a same-image tenant); when the pool is bounded and
+    exhausted, resource builds raise
     :class:`~repro.serve.pool.PoolExhausted` without disturbing the
     plan, so a caller (the serving registry) can evict another resident
     plan and retry.
@@ -266,11 +261,11 @@ class GemvPlan:
         self.n_digits = (None if x_budget is None
                          else digits_for_budget(self.config.n_bits,
                                                 self.x_budget))
-        # Role -> attached shared resource ("single" answers plan(x),
-        # "batch" carries run_many() chunks).  The resources -- engine
-        # bodies plus their bank lease -- live on the row image's
-        # store entry and are multiplexed across same-image tenants.
-        self._res: Dict[str, SharedResource] = {}
+        # The plan's one resource -- an engine body plus its bank
+        # lease -- lives on the row image's store entry and is
+        # multiplexed across same-image tenants.  It is built lazily on
+        # the first query.
+        self._res: Optional[SharedResource] = None
         self._parked: Optional[dict] = None
         self._closed = False
         self._close_reason = "plan is closed"
@@ -283,39 +278,12 @@ class GemvPlan:
         # trace replays / injected faults / megatrace compiles /
         # megatrace replays
         self._retired = np.zeros(8, dtype=np.int64)
-        # Engines/clusters are built lazily on first use: a plan that
-        # only ever sees run_many() never allocates the single-query
-        # cluster, and vice versa.
 
     # ------------------------------------------------------------------
     # resource management (store-routed: see repro.serve.rowstore)
     # ------------------------------------------------------------------
-    @property
-    def _cluster(self) -> Optional[BankCluster]:
-        """Live single-query cluster (view into the shared resource)."""
-        res = self._res.get("single")
-        return res.cluster if res is not None else None
-
-    @property
-    def _engines(self) -> List[CountingEngine]:
-        """Live single-query bit engines (view into the resource)."""
-        res = self._res.get("single")
-        return res.engines if res is not None else []
-
-    @property
-    def _batch(self) -> Optional[tuple]:
-        """Live batch geometry ``(slots, banks, cluster)`` or None."""
-        res = self._res.get("batch")
-        if res is None:
-            return None
-        slots, banks = res.geometry
-        return (slots, banks, res.cluster)
-
     def _live_engines(self) -> List[CountingEngine]:
-        engines: List[CountingEngine] = []
-        for res in self._res.values():
-            engines.extend(res._all_engines())
-        return engines
+        return self._res._all_engines() if self._res is not None else []
 
     def _token(self) -> tuple:
         """Resource-compatibility key: same-image tenants share an
@@ -325,120 +293,101 @@ class GemvPlan:
         return (cfg.n_bits, cfg.fr_checks, cfg.resolved_backend,
                 id(cfg.fault_model), id(self._device.pool))
 
-    def _build_body(self, role: str, geometry: tuple, n_digits: int):
-        """Construct one role's engine body (no lease taken here)."""
+    def _build_body(self, n_banks: int, n_digits: int):
+        """Construct an engine body (no lease taken here): a bank
+        cluster on the word backend, ``n_banks`` per-sign reference
+        engines on the bit backend."""
         cfg = self.config
-        if role == "single" and cfg.resolved_backend != "word":
-            (count,) = geometry
-            engines = [
-                CountingEngine(cfg.n_bits, n_digits, self.n,
-                               fault_model=cfg.fault_model,
-                               fr_checks=cfg.fr_checks, backend="bit",
-                               programs=self._device.programs)
-                for _ in range(count)]
-            for eng in engines:
-                eng.reset_counters()
-            return None, engines
-        if role == "single":
-            (banks,) = geometry
-            n_banks = banks
-        else:
-            slots, banks = geometry
-            n_banks = slots * banks
-        cluster = BankCluster(
-            cfg.n_bits, n_digits, self._width, n_banks=n_banks,
-            fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
-            programs=self._device.programs)
-        return cluster, None
+        if cfg.resolved_backend == "word":
+            return BankCluster(
+                cfg.n_bits, n_digits, self._width, n_banks=n_banks,
+                fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
+                programs=self._device.programs), None
+        engines = [CountingEngine(cfg.n_bits, n_digits, self.n,
+                                  fault_model=cfg.fault_model,
+                                  fr_checks=cfg.fr_checks, backend="bit",
+                                  programs=self._device.programs)
+                   for _ in range(n_banks)]
+        for eng in engines:
+            eng.reset_counters()
+        return None, engines
 
-    def _unmount(self, role: str) -> None:
-        """Detach ``role``'s resource (crediting this plan's counter
-        delta into ``_retired``); the last tenant off a resource
-        releases its bank lease."""
-        res = self._res.pop(role, None)
-        if res is not None:
-            res.detach(self)
-
-    def _lease_with_yield(self, role: str, grab):
-        """Run a lease acquisition, yielding the *other* role's idle
-        resources before giving up.
-
-        A plan that just ran a batch wave should not starve its own
-        single-query path under a tight budget; only when yielding
-        cannot help does the :class:`~repro.serve.pool.PoolExhausted`
-        propagate for the registry to evict a tenant.
-        """
+    def _new_resource(self, lease, n_digits: int,
+                      stash=None) -> SharedResource:
+        """Build a body on a fresh ``lease`` and attach to it (the
+        lease is returned if the build fails)."""
         try:
-            return grab()
-        except PoolExhausted:
-            other = "batch" if role == "single" else "single"
-            if self._res.get(other) is None:
-                raise
-            self._unmount(other)
-            return grab()
-
-    def _mount(self, role: str, geometry: tuple, n_digits: int,
-               n_banks: int) -> SharedResource:
-        """Attach ``role`` to a shared resource of this plan's row
-        image (free), resize a sole-held one in place (atomic
-        exchange), or lease banks and build a fresh body.
-
-        Failure safety mirrors the old exchange path: the new
-        resource is secured *before* the old one is detached, so a
-        :class:`~repro.serve.pool.PoolExhausted` leaves the resident
-        resources untouched and the registry can evict-and-retry.
-        """
-        token = self._token()
-        old = self._res.get(role)
-        target = self._image.find_resource(
-            role, token,
-            lambda r: r is not old and r.n_digits >= n_digits
-            and r.geometry[-1] == geometry[-1]
-            and r.geometry[:-1] >= geometry[:-1])
-        if target is not None:
-            # Another tenant already holds a wide-enough body: attach
-            # for free -- this is the tenancy multiplier.
-            target.attach(self)
-            self._unmount(role)
-            self._res[role] = target
-            return target
-        pool = self._device.pool
-        if old is not None and old.is_sole(self):
-            # Sole tenant: resize in place through the atomic
-            # exchange, charged only the bank difference.
-            lease = self._lease_with_yield(
-                role, lambda: pool.exchange(old.lease, n_banks,
-                                            owner=self))
-            old._credit_active()
-            cluster, engines = self._build_body(role, geometry, n_digits)
-            old.lease = lease
-            old.cluster, old.engines = cluster, (engines or [])
-            old.geometry, old.n_digits = geometry, n_digits
-            old._stash.clear()
-            old.active = None
-            old._base = old._counters_now()
-            for eng in old._all_engines():
-                eng.cache_epoch = self._image.generation
-            return old
-        lease = self._lease_with_yield(
-            role, lambda: pool.lease(n_banks, owner=self))
-        try:
-            cluster, engines = self._build_body(role, geometry, n_digits)
+            cluster, engines = self._build_body(lease.n_banks, n_digits)
         except BaseException:
             lease.release()
             raise
-        res = self._image.new_resource(role, token, geometry, n_digits,
-                                       lease, cluster=cluster,
-                                       engines=engines)
-        res.attach(self)
-        self._unmount(role)
-        self._res[role] = res
+        res = self._image.new_resource(self._token(), n_digits, lease,
+                                       cluster=cluster, engines=engines)
+        res.attach(self, stash=stash)
+        return res
+
+    def _unmount(self) -> None:
+        """Detach the resource (crediting this plan's counter delta
+        into ``_retired``); the last tenant off a resource releases its
+        bank lease."""
+        if self._res is not None:
+            self._res.detach(self)
+            self._res = None
+
+    def _mount(self, n_banks: int, n_digits: int) -> SharedResource:
+        """Attach to a shared resource of this plan's row image with at
+        least ``n_banks`` banks and ``n_digits`` digits (free), resize
+        a sole-held one in place (atomic exchange), or lease banks and
+        build a fresh body.
+
+        The new resource is secured *before* the old one is detached,
+        so a :class:`~repro.serve.pool.PoolExhausted` leaves the
+        resident resource untouched and the registry can
+        evict-and-retry.
+        """
+        old = self._res
+        pool = self._device.pool
+        res = self._image.find_resource(
+            self._token(), lambda r: r is not old and r.n_banks >= n_banks
+            and r.n_digits >= n_digits)
+        if res is not None:
+            # Another tenant already holds a big-enough body: attach
+            # for free -- this is the tenancy multiplier.
+            res.attach(self)
+        elif old is not None and old.is_sole(self):
+            # Sole tenant: resize in place, charged only the bank
+            # difference.
+            lease = pool.exchange(old.lease, n_banks, owner=self)
+            old.replace_body(lease, n_digits,
+                             *self._build_body(n_banks, n_digits))
+            return old
+        else:
+            res = self._new_resource(pool.lease(n_banks, owner=self),
+                                     n_digits)
+        self._unmount()
+        self._res = res
+        return res
+
+    def _acquire(self, n_banks: int, n_digits: int) -> SharedResource:
+        """Make this plan the active tenant of a resource with at least
+        ``n_banks`` banks and ``n_digits`` digits (floored by the
+        declared budget's sizing), re-planning when the resident one is
+        too small."""
+        if self._parked is not None:
+            self.unpark()
+        res = self._res
+        if res is None or res.n_banks < n_banks or res.n_digits < n_digits:
+            if res is not None:
+                self._replans += 1
+            self.n_digits = max(n_digits, self.n_digits or 1)
+            res = self._mount(n_banks, self.n_digits)
+        res.activate(self)
         return res
 
     @property
     def is_resident(self) -> bool:
-        """Whether the plan currently holds engines (and bank leases)."""
-        return bool(self._res)
+        """Whether the plan currently holds engines (and a bank lease)."""
+        return self._res is not None
 
     @property
     def is_parked(self) -> bool:
@@ -447,144 +396,90 @@ class GemvPlan:
 
     @property
     def leased_banks(self) -> int:
-        """Banks leased from the pool by this plan's resources.
+        """Banks leased from the pool by this plan's resource.
 
         A resource shared with other tenants still counts its full
         lease here (the lease is live and these banks run this plan's
         queries); see :attr:`footprint_banks` for the marginal view.
         """
-        return sum(res.n_banks for res in self._res.values())
+        return self._res.n_banks if self._res is not None else 0
 
     @property
     def wave_banks(self) -> int:
-        """Banks a ``run_many()`` wave's command stream spreads over.
-
-        The batch shard when one is built (the word backend's wave
-        path), else the single-query resources -- *not* the sum of all
-        leases, so telemetry priced from this matches the stream that
-        actually ran even when a plan holds both roles.
-        """
-        if self._batch is not None:
-            return self._batch[0] * self._batch[1]
-        if self._cluster is not None:
-            return self._cluster.n_banks
-        return max(1, len(self._engines))
+        """Banks a query wave's command stream spreads over (the
+        resident body's; telemetry prices waves from this)."""
+        return max(1, self.leased_banks)
 
     def park(self) -> None:
         """Evict the plan from its banks, preserving counter state.
 
-        Exports every live engine's counter image
+        Exports the plan's counter image
         (:meth:`~repro.engine.CountingEngine.export_counters`), retires
-        their cost counters, drops the engines and returns all bank
-        leases to the pool.  The host-side operand spec (planted mask
-        images, digit sizing, budgets) stays; the next query -- or an
-        explicit :meth:`unpark` -- rebuilds the engines, re-plants the
-        masks and ``import_counters()`` the image back, bit-exactly.
-        Parking an already-parked or resource-less plan is a no-op.
+        its cost counters, detaches from the engine body and returns
+        the bank lease to the pool.  The host-side operand spec
+        (planted mask images, digit sizing, budgets) stays; the next
+        query -- or an explicit :meth:`unpark` -- rebuilds the body,
+        re-plants the masks and ``import_counters()`` the image back,
+        bit-exactly.  Parking an already-parked or resource-less plan
+        is a no-op.
         """
         self._check_open()
-        if self._parked is not None or not self.is_resident:
+        res = self._res
+        if self._parked is not None or res is None:
             return
-        # The image_of() snapshots come from the plan's per-tenant
-        # stash (or a live export when this plan is the active tenant),
-        # so parking one of several sharing tenants never disturbs the
-        # others' counter state.
-        parked = {"digest": self._image.digest}
-        single = self._res.get("single")
-        if single is not None and single.cluster is not None:
-            parked["cluster"] = (single.cluster.n_banks,
-                                 single.n_digits,
-                                 single.image_of(self))
-        elif single is not None:
-            parked["engines"] = (single.n_digits,
-                                 single.image_of(self))
-        batch = self._res.get("batch")
-        if batch is not None:
-            slots, banks = batch.geometry
-            parked["batch"] = (slots, banks, batch.n_digits,
-                               batch.image_of(self))
-        self._unmount("single")
-        self._unmount("batch")
-        self._parked = parked
+        # image_of() snapshots the plan's per-tenant stash (or a live
+        # export when this plan is the active tenant), so parking one
+        # of several sharing tenants never disturbs the others'
+        # counter state.
+        self._parked = {"digest": self._image.digest,
+                        "n_banks": res.n_banks, "n_digits": res.n_digits,
+                        "image": res.image_of(self)}
+        self._unmount()
         self._parks += 1
 
     def unpark(self) -> None:
-        """Rebuild parked engines and restore their counter images.
+        """Rebuild the parked engine body and restore its counter image.
 
         Usually implicit (any query on a parked plan unparks first),
-        but callable directly to pre-warm a plan.  Every role's lease
-        is acquired *before* anything is rebuilt: a
-        :class:`~repro.serve.pool.PoolExhausted` mid-way rolls the
-        leases back and leaves the plan parked with every counter
-        image intact -- unparking is all-or-nothing, never a partial
-        restore that silently discards one role's image.
+        but callable directly to pre-warm a plan.  A counter-image
+        restore needs the exact body shape: the plan attaches to a
+        matching resident resource (free) or leases and builds one.  A
+        :class:`~repro.serve.pool.PoolExhausted` leaves the plan parked
+        with its counter image intact.
         """
         self._check_open()
-        if self._parked is None:
-            return
         parked = self._parked
-        needed = []
-        if "cluster" in parked:
-            n_banks, n_digits, image = parked["cluster"]
-            needed.append(("single", (n_banks,), n_digits, n_banks,
-                           image))
-        if "engines" in parked:
-            n_digits, images = parked["engines"]
-            needed.append(("single", (len(images),), n_digits,
-                           len(images), images))
-        if "batch" in parked:
-            slots, banks, n_digits, image = parked["batch"]
-            needed.append(("batch", (slots, banks), n_digits,
-                           slots * banks, image))
-        token = self._token()
-        mounted = []
-        try:
-            for role, geometry, n_digits, n_banks, image in needed:
-                # A counter-image restore needs the exact body shape --
-                # attach to a matching resident resource (free) or
-                # lease and build one, all-or-nothing across roles.
-                res = self._image.find_resource(
-                    role, token,
-                    lambda r, g=geometry, d=n_digits:
-                    r.geometry == g and r.n_digits == d)
-                if res is not None:
-                    res.attach(self, stash=image)
-                else:
-                    lease = self._device.pool.lease(n_banks, owner=self)
-                    try:
-                        cluster, engines = self._build_body(
-                            role, geometry, n_digits)
-                    except BaseException:
-                        lease.release()
-                        raise
-                    res = self._image.new_resource(
-                        role, token, geometry, n_digits, lease,
-                        cluster=cluster, engines=engines)
-                    res.attach(self, stash=image)
-                self._res[role] = res
-                mounted.append(role)
-        except PoolExhausted:
-            for role in mounted:
-                self._unmount(role)
-            raise
-        for role in mounted:
-            self._res[role].activate(self)
+        if parked is None:
+            return
+        n_banks, n_digits = parked["n_banks"], parked["n_digits"]
+        res = self._image.find_resource(
+            self._token(), lambda r: r.n_banks == n_banks
+            and r.n_digits == n_digits)
+        if res is not None:
+            res.attach(self, stash=parked["image"])
+        else:
+            res = self._new_resource(
+                self._device.pool.lease(n_banks, owner=self), n_digits,
+                stash=parked["image"])
+        res.activate(self)
+        self._res = res
         self._parked = None
         self._unparks += 1
 
     def export_image(self):
         """Park the plan and hand out its counter image for relocation.
 
-        The returned payload is the parked counter-image record
-        (per-role raw bit-row images plus their geometry) -- exactly
-        what :meth:`unpark` restores from, and therefore everything a
-        *different* plan instance (built from the same operand spec,
-        possibly in another process) needs to continue this plan's
-        counter state bit-exactly via :meth:`import_image`.  The fleet
-        moves models between shard workers with this pair; the payload
-        contains only numpy arrays and ints, so it pickles and packs
-        into shared memory.  Returns ``None`` when the plan has never
-        held engines (nothing to relocate).
+        The returned payload is the parked counter-image record (the
+        raw bit-row image plus the body's bank and digit geometry) --
+        exactly what :meth:`unpark` restores from, and therefore
+        everything a *different* plan instance (built from the same
+        operand spec, possibly in another process) needs to continue
+        this plan's counter state bit-exactly via :meth:`import_image`.
+        The fleet moves models between shard workers with this pair;
+        the payload contains only numpy arrays, ints and the row
+        digest, so it pickles and packs into shared memory.  Returns
+        ``None`` when the plan has never held engines (nothing to
+        relocate).
         """
         self._check_open()
         self.park()
@@ -611,17 +506,10 @@ class GemvPlan:
                 "counter image was exported from a different row image "
                 f"(digest {digest[:12]}... != {self._image.digest[:12]}"
                 "...); rebuild the plan from the matching operand")
-        digits = [self.n_digits or 1]
-        if "cluster" in parked:
-            digits.append(parked["cluster"][1])
-        if "engines" in parked:
-            digits.append(parked["engines"][0])
-        if "batch" in parked:
-            digits.append(parked["batch"][2])
         # Adopt the image's digit sizing so the first query against the
         # relocated plan never tears the restored counters down for a
         # smaller rebuild.
-        self.n_digits = max(digits)
+        self.n_digits = max(self.n_digits or 1, parked["n_digits"])
         self._parked = parked
         self.unpark()
 
@@ -693,9 +581,8 @@ class GemvPlan:
         privately reports its build estimate.  See
         :attr:`footprint_banks_total` for the old gross meaning.
         """
-        if self._res:
-            return sum(res.n_banks for res in self._res.values()
-                       if res.is_sole(self))
+        if self._res is not None:
+            return self._res.n_banks if self._res.is_sole(self) else 0
         if self._image is not None and self._image.entry_has_live_resources():
             return 0
         return self.footprint_banks_total
@@ -704,60 +591,16 @@ class GemvPlan:
     def footprint_banks_total(self) -> int:
         """Gross bank-budget estimate, ignoring sharing.
 
-        The banks this plan's single-query role occupies (its actual
-        leases when resident) -- what planting the model privately
-        would cost, and the number placement uses to size a shard for
-        the *first* tenant of a row image.
+        The banks this plan's lone query occupies (its actual lease
+        when resident) -- what planting the model privately would
+        cost, and the number placement uses to size a shard for the
+        *first* tenant of a row image.
         """
         if self.leased_banks:
             return self.leased_banks
         if self.config.resolved_backend == "word":
             return max(1, min(self.config.n_banks, self.k))
         return 2 if self.kind == "ternary" else 1
-
-    def _ensure(self, n_digits: int) -> None:
-        """(Re)build single-query resources for at least ``n_digits``,
-        and make this plan the resource's active counter tenant."""
-        if self._parked is not None:
-            self.unpark()
-        res = self._res.get("single")
-        if self.n_digits is not None and n_digits <= self.n_digits \
-                and res is not None:
-            res.activate(self)
-            return
-        if res is not None:
-            self._replans += 1
-        self.n_digits = max(n_digits, self.n_digits or 1)
-        cfg = self.config
-        if cfg.resolved_backend == "word":
-            banks = self._device.pool.clamp(
-                max(1, min(cfg.n_banks, self.k)))
-            geometry = (banks,)
-            n_banks = banks
-        else:
-            count = 2 if self.kind == "ternary" else 1
-            geometry = (count,)
-            n_banks = count
-        self._mount("single", geometry, self.n_digits,
-                    n_banks).activate(self)
-
-    def _ensure_batch(self, slots: int, banks: int,
-                      n_digits: int) -> BankCluster:
-        """(Re)build the batched chunk cluster (word backend only)."""
-        if self._parked is not None:
-            self.unpark()
-        res = self._res.get("batch")
-        if res is not None:
-            b_slots, b_banks = res.geometry
-            if b_slots >= slots and b_banks == banks \
-                    and res.n_digits >= n_digits:
-                res.activate(self)
-                return res.cluster
-            self._replans += 1
-        res = self._mount("batch", (slots, banks), n_digits,
-                          slots * banks)
-        res.activate(self)
-        return res.cluster
 
     def close(self) -> None:
         """Release engines, clusters, bank leases and mask images;
@@ -769,8 +612,7 @@ class GemvPlan:
     def _close(self, reason: str) -> None:
         if self._closed:
             return
-        self._unmount("single")
-        self._unmount("batch")
+        self._unmount()
         self._parked = None
         if self._image is not None:
             self._image.release()
@@ -808,40 +650,27 @@ class GemvPlan:
                              "use a ternary plan for signed streams")
         return x
 
-    def _reduce(self, reduced: np.ndarray) -> np.ndarray:
-        """Fold a reduced lane vector to the signed output (ternary)."""
-        if self.kind == "ternary":
-            return reduced[:self.n] - reduced[self.n:]
-        return reduced
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Answer one query against the resident Z."""
+        """Answer one query against the resident Z.
+
+        On the word backend this is exactly ``run_many(x[None])[0]``.
+        The bit backend keeps the per-update reference loop, one
+        engine per sign.
+        """
         self._check_open()
         x = self._validate(x)
-        self._ensure(digits_for_budget(
-            self.config.n_bits, int(np.abs(x).sum())))
+        if self.config.resolved_backend == "word":
+            return self.run_many(x[None])[0]
+        engines = self._acquire(
+            2 if self.kind == "ternary" else 1,
+            digits_for_budget(self.config.n_bits,
+                              int(np.abs(x).sum()))).engines
+        for eng in engines:
+            eng.reset_counters()
         self._queries += 1
         strict = self.config.strict_reads
-        cluster = self._cluster
-        if cluster is not None:
-            # Deal the query as arrays: the planted row of input i is
-            # 2i (positive) or 2i + 1 (negative) on ternary plans, and
-            # rows whose planted mask is all-zero are skipped.
-            idx = np.flatnonzero(x)
-            vals = x[idx]
-            rows = (2 * idx + (vals < 0) if self.kind == "ternary"
-                    else idx)
-            keep = self._planted_nonzero[rows]
-            before = cluster.broadcasts
-            cluster.reset()
-            cluster.dispatch(np.abs(vals[keep]),
-                             self._flat_masks[rows[keep]], flush=True)
-            self._broadcasts += cluster.broadcasts - before
-            return self._reduce(cluster.read_reduced(strict=strict))
-        for eng in self._engines:
-            eng.reset_counters()
         if self.kind == "binary":
-            eng = self._engines[0]
+            eng = engines[0]
             for i in range(self.k):
                 if x[i] == 0:
                     continue                 # zero-skipping (Sec. 7.2.3)
@@ -849,7 +678,7 @@ class GemvPlan:
                 eng.accumulate(int(x[i]))
                 self._broadcasts += 1
             return eng.read_values(strict=strict)
-        pos, neg = self._engines
+        pos, neg = engines
         for i in range(self.k):
             if x[i] == 0:
                 continue
@@ -870,120 +699,60 @@ class GemvPlan:
     def run_many(self, xs: np.ndarray) -> np.ndarray:
         """Answer a batch of queries ``xs [Q, K]`` -> ``[Q, N]``.
 
-        On the word backend, queries are dealt across bank shards:
-        every slot owns a private group of banks, same-magnitude updates
-        from *different* queries share one broadcast wave, and a single
-        read-out retires the whole chunk.  The bit backend streams
-        queries one by one (it exists for bit-exact reference, not
-        throughput).  A bounded pool caps both the slot count and the
-        banks per slot so a chunk never overruns the shared budget.
+        On the word backend every nonzero input ``x[q, i]`` becomes one
+        update of magnitude ``|x[q, i]|`` against planted row ``i``
+        (ternary: row ``2i`` or ``2i + 1`` by the input's sign; rows
+        whose planted mask is all-zero are skipped), and
+        :func:`~repro.engine.cluster.run_chunked` deals them over the
+        plan's one bank cluster: same-magnitude updates from different
+        queries share one broadcast wave and a single read-out retires
+        each chunk.  A lone query deals over ``min(n_banks, K)`` banks,
+        a batch over 4 banks per query slot, and a wider resident
+        cluster is reused -- see :func:`~repro.engine.cluster.
+        chunk_geometry`, which also keeps a chunk inside a bounded
+        pool's budget.  Digits are sized from the deal's worst-lane
+        bound, floored by the declared budget.  The bit backend streams
+        queries one by one through ``plan(x)`` (it exists for bit-exact
+        reference, not throughput).
         """
         self._check_open()
         xs = np.asarray(xs, dtype=np.int64)
         if xs.ndim != 2 or xs.shape[1] != self.k:
             raise ValueError(f"queries must be [Q, {self.k}]")
-        if xs.shape[0] == 0:
+        n_queries = xs.shape[0]
+        if n_queries == 0:
             return np.zeros((0, self.n), dtype=np.int64)
         if self.config.resolved_backend != "word":
             return np.stack([self(x) for x in xs])
-        out = np.zeros((xs.shape[0], self.n), dtype=np.int64)
-        pool = self._device.pool
-        banks = pool.clamp(_BATCH_BANKS)
-        slot_cap = _MAX_BATCH_LANES // max(1, banks * self._width)
-        if pool.bounded:
-            slot_cap = min(slot_cap, pool.n_banks // banks)
-        slots = max(1, min(_MAX_BATCH_SLOTS, xs.shape[0], slot_cap))
-        for start in range(0, xs.shape[0], slots):
-            chunk = xs[start:start + slots]
-            out[start:start + slots] = self._run_chunk(chunk, slots, banks)
-        # Queries count once per completed call, after every chunk ran:
-        # a PoolExhausted mid-stream (caught by the registry, which
-        # evicts and re-invokes the whole call) never double-counts.
-        self._queries += xs.shape[0]
-        return out
-
-    def _run_chunk(self, chunk: np.ndarray, slots: int,
-                   banks: int) -> np.ndarray:
-        """One batched chunk: same-magnitude waves across bank groups.
-
-        Every query slot owns ``banks`` banks; an update of magnitude
-        ``m`` from slot ``q`` is dealt round-robin into that group, and
-        one broadcast ``accumulate(m)`` retires a whole wave of masks
-        across all slots.  Because each slot's same-magnitude updates
-        split over its banks, the worst-case *lane* only sees
-        ``depth(m) = max_slot ceil(count / banks)`` hits per magnitude
-        -- the exact bound the digit sizing below uses.
-        """
-        n_queries = chunk.shape[0]
-        if self.kind == "binary" and (chunk < 0).any():
+        if self.kind == "binary" and (xs < 0).any():
             raise ValueError("binary plans expect non-negative inputs; "
                              "use a ternary plan for signed streams")
-        # Update table: (slot, planted-row, magnitude), zero rows and
-        # all-zero planted masks skipped.
-        q_idx, k_idx = np.nonzero(chunk)
-        vals = chunk[q_idx, k_idx]
+        if self._parked is not None:
+            self.unpark()           # so a wider parked cluster is reused
+        q_idx, k_idx = np.nonzero(xs)
+        vals = xs[q_idx, k_idx]
         rows = (2 * k_idx + (vals < 0) if self.kind == "ternary"
                 else k_idx)
         keep = self._planted_nonzero[rows]
-        q_idx, rows = q_idx[keep], rows[keep]
-        mags = np.abs(vals[keep])
-        if mags.size == 0:
-            return np.zeros((n_queries, self.n), dtype=np.int64)
-        # Deal updates: sort by (magnitude, slot, row) so each (m, q)
-        # queue is deterministic, then position p in the queue lands in
-        # bank p % banks of wave p // banks.  (One stable argsort of the
-        # flattened key: lexsort's order at a fraction of its cost.)
-        order = np.argsort(np.ravel_multi_index(
-            (mags, q_idx, rows),
-            (int(mags.max()) + 1, n_queries, self._resident_rows)),
-            kind="stable")
-        q_s, r_s, m_s = q_idx[order], rows[order], mags[order]
-        upd = np.arange(m_s.size)
-        new_queue = np.ones(m_s.size, dtype=bool)
-        new_queue[1:] = (m_s[1:] != m_s[:-1]) | (q_s[1:] != q_s[:-1])
-        pos = upd - np.maximum.accumulate(np.where(new_queue, upd, 0))
-        new_mag = np.ones(m_s.size, dtype=bool)
-        new_mag[1:] = m_s[1:] != m_s[:-1]
-        mag_id = np.cumsum(new_mag) - 1
-        depth = np.zeros(int(mag_id[-1]) + 1, dtype=np.int64)
-        np.maximum.at(depth, mag_id, pos // banks + 1)
-        wave_base = np.concatenate(([0], np.cumsum(depth)[:-1]))
-        wave_id = wave_base[mag_id] + pos // banks
-        bank_col = q_s * banks + pos % banks
-        n_waves = int(depth.sum())
-        mag_of_wave = np.repeat(m_s[new_mag], depth)
-        # Digits cover the worst-case lane -- depth(m) hits of each m --
-        # floored by the declared budget's sizing so a plan whose
-        # x_budget already covers later, larger batches never tears the
-        # cluster down mid-stream.
-        bound = int((m_s[new_mag] * depth).sum())
-        cluster = self._ensure_batch(
-            slots, banks, max(digits_for_budget(self.config.n_bits, bound),
-                              self.n_digits or 1))
-        cluster.reset()
-        slots, banks = self._batch[0], self._batch[1]  # cached may differ
-        eng = cluster.engine
-        width = self._width
-        # Stage planted masks into packed wave images (blockwise, so
-        # huge chunks never materialize hundreds of MB at once) and
-        # broadcast each wave from its packed image -- masks never
-        # unpack per wave.
-        block = max(1, (1 << 24) // max(1, cluster.n_lanes))
-        for lo in range(0, n_waves, block):
-            hi = min(lo + block, n_waves)
-            sel = (wave_id >= lo) & (wave_id < hi)
-            packed = pack_blocks(hi - lo, slots * banks,
-                                 wave_id[sel] - lo, bank_col[sel],
-                                 self._flat_masks[r_s[sel]])
-            eng.run_waves(mag_of_wave[lo:hi], packed,
-                          flush=hi == n_waves)
-        self._broadcasts += n_waves
-        partials = cluster.read_bank_values(strict=self.config.strict_reads)
-        per_slot = partials.reshape(slots, banks, width).sum(axis=1)
-        per_slot = per_slot[:n_queries]
+        geometry = chunk_geometry(self._device.pool, n_queries,
+                                  self._width,
+                                  min(self.config.n_banks, self.k),
+                                  self.leased_banks)
+        n_bits = self.config.n_bits
+        out, waves = run_chunked(
+            np.abs(vals[keep]), rows[keep], q_idx[keep], n_queries,
+            self._flat_masks, geometry,
+            lambda banks, bound: self._acquire(
+                banks, digits_for_budget(n_bits, bound)).cluster,
+            strict=self.config.strict_reads)
+        # Queries count once per completed call, after every chunk ran:
+        # a PoolExhausted mid-stream (caught by the registry, which
+        # evicts and re-invokes the whole call) never double-counts.
+        self._broadcasts += waves
+        self._queries += n_queries
         if self.kind == "ternary":
-            return per_slot[:, :self.n] - per_slot[:, self.n:]
-        return per_slot
+            return out[:, :self.n] - out[:, self.n:]
+        return out
 
     def nominal_query_ops(self, xs: np.ndarray) -> float:
         """Analytical op count of a query batch: ``2 * Q * K * N``.
@@ -1023,8 +792,8 @@ class GemvPlan:
         two tenants multiplexed on one engine body never double-count.
         """
         ops = self._retired.copy()
-        for res in self._res.values():
-            ops += res.delta_for(self)
+        if self._res is not None:
+            ops += self._res.delta_for(self)
         resident = self._resident_rows
         shared = self._image is not None and self._image.shared
         return PlanStats(queries=self._queries,

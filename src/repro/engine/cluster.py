@@ -9,27 +9,34 @@ one wide subarray, each bank's slice of the single mask row holds a
 *different* operand mask, and one broadcast μProgram advances all banks
 in a single pass of packed word-parallel ops.
 
-Masked updates that share the same increment value are grouped into
-waves of ``n_banks`` masks: one ``accumulate(value)`` retires a whole
-wave, so a 64-row GEMV with repeated input values collapses into a few
-dozen broadcasts.  Each bank accumulates a partial sum; the host folds
-the bank axis at read-out (the paper's subarray-level parallelism,
+Masked updates that share the same increment value are dealt into waves
+across the banks: one ``accumulate(value)`` retires a whole wave, so a
+64-row GEMV with repeated input values collapses into a few dozen
+broadcasts.  Each bank accumulates a partial sum; the host folds the
+bank axis at read-out (the paper's subarray-level parallelism,
 Sec. 2.1, with the command stream shared rank-wide as in Sec. 5.1).
+
+Dealing is the *count* phase of Wassenberg & Sanders' count -> prefix
+-> scatter decomposition, and :meth:`BankCluster.deal` is the one place
+it happens: every plan kind (GEMV, histogram, group-by) hands its
+per-query updates to :func:`run_chunked`, which deals each chunk of
+queries over the cluster's banks -- each query slot owning ``n_banks //
+q`` of them -- and executes it with :meth:`BankCluster.dispatch`.
 
 >>> import numpy as np
 >>> from repro.engine import BankCluster
 >>> cluster = BankCluster(n_bits=2, n_digits=4, lanes_per_bank=4,
 ...                       n_banks=2)
->>> cluster.dispatch([(3, [1, 0, 1, 0]),      # wave 1, bank 0
-...                   (3, [1, 1, 0, 0]),      # wave 1, bank 1
-...                   (5, [0, 0, 1, 1])])     # wave 2, bank 0
+>>> cluster.dispatch([3, 3, 5], [[1, 0, 1, 0],    # wave 2, bank 0
+...                              [1, 1, 0, 0],    # wave 2, bank 1
+...                              [0, 0, 1, 1]])   # wave 1, bank 0
 >>> cluster.read_reduced()
 array([6, 3, 8, 5])
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +46,88 @@ from repro.dram.programs import ProgramStore
 from repro.dram.wordline import pack_blocks
 from repro.engine.machine import CountingEngine
 
-__all__ = ["BankCluster"]
+__all__ = ["BankCluster", "WaveDeal", "chunk_geometry", "run_chunked"]
+
+#: Query slots one chunk of a batch deals across.
+MAX_SLOTS = 32
+
+#: Bank shards each query slot of a batch chunk owns.
+SLOT_BANKS = 4
+
+#: Lane budget of a chunk's subarray (keeps wave images cache-friendly;
+#: wider plans get proportionally fewer slots).
+MAX_CHUNK_LANES = 1 << 18
+
+
+class WaveDeal(NamedTuple):
+    """Masked updates dealt into broadcast waves (:meth:`BankCluster.deal`).
+
+    ``magnitudes`` holds the increment each wave broadcasts; ``wave``,
+    ``bank`` and ``rows`` give every dealt update its wave, its bank
+    column and the mask-table row it stages.  ``bound`` is the largest
+    total any one lane can accumulate -- what digits are sized from.
+    """
+
+    magnitudes: np.ndarray
+    wave: np.ndarray
+    bank: np.ndarray
+    rows: np.ndarray
+    bound: int
+
+
+def chunk_geometry(pool, n_queries: int, width: int, lone_banks: int,
+                   resident_banks: int = 0) -> Tuple[int, int]:
+    """``(slots, n_banks)``: queries per chunk and the chunk cluster's banks.
+
+    ``pool`` is the plan's :class:`~repro.serve.pool.BankPool`.  A lone
+    query deals over ``pool.clamp(lone_banks)`` banks (the plan kind's
+    choice); a batch chunks ``slots`` queries at a time and gives
+    each slot :data:`SLOT_BANKS` banks, capped by the lane budget and a
+    bounded pool's total.  A wider resident cluster (``resident_banks``)
+    is reused as is, so its slots deal over more banks.
+    """
+    if n_queries == 1:
+        slots, n_banks = 1, pool.clamp(lone_banks)
+    else:
+        banks = pool.clamp(SLOT_BANKS)
+        cap = MAX_CHUNK_LANES // max(1, banks * width)
+        if pool.bounded:
+            cap = min(cap, pool.n_banks // banks)
+        slots = max(1, min(MAX_SLOTS, n_queries, cap))
+        n_banks = slots * banks
+    return slots, max(n_banks, resident_banks)
+
+
+def run_chunked(values, rows, slots, n_queries: int,
+                masks: Optional[np.ndarray], geometry: Tuple[int, int],
+                acquire: Callable[[int, int], "BankCluster"],
+                strict: bool = True) -> Tuple[np.ndarray, int]:
+    """Run a batch of queries' masked updates, one chunk at a time.
+
+    ``values`` / ``rows`` / ``slots`` are parallel arrays with one entry
+    per update: its increment, its row of the mask table ``masks``
+    (``None``: one-hot lane masks) and its query, in ascending query
+    order.  ``geometry`` is :func:`chunk_geometry`'s ``(slots,
+    n_banks)``.  Each chunk of ``q`` queries is dealt over ``n_banks //
+    q`` banks per query; ``acquire(n_banks, bound)`` returns the
+    cluster to run it on (at least ``n_banks`` banks, digits covering
+    the deal's ``bound``).  Returns the ``[n_queries, lanes]`` per-query
+    totals and the number of waves broadcast.
+    """
+    chunk, n_banks = geometry
+    parts, waves = [], 0
+    for start in range(0, n_queries, chunk):
+        q = min(chunk, n_queries - start)
+        banks = n_banks // q
+        lo, hi = np.searchsorted(slots, (start, start + q))
+        deal = BankCluster.deal(values[lo:hi], rows[lo:hi],
+                                slots[lo:hi] - start, banks)
+        cluster = acquire(n_banks, deal.bound)
+        cluster.reset()
+        cluster.dispatch(deal, masks, flush=True)
+        waves += deal.magnitudes.size
+        parts.append(cluster.read_slots(q, banks, strict=strict))
+    return np.concatenate(parts), waves
 
 
 class BankCluster:
@@ -86,72 +174,97 @@ class BankCluster:
         self.broadcasts = 0      # accumulate() calls actually issued
 
     # ------------------------------------------------------------------
-    def dispatch(self, updates, masks=None, flush: bool = False) -> None:
-        """Execute a batch of masked accumulations.
+    @staticmethod
+    def deal(values, rows, slots, banks: int) -> WaveDeal:
+        """Deal masked updates into broadcast waves.
 
-        ``updates`` is an iterable of ``(value, mask)`` pairs; or, with
-        ``masks`` given, a value vector whose ``i``-th entry pairs with
-        row ``i`` of the ``[n, lanes_per_bank]`` mask matrix ``masks``
-        (the array form the plan layer deals queries in, which skips
-        per-pair normalization).  Updates are grouped by value
-        (first-occurrence order, so batches replay deterministically)
-        and dealt across banks in waves of ``n_banks``; every wave costs
-        a single broadcast accumulate.  All-zero masks and zero values
-        are skipped.  ``flush=True`` folds the carry flush into the
+        ``values`` / ``rows`` / ``slots`` are parallel arrays (increment,
+        mask-table row, query slot); slot ``s`` owns banks ``[s * banks,
+        (s + 1) * banks)``.  Updates run in one canonical order --
+        magnitude descending, then slot, then row -- and position ``p``
+        of each ``(magnitude, slot)`` queue lands in bank ``p % banks``
+        of that magnitude's ``p // banks``-th wave.  Same-magnitude
+        updates of different slots therefore share one broadcast, and
+        a lane sees at most ``depth(m) = max_slot ceil(count / banks)``
+        hits of magnitude ``m``: ``bound`` sums ``m * depth(m)``.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
+        if values.size == 0:
+            empty = np.zeros(0, dtype=np.int64)
+            return WaveDeal(empty, empty, empty, empty, 0)
+        top = int(values.max())
+        # One stable argsort of the flattened key: lexsort's order at a
+        # fraction of its cost.
+        order = np.argsort(np.ravel_multi_index(
+            (top - values, slots, rows),
+            (top - int(values.min()) + 1, int(slots.max()) + 1,
+             int(rows.max()) + 1)), kind="stable")
+        m, s = values[order], slots[order]
+        upd = np.arange(m.size)
+        new_queue = np.ones(m.size, dtype=bool)
+        new_queue[1:] = (m[1:] != m[:-1]) | (s[1:] != s[:-1])
+        pos = upd - np.maximum.accumulate(np.where(new_queue, upd, 0))
+        new_mag = np.ones(m.size, dtype=bool)
+        new_mag[1:] = m[1:] != m[:-1]
+        depth = np.maximum.reduceat(pos, np.flatnonzero(new_mag)) // banks + 1
+        wave = ((np.cumsum(depth) - depth)[np.cumsum(new_mag) - 1]
+                + pos // banks)
+        mags = m[new_mag]
+        return WaveDeal(np.repeat(mags, depth), wave,
+                        s * banks + pos % banks, rows[order],
+                        int((mags * depth).sum()))
+
+    def dispatch(self, updates, masks, flush: bool = False) -> None:
+        """Execute masked accumulations, one broadcast per wave.
+
+        ``updates`` is a :class:`WaveDeal` whose rows index the mask
+        table ``masks`` (``None``: one-hot lane masks, row ``r`` setting
+        lane ``r`` only); or a value vector whose ``i``-th entry pairs
+        with row ``i`` of the ``[n, lanes_per_bank]`` matrix ``masks``,
+        dealt as one slot over all banks with zero values and all-zero
+        masks skipped.  ``flush=True`` folds the carry flush into the
         wave sequence's tail (see :meth:`~repro.engine.machine.
         CountingEngine.run_waves`) for callers that read out next.
 
-        Wave assembly is fully vectorized: one NumPy group-by over the
-        update values and one :func:`~repro.dram.wordline.pack_blocks`
-        staging every mask into its ``(wave, bank)`` slot of the packed
-        wave block -- the per-wave work left in Python is just the
+        Wave images are staged blockwise (so huge batches never
+        materialize hundreds of MB at once) with
+        :func:`~repro.dram.wordline.pack_blocks`, and each block runs
+        as one stitched :meth:`~repro.engine.machine.CountingEngine.
+        run_waves` pass -- the per-wave work left in Python is just the
         broadcast itself.
         """
-        if masks is None:
-            pairs = [(int(v), m) for v, m in updates if int(v) != 0]
-            values = np.array([v for v, _ in pairs], dtype=np.int64)
-            try:
-                masks = np.asarray([m for _, m in pairs], dtype=np.uint8)
-            except ValueError:
-                raise ValueError(
-                    "mask width must equal lanes_per_bank") from None
-            if not pairs:
-                masks = masks.reshape(0, self.lanes_per_bank)
-        else:
-            values = np.asarray(updates, dtype=np.int64)
+        if masks is not None:
             masks = np.asarray(masks, dtype=np.uint8)
-        if masks.ndim != 2 or masks.shape[1] != self.lanes_per_bank:
-            raise ValueError("mask width must equal lanes_per_bank")
-        if values.shape != masks.shape[:1]:
-            raise ValueError("dispatch needs one value per mask row")
-        keep = (values != 0) & masks.any(axis=1)
-        values, masks = values[keep], masks[keep]
-        if values.size == 0:
-            return
-        # Group by value, ranked by first occurrence so the broadcast
-        # order is exactly the insertion-ordered dict the scalar loop
-        # used to build (deterministic replay).
-        uniq, first, inverse = np.unique(values, return_index=True,
-                                         return_inverse=True)
-        rank_of_uniq = np.empty(uniq.size, dtype=np.int64)
-        rank_of_uniq[np.argsort(first)] = np.arange(uniq.size)
-        rank = rank_of_uniq[inverse]
-        order = np.argsort(rank, kind="stable")
-        counts = np.bincount(rank, minlength=uniq.size)
-        # Deal position p of a group into bank p % n_banks of its wave
-        # p // n_banks; groups occupy consecutive wave ranges.
-        waves_per_group = -(-counts // self.n_banks)
-        wave_base = np.concatenate(([0], np.cumsum(waves_per_group)[:-1]))
-        group_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        pos = np.arange(values.size) - np.repeat(group_start, counts)
-        wave_id = wave_base[rank[order]] + pos // self.n_banks
-        n_waves = int(waves_per_group.sum())
-        packed = pack_blocks(n_waves, self.n_banks, wave_id,
-                             pos % self.n_banks, masks[order])
-        magnitudes = np.repeat(uniq[np.argsort(first)], waves_per_group)
-        # One stitched pass over the whole wave sequence (megatrace on
-        # the word path; the per-wave load/accumulate loop otherwise).
-        self.engine.run_waves(magnitudes, packed, flush=flush)
+            if masks.ndim != 2 or masks.shape[1] != self.lanes_per_bank:
+                raise ValueError("mask width must equal lanes_per_bank")
+        deal = updates
+        if not isinstance(deal, WaveDeal):
+            values = np.asarray(updates, dtype=np.int64)
+            if masks is None or values.shape != masks.shape[:1]:
+                raise ValueError("dispatch needs one value per mask row")
+            keep = np.flatnonzero((values != 0) & masks.any(axis=1))
+            deal = self.deal(values[keep], keep,
+                             np.zeros(keep.size, dtype=np.int64),
+                             self.n_banks)
+        n_waves = deal.magnitudes.size
+        block = max(1, (1 << 24) // max(1, self.n_lanes))
+        for lo in range(0, n_waves, block):
+            hi = min(lo + block, n_waves)
+            sel = ((deal.wave >= lo) & (deal.wave < hi)
+                   if hi - lo < n_waves else slice(None))
+            rows = deal.rows[sel]
+            if masks is not None:
+                bits = masks[rows]
+            else:
+                bits = np.zeros((rows.size, self.lanes_per_bank),
+                                dtype=np.uint8)
+                bits[np.arange(rows.size), rows] = 1
+            packed = pack_blocks(hi - lo, self.n_banks,
+                                 deal.wave[sel] - lo, deal.bank[sel], bits)
+            self.engine.run_waves(deal.magnitudes[lo:hi], packed,
+                                  flush=flush and hi == n_waves)
         self.broadcasts += n_waves
 
     # ------------------------------------------------------------------
@@ -160,9 +273,17 @@ class BankCluster:
         return self.engine.read_values(strict=strict).reshape(
             self.n_banks, self.lanes_per_bank)
 
+    def read_slots(self, n_slots: int, banks: int,
+                   strict: bool = True) -> np.ndarray:
+        """Fold each query slot's ``banks`` banks (the layout of
+        :meth:`deal`): ``[n_slots, lanes_per_bank]``."""
+        partials = self.read_bank_values(strict=strict)[:n_slots * banks]
+        return partials.reshape(n_slots, banks,
+                                self.lanes_per_bank).sum(axis=1)
+
     def read_reduced(self, strict: bool = True) -> np.ndarray:
         """Fold the bank axis: the host-side reduction of the partials."""
-        return self.read_bank_values(strict=strict).sum(axis=0)
+        return self.read_slots(1, self.n_banks, strict=strict)[0]
 
     def reset(self) -> None:
         """Zero all counters; loaded mask rows stay resident.

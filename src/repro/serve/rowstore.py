@@ -100,9 +100,11 @@ class SharedResource:
     (``cluster``) or a list of bit-backend
     :class:`~repro.engine.machine.CountingEngine` (``engines``) -- the
     store never constructs engines itself, it only multiplexes them.
-    The resource owns exactly one :class:`~repro.serve.pool.BankLease`;
-    the first tenant pays it, later tenants attach for free
-    (:meth:`BankPool.attach`), and the last detach releases it.
+    The resource owns exactly one :class:`~repro.serve.pool.BankLease`
+    whose bank count (:attr:`n_banks`) is the body's size -- a
+    cluster's banks or the number of engines; the first tenant pays
+    it, later tenants attach for free (:meth:`BankPool.attach`), and
+    the last detach releases it.
 
     At most one tenant is *active* at a time.  :meth:`activate` swaps
     counter state: the outgoing tenant's counter rows are exported into
@@ -112,16 +114,12 @@ class SharedResource:
     I/O only -- no fault-model RNG draw, no command issued.
     """
 
-    __slots__ = ("role", "token", "geometry", "n_digits", "entry",
-                 "lease", "cluster", "engines", "attached", "active",
-                 "_stash", "_base")
+    __slots__ = ("token", "n_digits", "entry", "lease", "cluster",
+                 "engines", "attached", "active", "_stash", "_base")
 
-    def __init__(self, role: str, token: tuple, geometry: tuple,
-                 n_digits: int, entry: "_Entry", lease,
-                 cluster=None, engines: Optional[list] = None):
-        self.role = role
+    def __init__(self, token: tuple, n_digits: int, entry: "_Entry",
+                 lease, cluster=None, engines: Optional[list] = None):
         self.token = token
-        self.geometry = geometry
         self.n_digits = int(n_digits)
         self.entry = entry
         self.lease = lease
@@ -233,6 +231,20 @@ class SharedResource:
             self._reset()
         self.active = plan
 
+    def replace_body(self, lease, n_digits: int, cluster=None,
+                     engines: Optional[list] = None) -> None:
+        """Swap in a resized body on ``lease`` (a sole tenant's in-place
+        re-plan): the active tenant's cost-counter delta is retired
+        first, and counter state restarts from zeros."""
+        self._credit_active()
+        self.lease, self.n_digits = lease, int(n_digits)
+        self.cluster, self.engines = cluster, engines or []
+        self._stash.clear()
+        self.active = None
+        self._base = self._counters_now()
+        for eng in self._all_engines():
+            eng.cache_epoch = self.entry.generation
+
     def image_of(self, plan):
         """``plan``'s current counter image, without changing state."""
         if self.active is plan:
@@ -329,19 +341,19 @@ class RowImageHandle:
         return self.refcount > 1
 
     # ------------------------------------------------------------------
-    def find_resource(self, role: str, token: tuple,
+    def find_resource(self, token: tuple,
                       match) -> Optional[SharedResource]:
-        """First live resource of this image with this role + config
-        token that satisfies ``match(resource)`` (geometry predicate:
-        the query path accepts any wide-enough body, a counter-image
-        restore needs an exact shape)."""
+        """First live resource of this image with this config token
+        that satisfies ``match(resource)`` (geometry predicate: the
+        query path accepts any big-enough body, a counter-image restore
+        needs an exact shape)."""
         for res in self._entry.resources:
-            if res.role == role and res.token == token and match(res):
+            if res.token == token and match(res):
                 return res
         return None
 
-    def new_resource(self, role: str, token: tuple, geometry: tuple,
-                     n_digits: int, lease, cluster=None,
+    def new_resource(self, token: tuple, n_digits: int, lease,
+                     cluster=None,
                      engines: Optional[list] = None) -> SharedResource:
         """Register a freshly built engine body under this image.
 
@@ -349,9 +361,8 @@ class RowImageHandle:
         ``cache_epoch`` -- the namespace of their ``run_waves`` memo,
         so a copy-on-write row swap starts a fresh memo.
         """
-        res = SharedResource(role, token, geometry, n_digits,
-                             self._entry, lease, cluster=cluster,
-                             engines=engines)
+        res = SharedResource(token, n_digits, self._entry, lease,
+                             cluster=cluster, engines=engines)
         self._entry.resources.append(res)
         for eng in res._all_engines():
             eng.cache_epoch = self._entry.generation

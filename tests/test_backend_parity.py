@@ -83,14 +83,10 @@ def test_cluster_matches_reference_sums(rng):
     """Batched dispatch == plain masked accumulation arithmetic."""
     cluster = BankCluster(n_bits=2, n_digits=5, lanes_per_bank=16,
                           n_banks=3)
-    updates = []
-    ref = np.zeros(16, dtype=np.int64)
-    for _ in range(20):
-        value = int(rng.integers(0, 12))
-        mask = rng.integers(0, 2, 16).astype(np.uint8)
-        updates.append((value, mask))
-        ref += value * mask.astype(np.int64)
-    cluster.dispatch(updates)
+    values = rng.integers(0, 12, 20)
+    masks = rng.integers(0, 2, (20, 16)).astype(np.uint8)
+    ref = values @ masks.astype(np.int64)
+    cluster.dispatch(values, masks)
     assert (cluster.read_reduced() == ref).all()
     # Per-bank partials are consistent with the reduction.
     assert (cluster.read_bank_values().sum(axis=0) == ref).all()

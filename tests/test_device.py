@@ -483,8 +483,7 @@ class TestCounterImageRoundTrip:
     def test_cluster_roundtrip(self, rng):
         cluster = BankCluster(n_bits=2, n_digits=3, lanes_per_bank=6,
                               n_banks=2)
-        cluster.dispatch([(3, rng.integers(0, 2, 6).astype(np.uint8)),
-                          (5, rng.integers(0, 2, 6).astype(np.uint8))])
+        cluster.dispatch([3, 5], rng.integers(0, 2, (2, 6)))
         image = cluster.export_counters()
         values = cluster.read_bank_values()
         other = BankCluster(n_bits=2, n_digits=3, lanes_per_bank=6,

@@ -357,22 +357,20 @@ def test_packed_row_width_validated():
 def test_vectorized_dispatch_matches_reference(rng):
     cluster = BankCluster(n_bits=2, n_digits=5, lanes_per_bank=12,
                           n_banks=3)
-    updates, ref = [], np.zeros(12, dtype=np.int64)
-    values = [3, 7, 3, 3, 7, 1, 3, 1]              # repeats across groups
-    for value in values:
-        mask = rng.integers(0, 2, 12).astype(np.uint8)
-        updates.append((value, mask))
-        ref += value * mask.astype(np.int64)
-    updates.append((0, np.ones(12, dtype=np.uint8)))      # skipped
-    updates.append((5, np.zeros(12, dtype=np.uint8)))     # skipped
-    cluster.dispatch(updates)
+    values = np.array([3, 7, 3, 3, 7, 1, 3, 1])   # repeats across groups
+    masks = rng.integers(0, 2, (8, 12)).astype(np.uint8)
+    ref = values @ masks.astype(np.int64)
+    values = np.append(values, [0, 5])
+    masks = np.vstack([masks, np.ones(12, dtype=np.uint8),       # skipped
+                       np.zeros(12, dtype=np.uint8)])            # skipped
+    cluster.dispatch(values, masks)
     assert (cluster.read_reduced() == ref).all()
     # Wave count: ceil(group size / n_banks) per distinct value -- the
     # same grouping the scalar loop produced.
     assert cluster.broadcasts == 2 + 1 + 1        # 4x3, 2x7, 2x1
 
 
-def test_dispatch_wave_order_is_first_occurrence(monkeypatch):
+def test_dispatch_wave_order_is_canonical(monkeypatch):
     cluster = BankCluster(n_bits=2, n_digits=4, lanes_per_bank=2,
                           n_banks=1)
     seen = []
@@ -383,26 +381,37 @@ def test_dispatch_wave_order_is_first_occurrence(monkeypatch):
         return original(magnitudes, packed_masks, mask_index, flush)
 
     monkeypatch.setattr(cluster.engine, "run_waves", spy)
-    cluster.dispatch([(5, [1, 0]), (2, [0, 1]), (5, [1, 1]),
-                      (9, [1, 0]), (2, [1, 0])])
-    # Group order = first occurrence; within a group, arrival order.
-    assert seen == [5, 5, 2, 2, 9]
+    cluster.dispatch([5, 2, 5, 9, 2], [[1, 0], [0, 1], [1, 1],
+                                       [1, 0], [1, 0]])
+    # Canonical order: magnitude descending; within a magnitude, the
+    # rows' order (one slot here).
+    assert seen == [9, 5, 5, 2, 2]
+    slots = [1, 0, 0, 1, 0]
+    deal = BankCluster.deal([5, 2, 5, 9, 2], [0, 1, 2, 3, 4], slots, 1)
+    # Two slots of one bank each: the 5s of different slots share one
+    # broadcast, slot 0's two 2s queue into two waves, and a
+    # magnitude's waves are as deep as its longest queue.
+    assert deal.magnitudes.tolist() == [9, 5, 2, 2]
+    assert deal.rows.tolist() == [3, 2, 0, 1, 4]
+    assert deal.bank.tolist() == [1, 0, 1, 0, 0]
+    assert deal.wave.tolist() == [0, 1, 1, 2, 3]
+    assert deal.bound == 9 + 5 + 2 * 2
 
 
 def test_dispatch_validates_mask_width():
     cluster = BankCluster(n_bits=2, n_digits=4, lanes_per_bank=4,
                           n_banks=2)
     with pytest.raises(ValueError, match="lanes_per_bank"):
-        cluster.dispatch([(3, [1, 0])])
+        cluster.dispatch([3], [[1, 0]])
     with pytest.raises(ValueError, match="lanes_per_bank"):
-        cluster.dispatch([(3, [1, 0, 1, 0]), (2, [1, 0, 1])])
+        cluster.dispatch([3, 2], [1, 0, 1, 0])
 
 
 def test_dispatch_empty_and_all_skipped():
     cluster = BankCluster(n_bits=2, n_digits=4, lanes_per_bank=3,
                           n_banks=2)
-    cluster.dispatch([])
-    cluster.dispatch([(0, [1, 1, 1]), (4, [0, 0, 0])])
+    cluster.dispatch([], np.zeros((0, 3), dtype=np.uint8))
+    cluster.dispatch([0, 4], [[1, 1, 1], [0, 0, 0]])
     assert cluster.broadcasts == 0
     assert (cluster.read_reduced() == 0).all()
 

@@ -262,8 +262,10 @@ def test_folded_flush_equals_separate_flush(p_cim, p_read, seed):
         assert sum(base["injected"]) > 0
 
 
-def test_dispatch_array_form_equals_pair_form():
-    """``dispatch(values, masks)`` deals exactly like the pair form."""
+def test_dispatch_array_form_equals_dealt_form():
+    """``dispatch(values, masks)`` deals exactly like one slot of
+    :meth:`BankCluster.deal` over every bank, skipping zero values and
+    all-zero masks."""
     rng = np.random.default_rng(4)
     values = rng.integers(-3, 9, 20)
     masks = rng.integers(0, 2, (20, 10)).astype(np.uint8)
@@ -275,7 +277,10 @@ def test_dispatch_array_form_equals_pair_form():
         if arrays:
             cluster.dispatch(values, masks, flush=True)
         else:
-            cluster.dispatch(list(zip(values, masks)))
+            keep = np.flatnonzero((values != 0) & masks.any(axis=1))
+            cluster.dispatch(BankCluster.deal(values[keep], keep,
+                                              np.zeros_like(keep), 3),
+                             masks)
         out.append((cluster.read_reduced(), cluster.broadcasts,
                      cluster.measured_ops))
     assert (out[0][0] == out[1][0]).all() and out[0][1:] == out[1][1:]
@@ -374,16 +379,16 @@ def test_warm_plan_call_is_one_replay_without_rescheduling():
         plan = dev.plan_gemv(z, kind="ternary", x_budget=16 * 5)
         for _ in range(2):
             plan(x)
-        engine = plan._cluster.engine
         calls = []
-        for name in ("schedule_value", "flush"):
-            original = getattr(engine.scheduler, name)
-            setattr(engine.scheduler, name,
-                    lambda *a, _f=original, _n=name: (calls.append(_n),
-                                                      _f(*a))[1])
-        before = plan.stats
-        assert (plan(x) == x @ z.astype(np.int64)).all()
-        after = plan.stats
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("schedule_value", "flush"):
+                original = getattr(IARMScheduler, name)
+                mp.setattr(IARMScheduler, name,
+                           lambda *a, _f=original, _n=name: (
+                               calls.append(_n), _f(*a))[1])
+            before = plan.stats
+            assert (plan(x) == x @ z.astype(np.int64)).all()
+            after = plan.stats
     assert calls == []
     assert after.megatrace_replays - before.megatrace_replays == 1
     assert after.megatrace_compiles == before.megatrace_compiles

@@ -181,7 +181,7 @@ class TestTenancyMultiplier:
         for a, b in zip(ys_shared, ys_priv):
             np.testing.assert_array_equal(a, b)
 
-    def test_batch_waves_share_the_batch_cluster(self, rng):
+    def test_batch_waves_share_one_cluster(self, rng):
         z = _z(rng, k=4, n=6)
         dev = Device(backend="fast", pool=BankPool(64))
         a = dev.plan_gemv(z, kind="ternary")
@@ -190,9 +190,10 @@ class TestTenancyMultiplier:
         ya, yb = a.run_many(xs), b.run_many(xs)
         np.testing.assert_array_equal(ya, xs @ z)
         np.testing.assert_array_equal(yb, xs @ z)
-        # One batch body, both tenants attached to it.
-        assert a._res["batch"] is b._res["batch"]
-        assert a._res["batch"].n_attached == 2
+        # One body, both tenants attached to it: the pool is charged
+        # once, and neither tenant's eviction would free it.
+        assert dev.pool.banks_leased == a.leased_banks == b.leased_banks
+        assert a.footprint_banks == b.footprint_banks == 0
         dev.close()
 
 

@@ -145,6 +145,12 @@ class TestDevicePoolIntegration:
             assert pool.banks_leased == pa.leased_banks + pb.leased_banks
 
 
+def _images_equal(a, b) -> bool:
+    """Parked counter payloads match: geometry and every bit row."""
+    return (a.keys() == b.keys()
+            and all(np.array_equal(a[k], b[k]) for k in a))
+
+
 class TestParkUnpark:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_park_preserves_counter_image(self, backend, rng):
@@ -154,22 +160,15 @@ class TestParkUnpark:
         with Device(pool=pool, backend=backend) as dev:
             plan = dev.plan_gemv(z, kind="ternary")
             y = plan(x)
-            if backend == "fast":
-                images = [plan._cluster.export_counters()]
-            else:
-                images = [e.export_counters() for e in plan._engines]
-            plan.park()
+            image = plan.export_image()            # parks the plan
             assert plan.is_parked and not plan.is_resident
             assert pool.banks_leased == 0          # leases returned
             plan.unpark()
             assert not plan.is_parked and plan.is_resident
-            restored = ([plan._cluster.export_counters()]
-                        if backend == "fast"
-                        else [e.export_counters() for e in plan._engines])
-            for before, after in zip(images, restored):
-                assert (before == after).all()
+            assert _images_equal(plan.export_image(), image)
+            plan.unpark()
             assert (plan(x) == y).all()            # still serves queries
-            assert plan.stats.parks == 1 and plan.stats.unparks == 1
+            assert plan.stats.parks == 2 and plan.stats.unparks == 2
 
     def test_queries_unpark_transparently(self, rng):
         z = rng.integers(-1, 2, (6, 9)).astype(np.int8)
@@ -182,16 +181,14 @@ class TestParkUnpark:
             assert plan.stats.unparks == 1
 
     def test_unpark_is_all_or_nothing(self, rng):
-        """Partial unpark must not discard any role's counter image."""
+        """A starved unpark leaves the plan parked, its image intact."""
         pool = BankPool(20)
         z = rng.integers(-1, 2, (5, 6)).astype(np.int8)
         with Device(pool=pool) as dev:
             plan = dev.plan_gemv(z, kind="ternary")
-            plan(rng.integers(-3, 4, 5))             # single role
-            plan.run_many(rng.integers(-3, 4, (3, 5)))   # batch role
-            single_img = plan._cluster.export_counters()
-            batch_img = plan._batch[2].export_counters()
-            plan.park()
+            plan(rng.integers(-3, 4, 5))                 # 5 banks
+            plan.run_many(rng.integers(-3, 4, (3, 5)))   # grows to 12
+            image = plan.export_image()
             assert pool.banks_leased == 0
             hog = pool.lease(18)                     # starve the unpark
             with pytest.raises(PoolExhausted):
@@ -200,8 +197,7 @@ class TestParkUnpark:
             assert pool.banks_leased == 18           # no leaked leases
             hog.release()
             plan.unpark()                            # now fits: restore
-            assert (plan._cluster.export_counters() == single_img).all()
-            assert (plan._batch[2].export_counters() == batch_img).all()
+            assert _images_equal(plan.export_image(), image)
 
     def test_park_without_resources_is_noop(self, rng):
         z = rng.integers(0, 2, (3, 4)).astype(np.uint8)
