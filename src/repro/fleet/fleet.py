@@ -7,9 +7,13 @@ see :mod:`repro.fleet.worker`), registered models are placed on shards
 by accounted budget (:mod:`repro.fleet.placement`) and relocated by
 bit-exact park/unpark counter images, and an asyncio event loop in a
 background thread runs one dispatcher per shard that drains the
-shard's queue, **coalesces consecutive same-model queries into one
-``run_many`` wave** and ships it over the shard's pipe + shared-memory
-arenas.
+shard's queue, **coalesces same-model queries into per-model
+``run_many`` waves** and ships each over the shard's pipe +
+shared-memory arenas.  Grouping is :func:`repro.serve.server.coalesce`,
+the same rule the server's scheduler applies: per model between
+control barriers (registration, relocation, status, campaign trials,
+crash, stop), FIFO within a model -- so responses to *different*
+models may resolve out of submission order.
 
 The external contract matches the server's on purpose:
 
@@ -58,7 +62,7 @@ from repro.fleet.placement import Move, Placement
 from repro.fleet.worker import ShardHandle, WorkerCrashedError
 from repro.serve.pool import BankPool
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import Response, _DEFAULT_MAX_BATCH
+from repro.serve.server import Response, _DEFAULT_MAX_BATCH, coalesce
 from repro.serve.telemetry import (ExecutionReport, LatencyWindow,
                                    TelemetrySummary)
 
@@ -107,12 +111,12 @@ class _Item:
 
     __slots__ = ("kind", "model", "x", "future", "op", "meta", "arrays")
 
-    def __init__(self, kind: str, model: str = "",
+    def __init__(self, kind: str, model: Optional[str] = None,
                  x: Optional[np.ndarray] = None,
                  op: str = "", meta: Optional[dict] = None,
                  arrays: Sequence[np.ndarray] = ()):
         self.kind = kind                  # "query" | "control" | "stop"
-        self.model = model
+        self.model = model                # None: a coalescing barrier
         self.x = x
         self.op = op
         self.meta = meta or {}
@@ -154,7 +158,9 @@ class Fleet:
     max_resident:
         Optional per-shard cap on simultaneously resident plans.
     max_batch:
-        Most queries one wave coalesces (per shard, per model run).
+        Most queries one wave coalesces.  Each shard groups its drained
+        queue per model between control barriers
+        (:func:`~repro.serve.server.coalesce`, as ``Server`` does).
     max_queue:
         Per-shard admission bound; beyond it ``submit`` raises
         :class:`FleetSaturatedError`.
@@ -412,11 +418,14 @@ class Fleet:
     async def _dispatch(self, shard: _Shard) -> None:
         """Drain, coalesce, execute -- one shard's scheduling loop.
 
-        Items are processed strictly in FIFO order; only *consecutive*
-        same-model queries coalesce into one wave (capped at
-        ``max_batch``), so a control job (relocation export, campaign
-        trial) is a natural barrier and observable ordering is exactly
-        submission order.
+        Each drain is split by :func:`~repro.serve.server.coalesce`:
+        queries group into per-model waves (capped at ``max_batch``,
+        FIFO within a model) and every control job or the stop
+        sentinel is a barrier -- all waves queued ahead of it run
+        first, and nothing queued behind it runs before it.  So a
+        relocation export still follows its model's queued queries
+        and a crash still fails everything behind it, while responses
+        to different models may resolve out of submission order.
         """
         while True:
             item = await shard.queue.get()
@@ -426,32 +435,17 @@ class Fleet:
                     batch.append(shard.queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            stop = False
-            group: List[_Item] = []
-            for it in batch:
-                if it.kind == "query" and group \
-                        and group[0].model == it.model \
-                        and len(group) < self.max_batch:
-                    group.append(it)
-                    continue
-                if group:
-                    await self._wave(shard, group)
-                    group = []
-                if it.kind == "query":
-                    group = [it]
-                elif it.kind == "control":
-                    await self._run_control(shard, it)
+            for model, items in coalesce(batch, self.max_batch):
+                if model is not None:
+                    await self._wave(shard, items)
+                elif items[0].kind == "control":
+                    await self._run_control(shard, items[0])
                 else:                       # stop sentinel
-                    stop = True
-                    break
-            if group:
-                await self._wave(shard, group)
-            if stop:
-                # Even a crashed shard keeps its dispatcher: items
-                # enqueued after the crash flow through _wave, whose
-                # handle call fails instantly with WorkerCrashedError
-                # -- prompt typed rejection instead of a silent queue.
-                return
+                    # Even a crashed shard keeps its dispatcher: items
+                    # enqueued after the crash flow through _wave, whose
+                    # handle call fails instantly with WorkerCrashedError
+                    # -- prompt typed rejection instead of a silent queue.
+                    return
 
     async def _call(self, shard: _Shard, op: str, meta: dict,
                     arrays: Sequence[np.ndarray]
@@ -516,7 +510,7 @@ class Fleet:
         actionable error), not a misleading unknown-model ``KeyError``.
         Requests already queued behind the crash are *not* drained
         here -- the dispatcher keeps running and fails each of them
-        promptly through the dead handle, preserving FIFO resolution.
+        promptly through the dead handle, in dispatch order.
         """
         with self._lock:
             if shard.dead:

@@ -18,7 +18,8 @@ The layer cake, bottom up:
   ``import_counters()``).
 * :class:`Server` (:mod:`repro.serve.server`) is the front door:
   ``submit(model, x)`` futures, a scheduler that coalesces concurrent
-  same-model queries into single ``run_many()`` waves, and a
+  same-model queries into single ``run_many()`` waves (the
+  :func:`~repro.serve.server.coalesce` rule the fleet shares), and a
   per-query :class:`ExecutionReport` (:mod:`repro.serve.telemetry`)
   whose latency/energy are modeled from the wave's *measured* op
   delta through :func:`repro.dram.timing.time_for_aaps_ns` and
@@ -36,7 +37,8 @@ from repro.serve.rowstore import (RowImageHandle, RowImageStore,
 __all__ = ["BankPool", "BankLease", "PoolExhausted", "ModelRegistry",
            "RegistryStats", "Server", "Response", "ServerStats",
            "ExecutionReport", "UnsupportedPlanKindError", "PLAN_KINDS",
-           "RowImageStore", "RowImageHandle", "StoreStats", "row_digest"]
+           "RowImageStore", "RowImageHandle", "StoreStats", "row_digest",
+           "coalesce"]
 
 _LAZY = {
     "ModelRegistry": "repro.serve.registry",
@@ -46,6 +48,7 @@ _LAZY = {
     "Server": "repro.serve.server",
     "Response": "repro.serve.server",
     "ServerStats": "repro.serve.server",
+    "coalesce": "repro.serve.server",
     "ExecutionReport": "repro.serve.telemetry",
 }
 

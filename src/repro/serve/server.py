@@ -7,8 +7,10 @@ one DRAM module, streams of queries from many clients):
 * ``submit(model, x)`` enqueues one query and returns a
   :class:`concurrent.futures.Future`; a single scheduler thread drains
   the queue, **coalesces concurrent same-model queries into one
-  ``run_many()`` wave** (bank-sharded, broadcast-shared), and resolves
-  every future with a :class:`Response`.
+  ``run_many()`` wave** (bank-sharded, broadcast-shared) by
+  :func:`coalesce` -- the one grouping rule the multi-process fleet
+  front door uses too -- and resolves every future with a
+  :class:`Response`.
 * All models share one :class:`~repro.serve.pool.BankPool` budget
   through a :class:`~repro.serve.registry.ModelRegistry`: when a wave
   cannot lease banks, the LRU resident plan is parked (counter image
@@ -41,10 +43,9 @@ True
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +57,8 @@ from repro.serve.registry import ModelRegistry
 from repro.serve.telemetry import (ExecutionReport, LatencyWindow,
                                    TelemetrySummary)
 
-__all__ = ["Server", "Response", "ServerStats", "execute_wave"]
+__all__ = ["Server", "Response", "ServerStats", "execute_wave",
+           "coalesce"]
 
 #: Queries one wave will coalesce at most (queue beyond this forms the
 #: next wave; run_many() additionally chunks by its own slot budget).
@@ -89,6 +91,50 @@ class ServerStats:
     queries: int = 0
     max_wave: int = 0
     rejected: int = 0
+
+
+def coalesce(drained: Sequence, max_batch: int
+             ) -> List[Tuple[Optional[str], list]]:
+    """Group one drained FIFO queue into per-model waves.
+
+    The single coalescing rule of both front doors (:class:`Server`
+    and :class:`~repro.fleet.Fleet`).  Every item carries a ``model``
+    attribute; a query names its model, anything whose ``model`` is
+    ``None`` (a fleet control job, the stop sentinel) is a *barrier*.
+    Returns the execution order as ``(model, items)`` steps:
+
+    * between barriers, queries are grouped per model in the order each
+      model first appears, each group keeps FIFO order and is split
+      into waves of at most ``max_batch`` queries;
+    * a barrier is emitted as ``(None, [item])`` after every wave formed
+      before it, and no query moves across it.
+
+    Responses to *different* models may therefore resolve out of
+    submission order; responses to one model never do.
+
+    >>> from types import SimpleNamespace as Q
+    >>> items = [Q(model=m) for m in "abaXa"]
+    >>> items[3].model = None
+    >>> [(m, len(w)) for m, w in coalesce(items, max_batch=8)]
+    [('a', 2), ('b', 1), (None, 1), ('a', 1)]
+    """
+    steps: List[Tuple[Optional[str], list]] = []
+    groups: Dict[str, list] = {}
+
+    def close_segment() -> None:
+        for model, items in groups.items():
+            for lo in range(0, len(items), max_batch):
+                steps.append((model, items[lo:lo + max_batch]))
+        groups.clear()
+
+    for item in drained:
+        if item.model is None:
+            close_segment()
+            steps.append((None, [item]))
+        else:
+            groups.setdefault(item.model, []).append(item)
+    close_segment()
+    return steps
 
 
 class _Pending:
@@ -310,12 +356,8 @@ class Server:
                 if not self._queue and self._closed:
                     return
                 drained, self._queue = self._queue, []
-            groups: "OrderedDict[str, List[_Pending]]" = OrderedDict()
-            for pending in drained:
-                groups.setdefault(pending.model, []).append(pending)
-            for model, pendings in groups.items():
-                for lo in range(0, len(pendings), self.max_batch):
-                    self._execute(model, pendings[lo:lo + self.max_batch])
+            for model, pendings in coalesce(drained, self.max_batch):
+                self._execute(model, pendings)
 
     def _execute(self, model: str, pendings: List[_Pending]) -> None:
         """One coalesced wave: run_many + per-query telemetry.

@@ -360,6 +360,45 @@ class TestFleetServing:
         finally:
             fleet.close()
 
+    def test_control_is_a_coalescing_barrier(self, rng):
+        """One drain of [a, b, a, crash, a]: the queries ahead of the
+        crash run as two per-model waves, the crash resolves next, and
+        the query behind it fails typed."""
+        from repro.fleet.fleet import _Item
+        fleet = Fleet(n_shards=1, pool_banks=4)
+        try:
+            fleet.register("a", np.eye(2, dtype=np.uint8), kind="binary")
+            fleet.register("b", np.array([[0, 1], [1, 0]], dtype=np.uint8),
+                           kind="binary")
+            items = [_Item("query", model="a", x=np.array([1, 2])),
+                     _Item("query", model="b", x=np.array([3, 4])),
+                     _Item("query", model="a", x=np.array([5, 6])),
+                     _Item("control", op="crash"),
+                     _Item("query", model="a", x=np.array([7, 8]))]
+            resolved = []
+            for i, it in enumerate(items):
+                it.future.add_done_callback(
+                    lambda f, i=i: resolved.append(i))
+            with fleet._lock:
+                fleet._pending.update(items)
+                fleet._inflight[0] += 4
+            # one _enqueue call: a single drain sees all five items
+            fleet._loop.call_soon_threadsafe(
+                fleet._enqueue, fleet._shards[0], items)
+
+            assert (items[0].future.result(timeout=30).y == [1, 2]).all()
+            assert (items[1].future.result(timeout=30).y == [4, 3]).all()
+            assert (items[2].future.result(timeout=30).y == [5, 6]).all()
+            for it in items[3:]:
+                with pytest.raises(WorkerCrashedError):
+                    it.future.result(timeout=30)
+            assert resolved == [0, 2, 1, 3, 4]
+            stats = fleet.stats
+            assert (stats.waves, stats.queries, stats.max_wave) == (2, 3, 2)
+            assert stats.crashed_shards == 1
+        finally:
+            fleet.close()
+
     def test_close_drains_then_rejects_and_is_idempotent(self, rng):
         fleet = Fleet(n_shards=1, pool_banks=4)
         fleet.register("m", np.eye(2, dtype=np.uint8), kind="binary")
