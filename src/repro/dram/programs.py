@@ -13,8 +13,11 @@ What the store holds:
 
 * **μPrograms**, keyed by *content*: the layout signature ``(n_bits,
   n_digits, n_masks, protected)`` plus the event key -- ``(digit, k,
-  mask_row)`` increments, carry clears and fused event batches.  One
-  content key maps to one canonical program object per store.
+  mask_row)`` increments, carry clears and fused event batches; on a
+  protected layout also the ECC-protected blocks (each update's block
+  tuple, every block under its op list, cycle saves, O_next snapshots
+  and overflow blocks).  One content key maps to one canonical program
+  object per store.
 * **Compiled μProgram entries** -- the resolved op list, the JIT run
   count and the fused trace -- keyed by ``(n_data_rows, program)``.
   An entry's trace is valid for the :class:`~repro.isa.trace.FaultSpec`

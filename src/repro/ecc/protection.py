@@ -12,16 +12,43 @@ triggers recomputation (Sec. 6.2's restart).
 check bits for protected rows, validates FR checkpoints, validates the
 final disjoint-OR via the same homomorphism, and counts retries (the
 correction overhead of Fig. 18).
+
+The engine checks rows in their packed ``uint64`` form: a (72, 64) ECC
+word is exactly one packed word, and because the code is linear, check
+bit ``j`` of a word ``w`` is the parity of ``w & M_j`` for a fixed
+parity-check mask ``M_j`` (:func:`parity_masks`).  One popcount per
+check bit replaces the per-bit ``parity_bits`` evaluation, for Hamming
+and BCH alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 import numpy as np
 
 from repro.ecc.hamming import HAMMING_72_64, HammingCode
 
-__all__ = ["CIMProtection", "ProtectionStats", "RetryExhaustedError"]
+__all__ = ["CIMProtection", "ProtectionStats", "RetryExhaustedError",
+           "parity_masks"]
+
+
+@lru_cache(maxsize=64)
+def parity_masks(code) -> np.ndarray:
+    """Parity-check masks of a 64-bit linear code as packed words.
+
+    Bit ``i`` of ``M_j`` is check bit ``j`` of the unit data vector
+    ``e_i``, so by linearity the check bits of a packed data word ``w``
+    are ``popcount(w & M_j) & 1`` -- derived once per code.
+
+    >>> from repro.ecc.hamming import HAMMING_72_64
+    >>> m = parity_masks(HAMMING_72_64)
+    >>> [int(np.bitwise_count(np.uint64(1) & mj)) for mj in m]
+    [1, 1, 0, 0, 0, 0, 0, 1]
+    """
+    units = code.parity_bits(np.eye(64, dtype=np.uint8))  # [64, checks]
+    weights = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    return np.bitwise_or.reduce(units.T.astype(np.uint64) * weights, axis=1)
 
 
 class RetryExhaustedError(RuntimeError):
@@ -32,7 +59,9 @@ class RetryExhaustedError(RuntimeError):
 class ProtectionStats:
     """Detection/retry accounting for overhead reporting.
 
-    ``detections`` counts syndrome checks that tripped, ``retries``
+    ``checks`` counts validations (FR syndrome checks and the
+    overflow-flag comparisons alike), ``detections`` those that tripped
+    -- every retry follows one -- ``retries``
     block re-executions; ``corrected`` counts *blocks* that failed at
     least one check and then re-executed to a clean validation, and
     ``exhausted`` blocks that burned every retry without validating
@@ -93,17 +122,56 @@ class CIMProtection:
         """Check bits of every ECC word of a row (ECC-chip generation)."""
         return self.code.parity_bits(self._words(row))
 
+    def checks_of_packed(self, words: np.ndarray, tail: np.ndarray
+                         ) -> np.ndarray:
+        """:meth:`checks_of` for a row of packed ``uint64`` words.
+
+        ``tail`` is the packed lane mask (ones on the row's real lanes):
+        bits past the row width are don't-care and are cleared first,
+        which is exactly :meth:`checks_of`'s zero padding.  With 64-bit
+        ECC words no bit is unpacked; other word sizes fall back to the
+        per-bit reference.
+        """
+        words = np.asarray(words, dtype=np.uint64) & tail
+        if self.word_bits != 64:
+            n_cols = int(np.bitwise_count(tail).sum())
+            return self.checks_of(np.unpackbits(
+                words.view(np.uint8), count=n_cols, bitorder="little"))
+        masks = parity_masks(self.code)
+        return np.bitwise_count(words[:, None] & masks) & np.uint8(1)
+
     # ------------------------------------------------------------------
+    def _record(self, detected: bool) -> bool:
+        """Count one validation; True when it passed."""
+        self.stats.checks += 1
+        if detected:
+            self.stats.detections += 1
+        return not detected
+
     def verify_xor(self, fr_row: np.ndarray, expected_checks: np.ndarray
                    ) -> np.ndarray:
         """Syndrome-check an FR row against homomorphically predicted
         check bits; returns the per-word detection flags."""
-        self.stats.checks += 1
         actual = self.checks_of(fr_row)
         detected = (actual != expected_checks).any(axis=1)
-        if detected.any():
-            self.stats.detections += 1
+        self._record(bool(detected.any()))
         return detected
+
+    def verify_packed(self, words: np.ndarray, expected_checks: np.ndarray,
+                      tail: np.ndarray) -> bool:
+        """:meth:`verify_xor` on a packed row; True when it is clean."""
+        actual = self.checks_of_packed(words, tail)
+        return self._record(bool((actual != expected_checks).any()))
+
+    def verify_equal(self, words: np.ndarray, expected: np.ndarray,
+                     tail: np.ndarray) -> bool:
+        """Validate a packed row against its host-predicted value.
+
+        The check for results that are not XOR-embeddable (the overflow
+        flags' final OR): counted like a syndrome check, so every retry
+        it triggers follows a counted detection.
+        """
+        return self._record(bool(((words ^ expected) & tail).any()))
 
     def predict_xor_checks(self, *operand_rows: np.ndarray) -> np.ndarray:
         """Check bits of ``a XOR b XOR ...`` from the operands' rows.

@@ -255,111 +255,132 @@ class CountingEngine:
         self._flushed = True
 
     # ------------------------------------------------------------------
+    # stored μPrograms
+    # ------------------------------------------------------------------
+    def _program(self, key, build):
+        """This layout's stored μProgram for ``key``; a hit counts a
+        replay, a miss builds it (``build()``) and counts a compile."""
+        key = (self._layout_key, key)
+        prog = self.programs.get(key)
+        if prog is None:
+            self.prog_compiles += 1
+            return self.programs.put(key, build())
+        self.prog_replays += 1
+        return prog
+
+    # ------------------------------------------------------------------
     # protected building blocks
     # ------------------------------------------------------------------
-    def _read(self, row: int) -> np.ndarray:
-        return self.subarray.read_data_row(row)
+    # Every protected block is a stored μProgram run through
+    # ``subarray.run_program``, so on the word backend it JITs like any
+    # other program (one interpreted run, then compiled fault-aware
+    # replays).  Validation and retries stay on the host between runs
+    # and read rows in packed form; a retry re-runs the block, so the
+    # fault pre-pass draws its stream exactly as the interpreter would.
+    def _protected_blocks(self, dst_row: int, src_row: int, mask_row: int,
+                          invert_src: bool) -> tuple:
+        """``(A, T2 copy, B, C, FR tail)`` of one protected update.
 
-    def _run_ops(self, ops: Sequence) -> None:
-        MicroProgram("block", tuple(ops)).run(self.subarray)
+        Sliced from :func:`~repro.isa.templates.
+        protected_masked_update_ops` at its two checkpoints: block A is
+        term 1 and its FR, the T2 copy saves IR2, block B is term 2 and
+        its FR, block C the disjoint OR into ``dst``, and the FR tail
+        (the last gate of A, op for op the last gate of B) recomputes FR
+        for repeated checks.  Each block is stored under its ops, so
+        updates sharing a block (every update's T2 copy and FR tail,
+        one block C per ``dst``) share one program and its trace.
+        """
+        def build():
+            lay = self.layout
+            prog = protected_masked_update_ops(
+                dst_row, src_row, mask_row, invert_src,
+                ir1_row=lay.ir1_row, ir2_row=lay.ir2_row,
+                fr_row=lay.fr_row, t2_row=lay.t2_row)
+            (cp1, cp2), ops = prog.checkpoints, prog.ops
+            return tuple(
+                self._program(("ops", part),
+                              lambda part=part: MicroProgram("block", part))
+                for part in (ops[:cp1 + 1], ops[cp1 + 1:cp1 + 2],
+                             ops[cp1 + 2:cp2 + 1], ops[cp2 + 1:],
+                             ops[cp1 - 4:cp1 + 1]))
+
+        return self._program(
+            ("protected", dst_row, src_row, mask_row, invert_src), build)
 
     def _protected_update(self, dst_row: int, src_row: int, mask_row: int,
                           invert_src: bool) -> None:
-        """One masked bit update with FR syndrome checks and retries."""
-        lay = self.layout
-        prog = protected_masked_update_ops(
-            dst_row, src_row, mask_row, invert_src,
-            ir1_row=lay.ir1_row, ir2_row=lay.ir2_row,
-            fr_row=lay.fr_row, t2_row=lay.t2_row)
-        cp1, cp2 = prog.checkpoints
-        block_a = prog.ops[:cp1 + 1]          # term1 + its FR
-        t2_copy = prog.ops[cp1 + 1:cp1 + 2]   # save IR2 -> T2
-        block_b = prog.ops[cp1 + 2:cp2 + 1]   # term2 + its FR
-        block_c = prog.ops[cp2 + 1:]          # disjoint OR into dst
+        """One masked bit update with FR syndrome checks and retries.
 
-        prot = self.protection
-        mask_bits = self._read(mask_row)
-        src_bits = self._read(src_row)
-        expect_a = prot.predict_xor_checks(mask_bits) ^ (
-            prot.complement_checks(src_bits) if invert_src
-            else prot.checks_of(src_bits))
-
-        def fr_ok(expected) -> bool:
-            detected = prot.verify_xor(self._read(lay.fr_row), expected)
-            return not detected.any()
-
-        prot.run_protected(lambda: self._run_ops(block_a),
-                           lambda: self._check_repeated(fr_ok, expect_a,
-                                                        block_a[-5:]),
+        The ECC chip's predicted check bits come from the trusted
+        operand rows by XOR homomorphism, taken on their XOR directly
+        (``checks(a) ^ checks(b) == checks(a ^ b)``); a complemented
+        operand is its bitwise NOT, which the lane mask confines to the
+        row's real lanes.
+        """
+        lay, prot, tail = self.layout, self.protection, self._tail
+        run, read = self.subarray.run_program, self.subarray.read_rows_packed
+        block_a, t2_copy, block_b, block_c, fr_tail = self._protected_blocks(
+            dst_row, src_row, mask_row, invert_src)
+        mask, src = read([mask_row, src_row])
+        expect_a = prot.checks_of_packed(
+            mask ^ (~src if invert_src else src), tail)
+        prot.run_protected(lambda: run(block_a),
+                           lambda: self._fr_valid(expect_a, fr_tail),
                            self.max_retries)
-        self._run_ops(t2_copy)
+        run(t2_copy)
 
-        dst_bits = self._read(dst_row)
-        expect_b = (prot.checks_of(dst_bits)
-                    ^ prot.complement_checks(mask_bits))
-        prot.run_protected(lambda: self._run_ops(block_b),
-                           lambda: self._check_repeated(fr_ok, expect_b,
-                                                        block_b[-5:]),
+        dst = read([dst_row])[0]
+        expect_b = prot.checks_of_packed(dst ^ ~mask, tail)
+        prot.run_protected(lambda: run(block_b),
+                           lambda: self._fr_valid(expect_b, fr_tail),
                            self.max_retries)
 
         def c_ok() -> bool:
-            expected = prot.predict_xor_checks(self._read(lay.t2_row),
-                                               self._read(lay.ir2_row))
-            detected = prot.verify_xor(self._read(dst_row), expected)
-            return not detected.any()
+            t2, ir2, out = read([lay.t2_row, lay.ir2_row, dst_row])
+            return prot.verify_packed(
+                out, prot.checks_of_packed(t2 ^ ir2, tail), tail)
 
-        prot.run_protected(lambda: self._run_ops(block_c), c_ok,
-                           self.max_retries)
+        prot.run_protected(lambda: run(block_c), c_ok, self.max_retries)
 
-    def _check_repeated(self, fr_ok, expected, fr_tail_ops) -> bool:
-        """Recompute FR ``fr_checks`` times (Tab. 1's repeat knob)."""
-        if not fr_ok(expected):
-            return False
-        for _ in range(self.fr_checks - 1):
-            self._run_ops(fr_tail_ops)       # recompute FR only
-            if not fr_ok(expected):
+    def _fr_valid(self, expected, fr_tail) -> bool:
+        """Check FR ``fr_checks`` times, recomputing it between checks
+        (Tab. 1's repeat knob)."""
+        fr = [self.layout.fr_row]
+        for i in range(self.fr_checks):
+            if i:
+                self.subarray.run_program(fr_tail)   # recompute FR only
+            if not self.protection.verify_packed(
+                    self.subarray.read_rows_packed(fr)[0], expected,
+                    self._tail):
                 return False
         return True
 
     # ------------------------------------------------------------------
     # event execution
     # ------------------------------------------------------------------
-    def _cached_program(self, key):
-        """Store lookup of this layout's μProgram (counts a replay)."""
-        prog = self.programs.get((self._layout_key, key))
-        if prog is not None:
-            self.prog_replays += 1
-        return prog
-
-    def _store_program(self, key, prog):
-        """Insert this layout's μProgram into the store (counts a
-        compile)."""
-        self.prog_compiles += 1
-        return self.programs.put((self._layout_key, key), prog)
-
     def _run_increment(self, digit: int, k: int, mask_row: int) -> None:
         lay = self.layout
         bit_rows = lay.digit_bit_rows[digit]
         if not self.fr_checks:
-            key = (digit, k, mask_row)
-            prog = self._cached_program(key)
-            if prog is None:
-                prog = self._store_program(key, kary_increment_program(
+            self.subarray.run_program(self._program(
+                (digit, k, mask_row),
+                lambda: kary_increment_program(
                     bit_rows, mask_row, k, lay.scratch_rows,
-                    lay.onext_rows[digit]))
-            self.subarray.run_program(prog)
+                    lay.onext_rows[digit])))
             return
 
         # Protected path: cycle saves + protected per-bit updates +
         # plain overflow check (Sec. 6.2 protects the masking ANDs).
         pattern = transition_pattern(self.n_bits, k)
-        saves = {}
         save_indices = list(pattern.cycle_saves)
         if self.n_bits - 1 not in save_indices:
             save_indices = [self.n_bits - 1] + save_indices
-        for scratch, idx in zip(lay.scratch_rows, save_indices):
-            self._run_ops([aap(bit_rows[idx], scratch)])
-            saves[idx] = scratch
+        saves = dict(zip(save_indices, lay.scratch_rows))
+        self.subarray.run_program(self._program(
+            ("saves", digit, k),
+            lambda: MicroProgram("cycle_saves", tuple(
+                aap(bit_rows[idx], scratch)
+                for idx, scratch in saves.items()))))
         written = set()
         for a in pattern.assignments:
             if a.src in saves and (a.src in written or a.src == a.dst):
@@ -377,41 +398,44 @@ class CountingEngine:
 
         The block reads the old flags from a snapshot row, so a detected
         fault simply re-executes it.  Validation compares against the
-        host-predicted flag (Alg. 1's expression on trusted reads) -- the
-        ECC-engine analogue for the non-XOR-embeddable final OR.
+        host-predicted flag (Alg. 1's expression on trusted reads, as
+        :func:`~repro.core.johnson.overflow_after_step` computes it,
+        here on packed words) -- the ECC-engine analogue for the
+        non-XOR-embeddable final OR.
         """
-        from repro.core.johnson import (overflow_after_step,
-                                        underflow_after_step)
         lay = self.layout
         onext = lay.onext_rows[digit]
         snap = lay.onext_snapshot_row
-        bit_rows = lay.digit_bit_rows[digit]
-        self._run_ops([aap(onext, snap)])
-        old_flags = self._read(snap)
-        old_msb = self._read(theta_row)
-        new_msb = self._read(bit_rows[-1])
-        mask = self._read(mask_row)
-        flag_fn = overflow_after_step if k > 0 else underflow_after_step
-        expected = old_flags | flag_fn(old_msb, new_msb, abs(k),
-                                       self.n_bits, mask)
+        msb_row = lay.digit_bit_rows[digit][-1]
         checker = overflow_check_ops if k > 0 else underflow_check_ops
-        block = checker(onext, theta_row, bit_rows[-1], abs(k),
-                        self.n_bits, mask_row, onext_src=snap)
+        block = self._program(
+            ("overflow", digit, k, mask_row, theta_row),
+            lambda: MicroProgram("overflow", tuple(checker(
+                onext, theta_row, msb_row, abs(k), self.n_bits, mask_row,
+                onext_src=snap))))
+        run, read = self.subarray.run_program, self.subarray.read_rows_packed
+        run(self._program(("snapshot", onext), lambda: MicroProgram(
+            "snapshot", (aap(onext, snap),))))
+        old_flags, old_msb, new_msb, mask = read(
+            [snap, theta_row, msb_row, mask_row])
+        if k < 0:           # underflow is overflow of the complemented MSB
+            old_msb, new_msb = ~old_msb, ~new_msb
+        flag = (old_msb & ~new_msb if abs(k) <= self.n_bits
+                else old_msb | ~new_msb)
+        expected = old_flags | (flag & mask)
         self.protection.run_protected(
-            lambda: self._run_ops(block),
-            lambda: bool((self._read(onext) == expected).all()),
+            lambda: run(block),
+            lambda: self.protection.verify_equal(
+                read([onext])[0], expected, self._tail),
             self.max_retries)
 
     def _run_resolve(self, digit: int, direction: int) -> None:
         """Carry ripple: ±1 on the next digit masked by this O_next row."""
         onext = self.layout.onext_rows[digit]
         self._run_increment(digit + 1, direction, mask_row=onext)
-        key = ("clear", onext)
-        prog = self._cached_program(key)
-        if prog is None:
-            prog = self._store_program(key, MicroProgram(
-                "clear_onext", (aap("C0", onext),)))
-        self.subarray.run_program(prog)
+        self.subarray.run_program(self._program(
+            ("clear", onext),
+            lambda: MicroProgram("clear_onext", (aap("C0", onext),))))
 
     def _fused_batch_program(self, events: Sequence[Event],
                              mask_row: int) -> MicroProgram:
@@ -427,11 +451,7 @@ class CountingEngine:
         once per broadcast instead of once per event.  Cached alongside
         the per-event μPrograms, keyed by the full event batch.
         """
-        key = ("batch", mask_row) + tuple(
-            (ev.digit, ev.k) if isinstance(ev, Increment)
-            else ("resolve", ev.digit, ev.direction) for ev in events)
-        prog = self._cached_program(key)
-        if prog is None:
+        def build():
             lay = self.layout
             parts = []
             for ev in events:
@@ -449,9 +469,12 @@ class CountingEngine:
                                               (aap("C0", onext),)))
                 else:  # pragma: no cover - defensive
                     raise TypeError(f"unknown event {ev!r}")
-            prog = self._store_program(
-                key, concat(f"batch[{len(events)}]", parts))
-        return prog
+            return concat(f"batch[{len(events)}]", parts)
+
+        return self._program(("batch", mask_row) + tuple(
+            (ev.digit, ev.k) if isinstance(ev, Increment)
+            else ("resolve", ev.digit, ev.direction) for ev in events),
+            build)
 
     def _can_fuse_batch(self) -> bool:
         """Macro-fusion applies on the unprotected word path.
@@ -460,9 +483,10 @@ class CountingEngine:
         fuse each program -- active fault models included, since the
         fault pre-pass draws the per-activation random stream in
         original op order.  ECC protection (which interleaves host
-        reads and retries between ops) falls back to per-event
-        execution, as does an explicit
-        :func:`repro.isa.trace.fusion_disabled` scope.
+        validation and retries between its blocks) runs per event,
+        each block a compiled trace of its own, and an explicit
+        :func:`repro.isa.trace.fusion_disabled` scope runs per event
+        and interprets.
         """
         return self._fusable and fusion_enabled()
 

@@ -15,6 +15,7 @@ import repro.core.kary
 import repro.device
 import repro.dram.programs
 import repro.dram.wordline
+import repro.ecc.protection
 import repro.engine.cluster
 import repro.fleet.fleet
 import repro.fleet.placement
@@ -35,7 +36,8 @@ import repro.util
 
 @pytest.mark.parametrize("module", [
     repro.util, repro.core.kary, repro.kernels.bitslice,
-    repro.dram.wordline, repro.dram.programs, repro.engine.cluster,
+    repro.dram.wordline, repro.dram.programs, repro.ecc.protection,
+    repro.engine.cluster,
     repro.isa.trace,
     repro.kernels.gemv, repro.kernels.gemm,
     repro.kernels.lowering, repro.device, repro.perf.metrics,
