@@ -12,7 +12,7 @@ collector):
 * **Coalesced serve** -- a warm coalesced burst through the
   :class:`~repro.serve.Server` batch axis (one stacked ``run_many``
   wave riding megatraces) beats the same traffic as sequential
-  ``plan(x)`` calls >= 2x.
+  ``plan(x)`` calls, timed alternately with it, >= 2x.
 * **Campaign** -- a fault-injection campaign whose trials ride the
   stitched path matches the per-uProgram path's injected accounting
   exactly and beats the interpreted campaign >= 2x.
@@ -20,9 +20,16 @@ collector):
 Every regime comparison reruns the *identical* workload under
 ``megatrace_disabled()`` / ``fusion_disabled()``, so the before/after
 compile and replay counters in the JSON are measured, not modeled.
+
+The whole comparison runs ``ROUNDS`` times, every regime once per
+round, so slow drift on a shared host lands on both sides of each
+ratio alike.  Counters must agree across rounds; each gate compares
+the median of the per-round ratios with its floor, and a row reports
+median timings.
 """
 
 import contextlib
+import statistics
 import time
 
 import numpy as np
@@ -38,6 +45,7 @@ from conftest import RESULTS_DIR, run_once
 K, N, QUERIES = 64, 256, 16
 PASSES = 4
 WARM = 3           # pass 1 per-wave, pass 2 stitches, pass 3 replays
+ROUNDS = 5         # odd: each gate reads the median round's ratio
 
 REGIMES = [("megatrace", contextlib.nullcontext),
            ("per-uprogram", megatrace_disabled),
@@ -82,41 +90,35 @@ def _plan_steady_state(xs, z, ctx):
 
 
 def _serve_bursts(xs, z, ctx):
-    """Warm a server on the burst, then time coalesced waves."""
+    """Warm a server and a sequential plan on the burst, then time
+    coalesced waves and one-query-at-a-time passes alternately, so both
+    sides of the serve gate see the same host state."""
     with ctx():
-        with Server(n_bits=2) as srv:
+        with Server(n_bits=2) as srv, Device(n_bits=2) as dev:
             srv.register("m", z, kind="ternary")
+            plan = dev.plan_gemv(z, kind="ternary")
             for _ in range(WARM):
                 [f.result() for f in srv.submit_many("m", xs)]
-            best = None
+                for x in xs:
+                    plan(x)
+            best = best_seq = None
             for _ in range(3):
                 t0 = time.perf_counter()
                 for _ in range(PASSES):
                     rs = [f.result() for f in srv.submit_many("m", xs)]
                 t = (time.perf_counter() - t0) / PASSES
                 best = t if best is None else min(best, t)
+                t0 = time.perf_counter()
+                for _ in range(PASSES):
+                    for x in xs:
+                        plan(x)
+                t = (time.perf_counter() - t0) / PASSES
+                best_seq = t if best_seq is None else min(best_seq, t)
             report = rs[0].report
     return {"ms_per_burst": best * 1e3,
+            "sequential_ms_per_burst": best_seq * 1e3,
             "megatrace_replays": report.megatrace_replays,
             "trace_replays": report.trace_replays}
-
-
-def _sequential_warm(xs, z):
-    """The no-batch baseline: warm plan, one query at a time."""
-    with Device(n_bits=2) as dev:
-        plan = dev.plan_gemv(z, kind="ternary")
-        for _ in range(WARM):
-            for x in xs:
-                plan(x)
-        best = None
-        for _ in range(3):
-            t0 = time.perf_counter()
-            for _ in range(PASSES):
-                for x in xs:
-                    plan(x)
-            t = (time.perf_counter() - t0) / PASSES
-            best = t if best is None else min(best, t)
-    return best * 1e3
 
 
 def _campaign(xs, z, ctx):
@@ -134,21 +136,48 @@ def _campaign(xs, z, ctx):
             "megatrace_replays": row["megatrace_replays"]}
 
 
+def _median_row(rows, *timings):
+    """One row for ``rows`` (one per round): the counters, which must
+    agree across rounds, with each of ``timings`` replaced by its
+    median."""
+    counters = [{k: v for k, v in row.items() if k not in timings}
+                for row in rows]
+    assert all(c == counters[0] for c in counters), counters
+    return {**rows[0], **{t: statistics.median(r[t] for r in rows)
+                          for t in timings}}
+
+
 def test_megatrace(benchmark, record_bench_json):
     xs, z = _operands()
 
     def measure():
-        plan = {name: _plan_steady_state(xs, z, ctx)
-                for name, ctx in REGIMES}
-        serve = {name: _serve_bursts(xs, z, ctx)
-                 for name, ctx in REGIMES}
-        seq_ms = _sequential_warm(xs, z)
-        camp = {name: _campaign(xs, z, ctx) for name, ctx in REGIMES}
-        return plan, serve, seq_ms, camp
+        rounds = []
+        for _ in range(ROUNDS):
+            rounds.append((
+                {name: _plan_steady_state(xs, z, ctx)
+                 for name, ctx in REGIMES},
+                {name: _serve_bursts(xs, z, ctx) for name, ctx in REGIMES},
+                {name: _campaign(xs, z, ctx) for name, ctx in REGIMES}))
+        return rounds
 
     t0 = time.perf_counter()
-    plan, serve, seq_ms, camp = run_once(benchmark, measure)
+    rounds = run_once(benchmark, measure)
     seconds = time.perf_counter() - t0
+
+    plan_speedups = [p["interpreted"]["ms_per_pass"]
+                     / p["megatrace"]["ms_per_pass"] for p, _, _ in rounds]
+    serve_speedups = [s["megatrace"]["sequential_ms_per_burst"]
+                      / s["megatrace"]["ms_per_burst"] for _, s, _ in rounds]
+    camp_speedups = [c["interpreted"]["ms"] / c["megatrace"]["ms"]
+                     for _, _, c in rounds]
+    plan = {name: _median_row([r[0][name] for r in rounds], "ms_per_pass")
+            for name, _ in REGIMES}
+    serve = {name: _median_row([r[1][name] for r in rounds], "ms_per_burst",
+                               "sequential_ms_per_burst")
+             for name, _ in REGIMES}
+    seq_ms = serve["megatrace"]["sequential_ms_per_burst"]
+    camp = {name: _median_row([r[2][name] for r in rounds], "ms")
+            for name, _ in REGIMES}
 
     mega, plain, interp = (plan[n] for n, _ in REGIMES)
     # Steady state is *pure replay*: no compiles of any kind per pass,
@@ -158,17 +187,17 @@ def test_megatrace(benchmark, record_bench_json):
     assert 0 < mega["megatrace_replays_per_pass"] <= mega["waves_per_pass"]
     assert mega["trace_replays_per_pass"] < plain["trace_replays_per_pass"]
     assert plain["megatrace_replays_per_pass"] == 0
-    plan_speedup = interp["ms_per_pass"] / mega["ms_per_pass"]
+    plan_speedup = statistics.median(plan_speedups)
     assert plan_speedup >= 2.0, (
         f"megatrace plan passes only {plan_speedup:.2f}x over interpreted")
 
-    serve_speedup = seq_ms / serve["megatrace"]["ms_per_burst"]
+    serve_speedup = statistics.median(serve_speedups)
     assert serve["megatrace"]["megatrace_replays"] > 0
     assert serve_speedup >= 2.0, (
         f"coalesced megatrace serve only {serve_speedup:.2f}x over "
         f"sequential queries")
 
-    camp_speedup = camp["interpreted"]["ms"] / camp["megatrace"]["ms"]
+    camp_speedup = statistics.median(camp_speedups)
     assert camp["megatrace"]["megatrace_replays"] > 0
     assert camp["megatrace"]["injected"] == camp["interpreted"]["injected"]
     assert camp["megatrace"]["injected"] == camp["per-uprogram"]["injected"]
@@ -184,7 +213,7 @@ def test_megatrace(benchmark, record_bench_json):
         rows.append({"workload": "serve_coalesced", "regime": name,
                      **{k: round(v, 3) if isinstance(v, float) else v
                         for k, v in serve[name].items()}})
-    rows.append({"workload": "serve_sequential", "regime": "per-uprogram",
+    rows.append({"workload": "serve_sequential", "regime": "megatrace",
                  "ms_per_burst": round(seq_ms, 3)})
     for name, _ in REGIMES:
         rows.append({"workload": "campaign", "regime": name,
@@ -193,7 +222,10 @@ def test_megatrace(benchmark, record_bench_json):
     rows.append({"workload": "speedups", "regime": "megatrace",
                  "plan_vs_interpreted": round(plan_speedup, 2),
                  "serve_vs_sequential": round(serve_speedup, 2),
-                 "campaign_vs_interpreted": round(camp_speedup, 2)})
+                 "campaign_vs_interpreted": round(camp_speedup, 2),
+                 "plan_rounds": [round(v, 2) for v in plan_speedups],
+                 "serve_rounds": [round(v, 2) for v in serve_speedups],
+                 "campaign_rounds": [round(v, 2) for v in camp_speedups]})
     record_bench_json(
         "megatrace",
         "Whole-sequence megatrace replay: plan / serve / campaign",
@@ -205,6 +237,8 @@ def test_megatrace(benchmark, record_bench_json):
             "replays bounded by wave count",
             "identical workloads rerun under megatrace_disabled / "
             "fusion_disabled for the before/after counters",
+            f"{ROUNDS} interleaved rounds; timings are medians, speedups "
+            "the median of the per-round ratios",
         ],
         seconds=seconds)
 

@@ -18,8 +18,8 @@ What the store holds:
   tuple, every block under its op list, cycle saves, O_next snapshots
   and overflow blocks).  One content key maps to one canonical program
   object per store.
-* **Compiled μProgram entries** -- the resolved op list, the JIT run
-  count and the fused trace -- keyed by ``(n_data_rows, program)``.
+* **Compiled μProgram entries** -- the JIT run count, the fused trace
+  and the resolved op list -- keyed by ``(n_data_rows, program)``.
   An entry's trace is valid for the :class:`~repro.isa.trace.FaultSpec`
   it was compiled against; a subarray replaying it under a different
   spec recompiles it in place.
@@ -99,9 +99,11 @@ class ProgramStore:
         # content key -> MicroProgram, and content key -> MegaProgram
         self._programs: "OrderedDict[tuple, object]" = OrderedDict()
         self._stitched: "OrderedDict[tuple, object]" = OrderedDict()
-        # (n_data_rows, id(program)) -> [program, ops, runs, spec, trace]
+        # Compiled entries, one shape for both tiers (the subarray's
+        # JIT warm-up reads them alike): [obj, runs, spec, trace, ops].
+        # (n_data_rows, id(program)) -> [program, runs, spec, trace, ops]
         self._compiled: "OrderedDict[tuple, list]" = OrderedDict()
-        # (n_data_rows, id(mega)) -> [mega, runs, spec, trace]
+        # (n_data_rows, id(mega)) -> [mega, runs, spec, trace, None]
         self._megas: "OrderedDict[tuple, list]" = OrderedDict()
         # repro.isa transitively imports repro.dram: resolve at runtime.
         from repro.isa.trace import TraceScratch
@@ -144,12 +146,12 @@ class ProgramStore:
     # while the entry exists, and the identity check guards against an
     # evicted entry's id being reused.
     def compiled(self, n_data_rows: int, program, resolve) -> list:
-        """``[program, ops, runs, spec, trace]`` for a μProgram.
+        """``[program, runs, spec, trace, ops]`` for a μProgram.
 
-        ``ops`` is the program resolved to physical port tuples through
-        ``resolve``; ``runs`` counts warm-up runs, and ``trace`` (the
-        fused trace, compiled against ``spec``) stays ``None`` until the
-        subarray compiles it.
+        ``runs`` counts warm-up runs, ``trace`` (the fused trace,
+        compiled against ``spec``) stays ``None`` until the subarray
+        compiles it, and ``ops`` is the program resolved to physical
+        port tuples through ``resolve``.
         """
         key = (n_data_rows, id(program))
         entry = self._compiled.get(key)
@@ -160,19 +162,21 @@ class ProgramStore:
             (op.kind == "AAP", resolve(op.src),
              resolve(op.dst) if op.kind == "AAP" else None)
             for op in program.ops)
-        entry = [program, ops, 0, None, None]
+        entry = [program, 0, None, None, ops]
         self._compiled.pop(key, None)
         _lru_put(self._compiled, key, entry, self.bound)
         return entry
 
     def megatrace(self, n_data_rows: int, mega) -> list:
-        """``[mega, runs, spec, trace]`` for a stitched megaprogram."""
+        """``[mega, runs, spec, trace, None]`` for a stitched
+        megaprogram (no resolved op list: its interpreted run is the
+        per-wave loop over its segments' own entries)."""
         key = (n_data_rows, id(mega))
         entry = self._megas.get(key)
         if entry is not None and entry[0] is mega:
             self._megas.move_to_end(key)
             return entry
-        entry = [mega, 0, None, None]
+        entry = [mega, 0, None, None, None]
         self._megas.pop(key, None)
         _lru_put(self._megas, key, entry, self.mega_bound)
         return entry

@@ -333,27 +333,17 @@ class WordlineSubarray:
                                        self.resolve)
         trace = _trace_module()
         if trace.fusion_enabled():
-            fm = self.fault_model
-            spec = trace.FaultSpec.of(fm)
-            compiled = entry[4]
-            if compiled is not None and entry[3] != spec:
-                compiled = entry[4] = None    # fault regime changed
-            if compiled is None:
-                # JIT warm-up: interpret run 1, compile once on run
-                # FUSE_AFTER_RUNS (exactly one interpreted run).
-                entry[2] += 1
-                if entry[2] >= FUSE_AFTER_RUNS:
-                    compiled = entry[4] = trace.compile_trace(
-                        program, self.resolve, fault=spec)
-                    entry[3] = spec
-                    self.trace_compiles += 1
-            else:
-                self.trace_replays += 1
+            compiled, compiled_now = self._warm_trace(entry,
+                                                      trace.compile_trace)
             if compiled is not None:
+                if compiled_now:
+                    self.trace_compiles += 1
+                else:
+                    self.trace_replays += 1
                 self._replay(compiled)
                 return
         cells = self.cells
-        for is_aap, src_ports, dst_ports in entry[1]:
+        for is_aap, src_ports, dst_ports in entry[4]:
             sensed = self._sense(src_ports)
             if is_aap:
                 for row, neg in dst_ports:
@@ -362,6 +352,31 @@ class WordlineSubarray:
                 self.aap_count += 1
             else:
                 self.ap_count += 1
+
+    def _warm_trace(self, entry: list, compile_fn) -> tuple:
+        """The JIT warm-up rule of a store entry: ``(trace, compiled_now)``.
+
+        ``entry`` is a :class:`~repro.dram.programs.ProgramStore` entry
+        ``[obj, runs, spec, trace, ops]``.  A cached trace compiled
+        against another :class:`~repro.isa.trace.FaultSpec` than the
+        fault model's current one is dropped (the regime changed).
+        Without a trace, the run is counted and ``(None, False)`` tells
+        the caller to run the interpreted path -- until run
+        ``FUSE_AFTER_RUNS``, which compiles ``entry[0]`` through
+        ``compile_fn`` and returns ``(trace, True)``.  A warm entry
+        returns ``(trace, False)``.
+        """
+        spec = _trace_module().FaultSpec.of(self.fault_model)
+        if entry[3] is not None:
+            if entry[2] == spec:
+                return entry[3], False
+            entry[3] = None                   # fault regime changed
+        entry[1] += 1
+        if entry[1] < FUSE_AFTER_RUNS:
+            return None, False
+        entry[3] = compile_fn(entry[0], self.resolve, fault=spec)
+        entry[2] = spec
+        return entry[3], True
 
     def _replay(self, compiled, stream: np.ndarray = None) -> None:
         """Execute a compiled (mega)trace on the store's shared replay
@@ -409,22 +424,16 @@ class WordlineSubarray:
         if not (trace.fusion_enabled() and trace.megatrace_enabled()):
             self._run_segments(mega, stream)
             return
-        entry = self.programs.megatrace(self.n_data_rows, mega)
-        spec = trace.FaultSpec.of(self.fault_model)
-        compiled = entry[3]
-        if compiled is not None and entry[2] != spec:
-            compiled = entry[3] = None        # fault regime changed
+        compiled, compiled_now = self._warm_trace(
+            self.programs.megatrace(self.n_data_rows, mega),
+            trace.compile_megatrace)
         if compiled is None:
-            entry[1] += 1
-            if entry[1] < FUSE_AFTER_RUNS:
-                # Warm-up run: the literal per-wave sequence (its
-                # μPrograms JIT independently, so even this run fuses
-                # at μProgram granularity once warm).
-                self._run_segments(mega, stream)
-                return
-            compiled = entry[3] = trace.compile_megatrace(
-                mega, self.resolve, fault=spec)
-            entry[2] = spec
+            # Warm-up run: the literal per-wave sequence (its μPrograms
+            # JIT independently, so even this run fuses at μProgram
+            # granularity once warm).
+            self._run_segments(mega, stream)
+            return
+        if compiled_now:
             self.megatrace_compiles += 1
         else:
             self.megatrace_replays += 1

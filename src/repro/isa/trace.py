@@ -1,14 +1,29 @@
-"""Ahead-of-time trace compilation of fault-free μPrograms (Sec. 5.1).
+"""Ahead-of-time lowering of broadcast command streams (Sec. 5.1).
 
 The paper's throughput story rests on one broadcast command stream
 driving thousands of lanes at once.  The word-parallel backend already
 executes each AAP/AP as a handful of bulk bitwise NumPy calls, but the
-*stream* is still interpreted one op at a time in Python -- and a
-fault-free increment program is pure straight-line bitwise dataflow, so
+*stream* is still interpreted one op at a time in Python -- and an
+increment program is pure straight-line bitwise dataflow, so
 interpreter overhead, not bitwise work, bounds the hot path.
 
-:func:`compile_trace` lowers a resolved μProgram into a
-:class:`CompiledTrace`: a small SSA dataflow IR over physical rows.
+One lowering turns a stream into a trace.  Its input is a sequence of
+*segments* (resolved μPrograms); before each segment of a stitched
+:class:`MegaProgram` the mega's stream row is rebound to that
+segment's row of an external *stream* operand (the host mask write a
+wave begins with).  A single μProgram is the one-segment case with no
+stream row.  :func:`compile_trace` and :func:`compile_megatrace` are
+the two entry points; both return one of two trace kinds, each
+carrying ``n_segments``:
+
+* :class:`CompiledTrace` -- fault-free: a small SSA dataflow IR over
+  physical rows, replayed level by level;
+* :class:`CompiledFaultTrace` -- under an *active* fault model: every
+  draw-taking activation is a node fed by the **fault pre-pass**.
+
+The lowering walks the ops once, value-numbering physical rows
+(across segment boundaries too, so a wave's final counter writes feed
+the next wave's reads as SSA values):
 
 * **Copy aliasing** -- a single-source ``AAP`` (RowClone) binds the
   destination rows to the source *value*; copies cost nothing at
@@ -18,35 +33,37 @@ interpreter overhead, not bitwise work, bounds the hot path.
   known constants; a majority with two constant (or two identical, or
   two complementary) operands folds to a plain value reference.
 * **Dead-write elimination** -- only values transitively needed by the
-  subarray's *final* row bindings are computed; overwritten
-  intermediates vanish.
-* **Level scheduling** -- surviving majority nodes are grouped into
-  dependence levels; one level replays as a single fancy-indexed
-  gather, one vectorized three-way majority over all nodes in the
-  level, and one contiguous scatter -- no per-op Python loop.
+  subarray's *final* row bindings (plus, under faults, every faulty
+  activation) are computed; overwritten intermediates vanish.
+* **Input fills** -- live inputs gather from the cell matrix and the
+  stream as at most four contiguous ``take`` segments (``fills``).
+* **Node placement** -- the one fork: fault-free nodes are grouped into
+  dependence levels, and one level replays as a single fancy-indexed
+  gather, one vectorized three-way majority over all its nodes and one
+  contiguous scatter; fault nodes keep creation (op) order.
 
 Replay is *bit-exact* against the interpreted path, including the
 don't-care tail bits of the last packed word, because every fold above
 is a per-bit identity and the executed word operations are the same
 ones the interpreter would have issued.  Command accounting is exact
-too: the trace carries the program's precomputed AAP/AP/activation
-totals, so ``measured_ops``, ``stats()`` and the serving telemetry
-cannot tell which path ran.
+too: the trace carries the stream's AAP/AP/activation totals, so
+``measured_ops``, ``stats()`` and the serving telemetry cannot tell
+which path ran.
 
 Fusion is *fault-aware*: fault injection is defined per activation --
 one ``FaultModel.corrupt`` draw sequence per sensed row in program
 order -- but ``corrupt`` draws its Bernoulli masks from shapes and
 flags only, never from the sensed data.  A fault trace therefore
-pre-draws the whole program's flip masks in original op order (the
-**fault pre-pass**, one batched ``Generator.random`` call consuming
-exactly the stream the interpreter would) and applies them per node
-during replay; only the margin-aware *selection* between the CIM and
-read-rate masks is data-dependent, and that is computed from the
-sensed words at replay time.  Replay under an active fault model is
-therefore bit-, counter- and fault-stream-identical to the interpreted
-path and to the bit-level backend (``tests/test_fault_fusion_parity.
-py`` pins all three).  :func:`fusion_disabled` is the explicit escape
-hatch (benchmark baselines, differential tests).
+pre-draws every segment's flip masks in original op order (the fault
+pre-pass, blockwise ``Generator.random`` calls consuming exactly the
+stream the interpreter would) and applies them per node during replay;
+only the margin-aware *selection* between the CIM and read-rate masks
+is data-dependent, and that is computed from the sensed words at
+replay time.  Replay under an active fault model is therefore bit-,
+counter- and fault-stream-identical to the interpreted path and to the
+bit-level backend (``tests/test_fault_fusion_parity.py`` pins all
+three).  :func:`fusion_disabled` and :func:`megatrace_disabled` are
+the explicit escape hatches (benchmark baselines, differential tests).
 
 >>> from repro.isa.microprogram import MicroProgram, aap, ap
 >>> from repro.dram.wordline import WordlineSubarray
@@ -54,8 +71,8 @@ hatch (benchmark baselines, differential tests).
 >>> prog = MicroProgram("and", (aap(0, "B8"), aap("C0", "B9"),
 ...                             aap(1, "B2"), ap("B12"), aap("B2", 1)))
 >>> trace = compile_trace(prog, sa.resolve)
->>> trace.n_nodes, trace.n_aap, trace.n_ap       # one surviving MAJ
-(1, 4, 1)
+>>> trace.n_nodes, trace.n_aap, trace.n_ap, trace.n_segments
+(1, 4, 1, 1)
 """
 
 from __future__ import annotations
@@ -71,9 +88,8 @@ from repro.dram.ambit import _C0, _C1
 
 __all__ = ["CompiledTrace", "CompiledFaultTrace", "FaultSpec",
            "TraceScratch", "compile_trace", "fusion_enabled",
-           "fusion_disabled", "MegaProgram", "MegaTrace",
-           "MegaFaultTrace", "compile_megatrace", "megatrace_enabled",
-           "megatrace_disabled"]
+           "fusion_disabled", "MegaProgram", "compile_megatrace",
+           "megatrace_enabled", "megatrace_disabled"]
 
 #: A value reference: (SSA value id, complemented).
 _Ref = Tuple[int, bool]
@@ -86,6 +102,12 @@ _Ref = Tuple[int, bool]
 #: measured 1.2-2.3x faster at 128-2048 words and level with per-node
 #: execution at 4096 (2-vCPU Xeon).
 _NODE_EXEC_WORDS = 4096
+
+#: Uniforms (draw rows x columns) one fault pre-pass block draws at
+#: most: 2**24 float64s, 128 MiB.  A longer draw schedule -- a stitched
+#: fault trace over many waves -- is drawn in several blocks (see
+#: :meth:`CompiledFaultTrace._draw_flips`).
+_PREDRAW_BLOCK_CELLS = 1 << 24
 
 #: Process-wide fusion switch (see :func:`fusion_disabled`).
 _fusion_on = True
@@ -148,10 +170,9 @@ def megatrace_disabled():
 
     The megatrace-level escape hatch: with megatraces off (but fusion
     on) a coalesced wave sequence falls back to one fused μProgram
-    replay per wave -- the PR 5 behavior -- which is what the
-    differential parity harness and the megatrace benchmark compare
-    against.  Composes with :func:`fusion_disabled`, which disables
-    both levels.
+    replay per wave, which is what the differential parity harness and
+    the megatrace benchmark compare against.  Composes with
+    :func:`fusion_disabled`, which disables both levels.
 
     >>> with megatrace_disabled():
     ...     megatrace_enabled()
@@ -295,28 +316,34 @@ class TraceScratch:
         self.aux = self._buf[split:need].reshape(n_aux, n_words)
 
 
+def _fill_size(fills) -> int:
+    """Value slots the ``(from_stream, indices, lo, hi)`` fills cover."""
+    return sum(hi - lo for _, _, lo, hi in fills)
+
+
 @dataclass(eq=False)
 class CompiledTrace:
-    """A μProgram lowered to level-scheduled batched word operations.
+    """A fault-free stream lowered to level-scheduled word operations.
 
-    Execution staging: one gather of the live input rows into the value
-    buffer, one batched majority step per dependence level, one final
-    scatter of surviving row bindings back into the cell matrix.  The
-    value buffer is mirrored -- slot id ``n_slots + s`` names the
-    complement of slot ``s`` (materialized lazily, only for values some
-    consumer reads negated, into rows packed after the value slots) --
-    so DCC port polarity costs an index, not an XOR pass.  Every view
-    the replay loop touches is precomputed into a shared
-    :class:`TraceScratch`, and every word operation writes into
-    preallocated ``out=`` buffers: a replay allocates nothing on the
-    hot path.
+    Execution staging: the live inputs gather into the value buffer
+    (``fills``: contiguous ``take`` segments from the cell matrix or,
+    for a stitched trace, the per-segment stream), one batched majority
+    step runs per dependence level, and one final scatter writes the
+    surviving row bindings back into the cell matrix.  The value buffer
+    is mirrored -- slot id ``n_slots + s`` names the complement of slot
+    ``s`` (materialized lazily, only for values some consumer reads
+    negated, into rows packed after the value slots) -- so DCC port
+    polarity costs an index, not an XOR pass.  Every view the replay
+    loop touches is precomputed into a shared :class:`TraceScratch`,
+    and every word operation writes into preallocated ``out=`` buffers:
+    a replay allocates nothing on the hot path.
 
     Counter totals (``n_aap``, ``n_ap``, ``n_activations``,
     ``n_multi``) replicate exactly what the interpreted path would have
-    accrued.
+    accrued over all ``n_segments`` segments.
     """
 
-    input_rows: np.ndarray           # gathered into slots [0, n_inputs)
+    fills: Tuple[tuple, ...]         # (from_stream, indices, lo, hi)
     n_input_mirror: int              # prefix of inputs used complemented
     n_slots: int
     levels: Tuple[_Level, ...]
@@ -326,8 +353,9 @@ class CompiledTrace:
     n_ap: int
     n_activations: int
     n_multi: int
+    n_segments: int = 1
 
-    #: Dispatch tag for ``WordlineSubarray.run_program`` (fault traces
+    #: Dispatch tag for ``WordlineSubarray._replay`` (fault traces
     #: carry ``faulty = True`` and take the fault model at replay).
     faulty = False
 
@@ -336,7 +364,7 @@ class CompiledTrace:
 
     @property
     def n_inputs(self) -> int:
-        return int(self.input_rows.size)
+        return _fill_size(self.fills)
 
     @property
     def n_nodes(self) -> int:
@@ -346,16 +374,6 @@ class CompiledTrace:
     @property
     def n_levels(self) -> int:
         return len(self.levels)
-
-    def _fill_plan(self, vals: np.ndarray) -> tuple:
-        """Input-fill segments: ``(from_stream, indices, dst_view)``.
-
-        The base trace gathers every live input from the cell matrix in
-        one contiguous ``take``; :class:`MegaTrace` overrides this with
-        its mixed cell/stream fill segments.
-        """
-        return ((False, self.input_rows,
-                 vals[:self.input_rows.size]),)
 
     def _build_plan(self, scratch: TraceScratch, n_words: int) -> tuple:
         """Width-specialized replay plan: all views precomputed.
@@ -429,7 +447,9 @@ class CompiledTrace:
                         vals[ix[j]], vals[ix[width + j]],
                         vals[ix[2 * width + j]], u, v, vals[lo + j],
                         vals[mb + j] if j < level.n_mirror else None))
-        plan = (batched, vals, self._fill_plan(vals),
+        fills = tuple((from_stream, indices, vals[lo:hi])
+                      for from_stream, indices, lo, hi in self.fills)
+        plan = (batched, vals, fills,
                 vals[:im] if im else None,
                 vals[n_slots:n_slots + im] if im else None,
                 tuple(steps), out, remap[self.out_slots])
@@ -438,7 +458,9 @@ class CompiledTrace:
 
     def execute(self, cells: np.ndarray, scratch: TraceScratch = None,
                 stream: np.ndarray = None) -> None:
-        """Replay the trace against a packed ``uint64`` cell matrix."""
+        """Replay the trace against a packed ``uint64`` cell matrix
+        (``stream``: the ``[n_segments, n_words]`` packed stream rows
+        of a stitched trace)."""
         if scratch is None:
             if self._own_scratch is None:
                 self._own_scratch = TraceScratch()
@@ -458,9 +480,8 @@ class CompiledTrace:
         take, and_, or_, invert = (vals.take, np.bitwise_and,
                                    np.bitwise_or, np.invert)
         for from_stream, idx, dst in fills:
-            if dst.shape[0]:
-                (stream if from_stream else cells).take(
-                    idx, axis=0, out=dst, mode="clip")
+            (stream if from_stream else cells).take(
+                idx, axis=0, out=dst, mode="clip")
         if im_dst is not None:
             invert(im_src, out=im_dst)
         if batched:
@@ -488,7 +509,7 @@ class CompiledTrace:
 
 @dataclass(eq=False)
 class CompiledFaultTrace:
-    """A μProgram lowered for replay under an *active* fault model.
+    """A stream lowered for replay under an *active* fault model.
 
     Differences from the fault-free :class:`CompiledTrace`:
 
@@ -503,15 +524,16 @@ class CompiledFaultTrace:
     * **No dead-node elimination.**  ``FaultModel.injected`` counts
       the flips of *every* activation, and under margin-aware
       selection that count depends on the contested flags of the
-      sensed data -- so every faulty node is kept live and computed.
-    * **The fault pre-pass.**  Each replay first draws the program's
-      complete flip-mask block in original op order -- one
-      ``Generator.random((n_draws, n_cols))`` call, which consumes
-      the generator's stream exactly as the interpreter's sequential
-      per-activation ``random(n_cols)`` calls would (pinned by
-      ``tests/test_fault_fusion_parity.py``) -- thresholds it
-      per-row (CIM vs read rate) and packs it to ``uint64``.  Replay
-      then applies mask rows per node, computing the margin-aware
+      sensed data -- so every faulty node is kept live and computed,
+      in creation (op) order.
+    * **The fault pre-pass.**  Each replay first draws the complete
+      flip-mask block of all ``n_segments`` segments in original op
+      order (see :meth:`_draw_flips`), which consumes the generator's
+      stream exactly as the interpreter's sequential per-activation
+      ``random(n_cols)`` calls would (pinned by
+      ``tests/test_fault_fusion_parity.py``), thresholds it per row
+      (CIM vs read rate) and packs it to ``uint64``.  Replay then
+      applies mask rows per node, computing the margin-aware
       contested-column selection from the sensed words.
 
     ``execute`` returns the number of injected flips (and adds it to
@@ -520,7 +542,7 @@ class CompiledFaultTrace:
     """
 
     spec: FaultSpec
-    input_rows: np.ndarray           # gathered into slots [0, n_inputs)
+    fills: Tuple[tuple, ...]         # (from_stream, indices, lo, hi)
     n_input_mirror: int              # prefix of inputs used complemented
     n_slots: int
     steps: Tuple[tuple, ...]         # per-node specs, creation order
@@ -531,8 +553,9 @@ class CompiledFaultTrace:
     n_ap: int
     n_activations: int
     n_multi: int
+    n_segments: int = 1
 
-    #: Dispatch tag for ``WordlineSubarray.run_program``.
+    #: Dispatch tag for ``WordlineSubarray._replay``.
     faulty = True
 
     def __post_init__(self):
@@ -545,7 +568,7 @@ class CompiledFaultTrace:
 
     @property
     def n_inputs(self) -> int:
-        return int(self.input_rows.size)
+        return _fill_size(self.fills)
 
     @property
     def n_nodes(self) -> int:
@@ -557,16 +580,27 @@ class CompiledFaultTrace:
         return int(self.draw_thresholds.size)
 
     def _draw_flips(self, fault_model, n_cols: int) -> np.ndarray:
-        """Fault pre-pass: the whole program's draws in op order."""
-        uniform = fault_model.predraw(self.draw_thresholds.size, n_cols)
-        return _packer()(uniform < self.draw_thresholds[:, None])
+        """Fault pre-pass: every draw row in op order, packed.
 
-    def _fill_inputs(self, cells: np.ndarray, stream, vals) -> None:
-        """Gather the live input rows into the value-slot prefix."""
-        n_in = self.input_rows.size
-        if n_in:
-            cells.take(self.input_rows, axis=0, out=vals[:n_in],
-                       mode="clip")
+        Draws are taken in blocks of at most ``_PREDRAW_BLOCK_CELLS``
+        uniforms, so a long stitched trace never materializes its whole
+        uniform block at once; block splits are stream-transparent
+        because ``Generator.random`` fills row-major.
+        """
+        thresholds = self.draw_thresholds
+        n_draws = thresholds.size
+        pack_rows = _packer()
+        block = max(1, _PREDRAW_BLOCK_CELLS // max(1, int(n_cols)))
+        if n_draws <= block:
+            return pack_rows(fault_model.predraw(n_draws, n_cols)
+                             < thresholds[:, None])
+        flips = np.empty((n_draws, (int(n_cols) + 63) // 64),
+                         dtype=np.uint64)
+        for lo in range(0, n_draws, block):
+            hi = min(lo + block, n_draws)
+            flips[lo:hi] = pack_rows(fault_model.predraw(hi - lo, n_cols)
+                                     < thresholds[lo:hi, None])
+        return flips
 
     def execute(self, cells: np.ndarray, scratch: TraceScratch,
                 fault_model, n_cols: int, stream: np.ndarray = None) -> int:
@@ -586,7 +620,9 @@ class CompiledFaultTrace:
             # Flip counts of the raw masks (tails are zero by packing):
             # nodes that apply a draw row unmodified charge these.
             row_pop = np.bitwise_count(flips).sum(axis=1)
-        self._fill_inputs(cells, stream, vals)
+        for from_stream, idx, lo, hi in self.fills:
+            (stream if from_stream else cells).take(
+                idx, axis=0, out=vals[lo:hi], mode="clip")
         im = self.n_input_mirror
         if im:
             np.invert(vals[:im], out=vals[mirror:mirror + im])
@@ -719,166 +755,56 @@ class _Builder:
         self.current[row] = (vid, False)
 
 
-def _walk_ops(builder: _Builder, ops, resolve: Callable) -> tuple:
-    """Value-number a fault-free op stream; returns (aap, ap, multi).
+class MegaProgram:
+    """A whole replay sequence stitched across host mask writes.
 
-    Shared by :func:`compile_trace` (one program) and
-    :func:`compile_megatrace` (many stitched segments, one builder) --
-    copy aliasing, constant folding and majority folds therefore work
-    identically *across* μProgram boundaries.
+    ``segments[i]`` is the (already engine-assembled) μProgram of wave
+    ``i``; before each segment the ``stream_row`` data row is rebound
+    to row ``i`` of the replay-time *stream* operand (the packed wave
+    masks) -- exactly the ``load_mask_packed`` + ``run_program``
+    sequence the per-wave path executes, expressed as one dataflow
+    graph.  Compiled by
+    :meth:`~repro.dram.wordline.WordlineSubarray.run_megaprogram` and
+    LRU-cached in the subarray's
+    :class:`~repro.dram.programs.ProgramStore`.
     """
-    n_aap = n_ap = n_multi = 0
-    for op in ops:
-        src_ports = resolve(op.src)
-        if len(src_ports) == 1:
-            row, neg = src_ports[0]
-            ref = builder.read(row)
-            sensed = (ref[0], ref[1] ^ neg)
-        else:
-            if len(src_ports) % 2 == 0:
-                raise ValueError(
-                    "simultaneous activation needs an odd row count for "
-                    "a defined majority; use an AAP destination for "
-                    "copies")
-            operands = []
-            for row, neg in src_ports[:3]:
-                ref = builder.read(row)
-                operands.append((ref[0], ref[1] ^ neg))
-            sensed = builder.maj(*operands)
-            n_multi += 1
-            # Destructive write-back through every activated port.
-            for row, neg in src_ports:
-                builder.write(row, sensed, neg)
-        if op.kind == "AAP":
-            for row, neg in resolve(op.dst):
-                builder.write(row, sensed, neg)
-            n_aap += 1
-        else:
-            n_ap += 1
-    return n_aap, n_ap, n_multi
+
+    __slots__ = ("name", "segments", "stream_row")
+
+    def __init__(self, name: str, segments, stream_row):
+        self.name = name
+        self.segments = tuple(segments)
+        self.stream_row = stream_row
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.segments)
 
 
-def compile_trace(program, resolve: Callable, fault: FaultSpec = None):
-    """Lower ``program`` (via ``resolve``: address -> port tuples) into a
-    :class:`CompiledTrace` (or, under an active ``fault`` spec, a
-    :class:`CompiledFaultTrace`).
+# ----------------------------------------------------------------------
+# The lowering: segments -> one trace (a μProgram is one segment).
+# ----------------------------------------------------------------------
+def _walk_ops(builder: _Builder, ops, resolve: Callable,
+              spec: "FaultSpec | None", draw_kinds: List[str],
+              fault_meta: Dict[int, tuple]) -> tuple:
+    """Value-number one segment's op stream; returns (aap, ap, multi).
 
-    ``resolve`` is the word backend's address map
-    (:meth:`~repro.dram.wordline.WordlineSubarray.resolve`): it returns
-    ``((physical_row, negated), ...)`` port tuples.  Compilation mirrors
-    the interpreted fault-free semantics op by op -- single-port senses
-    are pure reads, multi-row senses are destructive majorities written
+    Mirrors the interpreted semantics op by op: single-port senses are
+    pure reads, multi-row senses are destructive majorities written
     back through every activated port, AAP destinations latch the
-    sensed value through each port's polarity.  With a fault spec, the
-    faulty activations additionally become XOR-flip nodes fed by the
-    replay-time fault pre-pass (see :class:`CompiledFaultTrace`).
-    """
-    if fault is not None and fault.active:
-        return _compile_fault(program, resolve, fault)
-    builder = _Builder()
-    n_aap, n_ap, n_multi = _walk_ops(builder, program.ops, resolve)
-
-    # Final bindings: skip identity (row still holds its own entry value).
-    finals: Dict[int, _Ref] = {}
-    for row, ref in builder.current.items():
-        if builder.defs[ref[0]] == ("in", row) and not ref[1]:
-            continue
-        finals[row] = ref
-
-    # Dead-write elimination: walk back from the final bindings.
-    live = set()
-    stack = [ref[0] for ref in finals.values()]
-    while stack:
-        vid = stack.pop()
-        if vid in live:
-            continue
-        live.add(vid)
-        definition = builder.defs[vid]
-        if definition[0] == "maj":
-            stack.extend(ref[0] for ref in definition[1:])
-
-    # Which live values does some consumer read complemented?  Their
-    # mirror slots must be materialized at replay.
-    mirrored = {ref[0] for ref in finals.values() if ref[1]}
-    for vid in live:
-        definition = builder.defs[vid]
-        if definition[0] == "maj":
-            mirrored.update(ref[0] for ref in definition[1:] if ref[1])
-
-    # Slot assignment: live inputs first (mirror-needing prefix), then
-    # nodes by (level, mirror-needing first) so each level's mirrors
-    # materialize with one contiguous prefix invert.
-    slot: Dict[int, int] = {}
-    input_vids = [vid for vid in sorted(live)
-                  if builder.defs[vid][0] == "in"]
-    input_vids.sort(key=lambda vid: vid not in mirrored)
-    input_rows = [builder.defs[vid][1] for vid in input_vids]
-    for position, vid in enumerate(input_vids):
-        slot[vid] = position
-    n_input_mirror = sum(1 for vid in input_vids if vid in mirrored)
-    depth: Dict[int, int] = {vid: 0 for vid in slot}
-    by_level: Dict[int, List[int]] = {}
-    for vid in sorted(live):                     # creation = program order
-        definition = builder.defs[vid]
-        if definition[0] != "maj":
-            continue
-        level = 1 + max(depth[ref[0]] for ref in definition[1:])
-        depth[vid] = level
-        by_level.setdefault(level, []).append(vid)
-    next_slot = len(input_rows)
-    level_specs: List[List[int]] = []
-    for level in sorted(by_level):
-        vids = sorted(by_level[level], key=lambda vid: vid not in mirrored)
-        lo = next_slot
-        for vid in vids:
-            slot[vid] = next_slot
-            next_slot += 1
-        n_mirror = sum(1 for vid in vids if vid in mirrored)
-        level_specs.append((lo, next_slot, n_mirror, vids))
-
-    def flat_slot(ref: _Ref) -> int:
-        """Operand slot with polarity encoded (+n_slots = complement)."""
-        return slot[ref[0]] + (next_slot if ref[1] else 0)
-
-    levels: List[_Level] = []
-    for lo, hi, n_mirror, vids in level_specs:
-        idx = np.empty(3 * len(vids), dtype=np.intp)
-        for j, vid in enumerate(vids):
-            for i, ref in enumerate(builder.defs[vid][1:]):
-                idx[i * len(vids) + j] = flat_slot(ref)
-        levels.append(_Level(lo, hi, idx, n_mirror))
-
-    out_rows = np.asarray(sorted(finals), dtype=np.intp)
-    out_slots = np.asarray([flat_slot(finals[row]) for row in out_rows],
-                           dtype=np.intp)
-
-    return CompiledTrace(
-        input_rows=np.asarray(input_rows, dtype=np.intp),
-        n_input_mirror=n_input_mirror,
-        n_slots=next_slot,
-        levels=tuple(levels),
-        out_rows=out_rows,
-        out_slots=out_slots,
-        n_aap=n_aap,
-        n_ap=n_ap,
-        n_activations=2 * n_aap + n_ap,
-        n_multi=n_multi)
-
-
-def _walk_fault_ops(builder: _Builder, ops, resolve: Callable,
-                    spec: FaultSpec, draw_kinds: List[str],
-                    fault_meta: Dict[int, tuple]) -> tuple:
-    """Value-number a faulty op stream; returns (aap, ap, multi).
-
-    Appends one entry to ``draw_kinds`` per RNG draw the interpreter
-    would take, in original op order -- callers stitching several
-    segments through one builder pass the same lists back in, so the
-    cross-segment draw schedule stays stream-identical to sequential
-    execution.
+    sensed value through each port's polarity.  With ``spec`` ``None``
+    every sense is exact and majorities fold (see :meth:`_Builder.maj`).
+    Under an active spec a multi-row sense (when ``p_cim > 0``) and a
+    single-port sense (when ``p_read > 0``) each allocate a fresh value
+    -- ideal result XOR flip mask -- recorded in ``fault_meta``, and
+    each RNG draw the interpreter would take appends one entry to
+    ``draw_kinds`` in original op order.  The lowering passes the same
+    builder and lists for every segment, so folds and the draw schedule
+    run across segment boundaries exactly as sequential execution.
     """
     n_aap = n_ap = n_multi = 0
-    single_faulty = spec.p_read > 0.0
-    multi_mode = spec.multi_mode
+    single_faulty = spec is not None and spec.p_read > 0.0
+    multi_mode = spec.multi_mode if spec is not None else None
     for op in ops:
         src_ports = resolve(op.src)
         if len(src_ports) == 1:
@@ -906,7 +832,7 @@ def _walk_fault_ops(builder: _Builder, ops, resolve: Callable,
                 ref = builder.read(row)
                 operands.append((ref[0], ref[1] ^ neg))
             if multi_mode is None:
-                # p_cim == 0: multi-row senses are exact and foldable.
+                # Fault-free or p_cim == 0: exact and foldable.
                 sensed = builder.maj(*operands)
             else:
                 # Faulty majority: never folds -- the output carries
@@ -922,6 +848,7 @@ def _walk_fault_ops(builder: _Builder, ops, resolve: Callable,
                 fault_meta[vid] = (cim_row, read_row)
                 sensed = (vid, False)
             n_multi += 1
+            # Destructive write-back through every activated port.
             for row, neg in src_ports:
                 builder.write(row, sensed, neg)
         if op.kind == "AAP":
@@ -931,213 +858,6 @@ def _walk_fault_ops(builder: _Builder, ops, resolve: Callable,
         else:
             n_ap += 1
     return n_aap, n_ap, n_multi
-
-
-def _compile_fault(program, resolve: Callable,
-                   spec: FaultSpec) -> CompiledFaultTrace:
-    """Fault-aware lowering: every draw-taking activation is a node.
-
-    The walk mirrors the interpreted faulty semantics op by op.  A
-    multi-row sense (when ``p_cim > 0``) and a single-port sense (when
-    ``p_read > 0``) each allocate a fresh value -- ideal result XOR
-    flip mask -- and write it back destructively through every
-    activated port.  The per-activation draw schedule is recorded in
-    *original op order* so the replay-time pre-pass consumes the fault
-    model's RNG stream exactly as sequential ``corrupt`` calls would.
-    """
-    builder = _Builder()
-    draw_kinds: List[str] = []        # op-order rows: "cim" | "read"
-    fault_meta: Dict[int, tuple] = {}  # vid -> (cim/read draw rows)
-    n_aap, n_ap, n_multi = _walk_fault_ops(builder, program.ops, resolve,
-                                           spec, draw_kinds, fault_meta)
-
-    # Final bindings: skip identity (row still holds its own entry value).
-    finals: Dict[int, _Ref] = {}
-    for row, ref in builder.current.items():
-        if builder.defs[ref[0]] == ("in", row) and not ref[1]:
-            continue
-        finals[row] = ref
-
-    # Liveness: final bindings AND every fault node -- the injected
-    # count of a margin-aware activation depends on its contested
-    # columns, so even an overwritten faulty intermediate must compute.
-    live = set()
-    stack = [ref[0] for ref in finals.values()] + list(fault_meta)
-    while stack:
-        vid = stack.pop()
-        if vid in live:
-            continue
-        live.add(vid)
-        definition = builder.defs[vid]
-        if definition[0] in ("maj", "rd"):
-            stack.extend(ref[0] for ref in definition[1:])
-
-    mirrored = {ref[0] for ref in finals.values() if ref[1]}
-    for vid in live:
-        definition = builder.defs[vid]
-        if definition[0] in ("maj", "rd"):
-            mirrored.update(ref[0] for ref in definition[1:] if ref[1])
-
-    # Slot assignment: live inputs (mirror-needing prefix), then nodes
-    # in creation order -- which is already a topological order.
-    slot: Dict[int, int] = {}
-    input_vids = [vid for vid in sorted(live)
-                  if builder.defs[vid][0] == "in"]
-    input_vids.sort(key=lambda vid: vid not in mirrored)
-    input_rows = [builder.defs[vid][1] for vid in input_vids]
-    for position, vid in enumerate(input_vids):
-        slot[vid] = position
-    n_input_mirror = sum(1 for vid in input_vids if vid in mirrored)
-    node_vids = [vid for vid in sorted(live)
-                 if builder.defs[vid][0] != "in"]
-    next_slot = len(input_vids)
-    for vid in node_vids:
-        slot[vid] = next_slot
-        next_slot += 1
-    n_slots = next_slot
-
-    def flat_slot(ref: _Ref) -> int:
-        return slot[ref[0]] + (n_slots if ref[1] else 0)
-
-    steps: List[tuple] = []
-    for vid in node_vids:
-        definition = builder.defs[vid]
-        mir = vid in mirrored
-        meta = fault_meta.get(vid)
-        if definition[0] == "rd":
-            steps.append(("rd", flat_slot(definition[1]), slot[vid],
-                          mir, meta[1]))
-        elif meta is None:
-            steps.append(("mx", flat_slot(definition[1]),
-                          flat_slot(definition[2]),
-                          flat_slot(definition[3]), slot[vid], mir,
-                          -1, -1))
-        else:
-            steps.append(("mj", flat_slot(definition[1]),
-                          flat_slot(definition[2]),
-                          flat_slot(definition[3]), slot[vid], mir,
-                          meta[0], -1 if meta[1] is None else meta[1]))
-
-    out_rows = np.asarray(sorted(finals), dtype=np.intp)
-    out_slots = np.asarray([flat_slot(finals[row]) for row in out_rows],
-                           dtype=np.intp)
-    thresholds = np.asarray(
-        [spec.p_cim if kind == "cim" else spec.p_read
-         for kind in draw_kinds], dtype=np.float64)
-
-    return CompiledFaultTrace(
-        spec=spec,
-        input_rows=np.asarray(input_rows, dtype=np.intp),
-        n_input_mirror=n_input_mirror,
-        n_slots=n_slots,
-        steps=tuple(steps),
-        out_rows=out_rows,
-        out_slots=out_slots,
-        draw_thresholds=thresholds,
-        n_aap=n_aap,
-        n_ap=n_ap,
-        n_activations=2 * n_aap + n_ap,
-        n_multi=n_multi)
-
-
-# ----------------------------------------------------------------------
-# Whole-plan megatraces: many μPrograms + interleaved host mask writes
-# stitched into one trace (paper Secs. 5.1-5.2 at query granularity).
-# ----------------------------------------------------------------------
-class MegaProgram:
-    """A whole replay sequence stitched across host mask writes.
-
-    ``segments[i]`` is the (already engine-assembled) μProgram of wave
-    ``i``; before each segment the ``stream_row`` data row is rebound
-    to row ``i`` of the replay-time *stream* operand (the packed wave
-    masks) -- exactly the ``load_mask_packed`` + ``run_program``
-    sequence the per-wave path executes, expressed as one dataflow
-    graph.  Compiled by
-    :meth:`~repro.dram.wordline.WordlineSubarray.run_megaprogram` and
-    LRU-cached in the subarray's
-    :class:`~repro.dram.programs.ProgramStore`.
-    """
-
-    __slots__ = ("name", "segments", "stream_row")
-
-    def __init__(self, name: str, segments, stream_row):
-        self.name = name
-        self.segments = tuple(segments)
-        self.stream_row = stream_row
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.segments)
-
-
-@dataclass(eq=False)
-class MegaTrace(CompiledTrace):
-    """A stitched multi-segment replay (fault-free lowering).
-
-    Identical replay machinery to :class:`CompiledTrace`; the only
-    difference is the input stage: live inputs gather from *two*
-    sources -- the cell matrix and the external per-segment stream --
-    as at most four contiguous ``take`` segments (``fills``), ordered
-    [mirrored cells, mirrored exts, plain cells, plain exts] so the
-    mirrored prefix still materializes with one prefix invert.  The
-    final scatter includes the stream row's last binding, so the mask
-    row ends exactly as the per-wave ``load_mask_packed`` sequence
-    leaves it.
-    """
-
-    fills: Tuple[tuple, ...] = ()     # (from_stream, indices, lo, hi)
-    n_segments: int = 0
-
-    @property
-    def n_inputs(self) -> int:
-        return int(sum(hi - lo for _, _, lo, hi in self.fills))
-
-    def _fill_plan(self, vals: np.ndarray) -> tuple:
-        return tuple((from_stream, idx, vals[lo:hi])
-                     for from_stream, idx, lo, hi in self.fills)
-
-
-@dataclass(eq=False)
-class MegaFaultTrace(CompiledFaultTrace):
-    """A stitched multi-segment replay under an active fault model.
-
-    The fault pre-pass covers the *whole stitched sequence*: draw rows
-    of every segment are recorded in original op order across segment
-    boundaries, so one replay consumes the fault model's RNG stream
-    exactly as the per-wave sequence of ``corrupt`` calls would (and
-    leaves the generator in the identical terminal state).  Pre-draws
-    run blockwise so a long mega never materializes the full uniform
-    block at once -- block splits are stream-transparent because
-    ``Generator.random`` fills row-major.
-    """
-
-    fills: Tuple[tuple, ...] = ()     # (from_stream, indices, lo, hi)
-    n_segments: int = 0
-
-    @property
-    def n_inputs(self) -> int:
-        return int(sum(hi - lo for _, _, lo, hi in self.fills))
-
-    def _draw_flips(self, fault_model, n_cols: int) -> np.ndarray:
-        n_draws = self.draw_thresholds.size
-        block = max(1, (1 << 24) // max(1, int(n_cols)))
-        if n_draws <= block:
-            return super()._draw_flips(fault_model, n_cols)
-        pack_rows = _packer()
-        flips = np.empty((n_draws, (int(n_cols) + 63) // 64),
-                         dtype=np.uint64)
-        for lo in range(0, n_draws, block):
-            hi = min(lo + block, n_draws)
-            uniform = fault_model.predraw(hi - lo, n_cols)
-            flips[lo:hi] = pack_rows(
-                uniform < self.draw_thresholds[lo:hi, None])
-        return flips
-
-    def _fill_inputs(self, cells: np.ndarray, stream, vals) -> None:
-        for from_stream, idx, lo, hi in self.fills:
-            if hi > lo:
-                (stream if from_stream else cells).take(
-                    idx, axis=0, out=vals[lo:hi], mode="clip")
 
 
 def _assign_input_slots(builder: _Builder, live, mirrored,
@@ -1170,134 +890,44 @@ def _assign_input_slots(builder: _Builder, live, mirrored,
     return fills, n_input_mirror, len(input_vids)
 
 
-def compile_megatrace(mega: MegaProgram, resolve: Callable,
-                      fault: FaultSpec = None):
-    """Lower a :class:`MegaProgram` into one stitched trace.
+def _lower(segments, resolve: Callable, stream_row, fault: FaultSpec):
+    """Lower resolved segments into one trace -- the only lowering.
 
-    One :class:`_Builder` walks every segment in sequence -- the same
-    copy-aliasing / constant-folding / dead-write-elimination /
-    level-scheduling passes as :func:`compile_trace`, now working
-    *across* μProgram boundaries: a wave's final counter-row writes
-    feed the next wave's reads as SSA values, so cross-wave
-    intermediate scatters fold away entirely.  Before each segment the
-    mega's stream row is rebound to that segment's external input (the
-    host mask write).  Under an active ``fault`` spec the lowering
-    mirrors :func:`_compile_fault` with the draw schedule spanning all
-    segments in op order.
+    ``resolve`` is the word backend's address map
+    (:meth:`~repro.dram.wordline.WordlineSubarray.resolve`): it returns
+    ``((physical_row, negated), ...)`` port tuples.  One
+    :class:`_Builder` walks every segment in sequence; when
+    ``stream_row`` (a physical row) is given, it is rebound to stream
+    input ``i`` before segment ``i``.  Then one pass finds the final
+    row bindings, the live values and the values read complemented,
+    and the live inputs become the trace's fills.  Only node placement
+    forks: without an active ``fault`` spec the live majorities are
+    level-scheduled into a :class:`CompiledTrace`; under one, every
+    node keeps creation order in a :class:`CompiledFaultTrace` whose
+    draw schedule spans all segments.
     """
-    if fault is not None and fault.active:
-        return _compile_fault_mega(mega, resolve, fault)
+    spec = fault if fault is not None and fault.active else None
     builder = _Builder()
-    stream_row = resolve(mega.stream_row)[0][0]
+    draw_kinds: List[str] = []        # op-order rows: "cim" | "read"
+    fault_meta: Dict[int, tuple] = {}  # vid -> (cim/read draw rows)
     n_aap = n_ap = n_multi = 0
-    for index, segment in enumerate(mega.segments):
-        builder.rebind_stream(stream_row, index)
-        aap, ap, multi = _walk_ops(builder, segment.ops, resolve)
+    for index, segment in enumerate(segments):
+        if stream_row is not None:
+            builder.rebind_stream(stream_row, index)
+        aap, ap, multi = _walk_ops(builder, segment.ops, resolve, spec,
+                                   draw_kinds, fault_meta)
         n_aap += aap
         n_ap += ap
         n_multi += multi
 
     # Final bindings: skip identity (row still holds its own entry value).
-    finals: Dict[int, _Ref] = {}
-    for row, ref in builder.current.items():
-        if builder.defs[ref[0]] == ("in", row) and not ref[1]:
-            continue
-        finals[row] = ref
+    finals: Dict[int, _Ref] = {
+        row: ref for row, ref in builder.current.items()
+        if ref[1] or builder.defs[ref[0]] != ("in", row)}
 
-    # Dead-write elimination across the whole stitched sequence.
-    live = set()
-    stack = [ref[0] for ref in finals.values()]
-    while stack:
-        vid = stack.pop()
-        if vid in live:
-            continue
-        live.add(vid)
-        definition = builder.defs[vid]
-        if definition[0] == "maj":
-            stack.extend(ref[0] for ref in definition[1:])
-
-    mirrored = {ref[0] for ref in finals.values() if ref[1]}
-    for vid in live:
-        definition = builder.defs[vid]
-        if definition[0] == "maj":
-            mirrored.update(ref[0] for ref in definition[1:] if ref[1])
-
-    slot: Dict[int, int] = {}
-    fills, n_input_mirror, n_inputs = _assign_input_slots(
-        builder, live, mirrored, slot)
-    depth: Dict[int, int] = {vid: 0 for vid in slot}
-    by_level: Dict[int, List[int]] = {}
-    for vid in sorted(live):                     # creation = program order
-        definition = builder.defs[vid]
-        if definition[0] != "maj":
-            continue
-        level = 1 + max(depth[ref[0]] for ref in definition[1:])
-        depth[vid] = level
-        by_level.setdefault(level, []).append(vid)
-    next_slot = n_inputs
-    level_specs: List[tuple] = []
-    for level in sorted(by_level):
-        vids = sorted(by_level[level], key=lambda vid: vid not in mirrored)
-        lo = next_slot
-        for vid in vids:
-            slot[vid] = next_slot
-            next_slot += 1
-        n_mirror = sum(1 for vid in vids if vid in mirrored)
-        level_specs.append((lo, next_slot, n_mirror, vids))
-
-    def flat_slot(ref: _Ref) -> int:
-        return slot[ref[0]] + (next_slot if ref[1] else 0)
-
-    levels: List[_Level] = []
-    for lo, hi, n_mirror, vids in level_specs:
-        idx = np.empty(3 * len(vids), dtype=np.intp)
-        for j, vid in enumerate(vids):
-            for i, ref in enumerate(builder.defs[vid][1:]):
-                idx[i * len(vids) + j] = flat_slot(ref)
-        levels.append(_Level(lo, hi, idx, n_mirror))
-
-    out_rows = np.asarray(sorted(finals), dtype=np.intp)
-    out_slots = np.asarray([flat_slot(finals[row]) for row in out_rows],
-                           dtype=np.intp)
-
-    return MegaTrace(
-        input_rows=np.empty(0, dtype=np.intp),
-        n_input_mirror=n_input_mirror,
-        n_slots=next_slot,
-        levels=tuple(levels),
-        out_rows=out_rows,
-        out_slots=out_slots,
-        n_aap=n_aap,
-        n_ap=n_ap,
-        n_activations=2 * n_aap + n_ap,
-        n_multi=n_multi,
-        fills=fills,
-        n_segments=len(mega.segments))
-
-
-def _compile_fault_mega(mega: MegaProgram, resolve: Callable,
-                        spec: FaultSpec) -> MegaFaultTrace:
-    """Fault-aware stitched lowering (see :func:`_compile_fault`)."""
-    builder = _Builder()
-    stream_row = resolve(mega.stream_row)[0][0]
-    draw_kinds: List[str] = []
-    fault_meta: Dict[int, tuple] = {}
-    n_aap = n_ap = n_multi = 0
-    for index, segment in enumerate(mega.segments):
-        builder.rebind_stream(stream_row, index)
-        aap, ap, multi = _walk_fault_ops(builder, segment.ops, resolve,
-                                         spec, draw_kinds, fault_meta)
-        n_aap += aap
-        n_ap += ap
-        n_multi += multi
-
-    finals: Dict[int, _Ref] = {}
-    for row, ref in builder.current.items():
-        if builder.defs[ref[0]] == ("in", row) and not ref[1]:
-            continue
-        finals[row] = ref
-
-    # Liveness: final bindings AND every fault node (see _compile_fault).
+    # Liveness: the final bindings AND every fault node -- the injected
+    # count of a margin-aware activation depends on its contested
+    # columns, so even an overwritten faulty intermediate must compute.
     live = set()
     stack = [ref[0] for ref in finals.values()] + list(fault_meta)
     while stack:
@@ -1309,6 +939,8 @@ def _compile_fault_mega(mega: MegaProgram, resolve: Callable,
         if definition[0] in ("maj", "rd"):
             stack.extend(ref[0] for ref in definition[1:])
 
+    # Which live values does some consumer read complemented?  Their
+    # mirror slots must be materialized at replay.
     mirrored = {ref[0] for ref in finals.values() if ref[1]}
     for vid in live:
         definition = builder.defs[vid]
@@ -1316,57 +948,121 @@ def _compile_fault_mega(mega: MegaProgram, resolve: Callable,
             mirrored.update(ref[0] for ref in definition[1:] if ref[1])
 
     slot: Dict[int, int] = {}
-    fills, n_input_mirror, n_inputs = _assign_input_slots(
+    fills, n_input_mirror, next_slot = _assign_input_slots(
         builder, live, mirrored, slot)
-    node_vids = [vid for vid in sorted(live)
-                 if builder.defs[vid][0] not in ("in", "ext")]
-    next_slot = n_inputs
-    for vid in node_vids:
-        slot[vid] = next_slot
-        next_slot += 1
-    n_slots = next_slot
+    n_slots = len(live)              # every live value gets one slot
 
     def flat_slot(ref: _Ref) -> int:
+        """Operand slot with polarity encoded (+n_slots = complement)."""
         return slot[ref[0]] + (n_slots if ref[1] else 0)
 
-    steps: List[tuple] = []
-    for vid in node_vids:
-        definition = builder.defs[vid]
-        mir = vid in mirrored
-        meta = fault_meta.get(vid)
-        if definition[0] == "rd":
-            steps.append(("rd", flat_slot(definition[1]), slot[vid],
-                          mir, meta[1]))
-        elif meta is None:
-            steps.append(("mx", flat_slot(definition[1]),
-                          flat_slot(definition[2]),
-                          flat_slot(definition[3]), slot[vid], mir,
-                          -1, -1))
-        else:
-            steps.append(("mj", flat_slot(definition[1]),
-                          flat_slot(definition[2]),
-                          flat_slot(definition[3]), slot[vid], mir,
-                          meta[0], -1 if meta[1] is None else meta[1]))
+    node_vids = [vid for vid in sorted(live)      # creation = op order
+                 if builder.defs[vid][0] in ("maj", "rd")]
+    if spec is None:
+        # Nodes by (level, mirror-needing first), so each level's
+        # mirrors materialize with one contiguous prefix invert.
+        depth: Dict[int, int] = {vid: 0 for vid in slot}
+        by_level: Dict[int, List[int]] = {}
+        for vid in node_vids:
+            level = 1 + max(depth[ref[0]] for ref in builder.defs[vid][1:])
+            depth[vid] = level
+            by_level.setdefault(level, []).append(vid)
+        levels: List[_Level] = []
+        for level in sorted(by_level):
+            vids = sorted(by_level[level], key=lambda vid: vid not in mirrored)
+            lo = next_slot
+            for vid in vids:
+                slot[vid] = next_slot
+                next_slot += 1
+            idx = np.empty(3 * len(vids), dtype=np.intp)
+            for j, vid in enumerate(vids):
+                for i, ref in enumerate(builder.defs[vid][1:]):
+                    idx[i * len(vids) + j] = flat_slot(ref)
+            levels.append(_Level(lo, next_slot, idx,
+                                 sum(1 for vid in vids if vid in mirrored)))
+    else:
+        # Nodes in creation order -- already a topological order, so
+        # every operand is slotted before its consumer.
+        steps: List[tuple] = []
+        for vid in node_vids:
+            slot[vid] = next_slot
+            next_slot += 1
+            definition = builder.defs[vid]
+            mir = vid in mirrored
+            meta = fault_meta.get(vid)
+            if definition[0] == "rd":
+                steps.append(("rd", flat_slot(definition[1]), slot[vid],
+                              mir, meta[1]))
+            elif meta is None:
+                steps.append(("mx", flat_slot(definition[1]),
+                              flat_slot(definition[2]),
+                              flat_slot(definition[3]), slot[vid], mir,
+                              -1, -1))
+            else:
+                steps.append(("mj", flat_slot(definition[1]),
+                              flat_slot(definition[2]),
+                              flat_slot(definition[3]), slot[vid], mir,
+                              meta[0], -1 if meta[1] is None else meta[1]))
 
     out_rows = np.asarray(sorted(finals), dtype=np.intp)
     out_slots = np.asarray([flat_slot(finals[row]) for row in out_rows],
                            dtype=np.intp)
+    common = dict(fills=fills, n_input_mirror=n_input_mirror,
+                  n_slots=n_slots, out_rows=out_rows, out_slots=out_slots,
+                  n_aap=n_aap, n_ap=n_ap, n_activations=2 * n_aap + n_ap,
+                  n_multi=n_multi, n_segments=len(segments))
+    if spec is None:
+        return CompiledTrace(levels=tuple(levels), **common)
     thresholds = np.asarray(
         [spec.p_cim if kind == "cim" else spec.p_read
          for kind in draw_kinds], dtype=np.float64)
+    return CompiledFaultTrace(spec=spec, steps=tuple(steps),
+                              draw_thresholds=thresholds, **common)
 
-    return MegaFaultTrace(
-        spec=spec,
-        input_rows=np.empty(0, dtype=np.intp),
-        n_input_mirror=n_input_mirror,
-        n_slots=n_slots,
-        steps=tuple(steps),
-        out_rows=out_rows,
-        out_slots=out_slots,
-        draw_thresholds=thresholds,
-        n_aap=n_aap,
-        n_ap=n_ap,
-        n_activations=2 * n_aap + n_ap,
-        n_multi=n_multi,
-        fills=fills,
-        n_segments=len(mega.segments))
+
+def compile_trace(program, resolve: Callable, fault: FaultSpec = None):
+    """Lower one μProgram into a :class:`CompiledTrace` (or, under an
+    active ``fault`` spec, a :class:`CompiledFaultTrace`).
+
+    The one-segment case of the lowering: no stream row, every input
+    gathers from the cell matrix.  ``resolve`` maps an address to
+    ``((physical_row, negated), ...)`` port tuples.
+    """
+    return _lower((program,), resolve, None, fault)
+
+
+def compile_megatrace(mega: MegaProgram, resolve: Callable,
+                      fault: FaultSpec = None):
+    """Lower a :class:`MegaProgram` into one stitched trace.
+
+    The same lowering as :func:`compile_trace`, over every segment in
+    sequence: a wave's final counter-row writes feed the next wave's
+    reads as SSA values, so cross-wave intermediate scatters fold away
+    entirely.  Before each segment the mega's stream row is rebound to
+    that segment's row of the replay-time stream, so those inputs
+    gather from the stream operand; the final scatter includes the
+    stream row's last binding, so the mask row ends exactly as the
+    per-wave ``load_mask_packed`` sequence leaves it.  Under an active
+    ``fault`` spec the draw schedule spans all segments in op order.
+
+    Two waves that each AND the mask (data row 0) into data row 1:
+
+    >>> from repro.isa.microprogram import MicroProgram, aap, ap
+    >>> from repro.dram.wordline import WordlineSubarray
+    >>> sa = WordlineSubarray(n_data_rows=2, n_cols=8)
+    >>> wave = MicroProgram("and", (aap(0, "B0"), aap("C0", "B1"),
+    ...                             aap(1, "B2"), ap("B12"), aap("B0", 1)))
+    >>> trace = compile_megatrace(MegaProgram("two", (wave, wave), 0),
+    ...                           sa.resolve)
+    >>> trace.n_segments, trace.n_nodes
+    (2, 2)
+
+    The cell fill gathers ``C0`` and data row 1 (physical rows 6 and
+    9); the stream fill gathers both waves' masks:
+
+    >>> [(from_stream, idx.tolist()) for from_stream, idx, _, _
+    ...  in trace.fills]
+    [(False, [6, 9]), (True, [0, 1])]
+    """
+    return _lower(mega.segments, resolve, resolve(mega.stream_row)[0][0],
+                  fault)

@@ -26,7 +26,9 @@ import pytest
 
 from repro.core.iarm import Increment
 from repro.dram.faults import FaultModel
+from repro.dram.wordline import pack_rows
 from repro.engine import CountingEngine
+from repro.isa import trace as trace_module
 from repro.isa.trace import FaultSpec, fusion_disabled
 
 # (n_bits, n_digits, p_cim, read_mode, margin_aware, seed) where
@@ -217,6 +219,68 @@ def test_single_row_sense_draws_only_at_positive_read_rate():
     out = fm.corrupt(np.zeros(16, dtype=np.uint8), multi_row=False)
     assert not out.any() and fm.injected == 0
     assert fm._rng.bit_generator.state["state"] == state0   # no draw
+
+
+# ----------------------------------------------------------------------
+# blockwise pre-draws: splitting the pre-pass keeps the stream
+# ----------------------------------------------------------------------
+def _faulty_rounds(stitched, n_lanes=24, rounds=3):
+    """Three rounds of one faulty update stream: warm-up, compile and a
+    pure replay, per wave (``accumulate``) or stitched (``run_waves``).
+    """
+    fm = FaultModel(p_cim=5e-2, p_read=5e-3, seed=21)
+    eng = CountingEngine(2, 4, n_lanes, fault_model=fm, backend="word")
+    rng = np.random.default_rng(4)
+    mags = rng.integers(1, 12, 5).astype(np.int64)
+    masks = rng.integers(0, 2, (5, n_lanes)).astype(np.uint8)
+    injected = []
+    for _ in range(rounds):
+        eng.reset_counters()
+        if stitched:
+            eng.run_waves(mags, pack_rows(masks))
+        else:
+            for value, mask in zip(mags.tolist(), masks):
+                eng.load_mask(0, mask)
+                eng.accumulate(value)
+        injected.append(fm.injected)
+    sub = eng.subarray
+    return {
+        "rows": eng.export_counters(),
+        "injected": injected,
+        "fault_injections": sub.fault_injections,
+        "rng_state": fm._rng.bit_generator.state,
+        "replays": (sub.megatrace_replays if stitched
+                    else sub.trace_replays),
+    }
+
+
+@pytest.mark.parametrize("stitched", [False, True],
+                         ids=["program", "megatrace"])
+def test_blockwise_predraw_keeps_the_stream(monkeypatch, stitched):
+    """A pre-pass split into many blocks draws exactly the stream one
+    block draws: same cells, ``injected`` counts and terminal RNG
+    state, for a per-program fault trace and a stitched one."""
+    draw_rows = []
+    predraw = FaultModel.predraw
+
+    def counting_predraw(self, n_draws, width):
+        draw_rows.append(int(n_draws))
+        return predraw(self, n_draws, width)
+
+    monkeypatch.setattr(FaultModel, "predraw", counting_predraw)
+    whole = _faulty_rounds(stitched)
+    whole_calls = len(draw_rows)
+    del draw_rows[:]
+    # Two draw rows of 24 lanes per block.
+    monkeypatch.setattr(trace_module, "_PREDRAW_BLOCK_CELLS", 2 * 24)
+    split = _faulty_rounds(stitched)
+    assert whole["replays"] > 0 and split["replays"] > 0
+    assert max(draw_rows) <= 2 and len(draw_rows) > whole_calls
+    assert (whole["rows"] == split["rows"]).all()
+    assert whole["injected"] == split["injected"]
+    assert sum(whole["injected"]) > 0
+    assert whole["fault_injections"] == split["fault_injections"]
+    assert whole["rng_state"] == split["rng_state"]
 
 
 # ----------------------------------------------------------------------
