@@ -12,7 +12,7 @@ from repro.isa.nvm import (LogicOp, MagicMachine, PinatuboMachine,
                            pinatubo_increment_program, pinatubo_op_count)
 from repro.isa.synthesis import LoweringError, lower_to_ambit
 from repro.isa.trace import (CompiledTrace, compile_trace, fusion_disabled,
-                             fusion_enabled)
+                             fusion_enabled, native_disabled, native_enabled)
 from repro.isa.templates import (carry_resolve_program, kary_increment_program,
                                  masked_update_ops, overflow_check_ops,
                                  protected_masked_update_ops,
@@ -30,6 +30,7 @@ __all__ = [
     "pinatubo_increment_program", "pinatubo_op_count",
     "LoweringError", "lower_to_ambit",
     "CompiledTrace", "compile_trace", "fusion_disabled", "fusion_enabled",
+    "native_disabled", "native_enabled",
     "carry_resolve_program", "kary_increment_program", "masked_update_ops",
     "overflow_check_ops", "protected_masked_update_ops",
     "row_clear_program", "row_copy_program", "underflow_check_ops",

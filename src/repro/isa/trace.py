@@ -38,9 +38,15 @@ the next wave's reads as SSA values):
 * **Input fills** -- live inputs gather from the cell matrix and the
   stream as at most four contiguous ``take`` segments (``fills``).
 * **Node placement** -- the one fork: fault-free nodes are grouped into
-  dependence levels, and one level replays as a single fancy-indexed
-  gather, one vectorized three-way majority over all its nodes and one
-  contiguous scatter; fault nodes keep creation (op) order.
+  dependence levels, fault nodes keep creation (op) order.  Values some
+  consumer reads negated get a complement row, packed after the value
+  slots, so DCC port polarity costs an index, not an XOR pass.
+
+A fault-free trace replays its whole node table in one call of the
+native MAJ3 kernel (:mod:`repro.isa.native`) when that could be built;
+otherwise, and under :func:`native_disabled`, one level replays as a
+single fancy-indexed gather, one vectorized three-way majority over
+all its nodes and one contiguous scatter.
 
 Replay is *bit-exact* against the interpreted path, including the
 don't-care tail bits of the last packed word, because every fold above
@@ -62,8 +68,9 @@ is data-dependent, and that is computed from the sensed words at
 replay time.  Replay under an active fault model is therefore bit-,
 counter- and fault-stream-identical to the interpreted path and to the
 bit-level backend (``tests/test_fault_fusion_parity.py`` pins all
-three).  :func:`fusion_disabled` and :func:`megatrace_disabled` are
-the explicit escape hatches (benchmark baselines, differential tests).
+three).  :func:`fusion_disabled`, :func:`megatrace_disabled` and
+:func:`native_disabled` are the explicit escape hatches (benchmark
+baselines, differential tests).
 
 >>> from repro.isa.microprogram import MicroProgram, aap, ap
 >>> from repro.dram.wordline import WordlineSubarray
@@ -85,17 +92,19 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from repro.dram.ambit import _C0, _C1
+from repro.isa import native as _native
 
 __all__ = ["CompiledTrace", "CompiledFaultTrace", "FaultSpec",
            "TraceScratch", "compile_trace", "fusion_enabled",
            "fusion_disabled", "MegaProgram", "compile_megatrace",
-           "megatrace_enabled", "megatrace_disabled"]
+           "megatrace_enabled", "megatrace_disabled", "native_enabled",
+           "native_disabled"]
 
 #: A value reference: (SSA value id, complemented).
 _Ref = Tuple[int, bool]
 
-#: Row width (in 64-bit words) above which replay switches from the
-#: level-batched gather strategy to per-node view execution: narrow
+#: Row width (in 64-bit words) above which NumPy replay switches from
+#: the level-batched gather strategy to per-node view execution: narrow
 #: rows are NumPy-call-overhead bound (batch them), wide rows are
 #: memory-bandwidth bound (avoid the gather copies).  With unbuffered
 #: (``mode="clip"``) gathers, batched replay of a coalesced GEMV wave
@@ -117,6 +126,9 @@ _fusion_on = True
 #: three word-backend regimes: megatrace replay, per-μProgram fused
 #: replay (megatraces off), and per-op interpretation (fusion off).
 _megatrace_on = True
+
+#: Process-wide native-kernel switch (see :func:`native_disabled`).
+_native_on = True
 
 # repro.dram.wordline transitively imports this module, so its packing
 # helper is resolved lazily at the first fault replay and cached.
@@ -189,6 +201,34 @@ def megatrace_disabled():
         _megatrace_on = previous
 
 
+def native_enabled() -> bool:
+    """Whether fault-free replay runs the native MAJ3 kernel: it was
+    built at import (see :mod:`repro.isa.native`) and is not disabled."""
+    return _native_on and _native.maj_replay is not None
+
+
+@contextmanager
+def native_disabled():
+    """Temporarily replay fault-free traces with the NumPy loop.
+
+    The kernel-level escape hatch: the NumPy replay is the fallback
+    where the kernel cannot be built and the reference the native
+    parity tests compare it with.  Only the replay strategy changes;
+    compilation, fault traces and the other switches are unaffected.
+
+    >>> with native_disabled():
+    ...     native_enabled()
+    False
+    """
+    global _native_on
+    previous = _native_on
+    _native_on = False
+    try:
+        yield
+    finally:
+        _native_on = previous
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """Static fault-regime signature a fault trace is compiled against.
@@ -248,25 +288,26 @@ class FaultSpec:
 
 
 #: Empty per-width plan map of a trace the scratch holds no plan for.
-_NO_PLANS: Dict[int, tuple] = {}
+_NO_PLANS: Dict[tuple, tuple] = {}
 
 
 @dataclass(frozen=True)
 class _Level:
     """One dependence level: ``hi - lo`` independent majority nodes.
 
-    ``idx[3 * L]`` holds the flat operand slot of each node's three
-    inputs (operand polarity is encoded in the slot id -- a complement
-    lives ``n_slots`` above its value), and the outputs land
-    contiguously in slots ``[lo, hi)``.  The first ``n_mirror`` nodes
-    of the level are used complemented somewhere downstream, so their
-    mirror slots are materialized with a single prefix invert.
+    ``idx[3 * L]`` holds the operand row of each node's three inputs
+    (a complemented operand names its value's packed complement row),
+    and the outputs land contiguously in slots ``[lo, hi)``.  The
+    first ``n_mirror`` nodes of the level are used complemented
+    somewhere downstream; their complements land in rows
+    ``[mirror_lo, mirror_lo + n_mirror)``.
     """
 
     lo: int
     hi: int
     idx: np.ndarray
     n_mirror: int
+    mirror_lo: int
 
 
 class TraceScratch:
@@ -282,10 +323,13 @@ class TraceScratch:
     width.  The buffer only ever grows.
 
     The scratch also owns the traces' replay plans (precomputed views
-    into the buffer, one per trace and row width; see
+    into the buffer and, for the native kernel, its node table and raw
+    buffer address -- one plan per trace, row width and strategy; see
     :meth:`CompiledTrace.execute`), weakly keyed by trace, so a
-    reallocation drops every view of the old buffer at once -- no
-    cached trace pins a buffer the scratch has outgrown.
+    reallocation drops every view and address of the old buffer at
+    once -- no cached trace pins a buffer the scratch has outgrown, and
+    a trace replayed through two scratches never writes into the
+    other's buffer.
     """
 
     __slots__ = ("vals", "aux", "plans", "_buf", "_shape")
@@ -293,7 +337,7 @@ class TraceScratch:
     def __init__(self):
         self.vals = None
         self.aux = None
-        #: trace -> {n_words: replay plan}
+        #: trace -> {(n_words, native): replay plan}
         self.plans = weakref.WeakKeyDictionary()
         self._buf = np.empty(0, np.uint64)
         self._shape = None
@@ -327,16 +371,16 @@ class CompiledTrace:
 
     Execution staging: the live inputs gather into the value buffer
     (``fills``: contiguous ``take`` segments from the cell matrix or,
-    for a stitched trace, the per-segment stream), one batched majority
-    step runs per dependence level, and one final scatter writes the
+    for a stitched trace, the per-segment stream), the majority nodes
+    run in dependence-level order, and one final scatter writes the
     surviving row bindings back into the cell matrix.  The value buffer
-    is mirrored -- slot id ``n_slots + s`` names the complement of slot
-    ``s`` (materialized lazily, only for values some consumer reads
-    negated, into rows packed after the value slots) -- so DCC port
+    has ``n_rows`` rows: ``n_slots`` value slots, then one packed
+    complement row per value some consumer reads negated (the mirrored
+    input prefix's complements first, in slot order), so DCC port
     polarity costs an index, not an XOR pass.  Every view the replay
-    loop touches is precomputed into a shared :class:`TraceScratch`,
-    and every word operation writes into preallocated ``out=`` buffers:
-    a replay allocates nothing on the hot path.
+    touches is precomputed into a shared :class:`TraceScratch`, and
+    every word operation writes into preallocated buffers: a replay
+    allocates nothing on the hot path.
 
     Counter totals (``n_aap``, ``n_ap``, ``n_activations``,
     ``n_multi``) replicate exactly what the interpreted path would have
@@ -346,9 +390,10 @@ class CompiledTrace:
     fills: Tuple[tuple, ...]         # (from_stream, indices, lo, hi)
     n_input_mirror: int              # prefix of inputs used complemented
     n_slots: int
+    n_rows: int                      # value slots + complement rows
     levels: Tuple[_Level, ...]
-    out_rows: np.ndarray             # cells[rows] <- vals[slots]
-    out_slots: np.ndarray            # (polarity encoded in the slot id)
+    out_rows: np.ndarray             # cells[rows] <- vals[out_slots]
+    out_slots: np.ndarray            # (complements name their rows)
     n_aap: int
     n_ap: int
     n_activations: int
@@ -375,73 +420,76 @@ class CompiledTrace:
     def n_levels(self) -> int:
         return len(self.levels)
 
-    def _build_plan(self, scratch: TraceScratch, n_words: int) -> tuple:
-        """Width-specialized replay plan: all views precomputed.
+    def _build_plan(self, scratch: TraceScratch, n_words: int,
+                    native: bool) -> tuple:
+        """Replay plan for one row width and strategy: all views (and
+        the native kernel's arguments) precomputed.
 
-        Two strategies, chosen by row width:
+        Three strategies:
 
-        * **narrow rows** (call-overhead bound): each dependence level
-          executes as one fancy-indexed gather plus one four-call
+        * **native** (the kernel is loaded and enabled): a flat
+          ``int64[n_nodes, 5]`` node table of ``(a, b, c, dst, mirror
+          or -1)`` rows in level order, walked by one
+          :func:`~repro.isa.native.maj_replay` call over the buffer's
+          raw address;
+        * **narrow rows** (NumPy, call-overhead bound): each dependence
+          level executes as one fancy-indexed gather plus one four-call
           vectorized majority over all its nodes;
-        * **wide rows** (``>= _NODE_EXEC_WORDS``, bandwidth bound):
-          each node executes on direct row *views* of the value buffer
-          -- no gather copies at all, operand reads stream straight
-          from the slots.
+        * **wide rows** (NumPy, ``>= _NODE_EXEC_WORDS``, bandwidth
+          bound): each node executes on direct row *views* of the value
+          buffer -- no gather copies, operand reads stream straight from
+          the slots.
 
-        Complement slots are packed: only the mirrored prefixes (of the
-        inputs and of each level) get a row, right after the value
-        slots, and the plan's operand indices are remapped onto them --
-        the scratch holds ``n_slots`` plus the mirrored values, not
-        twice ``n_slots``.
+        The table and the address live in the scratch's plan, never on
+        the trace: a trace replayed through two scratches gets two
+        plans, each writing only into its own buffer.
         """
-        batched = n_words < _NODE_EXEC_WORDS
+        mode = ("native" if native else
+                "batched" if n_words < _NODE_EXEC_WORDS else "node")
         width_max = max([1] + [level.hi - level.lo
                                for level in self.levels])
         n_out = self.out_rows.size
-        n_aux = (5 * width_max + n_out) if batched else (2 + n_out)
-        n_slots, im = self.n_slots, self.n_input_mirror
-        # Level L's mirrored prefix [lo, lo + m) packs into rows
-        # [base, base + m): remap[n_slots + s] is the packed row of slot
-        # s's complement (inputs keep theirs at n_slots + s).
-        los = np.array([level.lo for level in self.levels], dtype=np.intp)
-        ms = np.array([level.n_mirror for level in self.levels],
-                      dtype=np.intp)
-        base = n_slots + im + np.cumsum(ms) - ms
-        row = n_slots + im + int(ms.sum())
-        packed = np.arange(n_slots + im, row, dtype=np.intp)
-        remap = np.arange(2 * n_slots, dtype=np.intp)
-        remap[n_slots + np.repeat(los - base, ms) + packed] = packed
-        idx = remap[np.concatenate([level.idx for level in self.levels])
-                    if self.levels else np.empty(0, dtype=np.intp)]
-        scratch.ensure(row, n_aux, n_words)
+        n_aux = n_out + {"native": 0, "batched": 5 * width_max,
+                         "node": 2}[mode]
+        scratch.ensure(self.n_rows, n_aux, n_words)
         vals, aux = scratch.vals, scratch.aux
+        out = aux[n_aux - n_out:]
         steps = []
-        if batched:
+        if mode == "native":
+            n_in = self.n_inputs
+            nodes = np.full((self.n_nodes, 5), -1, dtype=np.int64)
+            for level in self.levels:
+                lo, hi, m = level.lo, level.hi, level.n_mirror
+                table = nodes[lo - n_in:hi - n_in]
+                table[:, :3] = level.idx.reshape(3, hi - lo).T
+                table[:, 3] = np.arange(lo, hi)
+                table[:m, 4] = np.arange(level.mirror_lo,
+                                         level.mirror_lo + m)
+            # The plan holds ``nodes`` and ``vals`` (a view of the
+            # buffer), so the raw addresses stay valid while it lives.
+            steps = (_native.maj_replay, nodes,
+                     (vals.ctypes.data, nodes.ctypes.data, len(nodes),
+                      n_words))
+        elif mode == "batched":
             gather = aux[:3 * width_max]
             t1 = aux[3 * width_max:4 * width_max]
             t2 = aux[4 * width_max:5 * width_max]
-            out = aux[5 * width_max:5 * width_max + n_out]
-            at = 0
-            for level, mb in zip(self.levels, base.tolist()):
-                lo, hi = level.lo, level.hi
+            for level in self.levels:
+                lo, hi, mb = level.lo, level.hi, level.mirror_lo
                 width = hi - lo
                 g = gather[:3 * width]
                 m = level.n_mirror
                 steps.append((
-                    idx[at:at + 3 * width], g, g[:width],
-                    g[width:2 * width], g[2 * width:], t1[:width],
-                    t2[:width], vals[lo:hi],
+                    level.idx, g, g[:width], g[width:2 * width],
+                    g[2 * width:], t1[:width], t2[:width], vals[lo:hi],
                     vals[lo:lo + m] if m else None,
                     vals[mb:mb + m] if m else None))
-                at += 3 * width
         else:
             u, v = aux[0], aux[1]
-            out = aux[2:2 + n_out]
-            at = 0
-            for level, mb in zip(self.levels, base.tolist()):
-                lo, width = level.lo, level.hi - level.lo
-                ix = idx[at:at + 3 * width].tolist()
-                at += 3 * width
+            for level in self.levels:
+                lo, mb = level.lo, level.mirror_lo
+                width = level.hi - lo
+                ix = level.idx.tolist()
                 for j in range(width):
                     steps.append((
                         vals[ix[j]], vals[ix[width + j]],
@@ -449,11 +497,12 @@ class CompiledTrace:
                         vals[mb + j] if j < level.n_mirror else None))
         fills = tuple((from_stream, indices, vals[lo:hi])
                       for from_stream, indices, lo, hi in self.fills)
-        plan = (batched, vals, fills,
+        n_slots, im = self.n_slots, self.n_input_mirror
+        plan = (mode, vals, fills,
                 vals[:im] if im else None,
                 vals[n_slots:n_slots + im] if im else None,
-                tuple(steps), out, remap[self.out_slots])
-        scratch.plans.setdefault(self, {})[n_words] = plan
+                tuple(steps), out)
+        scratch.plans.setdefault(self, {})[(n_words, native)] = plan
         return plan
 
     def execute(self, cells: np.ndarray, scratch: TraceScratch = None,
@@ -465,13 +514,13 @@ class CompiledTrace:
             if self._own_scratch is None:
                 self._own_scratch = TraceScratch()
             scratch = self._own_scratch
-        # One plan per row width: a store-shared trace replays on every
-        # width the device serves.
-        n_words = cells.shape[1]
-        plan = scratch.plans.get(self, _NO_PLANS).get(n_words)
+        # One plan per row width and strategy: a store-shared trace
+        # replays on every width the device serves.
+        key = (cells.shape[1], native_enabled())
+        plan = scratch.plans.get(self, _NO_PLANS).get(key)
         if plan is None:
-            plan = self._build_plan(scratch, n_words)
-        batched, vals, fills, im_src, im_dst, steps, out, out_slots = plan
+            plan = self._build_plan(scratch, *key)
+        mode, vals, fills, im_src, im_dst, steps, out = plan
         # Gathers call the ndarray.take method, not the np.take wrapper
         # (its dispatch is most of the cost of a small gather), in
         # mode="clip": the compiled indices are in range by
@@ -484,7 +533,10 @@ class CompiledTrace:
                 idx, axis=0, out=dst, mode="clip")
         if im_dst is not None:
             invert(im_src, out=im_dst)
-        if batched:
+        if mode == "native":
+            kernel, _, args = steps
+            kernel(*args)
+        elif mode == "batched":
             for idx, g, a, b, c, u, v, dst, m_src, m_dst in steps:
                 take(idx, axis=0, out=g, mode="clip")
                 # MAJ3 in four ufunc calls: (a & (b | c)) | (b & c).
@@ -503,7 +555,7 @@ class CompiledTrace:
                 if m_dst is not None:
                     invert(dst, out=m_dst)
         if out.shape[0]:
-            take(out_slots, axis=0, out=out, mode="clip")
+            take(self.out_slots, axis=0, out=out, mode="clip")
             cells[self.out_rows] = out
 
 
@@ -536,6 +588,11 @@ class CompiledFaultTrace:
       applies mask rows per node, computing the margin-aware
       contested-column selection from the sensed words.
 
+    The value buffer is laid out as :class:`CompiledTrace`'s: ``n_rows``
+    rows, the value slots followed by one packed complement row per
+    value some consumer reads negated (a step's ``mir`` is that row, or
+    ``-1``).
+
     ``execute`` returns the number of injected flips (and adds it to
     ``fault_model.injected``), so the subarray's accounting matches
     the interpreted path bit for bit.
@@ -545,9 +602,10 @@ class CompiledFaultTrace:
     fills: Tuple[tuple, ...]         # (from_stream, indices, lo, hi)
     n_input_mirror: int              # prefix of inputs used complemented
     n_slots: int
+    n_rows: int                      # value slots + complement rows
     steps: Tuple[tuple, ...]         # per-node specs, creation order
-    out_rows: np.ndarray             # cells[rows] <- vals[slots]
-    out_slots: np.ndarray            # (polarity encoded in the slot id)
+    out_rows: np.ndarray             # cells[rows] <- vals[out_slots]
+    out_slots: np.ndarray            # (complements name their rows)
     draw_thresholds: np.ndarray      # per pre-pass draw row, op order
     n_aap: int
     n_ap: int
@@ -611,9 +669,8 @@ class CompiledFaultTrace:
         n_words = cells.shape[1]
         n_out = self.out_rows.size
         n_masked = self._n_masked        # nodes with data-dependent masks
-        scratch.ensure(2 * self.n_slots, 3 + n_out + n_masked, n_words)
+        scratch.ensure(self.n_rows, 3 + n_out + n_masked, n_words)
         vals, aux = scratch.vals, scratch.aux
-        mirror = self.n_slots
         flips = row_pop = None
         if self.draw_thresholds.size:
             flips = self._draw_flips(fault_model, n_cols)
@@ -623,9 +680,9 @@ class CompiledFaultTrace:
         for from_stream, idx, lo, hi in self.fills:
             (stream if from_stream else cells).take(
                 idx, axis=0, out=vals[lo:hi], mode="clip")
-        im = self.n_input_mirror
+        im, n_slots = self.n_input_mirror, self.n_slots
         if im:
-            np.invert(vals[:im], out=vals[mirror:mirror + im])
+            np.invert(vals[:im], out=vals[n_slots:n_slots + im])
         t1, t2, t3 = aux[0], aux[1], aux[2]
         masked = aux[3 + n_out:3 + n_out + n_masked]
         band, bor, bxor = np.bitwise_and, np.bitwise_or, np.bitwise_xor
@@ -648,8 +705,8 @@ class CompiledFaultTrace:
                 bor(t1, t2, out=t1)
                 if kind == "mx":                  # exact multi sense
                     vals[dst][...] = t1
-                    if mir:
-                        np.invert(vals[dst], out=vals[mirror + dst])
+                    if mir >= 0:
+                        np.invert(vals[dst], out=vals[mir])
                     continue
                 if mode == "all":
                     mask = flips[crow]
@@ -670,8 +727,8 @@ class CompiledFaultTrace:
                         band(t2, t3, out=t3)
                         bxor(t3, flips[rrow], out=mask)
                 bxor(t1, mask, out=vals[dst])
-            if mir:
-                np.invert(vals[dst], out=vals[mirror + dst])
+            if mir >= 0:
+                np.invert(vals[dst], out=vals[mir])
         if n_sel:
             injected += int(np.bitwise_count(masked[:n_sel]).sum())
         if n_out:
@@ -951,16 +1008,22 @@ def _lower(segments, resolve: Callable, stream_row, fault: FaultSpec):
     fills, n_input_mirror, next_slot = _assign_input_slots(
         builder, live, mirrored, slot)
     n_slots = len(live)              # every live value gets one slot
+    # Complement rows are packed after the value slots, one per value
+    # in ``mirrored``: the mirrored input prefix first (slot s's at
+    # n_slots + s), then the nodes' in slot order as they are placed.
+    complement = {vid: n_slots + s for vid, s in slot.items()
+                  if vid in mirrored}
+    n_rows = n_slots + n_input_mirror
 
-    def flat_slot(ref: _Ref) -> int:
-        """Operand slot with polarity encoded (+n_slots = complement)."""
-        return slot[ref[0]] + (n_slots if ref[1] else 0)
+    def row_of(ref: _Ref) -> int:
+        """Operand row: the value's slot or its complement row."""
+        return complement[ref[0]] if ref[1] else slot[ref[0]]
 
     node_vids = [vid for vid in sorted(live)      # creation = op order
                  if builder.defs[vid][0] in ("maj", "rd")]
     if spec is None:
         # Nodes by (level, mirror-needing first), so each level's
-        # mirrors materialize with one contiguous prefix invert.
+        # complements fill one contiguous run of rows.
         depth: Dict[int, int] = {vid: 0 for vid in slot}
         by_level: Dict[int, List[int]] = {}
         for vid in node_vids:
@@ -970,16 +1033,19 @@ def _lower(segments, resolve: Callable, stream_row, fault: FaultSpec):
         levels: List[_Level] = []
         for level in sorted(by_level):
             vids = sorted(by_level[level], key=lambda vid: vid not in mirrored)
-            lo = next_slot
+            lo, mirror_lo = next_slot, n_rows
             for vid in vids:
                 slot[vid] = next_slot
                 next_slot += 1
+                if vid in mirrored:
+                    complement[vid] = n_rows
+                    n_rows += 1
             idx = np.empty(3 * len(vids), dtype=np.intp)
             for j, vid in enumerate(vids):
                 for i, ref in enumerate(builder.defs[vid][1:]):
-                    idx[i * len(vids) + j] = flat_slot(ref)
-            levels.append(_Level(lo, next_slot, idx,
-                                 sum(1 for vid in vids if vid in mirrored)))
+                    idx[i * len(vids) + j] = row_of(ref)
+            levels.append(_Level(lo, next_slot, idx, n_rows - mirror_lo,
+                                 mirror_lo))
     else:
         # Nodes in creation order -- already a topological order, so
         # every operand is slotted before its consumer.
@@ -987,28 +1053,32 @@ def _lower(segments, resolve: Callable, stream_row, fault: FaultSpec):
         for vid in node_vids:
             slot[vid] = next_slot
             next_slot += 1
+            mir = -1
+            if vid in mirrored:
+                mir = complement[vid] = n_rows
+                n_rows += 1
             definition = builder.defs[vid]
-            mir = vid in mirrored
             meta = fault_meta.get(vid)
             if definition[0] == "rd":
-                steps.append(("rd", flat_slot(definition[1]), slot[vid],
+                steps.append(("rd", row_of(definition[1]), slot[vid],
                               mir, meta[1]))
             elif meta is None:
-                steps.append(("mx", flat_slot(definition[1]),
-                              flat_slot(definition[2]),
-                              flat_slot(definition[3]), slot[vid], mir,
+                steps.append(("mx", row_of(definition[1]),
+                              row_of(definition[2]),
+                              row_of(definition[3]), slot[vid], mir,
                               -1, -1))
             else:
-                steps.append(("mj", flat_slot(definition[1]),
-                              flat_slot(definition[2]),
-                              flat_slot(definition[3]), slot[vid], mir,
+                steps.append(("mj", row_of(definition[1]),
+                              row_of(definition[2]),
+                              row_of(definition[3]), slot[vid], mir,
                               meta[0], -1 if meta[1] is None else meta[1]))
 
     out_rows = np.asarray(sorted(finals), dtype=np.intp)
-    out_slots = np.asarray([flat_slot(finals[row]) for row in out_rows],
+    out_slots = np.asarray([row_of(finals[row]) for row in out_rows],
                            dtype=np.intp)
     common = dict(fills=fills, n_input_mirror=n_input_mirror,
-                  n_slots=n_slots, out_rows=out_rows, out_slots=out_slots,
+                  n_slots=n_slots, n_rows=n_rows, out_rows=out_rows,
+                  out_slots=out_slots,
                   n_aap=n_aap, n_ap=n_ap, n_activations=2 * n_aap + n_ap,
                   n_multi=n_multi, n_segments=len(segments))
     if spec is None:

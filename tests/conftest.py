@@ -2,6 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Tier-1 draws the same hypothesis examples on every run: derandomized
+# generation, and no example database carried over between runs.
+# Per-test ``@settings`` (max_examples, deadline) inherit both.
+settings.register_profile("repro", derandomize=True, database=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture

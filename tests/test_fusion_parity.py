@@ -30,7 +30,8 @@ from repro.dram.wordline import (WordlineSubarray, pack_bits, pack_blocks,
 from repro.engine import BankCluster, CountingEngine
 from repro.isa.microprogram import MicroProgram, aap, ap, concat
 from repro.isa.trace import (TraceScratch, compile_trace, fusion_disabled,
-                             fusion_enabled, megatrace_disabled)
+                             fusion_enabled, megatrace_disabled,
+                             native_disabled)
 
 
 def _subarray_counters(subarray):
@@ -260,8 +261,8 @@ def test_trace_counter_totals_match_program():
 
 
 def test_batched_and_per_node_replay_agree(monkeypatch):
-    """Both replay strategies (level-batched gathers for narrow rows,
-    per-node row views for wide ones) leave identical cells."""
+    """Both NumPy replay strategies (level-batched gathers for narrow
+    rows, per-node row views for wide ones) leave identical cells."""
     import repro.isa.trace as trace_mod
     from repro.isa.templates import kary_increment_program
     sa = WordlineSubarray(n_data_rows=8, n_cols=300)
@@ -274,7 +275,8 @@ def test_batched_and_per_node_replay_agree(monkeypatch):
     for threshold in (1, 1 << 30):         # force each strategy
         monkeypatch.setattr(trace_mod, "_NODE_EXEC_WORDS", threshold)
         cells = start.copy()
-        trace.execute(cells, TraceScratch())    # fresh scratch: replan
+        with native_disabled():
+            trace.execute(cells, TraceScratch())    # fresh scratch: replan
         results.append(cells)
     assert (results[0] == results[1]).all()
     assert not (results[0] == start).all()

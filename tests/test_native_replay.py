@@ -1,0 +1,289 @@
+"""Native MAJ3 replay == NumPy replay == interpreted, cells and counters.
+
+Fault-free traces replay through the C kernel of
+:mod:`repro.isa.native` when it could be built.  The NumPy replay stays
+as the fallback and the reference, in its two strategies (level-batched
+gathers for narrow rows, per-node row views for rows of
+``_NODE_EXEC_WORDS`` words and more).  These tests pin all four
+regimes identical -- decoded values, raw counter rows, every command
+counter and ``measured_ops`` -- for per-μProgram traces and stitched
+megatraces, and cover what is specific to the kernel:
+
+* its node table and buffer address live in the scratch's plan, not on
+  the trace, so one trace replayed alternately through two devices'
+  scratches at two row widths writes only into the scratch it is given;
+* without ``gcc`` the package still imports and answers exactly, on
+  the NumPy loop;
+* the import-time build leaves no file behind.
+"""
+
+import contextlib
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import repro.isa.trace as trace_mod
+from repro import Device
+from repro.dram.ambit import _C0, _C1
+from repro.dram.wordline import WordlineSubarray, pack_rows
+from repro.engine import CountingEngine
+from repro.isa import native
+from repro.isa.microprogram import concat
+from repro.isa.templates import kary_increment_program
+from repro.isa.trace import (MegaProgram, TraceScratch, compile_megatrace,
+                             compile_trace, fusion_disabled,
+                             megatrace_disabled, native_disabled,
+                             native_enabled)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+REGIMES = ("native", "batched", "node", "interp")
+
+needs_kernel = pytest.mark.skipif(not native_enabled(),
+                                  reason="native kernel not built here")
+
+
+@contextlib.contextmanager
+def _regime(mode):
+    """Replay regime: the kernel, NumPy (``"batched"`` and
+    ``"unforced"`` keep the width threshold, ``"node"`` forces per-node
+    replay on narrow rows by a threshold of one word), or interpreted."""
+    if mode == "native":
+        yield
+    elif mode == "interp":
+        with fusion_disabled():
+            yield
+    else:
+        with native_disabled(), pytest.MonkeyPatch.context() as mp:
+            if mode == "node":
+                mp.setattr(trace_mod, "_NODE_EXEC_WORDS", 1)
+            yield
+
+
+def _plan_modes(store) -> set:
+    """Replay strategies of every plan the store's scratch built."""
+    return {plan[0] for plans in store.scratch.plans.values()
+            for plan in plans.values()}
+
+
+def _run_waves(mode, kind, n_bits, n_digits, n_lanes, seed, n_waves=6,
+               rounds=3):
+    """One fixed signed wave sequence, ``rounds`` times, in one regime.
+
+    ``kind`` is ``"program"`` (per-μProgram traces, megatraces off) or
+    ``"mega"`` (stitched megatraces).  Three rounds walk the JIT:
+    warm-up, compile, pure replay.
+    """
+    rng = np.random.default_rng(seed)
+    budget = (2 * n_bits) ** n_digits - 1
+    mags = rng.integers(1, max(2, budget // (n_waves + 1)),
+                        n_waves).astype(np.int64)
+    mags[1::3] *= -1
+    packed = pack_rows(rng.integers(0, 2, (n_waves, n_lanes))
+                       .astype(np.uint8))
+    eng = CountingEngine(n_bits, n_digits, n_lanes, backend="word")
+    values = []
+    scope = megatrace_disabled() if kind == "program" else \
+        contextlib.nullcontext()
+    with scope, _regime(mode):
+        for _ in range(rounds):
+            eng.reset_counters()
+            eng.run_waves(mags, packed)
+            values.append(eng.read_values(strict=False).copy())
+    sa = eng.subarray
+    return {
+        "values": np.stack(values),
+        "rows": eng.export_counters(),
+        "counters": (sa.aap_count, sa.ap_count) + tuple(sa.stats()),
+        "measured_ops": eng.measured_ops,
+        "replays": sa.trace_replays + sa.megatrace_replays,
+        "megatrace_replays": sa.megatrace_replays,
+        "modes": _plan_modes(eng.programs),
+    }
+
+
+def _assert_four_way(runs, kind, fallback="batched"):
+    """``fallback``: the NumPy strategy the "native" regime runs where
+    the kernel is not built (the one its row width selects)."""
+    ref = runs["interp"]
+    assert ref["replays"] == 0 and ref["modes"] == set()
+    expect = {"native": {"native"} if native_enabled() else {fallback},
+              "batched": {"batched"}, "node": {"node"}}
+    for mode in ("native", "batched", "node"):
+        run = runs[mode]
+        assert run["replays"] > 0                 # traces really replayed
+        assert (run["megatrace_replays"] > 0) == (kind == "mega")
+        assert run["modes"] == expect[mode]
+        assert (run["values"] == ref["values"]).all()
+        assert (run["rows"] == ref["rows"]).all()
+        assert run["counters"] == ref["counters"]
+        assert run["measured_ops"] == ref["measured_ops"]
+
+
+@pytest.mark.parametrize("kind", ["program", "mega"])
+@pytest.mark.parametrize("n_bits,n_digits,n_lanes,seed", [
+    (2, 4, 24, 0), (1, 5, 130, 1), (3, 3, 64 * 5, 2), (2, 3, 1000, 3),
+])
+def test_four_regimes_identical(kind, n_bits, n_digits, n_lanes, seed):
+    runs = {mode: _run_waves(mode, kind, n_bits, n_digits, n_lanes, seed)
+            for mode in REGIMES}
+    _assert_four_way(runs, kind)
+
+
+@pytest.mark.parametrize("kind", ["program", "mega"])
+def test_wide_rows_per_node_at_its_own_width(kind):
+    """Rows of ``_NODE_EXEC_WORDS`` words take the NumPy per-node
+    strategy unforced; the kernel and a forced batched replay agree."""
+    n_lanes = 64 * trace_mod._NODE_EXEC_WORDS
+    runs = {mode: _run_waves(mode, kind, 2, 3, n_lanes, 7, n_waves=3)
+            for mode in ("native", "interp")}
+    # NumPy unforced: per-node at this width.
+    runs["node"] = _run_waves("unforced", kind, 2, 3, n_lanes, 7,
+                              n_waves=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_mod, "_NODE_EXEC_WORDS", 1 << 30)
+        runs["batched"] = _run_waves("batched", kind, 2, 3, n_lanes, 7,
+                                     n_waves=3)
+    _assert_four_way(runs, kind, fallback="node")
+
+
+def _random_cells(sa, n_words, rng):
+    """Random cells with the control rows left as the compiler assumes
+    (C0 all zeros, C1 all ones): every data bit, tail words included,
+    takes arbitrary values."""
+    cells = rng.integers(0, 2**63, (sa.cells.shape[0], n_words),
+                         dtype=np.uint64) * np.uint64(2)
+    cells |= rng.integers(0, 2, cells.shape, dtype=np.uint64)
+    cells[[_C0, _C1]] = sa.cells[[_C0, _C1], :1]
+    return cells
+
+
+def _traces():
+    """A two-program μProgram trace and a three-segment megatrace."""
+    sa = WordlineSubarray(n_data_rows=8, n_cols=64)
+    prog = concat("pair", [kary_increment_program([0, 1], 2, 3, [3], 4),
+                           kary_increment_program([5, 6], 2, -2, [3], 7)])
+    mega = MegaProgram("waves", (prog, prog, prog), 4)
+    return sa, compile_trace(prog, sa.resolve), \
+        compile_megatrace(mega, sa.resolve)
+
+
+def _reference(trace, cells, stream):
+    out = cells.copy()
+    with native_disabled():
+        trace.execute(out, TraceScratch(), stream=stream)
+    return out
+
+
+@needs_kernel
+def test_one_trace_through_two_scratches_at_two_widths():
+    """The kernel's node table and buffer address belong to the
+    scratch's plan: replaying one trace alternately through two
+    devices' scratches, at two row widths, writes only into the scratch
+    it is given and answers exactly every time."""
+    sa, prog_trace, mega_trace = _traces()
+    rng = np.random.default_rng(5)
+    with Device() as dev_a, Device() as dev_b:
+        scratches = (dev_a.programs.scratch, dev_b.programs.scratch)
+        for trace in (prog_trace, mega_trace):
+            for step in range(8):
+                scratch = scratches[step % 2]
+                other = scratches[1 - step % 2]
+                n_words = (3, 17)[(step // 2) % 2]
+                cells = _random_cells(sa, n_words, rng)
+                stream = rng.integers(0, 2**63, (3, n_words),
+                                      dtype=np.uint64)
+                expect = _reference(trace, cells, stream)
+                untouched = other._buf.copy()
+                trace.execute(cells, scratch, stream=stream)
+                assert (cells == expect).all()
+                assert (other._buf == untouched).all()
+            for scratch in scratches:
+                assert set(scratch.plans[trace]) == {(3, True), (17, True)}
+
+
+@needs_kernel
+def test_native_switch_replans_and_agrees():
+    """``native_disabled`` picks a NumPy plan next to the native one on
+    the same scratch; both answer the same raw words."""
+    sa, prog_trace, mega_trace = _traces()
+    rng = np.random.default_rng(9)
+    for trace in (prog_trace, mega_trace):
+        scratch = TraceScratch()
+        for step in range(4):
+            cells = _random_cells(sa, 5, rng)
+            stream = rng.integers(0, 2**63, (3, 5), dtype=np.uint64)
+            a, b = cells.copy(), cells.copy()
+            trace.execute(a, scratch, stream=stream)
+            with native_disabled():
+                trace.execute(b, scratch, stream=stream)
+            assert (a == b).all()
+        assert set(scratch.plans[trace]) == {(5, True), (5, False)}
+        assert scratch.plans[trace][(5, True)][0] == "native"
+
+
+def test_native_disabled_restores():
+    before = native_enabled()
+    with native_disabled():
+        assert not native_enabled()
+        with native_disabled():
+            assert not native_enabled()
+        assert not native_enabled()
+    assert native_enabled() == before
+
+
+_FALLBACK_PROBE = """
+import numpy as np
+from repro import ternary_gemv
+from repro.engine import CountingEngine
+from repro.isa import native
+from repro.isa.trace import native_enabled
+assert native.maj_replay is None and not native_enabled()
+rng = np.random.default_rng(3)
+x = rng.integers(-3, 4, 12)
+z = rng.integers(-1, 2, (12, 20))
+assert (ternary_gemv(x, z) == x @ z).all()
+eng = CountingEngine(2, 3, 40, backend="word")
+masks = rng.integers(0, 2, (5, 40)).astype(np.uint8)
+for _ in range(3):
+    eng.reset_counters()
+    for mask in masks:
+        eng.load_mask(0, mask)
+        eng.accumulate(2)
+assert eng.subarray.trace_replays > 0
+assert (eng.read_values() == 2 * masks.sum(axis=0)).all()
+print("fallback ok")
+"""
+
+
+def test_fallback_without_gcc(tmp_path):
+    """With no ``gcc`` on ``PATH`` the package imports, the kernel is
+    ``None`` and replay answers exactly on the NumPy loop."""
+    env = dict(os.environ, PATH=str(tmp_path), PYTHONPATH=SRC,
+               TMPDIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", _FALLBACK_PROBE],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "fallback ok" in proc.stdout
+
+
+@needs_kernel
+def test_import_time_build_leaves_no_file(tmp_path):
+    """The kernel builds into a temporary directory that is gone when
+    the import returns; nothing lands beside the sources either."""
+    isa_dir = os.path.dirname(native.__file__)
+    before = set(os.listdir(isa_dir))
+    probe = ("from repro.isa import native; "
+             "assert native.maj_replay is not None")
+    env = dict(os.environ, PYTHONPATH=SRC, TMPDIR=str(tmp_path),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert os.listdir(tmp_path) == []
+    assert set(os.listdir(isa_dir)) == before
