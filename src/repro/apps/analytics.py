@@ -53,35 +53,37 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.device import Device, ResidentPlan
 from repro.dram.faults import FaultModel
-from repro.engine.cluster import BankCluster, chunk_geometry, run_chunked
-from repro.kernels.lowering import digits_for_budget
-from repro.serve.pool import BankLease
+from repro.engine.cluster import SLOT_BANKS
+from repro.serve.rowstore import RowImageStore
 
 __all__ = ["HistogramPlan", "GroupByPlan", "radix_sort",
            "histogram_fault_trial"]
 
 
-class _StreamPlan:
-    """Shared lifecycle of the analytics plans (histogram / group-by).
+class _StreamPlan(ResidentPlan):
+    """Record-stream plans (histogram / group-by) on the resident-plan
+    lifecycle of :class:`~repro.device.ResidentPlan`.
 
-    One :class:`~repro.engine.cluster.BankCluster` of bank shards,
-    each ``width`` lanes wide, leased from the owning device's
-    :class:`~repro.serve.pool.BankPool`.  Subclasses translate a query
-    into per-record updates ``(slot, lane, magnitude)``; this class
-    hands them to :func:`~repro.engine.cluster.run_chunked` against
-    one-hot lane masks -- the same dealer and chunk geometry as the
-    GEMV path (a lone query deals over 4 banks) -- so on the word
-    backend an entire key stream replays as stitched megatraces.
+    Subclasses translate a query into per-record updates ``(slot, lane,
+    magnitude)``; :meth:`_run_records` runs them through the shared
+    chunked runner against one-hot lane masks -- the same dealer and
+    chunk geometry as the GEMV path -- so on the word backend an entire
+    key stream replays as stitched megatraces.  A lone query deals over
+    ``min(n_banks, 4)`` banks (one batch slot's worth), and the plan's
+    engine body is a bank cluster of ``width``-lane shards on either
+    backend.
 
-    The plan protocol matches :class:`~repro.device.GemvPlan` where the
-    serve layer depends on it: ``validate_query`` / ``run_many`` /
-    ``stats`` / ``park`` / ``unpark`` / ``close`` / ``wave_banks`` /
-    ``nominal_query_ops``, plus :class:`~repro.serve.pool.PoolExhausted`
-    raised *before* any mutation so the registry can evict and retry.
+    Each plan plants an empty ``(0, width)`` row image in a store of
+    its own: analytics bodies are never shared across tenants, carry no
+    content address (:attr:`row_digest` is ``None``, so fleet placement
+    charges each one privately) and leave the device's row-image store
+    untouched.
     """
 
     kind = "stream"
+    row_digest = None
 
     def __init__(self, device, width: int, x_budget: Optional[int] = None,
                  query_len: Optional[int] = None):
@@ -89,237 +91,13 @@ class _StreamPlan:
             raise ValueError("a plan needs at least one counter lane")
         if query_len is not None and query_len < 0:
             raise ValueError("query_len must be non-negative")
-        self.config = device.config
-        self._device = device
-        self._width = int(width)
         self.query_len = None if query_len is None else int(query_len)
-        self.x_budget = None if x_budget is None else int(x_budget)
-        if self.x_budget is not None and self.x_budget < 0:
-            raise ValueError("x_budget must be non-negative")
-        self.n_digits = (None if self.x_budget is None else
-                         digits_for_budget(self.config.n_bits,
-                                           self.x_budget))
-        self._cluster: Optional[BankCluster] = None
-        self._lease: Optional[BankLease] = None
-        self._parked: Optional[tuple] = None
-        self._closed = False
-        self._close_reason = "plan is closed"
-        self._queries = 0
-        self._broadcasts = 0
-        self._replans = 0
-        self._parks = 0
-        self._unparks = 0
-        # Retired EngineCounters (ops, prog compiles/replays, trace
-        # compiles/replays, injected, megatrace compiles/replays).
-        self._retired = np.zeros(8, dtype=np.int64)
+        super().__init__(device, self.kind, RowImageStore(),
+                         np.zeros((0, width), dtype=np.uint8), width,
+                         x_budget=x_budget)
 
-    # ------------------------------------------------------------------
-    # resource management (one private cluster)
-    # ------------------------------------------------------------------
-    @property
-    def is_resident(self) -> bool:
-        """Whether the plan currently holds a cluster (and bank lease)."""
-        return self._cluster is not None
-
-    @property
-    def is_parked(self) -> bool:
-        """Whether the plan holds a parked counter image (evicted)."""
-        return self._parked is not None
-
-    @property
-    def leased_banks(self) -> int:
-        """Banks currently leased from the device's pool."""
-        return self._lease.n_banks if self._lease is not None else 0
-
-    @property
-    def wave_banks(self) -> int:
-        """Bank shards a wave's command stream spreads over."""
-        if self._cluster is not None:
-            return self._cluster.n_banks
-        return 1
-
-    def _retire_cluster(self) -> None:
-        if self._cluster is not None:
-            self._retired += self._cluster.engine.counters
-        self._cluster = None
-
-    def _release_lease(self) -> None:
-        if self._lease is not None:
-            self._lease.release()
-            self._lease = None
-
-    def _build(self, n_banks: int, n_digits: int) -> BankCluster:
-        cfg = self.config
-        return BankCluster(
-            cfg.n_bits, n_digits, self._width, n_banks=n_banks,
-            fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
-            backend=cfg.resolved_backend, programs=self._device.programs)
-
-    def _ensure(self, n_banks: int, bound: int) -> BankCluster:
-        """(Re)build the wave cluster for at least ``n_banks`` banks and
-        digits covering ``bound`` (floored by the declared budget).
-
-        The bank lease is exchanged atomically *before* the old cluster
-        is torn down (:meth:`~repro.serve.pool.BankPool.exchange`), so
-        on :class:`~repro.serve.pool.PoolExhausted` the resident
-        resources survive untouched and the serving registry can evict
-        another tenant and retry the whole call.
-        """
-        if self._parked is not None:
-            self.unpark()
-        n_digits = digits_for_budget(self.config.n_bits, bound)
-        cluster = self._cluster
-        if cluster is not None:
-            if (cluster.n_banks >= n_banks
-                    and cluster.engine.n_digits >= n_digits):
-                return cluster
-            self._replans += 1
-        self.n_digits = max(n_digits, self.n_digits or 1)
-        self._lease = self._device.pool.exchange(self._lease, n_banks,
-                                                 owner=self)
-        self._retire_cluster()
-        self._cluster = self._build(n_banks, self.n_digits)
-        return self._cluster
-
-    def park(self) -> None:
-        """Evict the plan from its banks, preserving the counter image.
-
-        Exports the cluster's counter rows
-        (:meth:`~repro.engine.cluster.BankCluster.export_counters`),
-        retires its cost counters, drops it and returns the bank lease
-        -- the eviction primitive the serve registry's LRU cache uses.
-        The next query (or an explicit :meth:`unpark`) rebuilds the
-        cluster and restores the image bit-exactly.  Parking an
-        already-parked or resource-less plan is a no-op.
-        """
-        self._check_open()
-        if self._parked is not None or self._cluster is None:
-            return
-        self._parked = (self._cluster.n_banks,
-                        self._cluster.engine.n_digits,
-                        self._cluster.export_counters())
-        self._retire_cluster()
-        self._release_lease()
-        self._parks += 1
-
-    def unpark(self) -> None:
-        """Rebuild the parked cluster and restore its counter image.
-
-        The lease is acquired before anything is rebuilt: a
-        :class:`~repro.serve.pool.PoolExhausted` leaves the plan parked
-        with its counter image intact.
-        """
-        self._check_open()
-        if self._parked is None:
-            return
-        n_banks, n_digits, image = self._parked
-        self._lease = self._device.pool.lease(n_banks, owner=self)
-        cluster = self._build(n_banks, n_digits)
-        cluster.import_counters(image)
-        self._cluster = cluster
-        self._parked = None
-        self._unparks += 1
-
-    def export_image(self):
-        """Park the plan and hand out its counter image for relocation.
-
-        Mirrors :meth:`repro.device.GemvPlan.export_image`: the
-        returned payload (wave geometry + raw counter bit rows) is what
-        a twin plan in another process restores bit-exactly through
-        :meth:`import_image`.  ``None`` when the plan never ran.
-        """
-        self._check_open()
-        self.park()
-        return self._parked
-
-    def import_image(self, parked) -> None:
-        """Adopt a twin plan's exported counter image (see
-        :meth:`repro.device.GemvPlan.import_image`)."""
-        self._check_open()
-        if parked is None:
-            return
-        if self.is_resident or self._parked is not None:
-            raise ValueError("plan already holds state; import_image "
-                             "needs a fresh (or parked-empty) plan")
-        # Adopt the image's digit sizing so the first query never tears
-        # the restored counters down for a smaller rebuild.
-        self.n_digits = max(self.n_digits or 1, parked[1])
-        self._parked = parked
-        self.unpark()
-
-    @property
-    def footprint_banks(self) -> int:
-        """Conservative bank estimate for fleet placement decisions.
-
-        Analytics plans plant one private counter cluster (no row-image
-        sharing), so marginal and total footprints coincide.
-        """
-        if self.leased_banks:
-            return self.leased_banks
-        return max(1, min(self.config.n_banks, 4))
-
-    @property
-    def footprint_banks_total(self) -> int:
-        """Gross bank estimate (same as :attr:`footprint_banks`)."""
-        return self.footprint_banks
-
-    @property
-    def row_digest(self):
-        """Analytics plans have no content-addressed row image."""
-        return None
-
-    def close(self) -> None:
-        """Release the cluster, lease and any parked image (idempotent)."""
-        self._close("plan is closed")
-
-    def _close(self, reason: str) -> None:
-        if self._closed:
-            return
-        self._retire_cluster()
-        self._release_lease()
-        self._parked = None
-        self._closed = True
-        self._close_reason = reason
-        self._device._forget(self)
-
-    def _check_open(self) -> None:
-        if self._closed:
-            from repro.device import PlanClosedError
-            raise PlanClosedError(self._close_reason)
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        """Snapshot of this plan's cost counters (:class:`PlanStats`)."""
-        from repro.device import PlanStats
-        ops = self._retired.copy()
-        if self._cluster is not None:
-            ops += self._cluster.engine.counters
-        return PlanStats(queries=self._queries,
-                         broadcasts=self._broadcasts,
-                         replans=self._replans,
-                         resident_rows=0,
-                         measured_ops=int(ops[0]),
-                         program_compiles=int(ops[1]),
-                         program_replays=int(ops[2]),
-                         parks=self._parks,
-                         unparks=self._unparks,
-                         trace_compiles=int(ops[3]),
-                         trace_replays=int(ops[4]),
-                         injected_faults=int(ops[5]),
-                         megatrace_compiles=int(ops[6]),
-                         megatrace_replays=int(ops[7]))
-
-    def protection_stats(self):
-        """ECC detection/retry stats of the live cluster (zeros if none)."""
-        from repro.ecc.protection import ProtectionStats
-        total = ProtectionStats()
-        if self._cluster is not None \
-                and self._cluster.engine.protection is not None:
-            total.merge(self._cluster.engine.protection.stats)
-        return total
+    def _lone_banks(self) -> int:
+        return min(self.config.n_banks, SLOT_BANKS)
 
     def nominal_query_ops(self, xs: np.ndarray) -> float:
         """Analytical op count of a query batch: one per record.
@@ -331,13 +109,9 @@ class _StreamPlan:
         xs = np.asarray(xs)
         return float(xs.shape[0] * (xs.shape[1] if xs.ndim > 1 else 1))
 
-    # ------------------------------------------------------------------
-    # record-stream execution
-    # ------------------------------------------------------------------
     def _run_records(self, q_idx: np.ndarray, lanes: np.ndarray,
                      mags: np.ndarray, n_queries: int) -> np.ndarray:
-        """Run per-record one-hot lane increments, chunked by slot
-        budget.
+        """Run per-record one-hot lane increments.
 
         ``q_idx`` / ``lanes`` / ``mags`` are parallel arrays (one entry
         per record, in ascending query order; zero magnitudes are
@@ -345,20 +119,9 @@ class _StreamPlan:
         (duplicate keys); repeats simply deal into further banks and
         waves.  Returns ``[n_queries, width]`` decoded lane totals.
         """
-        if self._parked is not None:
-            self.unpark()           # so a wider parked cluster is reused
         keep = mags > 0
-        geometry = chunk_geometry(self._device.pool, n_queries,
-                                  self._width, 4, self.leased_banks)
-        out, waves = run_chunked(mags[keep], lanes[keep], q_idx[keep],
-                                 n_queries, None, geometry, self._ensure,
-                                 strict=self.config.strict_reads)
-        # Queries count once per completed call, after every chunk ran:
-        # a PoolExhausted mid-stream (caught by the registry, which
-        # evicts and re-invokes the whole call) never double-counts.
-        self._broadcasts += waves
-        self._queries += n_queries
-        return out
+        return self._run(mags[keep], lanes[keep], q_idx[keep], n_queries,
+                         None)
 
 
 class HistogramPlan(_StreamPlan):
@@ -624,7 +387,6 @@ def radix_sort(keys: np.ndarray, radix_bits: int = 4,
     n_buckets = 1 << radix_bits
     max_key = int(out_keys.max())
     n_planes = max(1, -(-max(max_key.bit_length(), 1) // radix_bits))
-    from repro.device import Device
     own = device is None
     if own:
         device = Device(n_bits=n_bits, backend=backend)
@@ -682,7 +444,6 @@ def histogram_fault_trial(keys: np.ndarray, n_buckets: int,
     golden = np.bincount(keys, minlength=n_buckets)
 
     def trial(point, rng) -> Dict[str, float]:
-        from repro.device import Device
         fault_model = FaultModel(p_cim=point.p_cim, p_read=point.p_read,
                                  margin_aware=point.margin_aware,
                                  seed=rng)

@@ -33,6 +33,12 @@ module is the session-oriented front door:
   and ``import_counters()`` the image back.  This is the eviction
   primitive the :class:`repro.serve.ModelRegistry` plan cache is built
   on.
+* :class:`ResidentPlan` is that lifecycle, written once: the row
+  image, the one engine body and its lease, park/unpark/relocate,
+  footprints, ``stats`` and the chunked query runner.  GEMV/GEMM plans
+  and the analytics plans (:mod:`repro.apps.analytics`) subclass it
+  and supply only their engine body, their lone-query bank count and
+  their query lowering.
 
 >>> import numpy as np
 >>> from repro.device import Device
@@ -61,14 +67,15 @@ import numpy as np
 from repro.dram.faults import FAULT_FREE, FaultModel
 from repro.dram.programs import ProgramStore
 from repro.engine.cluster import BankCluster, chunk_geometry, run_chunked
-from repro.engine.machine import CountingEngine
+from repro.engine.machine import CountingEngine, EngineCounters
 from repro.kernels.lowering import (DEFAULT_BANKS, digits_for_budget,
                                     infer_kind, ternary_row_masks)
 from repro.serve.pool import BankPool
 from repro.serve.rowstore import RowImageStore, SharedResource
 
-__all__ = ["EngineConfig", "Device", "GemvPlan", "GemmPlan", "PlanStats",
-           "AmbiguousKindWarning", "DeviceClosedError", "PlanClosedError"]
+__all__ = ["EngineConfig", "Device", "ResidentPlan", "GemvPlan", "GemmPlan",
+           "PlanStats", "AmbiguousKindWarning", "DeviceClosedError",
+           "PlanClosedError"]
 
 
 class DeviceClosedError(RuntimeError):
@@ -190,81 +197,61 @@ class PlanStats:
     rows_private: int = 0
 
 
-class GemvPlan:
-    """A planted GEMV: one resident Z matrix, many streamed queries.
+#: The :class:`PlanStats` field of each ``EngineCounters`` field, in
+#: counter order (two fields are spelled out in full there).
+_PLAN_COUNTER_FIELDS = tuple(
+    {"prog_compiles": "program_compiles",
+     "prog_replays": "program_replays"}.get(name, name)
+    for name in EngineCounters._fields)
 
-    Created through :meth:`Device.plan_gemv`.  :meth:`run_many`
-    streams a batch with cross-query bank sharding; ``plan(x)`` answers
-    one query, on the word backend as exactly ``run_many(x[None])[0]``.
-    Between queries only counters are reset -- planted masks and
-    compiled μPrograms stay resident, which is where the amortized
-    speedup over the one-shot kernels comes from.
 
-    ``x_budget`` declares the largest total magnitude ``sum(|x|)`` any
-    query will accumulate (pass ``K * max|x|`` when only an element
-    bound is known).  Digits are sized once from it; a query exceeding
-    the declared budget triggers an automatic re-plan to more digits
-    (counted in ``stats.replans``) instead of a counter overflow.
+class ResidentPlan:
+    """The lifecycle every plan kind shares: a resident row image, one
+    engine body on a bank lease, and the park/unpark/relocate path.
 
-    The plan holds one engine body -- a bank cluster on the word
-    backend, one engine per sign on the bit backend -- whose banks are
-    leased from the owning device's :class:`~repro.serve.pool.BankPool`
-    (or shared with a same-image tenant); when the pool is bounded and
-    exhausted, resource builds raise
-    :class:`~repro.serve.pool.PoolExhausted` without disturbing the
-    plan, so a caller (the serving registry) can evict another resident
-    plan and retry.
+    A plan acquires its planted row image from a
+    :class:`~repro.serve.rowstore.RowImageStore` and holds at most one
+    :class:`~repro.serve.rowstore.SharedResource` -- an engine body plus
+    its lease from the owning device's
+    :class:`~repro.serve.pool.BankPool` -- built lazily by the first
+    query, resized in place (or swapped for a same-image tenant's
+    bigger body) when a query needs more banks or digits, and never
+    shrunk.  When the pool is bounded and exhausted, resource builds
+    raise :class:`~repro.serve.pool.PoolExhausted` without disturbing
+    the plan, so a caller (the serving registry) can evict another
+    resident plan and retry.
+
+    A plan kind supplies three things: its engine body
+    (:meth:`_build_body`, a bank cluster by default), the banks a lone
+    query deals over (:meth:`_lone_banks`), and the lowering of its
+    queries onto :meth:`_run` -- per-update ``(value, row, slot)``
+    arrays against its mask table -- plus the reduce of the per-query
+    lane totals ``_run`` returns.
+
+    ``x_budget`` declares the largest per-lane total any query will
+    accumulate; digits are sized once from it, and a query exceeding
+    it triggers an automatic re-plan to more digits (counted in
+    ``stats.replans``) instead of a counter overflow.
     """
 
-    def __init__(self, device: "Device", z: np.ndarray, kind: str,
+    def __init__(self, device: "Device", kind: str, store: RowImageStore,
+                 masks: np.ndarray, width: int,
                  x_budget: Optional[int] = None):
-        if kind not in ("binary", "ternary"):
-            raise ValueError(f"kind must be 'binary' or 'ternary', "
-                             f"got {kind!r}")
         self.kind = kind
         self.config = device.config
         self._device = device
-        z = np.asarray(z)
-        if z.ndim != 2:
-            raise ValueError("z must be [K, N]")
-        # Validate on the caller's values *before* any dtype cast, so
-        # out-of-range entries raise instead of wrapping modulo 256.
-        if kind == "ternary":
-            if not np.isin(z, (-1, 0, 1)).all():
-                raise ValueError("z must be ternary (-1/0/1)")
-            z = z.astype(np.int8)
-        else:
-            if not np.isin(z, (0, 1)).all():
-                raise ValueError("z must be binary (0/1)")
-            z = z.astype(np.uint8)
-        self.k, self.n = z.shape
-        # Plant Z once, *content-addressed*: the device's row-image
-        # store dedups identical operands, so tenants sharing a base
-        # reference one read-only mask image (and, when resident, the
-        # shared engine bodies planted over it).
-        if kind == "ternary":
-            masks = ternary_row_masks(z)             # [K, 2, 2N]
-            self._width = 2 * self.n
-        else:
-            masks = z.copy()                         # [K, N]
-            self._width = self.n
-        self._image = device.store.acquire(kind, masks, self._width,
-                                           n_bits=self.config.n_bits)
+        self._width = int(width)
+        # Planting is *content-addressed*: the store dedups identical
+        # operands, so tenants sharing an image reference one read-only
+        # mask table (and, when resident, the engine bodies over it).
+        self._image = store.acquire(kind, masks, self._width,
+                                    n_bits=self.config.n_bits)
         self._dedup_hits = 1 if self._image.dedup_hit else 0
-        self._masks = self._image.masks
-        # Flat view for the batched path: ternary row i's orientations
-        # live at 2i (positive input) and 2i+1 (negative input).
-        self._flat_masks = self._image.flat_masks
-        self._planted_nonzero = self._image.planted_nonzero
-        self._resident_rows = self._flat_masks.shape[0]
+        self._resident_rows = self._image.rows
         self.x_budget = None if x_budget is None else int(x_budget)
         self.n_digits = (None if x_budget is None
                          else digits_for_budget(self.config.n_bits,
                                                 self.x_budget))
-        # The plan's one resource -- an engine body plus its bank
-        # lease -- lives on the row image's store entry and is
-        # multiplexed across same-image tenants.  It is built lazily on
-        # the first query.
         self._res: Optional[SharedResource] = None
         self._parked: Optional[dict] = None
         self._closed = False
@@ -274,10 +261,30 @@ class GemvPlan:
         self._replans = 0
         self._parks = 0
         self._unparks = 0
-        # ops / prog compiles / prog replays / trace compiles /
-        # trace replays / injected faults / megatrace compiles /
-        # megatrace replays
-        self._retired = np.zeros(8, dtype=np.int64)
+        self._retired = EngineCounters.zeros()
+
+    @property
+    def _masks(self) -> Optional[np.ndarray]:
+        """The planted mask table (``None`` once the plan is closed)."""
+        return self._image.masks if self._image is not None else None
+
+    # ------------------------------------------------------------------
+    # plan-kind hooks
+    # ------------------------------------------------------------------
+    def _lone_banks(self) -> int:
+        """Banks a lone query deals over (before the pool's clamp)."""
+        raise NotImplementedError
+
+    def _build_body(self, n_banks: int, n_digits: int):
+        """Construct an engine body (no lease taken here) as a
+        ``(cluster, engines)`` pair: a bank cluster of ``n_banks``
+        shards, ``width`` lanes each."""
+        cfg = self.config
+        return BankCluster(
+            cfg.n_bits, n_digits, self._width, n_banks=n_banks,
+            fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
+            backend=cfg.resolved_backend,
+            programs=self._device.programs), None
 
     # ------------------------------------------------------------------
     # resource management (store-routed: see repro.serve.rowstore)
@@ -292,25 +299,6 @@ class GemvPlan:
         cfg = self.config
         return (cfg.n_bits, cfg.fr_checks, cfg.resolved_backend,
                 id(cfg.fault_model), id(self._device.pool))
-
-    def _build_body(self, n_banks: int, n_digits: int):
-        """Construct an engine body (no lease taken here): a bank
-        cluster on the word backend, ``n_banks`` per-sign reference
-        engines on the bit backend."""
-        cfg = self.config
-        if cfg.resolved_backend == "word":
-            return BankCluster(
-                cfg.n_bits, n_digits, self._width, n_banks=n_banks,
-                fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
-                programs=self._device.programs), None
-        engines = [CountingEngine(cfg.n_bits, n_digits, self.n,
-                                  fault_model=cfg.fault_model,
-                                  fr_checks=cfg.fr_checks, backend="bit",
-                                  programs=self._device.programs)
-                   for _ in range(n_banks)]
-        for eng in engines:
-            eng.reset_counters()
-        return None, engines
 
     def _new_resource(self, lease, n_digits: int,
                       stash=None) -> SharedResource:
@@ -513,56 +501,6 @@ class GemvPlan:
         self._parked = parked
         self.unpark()
 
-    def mutate_rows(self, rows, values) -> None:
-        """Replace ``Z[rows]`` in place -- copy-on-write.
-
-        Other tenants of the old row image are never disturbed: this
-        plan parks (snapshotting its own counter image through its
-        per-tenant stash), re-derives only the diverging rows' masks,
-        acquires the *new* content address (which clones the image --
-        or re-merges with a tenant that already planted the mutated
-        matrix) and drops its reference on the old one.  The next
-        query unparks against the new image with a fresh ``run_waves``
-        memo (store generations stamp engine ``cache_epoch``) and
-        replays the device's warm compiled traces, which read no cell
-        contents and so hold for any row image.
-        """
-        self._check_open()
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        if rows.ndim != 1 or rows.size == 0:
-            raise ValueError("rows must be a non-empty 1-D index list")
-        if (rows < 0).any() or (rows >= self.k).any():
-            raise ValueError(f"row indices must lie in [0, {self.k})")
-        values = np.asarray(values)
-        if values.shape != (rows.size, self.n):
-            raise ValueError(f"values must be [{rows.size}, {self.n}]")
-        if self.kind == "ternary":
-            if not np.isin(values, (-1, 0, 1)).all():
-                raise ValueError("z must be ternary (-1/0/1)")
-            sub = ternary_row_masks(values.astype(np.int8))
-        else:
-            if not np.isin(values, (0, 1)).all():
-                raise ValueError("z must be binary (0/1)")
-            sub = values.astype(np.uint8)
-        new_masks = np.array(self._image.masks)   # writable copy
-        new_masks[rows] = sub
-        # Park first: the counter image rides the plan's own stash, so
-        # the swap is invisible to tenants sharing the old image.
-        self.park()
-        old = self._image
-        self._image = self._device.store.acquire(
-            self.kind, new_masks, self._width,
-            n_bits=self.config.n_bits, cow=True)
-        old.release()
-        if self._image.dedup_hit:
-            self._dedup_hits += 1
-        self._masks = self._image.masks
-        self._flat_masks = self._image.flat_masks
-        self._planted_nonzero = self._image.planted_nonzero
-        if self._parked is not None:
-            self._parked["digest"] = self._image.digest
-        self._replans += 1
-
     @property
     def row_digest(self) -> Optional[str]:
         """Content address of this plan's planted row image."""
@@ -575,11 +513,10 @@ class GemvPlan:
 
         Only the banks this plan holds alone count: resources shared
         with other tenants survive this plan's eviction, so charging
-        them here double-counts the budget (the bug this property
-        fixes).  A non-resident plan whose image still has live bodies
-        costs nothing to keep; only a plan that would have to plant
-        privately reports its build estimate.  See
-        :attr:`footprint_banks_total` for the old gross meaning.
+        them here double-counts the budget.  A non-resident plan whose
+        image still has live bodies costs nothing to keep; only a plan
+        that would have to plant privately reports its build estimate.
+        See :attr:`footprint_banks_total` for the gross meaning.
         """
         if self._res is not None:
             return self._res.n_banks if self._res.is_sole(self) else 0
@@ -596,11 +533,8 @@ class GemvPlan:
         cost, and the number placement uses to size a shard for the
         *first* tenant of a row image.
         """
-        if self.leased_banks:
-            return self.leased_banks
-        if self.config.resolved_backend == "word":
-            return max(1, min(self.config.n_banks, self.k))
-        return 2 if self.kind == "ternary" else 1
+        return self.leased_banks or self._device.pool.clamp(
+            self._lone_banks())
 
     def close(self) -> None:
         """Release engines, clusters, bank leases and mask images;
@@ -617,7 +551,6 @@ class GemvPlan:
         if self._image is not None:
             self._image.release()
             self._image = None
-        self._masks = self._flat_masks = self._planted_nonzero = None
         self._closed = True
         self._close_reason = reason
         self._device._forget(self)
@@ -627,121 +560,32 @@ class GemvPlan:
             raise PlanClosedError(self._close_reason)
 
     # ------------------------------------------------------------------
-    # queries
+    # execution
     # ------------------------------------------------------------------
-    def validate_query(self, x: np.ndarray) -> np.ndarray:
-        """Shape/domain-check one query without executing it.
+    def _run(self, values: np.ndarray, rows: np.ndarray,
+             slots: np.ndarray, n_queries: int,
+             masks: Optional[np.ndarray]) -> np.ndarray:
+        """Run ``n_queries`` queries' masked updates on the plan's body.
 
-        Returns the canonicalized (int64) query vector.  The serving
-        front door calls this at *submission* time so an invalid query
-        is rejected immediately instead of failing the coalesced wave
-        it would have ridden in -- alongside innocent co-batched
-        queries.
+        ``values`` / ``rows`` / ``slots`` are parallel arrays, one entry
+        per nonzero update, in ascending query (slot) order; ``rows``
+        index the mask table ``masks`` (``None``: one-hot lane masks).
+        :func:`~repro.engine.cluster.chunk_geometry` picks the chunk
+        shape -- a lone query deals over :meth:`_lone_banks`, a batch
+        over 4 banks per query slot, and a wider resident body is
+        reused -- and :func:`~repro.engine.cluster.run_chunked` deals
+        and runs each chunk, with digits sized from the deal's
+        worst-lane bound (floored by the declared budget).  Returns the
+        ``[n_queries, width]`` per-query lane totals.
         """
-        self._check_open()
-        return self._validate(x)
-
-    def _validate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        if x.ndim != 1 or x.size != self.k:
-            raise ValueError(f"query must be a length-{self.k} vector")
-        if self.kind == "binary" and (x < 0).any():
-            raise ValueError("binary plans expect non-negative inputs; "
-                             "use a ternary plan for signed streams")
-        return x
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Answer one query against the resident Z.
-
-        On the word backend this is exactly ``run_many(x[None])[0]``.
-        The bit backend keeps the per-update reference loop, one
-        engine per sign.
-        """
-        self._check_open()
-        x = self._validate(x)
-        if self.config.resolved_backend == "word":
-            return self.run_many(x[None])[0]
-        engines = self._acquire(
-            2 if self.kind == "ternary" else 1,
-            digits_for_budget(self.config.n_bits,
-                              int(np.abs(x).sum()))).engines
-        for eng in engines:
-            eng.reset_counters()
-        self._queries += 1
-        strict = self.config.strict_reads
-        if self.kind == "binary":
-            eng = engines[0]
-            for i in range(self.k):
-                if x[i] == 0:
-                    continue                 # zero-skipping (Sec. 7.2.3)
-                eng.load_mask(0, self._masks[i])
-                eng.accumulate(int(x[i]))
-                self._broadcasts += 1
-            return eng.read_values(strict=strict)
-        pos, neg = engines
-        for i in range(self.k):
-            if x[i] == 0:
-                continue
-            magnitude = int(abs(x[i]))
-            wide = self._masks[i, 0 if x[i] > 0 else 1]
-            up, down = wide[:self.n], wide[self.n:]
-            if up.any():
-                pos.load_mask(0, up)
-                pos.accumulate(magnitude)
-                self._broadcasts += 1
-            if down.any():
-                neg.load_mask(0, down)
-                neg.accumulate(magnitude)
-                self._broadcasts += 1
-        return (pos.read_values(strict=strict)
-                - neg.read_values(strict=strict))
-
-    def run_many(self, xs: np.ndarray) -> np.ndarray:
-        """Answer a batch of queries ``xs [Q, K]`` -> ``[Q, N]``.
-
-        On the word backend every nonzero input ``x[q, i]`` becomes one
-        update of magnitude ``|x[q, i]|`` against planted row ``i``
-        (ternary: row ``2i`` or ``2i + 1`` by the input's sign; rows
-        whose planted mask is all-zero are skipped), and
-        :func:`~repro.engine.cluster.run_chunked` deals them over the
-        plan's one bank cluster: same-magnitude updates from different
-        queries share one broadcast wave and a single read-out retires
-        each chunk.  A lone query deals over ``min(n_banks, K)`` banks,
-        a batch over 4 banks per query slot, and a wider resident
-        cluster is reused -- see :func:`~repro.engine.cluster.
-        chunk_geometry`, which also keeps a chunk inside a bounded
-        pool's budget.  Digits are sized from the deal's worst-lane
-        bound, floored by the declared budget.  The bit backend streams
-        queries one by one through ``plan(x)`` (it exists for bit-exact
-        reference, not throughput).
-        """
-        self._check_open()
-        xs = np.asarray(xs, dtype=np.int64)
-        if xs.ndim != 2 or xs.shape[1] != self.k:
-            raise ValueError(f"queries must be [Q, {self.k}]")
-        n_queries = xs.shape[0]
-        if n_queries == 0:
-            return np.zeros((0, self.n), dtype=np.int64)
-        if self.config.resolved_backend != "word":
-            return np.stack([self(x) for x in xs])
-        if self.kind == "binary" and (xs < 0).any():
-            raise ValueError("binary plans expect non-negative inputs; "
-                             "use a ternary plan for signed streams")
         if self._parked is not None:
-            self.unpark()           # so a wider parked cluster is reused
-        q_idx, k_idx = np.nonzero(xs)
-        vals = xs[q_idx, k_idx]
-        rows = (2 * k_idx + (vals < 0) if self.kind == "ternary"
-                else k_idx)
-        keep = self._planted_nonzero[rows]
+            self.unpark()           # so a wider parked body is reused
         geometry = chunk_geometry(self._device.pool, n_queries,
-                                  self._width,
-                                  min(self.config.n_banks, self.k),
+                                  self._width, self._lone_banks(),
                                   self.leased_banks)
         n_bits = self.config.n_bits
         out, waves = run_chunked(
-            np.abs(vals[keep]), rows[keep], q_idx[keep], n_queries,
-            self._flat_masks, geometry,
+            values, rows, slots, n_queries, masks, geometry,
             lambda banks, bound: self._acquire(
                 banks, digits_for_budget(n_bits, bound)).cluster,
             strict=self.config.strict_reads)
@@ -750,20 +594,10 @@ class GemvPlan:
         # evicts and re-invokes the whole call) never double-counts.
         self._broadcasts += waves
         self._queries += n_queries
-        if self.kind == "ternary":
-            return out[:, :self.n] - out[:, self.n:]
         return out
 
-    def nominal_query_ops(self, xs: np.ndarray) -> float:
-        """Analytical op count of a query batch: ``2 * Q * K * N``.
-
-        The serving telemetry divides this into the wave's *measured*
-        op delta for its efficiency ratio; every plan kind defines its
-        own nominal unit (a GEMV wave's is the dense multiply-add
-        count of ``xs @ Z``).
-        """
-        return 2.0 * np.asarray(xs).shape[0] * self.k * self.n
-
+    # ------------------------------------------------------------------
+    # observability
     # ------------------------------------------------------------------
     def protection_stats(self):
         """Aggregate ECC detection/retry stats over the live engines.
@@ -800,73 +634,256 @@ class GemvPlan:
                          broadcasts=self._broadcasts,
                          replans=self._replans,
                          resident_rows=resident,
-                         measured_ops=int(ops[0]),
-                         program_compiles=int(ops[1]),
-                         program_replays=int(ops[2]),
                          parks=self._parks,
                          unparks=self._unparks,
-                         trace_compiles=int(ops[3]),
-                         trace_replays=int(ops[4]),
-                         injected_faults=int(ops[5]),
-                         megatrace_compiles=int(ops[6]),
-                         megatrace_replays=int(ops[7]),
                          dedup_hits=self._dedup_hits,
                          rows_shared=resident if shared else 0,
-                         rows_private=0 if shared else resident)
+                         rows_private=0 if shared else resident,
+                         **dict(zip(_PLAN_COUNTER_FIELDS, ops.tolist())))
 
 
-class GemmPlan:
-    """A planted GEMM: ``plan(X)`` computes ``X @ Z`` row-streamed.
+class GemvPlan(ResidentPlan):
+    """A planted GEMV: one resident Z matrix, many streamed queries.
 
-    Thin veneer over :class:`GemvPlan`: each output row of ``X @ Z`` is
-    one GEMV query, so a GEMM is exactly ``run_many`` -- Z planted once,
-    counter rows recycled between output rows (paper Sec. 5.2.2).
+    Created through :meth:`Device.plan_gemv`.  :meth:`run_many`
+    streams a batch with cross-query bank sharding; ``plan(x)`` answers
+    one query, on the word backend as exactly ``run_many(x[None])[0]``.
+    Between queries only counters are reset -- planted masks and
+    compiled μPrograms stay resident, which is where the amortized
+    speedup over the one-shot kernels comes from.
+
+    ``x_budget`` declares the largest total magnitude ``sum(|x|)`` any
+    query will accumulate (pass ``K * max|x|`` when only an element
+    bound is known).  Z is planted in the device's row-image store, so
+    tenants sharing a base share its image and, when resident, an
+    engine body -- a bank cluster on the word backend, one engine per
+    sign on the bit backend.
     """
-
-    #: Everything a GemmPlan answers straight from its inner GemvPlan.
-    #: Both plan kinds route residency through the row-image store, so
-    #: the old hand-written forwarder-per-method boilerplate collapses
-    #: into one delegation table (attributes *and* methods resolve the
-    #: same way through ``__getattr__``).
-    _DELEGATED = frozenset({
-        "kind", "config", "k", "n", "x_budget", "n_digits",
-        "stats", "protection_stats",
-        "is_resident", "is_parked", "leased_banks", "wave_banks",
-        "park", "unpark", "export_image", "import_image", "mutate_rows",
-        "footprint_banks", "footprint_banks_total", "row_digest",
-        "nominal_query_ops",
-    })
 
     def __init__(self, device: "Device", z: np.ndarray, kind: str,
                  x_budget: Optional[int] = None):
-        self._device = device
-        self._gemv = GemvPlan(device, z, kind, x_budget=x_budget)
-        self._closed = False
+        if kind not in ("binary", "ternary"):
+            raise ValueError(f"kind must be 'binary' or 'ternary', "
+                             f"got {kind!r}")
+        z = np.asarray(z)
+        if z.ndim != 2:
+            raise ValueError("z must be [K, N]")
+        # Validate on the caller's values *before* any dtype cast, so
+        # out-of-range entries raise instead of wrapping modulo 256.
+        masks = self._lower_rows(kind, z)
+        self.k, self.n = z.shape
+        # Ternary row i's orientations live at flat rows 2i (positive
+        # input) and 2i+1 (negative input).
+        super().__init__(device, kind, device.store, masks,
+                         2 * self.n if kind == "ternary" else self.n,
+                         x_budget=x_budget)
 
-    def __getattr__(self, name):
-        # Only whitelisted public names delegate; underscored lookups
-        # fall through so a half-constructed plan (e.g. GemvPlan raised
-        # in __init__) can never recurse through ``self._gemv``.
-        if not name.startswith("_") and name in GemmPlan._DELEGATED:
-            return getattr(self._gemv, name)
-        raise AttributeError(f"{type(self).__name__!r} object has no "
-                             f"attribute {name!r}")
+    @staticmethod
+    def _lower_rows(kind: str, z: np.ndarray) -> np.ndarray:
+        """Domain-check rows of Z and lower them to planted masks:
+        ``[rows, 2, 2N]`` sign orientations (ternary) or ``[rows, N]``."""
+        if kind == "ternary":
+            if not np.isin(z, (-1, 0, 1)).all():
+                raise ValueError("z must be ternary (-1/0/1)")
+            return ternary_row_masks(z.astype(np.int8))
+        if not np.isin(z, (0, 1)).all():
+            raise ValueError("z must be binary (0/1)")
+        return z.astype(np.uint8)
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        return self._gemv.run_many(xs)
+    def _lone_banks(self) -> int:
+        if self.config.resolved_backend == "word":
+            return max(1, min(self.config.n_banks, self.k))
+        return 2 if self.kind == "ternary" else 1
+
+    def _build_body(self, n_banks: int, n_digits: int):
+        """A bank cluster on the word backend, ``n_banks`` per-sign
+        reference engines on the bit backend."""
+        cfg = self.config
+        if cfg.resolved_backend == "word":
+            return super()._build_body(n_banks, n_digits)
+        engines = [CountingEngine(cfg.n_bits, n_digits, self.n,
+                                  fault_model=cfg.fault_model,
+                                  fr_checks=cfg.fr_checks, backend="bit",
+                                  programs=self._device.programs)
+                   for _ in range(n_banks)]
+        for eng in engines:
+            eng.reset_counters()
+        return None, engines
+
+    def mutate_rows(self, rows, values) -> None:
+        """Replace ``Z[rows]`` in place -- copy-on-write.
+
+        Other tenants of the old row image are never disturbed: this
+        plan parks (snapshotting its own counter image through its
+        per-tenant stash), re-derives only the diverging rows' masks,
+        acquires the *new* content address (which clones the image --
+        or re-merges with a tenant that already planted the mutated
+        matrix) and drops its reference on the old one.  The next
+        query unparks against the new image with a fresh ``run_waves``
+        memo (store generations stamp engine ``cache_epoch``) and
+        replays the device's warm compiled traces, which read no cell
+        contents and so hold for any row image.
+        """
+        self._check_open()
+        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+        if rows.ndim != 1 or rows.size == 0:
+            raise ValueError("rows must be a non-empty 1-D index list")
+        if (rows < 0).any() or (rows >= self.k).any():
+            raise ValueError(f"row indices must lie in [0, {self.k})")
+        values = np.asarray(values)
+        if values.shape != (rows.size, self.n):
+            raise ValueError(f"values must be [{rows.size}, {self.n}]")
+        new_masks = np.array(self._image.masks)   # writable copy
+        new_masks[rows] = self._lower_rows(self.kind, values)
+        # Park first: the counter image rides the plan's own stash, so
+        # the swap is invisible to tenants sharing the old image.
+        self.park()
+        old = self._image
+        self._image = old.store.acquire(
+            self.kind, new_masks, self._width,
+            n_bits=self.config.n_bits, cow=True)
+        old.release()
+        if self._image.dedup_hit:
+            self._dedup_hits += 1
+        if self._parked is not None:
+            self._parked["digest"] = self._image.digest
+        self._replans += 1
+
+    # ------------------------------------------------------------------
+    # queries
+    # ------------------------------------------------------------------
+    def validate_query(self, x: np.ndarray) -> np.ndarray:
+        """Shape/domain-check one query without executing it.
+
+        Returns the canonicalized (int64) query vector.  The serving
+        front door calls this at *submission* time so an invalid query
+        is rejected immediately instead of failing the coalesced wave
+        it would have ridden in -- alongside innocent co-batched
+        queries.
+        """
+        self._check_open()
+        return self._validate(x)
+
+    def _validate(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.int64)
+        if x.ndim != 1 or x.size != self.k:
+            raise ValueError(f"query must be a length-{self.k} vector")
+        if self.kind == "binary" and (x < 0).any():
+            raise ValueError("binary plans expect non-negative inputs; "
+                             "use a ternary plan for signed streams")
+        return x
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Answer one query against the resident Z.
+
+        On the word backend this is exactly ``run_many(x[None])[0]``.
+        The bit backend keeps the per-update reference loop, one
+        engine per sign.
+        """
+        self._check_open()
+        x = self._validate(x)
+        if self.config.resolved_backend == "word":
+            return self.run_many(x[None])[0]
+        return self._reference_query(x)
+
+    def _reference_query(self, x: np.ndarray) -> np.ndarray:
+        """The bit backend's per-update loop for one validated query."""
+        engines = self._acquire(
+            self._lone_banks(),
+            digits_for_budget(self.config.n_bits,
+                              int(np.abs(x).sum()))).engines
+        for eng in engines:
+            eng.reset_counters()
+        self._queries += 1
+        strict = self.config.strict_reads
+        masks = self._masks
+        if self.kind == "binary":
+            eng = engines[0]
+            for i in range(self.k):
+                if x[i] == 0:
+                    continue                 # zero-skipping (Sec. 7.2.3)
+                eng.load_mask(0, masks[i])
+                eng.accumulate(int(x[i]))
+                self._broadcasts += 1
+            return eng.read_values(strict=strict)
+        pos, neg = engines
+        for i in range(self.k):
+            if x[i] == 0:
+                continue
+            magnitude = int(abs(x[i]))
+            wide = masks[i, 0 if x[i] > 0 else 1]
+            up, down = wide[:self.n], wide[self.n:]
+            if up.any():
+                pos.load_mask(0, up)
+                pos.accumulate(magnitude)
+                self._broadcasts += 1
+            if down.any():
+                neg.load_mask(0, down)
+                neg.accumulate(magnitude)
+                self._broadcasts += 1
+        return (pos.read_values(strict=strict)
+                - neg.read_values(strict=strict))
 
     def run_many(self, xs: np.ndarray) -> np.ndarray:
-        return self._gemv.run_many(xs)
+        """Answer a batch of queries ``xs [Q, K]`` -> ``[Q, N]``.
 
-    def close(self) -> None:
-        self._close("plan is closed")
+        On the word backend every nonzero input ``x[q, i]`` becomes one
+        update of magnitude ``|x[q, i]|`` against planted row ``i``
+        (ternary: row ``2i`` or ``2i + 1`` by the input's sign; rows
+        whose planted mask is all-zero are skipped), and :meth:`_run`
+        deals them over the plan's one bank cluster: same-magnitude
+        updates from different queries share one broadcast wave and a
+        single read-out retires each chunk.  A lone query deals over
+        ``min(n_banks, K)`` banks.  The bit backend streams queries one
+        by one through the reference loop (it exists for bit-exact
+        reference, not throughput).
+        """
+        self._check_open()
+        xs = np.asarray(xs, dtype=np.int64)
+        if xs.ndim != 2 or xs.shape[1] != self.k:
+            raise ValueError(f"queries must be [Q, {self.k}]")
+        n_queries = xs.shape[0]
+        if n_queries == 0:
+            return np.zeros((0, self.n), dtype=np.int64)
+        if self.config.resolved_backend != "word":
+            return np.stack([self._reference_query(self._validate(x))
+                             for x in xs])
+        if self.kind == "binary" and (xs < 0).any():
+            raise ValueError("binary plans expect non-negative inputs; "
+                             "use a ternary plan for signed streams")
+        q_idx, k_idx = np.nonzero(xs)
+        vals = xs[q_idx, k_idx]
+        rows = (2 * k_idx + (vals < 0) if self.kind == "ternary"
+                else k_idx)
+        keep = self._image.planted_nonzero[rows]
+        out = self._run(np.abs(vals[keep]), rows[keep], q_idx[keep],
+                        n_queries, self._image.flat_masks)
+        if self.kind == "ternary":
+            return out[:, :self.n] - out[:, self.n:]
+        return out
 
-    def _close(self, reason: str) -> None:
-        if self._closed:
-            return
-        self._gemv._close(reason)
-        self._closed = True
-        self._device._forget(self)
+    def nominal_query_ops(self, xs: np.ndarray) -> float:
+        """Analytical op count of a query batch: ``2 * Q * K * N``.
+
+        The serving telemetry divides this into the wave's *measured*
+        op delta for its efficiency ratio; every plan kind defines its
+        own nominal unit (a GEMV wave's is the dense multiply-add
+        count of ``xs @ Z``).
+        """
+        return 2.0 * np.asarray(xs).shape[0] * self.k * self.n
+
+
+class GemmPlan(GemvPlan):
+    """A planted GEMM: ``plan(X)`` computes ``X @ Z`` row-streamed.
+
+    Each output row of ``X @ Z`` is one GEMV query, so a GEMM plan is a
+    :class:`GemvPlan` whose call is :meth:`~GemvPlan.run_many` -- Z
+    planted once, counter rows recycled between output rows (paper
+    Sec. 5.2.2).
+    """
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        return self.run_many(xs)
 
 
 class Device:

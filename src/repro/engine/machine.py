@@ -84,6 +84,12 @@ class EngineCounters(NamedTuple):
     megatrace_compiles: int = 0
     megatrace_replays: int = 0
 
+    @classmethod
+    def zeros(cls) -> np.ndarray:
+        """An all-zero int64 vector in field order: the accumulator
+        that plans and shared engine bodies retire counters into."""
+        return np.zeros(len(cls._fields), dtype=np.int64)
+
 
 class CountingEngine:
     """A vector of in-memory high-radix counters with broadcast updates.

@@ -50,6 +50,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.engine.machine import EngineCounters
+
 __all__ = ["RowImageStore", "RowImageHandle", "SharedResource",
            "StoreStats", "row_digest"]
 
@@ -148,7 +150,7 @@ class SharedResource:
         return list(self.engines)
 
     def _counters_now(self) -> np.ndarray:
-        total = np.zeros(8, dtype=np.int64)
+        total = EngineCounters.zeros()
         for eng in self._all_engines():
             total += np.asarray(eng.counters, dtype=np.int64)
         return total
@@ -259,7 +261,7 @@ class SharedResource:
         unless it is the active tenant)."""
         if self.active is plan:
             return self._counters_now() - self._base
-        return np.zeros(8, dtype=np.int64)
+        return EngineCounters.zeros()
 
 
 class _Entry:
