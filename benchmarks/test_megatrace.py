@@ -1,25 +1,27 @@
-"""Megatrace harness: whole-sequence stitched replay, batch-axis serve.
+"""Megatrace harness: whole-sequence chain replay, batch-axis serve.
 
 Pins the PR's performance contract and records it as
 ``BENCH_megatrace.json`` (root-mirrored for the perf-trajectory
 collector):
 
 * **Plan steady state** -- a warm plan streaming a repeated query set
-  executes each query as a handful of stitched megatrace replays
-  (``megatrace_replays`` per pass bounded by the wave count) instead of
-  hundreds of per-uProgram trace replays, with *zero* compiles of any
-  kind per steady-state pass, and beats the interpreted path >= 2x.
+  executes each query's wave sequence as a handful of trace-chain
+  replays, one native call each (``megatrace_replays`` per pass bounded
+  by the wave count), instead of hundreds of per-uProgram trace
+  replays, with *zero* compiles of any kind per steady-state pass, and
+  beats the interpreted path >= 2x.
 * **Coalesced serve** -- a warm coalesced burst through the
   :class:`~repro.serve.Server` batch axis (one stacked ``run_many``
-  wave riding megatraces) beats the same traffic as sequential
+  wave riding trace chains) beats the same traffic as sequential
   ``plan(x)`` calls, timed alternately with it, >= 2x.
-* **Campaign** -- a fault-injection campaign whose trials ride the
-  stitched path matches the per-uProgram path's injected accounting
-  exactly and beats the interpreted campaign >= 2x.
+* **Campaign** -- a fault-injection campaign whose trials ride trace
+  chains matches the per-uProgram path's injected accounting exactly
+  and beats the interpreted campaign >= 2x.
 
 Every regime comparison reruns the *identical* workload under
-``megatrace_disabled()`` / ``fusion_disabled()``, so the before/after
-compile and replay counters in the JSON are measured, not modeled.
+``megatrace_disabled()`` (the chain switch) / ``fusion_disabled()``,
+so the before/after compile and replay counters in the JSON are
+measured, not modeled.
 
 The whole comparison runs ``ROUNDS`` times, every regime once per
 round, so slow drift on a shared host lands on both sides of each
@@ -44,7 +46,7 @@ from conftest import RESULTS_DIR, run_once
 
 K, N, QUERIES = 64, 256, 16
 PASSES = 4
-WARM = 3           # pass 1 per-wave, pass 2 stitches, pass 3 replays
+WARM = 3           # pass 1 per-wave, pass 2 compiles, pass 3 replays
 ROUNDS = 5         # odd: each gate reads the median round's ratio
 
 REGIMES = [("megatrace", contextlib.nullcontext),
@@ -122,7 +124,7 @@ def _serve_bursts(xs, z, ctx):
 
 
 def _campaign(xs, z, ctx):
-    """Repeated-query faulted campaign: trials ride the stitched path."""
+    """Repeated-query faulted campaign: trials ride trace chains."""
     reps = np.repeat(xs[:1], 6, axis=0)
     with ctx():
         t0 = time.perf_counter()
@@ -181,8 +183,8 @@ def test_megatrace(benchmark, record_bench_json):
 
     mega, plain, interp = (plan[n] for n, _ in REGIMES)
     # Steady state is *pure replay*: no compiles of any kind per pass,
-    # and the whole pass is a handful of stitched replays bounded by
-    # the wave count (vs hundreds of per-uProgram replays before).
+    # and the whole pass is a handful of chain replays bounded by the
+    # wave count (vs hundreds of per-uProgram replays before).
     assert mega["megatrace_compiles_steady"] == 0
     assert 0 < mega["megatrace_replays_per_pass"] <= mega["waves_per_pass"]
     assert mega["trace_replays_per_pass"] < plain["trace_replays_per_pass"]
@@ -228,12 +230,13 @@ def test_megatrace(benchmark, record_bench_json):
                  "campaign_rounds": [round(v, 2) for v in camp_speedups]})
     record_bench_json(
         "megatrace",
-        "Whole-sequence megatrace replay: plan / serve / campaign",
+        "Whole-sequence trace-chain replay: plan / serve / campaign",
         rows,
         notes=[
             f"{QUERIES} ternary {K}x{N} queries; warm={WARM} passes "
-            f"(pass 1 per-wave, pass 2 stitches, pass 3+ replay)",
-            "steady-state megatrace passes perform zero compiles; "
+            f"(pass 1 assembles chains and runs per-wave, pass 2 "
+            f"compiles the segments' traces, pass 3+ replay chains)",
+            "steady-state chain passes perform zero compiles; "
             "replays bounded by wave count",
             "identical workloads rerun under megatrace_disabled / "
             "fusion_disabled for the before/after counters",
@@ -245,7 +248,7 @@ def test_megatrace(benchmark, record_bench_json):
     text = "\n".join([
         f"Megatrace steady state ({QUERIES} queries, {K}x{N} ternary):",
         f"  megatrace   : {mega['ms_per_pass']:7.2f} ms/pass  "
-        f"{mega['megatrace_replays_per_pass']} stitched replays "
+        f"{mega['megatrace_replays_per_pass']} chain replays "
         f"({mega['waves_per_pass']} waves), "
         f"{mega['trace_replays_per_pass']} uProgram replays",
         f"  per-uProgram: {plain['ms_per_pass']:7.2f} ms/pass  "

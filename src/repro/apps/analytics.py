@@ -13,7 +13,7 @@ servable plans:
   (records dealt across bank shards, repeats into successive waves)
   staged through the bulk packed-row I/O and executed by
   :meth:`~repro.engine.machine.CountingEngine.run_waves`, the same
-  megatrace-stitched path GEMV plan waves ride.
+  trace-chain path GEMV plan waves ride.
 * :func:`radix_sort` -- LSD digit-wise counting sort per Wassenberg &
   Sanders' decomposition: histogram (count, on the engine) ->
   exclusive prefix sum over the decoded bucket totals (host) ->
@@ -70,7 +70,7 @@ class _StreamPlan(ResidentPlan):
     magnitude)``; :meth:`_run_records` runs them through the shared
     chunked runner against one-hot lane masks -- the same dealer and
     chunk geometry as the GEMV path -- so on the word backend an entire
-    key stream replays as stitched megatraces.  A lone query deals over
+    key stream replays as trace chains.  A lone query deals over
     ``min(n_banks, 4)`` banks (one batch slot's worth), and the plan's
     engine body is a bank cluster of ``width``-lane shards on either
     backend.
@@ -349,7 +349,7 @@ def radix_sort(keys: np.ndarray, radix_bits: int = 4,
     Each digit plane runs Wassenberg & Sanders' counting-sort
     decomposition: the **count** phase is a :class:`HistogramPlan`
     query over the plane's digits (one plan planted once, one engine
-    query per plane -- the whole pass rides the megatrace path), the
+    query per plane -- the whole pass rides the trace-chain path), the
     **prefix sum** is an exclusive cumulative sum over the *decoded
     engine counts* on the host, and the **scatter** places every record
     at ``offset[digit] + rank-within-digit``, stably, driven by those

@@ -164,11 +164,12 @@ class PlanStats:
     injected (zero for fault-free configs; identical whether the word
     backend replayed fused fault traces or interpreted) -- serve
     telemetry reports its per-query delta.
-    ``megatrace_compiles`` / ``megatrace_replays`` split the stitched
-    whole-sequence trace cache (see
+    ``megatrace_compiles`` counts the trace chains the plan's engines
+    assembled (one per new wave sequence; nothing is lowered) and
+    ``megatrace_replays`` the chains they replayed warm (see
     :meth:`~repro.engine.machine.CountingEngine.run_waves`): on the
     word path a query's entire wave sequence replays as a handful of
-    megatraces, so these counters -- not ``trace_replays`` -- carry
+    chains, so these counters -- not ``trace_replays`` -- carry
     steady-state replay traffic.
     ``dedup_hits`` counts the times this plan's row-image acquires
     (planting and copy-on-write swaps) found the content address
@@ -972,7 +973,7 @@ class Device:
         See :class:`repro.apps.analytics.HistogramPlan`: every key in a
         streamed query becomes a one-hot masked increment of its
         bucket's counter, and batches ride the same coalesced wave /
-        megatrace path as GEMV plans.
+        trace-chain path as GEMV plans.
         """
         self._check_open()
         from repro.apps.analytics import HistogramPlan

@@ -9,7 +9,7 @@ engine body the device builds, so a rebuilt engine (a registry unpark,
 a resize, a co-tenant) replays warm traces instead of re-creating,
 re-interpreting and recompiling its programs.
 
-What the store holds:
+What the store holds -- two tiers and a buffer:
 
 * **μPrograms**, keyed by *content*: the layout signature ``(n_bits,
   n_digits, n_masks, protected)`` plus the event key -- ``(digit, k,
@@ -22,14 +22,9 @@ What the store holds:
   and the resolved op list -- keyed by ``(n_data_rows, program)``.
   An entry's trace is valid for the :class:`~repro.isa.trace.FaultSpec`
   it was compiled against; a subarray replaying it under a different
-  spec recompiles it in place.
-* **Stitched megaprograms and their megatraces**
-  (:class:`~repro.isa.trace.MegaProgram` chunks of whole queries),
-  keyed the same two ways -- by layout and event signatures, and by
-  ``(n_data_rows, mega)`` -- under the smaller
-  :data:`DEFAULT_MEGATRACE_CACHE` bound: a megaprogram covers a whole
-  query chunk, so one-shot queries would otherwise crowd the μProgram
-  tier.
+  spec recompiles it in place.  A whole wave sequence adds no tier:
+  it replays as a :class:`~repro.isa.trace.TraceChain` of its
+  segments' entries, held in the engine's ``run_waves`` memo.
 * **Replay scratch**: one :class:`~repro.isa.trace.TraceScratch`, a
   flat buffer carved per row width at replay, so the replay footprint
   is the largest single replay's need -- not a sum over the engines a
@@ -38,8 +33,8 @@ What the store holds:
 No key carries the row-image ``cache_epoch``: the trace compiler reads
 no cell contents (it folds only the never-written ``C0``/``C1`` control
 rows), so a compiled trace is valid for any row image.  The per-engine
-``run_waves`` memo keeps its epoch key and holds references to the
-shared programs.
+``run_waves`` memo keeps its epoch key; its chains hold references to
+the shared entries.
 
 The store is not locked: one device executes its plans serially (the
 serving registry has one dispatcher), and separate devices never share
@@ -61,7 +56,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-__all__ = ["ProgramStore", "STORE_BOUND", "DEFAULT_MEGATRACE_CACHE"]
+__all__ = ["ProgramStore", "STORE_BOUND"]
 
 #: Bound on the store's μProgram tier and on its compiled-μProgram
 #: tier (each is one LRU of at most this many entries).  Sized for the
@@ -70,13 +65,6 @@ __all__ = ["ProgramStore", "STORE_BOUND", "DEFAULT_MEGATRACE_CACHE"]
 #: six-tenant serving benchmark).  Entries are small (a μProgram is a
 #: few KB, a compiled trace a few index arrays).
 STORE_BOUND = 1024
-
-#: Bound on the store's megaprogram and megatrace tiers.  A megaprogram
-#: covers a whole replay sequence (every wave of one query chunk), so a
-#: working set holds one entry per repeated query profile, not per
-#: μProgram -- the bound is correspondingly smaller than
-#: :data:`STORE_BOUND`.
-DEFAULT_MEGATRACE_CACHE = 64
 
 
 def _lru_put(cache: OrderedDict, key, value, bound: int) -> None:
@@ -89,28 +77,21 @@ class ProgramStore:
     """Content-keyed programs, compiled traces and replay scratch.
 
     The μProgram and compiled-μProgram tiers are LRUs bounded by
-    :data:`STORE_BOUND`, the megaprogram and megatrace tiers by
-    :data:`DEFAULT_MEGATRACE_CACHE` (both read at construction).
+    :data:`STORE_BOUND` (read at construction).
     """
 
     def __init__(self):
         self.bound = STORE_BOUND
-        self.mega_bound = DEFAULT_MEGATRACE_CACHE
-        # content key -> MicroProgram, and content key -> MegaProgram
+        # content key -> MicroProgram
         self._programs: "OrderedDict[tuple, object]" = OrderedDict()
-        self._stitched: "OrderedDict[tuple, object]" = OrderedDict()
-        # Compiled entries, one shape for both tiers (the subarray's
-        # JIT warm-up reads them alike): [obj, runs, spec, trace, ops].
         # (n_data_rows, id(program)) -> [program, runs, spec, trace, ops]
         self._compiled: "OrderedDict[tuple, list]" = OrderedDict()
-        # (n_data_rows, id(mega)) -> [mega, runs, spec, trace, None]
-        self._megas: "OrderedDict[tuple, list]" = OrderedDict()
         # repro.isa transitively imports repro.dram: resolve at runtime.
         from repro.isa.trace import TraceScratch
         self.scratch = TraceScratch()  # shared replay buffers
 
     # ------------------------------------------------------------------
-    # program tiers (content-keyed)
+    # program tier (content-keyed)
     # ------------------------------------------------------------------
     def get(self, key):
         """The canonical μProgram stored under ``key``, or ``None``."""
@@ -124,20 +105,8 @@ class ProgramStore:
         _lru_put(self._programs, key, program, self.bound)
         return program
 
-    def get_mega(self, key):
-        """The canonical megaprogram stored under ``key``, or ``None``."""
-        mega = self._stitched.get(key)
-        if mega is not None:
-            self._stitched.move_to_end(key)
-        return mega
-
-    def put_mega(self, key, mega):
-        """Store ``mega`` as the canonical megaprogram for ``key``."""
-        _lru_put(self._stitched, key, mega, self.mega_bound)
-        return mega
-
     # ------------------------------------------------------------------
-    # compiled tiers
+    # compiled tier
     # ------------------------------------------------------------------
     # Compiled entries are keyed by the program object: within one
     # store a content key has one canonical program, so the object
@@ -167,31 +136,14 @@ class ProgramStore:
         _lru_put(self._compiled, key, entry, self.bound)
         return entry
 
-    def megatrace(self, n_data_rows: int, mega) -> list:
-        """``[mega, runs, spec, trace, None]`` for a stitched
-        megaprogram (no resolved op list: its interpreted run is the
-        per-wave loop over its segments' own entries)."""
-        key = (n_data_rows, id(mega))
-        entry = self._megas.get(key)
-        if entry is not None and entry[0] is mega:
-            self._megas.move_to_end(key)
-            return entry
-        entry = [mega, 0, None, None, None]
-        self._megas.pop(key, None)
-        _lru_put(self._megas, key, entry, self.mega_bound)
-        return entry
-
     # ------------------------------------------------------------------
     def clear(self) -> None:
         """Drop every program, compiled entry and the replay buffer."""
         from repro.isa.trace import TraceScratch
         self._programs.clear()
-        self._stitched.clear()
         self._compiled.clear()
-        self._megas.clear()
         self.scratch = TraceScratch()
 
     def __len__(self) -> int:
-        """Entries across all four tiers."""
-        return (len(self._programs) + len(self._stitched)
-                + len(self._compiled) + len(self._megas))
+        """Entries across both tiers."""
+        return len(self._programs) + len(self._compiled)

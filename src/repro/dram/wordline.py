@@ -168,8 +168,8 @@ class WordlineSubarray:
         Per-bit fault injection, shared with the bit-level backend.
     programs:
         The :class:`~repro.dram.programs.ProgramStore` holding compiled
-        traces, megatraces and replay scratch -- the owning device's
-        store, so every engine it builds replays the same warm traces.
+        traces and replay scratch -- the owning device's store, so every
+        engine it builds replays the same warm traces.
         ``None`` gives the subarray a private store.
 
     Bits past ``n_cols`` in the last word are *don't-care*: they never
@@ -200,14 +200,14 @@ class WordlineSubarray:
             for name, ports in _b_group_map().items()}
         self._ports["C0"] = ((_C0, False),)
         self._ports["C1"] = ((_C1, False),)
-        # Resolved op lists, compiled traces, megatraces and replay
-        # scratch live in the (usually device-wide) program store; the
-        # counters below count what *this* subarray compiled/replayed.
+        # Resolved op lists, compiled traces and replay scratch live in
+        # the (usually device-wide) program store; the counters below
+        # count what *this* subarray compiled/replayed.
         self.programs = programs if programs is not None else ProgramStore()
         self.trace_compiles = 0   # traces this subarray compiled
         self.trace_replays = 0    # fused traces this subarray re-executed
-        self.megatrace_compiles = 0  # stitched traces compiled
-        self.megatrace_replays = 0   # stitched traces re-executed
+        self.megatrace_compiles = 0  # trace chains assembled
+        self.megatrace_replays = 0   # trace chains replayed warm
         # Monotonic count of fault-model bit flips this subarray's
         # activations injected (interpreted and fused paths both feed
         # it) -- the per-subarray view of ``FaultModel.injected``,
@@ -316,8 +316,9 @@ class WordlineSubarray:
         engine sharing the store.  Replay goes further after a
         one-interpreted-run JIT warm-up (counted per store entry): the
         program is lowered once by :func:`repro.isa.trace.
-        compile_trace` into a fused trace and re-executed as batched
-        NumPy operations -- no per-op Python loop at all.  An *active*
+        compile_trace` into a fused trace and re-executed as one native
+        kernel call (or batched NumPy operations without the kernel)
+        -- no per-op Python loop at all.  An *active*
         fault model fuses too: the trace is compiled against the
         model's :class:`~repro.isa.trace.FaultSpec` and each replay
         runs the fault pre-pass (flip masks pre-drawn in original op
@@ -329,12 +330,14 @@ class WordlineSubarray:
         cached trace's spec, the trace is recompiled against the new
         regime.
         """
-        entry = self.programs.compiled(self.n_data_rows, program,
-                                       self.resolve)
-        trace = _trace_module()
-        if trace.fusion_enabled():
-            compiled, compiled_now = self._warm_trace(entry,
-                                                      trace.compile_trace)
+        self._run_entry(self.programs.compiled(self.n_data_rows, program,
+                                               self.resolve))
+
+    def _run_entry(self, entry: list) -> None:
+        """Run one store entry ``[program, runs, spec, trace, ops]``:
+        its compiled trace once warm, else the interpreted op list."""
+        if _trace_module().fusion_enabled():
+            compiled, compiled_now = self._warm_trace(entry)
             if compiled is not None:
                 if compiled_now:
                     self.trace_compiles += 1
@@ -353,20 +356,19 @@ class WordlineSubarray:
             else:
                 self.ap_count += 1
 
-    def _warm_trace(self, entry: list, compile_fn) -> tuple:
+    def _warm_trace(self, entry: list) -> tuple:
         """The JIT warm-up rule of a store entry: ``(trace, compiled_now)``.
 
-        ``entry`` is a :class:`~repro.dram.programs.ProgramStore` entry
-        ``[obj, runs, spec, trace, ops]``.  A cached trace compiled
-        against another :class:`~repro.isa.trace.FaultSpec` than the
-        fault model's current one is dropped (the regime changed).
-        Without a trace, the run is counted and ``(None, False)`` tells
-        the caller to run the interpreted path -- until run
-        ``FUSE_AFTER_RUNS``, which compiles ``entry[0]`` through
-        ``compile_fn`` and returns ``(trace, True)``.  A warm entry
-        returns ``(trace, False)``.
+        A cached trace compiled against another
+        :class:`~repro.isa.trace.FaultSpec` than the fault model's
+        current one is dropped (the regime changed).  Without a trace,
+        the run is counted and ``(None, False)`` tells the caller to run
+        the interpreted path -- until run ``FUSE_AFTER_RUNS``, which
+        compiles the entry's program and returns ``(trace, True)``.  A
+        warm entry returns ``(trace, False)``.
         """
-        spec = _trace_module().FaultSpec.of(self.fault_model)
+        trace = _trace_module()
+        spec = trace.FaultSpec.of(self.fault_model)
         if entry[3] is not None:
             if entry[2] == spec:
                 return entry[3], False
@@ -374,77 +376,89 @@ class WordlineSubarray:
         entry[1] += 1
         if entry[1] < FUSE_AFTER_RUNS:
             return None, False
-        entry[3] = compile_fn(entry[0], self.resolve, fault=spec)
+        entry[3] = trace.compile_trace(entry[0], self.resolve, fault=spec)
         entry[2] = spec
         return entry[3], True
 
-    def _replay(self, compiled, stream: np.ndarray = None) -> None:
-        """Execute a compiled (mega)trace on the store's shared replay
-        scratch and accrue its command counts."""
+    def _replay(self, compiled) -> None:
+        """Execute a compiled trace on the store's shared replay scratch
+        and accrue its command counts."""
         scratch = self.programs.scratch
         if compiled.faulty:
             self.fault_injections += compiled.execute(
                 self.cells, scratch, fault_model=self.fault_model,
-                n_cols=self.n_cols, stream=stream)
+                n_cols=self.n_cols)
         else:
-            compiled.execute(self.cells, scratch, stream=stream)
-        self.aap_count += compiled.n_aap
-        self.ap_count += compiled.n_ap
-        self.activations += compiled.n_activations
-        self.multi_row_activations += compiled.n_multi
+            compiled.execute(self.cells, scratch)
+        self._accrue(compiled)
 
-    def run_megaprogram(self, mega, stream: np.ndarray) -> None:
-        """Execute a stitched :class:`~repro.isa.trace.MegaProgram`.
+    def _accrue(self, replayed) -> None:
+        """Add a replayed trace's (or chain's) command totals."""
+        self.aap_count += replayed.n_aap
+        self.ap_count += replayed.n_ap
+        self.activations += replayed.n_activations
+        self.multi_row_activations += replayed.n_multi
 
-        ``stream`` is a ``[n_segments, n_words]`` packed block; segment
-        ``i`` semantically begins with a host write of ``stream[i]``
-        into the mega's stream row (the engine's mask row), then runs
-        ``mega.segments[i]`` -- exactly the per-wave
-        ``write_data_row_packed`` + :meth:`run_program` sequence.  With
-        megatraces enabled the whole sequence replays as *one* compiled
-        trace; with them disabled (or fusion disabled) it falls back to
-        that literal per-wave loop, which is the differential escape
-        hatch the parity harness leans on.
+    def chain(self, segments, stream_row: int):
+        """Assemble a wave sequence's :class:`~repro.isa.trace.
+        TraceChain`: each μProgram of ``segments`` as its entry in the
+        subarray's store, each run after a host write into data row
+        ``stream_row`` (see :func:`repro.isa.trace.compile_megatrace`).
+        Counts one ``megatrace_compiles``; nothing is lowered."""
+        self.megatrace_compiles += 1
+        programs, rows = self.programs, self.n_data_rows
+        return _trace_module().compile_megatrace(
+            segments, self._data_row(stream_row),
+            lambda program: programs.compiled(rows, program, self.resolve))
 
-        Megatraces share the μProgram path's JIT warm-up discipline:
-        the first run of a sequence executes as the per-wave loop
-        (whose μPrograms ride their own trace cache, so a one-shot
-        query stream -- distinct magnitudes, never repeated -- pays no
-        stitched-compilation cost at all), and run ``FUSE_AFTER_RUNS``
-        compiles the whole sequence once; every further run is a
-        single-trace replay.  Compiled megatraces live in the
-        megatrace tier of the subarray's
-        :class:`~repro.dram.programs.ProgramStore` (bounded LRU, keyed
-        by ``(n_data_rows, mega)``), so an engine rebuilt over the same
-        store replays them warm, and a fault-regime change
-        (p_cim/p_read/margin mutation) recompiles the entry just like
-        :meth:`run_program` does.
+    def run_megaprogram(self, chain, stream: np.ndarray) -> None:
+        """Execute a wave sequence assembled by :meth:`chain`.
+
+        ``stream`` is a ``[n_segments, n_words]`` packed block, checked
+        before any cell is touched; segment ``i`` begins with a host
+        write of ``stream[i]`` into the chain's stream row (the engine's
+        mask row), then runs its μProgram -- exactly the per-wave
+        ``write_data_row_packed`` + :meth:`run_program` sequence.  Three
+        regimes, all cell-, counter- and fault-stream-identical:
+
+        * every segment trace is warm for the current
+          :class:`~repro.isa.trace.FaultSpec` and fault-free: **one
+          native kernel call** (:meth:`~repro.isa.trace.TraceChain.
+          execute`);
+        * warm under an active fault model, or without the kernel
+          (:func:`~repro.isa.trace.native_disabled`): a loop over the
+          compiled segment traces;
+        * any segment cold or compiled for another regime, or chains
+          disabled (:func:`~repro.isa.trace.megatrace_disabled`,
+          :func:`~repro.isa.trace.fusion_disabled`): the per-wave loop
+          over the segments' entries, which warms and (re)compiles
+          them under the per-μProgram JIT rule.
+
+        Both warm regimes count one ``megatrace_replays``.
         """
+        stream = np.ascontiguousarray(stream, dtype=np.uint64)
+        if stream.shape != (chain.n_segments, self.n_words):
+            raise ValueError(
+                f"stream block shape {stream.shape} != "
+                f"{(chain.n_segments, self.n_words)}")
         trace = _trace_module()
-        if not (trace.fusion_enabled() and trace.megatrace_enabled()):
-            self._run_segments(mega, stream)
+        traces = None
+        if trace.fusion_enabled() and trace.megatrace_enabled():
+            traces = chain.warm_traces(trace.FaultSpec.of(self.fault_model))
+        cells, row = self.cells, chain.stream_row
+        if traces is None:
+            for i, entry in enumerate(chain.entries):
+                cells[row] = stream[i]
+                self._run_entry(entry)
             return
-        compiled, compiled_now = self._warm_trace(
-            self.programs.megatrace(self.n_data_rows, mega),
-            trace.compile_megatrace)
-        if compiled is None:
-            # Warm-up run: the literal per-wave sequence (its μPrograms
-            # JIT independently, so even this run fuses at μProgram
-            # granularity once warm).
-            self._run_segments(mega, stream)
+        self.megatrace_replays += 1
+        if traces and not traces[0].faulty and trace.native_enabled():
+            chain.execute(cells, self.programs.scratch, traces, stream)
+            self._accrue(chain)
             return
-        if compiled_now:
-            self.megatrace_compiles += 1
-        else:
-            self.megatrace_replays += 1
-        self._replay(compiled,
-                     np.ascontiguousarray(stream, dtype=np.uint64))
-
-    def _run_segments(self, mega, stream: np.ndarray) -> None:
-        """The per-wave loop a megaprogram stands for."""
-        for i, segment in enumerate(mega.segments):
-            self.write_data_row_packed(mega.stream_row, stream[i])
-            self.run_program(segment)
+        for i, compiled in enumerate(traces):
+            cells[row] = stream[i]
+            self._replay(compiled)
 
     # ------------------------------------------------------------------
     # host-side access (RD/WR path; used to stage operands and read out)

@@ -231,9 +231,9 @@ class BankCluster:
         Wave images are staged blockwise (so huge batches never
         materialize hundreds of MB at once) with
         :func:`~repro.dram.wordline.pack_blocks`, and each block runs
-        as one stitched :meth:`~repro.engine.machine.CountingEngine.
-        run_waves` pass -- the per-wave work left in Python is just the
-        broadcast itself.
+        as one :meth:`~repro.engine.machine.CountingEngine.run_waves`
+        pass (one trace chain) -- the per-wave work left in Python is
+        just the broadcast itself.
         """
         if masks is not None:
             masks = np.asarray(masks, dtype=np.uint8)

@@ -36,15 +36,15 @@ from repro.isa.templates import (kary_increment_program, masked_update_ops,
                                  protected_masked_update_ops,
                                  underflow_check_ops)
 from repro.isa.microprogram import MicroProgram, aap, concat
-from repro.isa.trace import MegaProgram, fusion_enabled, megatrace_enabled
+from repro.isa.trace import fusion_enabled, megatrace_enabled
 
 __all__ = ["CountingEngine", "EngineCounters"]
 
 #: Bound on the engine's ``run_waves`` memo: whole calls keyed by
 #: scheduler state and magnitudes (see :meth:`CountingEngine.
 #: run_waves`).  A serving process sees one distinct entry per
-#: (resident plan, magnitude profile); the programs and compiled traces
-#: the entries reference live in the shared
+#: (resident plan, magnitude profile); the store entries the memoized
+#: trace chains reference live in the shared
 #: :class:`~repro.dram.programs.ProgramStore` under its own bounds.
 ENGINE_MEGATRACE_CACHE = 256
 
@@ -76,11 +76,12 @@ class EngineCounters(NamedTuple):
     trace_compiles: int = 0
     trace_replays: int = 0
     injected_faults: int = 0
-    #: Whole-sequence stitched traces (see :meth:`CountingEngine.
-    #: run_waves`): compile/replay split of the megatrace cache, the
-    #: same way ``trace_compiles`` / ``trace_replays`` split the
-    #: per-μProgram trace cache.  Zero on the bit backend and on any
-    #: path that never coalesces waves.
+    #: Whole wave sequences (see :meth:`CountingEngine.run_waves`):
+    #: ``megatrace_compiles`` counts trace chains assembled (a
+    #: ``run_waves`` memo miss; nothing is lowered) and
+    #: ``megatrace_replays`` chains replayed warm -- one kernel call,
+    #: or a loop over compiled segment traces under faults.  Zero on
+    #: the bit backend and on any path that never coalesces waves.
     megatrace_compiles: int = 0
     megatrace_replays: int = 0
 
@@ -159,10 +160,10 @@ class CountingEngine:
                                     protected=self.fr_checks > 0)
         self.backend = self.normalize_backend(backend)
         # Increment/resolve μPrograms depend only on the layout and
-        # (digit, k, mask row), macro-fused batches and stitched chunks
-        # on the layout and the event signatures: they are built once
-        # per store -- the device's, shared by every engine it builds
-        # -- under the layout signature below.  The plan layer surfaces
+        # (digit, k, mask row), macro-fused batches on the layout and
+        # the event signatures: they are built once per store -- the
+        # device's, shared by every engine it builds -- under the
+        # layout signature below.  The plan layer surfaces
         # this engine's build/reuse split through Plan.stats.
         self.programs = programs if programs is not None else ProgramStore()
         self._layout_key = (n_bits, n_digits, n_masks, self.fr_checks > 0)
@@ -551,35 +552,36 @@ class CountingEngine:
 
         but on the unprotected word path the entire sequence -- every
         wave's event batch plus the interleaved host mask writes --
-        stitches into :class:`~repro.isa.trace.MegaProgram` chunks that
-        replay as single compiled traces (see
-        :meth:`~repro.dram.wordline.WordlineSubarray.run_megaprogram`).
-        ``flush=True`` (for callers whose next step is a read) appends
-        the scheduler's flush events to the last wave's batch, so the
-        carry flush rides the stitched tail instead of replaying as a
-        separate trace.  Cell states, AAP/AP/activation accounting, the
-        paper-formula ``model_ops``, and a seeded fault stream are
-        exactly what the per-wave loop produces; only the
-        compile/replay cache counters see the coarser (per-chunk)
-        granularity.
+        runs as one :class:`~repro.isa.trace.TraceChain` of the waves'
+        fused μPrograms: once their traces are warm, one native kernel
+        call (see :meth:`~repro.dram.wordline.WordlineSubarray.
+        run_megaprogram`).  ``flush=True`` (for callers whose next step
+        is a read) appends the scheduler's flush events to the last
+        wave's batch, so the carry flush rides the chain's tail instead
+        of replaying as a separate trace.  Cell states, AAP/AP/
+        activation accounting, the paper-formula ``model_ops``, and a
+        seeded fault stream are exactly what the per-wave loop
+        produces; only the compile/replay cache counters see the
+        coarser (per-sequence) granularity.
 
         The IARM event stream is a pure function of the scheduler state
         and the magnitudes, so a scheduler exposing ``state()`` /
         ``restore()`` lets a repeated ``(state, magnitudes, flush)``
-        call skip scheduling altogether: the chunk megaprograms, the
-        ``model_ops`` delta and the post-call scheduler state are
-        memoized under that key, and a hit replays the chunks and
-        restores the state exactly.  The memo is per engine; a miss
-        schedules wave by wave and looks each chunk's megaprogram up in
-        the shared :class:`~repro.dram.programs.ProgramStore` by its
-        layout and *scheduled* event signatures, so different states --
-        and different engines of one device -- that schedule alike
-        share one compiled trace.  Long sequences split into chunks
-        under a fixed replay-scratch budget; chunk boundaries are
-        deterministic in the event signatures, so cache keys stay stable
-        across identical queries.
+        call skip scheduling altogether: the chain, the ``model_ops``
+        delta and the post-call scheduler state are memoized under that
+        key, and a hit replays the chain and restores the state
+        exactly.  The memo is per engine; a miss schedules wave by wave
+        and assembles a fresh chain from the shared
+        :class:`~repro.dram.programs.ProgramStore`'s entries, so states
+        -- and engines of one device -- that schedule alike replay the
+        same warm traces.  Nothing is compiled per sequence, and the
+        replay scratch holds one segment at a time, however long the
+        sequence.
         """
         n_waves = len(magnitudes)
+        if len(packed_masks) != n_waves:
+            raise ValueError(f"{len(packed_masks)} packed mask rows for "
+                             f"{n_waves} waves")
         if n_waves == 0 or not (self._fusable and fusion_enabled()
                                 and megatrace_enabled()):
             for w in range(n_waves):
@@ -598,9 +600,8 @@ class CountingEngine:
             memo = self._mega_cache.get(memo_key)
             if memo is not None:
                 self._mega_cache.move_to_end(memo_key)
-                chunks, ops, post = memo
-                for lo, hi, mega in chunks:
-                    self.subarray.run_megaprogram(mega, packed_masks[lo:hi])
+                chain, ops, post = memo
+                self.subarray.run_megaprogram(chain, packed_masks)
                 self.model_ops += ops
                 sched.restore(post)
                 self._flushed = flush
@@ -611,43 +612,17 @@ class CountingEngine:
                        for m in magnitudes]
         if flush:
             wave_events[-1].extend(sched.flush())
-        sigs = []
         for events in wave_events:
-            sigs.append(tuple(
-                (ev.digit, ev.k) if isinstance(ev, Increment)
-                else ("resolve", ev.digit, ev.direction)
-                for ev in events))
             for ev in events:
                 self.model_ops += event_ops(ev, self.n_bits,
                                             fr_checks=self.fr_checks)
-        # Replay scratch grows with the stitched value graph; bound it
-        # by splitting the sequence into chunks of roughly
-        # budget-many value slots (coarse per-wave estimate).
-        budget = max(8, (1 << 24) // (2 * self.subarray.n_words))
-        bounds, start, used = [], 0, 0
-        for w in range(n_waves):
-            cost = 8 + 48 * len(wave_events[w])
-            if w > start and used + cost > budget:
-                bounds.append((start, w))
-                start, used = w, 0
-            used += cost
-        bounds.append((start, n_waves))
-        chunks = []
-        for lo, hi in bounds:
-            key = (self._layout_key, mask_row) + tuple(sigs[lo:hi])
-            mega = self.programs.get_mega(key)
-            if mega is None:
-                segments = tuple(
-                    self._fused_batch_program(wave_events[w], mask_row)
-                    if wave_events[w] else MicroProgram("noop", ())
-                    for w in range(lo, hi))
-                mega = self.programs.put_mega(key, MegaProgram(
-                    f"mega[{hi - lo}]", segments, mask_row))
-            chunks.append((lo, hi, mega))
-            self.subarray.run_megaprogram(mega, packed_masks[lo:hi])
+        chain = self.subarray.chain(
+            [self._fused_batch_program(events, mask_row)
+             for events in wave_events], mask_row)
+        self.subarray.run_megaprogram(chain, packed_masks)
         self._flushed = flush
         if memo_key is not None:
-            self._mega_cache[memo_key] = (tuple(chunks),
+            self._mega_cache[memo_key] = (chain,
                                           self.model_ops - ops_before,
                                           sched.state())
             while len(self._mega_cache) > ENGINE_MEGATRACE_CACHE:

@@ -4,8 +4,12 @@ A warm fault-free trace replays a few hundred MAJ3 nodes over rows of
 a few hundred words, grouped in dozens of dependence levels.  Its
 NumPy replay (:meth:`repro.isa.trace.CompiledTrace.execute`) costs one
 gather plus four or five ufunc calls per level, so it is bound by
-NumPy call overhead, not by the word operations.  ``maj_replay`` runs
-a whole node table in one C call instead.
+NumPy call overhead, not by the word operations.  ``chain_replay``
+runs a whole chain of traces in one C call instead: per segment it
+writes the stream row, gathers the live inputs, writes their
+complements, walks the node table and scatters the outputs (see
+:class:`repro.isa.trace.TraceChain`).  A single μProgram trace is the
+one-segment chain.
 
 The kernel (``maj_replay.c`` beside this module) is built when this
 module is first imported: ``gcc -O3 -shared -fPIC`` into a temporary
@@ -27,7 +31,7 @@ on-disk cache, for three reasons:
   shards) inherit the loaded library and never build.
 
 On any failure -- no compiler, a read-only or ``noexec`` temporary
-directory, a platform without ``gcc`` -- ``maj_replay`` is ``None``
+directory, a platform without ``gcc`` -- ``chain_replay`` is ``None``
 and replay keeps its NumPy loop, which is also the reference the
 parity tests hold the kernel to (``tests/test_native_replay.py``).
 """
@@ -39,7 +43,7 @@ import os
 import subprocess
 import tempfile
 
-__all__ = ["maj_replay"]
+__all__ = ["chain_replay"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "maj_replay.c")
@@ -53,15 +57,16 @@ def _build():
             subprocess.run(["gcc", "-O3", "-shared", "-fPIC", "-o", path,
                             _SOURCE], check=True, capture_output=True,
                            timeout=120)
-            kernel = ctypes.CDLL(path).maj_replay
+            kernel = ctypes.CDLL(path).chain_replay
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    # maj_replay(vals, nodes, n_nodes, n_words): see maj_replay.c.
-    kernel.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                       ctypes.c_int64)
+    # chain_replay(cells, vals, stream, table, n_segments, n_words):
+    # see maj_replay.c.
+    kernel.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64)
     kernel.restype = None
     return kernel
 
 
 #: The loaded kernel, or ``None`` when it could not be built.
-maj_replay = _build()
+chain_replay = _build()

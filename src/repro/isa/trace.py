@@ -2,28 +2,20 @@
 
 The paper's throughput story rests on one broadcast command stream
 driving thousands of lanes at once.  The word-parallel backend already
-executes each AAP/AP as a handful of bulk bitwise NumPy calls, but the
-*stream* is still interpreted one op at a time in Python -- and an
+executes each AAP/AP as a handful of bulk bitwise NumPy operations, but
+the *stream* is still interpreted one op at a time in Python -- and an
 increment program is pure straight-line bitwise dataflow, so
 interpreter overhead, not bitwise work, bounds the hot path.
 
-One lowering turns a stream into a trace.  Its input is a sequence of
-*segments* (resolved μPrograms); before each segment of a stitched
-:class:`MegaProgram` the mega's stream row is rebound to that
-segment's row of an external *stream* operand (the host mask write a
-wave begins with).  A single μProgram is the one-segment case with no
-stream row.  :func:`compile_trace` and :func:`compile_megatrace` are
-the two entry points; both return one of two trace kinds, each
-carrying ``n_segments``:
+One lowering, :func:`compile_trace`, turns a resolved μProgram into a
+trace of one of two kinds:
 
 * :class:`CompiledTrace` -- fault-free: a small SSA dataflow IR over
   physical rows, replayed level by level;
 * :class:`CompiledFaultTrace` -- under an *active* fault model: every
   draw-taking activation is a node fed by the **fault pre-pass**.
 
-The lowering walks the ops once, value-numbering physical rows
-(across segment boundaries too, so a wave's final counter writes feed
-the next wave's reads as SSA values):
+The lowering walks the ops once, value-numbering physical rows:
 
 * **Copy aliasing** -- a single-source ``AAP`` (RowClone) binds the
   destination rows to the source *value*; copies cost nothing at
@@ -35,18 +27,22 @@ the next wave's reads as SSA values):
 * **Dead-write elimination** -- only values transitively needed by the
   subarray's *final* row bindings (plus, under faults, every faulty
   activation) are computed; overwritten intermediates vanish.
-* **Input fills** -- live inputs gather from the cell matrix and the
-  stream as at most four contiguous ``take`` segments (``fills``).
+* **Input gather** -- live inputs gather from the cell matrix in one
+  ``take`` (``in_rows``).
 * **Node placement** -- the one fork: fault-free nodes are grouped into
   dependence levels, fault nodes keep creation (op) order.  Values some
   consumer reads negated get a complement row, packed after the value
   slots, so DCC port polarity costs an index, not an XOR pass.
 
-A fault-free trace replays its whole node table in one call of the
-native MAJ3 kernel (:mod:`repro.isa.native`) when that could be built;
-otherwise, and under :func:`native_disabled`, one level replays as a
-single fancy-indexed gather, one vectorized three-way majority over
-all its nodes and one contiguous scatter.
+A whole wave sequence -- a host mask write before each μProgram --
+replays as a :class:`TraceChain` of its segments' traces, assembled by
+:func:`compile_megatrace` without any lowering.  A fault-free chain
+replays in one call of the native chain kernel
+(:mod:`repro.isa.native`), and a single fault-free trace is its
+one-segment chain; where the kernel could not be built, and under
+:func:`native_disabled`, one level replays as a single fancy-indexed
+gather, one vectorized three-way majority over all its nodes and one
+contiguous scatter.
 
 Replay is *bit-exact* against the interpreted path, including the
 don't-care tail bits of the last packed word, because every fold above
@@ -60,15 +56,15 @@ Fusion is *fault-aware*: fault injection is defined per activation --
 one ``FaultModel.corrupt`` draw sequence per sensed row in program
 order -- but ``corrupt`` draws its Bernoulli masks from shapes and
 flags only, never from the sensed data.  A fault trace therefore
-pre-draws every segment's flip masks in original op order (the fault
-pre-pass, blockwise ``Generator.random`` calls consuming exactly the
-stream the interpreter would) and applies them per node during replay;
-only the margin-aware *selection* between the CIM and read-rate masks
-is data-dependent, and that is computed from the sensed words at
-replay time.  Replay under an active fault model is therefore bit-,
-counter- and fault-stream-identical to the interpreted path and to the
-bit-level backend (``tests/test_fault_fusion_parity.py`` pins all
-three).  :func:`fusion_disabled`, :func:`megatrace_disabled` and
+pre-draws its flip masks in original op order (the fault pre-pass,
+blockwise ``Generator.random`` calls consuming exactly the stream the
+interpreter would) and applies them per node during replay; only the
+margin-aware *selection* between the CIM and read-rate masks is
+data-dependent, and that is computed from the sensed words at replay
+time.  Replay under an active fault model is therefore bit-, counter-
+and fault-stream-identical to the interpreted path and to the bit-level
+backend (``tests/test_fault_fusion_parity.py`` pins all three).
+:func:`fusion_disabled`, :func:`megatrace_disabled` and
 :func:`native_disabled` are the explicit escape hatches (benchmark
 baselines, differential tests).
 
@@ -78,8 +74,8 @@ baselines, differential tests).
 >>> prog = MicroProgram("and", (aap(0, "B8"), aap("C0", "B9"),
 ...                             aap(1, "B2"), ap("B12"), aap("B2", 1)))
 >>> trace = compile_trace(prog, sa.resolve)
->>> trace.n_nodes, trace.n_aap, trace.n_ap, trace.n_segments
-(1, 4, 1, 1)
+>>> trace.n_nodes, trace.n_aap, trace.n_ap
+(1, 4, 1)
 """
 
 from __future__ import annotations
@@ -96,7 +92,7 @@ from repro.isa import native as _native
 
 __all__ = ["CompiledTrace", "CompiledFaultTrace", "FaultSpec",
            "TraceScratch", "compile_trace", "fusion_enabled",
-           "fusion_disabled", "MegaProgram", "compile_megatrace",
+           "fusion_disabled", "TraceChain", "compile_megatrace",
            "megatrace_enabled", "megatrace_disabled", "native_enabled",
            "native_disabled"]
 
@@ -113,18 +109,18 @@ _Ref = Tuple[int, bool]
 _NODE_EXEC_WORDS = 4096
 
 #: Uniforms (draw rows x columns) one fault pre-pass block draws at
-#: most: 2**24 float64s, 128 MiB.  A longer draw schedule -- a stitched
-#: fault trace over many waves -- is drawn in several blocks (see
+#: most: 2**24 float64s, 128 MiB.  A longer draw schedule -- a large
+#: fused batch on wide rows -- is drawn in several blocks (see
 #: :meth:`CompiledFaultTrace._draw_flips`).
 _PREDRAW_BLOCK_CELLS = 1 << 24
 
 #: Process-wide fusion switch (see :func:`fusion_disabled`).
 _fusion_on = True
 
-#: Process-wide megatrace switch (see :func:`megatrace_disabled`).
+#: Process-wide chain switch (see :func:`megatrace_disabled`).
 #: Independent of the fusion switch so the differential harness can pin
-#: three word-backend regimes: megatrace replay, per-μProgram fused
-#: replay (megatraces off), and per-op interpretation (fusion off).
+#: three word-backend regimes: chain replay, per-μProgram fused replay
+#: (chains off), and per-op interpretation (fusion off).
 _megatrace_on = True
 
 #: Process-wide native-kernel switch (see :func:`native_disabled`).
@@ -172,18 +168,18 @@ def fusion_disabled():
 
 
 def megatrace_enabled() -> bool:
-    """Whether whole-plan replay sequences may stitch into megatraces."""
+    """Whether wave sequences may replay as trace chains."""
     return _megatrace_on
 
 
 @contextmanager
 def megatrace_disabled():
-    """Temporarily force per-μProgram execution of wave sequences.
+    """Temporarily force per-wave execution of wave sequences.
 
-    The megatrace-level escape hatch: with megatraces off (but fusion
-    on) a coalesced wave sequence falls back to one fused μProgram
-    replay per wave, which is what the differential parity harness and
-    the megatrace benchmark compare against.  Composes with
+    The chain-level escape hatch: with chains off (but fusion on) a
+    coalesced wave sequence schedules and runs wave by wave, one fused
+    μProgram replay per wave, which is what the differential parity
+    harness and the megatrace benchmark compare against.  Composes with
     :func:`fusion_disabled`, which disables both levels.
 
     >>> with megatrace_disabled():
@@ -202,9 +198,9 @@ def megatrace_disabled():
 
 
 def native_enabled() -> bool:
-    """Whether fault-free replay runs the native MAJ3 kernel: it was
+    """Whether fault-free replay runs the native chain kernel: it was
     built at import (see :mod:`repro.isa.native`) and is not disabled."""
-    return _native_on and _native.maj_replay is not None
+    return _native_on and _native.chain_replay is not None
 
 
 @contextmanager
@@ -288,7 +284,7 @@ class FaultSpec:
 
 
 #: Empty per-width plan map of a trace the scratch holds no plan for.
-_NO_PLANS: Dict[tuple, tuple] = {}
+_NO_PLANS: Dict[int, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -315,32 +311,45 @@ class TraceScratch:
 
     One growable flat word buffer serves every trace replayed through
     one :class:`~repro.dram.programs.ProgramStore`, at any row width:
-    :meth:`ensure` carves it into value slots (``vals``) and auxiliary
-    rows (gather/temporary/readout, ``aux``) of the requested width.
-    A store's replays are serialized, so views of different widths may
-    alias the same words, and the footprint is the largest single
-    replay's need -- not one buffer per cached trace, per engine or per
-    width.  The buffer only ever grows.
+    the native kernel takes its raw address (:meth:`reserve`), and the
+    NumPy replay carves it into value slots (``vals``) and auxiliary
+    rows (gather/temporary/readout, ``aux``) of the requested width
+    (:meth:`ensure`).  A store's replays are serialized, so views of
+    different widths may alias the same words, and the footprint is the
+    largest single segment's need -- not one buffer per cached trace,
+    per chain, per engine or per width.  The buffer only ever grows.
 
-    The scratch also owns the traces' replay plans (precomputed views
-    into the buffer and, for the native kernel, its node table and raw
-    buffer address -- one plan per trace, row width and strategy; see
+    The scratch also owns the traces' NumPy replay plans (precomputed
+    views into the buffer, one plan per trace and row width; see
     :meth:`CompiledTrace.execute`), weakly keyed by trace, so a
-    reallocation drops every view and address of the old buffer at
-    once -- no cached trace pins a buffer the scratch has outgrown, and
-    a trace replayed through two scratches never writes into the
-    other's buffer.
+    reallocation drops every view of the old buffer at once -- no
+    cached trace pins a buffer the scratch has outgrown, and a trace
+    replayed through two scratches never writes into the other's
+    buffer.  The kernel's node tables hold row indices only, so they
+    need no such care: every call passes the current address.
     """
 
-    __slots__ = ("vals", "aux", "plans", "_buf", "_shape")
+    __slots__ = ("vals", "aux", "plans", "address", "_buf", "_shape")
 
     def __init__(self):
         self.vals = None
         self.aux = None
-        #: trace -> {(n_words, native): replay plan}
+        #: trace -> {n_words: replay plan}
         self.plans = weakref.WeakKeyDictionary()
         self._buf = np.empty(0, np.uint64)
+        self.address = self._buf.ctypes.data
         self._shape = None
+
+    def reserve(self, need: int) -> int:
+        """Grow the buffer to at least ``need`` words; its address."""
+        if need > self._buf.size:
+            self.plans.clear()           # every plan views the old buffer
+            self._shape = None           # and so do vals / aux
+            # Power-of-two growth: few reallocations (each one rebuilds
+            # every plan), and untouched tail pages cost no memory.
+            self._buf = np.empty(1 << (need - 1).bit_length(), np.uint64)
+            self.address = self._buf.ctypes.data
+        return self.address
 
     def ensure(self, n_slots: int, n_aux: int, n_words: int) -> None:
         """Point ``vals`` / ``aux`` at ``n_slots`` / ``n_aux`` rows of
@@ -350,19 +359,10 @@ class TraceScratch:
             return
         split = n_slots * n_words
         need = split + n_aux * n_words
-        if need > self._buf.size:
-            self.plans.clear()           # every plan views the old buffer
-            # Power-of-two growth: few reallocations (each one rebuilds
-            # every plan), and untouched tail pages cost no memory.
-            self._buf = np.empty(1 << (need - 1).bit_length(), np.uint64)
+        self.reserve(need)
         self._shape = shape
         self.vals = self._buf[:split].reshape(n_slots, n_words)
         self.aux = self._buf[split:need].reshape(n_aux, n_words)
-
-
-def _fill_size(fills) -> int:
-    """Value slots the ``(from_stream, indices, lo, hi)`` fills cover."""
-    return sum(hi - lo for _, _, lo, hi in fills)
 
 
 @dataclass(eq=False)
@@ -370,24 +370,23 @@ class CompiledTrace:
     """A fault-free stream lowered to level-scheduled word operations.
 
     Execution staging: the live inputs gather into the value buffer
-    (``fills``: contiguous ``take`` segments from the cell matrix or,
-    for a stitched trace, the per-segment stream), the majority nodes
-    run in dependence-level order, and one final scatter writes the
-    surviving row bindings back into the cell matrix.  The value buffer
-    has ``n_rows`` rows: ``n_slots`` value slots, then one packed
-    complement row per value some consumer reads negated (the mirrored
-    input prefix's complements first, in slot order), so DCC port
-    polarity costs an index, not an XOR pass.  Every view the replay
-    touches is precomputed into a shared :class:`TraceScratch`, and
-    every word operation writes into preallocated buffers: a replay
-    allocates nothing on the hot path.
+    (``in_rows``: value slot ``i`` takes cell row ``in_rows[i]``), the
+    majority nodes run in dependence-level order, and one final scatter
+    writes the surviving row bindings back into the cell matrix.  The
+    value buffer has ``n_rows`` rows: ``n_slots`` value slots, then one
+    packed complement row per value some consumer reads negated (the
+    mirrored input prefix's complements first, in slot order), so DCC
+    port polarity costs an index, not an XOR pass.  Every view the
+    NumPy replay touches is precomputed into a shared
+    :class:`TraceScratch`, and every word operation writes into
+    preallocated buffers: a replay allocates nothing on the hot path.
 
     Counter totals (``n_aap``, ``n_ap``, ``n_activations``,
     ``n_multi``) replicate exactly what the interpreted path would have
-    accrued over all ``n_segments`` segments.
+    accrued.
     """
 
-    fills: Tuple[tuple, ...]         # (from_stream, indices, lo, hi)
+    in_rows: np.ndarray              # vals[:n_inputs] <- cells[in_rows]
     n_input_mirror: int              # prefix of inputs used complemented
     n_slots: int
     n_rows: int                      # value slots + complement rows
@@ -398,7 +397,6 @@ class CompiledTrace:
     n_ap: int
     n_activations: int
     n_multi: int
-    n_segments: int = 1
 
     #: Dispatch tag for ``WordlineSubarray._replay`` (fault traces
     #: carry ``faulty = True`` and take the fault model at replay).
@@ -406,10 +404,14 @@ class CompiledTrace:
 
     def __post_init__(self):
         self._own_scratch = None     # fallback when none is supplied
+        self._table = None           # one-segment kernel table, lazily
+        # Cell rows the replay touches: the kernel's bounds check.
+        self.n_cells = 1 + max(self.in_rows.max(initial=-1),
+                               self.out_rows.max(initial=-1))
 
     @property
     def n_inputs(self) -> int:
-        return _fill_size(self.fills)
+        return self.in_rows.size
 
     @property
     def n_nodes(self) -> int:
@@ -420,42 +422,16 @@ class CompiledTrace:
     def n_levels(self) -> int:
         return len(self.levels)
 
-    def _build_plan(self, scratch: TraceScratch, n_words: int,
-                    native: bool) -> tuple:
-        """Replay plan for one row width and strategy: all views (and
-        the native kernel's arguments) precomputed.
+    def native_table(self) -> np.ndarray:
+        """The trace as a one-segment chain in the kernel's ``int64``
+        table format (see ``maj_replay.c``), stream row ``-1``.
 
-        Three strategies:
-
-        * **native** (the kernel is loaded and enabled): a flat
-          ``int64[n_nodes, 5]`` node table of ``(a, b, c, dst, mirror
-          or -1)`` rows in level order, walked by one
-          :func:`~repro.isa.native.maj_replay` call over the buffer's
-          raw address;
-        * **narrow rows** (NumPy, call-overhead bound): each dependence
-          level executes as one fancy-indexed gather plus one four-call
-          vectorized majority over all its nodes;
-        * **wide rows** (NumPy, ``>= _NODE_EXEC_WORDS``, bandwidth
-          bound): each node executes on direct row *views* of the value
-          buffer -- no gather copies, operand reads stream straight from
-          the slots.
-
-        The table and the address live in the scratch's plan, never on
-        the trace: a trace replayed through two scratches gets two
-        plans, each writing only into its own buffer.
+        Nodes become ``(a, b, c, dst, mirror or -1)`` rows in level
+        order.  The table holds row indices only -- no buffer address
+        -- so it is built once per trace and serves every scratch and
+        row width.
         """
-        mode = ("native" if native else
-                "batched" if n_words < _NODE_EXEC_WORDS else "node")
-        width_max = max([1] + [level.hi - level.lo
-                               for level in self.levels])
-        n_out = self.out_rows.size
-        n_aux = n_out + {"native": 0, "batched": 5 * width_max,
-                         "node": 2}[mode]
-        scratch.ensure(self.n_rows, n_aux, n_words)
-        vals, aux = scratch.vals, scratch.aux
-        out = aux[n_aux - n_out:]
-        steps = []
-        if mode == "native":
+        if self._table is None:
             n_in = self.n_inputs
             nodes = np.full((self.n_nodes, 5), -1, dtype=np.int64)
             for level in self.levels:
@@ -465,12 +441,40 @@ class CompiledTrace:
                 table[:, 3] = np.arange(lo, hi)
                 table[:m, 4] = np.arange(level.mirror_lo,
                                          level.mirror_lo + m)
-            # The plan holds ``nodes`` and ``vals`` (a view of the
-            # buffer), so the raw addresses stay valid while it lives.
-            steps = (_native.maj_replay, nodes,
-                     (vals.ctypes.data, nodes.ctypes.data, len(nodes),
-                      n_words))
-        elif mode == "batched":
+            self._table = np.concatenate((
+                (-1, n_in), self.in_rows,
+                (self.n_input_mirror, self.n_slots, self.n_nodes),
+                nodes.ravel(), (self.out_rows.size,), self.out_rows,
+                self.out_slots)).astype(np.int64)
+        return self._table
+
+    def _build_plan(self, scratch: TraceScratch, n_words: int) -> tuple:
+        """NumPy replay plan for one row width: all views precomputed.
+
+        Two strategies:
+
+        * **narrow rows** (call-overhead bound): each dependence level
+          executes as one fancy-indexed gather plus one four-call
+          vectorized majority over all its nodes;
+        * **wide rows** (``>= _NODE_EXEC_WORDS``, bandwidth bound):
+          each node executes on direct row *views* of the value buffer
+          -- no gather copies, operand reads stream straight from the
+          slots.
+
+        The views live in the scratch's plan, never on the trace: a
+        trace replayed through two scratches gets two plans, each
+        writing only into its own buffer.
+        """
+        mode = "batched" if n_words < _NODE_EXEC_WORDS else "node"
+        width_max = max([1] + [level.hi - level.lo
+                               for level in self.levels])
+        n_out = self.out_rows.size
+        n_aux = n_out + (5 * width_max if mode == "batched" else 2)
+        scratch.ensure(self.n_rows, n_aux, n_words)
+        vals, aux = scratch.vals, scratch.aux
+        out = aux[n_aux - n_out:]
+        steps = []
+        if mode == "batched":
             gather = aux[:3 * width_max]
             t1 = aux[3 * width_max:4 * width_max]
             t2 = aux[4 * width_max:5 * width_max]
@@ -495,32 +499,40 @@ class CompiledTrace:
                         vals[ix[j]], vals[ix[width + j]],
                         vals[ix[2 * width + j]], u, v, vals[lo + j],
                         vals[mb + j] if j < level.n_mirror else None))
-        fills = tuple((from_stream, indices, vals[lo:hi])
-                      for from_stream, indices, lo, hi in self.fills)
         n_slots, im = self.n_slots, self.n_input_mirror
-        plan = (mode, vals, fills,
+        plan = (mode, vals, vals[:self.n_inputs],
                 vals[:im] if im else None,
                 vals[n_slots:n_slots + im] if im else None,
                 tuple(steps), out)
-        scratch.plans.setdefault(self, {})[(n_words, native)] = plan
+        scratch.plans.setdefault(self, {})[n_words] = plan
         return plan
 
-    def execute(self, cells: np.ndarray, scratch: TraceScratch = None,
-                stream: np.ndarray = None) -> None:
-        """Replay the trace against a packed ``uint64`` cell matrix
-        (``stream``: the ``[n_segments, n_words]`` packed stream rows
-        of a stitched trace)."""
+    def execute(self, cells: np.ndarray,
+                scratch: TraceScratch = None) -> None:
+        """Replay the trace against a packed ``uint64`` cell matrix."""
         if scratch is None:
             if self._own_scratch is None:
                 self._own_scratch = TraceScratch()
             scratch = self._own_scratch
-        # One plan per row width and strategy: a store-shared trace
-        # replays on every width the device serves.
-        key = (cells.shape[1], native_enabled())
-        plan = scratch.plans.get(self, _NO_PLANS).get(key)
+        n_words = cells.shape[1]
+        if (native_enabled() and cells.dtype == np.uint64
+                and cells.flags.c_contiguous):
+            table = self._table
+            if table is None:
+                table = self.native_table()
+            if cells.shape[0] < self.n_cells:
+                raise IndexError(f"trace touches cell row "
+                                 f"{self.n_cells - 1} of {cells.shape[0]}")
+            _native.chain_replay(
+                cells.ctypes.data, scratch.reserve(self.n_rows * n_words),
+                None, table.ctypes.data, 1, n_words)
+            return
+        # One plan per row width: a store-shared trace replays on every
+        # width the device serves.
+        plan = scratch.plans.get(self, _NO_PLANS).get(n_words)
         if plan is None:
-            plan = self._build_plan(scratch, *key)
-        mode, vals, fills, im_src, im_dst, steps, out = plan
+            plan = self._build_plan(scratch, n_words)
+        mode, vals, inputs, im_src, im_dst, steps, out = plan
         # Gathers call the ndarray.take method, not the np.take wrapper
         # (its dispatch is most of the cost of a small gather), in
         # mode="clip": the compiled indices are in range by
@@ -528,15 +540,10 @@ class CompiledTrace:
         # temporary buffer before writing ``out``.
         take, and_, or_, invert = (vals.take, np.bitwise_and,
                                    np.bitwise_or, np.invert)
-        for from_stream, idx, dst in fills:
-            (stream if from_stream else cells).take(
-                idx, axis=0, out=dst, mode="clip")
+        cells.take(self.in_rows, axis=0, out=inputs, mode="clip")
         if im_dst is not None:
             invert(im_src, out=im_dst)
-        if mode == "native":
-            kernel, _, args = steps
-            kernel(*args)
-        elif mode == "batched":
+        if mode == "batched":
             for idx, g, a, b, c, u, v, dst, m_src, m_dst in steps:
                 take(idx, axis=0, out=g, mode="clip")
                 # MAJ3 in four ufunc calls: (a & (b | c)) | (b & c).
@@ -578,9 +585,9 @@ class CompiledFaultTrace:
       selection that count depends on the contested flags of the
       sensed data -- so every faulty node is kept live and computed,
       in creation (op) order.
-    * **The fault pre-pass.**  Each replay first draws the complete
-      flip-mask block of all ``n_segments`` segments in original op
-      order (see :meth:`_draw_flips`), which consumes the generator's
+    * **The fault pre-pass.**  Each replay first draws the trace's
+      complete flip-mask block in original op order (see
+      :meth:`_draw_flips`), which consumes the generator's
       stream exactly as the interpreter's sequential per-activation
       ``random(n_cols)`` calls would (pinned by
       ``tests/test_fault_fusion_parity.py``), thresholds it per row
@@ -599,7 +606,7 @@ class CompiledFaultTrace:
     """
 
     spec: FaultSpec
-    fills: Tuple[tuple, ...]         # (from_stream, indices, lo, hi)
+    in_rows: np.ndarray              # vals[:n_inputs] <- cells[in_rows]
     n_input_mirror: int              # prefix of inputs used complemented
     n_slots: int
     n_rows: int                      # value slots + complement rows
@@ -611,7 +618,6 @@ class CompiledFaultTrace:
     n_ap: int
     n_activations: int
     n_multi: int
-    n_segments: int = 1
 
     #: Dispatch tag for ``WordlineSubarray._replay``.
     faulty = True
@@ -626,7 +632,7 @@ class CompiledFaultTrace:
 
     @property
     def n_inputs(self) -> int:
-        return _fill_size(self.fills)
+        return self.in_rows.size
 
     @property
     def n_nodes(self) -> int:
@@ -641,8 +647,8 @@ class CompiledFaultTrace:
         """Fault pre-pass: every draw row in op order, packed.
 
         Draws are taken in blocks of at most ``_PREDRAW_BLOCK_CELLS``
-        uniforms, so a long stitched trace never materializes its whole
-        uniform block at once; block splits are stream-transparent
+        uniforms, so a long trace on wide rows never materializes its
+        whole uniform block at once; block splits are stream-transparent
         because ``Generator.random`` fills row-major.
         """
         thresholds = self.draw_thresholds
@@ -661,7 +667,7 @@ class CompiledFaultTrace:
         return flips
 
     def execute(self, cells: np.ndarray, scratch: TraceScratch,
-                fault_model, n_cols: int, stream: np.ndarray = None) -> int:
+                fault_model, n_cols: int) -> int:
         """Replay against packed cells, injecting one fresh fault epoch.
 
         Returns the flip count (``corrupt``'s ``injected`` delta).
@@ -677,9 +683,8 @@ class CompiledFaultTrace:
             # Flip counts of the raw masks (tails are zero by packing):
             # nodes that apply a draw row unmodified charge these.
             row_pop = np.bitwise_count(flips).sum(axis=1)
-        for from_stream, idx, lo, hi in self.fills:
-            (stream if from_stream else cells).take(
-                idx, axis=0, out=vals[lo:hi], mode="clip")
+        cells.take(self.in_rows, axis=0, out=vals[:self.n_inputs],
+                   mode="clip")
         im, n_slots = self.n_input_mirror, self.n_slots
         if im:
             np.invert(vals[:im], out=vals[n_slots:n_slots + im])
@@ -797,54 +802,90 @@ class _Builder:
     def write(self, row: int, ref: _Ref, negated: bool) -> None:
         self.current[row] = (ref[0], ref[1] ^ negated)
 
-    def rebind_stream(self, row: int, index: int) -> None:
-        """Bind ``row`` to external stream input ``index``.
 
-        Models a host write landing between stitched program segments
-        (``load_mask_packed`` of the next wave's mask): the row's value
-        becomes a fresh trace input gathered from the *stream* operand
-        at replay, not from the cell matrix.  ``("ext", i)`` defs are
-        deliberately opaque to :meth:`const_of` -- stream contents are
-        never compile-time constants.
-        """
-        vid = len(self.defs)
-        self.defs.append(("ext", index))
-        self.current[row] = (vid, False)
+class TraceChain:
+    """A wave sequence as the chain of its segments' μProgram traces.
 
-
-class MegaProgram:
-    """A whole replay sequence stitched across host mask writes.
-
-    ``segments[i]`` is the (already engine-assembled) μProgram of wave
-    ``i``; before each segment the ``stream_row`` data row is rebound
-    to row ``i`` of the replay-time *stream* operand (the packed wave
-    masks) -- exactly the ``load_mask_packed`` + ``run_program``
-    sequence the per-wave path executes, expressed as one dataflow
-    graph.  Compiled by
-    :meth:`~repro.dram.wordline.WordlineSubarray.run_megaprogram` and
-    LRU-cached in the subarray's
-    :class:`~repro.dram.programs.ProgramStore`.
+    ``entries[i]`` is the :class:`~repro.dram.programs.ProgramStore`
+    entry ``[program, runs, spec, trace, ops]`` of wave ``i``'s
+    μProgram; before segment ``i`` the host writes row ``i`` of the
+    replay-time *stream* operand (the packed wave masks) into physical
+    row ``stream_row``.  The chain holds the entries, not their traces,
+    so a segment warmed or recompiled in place (a fault-regime change)
+    is what the next replay sees.  It compiles nothing of its own: a
+    lowering stitched across a whole GEMV sequence held exactly as many
+    MAJ nodes as its segments' traces, so one kernel call over the
+    chain keeps what stitching saved -- per-segment dispatch.
     """
 
-    __slots__ = ("name", "segments", "stream_row")
+    __slots__ = ("entries", "stream_row", "n_aap", "n_ap", "n_activations",
+                 "n_multi", "_traces", "_table", "_n_rows", "_n_cells")
 
-    def __init__(self, name: str, segments, stream_row):
-        self.name = name
-        self.segments = tuple(segments)
-        self.stream_row = stream_row
+    def __init__(self, entries, stream_row: int):
+        self.entries = tuple(entries)
+        self.stream_row = int(stream_row)
+        self._traces = None
 
     @property
     def n_segments(self) -> int:
-        return len(self.segments)
+        return len(self.entries)
+
+    def warm_traces(self, spec: "FaultSpec | None"):
+        """The segments' traces when every entry holds one compiled
+        against ``spec``; ``None`` while any segment is cold or was
+        compiled for another fault regime."""
+        traces = []
+        for entry in self.entries:
+            if entry[3] is None or entry[2] != spec:
+                return None
+            traces.append(entry[3])
+        return tuple(traces)
+
+    def execute(self, cells: np.ndarray, scratch: TraceScratch, traces,
+                stream: np.ndarray) -> None:
+        """Replay fault-free ``traces`` (:meth:`warm_traces`) in one
+        native kernel call, segment ``i`` after its write of
+        ``stream[i]`` (a C-contiguous ``[n_segments, n_words]`` block).
+
+        The kernel table -- the segments' one-segment tables behind
+        the stream row -- is rebuilt whenever a segment's trace object
+        changed, and the scratch is reserved for the largest segment at
+        every call, so a reallocation leaves no stale address.  Shapes
+        are checked before the kernel sees a pointer.
+        """
+        if traces != self._traces:
+            self._table = np.concatenate([
+                part for trace in traces
+                for part in ((self.stream_row,), trace.native_table()[1:])])
+            self._n_rows = max(trace.n_rows for trace in traces)
+            self._n_cells = max([self.stream_row + 1]
+                                + [trace.n_cells for trace in traces])
+            self.n_aap = sum(trace.n_aap for trace in traces)
+            self.n_ap = sum(trace.n_ap for trace in traces)
+            self.n_activations = sum(trace.n_activations for trace in traces)
+            self.n_multi = sum(trace.n_multi for trace in traces)
+            self._traces = traces
+        n_words = cells.shape[1]
+        if (cells.dtype != np.uint64 or not cells.flags.c_contiguous
+                or cells.shape[0] < self._n_cells
+                or stream.dtype != np.uint64
+                or not stream.flags.c_contiguous
+                or stream.shape != (len(traces), n_words)):
+            raise ValueError("chain replay needs C-contiguous uint64 "
+                             "cells and a [n_segments, n_words] stream")
+        _native.chain_replay(
+            cells.ctypes.data, scratch.reserve(self._n_rows * n_words),
+            stream.ctypes.data, self._table.ctypes.data, len(traces),
+            n_words)
 
 
 # ----------------------------------------------------------------------
-# The lowering: segments -> one trace (a μProgram is one segment).
+# The lowering: one μProgram -> one trace.
 # ----------------------------------------------------------------------
 def _walk_ops(builder: _Builder, ops, resolve: Callable,
               spec: "FaultSpec | None", draw_kinds: List[str],
               fault_meta: Dict[int, tuple]) -> tuple:
-    """Value-number one segment's op stream; returns (aap, ap, multi).
+    """Value-number a program's op stream; returns (aap, ap, multi).
 
     Mirrors the interpreted semantics op by op: single-port senses are
     pure reads, multi-row senses are destructive majorities written
@@ -855,9 +896,7 @@ def _walk_ops(builder: _Builder, ops, resolve: Callable,
     single-port sense (when ``p_read > 0``) each allocate a fresh value
     -- ideal result XOR flip mask -- recorded in ``fault_meta``, and
     each RNG draw the interpreter would take appends one entry to
-    ``draw_kinds`` in original op order.  The lowering passes the same
-    builder and lists for every segment, so folds and the draw schedule
-    run across segment boundaries exactly as sequential execution.
+    ``draw_kinds`` in original op order.
     """
     n_aap = n_ap = n_multi = 0
     single_faulty = spec is not None and spec.p_read > 0.0
@@ -919,63 +958,45 @@ def _walk_ops(builder: _Builder, ops, resolve: Callable,
 
 def _assign_input_slots(builder: _Builder, live, mirrored,
                         slot: Dict[int, int]) -> tuple:
-    """Slot the live inputs (``("in", row)`` and ``("ext", i)`` defs).
+    """Slot the live ``("in", row)`` inputs, mirrored ones first.
 
-    Orders them [mirrored cells, mirrored exts, plain cells, plain
-    exts]: the mirrored prefix stays contiguous (one prefix invert at
-    replay) and each source gathers as at most two contiguous ``take``
-    segments.  Returns ``(fills, n_input_mirror, n_inputs)``.
+    The mirrored prefix stays contiguous (one prefix invert at replay)
+    and all inputs gather in one ``take``.  Returns ``(in_rows,
+    n_input_mirror, n_inputs)``.
     """
     input_vids = [vid for vid in sorted(live)
-                  if builder.defs[vid][0] in ("in", "ext")]
-    input_vids.sort(key=lambda vid: (vid not in mirrored,
-                                     builder.defs[vid][0] == "ext"))
+                  if builder.defs[vid][0] == "in"]
+    input_vids.sort(key=lambda vid: vid not in mirrored)
     for position, vid in enumerate(input_vids):
         slot[vid] = position
     n_input_mirror = sum(1 for vid in input_vids if vid in mirrored)
-    runs: List[list] = []
-    for position, vid in enumerate(input_vids):
-        kind, index = builder.defs[vid]
-        if runs and runs[-1][0] == (kind == "ext"):
-            runs[-1][1].append(index)
-        else:
-            runs.append([kind == "ext", [index], position])
-    fills = tuple(
-        (from_stream, np.asarray(indices, dtype=np.intp), lo,
-         lo + len(indices))
-        for from_stream, indices, lo in runs)
-    return fills, n_input_mirror, len(input_vids)
+    in_rows = np.asarray([builder.defs[vid][1] for vid in input_vids],
+                         dtype=np.intp)
+    return in_rows, n_input_mirror, len(input_vids)
 
 
-def _lower(segments, resolve: Callable, stream_row, fault: FaultSpec):
-    """Lower resolved segments into one trace -- the only lowering.
+def compile_trace(program, resolve: Callable, fault: FaultSpec = None):
+    """Lower one μProgram into a :class:`CompiledTrace` (or, under an
+    active ``fault`` spec, a :class:`CompiledFaultTrace`) -- the only
+    lowering.
 
     ``resolve`` is the word backend's address map
     (:meth:`~repro.dram.wordline.WordlineSubarray.resolve`): it returns
     ``((physical_row, negated), ...)`` port tuples.  One
-    :class:`_Builder` walks every segment in sequence; when
-    ``stream_row`` (a physical row) is given, it is rebound to stream
-    input ``i`` before segment ``i``.  Then one pass finds the final
-    row bindings, the live values and the values read complemented,
-    and the live inputs become the trace's fills.  Only node placement
-    forks: without an active ``fault`` spec the live majorities are
-    level-scheduled into a :class:`CompiledTrace`; under one, every
-    node keeps creation order in a :class:`CompiledFaultTrace` whose
-    draw schedule spans all segments.
+    :class:`_Builder` walks the ops; then one pass finds the final row
+    bindings, the live values and the values read complemented, and
+    the live inputs become the trace's ``in_rows``.  Only node
+    placement forks: without an active ``fault`` spec the live
+    majorities are level-scheduled into a :class:`CompiledTrace`;
+    under one, every node keeps creation order in a
+    :class:`CompiledFaultTrace`.
     """
     spec = fault if fault is not None and fault.active else None
     builder = _Builder()
     draw_kinds: List[str] = []        # op-order rows: "cim" | "read"
     fault_meta: Dict[int, tuple] = {}  # vid -> (cim/read draw rows)
-    n_aap = n_ap = n_multi = 0
-    for index, segment in enumerate(segments):
-        if stream_row is not None:
-            builder.rebind_stream(stream_row, index)
-        aap, ap, multi = _walk_ops(builder, segment.ops, resolve, spec,
-                                   draw_kinds, fault_meta)
-        n_aap += aap
-        n_ap += ap
-        n_multi += multi
+    n_aap, n_ap, n_multi = _walk_ops(builder, program.ops, resolve, spec,
+                                     draw_kinds, fault_meta)
 
     # Final bindings: skip identity (row still holds its own entry value).
     finals: Dict[int, _Ref] = {
@@ -1005,7 +1026,7 @@ def _lower(segments, resolve: Callable, stream_row, fault: FaultSpec):
             mirrored.update(ref[0] for ref in definition[1:] if ref[1])
 
     slot: Dict[int, int] = {}
-    fills, n_input_mirror, next_slot = _assign_input_slots(
+    in_rows, n_input_mirror, next_slot = _assign_input_slots(
         builder, live, mirrored, slot)
     n_slots = len(live)              # every live value gets one slot
     # Complement rows are packed after the value slots, one per value
@@ -1076,11 +1097,11 @@ def _lower(segments, resolve: Callable, stream_row, fault: FaultSpec):
     out_rows = np.asarray(sorted(finals), dtype=np.intp)
     out_slots = np.asarray([row_of(finals[row]) for row in out_rows],
                            dtype=np.intp)
-    common = dict(fills=fills, n_input_mirror=n_input_mirror,
+    common = dict(in_rows=in_rows, n_input_mirror=n_input_mirror,
                   n_slots=n_slots, n_rows=n_rows, out_rows=out_rows,
                   out_slots=out_slots,
                   n_aap=n_aap, n_ap=n_ap, n_activations=2 * n_aap + n_ap,
-                  n_multi=n_multi, n_segments=len(segments))
+                  n_multi=n_multi)
     if spec is None:
         return CompiledTrace(levels=tuple(levels), **common)
     thresholds = np.asarray(
@@ -1090,49 +1111,26 @@ def _lower(segments, resolve: Callable, stream_row, fault: FaultSpec):
                               draw_thresholds=thresholds, **common)
 
 
-def compile_trace(program, resolve: Callable, fault: FaultSpec = None):
-    """Lower one μProgram into a :class:`CompiledTrace` (or, under an
-    active ``fault`` spec, a :class:`CompiledFaultTrace`).
+def compile_megatrace(segments, stream_row: int,
+                      entry_of: Callable) -> TraceChain:
+    """Assemble a wave sequence's :class:`TraceChain` -- no lowering.
 
-    The one-segment case of the lowering: no stream row, every input
-    gathers from the cell matrix.  ``resolve`` maps an address to
-    ``((physical_row, negated), ...)`` port tuples.
-    """
-    return _lower((program,), resolve, None, fault)
+    ``segments`` are the waves' μPrograms in order, ``stream_row`` the
+    physical row each wave's host write lands in, and ``entry_of`` maps
+    a μProgram to its store entry.  Each segment compiles on its own
+    entry under the per-μProgram JIT rule, so a sequence whose programs
+    are already warm replays as a chain at once.
 
-
-def compile_megatrace(mega: MegaProgram, resolve: Callable,
-                      fault: FaultSpec = None):
-    """Lower a :class:`MegaProgram` into one stitched trace.
-
-    The same lowering as :func:`compile_trace`, over every segment in
-    sequence: a wave's final counter-row writes feed the next wave's
-    reads as SSA values, so cross-wave intermediate scatters fold away
-    entirely.  Before each segment the mega's stream row is rebound to
-    that segment's row of the replay-time stream, so those inputs
-    gather from the stream operand; the final scatter includes the
-    stream row's last binding, so the mask row ends exactly as the
-    per-wave ``load_mask_packed`` sequence leaves it.  Under an active
-    ``fault`` spec the draw schedule spans all segments in op order.
-
-    Two waves that each AND the mask (data row 0) into data row 1:
+    Two waves that each AND the mask (data row 0) into data row 1 run
+    one program, so their chain holds one store entry twice:
 
     >>> from repro.isa.microprogram import MicroProgram, aap, ap
     >>> from repro.dram.wordline import WordlineSubarray
     >>> sa = WordlineSubarray(n_data_rows=2, n_cols=8)
     >>> wave = MicroProgram("and", (aap(0, "B0"), aap("C0", "B1"),
     ...                             aap(1, "B2"), ap("B12"), aap("B0", 1)))
-    >>> trace = compile_megatrace(MegaProgram("two", (wave, wave), 0),
-    ...                           sa.resolve)
-    >>> trace.n_segments, trace.n_nodes
-    (2, 2)
-
-    The cell fill gathers ``C0`` and data row 1 (physical rows 6 and
-    9); the stream fill gathers both waves' masks:
-
-    >>> [(from_stream, idx.tolist()) for from_stream, idx, _, _
-    ...  in trace.fills]
-    [(False, [6, 9]), (True, [0, 1])]
+    >>> chain = sa.chain((wave, wave), 0)
+    >>> chain.n_segments, chain.entries[0] is chain.entries[1]
+    (2, True)
     """
-    return _lower(mega.segments, resolve, resolve(mega.stream_row)[0][0],
-                  fault)
+    return TraceChain(map(entry_of, segments), stream_row)

@@ -28,9 +28,9 @@ embedding blocks -- planting each copy privately wastes both.
   with another tenant's image) and releases the old one.  Every entry
   carries a monotonic ``generation``; engines built for an entry adopt
   it as their ``cache_epoch``, so a swapped image starts a fresh
-  ``run_waves`` memo.  Compiled μPrograms and megatraces need no such
-  stamp: the device's :class:`~repro.dram.programs.ProgramStore` keys
-  them by content, and a trace reads no cell contents at compile time,
+  ``run_waves`` memo (and with it the memo's trace chains).  Compiled
+  μPrograms need no such stamp: the device's
+  :class:`~repro.dram.programs.ProgramStore` keys them by content, and a trace reads no cell contents at compile time,
   so it replays correctly against any row image.
 
 Counter-state multiplexing is exact because the plan layer already

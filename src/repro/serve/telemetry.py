@@ -158,12 +158,15 @@ class ExecutionReport:
         programs (new magnitudes, re-plans).  Both are zero on the bit
         backend (which never fuses).
     megatrace_compiles / megatrace_replays:
-        The wave's *stitched* whole-sequence trace activity (deltas of
-        the plan's counters): on the word path each query's entire
-        wave sequence executes as a handful of megatraces, so a warm
-        plan's steady state shows megatrace replays with near-zero
-        per-μProgram activity.  Both stay zero on the bit backend and
-        inside :func:`repro.isa.trace.megatrace_disabled` scopes.
+        The wave's whole-sequence trace-chain activity (deltas of the
+        plan's counters): ``megatrace_compiles`` counts chains
+        assembled (a new wave sequence; nothing is lowered) and
+        ``megatrace_replays`` chains replayed warm.  On the word path
+        each query's entire wave sequence replays as a handful of
+        chains, so a warm plan's steady state shows chain replays with
+        near-zero per-μProgram activity.  Both stay zero on the bit
+        backend and inside :func:`repro.isa.trace.megatrace_disabled`
+        scopes.
     cost:
         The wave's :class:`~repro.perf.metrics.CostReport` built by
         :func:`~repro.perf.metrics.measured_cost` -- latency from

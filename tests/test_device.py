@@ -277,11 +277,12 @@ class TestBudgetAndStats:
         assert stats.broadcasts > 0
         # The second identical query recompiles nothing new: it replays
         # the memoized schedule, so no μProgram is even looked up, and
-        # its stitched wave sequence (flush tail included) compiles once.
+        # its wave sequence's chain (flush tail included) was assembled
+        # once, by the first.
         assert stats.program_compiles == compiles_after_first
         assert stats.program_replays == 0
         assert (stats.megatrace_compiles, stats.megatrace_replays) == (1, 0)
-        # Reuse from then on is one megatrace replay per query.
+        # Reuse from then on is one chain replay per query.
         assert third.program_compiles == compiles_after_first
         assert (third.megatrace_compiles, third.megatrace_replays) == (1, 1)
 

@@ -1,17 +1,18 @@
-"""Native MAJ3 replay == NumPy replay == interpreted, cells and counters.
+"""Native chain replay == NumPy replay == interpreted, cells and counters.
 
-Fault-free traces replay through the C kernel of
+Fault-free traces replay through the C chain kernel of
 :mod:`repro.isa.native` when it could be built.  The NumPy replay stays
 as the fallback and the reference, in its two strategies (level-batched
 gathers for narrow rows, per-node row views for rows of
 ``_NODE_EXEC_WORDS`` words and more).  These tests pin all four
 regimes identical -- decoded values, raw counter rows, every command
-counter and ``measured_ops`` -- for per-μProgram traces and stitched
-megatraces, and cover what is specific to the kernel:
+counter and ``measured_ops`` -- for per-μProgram traces and trace
+chains, and cover what is specific to the kernel:
 
-* its node table and buffer address live in the scratch's plan, not on
-  the trace, so one trace replayed alternately through two devices'
-  scratches at two row widths writes only into the scratch it is given;
+* its tables hold row indices only and every call passes the scratch's
+  current address, so one trace (or chain) replayed alternately through
+  two devices' scratches at two row widths writes only into the
+  scratch it is given;
 * without ``gcc`` the package still imports and answers exactly, on
   the NumPy loop;
 * the import-time build leaves no file behind.
@@ -33,10 +34,9 @@ from repro.engine import CountingEngine
 from repro.isa import native
 from repro.isa.microprogram import concat
 from repro.isa.templates import kary_increment_program
-from repro.isa.trace import (MegaProgram, TraceScratch, compile_megatrace,
-                             compile_trace, fusion_disabled,
-                             megatrace_disabled, native_disabled,
-                             native_enabled)
+from repro.isa.trace import (TraceChain, TraceScratch, compile_trace,
+                             fusion_disabled, megatrace_disabled,
+                             native_disabled, native_enabled)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -65,7 +65,8 @@ def _regime(mode):
 
 
 def _plan_modes(store) -> set:
-    """Replay strategies of every plan the store's scratch built."""
+    """NumPy replay strategies of every plan the store's scratch built
+    (the kernel builds none)."""
     return {plan[0] for plans in store.scratch.plans.values()
             for plan in plans.values()}
 
@@ -74,9 +75,9 @@ def _run_waves(mode, kind, n_bits, n_digits, n_lanes, seed, n_waves=6,
                rounds=3):
     """One fixed signed wave sequence, ``rounds`` times, in one regime.
 
-    ``kind`` is ``"program"`` (per-μProgram traces, megatraces off) or
-    ``"mega"`` (stitched megatraces).  Three rounds walk the JIT:
-    warm-up, compile, pure replay.
+    ``kind`` is ``"program"`` (per-μProgram traces, chains off) or
+    ``"mega"`` (wave sequences as trace chains).  Three rounds walk the JIT: warm-up,
+    compile, pure replay.
     """
     rng = np.random.default_rng(seed)
     budget = (2 * n_bits) ** n_digits - 1
@@ -111,7 +112,7 @@ def _assert_four_way(runs, kind, fallback="batched"):
     the kernel is not built (the one its row width selects)."""
     ref = runs["interp"]
     assert ref["replays"] == 0 and ref["modes"] == set()
-    expect = {"native": {"native"} if native_enabled() else {fallback},
+    expect = {"native": set() if native_enabled() else {fallback},
               "batched": {"batched"}, "node": {"node"}}
     for mode in ("native", "batched", "node"):
         run = runs[mode]
@@ -163,33 +164,50 @@ def _random_cells(sa, n_words, rng):
 
 
 def _traces():
-    """A two-program μProgram trace and a three-segment megatrace."""
+    """A two-program μProgram trace and a three-segment chain of it
+    (stream row: data row 4)."""
     sa = WordlineSubarray(n_data_rows=8, n_cols=64)
     prog = concat("pair", [kary_increment_program([0, 1], 2, 3, [3], 4),
                            kary_increment_program([5, 6], 2, -2, [3], 7)])
-    mega = MegaProgram("waves", (prog, prog, prog), 4)
-    return sa, compile_trace(prog, sa.resolve), \
-        compile_megatrace(mega, sa.resolve)
+    trace = compile_trace(prog, sa.resolve)
+    entry = [prog, 2, None, trace, None]          # a warm store entry
+    chain = TraceChain((entry,) * 3, sa.resolve(4)[0][0])
+    return sa, trace, chain
 
 
-def _reference(trace, cells, stream):
+def _execute(obj, cells, scratch, stream):
+    """One replay of a trace or (warm) chain; a chain with the kernel
+    disabled runs its segments' NumPy replays after each stream write."""
+    if isinstance(obj, TraceChain):
+        traces = obj.warm_traces(None)
+        if native_enabled():
+            obj.execute(cells, scratch, traces, stream)
+            return
+        for row, trace in zip(stream, traces):
+            cells[obj.stream_row] = row
+            trace.execute(cells, scratch)
+    else:
+        obj.execute(cells, scratch)
+
+
+def _reference(obj, cells, stream):
     out = cells.copy()
     with native_disabled():
-        trace.execute(out, TraceScratch(), stream=stream)
+        _execute(obj, out, TraceScratch(), stream)
     return out
 
 
 @needs_kernel
 def test_one_trace_through_two_scratches_at_two_widths():
-    """The kernel's node table and buffer address belong to the
-    scratch's plan: replaying one trace alternately through two
-    devices' scratches, at two row widths, writes only into the scratch
-    it is given and answers exactly every time."""
-    sa, prog_trace, mega_trace = _traces()
+    """The kernel's tables hold no buffer address: replaying one trace
+    and one chain alternately through two devices' scratches, at two
+    row widths, writes only into the scratch it is given and answers
+    exactly every time."""
+    sa, prog_trace, chain = _traces()
     rng = np.random.default_rng(5)
     with Device() as dev_a, Device() as dev_b:
         scratches = (dev_a.programs.scratch, dev_b.programs.scratch)
-        for trace in (prog_trace, mega_trace):
+        for obj in (prog_trace, chain):
             for step in range(8):
                 scratch = scratches[step % 2]
                 other = scratches[1 - step % 2]
@@ -197,33 +215,52 @@ def test_one_trace_through_two_scratches_at_two_widths():
                 cells = _random_cells(sa, n_words, rng)
                 stream = rng.integers(0, 2**63, (3, n_words),
                                       dtype=np.uint64)
-                expect = _reference(trace, cells, stream)
+                expect = _reference(obj, cells, stream)
                 untouched = other._buf.copy()
-                trace.execute(cells, scratch, stream=stream)
+                _execute(obj, cells, scratch, stream)
                 assert (cells == expect).all()
                 assert (other._buf == untouched).all()
             for scratch in scratches:
-                assert set(scratch.plans[trace]) == {(3, True), (17, True)}
+                assert scratch.plans.get(prog_trace) is None
 
 
 @needs_kernel
 def test_native_switch_replans_and_agrees():
-    """``native_disabled`` picks a NumPy plan next to the native one on
-    the same scratch; both answer the same raw words."""
-    sa, prog_trace, mega_trace = _traces()
+    """``native_disabled`` builds a NumPy plan on the scratch the
+    kernel never needed; both answer the same raw words."""
+    sa, prog_trace, chain = _traces()
     rng = np.random.default_rng(9)
-    for trace in (prog_trace, mega_trace):
+    for obj in (prog_trace, chain):
         scratch = TraceScratch()
         for step in range(4):
             cells = _random_cells(sa, 5, rng)
             stream = rng.integers(0, 2**63, (3, 5), dtype=np.uint64)
             a, b = cells.copy(), cells.copy()
-            trace.execute(a, scratch, stream=stream)
+            _execute(obj, a, scratch, stream)
             with native_disabled():
-                trace.execute(b, scratch, stream=stream)
+                _execute(obj, b, scratch, stream)
             assert (a == b).all()
-        assert set(scratch.plans[trace]) == {(5, True), (5, False)}
-        assert scratch.plans[trace][(5, True)][0] == "native"
+        assert set(scratch.plans[prog_trace]) == {5}
+        assert scratch.plans[prog_trace][5][0] == "batched"
+
+
+@needs_kernel
+def test_kernel_never_sees_an_unchecked_pointer():
+    """Shapes are checked before a pointer reaches the kernel: a cell
+    matrix shorter than the rows a trace touches raises, and so does a
+    chain's stream block of the wrong shape or dtype."""
+    sa, prog_trace, chain = _traces()
+    scratch = TraceScratch()
+    short = np.zeros((prog_trace.n_cells - 1, 2), dtype=np.uint64)
+    with pytest.raises(IndexError):
+        prog_trace.execute(short, scratch)
+    cells = np.zeros((sa.cells.shape[0], 2), dtype=np.uint64)
+    traces = chain.warm_traces(None)
+    for stream in (np.zeros((2, 2), np.uint64), np.zeros((3, 3), np.uint64),
+                   np.zeros((3, 2), np.int64)):
+        with pytest.raises(ValueError):
+            chain.execute(cells, scratch, traces, stream)
+    assert not cells.any()
 
 
 def test_native_disabled_restores():
@@ -242,7 +279,7 @@ from repro import ternary_gemv
 from repro.engine import CountingEngine
 from repro.isa import native
 from repro.isa.trace import native_enabled
-assert native.maj_replay is None and not native_enabled()
+assert native.chain_replay is None and not native_enabled()
 rng = np.random.default_rng(3)
 x = rng.integers(-3, 4, 12)
 z = rng.integers(-1, 2, (12, 20))
@@ -279,7 +316,7 @@ def test_import_time_build_leaves_no_file(tmp_path):
     isa_dir = os.path.dirname(native.__file__)
     before = set(os.listdir(isa_dir))
     probe = ("from repro.isa import native; "
-             "assert native.maj_replay is not None")
+             "assert native.chain_replay is not None")
     env = dict(os.environ, PYTHONPATH=SRC, TMPDIR=str(tmp_path),
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,

@@ -1,17 +1,17 @@
 """The warm single-query fast path: memoized schedules, folded flush.
 
-A warm ``plan(x)`` is one megatrace replay plus a decode:
+A warm ``plan(x)`` is one trace-chain replay plus a decode:
 
 * :meth:`~repro.engine.machine.CountingEngine.run_waves` memoizes whole
   wave sequences by ``(scheduler state, magnitudes, flush)``.  A hit
   must be indistinguishable from scheduling afresh from the same state:
-  same events (hence the same stitched programs), same ``model_ops``,
+  same events (hence the same chain segments), same ``model_ops``,
   same post-call scheduler state, same cells.
-* ``flush=True`` folds the carry flush into the stitched tail.  That
+* ``flush=True`` folds the carry flush into the chain's tail.  That
   must equal "run the waves, then ``flush()``" -- cells, every command
   counter, ``model_ops``, the injected-fault stream and the terminal
   RNG state -- and ``plan(x)`` built on it must stay bit-exact across
-  megatrace / plain fused / interpreted execution and the bit backend.
+  chain / plain fused / interpreted execution and the bit backend.
 """
 
 import contextlib
@@ -117,7 +117,7 @@ def test_memo_hit_equals_fresh_schedule(kind, prefix, mags, signs, flush,
         assert got[:3] == fresh[:3]       # start state, model_ops, post
         assert (got[3] == fresh[3]).all()
 
-    # Events: the stitched segments a hit replays are exactly the fused
+    # Events: the chain segments a hit replays are exactly the fused
     # programs of a fresh schedule from the start state.
     sched = SCHEDULERS[kind](n_bits, n_digits)
     sched.restore(fresh[0])
@@ -130,7 +130,7 @@ def test_memo_hit_equals_fresh_schedule(kind, prefix, mags, signs, flush,
     record = []
     round_(eng, record)
     mask_row = eng.layout.mask_rows[0]
-    replayed = [seg for mega in record for seg in mega.segments]
+    replayed = [entry[0] for chain in record for entry in chain.entries]
     assert replayed == [eng._fused_batch_program(batch, mask_row)
                         for batch in events]
 
@@ -207,7 +207,7 @@ def test_memo_entries_share_the_megatrace_cache_bound(monkeypatch):
 
 def test_cache_epoch_change_misses_the_memo():
     """A copy-on-write row swap stamps a new cache epoch: the next call
-    must schedule afresh instead of replaying the old stitched trace."""
+    must schedule afresh instead of replaying the old chain."""
     eng = CountingEngine(2, 4, 8, backend="word")
     masks = pack_rows(np.ones((2, 8), dtype=np.uint8))
     eng.run_waves([3, 5], masks)
@@ -370,7 +370,7 @@ def test_plan_dispatch_path_faulted_word_equals_bit(p_cim, p_read, seed):
 
 
 def test_warm_plan_call_is_one_replay_without_rescheduling():
-    """Once warm, a query schedules nothing and replays one megatrace;
+    """Once warm, a query schedules nothing and replays one chain;
     its flush rides that replay instead of a second trace."""
     rng = np.random.default_rng(8)
     z = rng.integers(-1, 2, (16, 24)).astype(np.int8)

@@ -296,8 +296,8 @@ class TestCopyOnWrite:
         z2[2] = rng.integers(-1, 2, size=6)
         plan.mutate_rows([0, 2], z2[[0, 2]])
         # Identical query batch: same wave signatures, so only the
-        # cache-epoch term separates the old compiled megatrace from
-        # the new rows.
+        # cache-epoch term separates the old memoized chain from the
+        # new rows.
         np.testing.assert_array_equal(plan.run_many(xs), xs @ z2)
         dev.close()
 

@@ -621,9 +621,9 @@ class TestCloseSubmitRace:
 
 class TestBatchAxisSeam:
     """The batch axis: one coalesced wave is a single stacked pass
-    through ``run_many`` / ``run_waves`` / megatraces -- and must stay
+    through ``run_many`` / ``run_waves`` / trace chains -- and must stay
     bit-identical, per query, to serial ``submit()`` calls, with the
-    report deltas accounting for the stitched path."""
+    report deltas accounting for the chain path."""
 
     def _burst(self, srv, xs):
         return [f.result() for f in srv.submit_many("m", xs)]
@@ -651,9 +651,9 @@ class TestBatchAxisSeam:
             r.report.measured_ops for r in serial)
 
     def test_warm_coalesced_wave_replays_megatraces(self, rng):
-        """Burst 1 warms up (literal per-wave), burst 2 compiles the
-        stitched traces, burst 3 is pure megatrace replay -- each
-        burst's results bit-identical to the exact product."""
+        """Burst 1 assembles the chains and warms up (per-wave), burst 2
+        compiles the segments' traces, burst 3 is pure chain replay --
+        each burst's results bit-identical to the exact product."""
         z = rng.integers(-1, 2, (8, 12)).astype(np.int8)
         xs = rng.integers(-4, 5, (6, 8))
         with Server(n_bits=2, pool_banks=64) as srv:
@@ -663,15 +663,16 @@ class TestBatchAxisSeam:
         for burst in bursts:
             assert (np.stack([r.y for r in burst]) == exact).all()
         reports = [burst[0].report for burst in bursts]
-        assert reports[0].megatrace_compiles == 0
+        assert reports[0].megatrace_compiles > 0
         assert reports[0].megatrace_replays == 0
-        assert reports[1].megatrace_compiles > 0
+        assert reports[1].trace_compiles > 0
+        assert reports[1].megatrace_compiles == 0
         assert reports[2].megatrace_compiles == 0
         assert reports[2].megatrace_replays > 0
 
     def test_faulted_coalesced_waves_identical_without_megatraces(
             self, rng):
-        """Under an active FaultModel the stitched batch path must be
+        """Under an active FaultModel the chain batch path must be
         draw-for-draw identical to the per-wave path: same per-query
         results, same injected-fault deltas, same terminal RNG state
         across identically seeded servers."""
