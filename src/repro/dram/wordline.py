@@ -200,6 +200,8 @@ class WordlineSubarray:
             for name, ports in _b_group_map().items()}
         self._ports["C0"] = ((_C0, False),)
         self._ports["C1"] = ((_C1, False),)
+        # Resolved row-index tuples (see _data_rows).
+        self._row_sets: Dict[tuple, np.ndarray] = {}
         # Resolved op lists, compiled traces and replay scratch live in
         # the (usually device-wide) program store; the counters below
         # count what *this* subarray compiled/replayed.
@@ -238,7 +240,18 @@ class WordlineSubarray:
         return _DATA_BASE + index
 
     def _data_rows(self, indices: Sequence[int]) -> np.ndarray:
-        """Vectorized :meth:`_data_row` for the bulk host transfers."""
+        """Vectorized :meth:`_data_row` for the bulk host transfers.
+
+        A tuple of indices -- an engine's fixed read-out rows, cleared
+        and read once per query -- is resolved once and cached, as
+        :meth:`resolve` caches addresses."""
+        if type(indices) is tuple:
+            rows = self._row_sets.get(indices)
+            if rows is None:
+                rows = self._row_sets[indices] = self._data_rows(
+                    list(indices))
+                rows.setflags(write=False)
+            return rows
         rows = np.asarray(indices, dtype=np.intp)
         bad = (rows < 0) | (rows >= self.n_data_rows)
         if bad.any():

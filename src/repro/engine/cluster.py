@@ -16,12 +16,19 @@ broadcasts.  Each bank accumulates a partial sum; the host folds the
 bank axis at read-out (the paper's subarray-level parallelism,
 Sec. 2.1, with the command stream shared rank-wide as in Sec. 5.1).
 
-Dealing is the *count* phase of Wassenberg & Sanders' count -> prefix
--> scatter decomposition, and :meth:`BankCluster.deal` is the one place
-it happens: every plan kind (GEMV, histogram, group-by) hands its
-per-query updates to :func:`run_chunked`, which deals each chunk of
-queries over the cluster's banks -- each query slot owning ``n_banks //
-q`` of them -- and executes it with :meth:`BankCluster.dispatch`.
+:meth:`BankCluster.deal` is the one place updates become waves: every
+plan kind (GEMV, histogram, group-by) hands its per-query updates to
+:func:`run_chunked`, which deals each chunk of queries over the
+cluster's banks -- each query slot owning ``n_banks // q`` of them --
+and executes it with :meth:`BankCluster.dispatch`.  The deal is a
+counting sort, Wassenberg & Sanders' count -> prefix -> scatter: count
+every (magnitude, slot) queue, prefix-sum over the queues, scatter
+each update to its wave and bank.  With the native kernels of
+:mod:`repro.isa.native` a warm chunk stages in two C calls -- the deal
+(``deal_waves``) and the wave images packed straight from the mask
+table into a reused buffer (``pack_waves``) -- and reads out in one
+(``johnson_decode``); the NumPy code of each stays as the fallback and
+the reference.
 
 >>> import numpy as np
 >>> from repro.engine import BankCluster
@@ -43,8 +50,10 @@ import numpy as np
 from repro.core.iarm import BaseScheduler
 from repro.dram.faults import FAULT_FREE, FaultModel
 from repro.dram.programs import ProgramStore
-from repro.dram.wordline import pack_blocks
+from repro.dram.wordline import pack_blocks, pack_rows
 from repro.engine.machine import CountingEngine
+from repro.isa import native as _native
+from repro.isa.trace import native_enabled
 
 __all__ = ["BankCluster", "WaveDeal", "chunk_geometry", "run_chunked"]
 
@@ -172,6 +181,12 @@ class BankCluster:
                                      programs=programs)
         self.engine.reset_counters()
         self.broadcasts = 0      # accumulate() calls actually issued
+        # Native staging workspace (see _stage): the wave image buffer
+        # and the packed mask table, reused with their addresses.
+        self._images = np.empty(0, dtype=np.uint64)
+        self._images_at = 0
+        self._table_of = None
+        self._table = self._table_at = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -187,13 +202,35 @@ class BankCluster:
         updates of different slots therefore share one broadcast, and
         a lane sees at most ``depth(m) = max_slot ceil(count / banks)``
         hits of magnitude ``m``: ``bound`` sums ``m * depth(m)``.
+
+        The order is a counting sort's -- count every (magnitude, slot)
+        queue, prefix-sum, scatter -- and that is how the native kernel
+        deals (``deal_waves``, :mod:`repro.isa.native`).  The NumPy code
+        below, one stable argsort of the flattened key, is its fallback
+        and reference, and also takes inputs whose count tables would
+        be out of proportion to their size (a wide magnitude range).
         """
         values = np.asarray(values, dtype=np.int64)
         rows = np.asarray(rows, dtype=np.int64)
         slots = np.asarray(slots, dtype=np.int64)
-        if values.size == 0:
+        n = values.size
+        if n == 0:
             empty = np.zeros(0, dtype=np.int64)
             return WaveDeal(empty, empty, empty, empty, 0)
+        if (native_enabled() and values.ndim == 1
+                and rows.shape == slots.shape == values.shape):
+            # One counting-sort call; the deal's arrays are views of one
+            # buffer that starts with a copy of the inputs.
+            buf = np.empty(7 * n + 1, dtype=np.int64)
+            buf[:n] = values
+            buf[n:2 * n] = rows
+            buf[2 * n:3 * n] = slots
+            n_waves = _native.deal_waves(_native.address(buf), n,
+                                         int(banks))
+            if n_waves >= 0:
+                return WaveDeal(buf[6 * n:6 * n + n_waves], buf[3 * n:4 * n],
+                                buf[4 * n:5 * n], buf[5 * n:6 * n],
+                                int(buf[7 * n]))
         top = int(values.max())
         # One stable argsort of the flattened key: lexsort's order at a
         # fraction of its cost.
@@ -229,11 +266,10 @@ class BankCluster:
         CountingEngine.run_waves`) for callers that read out next.
 
         Wave images are staged blockwise (so huge batches never
-        materialize hundreds of MB at once) with
-        :func:`~repro.dram.wordline.pack_blocks`, and each block runs
-        as one :meth:`~repro.engine.machine.CountingEngine.run_waves`
-        pass (one trace chain) -- the per-wave work left in Python is
-        just the broadcast itself.
+        materialize hundreds of MB at once; see :meth:`_stage`), and
+        each block runs as one :meth:`~repro.engine.machine.
+        CountingEngine.run_waves` pass (one trace chain) -- the per-wave
+        work left in Python is just the broadcast itself.
         """
         if masks is not None:
             masks = np.asarray(masks, dtype=np.uint8)
@@ -252,20 +288,67 @@ class BankCluster:
         block = max(1, (1 << 24) // max(1, self.n_lanes))
         for lo in range(0, n_waves, block):
             hi = min(lo + block, n_waves)
-            sel = ((deal.wave >= lo) & (deal.wave < hi)
-                   if hi - lo < n_waves else slice(None))
-            rows = deal.rows[sel]
-            if masks is not None:
-                bits = masks[rows]
-            else:
-                bits = np.zeros((rows.size, self.lanes_per_bank),
-                                dtype=np.uint8)
-                bits[np.arange(rows.size), rows] = 1
-            packed = pack_blocks(hi - lo, self.n_banks,
-                                 deal.wave[sel] - lo, deal.bank[sel], bits)
-            self.engine.run_waves(deal.magnitudes[lo:hi], packed,
+            self.engine.run_waves(deal.magnitudes[lo:hi],
+                                  self._stage(deal, masks, lo, hi),
                                   flush=flush and hi == n_waves)
         self.broadcasts += n_waves
+
+    def _stage(self, deal: WaveDeal, masks: Optional[np.ndarray],
+               lo: int, hi: int) -> np.ndarray:
+        """Wave images ``lo .. hi - 1`` of ``deal``, ``[hi - lo, words]``.
+
+        The native kernel (``pack_waves``) writes them into the
+        cluster's reused image buffer -- valid until the next call --
+        straight from a packed copy of the mask table, packed once per
+        read-only table (a planted row image; a writable one is packed
+        per call).  The NumPy fallback and reference gathers the uint8
+        rows and packs them with :func:`~repro.dram.wordline.
+        pack_blocks`; it also raises for deals the kernel rejects.
+        """
+        n_words = (self.n_lanes + 63) // 64
+        size = (hi - lo) * n_words
+        if native_enabled() and size and (masks is None or masks.shape[0]):
+            wave, bank, rows = (np.ascontiguousarray(a, dtype=np.int64)
+                                for a in deal[1:4])
+            n = wave.size
+            if n and bank.size == rows.size == n:
+                if self._images.size < size:
+                    self._images = np.empty(size, dtype=np.uint64)
+                    self._images_at = _native.address(self._images)
+                table, table_at = (None, None) if masks is None else (
+                    self._mask_table(masks))
+                if _native.pack_waves(
+                        self._images_at, n_words, lo, hi,
+                        deal.magnitudes.size, _native.address(wave),
+                        _native.address(bank), _native.address(rows), n,
+                        table_at, 0 if table is None else table.shape[0],
+                        self.lanes_per_bank, self.n_banks) == 0:
+                    return self._images[:size].reshape(hi - lo, n_words)
+        sel = ((deal.wave >= lo) & (deal.wave < hi)
+               if hi - lo < deal.magnitudes.size else slice(None))
+        rows = deal.rows[sel]
+        if masks is not None:
+            bits = masks[rows]
+        else:
+            bits = np.zeros((rows.size, self.lanes_per_bank),
+                            dtype=np.uint8)
+            bits[np.arange(rows.size), rows] = 1
+        return pack_blocks(hi - lo, self.n_banks, deal.wave[sel] - lo,
+                           deal.bank[sel], bits)
+
+    def _mask_table(self, masks: np.ndarray):
+        """``(table, address)``: ``masks`` packed one row per block.
+
+        The caller holds ``table`` while the kernel reads it: a writable
+        ``masks`` gets a fresh table that nothing else keeps alive."""
+        if masks is self._table_of:
+            return self._table, self._table_at
+        table = pack_rows(masks)
+        if masks.flags.writeable:
+            return table, _native.address(table)
+        self._table_of, self._table = masks, table
+        self._table_at = _native.address(table)
+        return table, self._table_at
 
     # ------------------------------------------------------------------
     def read_bank_values(self, strict: bool = True) -> np.ndarray:

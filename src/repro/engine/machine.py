@@ -35,8 +35,9 @@ from repro.isa.templates import (kary_increment_program, masked_update_ops,
                                  overflow_check_ops,
                                  protected_masked_update_ops,
                                  underflow_check_ops)
+from repro.isa import native as _native
 from repro.isa.microprogram import MicroProgram, aap, concat
-from repro.isa.trace import fusion_enabled, megatrace_enabled
+from repro.isa.trace import fusion_enabled, megatrace_enabled, native_enabled
 
 __all__ = ["CountingEngine", "EngineCounters"]
 
@@ -211,8 +212,9 @@ class CountingEngine:
         # which a reset clears and a read decodes, and the packed-word
         # mask of real lanes: tail bits of a row's last word are
         # don't-care on the word backend.
-        self._readout_rows = [r for rows in self.layout.digit_bit_rows
-                              for r in rows] + list(self.layout.onext_rows)
+        self._readout_rows = tuple(
+            [r for rows in self.layout.digit_bit_rows for r in rows]
+            + list(self.layout.onext_rows))
         self._tail = pack_bits(np.ones(n_lanes, dtype=np.uint8))
         # Decode accumulator: the narrowest dtype holding the largest
         # (lenient, every O_next flag set) decode, at most 3 * radix^D.
@@ -647,11 +649,25 @@ class CountingEngine:
         ^ wrap) + n * wrap`` -- exactly :func:`~repro.core.johnson.
         decode_lanes`, invalid states included.  A valid state's XORed
         bits are a run of ones from the LSB, which is the strict check.
+
+        The native kernel (``johnson_decode``, :mod:`repro.isa.native`)
+        computes the same per lane in one call.  It reports an invalid
+        state or an overflow in strict mode as a status, and then the
+        NumPy decoder below -- the fallback and reference -- runs and
+        raises exactly what it always has.
         """
         if not self._flushed:
             self.flush()
-        d_count, n, lanes = self.n_digits, self.n_bits, self.n_lanes
         words = self.subarray.read_rows_packed(self._readout_rows)
+        if native_enabled() and self.n_lanes:
+            words = np.ascontiguousarray(words)
+            values = np.empty(self.n_lanes, dtype=np.int64)
+            if _native.johnson_decode(
+                    _native.address(words), words.shape[1], self.n_bits,
+                    self.n_digits, self.n_lanes, strict,
+                    _native.address(values)) == 0:
+                return values
+        d_count, n, lanes = self.n_digits, self.n_bits, self.n_lanes
         bits = words[:d_count * n].reshape(d_count, n, words.shape[1])
         onext = words[d_count * n:] & self._tail
         wrap = ~bits[:, 0] & np.bitwise_or.reduce(bits, axis=1)

@@ -1,10 +1,16 @@
-/* Fault-free trace-chain replay: one call runs a chain of compiled
- * μProgram traces (see repro.isa.native).
+/* Native kernels of the warm query path (see repro.isa.native):
  *
- * cells is the subarray's C-contiguous [rows, n_words] uint64 matrix,
- * vals a scratch buffer of at least the largest segment's value rows,
- * and stream the chain's [n_segments, n_words] packed stream block.
- * The int64 table holds the segments back to back, each as
+ *   chain_replay    fault-free replay of a chain of compiled μProgram
+ *                   traces;
+ *   deal_waves      the deal of masked updates into broadcast waves;
+ *   pack_waves      the wave images of a deal, from a packed mask table;
+ *   johnson_decode  the read-out of every lane's Johnson counter.
+ *
+ * chain_replay: cells is the subarray's C-contiguous [rows, n_words]
+ * uint64 matrix, vals a scratch buffer of at least the largest
+ * segment's value rows, and stream the chain's [n_segments, n_words]
+ * packed stream block.  The int64 table holds the segments back to
+ * back, each as
  *
  *   stream_row                        -1: no host write
  *   n_in, in_rows[n_in]               slot i <- cells[in_rows[i]]
@@ -15,6 +21,7 @@
  * Nodes come in dependence-level order, so every operand row is final
  * before it is read. */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 static void maj_row(const uint64_t *restrict a, const uint64_t *restrict b,
@@ -71,4 +78,303 @@ void chain_replay(uint64_t *cells, uint64_t *vals, const uint64_t *stream,
                    vals + table[n + i] * n_words, row);
         table += 2 * n;
     }
+}
+
+
+/* ------------------------------------------------------------------ */
+/* deal_waves: repro.engine.BankCluster.deal as a counting sort.
+ *
+ * buf holds 7 n + 1 int64s: the inputs values, rows and slots (n
+ * each); then the outputs wave, bank and rows of every dealt update in
+ * canonical order, the magnitude of every wave (at most n of them) and
+ * the bound.  The canonical order -- magnitude descending, then slot,
+ * then row, ties in input order -- is one count of every (magnitude,
+ * slot) queue, an exclusive prefix sum over the queues and a stable
+ * scatter: the count -> prefix -> scatter of an LSD radix sort.  Input
+ * already ordered by (slot, row), as a query batch's np.nonzero is,
+ * takes that one pass; other input takes a stable counting pass by row
+ * first.
+ *
+ * Position p of a queue lands in bank slot * banks + p % banks of its
+ * magnitude's (p / banks)-th wave, and a magnitude spans as many waves
+ * as its deepest queue needs.  Returns the number of waves, or -1 (the
+ * caller runs the NumPy deal) for banks < 1, a negative slot or row,
+ * or count tables out of proportion to n. */
+int64_t deal_waves(int64_t *buf, int64_t n, int64_t banks)
+{
+    const int64_t *val = buf, *row = buf + n, *slot = buf + 2 * n;
+    int64_t *wave = buf + 3 * n, *bank = buf + 4 * n;
+    int64_t *row_out = buf + 5 * n, *mags = buf + 6 * n;
+    int64_t vmin, vmax, smax = 0, rmax = 0, limit, span, n_slots, n_keys;
+    int64_t n_rows = 0, n_waves = 0, bound = 0, start = 0, i, k, s;
+    int64_t *work, *queue, *fill, *first_wave, *order = 0;
+    int in_order = 1;
+
+    if (n < 1 || banks < 1)
+        return -1;
+    vmin = vmax = val[0];
+    for (i = 0; i < n; i++) {
+        if (slot[i] < 0 || row[i] < 0)
+            return -1;
+        if (val[i] < vmin) vmin = val[i];
+        if (val[i] > vmax) vmax = val[i];
+        if (slot[i] > smax) smax = slot[i];
+        if (row[i] > rmax) rmax = row[i];
+        if (i && (slot[i] < slot[i - 1]
+                  || (slot[i] == slot[i - 1] && row[i] < row[i - 1])))
+            in_order = 0;
+    }
+    limit = 4 * n + 4096;
+    if ((uint64_t)vmax - (uint64_t)vmin >= (uint64_t)limit || smax >= limit
+        || (!in_order && rmax >= limit))
+        return -1;
+    span = vmax - vmin + 1;
+    n_slots = smax + 1;
+    if (span > limit / n_slots)
+        return -1;
+    n_keys = span * n_slots;
+    if (!in_order)
+        n_rows = rmax + 1;
+    /* queue[n_keys] starts, fill[n_keys] lengths, first_wave[span],
+     * then the row pass's order[n] and counts[n_rows + 1] */
+    work = calloc((size_t)(2 * n_keys + span
+                           + (in_order ? 0 : n + n_rows + 1)),
+                  sizeof(int64_t));
+    if (!work)
+        return -1;
+    queue = work;
+    fill = queue + n_keys;
+    first_wave = fill + n_keys;
+    if (!in_order) {
+        int64_t *count = first_wave + span + n;
+        order = first_wave + span;
+        for (i = 0; i < n; i++)
+            count[row[i] + 1]++;
+        for (k = 0; k < n_rows; k++)
+            count[k + 1] += count[k];
+        for (i = 0; i < n; i++)
+            order[count[row[i]]++] = i;
+    }
+    /* count every queue; magnitude index vmax - value puts the largest
+     * magnitude first */
+    for (i = 0; i < n; i++)
+        fill[(vmax - val[i]) * n_slots + slot[i]]++;
+    /* prefix: each queue's first position, each magnitude's waves */
+    for (k = 0; k < span; k++) {
+        int64_t deepest = 0, depth;
+        for (s = 0; s < n_slots; s++) {
+            int64_t key = k * n_slots + s;
+            if (fill[key] > deepest)
+                deepest = fill[key];
+            queue[key] = start;
+            start += fill[key];
+            fill[key] = 0;
+        }
+        depth = deepest ? (deepest - 1) / banks + 1 : 0;
+        first_wave[k] = n_waves;
+        for (i = 0; i < depth; i++)
+            mags[n_waves + i] = vmax - k;
+        bound += (vmax - k) * depth;
+        n_waves += depth;
+    }
+    /* stable scatter */
+    for (i = 0; i < n; i++) {
+        int64_t j = order ? order[i] : i;
+        int64_t m = vmax - val[j], key = m * n_slots + slot[j];
+        int64_t p = fill[key]++, at = queue[key] + p;
+        wave[at] = first_wave[m] + p / banks;
+        bank[at] = slot[j] * banks + p % banks;
+        row_out[at] = row[j];
+    }
+    free(work);
+    buf[7 * n] = bound;
+    return n_waves;
+}
+
+/* Zero bits [at, at + width) of a packed row. */
+static void clear_bits(uint64_t *dst, int64_t at, int64_t width)
+{
+    int64_t end = at + width;
+    while (at < end) {
+        int64_t sh = at & 63, take = 64 - sh;
+        if (take > end - at)
+            take = end - at;
+        dst[at >> 6] &= ~((take == 64 ? ~0ULL : (1ULL << take) - 1) << sh);
+        at += take;
+    }
+}
+
+/* pack_waves: image rows lo .. hi - 1 of a deal's wave images.
+ *
+ * image is the [hi - lo, n_words] output, zeroed here first.  Update i
+ * with wave[i] in [lo, hi) writes its mask row into block bank[i]
+ * (lanes bank[i] * width onwards) of image row wave[i] - lo: row
+ * rows[i] of the packed [n_table, (width + 63) / 64] table (tail bits
+ * zero), or with no table the one-hot row setting lane rows[i].  A
+ * block is overwritten, not merged, as repro.dram.wordline.pack_blocks
+ * does.  Returns 0, or -1 (the caller runs the NumPy pack, which raises)
+ * for a wave outside [0, n_total), a bank outside [0, n_banks) or a row
+ * outside the table (one-hot: the block). */
+int64_t pack_waves(uint64_t *image, int64_t n_words, int64_t lo, int64_t hi,
+                   int64_t n_total, const int64_t *wave, const int64_t *bank,
+                   const int64_t *rows, int64_t n, const uint64_t *table,
+                   int64_t n_table, int64_t width, int64_t n_banks)
+{
+    int64_t tw = (width + 63) >> 6, i, j;
+    for (i = 0; i < n; i++)
+        if (wave[i] < 0 || wave[i] >= n_total || bank[i] < 0
+            || bank[i] >= n_banks || rows[i] < 0
+            || rows[i] >= (table ? n_table : width))
+            return -1;
+    memset(image, 0, (size_t)((hi - lo) * n_words) * sizeof(uint64_t));
+    for (i = 0; i < n; i++) {
+        uint64_t *dst;
+        int64_t at, q, sh, end;
+        const uint64_t *src;
+        if (wave[i] < lo || wave[i] >= hi)
+            continue;
+        dst = image + (wave[i] - lo) * n_words;
+        at = bank[i] * width;
+        if (!table) {
+            clear_bits(dst, at, width);
+            dst[(at + rows[i]) >> 6] |= 1ULL << ((at + rows[i]) & 63);
+            continue;
+        }
+        src = table + rows[i] * tw;
+        q = at >> 6;
+        sh = at & 63;
+        if (sh == 0 && (width & 63) == 0) {
+            memcpy(dst + q, src, (size_t)tw * sizeof(uint64_t));
+            continue;
+        }
+        clear_bits(dst, at, width);
+        end = (at + width + 63) >> 6;
+        for (j = 0; j < tw; j++) {
+            dst[q + j] |= src[j] << sh;
+            if (sh && q + j + 1 < end)
+                dst[q + j + 1] |= src[j] >> (64 - sh);
+        }
+    }
+    return 0;
+}
+
+/* Byte k of spread[b] is bit k of b: eight lanes' bits as eight bytes,
+ * the table np.unpackbits expands through. */
+static uint64_t spread[256];
+
+/* The decode's loops are byte-table lookups and eight-wide register
+ * work; GCC 12's vectorizer turns them into slower shuffles (8192 lanes
+ * of six radix-4 digits: ~38 µs vectorized, ~25 µs not, 2-vCPU Xeon). */
+#define NO_VECTORIZE __attribute__((optimize("no-tree-vectorize")))
+
+/* One 64-lane word of johnson_decode with Horner fields of `field`
+ * bits (a constant in each expansion, so the loops over sets and bytes
+ * unroll into registers).  Returns a johnson_decode status. */
+static inline NO_VECTORIZE int64_t decode_word(
+    const uint64_t *words, int64_t n_words, int64_t n, int64_t nd,
+    int64_t w, int64_t count, int64_t strict, int64_t *out, const int field)
+{
+    const int sets = field / 8;
+    const uint64_t mask = field == 16 ? 0x00FF00FF00FF00FFULL
+                        : field == 32 ? 0x000000FF000000FFULL : 0xFFULL;
+    const uint64_t field_max = field == 64 ? ~0ULL : (1ULL << field) - 1;
+    const uint64_t radix = 2 * (uint64_t)n;
+    const uint64_t *word = words + w, *onext = word + nd * n * n_words;
+    uint64_t tail = count == 64 ? ~0ULL : (1ULL << count) - 1;
+    uint64_t top = onext[(nd - 1) * n_words] & tail;
+    uint64_t tot[8][8], acc[8];
+    int64_t d, i;
+    int j, s, f;
+
+    if (strict && top)
+        return 2;
+    for (j = 0; j < 8; j++)
+        for (s = 0; s < sets; s++)
+            tot[s][j] = (spread[(top >> (8 * j)) & 255] >> (8 * s)) & mask;
+    for (d = nd - 1; d >= 0; d--) {
+        const uint64_t *bits = word + d * n * n_words;
+        uint64_t any = 0, wrap, flag, prev = 0;
+        for (i = 0; i < n; i++)
+            any |= bits[i * n_words];
+        wrap = ~bits[0] & any;
+        flag = d ? onext[(d - 1) * n_words] & tail : 0;
+        for (j = 0; j < 8; j++)
+            acc[j] = (uint64_t)n * spread[(wrap >> (8 * j)) & 255];
+        if (flag)        /* surviving flags: faulty runs only */
+            for (j = 0; j < 8; j++)
+                acc[j] += spread[(flag >> (8 * j)) & 255];
+        for (i = 0; i < n; i++) {
+            uint64_t x = bits[i * n_words] ^ wrap;
+            /* valid: the XORed bits are a run of ones from the LSB */
+            if (strict && n > 2 && i && (~prev & x & tail))
+                return 1;
+            prev = x;
+            for (j = 0; j < 8; j++)
+                acc[j] += spread[(x >> (8 * j)) & 255];
+        }
+        for (s = 0; s < sets; s++)
+            for (j = 0; j < 8; j++)
+                tot[s][j] = tot[s][j] * radix + ((acc[j] >> (8 * s)) & mask);
+    }
+    /* set s, byte group j, field f holds lane 8 j + s + f * sets */
+    for (s = 0; s < sets; s++)
+        for (j = 0; j < 8; j++)
+            for (f = 0; f < 64 / field; f++)
+                if (8 * j + s + f * sets < count)
+                    out[8 * j + s + f * sets] =
+                        (int64_t)((tot[s][j] >> (field * f)) & field_max);
+    return 0;
+}
+
+/* johnson_decode: every lane's counter value, as
+ * repro.engine.CountingEngine.read_values decodes it.
+ *
+ * words is the packed [n_digits * (n_bits + 1), n_words] read-out
+ * block: digit d's bit i in row d * n_bits + i, then the n_digits
+ * O_next rows (CountingEngine's read-out order).  A digit whose LSB is
+ * clear but which is not all-zero is wrapped, so per lane the digit is
+ * popcount(bits ^ wrap) + n_bits * wrap, plus the O_next flag of the
+ * digit below; a top-digit flag is one unit of radix^n_digits, and
+ * Horner's rule folds the digits.
+ *
+ * Both steps work on eight lanes per uint64.  A digit is at most
+ * 2 n_bits + 1, so eight lanes' digits add up as bytes, one table
+ * lookup per byte of each bit row.  A counter is below 4 radix^n_digits,
+ * so Horner's rule runs on fields of 16, 32 or 64 bits, whichever holds
+ * that: field width F takes F / 8 interleaved sets of 64 / F lanes
+ * each, and one multiply-add advances a whole word of fields.
+ *
+ * Returns 0 with out[n_lanes] written, or nonzero and the caller runs
+ * the NumPy decoder: 1 for an invalid Johnson state and 2 for a set
+ * top flag (strict only; out is then partly written), -1 for digits
+ * too wide for a byte. */
+NO_VECTORIZE int64_t johnson_decode(const uint64_t *words, int64_t n_words,
+                                    int64_t n_bits, int64_t n_digits,
+                                    int64_t n_lanes, int64_t strict,
+                                    int64_t *out)
+{
+    uint64_t bound = 4;
+    int64_t w, d, i, j, status = 0;
+
+    if (n_bits < 1 || 2 * n_bits + 1 > 255)
+        return -1;
+    for (d = 0; d < n_digits && bound <= 0xFFFFFFFFULL; d++)
+        bound *= 2 * (uint64_t)n_bits;
+    if (!spread[255])
+        for (i = 0; i < 256; i++)
+            for (spread[i] = 0, j = 0; j < 8; j++)
+                spread[i] |= (uint64_t)((i >> j) & 1) << (8 * j);
+    for (w = 0; !status && w * 64 < n_lanes; w++) {
+        int64_t count = n_lanes - w * 64 < 64 ? n_lanes - w * 64 : 64;
+        if (bound <= 0xFFFFULL)
+            status = decode_word(words, n_words, n_bits, n_digits, w, count,
+                                 strict, out + w * 64, 16);
+        else if (bound <= 0xFFFFFFFFULL)
+            status = decode_word(words, n_words, n_bits, n_digits, w, count,
+                                 strict, out + w * 64, 32);
+        else
+            status = decode_word(words, n_words, n_bits, n_digits, w, count,
+                                 strict, out + w * 64, 64);
+    }
+    return status;
 }

@@ -1,24 +1,35 @@
-"""Optional native kernel for fault-free trace replay.
+"""Optional native kernels of the warm query path.
 
-A warm fault-free trace replays a few hundred MAJ3 nodes over rows of
-a few hundred words, grouped in dozens of dependence levels.  Its
-NumPy replay (:meth:`repro.isa.trace.CompiledTrace.execute`) costs one
-gather plus four or five ufunc calls per level, so it is bound by
-NumPy call overhead, not by the word operations.  ``chain_replay``
-runs a whole chain of traces in one C call instead: per segment it
-writes the stream row, gathers the live inputs, writes their
-complements, walks the node table and scatters the outputs (see
-:class:`repro.isa.trace.TraceChain`).  A single μProgram trace is the
-one-segment chain.
+A warm query spends its host time in three stages that are each a few
+dozen small NumPy calls, so they are bound by NumPy call overhead, not
+by their arithmetic.  This module builds one C file (``maj_replay.c``
+beside it) with four entry points that run each stage as one call:
 
-The kernel (``maj_replay.c`` beside this module) is built when this
-module is first imported: ``gcc -O3 -shared -fPIC`` into a temporary
-directory, loaded with :mod:`ctypes`, and the directory is deleted
-again (the loaded mapping stays valid).  ``-O3`` because GCC 12 does
-not vectorize the word loop at ``-O2``: one gemv_single-sized replay
-(310 nodes, 128 words) took ~60 µs at ``-O2`` and ~38 µs at ``-O3`` on
-a 2-vCPU Xeon.  It is built at import, and neither lazily nor into an
-on-disk cache, for three reasons:
+* ``chain_replay`` -- fault-free replay of a whole chain of compiled
+  μProgram traces: per segment it writes the stream row, gathers the
+  live inputs, writes their complements, walks the MAJ3 node table and
+  scatters the outputs (see :class:`repro.isa.trace.TraceChain`).  A
+  single μProgram trace is the one-segment chain.
+* ``deal_waves`` -- the deal of masked updates into broadcast waves
+  (:meth:`repro.engine.BankCluster.deal`) as a counting sort: count
+  every (magnitude, slot) queue, prefix-sum, scatter.
+* ``pack_waves`` -- the deal's wave images, written from a packed mask
+  table straight into a reused buffer (:meth:`repro.engine.BankCluster.
+  dispatch`).
+* ``johnson_decode`` -- every lane's Johnson counter value from the
+  packed read-out rows, with the O_next fold and Horner's rule
+  (:meth:`repro.engine.CountingEngine.read_values`).  It reports an
+  invalid state or an overflow as a status; the caller re-runs the
+  NumPy decoder, which raises.
+
+The kernels are built when this module is first imported: ``gcc -O3
+-shared -fPIC`` into a temporary directory, loaded with :mod:`ctypes`,
+and the directory is deleted again (the loaded mapping stays valid).
+``-O3`` because GCC 12 does not vectorize the replay's word loop at
+``-O2``: one gemv_single-sized replay (310 nodes, 128 words) took
+~60 µs at ``-O2`` and ~38 µs at ``-O3`` on a 2-vCPU Xeon.  They are
+built at import, and neither lazily nor into an on-disk cache, for
+three reasons:
 
 * **Peak RSS.**  A child process's peak resident set is accounted to
   its parent (``RUSAGE_CHILDREN``), and a child spawned from a large
@@ -30,10 +41,16 @@ on-disk cache, for three reasons:
 * **Forked workers.**  Processes forked later (the serve fleet's
   shards) inherit the loaded library and never build.
 
-On any failure -- no compiler, a read-only or ``noexec`` temporary
-directory, a platform without ``gcc`` -- ``chain_replay`` is ``None``
-and replay keeps its NumPy loop, which is also the reference the
-parity tests hold the kernel to (``tests/test_native_replay.py``).
+The kernels load together or not at all.  On any failure -- no
+compiler, a read-only or ``noexec`` temporary directory, a platform
+without ``gcc``, a big-endian host (the packed words' byte order is
+assumed) -- every entry point is ``None`` and each stage keeps its
+NumPy code, which is also the reference the parity tests hold the
+kernels to (``tests/test_native_replay.py``,
+``tests/test_native_deal_decode.py``).  The glue keeps the
+per-call cost down: buffers are reused with their addresses cached,
+and :func:`address` reads a fresh array's address in a fraction of
+``ndarray.ctypes.data``'s time.
 """
 
 from __future__ import annotations
@@ -41,32 +58,70 @@ from __future__ import annotations
 import ctypes
 import os
 import subprocess
+import sys
 import tempfile
 
-__all__ = ["chain_replay"]
+__all__ = ["address", "chain_replay", "deal_waves", "johnson_decode",
+           "pack_waves"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "maj_replay.c")
 
 
+_P, _I = ctypes.c_void_p, ctypes.c_int64
+
+#: Entry point -> (argument types, result type); see maj_replay.c.
+_SIGNATURES = {
+    # (cells, vals, stream, table, n_segments, n_words)
+    "chain_replay": ((_P, _P, _P, _P, _I, _I), None),
+    # (buf, n, banks) -> n_waves | -1
+    "deal_waves": ((_P, _I, _I), _I),
+    # (image, n_words, lo, hi, n_total, wave, bank, rows, n, table,
+    #  n_table, width, n_banks) -> 0 | -1
+    "pack_waves": ((_P, _I, _I, _I, _I, _P, _P, _P, _I, _P, _I, _I, _I),
+                   _I),
+    # (words, n_words, n_bits, n_digits, n_lanes, strict, out) -> status
+    "johnson_decode": ((_P, _I, _I, _I, _I, _I, _P), _I),
+}
+
+
 def _build():
-    """Compile and load the kernel; ``None`` if that fails anyhow."""
+    """Compile and load the kernels; ``None`` if that fails anyhow."""
+    if sys.byteorder != "little":
+        return None
     try:
         with tempfile.TemporaryDirectory(prefix="repro-native-") as tmp:
             path = os.path.join(tmp, "maj_replay.so")
             subprocess.run(["gcc", "-O3", "-shared", "-fPIC", "-o", path,
                             _SOURCE], check=True, capture_output=True,
                            timeout=120)
-            kernel = ctypes.CDLL(path).chain_replay
+            lib = ctypes.CDLL(path)
+            kernels = {name: getattr(lib, name) for name in _SIGNATURES}
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    # chain_replay(cells, vals, stream, table, n_segments, n_words):
-    # see maj_replay.c.
-    kernel.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64)
-    kernel.restype = None
-    return kernel
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        kernels[name].argtypes = argtypes
+        kernels[name].restype = restype
+    return kernels
 
 
-#: The loaded kernel, or ``None`` when it could not be built.
-chain_replay = _build()
+def address(array) -> int:
+    """Data address of a non-empty C-contiguous array.
+
+    A ctypes view of a writable buffer reads it ~3x faster than
+    ``ndarray.ctypes.data``, which builds a helper object per call;
+    read-only arrays take that slower route.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except TypeError:
+        return array.ctypes.data
+
+
+_kernels = _build() or dict.fromkeys(_SIGNATURES)
+
+#: The loaded kernels, each ``None`` when they could not be built.
+chain_replay = _kernels["chain_replay"]
+deal_waves = _kernels["deal_waves"]
+pack_waves = _kernels["pack_waves"]
+johnson_decode = _kernels["johnson_decode"]
