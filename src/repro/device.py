@@ -166,7 +166,7 @@ class PlanStats:
     telemetry reports its per-query delta.
     ``megatrace_compiles`` counts the trace chains the plan's engines
     assembled (one per new wave sequence; nothing is lowered) and
-    ``megatrace_replays`` the chains they replayed warm (see
+    ``megatrace_replays`` the chains they replayed (see
     :meth:`~repro.engine.machine.CountingEngine.run_waves`): on the
     word path a query's entire wave sequence replays as a handful of
     chains, so these counters -- not ``trace_replays`` -- carry

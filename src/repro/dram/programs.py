@@ -6,8 +6,8 @@ counter layout -- so every engine planted with the same layout runs the
 same programs.  :class:`ProgramStore` caches them once per
 :class:`~repro.device.Device` and hands the same objects to every
 engine body the device builds, so a rebuilt engine (a registry unpark,
-a resize, a co-tenant) replays warm traces instead of re-creating,
-re-interpreting and recompiling its programs.
+a resize, a co-tenant) replays warm traces instead of re-creating and
+recompiling its programs.
 
 What the store holds -- two tiers and a buffer:
 
@@ -18,8 +18,9 @@ What the store holds -- two tiers and a buffer:
   tuple, every block under its op list, cycle saves, O_next snapshots
   and overflow blocks).  One content key maps to one canonical program
   object per store.
-* **Compiled μProgram entries** -- the JIT run count, the fused trace
-  and the resolved op list -- keyed by ``(n_data_rows, program)``.
+* **Compiled μProgram entries** -- the fused trace, and the resolved
+  op list once the interpreter needs it -- keyed by ``(n_data_rows,
+  program)``.
   An entry's trace is valid for the :class:`~repro.isa.trace.FaultSpec`
   it was compiled against; a subarray replaying it under a different
   spec recompiles it in place.  A whole wave sequence adds no tier:
@@ -39,8 +40,8 @@ the shared entries.
 The store is not locked: one device executes its plans serially (the
 serving registry has one dispatcher), and separate devices never share
 a store.  An engine or subarray built without a store gets a private
-one, which keeps standalone behaviour -- including the one-interpreted-
-run JIT warm-up -- exactly what it is for a single engine.
+one, which keeps standalone behaviour exactly what it is for a single
+engine.
 
 >>> from repro.dram.programs import ProgramStore
 >>> from repro.isa.microprogram import MicroProgram, aap
@@ -84,7 +85,7 @@ class ProgramStore:
         self.bound = STORE_BOUND
         # content key -> MicroProgram
         self._programs: "OrderedDict[tuple, object]" = OrderedDict()
-        # (n_data_rows, id(program)) -> [program, runs, spec, trace, ops]
+        # (n_data_rows, id(program)) -> [program, spec, trace, ops]
         self._compiled: "OrderedDict[tuple, list]" = OrderedDict()
         # repro.isa transitively imports repro.dram: resolve at runtime.
         from repro.isa.trace import TraceScratch
@@ -114,24 +115,20 @@ class ProgramStore:
     # its program, so the id cannot be reused by another live object
     # while the entry exists, and the identity check guards against an
     # evicted entry's id being reused.
-    def compiled(self, n_data_rows: int, program, resolve) -> list:
-        """``[program, runs, spec, trace, ops]`` for a μProgram.
+    def compiled(self, n_data_rows: int, program) -> list:
+        """``[program, spec, trace, ops]`` for a μProgram.
 
-        ``runs`` counts warm-up runs, ``trace`` (the fused trace,
-        compiled against ``spec``) stays ``None`` until the subarray
-        compiles it, and ``ops`` is the program resolved to physical
-        port tuples through ``resolve``.
+        ``trace`` (the fused trace, compiled against ``spec``) stays
+        ``None`` until the subarray first runs the program, and ``ops``
+        (the program resolved to physical port tuples) until the
+        subarray first interprets it.
         """
         key = (n_data_rows, id(program))
         entry = self._compiled.get(key)
         if entry is not None and entry[0] is program:
             self._compiled.move_to_end(key)
             return entry
-        ops = tuple(
-            (op.kind == "AAP", resolve(op.src),
-             resolve(op.dst) if op.kind == "AAP" else None)
-            for op in program.ops)
-        entry = [program, 0, None, None, ops]
+        entry = [program, None, None, None]
         self._compiled.pop(key, None)
         _lru_put(self._compiled, key, entry, self.bound)
         return entry

@@ -59,19 +59,14 @@ def _trace_module():
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: The run number on which a program's trace is compiled: run 1
-#: interprets (a one-shot program never pays compilation -- the cold
-#: kernel path stays cold-fast), run ``FUSE_AFTER_RUNS`` compiles and
-#: fuses, and every further replay is pure fused execution.  Runs are
-#: counted per entry of the subarray's
-#: :class:`~repro.dram.programs.ProgramStore`, so with a device-wide
-#: store a program interprets once per device, not once per engine.
-#: The JIT warm-up is therefore exactly **one** interpreted run (pinned
-#: by ``tests/test_fault_fusion_parity.py::test_warmup_interpreted_run_
-#: count``), not ``FUSE_AFTER_RUNS`` interpreted runs.  Programs
-#: evicted from the store before their second run never compile at
-#: all, which keeps cache thrash no slower than the interpreter.
-FUSE_AFTER_RUNS = 2
+# Every store entry compiles its trace on its first run; there is no
+# interpreted warm-up run.  The lowering reads no cell contents, a
+# store-canonical program recurs across queries, engines and trials,
+# and one interpreted run of a faulty program (unpack, corrupt and
+# re-pack per activation) costs more than lowering it.  A wave
+# sequence's chain compiles its cold segments before it runs.  The
+# interpreted per-op path stays as the reference under
+# ``fusion_disabled()``.
 
 Address = Union[str, int]
 
@@ -322,44 +317,49 @@ class WordlineSubarray:
     def run_program(self, program) -> None:
         """Execute a :class:`~repro.isa.microprogram.MicroProgram`.
 
-        Programs are resolved once to port tuples and cached in the
-        subarray's :class:`~repro.dram.programs.ProgramStore` (bounded
-        LRU, keyed by ``(n_data_rows, program)``), so replaying the same
-        store-canonical program skips all address resolution -- on any
-        engine sharing the store.  Replay goes further after a
-        one-interpreted-run JIT warm-up (counted per store entry): the
-        program is lowered once by :func:`repro.isa.trace.
-        compile_trace` into a fused trace and re-executed as one native
-        kernel call (or batched NumPy operations without the kernel)
-        -- no per-op Python loop at all.  An *active*
-        fault model fuses too: the trace is compiled against the
-        model's :class:`~repro.isa.trace.FaultSpec` and each replay
-        runs the fault pre-pass (flip masks pre-drawn in original op
-        order) so cell states, every counter (``aap_count``,
-        ``ap_count``, ``activations``, ``multi_row_activations``,
+        Programs are compiled once and cached in the subarray's
+        :class:`~repro.dram.programs.ProgramStore` (bounded LRU, keyed
+        by ``(n_data_rows, program)``), on any engine sharing the store:
+        the first run lowers the program by :func:`repro.isa.trace.
+        compile_trace` into a fused trace, and every run executes it as
+        one native kernel call (or batched NumPy operations without the
+        kernel) -- no per-op Python loop at all.  An *active* fault
+        model fuses too: the trace is compiled against the model's
+        :class:`~repro.isa.trace.FaultSpec` and each replay runs the
+        fault pre-pass (flip masks pre-drawn in original op order) so
+        cell states, every counter (``aap_count``, ``ap_count``,
+        ``activations``, ``multi_row_activations``,
         ``fault_injections``) *and the seeded fault stream* are exactly
         what the interpreted path -- and the bit-level backend -- would
-        produce.  If the model's rates or margin flag differ from the
-        cached trace's spec, the trace is recompiled against the new
-        regime.
+        produce.  If the model's rates or
+        margin flag differ from the cached trace's spec, the trace is
+        recompiled against the new regime.
         """
-        self._run_entry(self.programs.compiled(self.n_data_rows, program,
-                                               self.resolve))
+        self._run_entry(self.programs.compiled(self.n_data_rows, program))
 
     def _run_entry(self, entry: list) -> None:
-        """Run one store entry ``[program, runs, spec, trace, ops]``:
-        its compiled trace once warm, else the interpreted op list."""
-        if _trace_module().fusion_enabled():
-            compiled, compiled_now = self._warm_trace(entry)
-            if compiled is not None:
-                if compiled_now:
-                    self.trace_compiles += 1
-                else:
-                    self.trace_replays += 1
-                self._replay(compiled)
-                return
+        """Run one store entry ``[program, spec, trace, ops]``: its
+        compiled trace, else (``fusion_disabled()``) the interpreted op
+        list."""
+        trace = _trace_module()
+        if trace.fusion_enabled():
+            spec = trace.FaultSpec.of(self.fault_model)
+            compiled = entry[2]
+            if compiled is not None and entry[1] == spec:
+                self.trace_replays += 1
+            else:
+                compiled = self._compile(entry, spec)
+            self._replay(compiled)
+            return
+        ops = entry[3]
+        if ops is None:
+            resolve = self.resolve
+            ops = entry[3] = tuple(
+                (op.kind == "AAP", resolve(op.src),
+                 resolve(op.dst) if op.kind == "AAP" else None)
+                for op in entry[0].ops)
         cells = self.cells
-        for is_aap, src_ports, dst_ports in entry[4]:
+        for is_aap, src_ports, dst_ports in ops:
             sensed = self._sense(src_ports)
             if is_aap:
                 for row, neg in dst_ports:
@@ -369,29 +369,16 @@ class WordlineSubarray:
             else:
                 self.ap_count += 1
 
-    def _warm_trace(self, entry: list) -> tuple:
-        """The JIT warm-up rule of a store entry: ``(trace, compiled_now)``.
-
-        A cached trace compiled against another
-        :class:`~repro.isa.trace.FaultSpec` than the fault model's
-        current one is dropped (the regime changed).  Without a trace,
-        the run is counted and ``(None, False)`` tells the caller to run
-        the interpreted path -- until run ``FUSE_AFTER_RUNS``, which
-        compiles the entry's program and returns ``(trace, True)``.  A
-        warm entry returns ``(trace, False)``.
-        """
-        trace = _trace_module()
-        spec = trace.FaultSpec.of(self.fault_model)
-        if entry[3] is not None:
-            if entry[2] == spec:
-                return entry[3], False
-            entry[3] = None                   # fault regime changed
-        entry[1] += 1
-        if entry[1] < FUSE_AFTER_RUNS:
-            return None, False
-        entry[3] = trace.compile_trace(entry[0], self.resolve, fault=spec)
-        entry[2] = spec
-        return entry[3], True
+    def _compile(self, entry: list, spec):
+        """(Re)compile a store entry's trace against ``spec``, the
+        fault model's current :class:`~repro.isa.trace.FaultSpec`, and
+        count one ``trace_compiles``; callers use an entry's trace
+        as is only while ``entry[1] == spec``."""
+        entry[2] = _trace_module().compile_trace(entry[0], self.resolve,
+                                                 fault=spec)
+        entry[1] = spec
+        self.trace_compiles += 1
+        return entry[2]
 
     def _replay(self, compiled) -> None:
         """Execute a compiled trace on the store's shared replay scratch
@@ -422,7 +409,7 @@ class WordlineSubarray:
         programs, rows = self.programs, self.n_data_rows
         return _trace_module().compile_megatrace(
             segments, self._data_row(stream_row),
-            lambda program: programs.compiled(rows, program, self.resolve))
+            lambda program: programs.compiled(rows, program))
 
     def run_megaprogram(self, chain, stream: np.ndarray) -> None:
         """Execute a wave sequence assembled by :meth:`chain`.
@@ -431,23 +418,22 @@ class WordlineSubarray:
         before any cell is touched; segment ``i`` begins with a host
         write of ``stream[i]`` into the chain's stream row (the engine's
         mask row), then runs its μProgram -- exactly the per-wave
-        ``write_data_row_packed`` + :meth:`run_program` sequence.  Three
-        regimes, all cell-, counter- and fault-stream-identical:
+        ``write_data_row_packed`` + :meth:`run_program` sequence.  Any
+        cold segment (or one compiled for another fault regime) compiles
+        first; lowering reads no cell contents, so that is safe before
+        the chain runs.  Then, all cell-, counter- and fault-stream-
+        identical:
 
-        * every segment trace is warm for the current
-          :class:`~repro.isa.trace.FaultSpec` and fault-free: **one
-          native kernel call** (:meth:`~repro.isa.trace.TraceChain.
-          execute`);
-        * warm under an active fault model, or without the kernel
-          (:func:`~repro.isa.trace.native_disabled`): a loop over the
-          compiled segment traces;
-        * any segment cold or compiled for another regime, or chains
-          disabled (:func:`~repro.isa.trace.megatrace_disabled`,
-          :func:`~repro.isa.trace.fusion_disabled`): the per-wave loop
-          over the segments' entries, which warms and (re)compiles
-          them under the per-μProgram JIT rule.
+        * with the native kernels, **one kernel call** (:meth:`~repro.
+          isa.trace.TraceChain.execute`): fault-free, or under an
+          active fault model on one pre-pass draw for the whole chain;
+        * without them (:func:`~repro.isa.trace.native_disabled`), a
+          loop over the compiled segment traces;
+        * with chains or fusion off (:func:`~repro.isa.trace.
+          megatrace_disabled`, :func:`~repro.isa.trace.fusion_disabled`),
+          the reference per-wave loop over the segments' entries.
 
-        Both warm regimes count one ``megatrace_replays``.
+        Both fused regimes count one ``megatrace_replays``.
         """
         stream = np.ascontiguousarray(stream, dtype=np.uint64)
         if stream.shape != (chain.n_segments, self.n_words):
@@ -455,18 +441,21 @@ class WordlineSubarray:
                 f"stream block shape {stream.shape} != "
                 f"{(chain.n_segments, self.n_words)}")
         trace = _trace_module()
-        traces = None
-        if trace.fusion_enabled() and trace.megatrace_enabled():
-            traces = chain.warm_traces(trace.FaultSpec.of(self.fault_model))
         cells, row = self.cells, chain.stream_row
-        if traces is None:
+        if not (trace.fusion_enabled() and trace.megatrace_enabled()):
             for i, entry in enumerate(chain.entries):
                 cells[row] = stream[i]
                 self._run_entry(entry)
             return
+        spec = trace.FaultSpec.of(self.fault_model)
+        traces = tuple([
+            entry[2] if entry[2] is not None and entry[1] == spec
+            else self._compile(entry, spec) for entry in chain.entries])
         self.megatrace_replays += 1
-        if traces and not traces[0].faulty and trace.native_enabled():
-            chain.execute(cells, self.programs.scratch, traces, stream)
+        if trace.native_enabled():
+            self.fault_injections += chain.execute(
+                cells, self.programs.scratch, traces, stream,
+                self.fault_model, self.n_cols)
             self._accrue(chain)
             return
         for i, compiled in enumerate(traces):

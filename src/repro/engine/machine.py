@@ -80,9 +80,10 @@ class EngineCounters(NamedTuple):
     #: Whole wave sequences (see :meth:`CountingEngine.run_waves`):
     #: ``megatrace_compiles`` counts trace chains assembled (a
     #: ``run_waves`` memo miss; nothing is lowered) and
-    #: ``megatrace_replays`` chains replayed warm -- one kernel call,
-    #: or a loop over compiled segment traces under faults.  Zero on
-    #: the bit backend and on any path that never coalesces waves.
+    #: ``megatrace_replays`` chains replayed -- one kernel call, or a
+    #: loop over compiled segment traces without the kernels (cold
+    #: segments compile first).  Zero on the bit backend and on any
+    #: path that never coalesces waves.
     megatrace_compiles: int = 0
     megatrace_replays: int = 0
 
@@ -281,9 +282,9 @@ class CountingEngine:
     # protected building blocks
     # ------------------------------------------------------------------
     # Every protected block is a stored μProgram run through
-    # ``subarray.run_program``, so on the word backend it JITs like any
-    # other program (one interpreted run, then compiled fault-aware
-    # replays).  Validation and retries stay on the host between runs
+    # ``subarray.run_program``, so on the word backend it compiles on
+    # its first run like any other program and replays as a compiled
+    # fault trace.  Validation and retries stay on the host between runs
     # and read rows in packed form; a retry re-runs the block, so the
     # fault pre-pass draws its stream exactly as the interpreter would.
     def _protected_blocks(self, dst_row: int, src_row: int, mask_row: int,
@@ -555,8 +556,8 @@ class CountingEngine:
         but on the unprotected word path the entire sequence -- every
         wave's event batch plus the interleaved host mask writes --
         runs as one :class:`~repro.isa.trace.TraceChain` of the waves'
-        fused μPrograms: once their traces are warm, one native kernel
-        call (see :meth:`~repro.dram.wordline.WordlineSubarray.
+        fused μPrograms: one native kernel call, after any cold segment
+        compiles (see :meth:`~repro.dram.wordline.WordlineSubarray.
         run_megaprogram`).  ``flush=True`` (for callers whose next step
         is a read) appends the scheduler's flush events to the last
         wave's batch, so the carry flush rides the chain's tail instead

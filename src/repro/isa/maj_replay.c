@@ -1,7 +1,10 @@
-/* Native kernels of the warm query path (see repro.isa.native):
+/* Native kernels of the query and fault-trial paths (see
+ * repro.isa.native):
  *
  *   chain_replay    fault-free replay of a chain of compiled μProgram
  *                   traces;
+ *   fault_replay    replay of a chain of compiled fault traces, from the
+ *                   fault pre-pass's raw uniforms;
  *   deal_waves      the deal of masked updates into broadcast waves;
  *   pack_waves      the wave images of a deal, from a packed mask table;
  *   johnson_decode  the read-out of every lane's Johnson counter.
@@ -78,6 +81,134 @@ void chain_replay(uint64_t *cells, uint64_t *vals, const uint64_t *stream,
                    vals + table[n + i] * n_words, row);
         table += 2 * n;
     }
+}
+
+
+/* ------------------------------------------------------------------ */
+/* fault_replay: replay of a chain of compiled fault traces
+ * (repro.isa.trace.CompiledFaultTrace) under an active fault model.
+ *
+ * uniforms is the fault pre-pass's raw [n_draws, n_cols] block from
+ * FaultModel.predraw -- every segment's draw rows, in segment order --
+ * and thresholds[n_draws] each draw row's rate (p_cim or p_read).  A
+ * draw row is thresholded and packed when its step runs: lane i flips
+ * when its uniform is below the threshold, as bit i % 64 of word i / 64,
+ * with zero tail bits.  tmp holds three scratch rows.  The int64 table
+ * holds the segments back to back, each as
+ *
+ *   stream_row                        -1: no host write
+ *   n_draws                           the segment's draw rows
+ *   n_in, in_rows[n_in]               slot i <- cells[in_rows[i]]
+ *   n_mirror, mirror_base             vals[mirror_base + i] <- ~vals[i]
+ *   n_steps, (kind, a, b, c, dst, mirror, cim_row, read_row)[n_steps]
+ *   n_out, out_rows[n_out], out_slots[n_out]
+ *
+ * with draw rows counted from the segment's first.  Steps come in op
+ * order:
+ *
+ *   kind 0 (rd)  dst <- a ^ flips(read_row), a faulty plain read
+ *   kind 1 (mx)  dst <- MAJ3(a, b, c), an exact multi-row sense
+ *   kind 2 (mj)  dst <- MAJ3(a, b, c) ^ mask, with mask by mode
+ *                0 (all)        flips(cim_row)
+ *                1 (contested)  flips(cim_row) on contested columns
+ *                2 (select)     contested ? flips(cim_row)
+ *                                         : flips(read_row)
+ *
+ * where a column is contested when its three operands disagree, and
+ * mirror >= 0 gets ~dst.  Every kind is one word loop, mask = r ^ (k &
+ * (f ^ r)) with k the contested columns (all ones unless the mode
+ * selects), f the step's flips and r the read-rate flips of select
+ * (zero rows where a kind has none); rd reads MAJ3(a, a, a) = a.
+ * Returns the number of injected flips, the popcount of every applied
+ * mask (FaultModel.injected's increment).
+ *
+ * Build cost: every process builds this file at import, so the walk is
+ * compiled at -O1 and only the thresholding loop, where the time goes,
+ * at -O2.  That replayed a fault_campaign cycle's fault traces as fast
+ * as -O3 (~6.5 ms of kernel time either way) and cost about 60% of
+ * -O3's compile time (2-vCPU Xeon). */
+static __attribute__((noinline, optimize("O2"))) void flip_row(
+    uint64_t *dst, const double *u, double p, int64_t n_cols)
+{
+    int64_t w, b;
+    for (w = 0; 64 * w < n_cols; w++, u += 64) {
+        int64_t lanes = n_cols - 64 * w < 64 ? n_cols - 64 * w : 64;
+        uint64_t x = 0;
+        for (b = 0; b < lanes; b++)
+            x |= (uint64_t)(u[b] < p) << b;
+        dst[w] = x;
+    }
+}
+
+__attribute__((optimize("O1")))
+int64_t fault_replay(uint64_t *cells, uint64_t *vals, uint64_t *tmp,
+                     const uint64_t *stream, const int64_t *table,
+                     int64_t n_segments, const double *uniforms,
+                     const double *thresholds, int64_t mode, int64_t n_cols,
+                     int64_t n_words)
+{
+    size_t row = (size_t)n_words * sizeof(uint64_t);
+    uint64_t *flips = tmp, *reads = tmp + n_words, *zero = tmp + 2 * n_words;
+    int64_t injected = 0, s, i, w, n;
+    memset(zero, 0, row);
+    for (s = 0; s < n_segments; s++) {
+        int64_t n_draws = table[1];
+        if (table[0] >= 0)
+            memcpy(cells + table[0] * n_words, stream + s * n_words, row);
+        table += 2;
+        n = *table++;
+        for (i = 0; i < n; i++)
+            memcpy(vals + i * n_words, cells + table[i] * n_words, row);
+        table += n;
+        n = table[0];
+        for (i = 0; i < n; i++) {
+            const uint64_t *src = vals + i * n_words;
+            uint64_t *dst = vals + (table[1] + i) * n_words;
+            for (w = 0; w < n_words; w++)
+                dst[w] = ~src[w];
+        }
+        table += 2;
+        n = *table++;
+        for (i = 0; i < n; i++, table += 8) {
+            const int64_t kind = table[0];
+            const uint64_t *a = vals + table[1] * n_words;
+            const uint64_t *b = kind ? vals + table[2] * n_words : a;
+            const uint64_t *c = kind ? vals + table[3] * n_words : a;
+            const uint64_t *f = zero, *r = zero;
+            const uint64_t all = kind != 2 || mode == 0 ? ~0ULL : 0;
+            uint64_t *d = vals + table[4] * n_words;
+            int64_t at = kind == 0 ? table[7] : table[6];
+            if (kind != 1) {
+                flip_row(flips, uniforms + at * n_cols, thresholds[at],
+                         n_cols);
+                f = flips;
+            }
+            if (kind == 2 && mode == 2) {
+                flip_row(reads, uniforms + table[7] * n_cols,
+                         thresholds[table[7]], n_cols);
+                r = reads;
+            }
+            for (w = 0; w < n_words; w++) {
+                uint64_t k = all | (a[w] ^ b[w]) | (a[w] ^ c[w]);
+                uint64_t m = r[w] ^ (k & (f[w] ^ r[w]));
+                d[w] = ((a[w] & (b[w] | c[w])) | (b[w] & c[w])) ^ m;
+                injected += __builtin_popcountll(m);
+            }
+            if (table[5] >= 0) {
+                uint64_t *e = vals + table[5] * n_words;
+                for (w = 0; w < n_words; w++)
+                    e[w] = ~d[w];
+            }
+        }
+        n = *table++;
+        for (i = 0; i < n; i++)
+            memcpy(cells + table[i] * n_words,
+                   vals + table[n + i] * n_words, row);
+        table += 2 * n;
+        uniforms += n_draws * n_cols;
+        thresholds += n_draws;
+    }
+    return injected;
 }
 
 

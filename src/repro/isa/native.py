@@ -1,15 +1,22 @@
-"""Optional native kernels of the warm query path.
+"""Optional native kernels of the warm query and fault-trial paths.
 
-A warm query spends its host time in three stages that are each a few
-dozen small NumPy calls, so they are bound by NumPy call overhead, not
-by their arithmetic.  This module builds one C file (``maj_replay.c``
-beside it) with four entry points that run each stage as one call:
+A warm query spends its host time in three stages, and a fault trial in
+its fault-trace replays, that are each a few dozen small NumPy calls,
+so they are bound by NumPy call overhead, not by their arithmetic.
+This module builds one C file (``maj_replay.c`` beside it) with five
+entry points that run each stage as one call:
 
 * ``chain_replay`` -- fault-free replay of a whole chain of compiled
   μProgram traces: per segment it writes the stream row, gathers the
   live inputs, writes their complements, walks the MAJ3 node table and
   scatters the outputs (see :class:`repro.isa.trace.TraceChain`).  A
   single μProgram trace is the one-segment chain.
+* ``fault_replay`` -- the same walk for a chain of compiled fault
+  traces (:class:`repro.isa.trace.CompiledFaultTrace`): it thresholds
+  and packs the fault pre-pass's raw uniforms one draw row at a time,
+  applies them per step in all three margin-aware modes and returns
+  the injected flip count.  The draws themselves stay one
+  ``FaultModel.predraw`` call, so the fault stream is unchanged.
 * ``deal_waves`` -- the deal of masked updates into broadcast waves
   (:meth:`repro.engine.BankCluster.deal`) as a counting sort: count
   every (magnitude, slot) queue, prefix-sum, scatter.
@@ -47,6 +54,7 @@ without ``gcc``, a big-endian host (the packed words' byte order is
 assumed) -- every entry point is ``None`` and each stage keeps its
 NumPy code, which is also the reference the parity tests hold the
 kernels to (``tests/test_native_replay.py``,
+``tests/test_native_fault_replay.py``,
 ``tests/test_native_deal_decode.py``).  The glue keeps the
 per-call cost down: buffers are reused with their addresses cached,
 and :func:`address` reads a fresh array's address in a fraction of
@@ -61,8 +69,8 @@ import subprocess
 import sys
 import tempfile
 
-__all__ = ["address", "chain_replay", "deal_waves", "johnson_decode",
-           "pack_waves"]
+__all__ = ["address", "chain_replay", "deal_waves", "fault_replay",
+           "johnson_decode", "pack_waves"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "maj_replay.c")
@@ -74,6 +82,9 @@ _P, _I = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = {
     # (cells, vals, stream, table, n_segments, n_words)
     "chain_replay": ((_P, _P, _P, _P, _I, _I), None),
+    # (cells, vals, tmp, stream, table, n_segments, uniforms, thresholds,
+    #  mode, n_cols, n_words) -> injected
+    "fault_replay": ((_P, _P, _P, _P, _P, _I, _P, _P, _I, _I, _I), _I),
     # (buf, n, banks) -> n_waves | -1
     "deal_waves": ((_P, _I, _I), _I),
     # (image, n_words, lo, hi, n_total, wave, bank, rows, n, table,
@@ -122,6 +133,7 @@ _kernels = _build() or dict.fromkeys(_SIGNATURES)
 
 #: The loaded kernels, each ``None`` when they could not be built.
 chain_replay = _kernels["chain_replay"]
+fault_replay = _kernels["fault_replay"]
 deal_waves = _kernels["deal_waves"]
 pack_waves = _kernels["pack_waves"]
 johnson_decode = _kernels["johnson_decode"]

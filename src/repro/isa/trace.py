@@ -36,13 +36,14 @@ The lowering walks the ops once, value-numbering physical rows:
 
 A whole wave sequence -- a host mask write before each μProgram --
 replays as a :class:`TraceChain` of its segments' traces, assembled by
-:func:`compile_megatrace` without any lowering.  A fault-free chain
-replays in one call of the native chain kernel
-(:mod:`repro.isa.native`), and a single fault-free trace is its
-one-segment chain; where the kernel could not be built, and under
-:func:`native_disabled`, one level replays as a single fancy-indexed
-gather, one vectorized three-way majority over all its nodes and one
-contiguous scatter.
+:func:`compile_megatrace` without any lowering.  A chain replays in one
+call of a native kernel (:mod:`repro.isa.native`): ``chain_replay``
+fault-free, ``fault_replay`` under an active fault model; a single
+trace is its one-segment chain.  Where the kernels could not be built,
+and under :func:`native_disabled`, a fault-free level replays as a
+single fancy-indexed gather, one vectorized three-way majority over all
+its nodes and one contiguous scatter, and a fault trace as a loop of
+NumPy calls per node.
 
 Replay is *bit-exact* against the interpreted path, including the
 don't-care tail bits of the last packed word, because every fold above
@@ -139,6 +140,11 @@ def _packer():
     return _pack_rows
 
 
+def _block_draws(n_cols: int) -> int:
+    """Draw rows of ``n_cols`` lanes one pre-pass block holds."""
+    return max(1, _PREDRAW_BLOCK_CELLS // max(1, int(n_cols)))
+
+
 def fusion_enabled() -> bool:
     """Whether fault-free μProgram replay may use compiled traces."""
     return _fusion_on
@@ -198,19 +204,21 @@ def megatrace_disabled():
 
 
 def native_enabled() -> bool:
-    """Whether fault-free replay runs the native chain kernel: it was
-    built at import (see :mod:`repro.isa.native`) and is not disabled."""
+    """Whether replay (fault-free and under faults) runs the native
+    kernels: they were built at import (see :mod:`repro.isa.native`)
+    and are not disabled."""
     return _native_on and _native.chain_replay is not None
 
 
 @contextmanager
 def native_disabled():
-    """Temporarily replay fault-free traces with the NumPy loop.
+    """Temporarily replay traces with the NumPy loops.
 
-    The kernel-level escape hatch: the NumPy replay is the fallback
-    where the kernel cannot be built and the reference the native
-    parity tests compare it with.  Only the replay strategy changes;
-    compilation, fault traces and the other switches are unaffected.
+    The kernel-level escape hatch: the NumPy replay of fault-free and
+    fault traces is the fallback where the kernels cannot be built and
+    the reference the native parity tests compare them with.  Only the
+    replay strategy changes; compilation, the fault stream and the
+    other switches are unaffected.
 
     >>> with native_disabled():
     ...     native_enabled()
@@ -586,14 +594,16 @@ class CompiledFaultTrace:
       sensed data -- so every faulty node is kept live and computed,
       in creation (op) order.
     * **The fault pre-pass.**  Each replay first draws the trace's
-      complete flip-mask block in original op order (see
-      :meth:`_draw_flips`), which consumes the generator's
-      stream exactly as the interpreter's sequential per-activation
-      ``random(n_cols)`` calls would (pinned by
-      ``tests/test_fault_fusion_parity.py``), thresholds it per row
-      (CIM vs read rate) and packs it to ``uint64``.  Replay then
-      applies mask rows per node, computing the margin-aware
-      contested-column selection from the sensed words.
+      complete uniform block in original op order, which consumes the
+      generator's stream exactly as the interpreter's sequential
+      per-activation ``random(n_cols)`` calls would (pinned by
+      ``tests/test_fault_fusion_parity.py``).  Each draw row is
+      thresholded (CIM vs read rate) and packed to ``uint64``, and
+      replay applies mask rows per node, computing the margin-aware
+      contested-column selection from the sensed words.  The native
+      ``fault_replay`` kernel does all of that in one call from the raw
+      uniforms; the NumPy loop (:meth:`_draw_flips`, then one step at
+      a time) is the fallback and the reference.
 
     The value buffer is laid out as :class:`CompiledTrace`'s: ``n_rows``
     rows, the value slots followed by one packed complement row per
@@ -629,6 +639,9 @@ class CompiledFaultTrace:
         self._n_masked = (sum(1 for s in self.steps if s[0] == "mj")
                           if self.spec.multi_mode in ("contested",
                                                       "select") else 0)
+        self._table = None           # one-segment kernel table, lazily
+        self.n_cells = 1 + max(self.in_rows.max(initial=-1),
+                               self.out_rows.max(initial=-1))
 
     @property
     def n_inputs(self) -> int:
@@ -654,7 +667,7 @@ class CompiledFaultTrace:
         thresholds = self.draw_thresholds
         n_draws = thresholds.size
         pack_rows = _packer()
-        block = max(1, _PREDRAW_BLOCK_CELLS // max(1, int(n_cols)))
+        block = _block_draws(n_cols)
         if n_draws <= block:
             return pack_rows(fault_model.predraw(n_draws, n_cols)
                              < thresholds[:, None])
@@ -666,12 +679,41 @@ class CompiledFaultTrace:
                                      < thresholds[lo:hi, None])
         return flips
 
+    def native_table(self) -> np.ndarray:
+        """The trace as a one-segment chain in the fault kernel's
+        ``int64`` table format (see ``maj_replay.c``), stream row
+        ``-1``: each step one ``(kind, a, b, c, dst, mirror, cim_row,
+        read_row)`` row, kinds ``rd``/``mx``/``mj`` as 0/1/2."""
+        if self._table is None:
+            steps = np.full((len(self.steps), 8), -1, dtype=np.int64)
+            for i, step in enumerate(self.steps):
+                if step[0] == "rd":
+                    _, src, dst, mir, rrow = step
+                    steps[i] = (0, src, -1, -1, dst, mir, -1, rrow)
+                else:
+                    steps[i] = (_STEP_KINDS[step[0]],) + step[1:]
+            self._table = np.concatenate((
+                (-1, self.n_draws, self.n_inputs), self.in_rows,
+                (self.n_input_mirror, self.n_slots, len(self.steps)),
+                steps.ravel(), (self.out_rows.size,), self.out_rows,
+                self.out_slots)).astype(np.int64)
+        return self._table
+
     def execute(self, cells: np.ndarray, scratch: TraceScratch,
                 fault_model, n_cols: int) -> int:
         """Replay against packed cells, injecting one fresh fault epoch.
 
-        Returns the flip count (``corrupt``'s ``injected`` delta).
+        Returns the flip count (``corrupt``'s ``injected`` delta).  With
+        the native kernel this is one pre-pass draw and one
+        ``fault_replay`` call; the NumPy step loop below is the
+        fallback and the :func:`native_disabled` reference, and also
+        runs a trace whose draws exceed one pre-pass block.
         """
+        if native_enabled() and self.n_draws <= _block_draws(n_cols):
+            return _fault_kernel(cells, scratch, None, self.native_table(),
+                                 1, self.n_rows, self.n_cells,
+                                 self.draw_thresholds, self.spec,
+                                 fault_model, n_cols)
         n_words = cells.shape[1]
         n_out = self.out_rows.size
         n_masked = self._n_masked        # nodes with data-dependent masks
@@ -744,6 +786,51 @@ class CompiledFaultTrace:
         return injected
 
 
+#: Fault kernel step kinds and ``multi_mode`` codes (see maj_replay.c).
+_STEP_KINDS = {"rd": 0, "mx": 1, "mj": 2}
+_KERNEL_MODES = {None: 0, "all": 0, "contested": 1, "select": 2}
+
+
+def _fault_kernel(cells: np.ndarray, scratch: TraceScratch, stream,
+                  table: np.ndarray, n_segments: int, n_rows: int,
+                  n_cells: int, thresholds: np.ndarray, spec: FaultSpec,
+                  fault_model, n_cols: int) -> int:
+    """One ``fault_replay`` call over ``n_segments`` fault traces.
+
+    Takes the segments' draw rows (``thresholds``, in segment order)
+    as one :meth:`~repro.dram.faults.FaultModel.predraw` block -- the
+    stream the per-trace pre-passes would draw, because
+    ``Generator.random`` fills row-major -- and adds the injected
+    count to ``fault_model.injected``.  ``n_rows`` is the largest
+    segment's value buffer and ``n_cells`` the cell rows the segments
+    touch.  Shapes are checked before the kernel sees a pointer.
+    """
+    n_words = cells.shape[1]
+    if (cells.dtype != np.uint64 or not cells.flags.c_contiguous
+            or cells.shape[0] < n_cells or n_cols < 1
+            or n_words != (n_cols + 63) // 64):
+        raise ValueError("fault replay needs C-contiguous uint64 cells "
+                         "of (n_cols + 63) // 64 words over every row "
+                         "the trace touches")
+    n_draws = thresholds.size
+    uniforms = None
+    if n_draws:
+        uniforms = fault_model.predraw(n_draws, n_cols)
+        if (uniforms.dtype != np.float64 or uniforms.shape != (n_draws, n_cols)
+                or not uniforms.flags.c_contiguous):
+            raise ValueError("predraw must return a C-contiguous "
+                             "[n_draws, n_cols] float64 block")
+    vals = scratch.reserve((n_rows + 3) * n_words)
+    injected = _native.fault_replay(
+        cells.ctypes.data, vals, vals + 8 * n_rows * n_words,
+        None if stream is None else stream.ctypes.data, table.ctypes.data,
+        n_segments, None if uniforms is None else uniforms.ctypes.data,
+        thresholds.ctypes.data, _KERNEL_MODES[spec.multi_mode], n_cols,
+        n_words)
+    fault_model.injected += injected
+    return injected
+
+
 class _Builder:
     """Value-numbering walk over a resolved op stream."""
 
@@ -807,19 +894,20 @@ class TraceChain:
     """A wave sequence as the chain of its segments' μProgram traces.
 
     ``entries[i]`` is the :class:`~repro.dram.programs.ProgramStore`
-    entry ``[program, runs, spec, trace, ops]`` of wave ``i``'s
-    μProgram; before segment ``i`` the host writes row ``i`` of the
-    replay-time *stream* operand (the packed wave masks) into physical
-    row ``stream_row``.  The chain holds the entries, not their traces,
-    so a segment warmed or recompiled in place (a fault-regime change)
-    is what the next replay sees.  It compiles nothing of its own: a
-    lowering stitched across a whole GEMV sequence held exactly as many
-    MAJ nodes as its segments' traces, so one kernel call over the
-    chain keeps what stitching saved -- per-segment dispatch.
+    entry ``[program, spec, trace, ops]`` of wave ``i``'s μProgram;
+    before segment ``i`` the host writes row ``i`` of the replay-time
+    *stream* operand (the packed wave masks) into physical row
+    ``stream_row``.  The chain holds the entries, not their traces, so
+    a segment recompiled in place (a fault-regime change) is what the
+    next replay sees.  It compiles nothing of its own: a lowering
+    stitched across a whole GEMV sequence held exactly as many MAJ
+    nodes as its segments' traces, so one kernel call over the chain
+    keeps what stitching saved -- per-segment dispatch.
     """
 
     __slots__ = ("entries", "stream_row", "n_aap", "n_ap", "n_activations",
-                 "n_multi", "_traces", "_table", "_n_rows", "_n_cells")
+                 "n_multi", "_traces", "_table", "_n_rows", "_n_cells",
+                 "_groups")
 
     def __init__(self, entries, stream_row: int):
         self.entries = tuple(entries)
@@ -830,41 +918,36 @@ class TraceChain:
     def n_segments(self) -> int:
         return len(self.entries)
 
-    def warm_traces(self, spec: "FaultSpec | None"):
-        """The segments' traces when every entry holds one compiled
-        against ``spec``; ``None`` while any segment is cold or was
-        compiled for another fault regime."""
-        traces = []
-        for entry in self.entries:
-            if entry[3] is None or entry[2] != spec:
-                return None
-            traces.append(entry[3])
-        return tuple(traces)
+    def _bind(self, traces) -> None:
+        """Reset the totals and drop the kernel tables when a segment's
+        trace object changed since the last replay."""
+        self._n_cells = max([self.stream_row + 1]
+                            + [trace.n_cells for trace in traces])
+        self.n_aap = sum(trace.n_aap for trace in traces)
+        self.n_ap = sum(trace.n_ap for trace in traces)
+        self.n_activations = sum(trace.n_activations for trace in traces)
+        self.n_multi = sum(trace.n_multi for trace in traces)
+        self._table = self._groups = None
+        self._traces = traces
 
     def execute(self, cells: np.ndarray, scratch: TraceScratch, traces,
-                stream: np.ndarray) -> None:
-        """Replay fault-free ``traces`` (:meth:`warm_traces`) in one
-        native kernel call, segment ``i`` after its write of
-        ``stream[i]`` (a C-contiguous ``[n_segments, n_words]`` block).
+                stream: np.ndarray, fault_model=None, n_cols: int = 0) -> int:
+        """Replay the segments' compiled ``traces`` with the native
+        kernels, segment ``i`` after its write of ``stream[i]`` (a
+        C-contiguous ``[n_segments, n_words]`` block); returns the
+        injected flip count.
 
-        The kernel table -- the segments' one-segment tables behind
-        the stream row -- is rebuilt whenever a segment's trace object
-        changed, and the scratch is reserved for the largest segment at
-        every call, so a reallocation leaves no stale address.  Shapes
-        are checked before the kernel sees a pointer.
+        Fault-free traces replay in one ``chain_replay`` call.  Fault
+        traces replay in one ``fault_replay`` call on one pre-pass
+        draw of all their draw rows, in segment order; a chain whose
+        draws exceed one pre-pass block splits at whole segments, and a
+        segment exceeding a block alone replays on its own (NumPy,
+        blockwise).  The scratch is reserved at every call, so a
+        reallocation leaves no stale address, and shapes are checked
+        before a kernel sees a pointer.
         """
         if traces != self._traces:
-            self._table = np.concatenate([
-                part for trace in traces
-                for part in ((self.stream_row,), trace.native_table()[1:])])
-            self._n_rows = max(trace.n_rows for trace in traces)
-            self._n_cells = max([self.stream_row + 1]
-                                + [trace.n_cells for trace in traces])
-            self.n_aap = sum(trace.n_aap for trace in traces)
-            self.n_ap = sum(trace.n_ap for trace in traces)
-            self.n_activations = sum(trace.n_activations for trace in traces)
-            self.n_multi = sum(trace.n_multi for trace in traces)
-            self._traces = traces
+            self._bind(traces)
         n_words = cells.shape[1]
         if (cells.dtype != np.uint64 or not cells.flags.c_contiguous
                 or cells.shape[0] < self._n_cells
@@ -873,10 +956,64 @@ class TraceChain:
                 or stream.shape != (len(traces), n_words)):
             raise ValueError("chain replay needs C-contiguous uint64 "
                              "cells and a [n_segments, n_words] stream")
-        _native.chain_replay(
-            cells.ctypes.data, scratch.reserve(self._n_rows * n_words),
-            stream.ctypes.data, self._table.ctypes.data, len(traces),
-            n_words)
+        if not traces[0].faulty:
+            if self._table is None:
+                self._table = _chain_table(traces, self.stream_row)
+                self._n_rows = max(trace.n_rows for trace in traces)
+            _native.chain_replay(
+                cells.ctypes.data, scratch.reserve(self._n_rows * n_words),
+                stream.ctypes.data, self._table.ctypes.data, len(traces),
+                n_words)
+            return 0
+        block = _block_draws(n_cols)
+        if self._groups is None or self._groups[0] != block:
+            self._groups = (block, _fault_groups(traces, self.stream_row,
+                                                 block))
+        injected = 0
+        for lo, hi, table, n_rows, thresholds in self._groups[1]:
+            if table is None:                 # one oversized segment
+                cells[self.stream_row] = stream[lo]
+                injected += traces[lo].execute(cells, scratch, fault_model,
+                                               n_cols)
+                continue
+            injected += _fault_kernel(
+                cells, scratch, stream[lo:hi], table, hi - lo, n_rows,
+                self._n_cells, thresholds, traces[0].spec, fault_model,
+                n_cols)
+        return injected
+
+
+def _chain_table(traces, stream_row: int) -> np.ndarray:
+    """The segments' one-segment kernel tables, each behind the chain's
+    stream row."""
+    return np.concatenate([
+        part for trace in traces
+        for part in ((stream_row,), trace.native_table()[1:])])
+
+
+def _fault_groups(traces, stream_row: int, block: int) -> list:
+    """A fault chain's kernel calls: runs of whole segments whose draw
+    rows fit one pre-pass block, as ``(lo, hi, table, n_rows,
+    thresholds)``; a segment over the block runs alone, with ``table``
+    ``None``."""
+    bounds, lo, draws = [], 0, 0
+    for i, trace in enumerate(traces):
+        if i > lo and draws + trace.n_draws > block:
+            bounds.append((lo, i))
+            lo, draws = i, 0
+        draws += trace.n_draws
+    bounds.append((lo, len(traces)))
+    groups = []
+    for lo, hi in bounds:
+        part = traces[lo:hi]
+        if part[0].n_draws > block:
+            groups.append((lo, hi, None, 0, None))
+        else:
+            groups.append((lo, hi, _chain_table(part, stream_row),
+                           max(trace.n_rows for trace in part),
+                           np.concatenate([trace.draw_thresholds
+                                           for trace in part])))
+    return groups
 
 
 # ----------------------------------------------------------------------
@@ -1117,9 +1254,9 @@ def compile_megatrace(segments, stream_row: int,
 
     ``segments`` are the waves' μPrograms in order, ``stream_row`` the
     physical row each wave's host write lands in, and ``entry_of`` maps
-    a μProgram to its store entry.  Each segment compiles on its own
-    entry under the per-μProgram JIT rule, so a sequence whose programs
-    are already warm replays as a chain at once.
+    a μProgram to its store entry.  Each segment's trace is compiled on
+    its own entry, by the subarray, the first time the chain runs (see
+    :meth:`~repro.dram.wordline.WordlineSubarray.run_megaprogram`).
 
     Two waves that each AND the mask (data row 0) into data row 1 run
     one program, so their chain holds one store entry twice:

@@ -161,7 +161,7 @@ class ExecutionReport:
         The wave's whole-sequence trace-chain activity (deltas of the
         plan's counters): ``megatrace_compiles`` counts chains
         assembled (a new wave sequence; nothing is lowered) and
-        ``megatrace_replays`` chains replayed warm.  On the word path
+        ``megatrace_replays`` chains replayed.  On the word path
         each query's entire wave sequence replays as a handful of
         chains, so a warm plan's steady state shows chain replays with
         near-zero per-μProgram activity.  Both stay zero on the bit

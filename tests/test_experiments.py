@@ -148,8 +148,10 @@ class TestSlowExperiments:
         # Protection flattens the curve at moderate rates.
         assert at[1e-3]["rmse[JC+ECC]"] < at[1e-3]["rmse[JC]"] + 1e-9
 
-    def test_fig17_orderings(self):
-        res = run_experiment("fig17")
+    def test_fig17_orderings(self, shared_experiment):
+        # Shared with benchmarks/test_fig17.py: one computation per
+        # session.
+        res = shared_experiment("fig17")
         dna = {r["fault_rate"]: r for r in res.rows if r["app"] == "DNA"}
         assert dna[1e-4]["JC"] > dna[1e-4]["RCA"]
         assert dna[1e-2]["JC+ECC"] > dna[1e-2]["JC+TMR"] - 0.05

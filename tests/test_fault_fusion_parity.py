@@ -15,7 +15,7 @@ across seeds, ``margin_aware`` on/off, and the three read-rate regimes
 ``p_read in {0, p_cim/10, p_cim}`` that select ``corrupt``'s draw
 sequence.  Also pinned here: the order-preserving RNG contract the
 pre-pass rests on (batched ``predraw`` == sequential draws), the exact
-one-interpreted-run JIT warm-up, fault-regime recompilation, and the
+compile-on-first-sight rule, fault-regime recompilation, and the
 ``injected_faults`` telemetry threading (engine -> plan -> serve).
 """
 
@@ -59,8 +59,8 @@ def _run_stream(backend, n_bits, n_digits, p_cim, p_read, margin_aware,
                 seed, fused=True, n_lanes=24, n_updates=5, rounds=4):
     """Replay one fixed update stream ``rounds`` times under faults.
 
-    Rounds replay identical programs, so a fused run is past the JIT
-    warm-up from round two on and genuinely replays fault traces.
+    Rounds replay identical programs, so a fused run compiles in round
+    one and genuinely replays fault traces from round two on.
     Returns everything parity must cover, including the per-epoch
     injected stream and the fault model's terminal RNG state.
     """
@@ -225,8 +225,8 @@ def test_single_row_sense_draws_only_at_positive_read_rate():
 # blockwise pre-draws: splitting the pre-pass keeps the stream
 # ----------------------------------------------------------------------
 def _faulty_rounds(stitched, n_lanes=24, rounds=3):
-    """Three rounds of one faulty update stream: warm-up, compile and a
-    pure replay, per wave (``accumulate``) or stitched (``run_waves``).
+    """Three rounds of one faulty update stream: compile, then pure
+    replays, per wave (``accumulate``) or stitched (``run_waves``).
     """
     fm = FaultModel(p_cim=5e-2, p_read=5e-3, seed=21)
     eng = CountingEngine(2, 4, n_lanes, fault_model=fm, backend="word")
@@ -284,13 +284,13 @@ def test_blockwise_predraw_keeps_the_stream(monkeypatch, stitched):
 
 
 # ----------------------------------------------------------------------
-# JIT warm-up (satellite: exact interpreted-run count)
+# Compile on first sight: no interpreted warm-up run
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("p_cim", [0.0, 1e-2])
-def test_warmup_interpreted_run_count(p_cim):
-    """Exactly ONE interpreted run before the trace compiles -- on the
-    fault-free and the fault-injected path alike (FUSE_AFTER_RUNS is
-    the run number that compiles, not an interpreted-run count)."""
+def test_first_run_compiles_second_replays(p_cim):
+    """Run 1 compiles every program it runs and replays none; run 2
+    compiles nothing and replays them -- on the fault-free and the
+    fault-injected path alike."""
     fm = FaultModel(p_cim=p_cim, seed=3)
     eng = CountingEngine(2, 4, 16, fault_model=fm, backend="word")
     eng.reset_counters()
@@ -301,16 +301,13 @@ def test_warmup_interpreted_run_count(p_cim):
         eng.load_mask(0, mask)
         eng.accumulate(5)
 
-    one_query()                            # run 1: interpreted
-    assert eng.subarray.trace_compiles == 0
-    assert eng.subarray.trace_replays == 0
-    one_query()                            # run 2: compiles + executes
-    assert eng.subarray.trace_compiles > 0
-    assert eng.subarray.trace_replays == 0
+    one_query()                            # run 1: compiles + executes
     compiles = eng.subarray.trace_compiles
-    one_query()                            # run 3: pure replay
+    assert compiles > 0
+    assert eng.subarray.trace_replays == 0
+    one_query()                            # run 2: pure replay
     assert eng.subarray.trace_compiles == compiles
-    assert eng.subarray.trace_replays > 0
+    assert eng.subarray.trace_replays == compiles
 
 
 def test_fault_regime_change_recompiles():

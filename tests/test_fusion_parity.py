@@ -47,8 +47,8 @@ def _run_stream(backend, n_bits, n_digits, seed, fused=True, n_lanes=24,
     The stream runs three times with a counter reset in between (the
     session layer's plan-reuse pattern): the scheduler restarts
     identically each round, so rounds two and three re-run every
-    program past the JIT warm-up threshold and a fused run really
-    replays compiled traces (asserted by the caller).
+    program the first round compiled and a fused run really replays
+    compiled traces (asserted by the caller).
     """
     import contextlib
     eng = CountingEngine(n_bits, n_digits, n_lanes, backend=backend)
@@ -110,8 +110,8 @@ def test_every_k_step_fuses_identically(n_bits):
             with ctx:
                 # Pre-load counters so decrements have headroom and the
                 # k-step hits non-trivial Johnson states.  Each event
-                # runs three times: run two passes the JIT warm-up
-                # (compiles), run three replays the compiled trace.
+                # runs three times: run one compiles, runs two and
+                # three replay the compiled trace.
                 eng.accumulate(2 * n_bits + 1)
                 for digit in range(n_digits - 1):
                     for _ in range(3):
@@ -135,7 +135,7 @@ def test_active_fault_model_fuses_after_warmup():
     eng = CountingEngine(2, 5, 32, fault_model=fm, backend="word")
     eng.reset_counters()
     mask = np.ones(32, dtype=np.uint8)
-    for _ in range(3):                   # same magnitude: warms the JIT
+    for _ in range(3):                   # same magnitude: replays
         eng.reset_counters()
         eng.load_mask(0, mask)
         eng.accumulate(9)
@@ -152,7 +152,7 @@ def test_active_fault_model_fuses_after_warmup():
         assert eng.subarray.trace_replays == replays
 
 
-def test_jit_warmup_interprets_once_then_compiles_then_replays():
+def test_jit_compiles_on_first_run_then_replays():
     eng = CountingEngine(2, 5, 32, backend="word")
     eng.reset_counters()
     mask = np.ones(32, dtype=np.uint8)
@@ -162,14 +162,11 @@ def test_jit_warmup_interprets_once_then_compiles_then_replays():
         eng.load_mask(0, mask)
         eng.accumulate(9)
 
-    one_query()                       # run 1: interpreted (cold-fast)
-    assert eng.subarray.trace_compiles == 0
-    assert eng.subarray.trace_replays == 0
-    one_query()                       # run 2: past warm-up, compiles
+    one_query()                       # run 1: compiles, no replay
     compiles = eng.subarray.trace_compiles
     assert compiles > 0
     assert eng.subarray.trace_replays == 0
-    one_query()                       # run 3+: pure fused replay
+    one_query()                       # run 2+: pure fused replay
     assert eng.subarray.trace_compiles == compiles
     assert eng.subarray.trace_replays > 0
     counters = eng.counters
@@ -199,14 +196,14 @@ def test_program_cache_is_bounded_lru(monkeypatch):
 
     for prog in progs:
         sa.run_program(prog)
-        sa.run_program(prog)                       # past JIT warm-up
+        sa.run_program(prog)
     assert len(store._compiled) == 2
     assert not held(progs[0])                      # LRU victim
     compiles = sa.trace_compiles
-    # Re-entering the evicted program restarts its warm-up: the first
-    # run interprets, the second recompiles the trace.
+    # Re-entering the evicted program recompiles its trace on its first
+    # run, and the second run replays it.
     sa.run_program(progs[0])
-    assert sa.trace_compiles == compiles
+    assert sa.trace_compiles == compiles + 1
     sa.run_program(progs[0])
     assert sa.trace_compiles == compiles + 1
     # Touching an entry protects it from the next eviction.
@@ -427,20 +424,20 @@ def test_plan_stats_surface_trace_counters(rng):
     x = rng.integers(-6, 7, 8)
     with Device(n_bits=2) as dev:
         plan = dev.plan_gemv(z, kind="ternary")
-        plan(x)                        # warm-up: interpreted
-        plan(x)                        # identical query: compiles
+        plan(x)                        # cold: compiles, then replays
+        plan(x)                        # identical query: pure replay
         second = plan.stats
         plan(x)                        # steady state: pure replay
         third = plan.stats
-    # A warm plan(x) is one wave sequence with the carry flush as its
-    # tail: its chain is assembled once, its segments' traces compile on
-    # the second query, and from then on each query replays the chain
-    # once; no segment trace replays outside it.
+    # A plan(x) is one wave sequence with the carry flush as its tail:
+    # its chain is assembled once and its segments' traces compile on
+    # the first query, and each query replays the chain once; no
+    # segment trace replays outside it.
     split = ("trace_replays", "megatrace_compiles", "megatrace_replays")
     assert second.trace_compiles > 0
-    assert [getattr(second, f) for f in split] == [0, 1, 0]
+    assert [getattr(second, f) for f in split] == [0, 1, 2]
     assert third.trace_compiles == second.trace_compiles
-    assert [getattr(third, f) for f in split] == [0, 1, 1]
+    assert [getattr(third, f) for f in split] == [0, 1, 3]
     # With megatraces off the same queries ride per-μProgram traces
     # (one fused program per wave plus the separate flush).
     with megatrace_disabled(), Device(n_bits=2) as dev:
@@ -473,15 +470,15 @@ def test_serve_report_carries_trace_stats(rng):
              "megatrace_replays")
     with Server(n_bits=2) as srv:
         srv.register("m", z, kind="ternary")
-        r1 = srv.query("m", x).report     # warm-up wave: interpreted
-        r2 = srv.query("m", x).report     # same wave again: compiles
+        r1 = srv.query("m", x).report     # cold wave: compiles
+        r2 = srv.query("m", x).report     # same wave again: replays
         r3 = srv.query("m", x).report     # steady state: replays
     # The wave's flush rides the chain's tail, so the whole wave is one
-    # chain: assembled by the first wave, its segments compiled by the
-    # second, replayed by the third.
-    assert [getattr(r1, f) for f in split] == [0, 0, 1, 0]
-    assert r2.trace_compiles > 0
-    assert [getattr(r2, f) for f in split[1:]] == [0, 0, 0]
+    # chain: assembled by the first wave, which also compiles its
+    # segments and replays it, and replayed by the next ones.
+    assert r1.trace_compiles > 0
+    assert [getattr(r1, f) for f in split[1:]] == [0, 1, 1]
+    assert [getattr(r2, f) for f in split] == [0, 0, 0, 1]
     assert [getattr(r3, f) for f in split] == [0, 0, 0, 1]
     # Per-μProgram traces surface the same way with megatraces off.
     with megatrace_disabled(), Server(n_bits=2) as srv:
@@ -489,6 +486,6 @@ def test_serve_report_carries_trace_stats(rng):
         r1 = srv.query("m", x).report
         r2 = srv.query("m", x).report
         r3 = srv.query("m", x).report
-    assert r1.trace_replays == 0
-    assert r2.trace_compiles > 0
+    assert r1.trace_compiles > 0 and r1.trace_replays == 0
+    assert r2.trace_replays > 0 and r2.trace_compiles == 0
     assert r3.trace_replays > 0 and r3.trace_compiles == 0

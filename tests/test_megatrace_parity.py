@@ -17,8 +17,8 @@ activations / multi-row / measured ops), the injected-fault stream
 (per-epoch deltas, monotonic totals, terminal RNG state), across drawn
 shapes, seeds, ``margin_aware`` on/off, the ``p_read`` regimes that
 select ``corrupt``'s draw sequence, and the kernel on and off.  Also
-pinned here: the chain's warm-up (the per-wave loop until every
-segment is warm), the engine memo bound, fault-regime changes between
+pinned here: compile on first sight (a chain's cold segments compile
+before its first replay), the engine memo bound, fault-regime changes between
 queries (no segment trace compiled for the old regime replays), a
 later segment outgrowing the replay scratch, the stream block's shape
 check, and that ``fusion_disabled`` / ``megatrace_disabled`` bypass
@@ -94,9 +94,8 @@ def _run_waves(mode, n_bits, n_digits, p_cim, p_read, margin_aware,
                seed, n_lanes=24, n_waves=6, rounds=3):
     """Replay one fixed wave sequence ``rounds`` times in one regime.
 
-    Three rounds walk the chain's warm-up completely: rounds 1 and 2
-    execute the per-wave loop (round 2 compiles the segments' traces),
-    round 3 replays the chain.  Returns
+    Round 1 compiles the segments' traces and replays the chain,
+    rounds 2 and 3 replay it.  Returns
     everything parity must cover, including per-round decoded values,
     the per-epoch injected stream and the terminal RNG state.
     """
@@ -205,7 +204,7 @@ def test_final_mask_row_state_matches_per_wave_semantics():
 
 
 # ----------------------------------------------------------------------
-# JIT warm-up and cache discipline (satellites)
+# Compile on first sight and cache discipline (satellites)
 # ----------------------------------------------------------------------
 def _one_pass(eng, mags, packed):
     eng.reset_counters()
@@ -213,22 +212,19 @@ def _one_pass(eng, mags, packed):
 
 
 def test_megatrace_warmup_run_counts():
-    """Run 1 assembles the chain and runs per-wave (segments interpret
-    once), run 2 runs per-wave again and compiles the segments' traces,
-    run 3 replays the chain -- the μProgram JIT rule, nothing compiled
-    per sequence."""
+    """Run 1 assembles the chain, compiles its segments' traces and
+    replays it; run 2 replays the memoized chain and compiles nothing
+    -- traces compile per μProgram on first sight, nothing per
+    sequence."""
     eng = CountingEngine(2, 4, 16, backend="word")
     sa = eng.subarray
     mags, packed, _ = _stream(2, 4, 16, seed=3, n_waves=4)
     _one_pass(eng, mags, packed)
-    assert (sa.megatrace_compiles, sa.megatrace_replays) == (1, 0)
-    assert sa.trace_compiles == 0
-    _one_pass(eng, mags, packed)
-    assert (sa.megatrace_compiles, sa.megatrace_replays) == (1, 0)
+    assert (sa.megatrace_compiles, sa.megatrace_replays) == (1, 1)
     compiled = sa.trace_compiles
     assert compiled > 0
     _one_pass(eng, mags, packed)
-    assert (sa.megatrace_compiles, sa.megatrace_replays) == (1, 1)
+    assert (sa.megatrace_compiles, sa.megatrace_replays) == (1, 2)
     assert sa.trace_compiles == compiled
 
 
@@ -245,7 +241,7 @@ def test_megatrace_lru_bound_respected(monkeypatch):
     masks = pack_rows(rng.integers(0, 2, (3, 16)).astype(np.uint8))
     for offset in range(5):                # 5 distinct wave sequences
         mags = np.arange(1, 4) + offset
-        for _ in range(3):                 # warm-up, compile, replay
+        for _ in range(3):                 # compile, replay, replay
             _one_pass(eng, mags, masks)
         assert len(eng._mega_cache) <= 2
     assert len(store) == len(store._programs) + len(store._compiled)
@@ -261,16 +257,16 @@ def test_megatrace_lru_bound_respected(monkeypatch):
 
 def test_fault_regime_mutation_recompiles_megatrace():
     """p_cim / p_read / margin mutation under a warm chain: the next
-    pass runs per-wave and recompiles the segments against the new
-    regime (no chain replay of stale traces), and the pass after that
-    replays the chain again."""
+    pass recompiles the segments against the new regime before the
+    chain replays (no replay of stale traces), and the pass after that
+    replays the chain without compiling."""
     fm = FaultModel(p_cim=1e-2, seed=11)
     eng = CountingEngine(2, 4, 16, fault_model=fm, backend="word")
     sa = eng.subarray
     mags, packed, _ = _stream(2, 4, 16, seed=5, n_waves=4)
     for _ in range(3):
         _one_pass(eng, mags, packed)
-    assert (sa.megatrace_compiles, sa.megatrace_replays) == (1, 1)
+    assert (sa.megatrace_compiles, sa.megatrace_replays) == (1, 3)
     for mutate in (lambda: setattr(fm, "p_cim", 5e-2),
                    lambda: setattr(fm, "p_read", 1e-3),
                    lambda: setattr(fm, "margin_aware", False)):
@@ -279,9 +275,11 @@ def test_fault_regime_mutation_recompiles_megatrace():
         mutate()
         _one_pass(eng, mags, packed)       # regime changed: recompile
         assert sa.trace_compiles > traces
-        assert sa.megatrace_replays == replays
-        _one_pass(eng, mags, packed)       # recompiled chain replays
         assert sa.megatrace_replays == replays + 1
+        traces = sa.trace_compiles
+        _one_pass(eng, mags, packed)       # recompiled chain replays
+        assert sa.trace_compiles == traces
+        assert sa.megatrace_replays == replays + 2
     assert sa.megatrace_compiles == 1      # one chain throughout
 
 
@@ -332,7 +330,7 @@ def test_disabled_scopes_bypass_megatraces_without_stale_leakage():
     replays = eng.subarray.megatrace_replays
     traces = eng.subarray.trace_compiles
     _one_pass(eng, mags, packed)           # ... recompiles when enabled
-    assert eng.subarray.megatrace_replays == replays
+    assert eng.subarray.megatrace_replays == replays + 1
     assert eng.subarray.trace_compiles > traces
 
 
@@ -376,7 +374,7 @@ def test_short_stream_block_raises_before_touching_cells(regime):
     if regime != "cold":
         for _ in range(3):
             sa.run_megaprogram(chain, good)
-        assert sa.megatrace_replays == 1
+        assert sa.megatrace_replays == 3
     cells = sa.cells.copy()
     counts = (sa.aap_count, sa.activations, sa.megatrace_replays,
               fm._rng.bit_generator.state["state"])
@@ -423,7 +421,7 @@ def test_later_segment_outgrowing_the_scratch_replays_exactly():
     for prog in (small, big):              # warm both segment traces
         for _ in range(2):
             sa.run_program(prog)
-    traces = [sa.programs.compiled(sa.n_data_rows, p, sa.resolve)[3]
+    traces = [sa.programs.compiled(sa.n_data_rows, p)[2]
               for p in (small, big)]
     assert traces[1].n_rows > traces[0].n_rows
     ref.cells[:] = sa.cells
@@ -481,10 +479,11 @@ def test_p_cim_change_between_identical_queries_replays_no_stale_trace(
                 stale.append(self)
             return real_trace(self, cells, scratch)
 
-        def chain_replay(self, cells, scratch, traces, stream):
-            if FaultSpec.of(fm) is not None:
+        def chain_replay(self, cells, scratch, traces, stream, *args):
+            if any(getattr(trace, "spec", None) != FaultSpec.of(fm)
+                   for trace in traces):
                 stale.append(self)
-            return real_chain(self, cells, scratch, traces, stream)
+            return real_chain(self, cells, scratch, traces, stream, *args)
 
         with monkeypatch.context() as mp:
             mp.setattr(trace_mod.CompiledFaultTrace, "execute",

@@ -76,8 +76,8 @@ def _run_waves(mode, kind, n_bits, n_digits, n_lanes, seed, n_waves=6,
     """One fixed signed wave sequence, ``rounds`` times, in one regime.
 
     ``kind`` is ``"program"`` (per-μProgram traces, chains off) or
-    ``"mega"`` (wave sequences as trace chains).  Three rounds walk the JIT: warm-up,
-    compile, pure replay.
+    ``"mega"`` (wave sequences as trace chains).  Round one compiles,
+    rounds two and three are pure replays.
     """
     rng = np.random.default_rng(seed)
     budget = (2 * n_bits) ** n_digits - 1
@@ -170,16 +170,21 @@ def _traces():
     prog = concat("pair", [kary_increment_program([0, 1], 2, 3, [3], 4),
                            kary_increment_program([5, 6], 2, -2, [3], 7)])
     trace = compile_trace(prog, sa.resolve)
-    entry = [prog, 2, None, trace, None]          # a warm store entry
+    entry = [prog, None, trace, None]             # a warm store entry
     chain = TraceChain((entry,) * 3, sa.resolve(4)[0][0])
     return sa, trace, chain
+
+
+def _chain_traces(chain):
+    """The compiled traces of a chain's (warm) store entries."""
+    return tuple(entry[2] for entry in chain.entries)
 
 
 def _execute(obj, cells, scratch, stream):
     """One replay of a trace or (warm) chain; a chain with the kernel
     disabled runs its segments' NumPy replays after each stream write."""
     if isinstance(obj, TraceChain):
-        traces = obj.warm_traces(None)
+        traces = _chain_traces(obj)
         if native_enabled():
             obj.execute(cells, scratch, traces, stream)
             return
@@ -255,7 +260,7 @@ def test_kernel_never_sees_an_unchecked_pointer():
     with pytest.raises(IndexError):
         prog_trace.execute(short, scratch)
     cells = np.zeros((sa.cells.shape[0], 2), dtype=np.uint64)
-    traces = chain.warm_traces(None)
+    traces = _chain_traces(chain)
     for stream in (np.zeros((2, 2), np.uint64), np.zeros((3, 3), np.uint64),
                    np.zeros((3, 2), np.int64)):
         with pytest.raises(ValueError):

@@ -186,7 +186,7 @@ def test_store_bound_holds_across_engines(monkeypatch):
         for eng in engines:
             mags = rng.integers(1, 60, 3)
             masks = np.full((3, eng.subarray.n_words), ~np.uint64(0))
-            for _ in range(2):             # warm-up run, then compile
+            for _ in range(2):             # compile, then replay
                 eng.reset_counters()
                 eng.run_waves(mags, masks, flush=True)
             assert (eng.read_values() == mags.sum()).all()

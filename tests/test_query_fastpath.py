@@ -302,7 +302,7 @@ def _plan_run(mode, p_cim, p_read, seed, rounds=3):
     answers, ops, injected = [], [], []
     with _ctx(mode), Device(config) as dev:
         plan = dev.plan_gemv(z, kind="ternary", x_budget=12 * 6)
-        for _ in range(rounds):           # warm-up, compile, replay
+        for _ in range(rounds):           # compile, replay, replay
             for x in xs:
                 before = plan.stats
                 answers.append(plan(x))
@@ -354,7 +354,7 @@ def test_plan_dispatch_path_faulted_word_equals_bit(p_cim, p_read, seed):
         cluster = BankCluster(2, 5, 24, n_banks=4, fault_model=fm,
                               backend=backend)
         out = []
-        for _ in range(3):                 # warm-up, compile, replay
+        for _ in range(3):                 # compile, replay, replay
             for x in xs:
                 idx = np.flatnonzero(x)
                 rows = 2 * idx + (x[idx] < 0)

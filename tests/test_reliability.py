@@ -38,8 +38,9 @@ class TestEngineTrials:
         assert row["injected"] > 0
         assert row["silent_trials"] == 2
         assert 0 < row["silent_rate"] <= 1
-        # Fused fault replay actually carried the campaign.
-        assert row["trace_replays"] > 0
+        # Fused fault replay actually carried the campaign (cold trials
+        # replay their chains, compiled on first sight).
+        assert row["trace_replays"] + row["megatrace_replays"] > 0
 
     def test_protection_detects_and_corrects(self, workload):
         z, xs = workload
@@ -103,7 +104,8 @@ class TestEngineTrials:
             # the accounting must agree.
             for key in ("n_outputs", "retry_exhausted", "detected"):
                 assert tw.metrics[key] == tb.metrics[key]
-        assert word.rows[0]["trace_replays"] > 0
+        assert word.rows[0]["trace_replays"] \
+            + word.rows[0]["megatrace_replays"] > 0
         assert bit.rows[0]["trace_replays"] == 0
 
     def test_wave_admission_respects_pool(self, workload):
