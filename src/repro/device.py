@@ -67,7 +67,7 @@ import numpy as np
 from repro.dram.faults import FAULT_FREE, FaultModel
 from repro.dram.programs import ProgramStore
 from repro.engine.cluster import BankCluster, chunk_geometry, run_chunked
-from repro.engine.machine import CountingEngine, EngineCounters
+from repro.engine.machine import CountingEngine, Counters, counter_fields
 from repro.kernels.lowering import (DEFAULT_BANKS, digits_for_budget,
                                     infer_kind, ternary_row_masks)
 from repro.serve.pool import BankPool
@@ -143,39 +143,22 @@ class EngineConfig:
 
 
 @dataclass(frozen=True)
+@counter_fields
 class PlanStats:
     """Observable cost counters of one plan (see ``Plan.stats``).
 
-    ``measured_ops`` counts AAP/AP command sequences actually issued and
-    is directly comparable with the analytical
-    :class:`repro.perf.C2MModel` op accounting (the serving telemetry
-    prices latency/energy from exactly this number);
-    ``program_compiles`` / ``program_replays`` split this plan's
-    lookups in the device's :class:`~repro.dram.programs.ProgramStore`
-    into μPrograms built and reused, and ``trace_compiles`` /
-    ``trace_replays`` do the same for the word backend's fused traces
-    (zero on the bit backend, which never fuses) -- a plan whose
-    programs another tenant already warmed compiles nothing,
-    ``resident_rows`` is the number of planted mask-row images (binary:
-    one per Z row; ternary: both sign orientations per row), and
-    ``parks`` / ``unparks`` count eviction round-trips through the
-    counter-image relocation path, and ``injected_faults`` is the
-    monotonic count of fault-model bit flips the plan's engines
-    injected (zero for fault-free configs; identical whether the word
-    backend replayed fused fault traces or interpreted) -- serve
-    telemetry reports its per-query delta.
-    ``megatrace_compiles`` counts the trace chains the plan's engines
-    assembled (one per new wave sequence; nothing is lowered) and
-    ``megatrace_replays`` the chains they replayed (see
-    :meth:`~repro.engine.machine.CountingEngine.run_waves`): on the
-    word path a query's entire wave sequence replays as a handful of
-    chains, so these counters -- not ``trace_replays`` -- carry
-    steady-state replay traffic.
-    ``dedup_hits`` counts the times this plan's row-image acquires
-    (planting and copy-on-write swaps) found the content address
-    already planted by another tenant; ``rows_shared`` /
-    ``rows_private`` classify the plan's planted rows by whether its
-    image is currently multi-referenced in the device's
+    Every :class:`~repro.engine.machine.Counters` field is also a field
+    here, with the meaning documented there, totalled over the plan's
+    life.  The plan's own counts: ``queries``; ``broadcasts`` (the
+    ``accumulate`` commands its waves issued); ``replans`` (automatic
+    re-plans to more digits); ``resident_rows``, the planted mask-row
+    images (binary: one per Z row; ternary: both sign orientations per
+    row); ``parks`` / ``unparks``, eviction round-trips through the
+    counter-image relocation path; ``dedup_hits``, the times this
+    plan's row-image acquires (planting and copy-on-write swaps) found
+    the content address already planted by another tenant; and
+    ``rows_shared`` / ``rows_private``, the plan's planted rows split
+    by whether its image is currently multi-referenced in the device's
     :class:`~repro.serve.rowstore.RowImageStore`.
     """
 
@@ -183,27 +166,11 @@ class PlanStats:
     broadcasts: int = 0
     replans: int = 0
     resident_rows: int = 0
-    measured_ops: int = 0
-    program_compiles: int = 0
-    program_replays: int = 0
     parks: int = 0
     unparks: int = 0
-    trace_compiles: int = 0
-    trace_replays: int = 0
-    injected_faults: int = 0
-    megatrace_compiles: int = 0
-    megatrace_replays: int = 0
     dedup_hits: int = 0
     rows_shared: int = 0
     rows_private: int = 0
-
-
-#: The :class:`PlanStats` field of each ``EngineCounters`` field, in
-#: counter order (two fields are spelled out in full there).
-_PLAN_COUNTER_FIELDS = tuple(
-    {"prog_compiles": "program_compiles",
-     "prog_replays": "program_replays"}.get(name, name)
-    for name in EngineCounters._fields)
 
 
 class ResidentPlan:
@@ -262,7 +229,7 @@ class ResidentPlan:
         self._replans = 0
         self._parks = 0
         self._unparks = 0
-        self._retired = EngineCounters.zeros()
+        self._retired = Counters.zeros()
 
     @property
     def _masks(self) -> Optional[np.ndarray]:
@@ -626,9 +593,9 @@ class ResidentPlan:
         detach or re-plan already sits in its private retired sink, so
         two tenants multiplexed on one engine body never double-count.
         """
-        ops = self._retired.copy()
+        ops = self._retired
         if self._res is not None:
-            ops += self._res.delta_for(self)
+            ops = ops + self._res.delta_for(self)
         resident = self._resident_rows
         shared = self._image is not None and self._image.shared
         return PlanStats(queries=self._queries,
@@ -640,7 +607,7 @@ class ResidentPlan:
                          dedup_hits=self._dedup_hits,
                          rows_shared=resident if shared else 0,
                          rows_private=0 if shared else resident,
-                         **dict(zip(_PLAN_COUNTER_FIELDS, ops.tolist())))
+                         **ops._asdict())
 
 
 class GemvPlan(ResidentPlan):

@@ -16,6 +16,7 @@ Large-shape performance questions go through :mod:`repro.perf` instead.
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from typing import NamedTuple, Optional, Sequence
 
@@ -39,7 +40,7 @@ from repro.isa import native as _native
 from repro.isa.microprogram import MicroProgram, aap, concat
 from repro.isa.trace import fusion_enabled, megatrace_enabled, native_enabled
 
-__all__ = ["CountingEngine", "EngineCounters"]
+__all__ = ["CountingEngine", "Counters", "counter_fields"]
 
 #: Bound on the engine's ``run_waves`` memo: whole calls keyed by
 #: scheduler state and magnitudes (see :meth:`CountingEngine.
@@ -50,48 +51,96 @@ __all__ = ["CountingEngine", "EngineCounters"]
 ENGINE_MEGATRACE_CACHE = 256
 
 
-class EngineCounters(NamedTuple):
-    """Cost counters one engine has accrued (snapshot, monotonic).
+class Counters(NamedTuple):
+    """The engine's cost counters: a snapshot, or the sum or difference
+    of snapshots.
 
-    ``measured_ops`` is the ground truth the serving telemetry models
-    latency/energy from: AAP/AP command sequences the subarray actually
-    executed, retries included -- as opposed to the analytical op counts
-    of :mod:`repro.perf` which never see the executed path.
-    ``trace_compiles`` / ``trace_replays`` count the fused traces this
-    engine's subarray compiled and replayed the same way
-    ``prog_compiles`` / ``prog_replays`` count its μPrograms built and
-    reused -- all four are lookups in the shared
-    :class:`~repro.dram.programs.ProgramStore`, so an engine whose
-    programs another engine of its device already warmed compiles
-    nothing; the trace counters stay zero on the bit backend (which
-    never fuses).  ``injected_faults`` is the monotonic count of fault-
-    model bit flips this engine's subarray injected (identical on the
-    interpreted and fused paths) -- the serving telemetry reports its
-    per-query delta, and ``FaultModel.injected`` itself resets each
-    scheduler epoch.
+    This record is the one declaration of every cost counter.  An
+    engine snapshots its own (:attr:`CountingEngine.counters`); shared
+    engine bodies and plans add and subtract snapshots; and the
+    records that report counters -- :class:`~repro.device.PlanStats`,
+    :class:`~repro.serve.telemetry.ExecutionReport`, campaign trial
+    metrics and summary rows -- carry every field flat, under the same
+    name, by walking ``_fields`` (see :func:`counter_fields`).  A plan's
+    fields are monotonic totals; a wave report's are deltas around
+    the wave.
+
+    ======================  ==============================================
+    field                   counts
+    ======================  ==============================================
+    ``measured_ops``        AAP/AP command sequences the subarray actually
+                            issued, fault retries and ECC protection
+                            included.  Serving telemetry prices latency
+                            and energy from it (``time_for_aaps_ns``),
+                            unlike the analytical counts of
+                            :mod:`repro.perf`, which never see the
+                            executed path.
+    ``program_compiles``    μPrograms built and reused: lookups in the
+    ``program_replays``     device's shared
+                            :class:`~repro.dram.programs.ProgramStore`,
+                            so an engine or tenant whose programs another
+                            one already warmed compiles nothing.
+    ``trace_compiles``      The same for the word backend's fused traces:
+    ``trace_replays``       μPrograms lowered, and single traces replayed
+                            from the store.  Zero on the bit backend,
+                            which never fuses.
+    ``injected_faults``     Fault-model bit flips the subarray injected;
+                            monotonic (``FaultModel.injected`` itself
+                            resets each scheduler epoch), identical on the
+                            interpreted and fused paths, zero for
+                            fault-free configs.
+    ``megatrace_compiles``  Trace chains assembled for whole wave
+                            sequences (a :meth:`CountingEngine.run_waves`
+                            memo miss; nothing is lowered).
+    ``megatrace_replays``   Trace chains replayed: one kernel call, or a
+                            loop over compiled segment traces without the
+                            kernels.  A warm query's whole wave sequence
+                            replays as a handful of chains, so these --
+                            not ``trace_replays`` -- carry steady-state
+                            replay traffic.  Both chain counters stay
+                            zero on the bit backend, inside
+                            :func:`repro.isa.trace.megatrace_disabled`
+                            scopes and on paths that never coalesce waves.
+    ======================  ==============================================
     """
 
-    measured_ops: int
-    prog_compiles: int
-    prog_replays: int
+    measured_ops: int = 0
+    program_compiles: int = 0
+    program_replays: int = 0
     trace_compiles: int = 0
     trace_replays: int = 0
     injected_faults: int = 0
-    #: Whole wave sequences (see :meth:`CountingEngine.run_waves`):
-    #: ``megatrace_compiles`` counts trace chains assembled (a
-    #: ``run_waves`` memo miss; nothing is lowered) and
-    #: ``megatrace_replays`` chains replayed -- one kernel call, or a
-    #: loop over compiled segment traces without the kernels (cold
-    #: segments compile first).  Zero on the bit backend and on any
-    #: path that never coalesces waves.
     megatrace_compiles: int = 0
     megatrace_replays: int = 0
 
+    def __add__(self, other: "Counters") -> "Counters":
+        return Counters._make(map(operator.add, self, other))
+
+    def __sub__(self, other: "Counters") -> "Counters":
+        return Counters._make(map(operator.sub, self, other))
+
     @classmethod
-    def zeros(cls) -> np.ndarray:
-        """An all-zero int64 vector in field order: the accumulator
-        that plans and shared engine bodies retire counters into."""
-        return np.zeros(len(cls._fields), dtype=np.int64)
+    def zeros(cls) -> "Counters":
+        return cls()
+
+    @classmethod
+    def of(cls, record) -> "Counters":
+        """The counters a record carries flat (``PlanStats``,
+        ``ExecutionReport``)."""
+        return cls._make(_counter_values(record))
+
+
+_counter_values = operator.attrgetter(*Counters._fields)
+
+
+def counter_fields(cls):
+    """Class decorator, applied beneath ``@dataclass``: declare every
+    :class:`Counters` field on ``cls`` as an ``int`` defaulting to 0,
+    after ``cls``'s own fields."""
+    for name in Counters._fields:
+        cls.__annotations__[name] = "int"
+        setattr(cls, name, 0)
+    return cls
 
 
 class CountingEngine:
@@ -259,7 +308,7 @@ class CountingEngine:
         # The fault model's flip counter is per scheduler epoch: plan
         # reuse and shared models would otherwise accumulate it without
         # bound.  The subarray's monotonic ``fault_injections`` (and
-        # ``EngineCounters.injected_faults``) are deliberately NOT
+        # ``Counters.injected_faults``) are deliberately NOT
         # reset -- telemetry takes deltas of those.
         self.subarray.fault_model.reset_counts()
         self._flushed = True
@@ -749,15 +798,15 @@ class CountingEngine:
         self._flushed = True
 
     @property
-    def counters(self) -> EngineCounters:
+    def counters(self) -> Counters:
         """Snapshot of this engine's accrued cost counters."""
-        return EngineCounters(self.measured_ops, self.prog_compiles,
-                              self.prog_replays,
-                              self.subarray.trace_compiles,
-                              self.subarray.trace_replays,
-                              self.subarray.fault_injections,
-                              self.subarray.megatrace_compiles,
-                              self.subarray.megatrace_replays)
+        return Counters(self.measured_ops, self.prog_compiles,
+                        self.prog_replays,
+                        self.subarray.trace_compiles,
+                        self.subarray.trace_replays,
+                        self.subarray.fault_injections,
+                        self.subarray.megatrace_compiles,
+                        self.subarray.megatrace_replays)
 
     @property
     def measured_ops(self) -> int:

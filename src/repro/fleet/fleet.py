@@ -57,6 +57,7 @@ import numpy as np
 from repro.device import Device, EngineConfig
 from repro.dram.energy import DDR5_ENERGY, EnergyModel
 from repro.dram.timing import DDR5_4400_TIMING, TimingParams
+from repro.engine.machine import Counters
 from repro.fleet import shm as fshm
 from repro.fleet.placement import Move, Placement
 from repro.fleet.worker import ShardHandle, WorkerCrashedError
@@ -462,12 +463,13 @@ class Fleet:
         model = live[0].model
         try:
             xs = np.stack([it.x for it in live])
-            deltas, arrays = await self._call(
+            wave, arrays = await self._call(
                 shard, "run", {"model": model}, [xs])
             ys = arrays[0]
+            wave["counters"] = Counters._make(wave["counters"])
             report = ExecutionReport.from_measured(
                 model=model, batch_size=len(live),
-                timing=self.timing, energy=self.energy, **deltas)
+                timing=self.timing, energy=self.energy, **wave)
         except WorkerCrashedError as exc:
             for it in live:
                 it.future.set_exception(exc)

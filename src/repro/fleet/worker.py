@@ -21,6 +21,7 @@ of hanging the caller.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import os
 import time
@@ -96,8 +97,10 @@ def _op_unregister(state: _WorkerState, meta: dict,
 
 def _op_run(state: _WorkerState, meta: dict, arrays: List[np.ndarray]):
     from repro.serve.server import execute_wave
-    ys, deltas = execute_wave(state.registry, meta["model"], arrays[0])
-    return deltas, [np.ascontiguousarray(ys)]
+    ys, wave = execute_wave(state.registry, meta["model"], arrays[0])
+    # A plain tuple pickles faster than the record; the fleet rebuilds it.
+    wave["counters"] = tuple(wave["counters"])
+    return wave, [np.ascontiguousarray(ys)]
 
 
 def _op_export_model(state: _WorkerState, meta: dict,
@@ -123,8 +126,8 @@ def _op_import_model(state: _WorkerState, meta: dict,
 
 def _op_status(state: _WorkerState, meta: dict,
                arrays: List[np.ndarray]):
-    snap = state.pool.snapshot()
-    stats = state.registry.stats
+    pool = dataclasses.asdict(state.pool.snapshot())
+    registry = dataclasses.asdict(state.registry.stats)
     counters = {}
     if meta.get("counters"):
         # Full counter-state digest per model, for parity tests.
@@ -138,17 +141,8 @@ def _op_status(state: _WorkerState, meta: dict,
     meta_out = {
         "shard_id": state.shard_id,
         "pid": os.getpid(),
-        "pool": {"n_banks": snap.n_banks,
-                 "banks_leased": snap.banks_leased,
-                 "n_live_leases": snap.n_live_leases,
-                 "banks_shared": snap.banks_shared,
-                 "dedup_ratio": snap.dedup_ratio},
-        "registry": {"hits": stats.hits, "misses": stats.misses,
-                     "evictions": stats.evictions,
-                     "relocations": stats.relocations,
-                     "dedup_hits": stats.dedup_hits,
-                     "rows_shared": stats.rows_shared,
-                     "rows_private": stats.rows_private},
+        "pool": pool,
+        "registry": registry,
         "models": state.registry.names(),
         "resident": state.registry.resident_names,
         "counters": counters,

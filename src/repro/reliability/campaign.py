@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.device import Device
 from repro.dram.faults import FaultModel
+from repro.engine.machine import Counters
 from repro.serve.pool import BankPool
 
 __all__ = ["Campaign", "CampaignResult", "FaultPoint", "TrialResult"]
@@ -275,10 +276,10 @@ class Campaign:
                 failed_queries += 1
                 completed[qi] = False
         prot = plan.protection_stats()
-        stats = plan.stats
+        counters = Counters.of(plan.stats)
         silent = int((ys[completed] != self.golden[completed]).sum())
         return {
-            "injected": int(stats.injected_faults),
+            "injected": counters.injected_faults,
             "detected": int(prot.detections),
             "corrected": int(prot.corrected),
             "retries": int(prot.retries),
@@ -288,11 +289,7 @@ class Campaign:
             "silent_lanes": silent,
             "n_outputs": int(completed.sum() * self.golden.shape[1]),
             "exact": int(silent == 0 and failed_queries == 0),
-            "measured_ops": int(stats.measured_ops),
-            "trace_compiles": int(stats.trace_compiles),
-            "trace_replays": int(stats.trace_replays),
-            "megatrace_compiles": int(stats.megatrace_compiles),
-            "megatrace_replays": int(stats.megatrace_replays),
+            **counters._asdict(),
         }
 
     def _run_point_trial(self, index: int, point: FaultPoint,
@@ -406,10 +403,6 @@ class Campaign:
         row["silent_trials"] = sum(
             1 for t in trials if t.metrics.get("silent_lanes", 0) > 0)
         row["mean_ops"] = float(np.mean(totals.get("measured_ops", [0])))
-        row["trace_replays"] = int(np.sum(totals.get("trace_replays",
-                                                     [0])))
-        row["megatrace_compiles"] = int(np.sum(
-            totals.get("megatrace_compiles", [0])))
-        row["megatrace_replays"] = int(np.sum(
-            totals.get("megatrace_replays", [0])))
+        for k in Counters._fields:
+            row[k] = int(np.sum(totals.get(k, [0])))
         return row

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.engine.machine import EngineCounters
+from repro.engine.machine import Counters
 
 __all__ = ["RowImageStore", "RowImageHandle", "SharedResource",
            "StoreStats", "row_digest"]
@@ -149,11 +149,9 @@ class SharedResource:
             return [self.cluster.engine]
         return list(self.engines)
 
-    def _counters_now(self) -> np.ndarray:
-        total = EngineCounters.zeros()
-        for eng in self._all_engines():
-            total += np.asarray(eng.counters, dtype=np.int64)
-        return total
+    def _counters_now(self) -> Counters:
+        return sum((eng.counters for eng in self._all_engines()),
+                   Counters.zeros())
 
     def _export(self):
         if self.cluster is not None:
@@ -256,12 +254,12 @@ class SharedResource:
             return stashed
         return self._zeros_image()
 
-    def delta_for(self, plan) -> np.ndarray:
+    def delta_for(self, plan) -> Counters:
         """Live cost-counter delta attributable to ``plan`` (zeros
         unless it is the active tenant)."""
         if self.active is plan:
             return self._counters_now() - self._base
-        return EngineCounters.zeros()
+        return Counters.zeros()
 
 
 class _Entry:

@@ -52,6 +52,7 @@ import numpy as np
 from repro.device import Device, EngineConfig
 from repro.dram.energy import DDR5_ENERGY, EnergyModel
 from repro.dram.timing import DDR5_4400_TIMING, TimingParams
+from repro.engine.machine import Counters
 from repro.serve.pool import BankPool
 from repro.serve.registry import ModelRegistry
 from repro.serve.telemetry import (ExecutionReport, LatencyWindow,
@@ -149,14 +150,15 @@ class _Pending:
 def execute_wave(registry: ModelRegistry, model: str, xs: np.ndarray):
     """Run one coalesced same-model wave and account its cost deltas.
 
-    Returns ``(ys, deltas)`` where ``deltas`` is exactly the keyword
-    set :meth:`ExecutionReport.from_measured` prices a wave from
-    (measured/broadcast/cache/fault deltas, wave banks, nominal ops,
-    evictions).  This is the single wave-execution code path: the
-    in-process :class:`Server` scheduler calls it directly, and the
-    fleet's shard workers call it inside their own processes and
-    marshal the deltas back for the front door to price -- so the two
-    runtimes can never drift in what a wave's telemetry means.
+    Returns ``(ys, wave)`` where ``wave`` is exactly the keyword set
+    :meth:`ExecutionReport.from_measured` prices a wave from: the
+    plan's :class:`~repro.engine.machine.Counters` delta around the
+    wave, its broadcasts, wave banks, nominal ops and evictions.  This
+    is the single wave-execution code path: the in-process
+    :class:`Server` scheduler calls it directly, and the fleet's shard
+    workers call it inside their own processes and send ``wave`` back
+    for the front door to price -- so the two runtimes can never drift
+    in what a wave's telemetry means.
 
     The stats baseline is captured on the *same* plan object the
     registry hands the wave (inside the callback), never a second name
@@ -176,23 +178,15 @@ def execute_wave(registry: ModelRegistry, model: str, xs: np.ndarray):
     plan = executed["plan"]
     before = executed["before"]
     after = plan.stats
-    deltas = dict(
-        measured_ops=after.measured_ops - before.measured_ops,
+    return ys, dict(
+        counters=Counters.of(after) - Counters.of(before),
         broadcasts=after.broadcasts - before.broadcasts,
         n_banks=plan.wave_banks,
         # Every plan kind prices its own nominal unit (GEMV: dense
         # multiply-adds; analytics: one op per record), so non-GEMV
         # telemetry never assumes matrix shapes.
         nominal_ops=plan.nominal_query_ops(xs),
-        evictions=registry.stats.evictions - ev_before,
-        trace_compiles=after.trace_compiles - before.trace_compiles,
-        trace_replays=after.trace_replays - before.trace_replays,
-        injected_faults=after.injected_faults - before.injected_faults,
-        megatrace_compiles=(after.megatrace_compiles
-                            - before.megatrace_compiles),
-        megatrace_replays=(after.megatrace_replays
-                           - before.megatrace_replays))
-    return ys, deltas
+        evictions=registry.stats.evictions - ev_before)
 
 
 class Server:
@@ -375,10 +369,10 @@ class Server:
             return
         try:
             xs = np.stack([p.x for p in live])
-            ys, deltas = execute_wave(self.registry, model, xs)
+            ys, wave = execute_wave(self.registry, model, xs)
             report = ExecutionReport.from_measured(
                 model=model, batch_size=len(live),
-                timing=self.timing, energy=self.energy, **deltas)
+                timing=self.timing, energy=self.energy, **wave)
         except BaseException as exc:          # noqa: BLE001 - to futures
             for pending in live:
                 pending.future.set_exception(exc)

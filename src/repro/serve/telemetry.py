@@ -17,7 +17,9 @@ one masked increment per record), and every other field is a delta of
 the plan's monotonic :class:`~repro.device.PlanStats` counters around
 the wave -- which the analytics plans thread identically.
 
->>> r = ExecutionReport.from_measured("m", batch_size=4, measured_ops=800,
+>>> from repro.engine.machine import Counters
+>>> r = ExecutionReport.from_measured("m", batch_size=4,
+...                                   counters=Counters(measured_ops=800),
 ...                                   broadcasts=40, n_banks=8)
 >>> r.coalesced, r.measured_ops
 (True, 800)
@@ -35,6 +37,7 @@ import numpy as np
 
 from repro.dram.energy import DDR5_ENERGY, EnergyModel
 from repro.dram.timing import DDR5_4400_TIMING, TimingParams
+from repro.engine.machine import Counters, counter_fields
 from repro.perf.metrics import CostReport, measured_cost
 
 __all__ = ["ExecutionReport", "LatencySummary", "LatencyWindow",
@@ -133,8 +136,13 @@ class TelemetrySummary:
 
 
 @dataclass(frozen=True)
+@counter_fields
 class ExecutionReport:
     """What one served query actually cost, modeled from measured ops.
+
+    Every :class:`~repro.engine.machine.Counters` field is also a field
+    here (documented there): the delta of the plan's counters around
+    the wave that carried this query.
 
     Attributes
     ----------
@@ -143,30 +151,12 @@ class ExecutionReport:
     batch_size:
         Queries coalesced into the wave that carried this one
         (``coalesced`` is true when > 1).
-    measured_ops / broadcasts:
-        The wave's executed AAP/AP sequence count and broadcast
-        (``accumulate``) count -- deltas of the plan's monotonic
-        counters around the wave.
+    broadcasts:
+        The wave's broadcast (``accumulate``) count -- a delta of the
+        plan's monotonic counter around the wave.
     n_banks:
         Bank-level parallelism the wave's command stream was spread
         over (the plan's leased banks), which sets the AAP issue rate.
-    trace_compiles / trace_replays:
-        The wave's fused-trace cache activity on the word backend
-        (deltas of the plan's counters): programs lowered to compiled
-        traces vs. traces re-executed from cache.  A steady-state query
-        against a warm plan replays only; compiles indicate cold
-        programs (new magnitudes, re-plans).  Both are zero on the bit
-        backend (which never fuses).
-    megatrace_compiles / megatrace_replays:
-        The wave's whole-sequence trace-chain activity (deltas of the
-        plan's counters): ``megatrace_compiles`` counts chains
-        assembled (a new wave sequence; nothing is lowered) and
-        ``megatrace_replays`` chains replayed.  On the word path
-        each query's entire wave sequence replays as a handful of
-        chains, so a warm plan's steady state shows chain replays with
-        near-zero per-μProgram activity.  Both stay zero on the bit
-        backend and inside :func:`repro.isa.trace.megatrace_disabled`
-        scopes.
     cost:
         The wave's :class:`~repro.perf.metrics.CostReport` built by
         :func:`~repro.perf.metrics.measured_cost` -- latency from
@@ -182,27 +172,16 @@ class ExecutionReport:
         dynamic *and* background energy across its queries.
     evictions:
         Plans the registry had to park to make bank room for this wave.
-    injected_faults:
-        Fault-model bit flips injected while the wave executed (delta
-        of the plan's monotonic counter) -- zero for fault-free
-        configs, and identical whether the word backend replayed fused
-        fault traces or interpreted per op.
     """
 
     model: str
     batch_size: int
-    measured_ops: int
     broadcasts: int
     n_banks: int
     cost: CostReport
     dynamic_energy_j: float
     query_energy_j: float
     evictions: int = 0
-    trace_compiles: int = 0
-    trace_replays: int = 0
-    injected_faults: int = 0
-    megatrace_compiles: int = 0
-    megatrace_replays: int = 0
 
     @property
     def coalesced(self) -> bool:
@@ -220,13 +199,9 @@ class ExecutionReport:
         return self.cost.energy_j
 
     @classmethod
-    def from_measured(cls, model: str, batch_size: int, measured_ops: int,
+    def from_measured(cls, model: str, batch_size: int, counters: Counters,
                       broadcasts: int, n_banks: int,
                       nominal_ops: float = 0.0, evictions: int = 0,
-                      trace_compiles: int = 0, trace_replays: int = 0,
-                      injected_faults: int = 0,
-                      megatrace_compiles: int = 0,
-                      megatrace_replays: int = 0,
                       timing: TimingParams = DDR5_4400_TIMING,
                       energy: Optional[EnergyModel] = None
                       ) -> "ExecutionReport":
@@ -234,19 +209,14 @@ class ExecutionReport:
         if batch_size < 1:
             raise ValueError("a wave carries at least one query")
         energy = energy or DDR5_ENERGY
+        measured_ops = counters.measured_ops
         cost = measured_cost(measured_ops, n_banks,
                              nominal_ops=nominal_ops,
                              name=f"serve:{model}", timing=timing,
                              energy=energy)
         return cls(model=model, batch_size=batch_size,
-                   measured_ops=int(measured_ops),
                    broadcasts=int(broadcasts), n_banks=int(n_banks),
                    cost=cost,
                    dynamic_energy_j=energy.dynamic_energy_j(measured_ops),
                    query_energy_j=cost.energy_j / batch_size,
-                   evictions=int(evictions),
-                   trace_compiles=int(trace_compiles),
-                   trace_replays=int(trace_replays),
-                   injected_faults=int(injected_faults),
-                   megatrace_compiles=int(megatrace_compiles),
-                   megatrace_replays=int(megatrace_replays))
+                   evictions=int(evictions), **counters._asdict())

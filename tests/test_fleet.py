@@ -255,8 +255,10 @@ class TestShardHandle:
 class TestFleetServing:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_differential_parity_with_server(self, backend, rng):
-        """Identical query stream -> identical values and identical
-        per-model counter images, fleet vs single-process server."""
+        """Identical query stream -> identical values, identical
+        per-response measured ops, broadcasts and injected faults, and
+        identical per-model counter images, fleet vs single-process
+        server."""
         z_a = rng.integers(0, 2, (5, 8)).astype(np.uint8)
         z_b = rng.integers(-1, 2, (4, 8)).astype(np.int8)
         stream = [("a", rng.integers(0, 6, 5)) for _ in range(4)] \
@@ -266,7 +268,7 @@ class TestFleetServing:
         with Server(pool_banks=8, backend=backend) as srv:
             srv.register("a", z_a, kind="binary")
             srv.register("b", z_b, kind="ternary")
-            want = [srv.query(m, x).y for m, x in
+            want = [srv.query(m, x) for m, x in
                     (stream[i] for i in order)]
             want_imgs = {name: srv.registry.get(name).export_image()
                          for name in ("a", "b")}
@@ -274,13 +276,17 @@ class TestFleetServing:
         with Fleet(n_shards=2, pool_banks=8, backend=backend) as fleet:
             fleet.register("a", z_a, kind="binary")
             fleet.register("b", z_b, kind="ternary")
-            got = [fleet.query(m, x).y for m, x in
+            got = [fleet.query(m, x) for m, x in
                    (stream[i] for i in order)]
             got_imgs = {}
             for sid in range(fleet.n_shards):
                 got_imgs.update(fleet.counter_images(sid))
 
-        assert all((g == w).all() for g, w in zip(got, want))
+        assert all((g.y == w.y).all() for g, w in zip(got, want))
+        for g, w in zip(got, want):
+            for field in ("measured_ops", "broadcasts", "injected_faults"):
+                assert getattr(g.report, field) \
+                    == getattr(w.report, field), field
         for name in ("a", "b"):
             assert payload_equal(got_imgs[name], want_imgs[name]), \
                 f"counter image of {name!r} diverged"

@@ -456,7 +456,7 @@ def test_p_cim_change_between_identical_queries_replays_no_stale_trace(
     """p_cim moves between two identical queries, on and off: no
     segment trace compiled for another FaultSpec ever replays.
     Answers, measured ops, injected faults and the terminal RNG state
-    equal the interpreted path's; every ``EngineCounters`` field equals
+    equal the interpreted path's; every ``Counters`` field equals
     the chain run with the kernel off."""
     schedule = (0.0, 0.0, 0.0, 1e-2, 1e-2, 0.0, 0.0, 3e-2, 3e-2, 0.0)
     mags, packed, _ = _stream(2, 4, 40, seed=12, n_waves=5)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.machine import Counters
 from repro.reliability import Campaign, CampaignResult, FaultPoint
 from repro.serve.pool import BankPool
 
@@ -161,8 +162,8 @@ class TestEngineTrials:
         # Everything except the cache counters -- including injected,
         # detected, corrected, silent_lanes, measured_ops -- is equal
         # trial for trial across all three execution paths.
-        drop = {"trace_compiles", "trace_replays",
-                "megatrace_compiles", "megatrace_replays"}
+        drop = {"program_compiles", "program_replays", "trace_compiles",
+                "trace_replays", "megatrace_compiles", "megatrace_replays"}
 
         def core(result):
             return [{k: v for k, v in t.metrics.items() if k not in drop}
@@ -185,6 +186,20 @@ class TestEngineTrials:
         # Seed-tree isolation holds on the stitched path too.
         solo = _campaign(z, reps)._run_point_trial(0, points[0], 1)
         assert solo.metrics == mega.point_trials(0)[1].metrics
+
+    def test_summary_row_totals_every_counter(self, workload):
+        """Each summary row totals every engine counter its trials
+        report, at an unprotected point and an ECC point."""
+        z, xs = workload
+        points = [FaultPoint(p_cim=0.02), FaultPoint(p_cim=2e-3,
+                                                     fr_checks=1)]
+        result = _campaign(z, xs, backend="word").run(points, n_trials=3)
+        for index, row in enumerate(result.rows):
+            trials = result.point_trials(index)
+            for name in Counters._fields:
+                assert row[name] == sum(t.metrics[name] for t in trials), \
+                    name
+        assert result.rows[0]["trace_compiles"] > 0
 
 
 class TestCustomTrials:

@@ -18,6 +18,7 @@ from repro.device import Device
 from repro.dram.energy import DDR5_ENERGY
 from repro.dram.faults import FaultModel
 from repro.dram.timing import time_for_aaps_ns
+from repro.engine.machine import Counters
 from repro.kernels import required_digits
 from repro.serve import (BankPool, ModelRegistry, PoolExhausted, Server)
 
@@ -394,6 +395,35 @@ class TestServer:
         plain, protected = ops(0), ops(1)
         assert protected.measured_ops > plain.measured_ops
         assert protected.latency_ns > plain.latency_ns
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_wave_reports_sum_to_plan_stats_on_shared_body(self, backend,
+                                                           rng):
+        """Two tenants of one base matrix multiplexed on one engine
+        body: each model's per-wave report counters sum to its plan's
+        stats delta over the stream, so no wave's cost is lost to, or
+        charged twice across, tenant swaps and evictions."""
+        z = rng.integers(-1, 2, (6, 10)).astype(np.int8)
+        fm = FaultModel(p_cim=2e-3, seed=4)
+        with Server(n_bits=2, pool_banks=8, backend=backend,
+                    fault_model=fm) as srv:
+            plans = {m: srv.register(m, z, kind="ternary") for m in "ab"}
+            before = {m: Counters.of(p.stats) for m, p in plans.items()}
+            responses = []
+            for m in "abbab":
+                responses.append(srv.query(m, rng.integers(-3, 4, 6)))
+            assert plans["a"]._res is plans["b"]._res is not None
+            # Bursts grow the body past the budget: swaps and evictions.
+            for m in "ba":
+                responses += [f.result() for f in srv.submit_many(
+                    m, rng.integers(-3, 4, (5, 6)))]
+            reports = {id(r.report): r.report for r in responses}
+            for m, plan in plans.items():
+                waves = [r for r in reports.values() if r.model == m]
+                total = sum(map(Counters.of, waves), Counters.zeros())
+                assert total == Counters.of(plan.stats) - before[m]
+                assert total.measured_ops > 0
+            assert sum(r.injected_faults for r in reports.values()) > 0
 
     def test_coalesced_burst_shares_one_wave(self, rng):
         z = rng.integers(-1, 2, (10, 14)).astype(np.int8)
