@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Sharded serving: a multi-process fleet behind one asyncio front door.
+"""Sharded serving: a multi-process fleet behind one front door.
 
 `examples/serving_multitenant.py` runs everything in one process; this
 example scales the same serving story across worker processes with
@@ -7,8 +7,9 @@ example scales the same serving story across worker processes with
 
 1. a `Fleet` of 2 shard workers, each owning a private `BankPool` and
    counting-engine stack, with models placed by accounted bank budget,
-2. the asyncio front door coalescing a concurrent burst into per-shard
-   `run_many()` waves (telemetry shows waves << queries),
+2. the front door's per-shard dispatcher threads coalescing a
+   concurrent burst into per-shard `run_many()` waves (telemetry
+   shows waves << queries),
 3. bit-exact relocation: `move()` parks a model's counter image,
    ships it through shared memory, and unparks it on another shard,
 4. fault tolerance: a crashed worker fails its queries with a typed

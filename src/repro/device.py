@@ -585,17 +585,27 @@ class ResidentPlan:
         return total
 
     @property
-    def stats(self) -> PlanStats:
-        """Snapshot of this plan's cost counters.
+    def counters(self) -> Counters:
+        """This plan's engine cost counters so far (the
+        :class:`~repro.engine.machine.Counters` fields of :attr:`stats`).
 
         Shared resources attribute live counter deltas to their
         *active* tenant only; everything a plan accrued before a swap,
         detach or re-plan already sits in its private retired sink, so
         two tenants multiplexed on one engine body never double-count.
         """
-        ops = self._retired
-        if self._res is not None:
-            ops = ops + self._res.delta_for(self)
+        if self._res is None:
+            return self._retired
+        return self._retired + self._res.delta_for(self)
+
+    @property
+    def broadcasts(self) -> int:
+        """``accumulate`` commands this plan's waves issued so far."""
+        return self._broadcasts
+
+    @property
+    def stats(self) -> PlanStats:
+        """Snapshot of this plan's cost counters."""
         resident = self._resident_rows
         shared = self._image is not None and self._image.shared
         return PlanStats(queries=self._queries,
@@ -607,7 +617,7 @@ class ResidentPlan:
                          dedup_hits=self._dedup_hits,
                          rows_shared=resident if shared else 0,
                          rows_private=0 if shared else resident,
-                         **ops._asdict())
+                         **self.counters._asdict())
 
 
 class GemvPlan(ResidentPlan):

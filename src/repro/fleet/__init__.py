@@ -1,4 +1,4 @@
-"""Sharded, multi-process serve fleet (asyncio front door).
+"""Sharded, multi-process serve fleet behind one front door.
 
 The fleet scales :mod:`repro.serve` across worker processes:
 
@@ -9,8 +9,9 @@ The fleet scales :mod:`repro.serve` across worker processes:
   its parent-side :class:`ShardHandle`.
 * :mod:`repro.fleet.placement` -- deterministic model-to-shard
   placement by accounted bank budget, with load-rebalancing moves.
-* :mod:`repro.fleet.fleet` -- :class:`Fleet`, the asyncio front door:
-  admission control, per-shard coalescing dispatchers, bit-exact
+* :mod:`repro.fleet.fleet` -- :class:`Fleet`, the front door:
+  admission control, one :class:`~repro.serve.server.Dispatcher`
+  thread per shard (the server's drain, coalesce, execute), bit-exact
   relocation, crash containment and campaign fan-out.
 
 Everything is re-exported lazily (PEP 562) so ``import repro.fleet``

@@ -1,18 +1,18 @@
-"""Sharded, multi-process serve fleet with an asyncio front door.
+"""Sharded, multi-process serve fleet behind one front door.
 
 :class:`Fleet` scales the in-process :class:`~repro.serve.server.Server`
 across worker processes: the accounted bank budget is sharded (one
 private :class:`~repro.serve.pool.BankPool` + engine stack per worker,
 see :mod:`repro.fleet.worker`), registered models are placed on shards
 by accounted budget (:mod:`repro.fleet.placement`) and relocated by
-bit-exact park/unpark counter images, and an asyncio event loop in a
-background thread runs one dispatcher per shard that drains the
-shard's queue, **coalesces same-model queries into per-model
-``run_many`` waves** and ships each over the shard's pipe +
-shared-memory arenas.  Grouping is :func:`repro.serve.server.coalesce`,
-the same rule the server's scheduler applies: per model between
-control barriers (registration, relocation, status, campaign trials,
-crash, stop), FIFO within a model -- so responses to *different*
+bit-exact park/unpark counter images, and every shard owns one
+:class:`~repro.serve.server.Dispatcher` -- the server's thread -- that
+drains the shard's queue, **coalesces same-model queries into
+per-model ``run_many`` waves** and ships each over the shard's pipe +
+shared-memory arenas, calling :meth:`ShardHandle.call` on its own
+thread.  Grouping is :func:`repro.serve.server.coalesce`: per model
+between control barriers (registration, relocation, status, campaign
+trials, crash), FIFO within a model -- so responses to *different*
 models may resolve out of submission order.
 
 The external contract matches the server's on purpose:
@@ -25,9 +25,8 @@ The external contract matches the server's on purpose:
   never an unbounded queue.
 * Every response is the same :class:`~repro.serve.server.Response`,
   priced from the same :func:`~repro.serve.server.execute_wave`
-  deltas (executed worker-side) and aggregated through the same
-  :class:`~repro.serve.telemetry.LatencyWindow` -- fleet-vs-server
-  comparisons read one code path.
+  deltas (executed worker-side) and resolved by the same wave path as
+  the server's -- fleet-vs-server comparisons read one code path.
 * A worker crash mid-wave resolves the affected futures with
   :class:`~repro.fleet.worker.WorkerCrashedError` (and retires the
   shard); ``close()`` drains queued work and rejects anything
@@ -45,10 +44,10 @@ array([4, 0, 9])
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import threading
-from concurrent.futures import Future, InvalidStateError, \
-    ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,9 +62,9 @@ from repro.fleet.placement import Move, Placement
 from repro.fleet.worker import ShardHandle, WorkerCrashedError
 from repro.serve.pool import BankPool
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import Response, _DEFAULT_MAX_BATCH, coalesce
-from repro.serve.telemetry import (ExecutionReport, LatencyWindow,
-                                   TelemetrySummary)
+from repro.serve.server import (Dispatcher, Response, _DEFAULT_MAX_BATCH,
+                                _FrontDoor, _Pending)
+from repro.serve.telemetry import TelemetrySummary
 
 __all__ = ["Fleet", "FleetStats", "FleetSaturatedError",
            "FleetClosedError"]
@@ -107,18 +106,14 @@ class FleetStats:
     crashed_shards: int = 0
 
 
-class _Item:
-    """One queue entry: a query, a control round trip, or stop."""
+class _Control:
+    """One control round trip: a coalescing barrier on its shard."""
 
-    __slots__ = ("kind", "model", "x", "future", "op", "meta", "arrays")
+    __slots__ = ("op", "meta", "arrays", "future")
+    model = None
 
-    def __init__(self, kind: str, model: Optional[str] = None,
-                 x: Optional[np.ndarray] = None,
-                 op: str = "", meta: Optional[dict] = None,
+    def __init__(self, op: str, meta: Optional[dict] = None,
                  arrays: Sequence[np.ndarray] = ()):
-        self.kind = kind                  # "query" | "control" | "stop"
-        self.model = model                # None: a coalescing barrier
-        self.x = x
         self.op = op
         self.meta = meta or {}
         self.arrays = list(arrays)
@@ -126,26 +121,19 @@ class _Item:
 
 
 class _Shard:
-    """Front-door state for one worker: handle, queue, dispatcher."""
+    """Front-door state for one worker: handle and dispatcher."""
 
-    __slots__ = ("shard_id", "handle", "queue", "executor", "dead",
-                 "dispatcher")
+    __slots__ = ("shard_id", "handle", "dead", "dispatcher")
 
     def __init__(self, shard_id: int, handle: ShardHandle):
         self.shard_id = shard_id
         self.handle = handle
-        self.queue: asyncio.Queue = asyncio.Queue()
-        # One I/O thread per shard keeps the pipe round trip off the
-        # event loop without ever putting two calls on one pipe.
-        self.executor = ThreadPoolExecutor(
-            max_workers=1,
-            thread_name_prefix=f"repro-fleet-io-{shard_id}")
         self.dead = False
-        self.dispatcher = None
+        self.dispatcher: Optional[Dispatcher] = None
 
 
-class Fleet:
-    """Multi-process serving fleet behind one asyncio front door.
+class Fleet(_FrontDoor):
+    """Multi-process serving fleet behind one front door.
 
     Parameters
     ----------
@@ -184,10 +172,7 @@ class Fleet:
             raise ValueError("a fleet needs at least one shard")
         if max_batch < 1 or max_queue < 1:
             raise ValueError("max_batch and max_queue must be positive")
-        self.max_batch = max_batch
         self.max_queue = max_queue
-        self.timing = timing
-        self.energy = energy
         # Host-side twin registry: plans are lazy (host-side masks, no
         # banks until first run), so registering every model here too
         # gives submission-time validation, kind checks and footprint
@@ -195,7 +180,8 @@ class Fleet:
         self._spec_pool = BankPool(None)
         self._spec_device = Device(config, pool=self._spec_pool,
                                    **overrides)
-        self._spec_registry = ModelRegistry(self._spec_device)
+        super().__init__(ModelRegistry(self._spec_device), max_batch,
+                         timing, energy)
         self._model_specs: Dict[str, dict] = {}
 
         self._shards: Dict[int, _Shard] = {}
@@ -215,28 +201,16 @@ class Fleet:
         # wave ever takes -- so a move blocking on its control future
         # can never deadlock against the wave executing ahead of it.
         self._route_lock = threading.Lock()
-        self._lock = threading.Lock()
         self._inflight = {sid: 0 for sid in self._shards}
-        self._pending: set = set()
-        self._closed = False
-        self._waves = 0
-        self._queries = 0
-        self._max_wave = 0
-        self._rejected = 0
         self._saturated = 0
         self._relocations = 0
         self._crashed = 0
-        self._latency = LatencyWindow()
         self._campaign_seq = itertools.count()
-
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._loop.run_forever,
-                                        daemon=True,
-                                        name="repro-fleet-frontdoor")
-        self._thread.start()
-        for shard in self._shards.values():
-            shard.dispatcher = asyncio.run_coroutine_threadsafe(
-                self._dispatch(shard), self._loop)
+        for sid, shard in self._shards.items():
+            shard.dispatcher = Dispatcher(
+                f"repro-fleet-dispatch-{sid}",
+                functools.partial(self._step, shard), max_batch,
+                self._closed_error)
 
     # ------------------------------------------------------------------
     # model management
@@ -254,7 +228,7 @@ class Fleet:
         ``submit`` can only route once this method returned.
         """
         self._check_open()
-        spec_plan = self._spec_registry.register(
+        spec_plan = self._specs.register(
             name, z, kind=kind, x_budget=x_budget, **plan_kwargs)
         try:
             # Placement charges the *gross* footprint for the first
@@ -272,7 +246,7 @@ class Fleet:
             self._control(shard_id, "register", meta, arrays)
         except BaseException:
             self.placement.drop(name)
-            self._spec_registry.unregister(name)
+            self._specs.unregister(name)
             raise
         self._model_specs[name] = {"z": z, "kind": kind,
                                    "x_budget": x_budget,
@@ -288,11 +262,11 @@ class Fleet:
             self._control(shard_id, "unregister", {"name": name})
             self.placement.drop(name)
             self._model_specs.pop(name, None)
-            self._spec_registry.unregister(name)
+            self._specs.unregister(name)
 
     @property
     def models(self) -> List[str]:
-        return self._spec_registry.names()
+        return self._specs.names()
 
     @property
     def n_shards(self) -> int:
@@ -321,60 +295,22 @@ class Fleet:
     # ------------------------------------------------------------------
     # query path
     # ------------------------------------------------------------------
-    def submit(self, model: str, x: np.ndarray) -> Future:
-        """Enqueue one query; the future resolves to a ``Response``.
-
-        Validation errors raise immediately (spec registry);
-        saturation raises :class:`FleetSaturatedError`; a query routed
-        to a crashed shard raises
-        :class:`~repro.fleet.worker.WorkerCrashedError`.  Nothing
-        raises through the returned future except execution itself.
-        """
-        self._check_open()
-        try:
-            plan = self._spec_registry.get(model)
-            x = plan.validate_query(x)
-        except (KeyError, ValueError):
-            with self._lock:
-                self._rejected += 1
-            raise
-        item = _Item("query", model=model, x=x)
-        self._route(model, [item])
-        return item.future
-
-    def submit_many(self, model: str, xs: np.ndarray) -> List[Future]:
-        """Enqueue a burst atomically so it coalesces into waves."""
-        self._check_open()
-        try:
-            xs = np.asarray(xs)
-            if xs.ndim < 2:
-                raise ValueError("xs must batch queries along its "
-                                 "leading axis")
-            plan = self._spec_registry.get(model)
-            items = [_Item("query", model=model,
-                           x=plan.validate_query(x)) for x in xs]
-        except (KeyError, ValueError):
-            with self._lock:
-                self._rejected += 1
-            raise
-        self._route(model, items)
-        return [i.future for i in items]
-
-    def query(self, model: str, x: np.ndarray) -> Response:
-        """Submit one query and block for its response."""
-        return self.submit(model, x).result()
-
     async def aquery(self, model: str, x: np.ndarray) -> Response:
         """Async query: awaitable from the caller's own event loop."""
         return await asyncio.wrap_future(self.submit(model, x))
 
-    def _route(self, model: str, items: List["_Item"]) -> None:
+    def _enqueue(self, model: str, items: List[_Pending]) -> None:
         """Admit and enqueue a same-model burst atomically.
 
-        ``_route_lock`` covers the routing lookup and the enqueue, so
-        a concurrent relocation (which holds the same lock for its
-        whole export/import) can never split a burst across shards
-        mid-move; the inner ``_lock`` covers admission accounting.
+        Besides validation errors, ``submit`` raises
+        :class:`FleetSaturatedError` once the model's shard carries
+        ``max_queue`` in-flight queries, and
+        :class:`~repro.fleet.worker.WorkerCrashedError` for a model on
+        a crashed shard.  ``_route_lock`` covers the routing lookup and
+        the enqueue, so a concurrent relocation (which holds the same
+        lock for its whole export/import) can never split a burst
+        across shards mid-move; the inner ``_lock`` covers admission
+        accounting.
         """
         with self._route_lock:
             self._check_open()
@@ -392,118 +328,53 @@ class Fleet:
                         f"({self._inflight[shard_id]}/{self.max_queue} "
                         f"in flight); retry later")
                 self._inflight[shard_id] += len(items)
-                self._pending.update(items)
             self.placement.note_queries(model, len(items))
-            self._loop.call_soon_threadsafe(
-                self._enqueue, shard, list(items))
-
-    @staticmethod
-    def _enqueue(shard: _Shard, items: List["_Item"]) -> None:
-        for item in items:
-            shard.queue.put_nowait(item)
-
-    def _retire(self, items: Sequence["_Item"],
-                shard_id: Optional[int] = None) -> None:
-        """Take items off the pending/admission books (they are now
-        owned by a code path that is guaranteed to resolve them)."""
-        with self._lock:
-            for it in items:
-                self._pending.discard(it)
-            if shard_id is not None:
-                self._inflight[shard_id] -= sum(
-                    1 for it in items if it.kind == "query")
+            shard.dispatcher.put(items)
 
     # ------------------------------------------------------------------
-    # dispatchers (event-loop side)
+    # dispatcher steps (one thread per shard)
     # ------------------------------------------------------------------
-    async def _dispatch(self, shard: _Shard) -> None:
-        """Drain, coalesce, execute -- one shard's scheduling loop.
+    def _step(self, shard: _Shard, model: Optional[str],
+              items: list) -> None:
+        """One coalesced step of a shard's dispatcher.
 
-        Each drain is split by :func:`~repro.serve.server.coalesce`:
-        queries group into per-model waves (capped at ``max_batch``,
-        FIFO within a model) and every control job or the stop
-        sentinel is a barrier -- all waves queued ahead of it run
-        first, and nothing queued behind it runs before it.  So a
-        relocation export still follows its model's queued queries
-        and a crash still fails everything behind it, while responses
-        to different models may resolve out of submission order.
+        A query wave runs through the shared wave path
+        (:meth:`_execute`); a control job is a barrier -- every wave
+        queued ahead of it ran first and nothing queued behind it runs
+        before it.  So a relocation export still follows its model's
+        queued queries and a crash still fails everything behind it.
+        Even a crashed shard keeps its dispatcher: items queued after
+        the crash fail promptly through the dead handle, in order.
         """
-        while True:
-            item = await shard.queue.get()
-            batch = [item]
-            while True:
-                try:
-                    batch.append(shard.queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            for model, items in coalesce(batch, self.max_batch):
-                if model is not None:
-                    await self._wave(shard, items)
-                elif items[0].kind == "control":
-                    await self._run_control(shard, items[0])
-                else:                       # stop sentinel
-                    # Even a crashed shard keeps its dispatcher: items
-                    # enqueued after the crash flow through _wave, whose
-                    # handle call fails instantly with WorkerCrashedError
-                    # -- prompt typed rejection instead of a silent queue.
-                    return
-
-    async def _call(self, shard: _Shard, op: str, meta: dict,
-                    arrays: Sequence[np.ndarray]
-                    ) -> Tuple[dict, List[np.ndarray]]:
-        return await self._loop.run_in_executor(
-            shard.executor, shard.handle.call, op, meta, list(arrays))
-
-    async def _wave(self, shard: _Shard, group: List["_Item"]) -> None:
-        self._retire(group, shard.shard_id)
-        live = [it for it in group
-                if it.future.set_running_or_notify_cancel()]
-        if not live:
-            return
-        model = live[0].model
-        try:
-            xs = np.stack([it.x for it in live])
-            wave, arrays = await self._call(
-                shard, "run", {"model": model}, [xs])
-            ys = arrays[0]
-            wave["counters"] = Counters._make(wave["counters"])
-            report = ExecutionReport.from_measured(
-                model=model, batch_size=len(live),
-                timing=self.timing, energy=self.energy, **wave)
-        except WorkerCrashedError as exc:
-            for it in live:
-                it.future.set_exception(exc)
-            self._on_crash(shard, exc)
-            return
-        except BaseException as exc:        # noqa: BLE001 - to futures
-            for it in live:
-                it.future.set_exception(exc)
+        if model is None:
+            self._run_control(shard, items[0])
             return
         with self._lock:
-            self._waves += 1
-            self._queries += len(live)
-            self._max_wave = max(self._max_wave, len(live))
-            self._latency.observe(report.latency_ns, len(live))
-        for it, y in zip(live, ys):
-            it.future.set_result(Response(y=y, report=report))
+            self._inflight[shard.shard_id] -= len(items)
+        self._execute(model, items, shard)
 
-    async def _run_control(self, shard: _Shard, item: "_Item") -> None:
-        self._retire([item])
+    def _run_wave(self, model: str, xs: np.ndarray, shard: _Shard):
+        try:
+            wave, (ys,) = shard.handle.call("run", {"model": model}, [xs])
+        except WorkerCrashedError:
+            self._on_crash(shard)
+            raise
+        wave["counters"] = Counters._make(wave["counters"])
+        return ys, wave
+
+    def _run_control(self, shard: _Shard, item: _Control) -> None:
         if not item.future.set_running_or_notify_cancel():
             return
         try:
-            result = await self._call(shard, item.op, item.meta,
-                                      item.arrays)
-        except WorkerCrashedError as exc:
-            item.future.set_exception(exc)
-            self._on_crash(shard, exc)
-            return
+            result = shard.handle.call(item.op, item.meta, item.arrays)
         except BaseException as exc:        # noqa: BLE001 - to future
+            if isinstance(exc, WorkerCrashedError):
+                self._on_crash(shard)
             item.future.set_exception(exc)
             return
         item.future.set_result(result)
 
-    def _on_crash(self, shard: _Shard, exc: WorkerCrashedError) -> None:
+    def _on_crash(self, shard: _Shard) -> None:
         """Retire a crashed shard and poison its routes.
 
         Models placed on the dead shard stay in the routing table on
@@ -537,9 +408,8 @@ class Fleet:
         with self._lock:
             if shard.dead:
                 raise WorkerCrashedError(f"shard {shard_id} has crashed")
-            item = _Item("control", op=op, meta=meta, arrays=arrays)
-            self._pending.add(item)
-        self._loop.call_soon_threadsafe(shard.queue.put_nowait, item)
+        item = _Control(op, meta, arrays)
+        shard.dispatcher.put([item])
         return item.future.result()
 
     def status(self) -> List[dict]:
@@ -695,86 +565,25 @@ class Fleet:
         closing shard simply contributes nothing rather than failing
         the whole summary.
         """
-        dedup_hits = rows_shared = rows_private = 0
+        dedup = dict(dedup_hits=0, rows_shared=0, rows_private=0)
         try:
             shard_reports = self.status()
         except (FleetClosedError, WorkerCrashedError):
             shard_reports = []
         for report in shard_reports:
             reg = report.get("registry") or {}
-            dedup_hits += reg.get("dedup_hits", 0)
-            rows_shared += reg.get("rows_shared", 0)
-            rows_private += reg.get("rows_private", 0)
-        with self._lock:
-            return TelemetrySummary(queries=self._queries,
-                                    waves=self._waves,
-                                    max_wave=self._max_wave,
-                                    rejected=self._rejected,
-                                    latency=self._latency.summary(),
-                                    dedup_hits=dedup_hits,
-                                    rows_shared=rows_shared,
-                                    rows_private=rows_private)
+            for key in dedup:
+                dedup[key] += reg.get(key, 0)
+        return self._summary(**dedup)
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise FleetClosedError("fleet is closed")
+    def _closed_error(self) -> Exception:
+        return FleetClosedError("fleet is closed")
 
-    def _reject_stranded(self) -> None:
-        """Deterministically resolve anything still pending after close.
+    def _dispatchers(self) -> List[Dispatcher]:
+        return [shard.dispatcher for shard in self._shards.values()]
 
-        Once the event loop is stopped nothing can resolve a future
-        anymore, so every item still on the pending books -- queued
-        behind a stop sentinel, or enqueued by a submit that raced the
-        close -- is rejected here.  Mirrors
-        ``Server._reject_stranded``: a racing submitter observes a
-        :class:`FleetClosedError`, never a hang in ``result()``.
-        """
-        with self._lock:
-            stranded, self._pending = list(self._pending), set()
-            for sid in self._inflight:
-                self._inflight[sid] = 0
-        for it in stranded:
-            try:
-                if it.future.set_running_or_notify_cancel():
-                    it.future.set_exception(FleetClosedError(
-                        "fleet closed before this request was "
-                        "dispatched"))
-            except InvalidStateError:  # pragma: no cover - lost race
-                pass
-
-    def close(self) -> None:
-        """Drain queued work, stop dispatchers, kill workers.
-
-        Idempotent.  Mirrors ``Server.close``: queued queries
-        complete, submissions racing the close either complete or
-        raise -- the stranded sweep rejects anything left un-resolved
-        once the loop is stopped, so futures never hang.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+    def _release(self) -> None:
         for shard in self._shards.values():
-            self._loop.call_soon_threadsafe(shard.queue.put_nowait,
-                                            _Item("stop"))
-        for shard in self._shards.values():
-            try:
-                shard.dispatcher.result(timeout=60.0)
-            except BaseException:           # noqa: BLE001 - best effort
-                pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        self._reject_stranded()
-        self._loop.close()
-        for shard in self._shards.values():
-            shard.executor.shutdown(wait=True)
             shard.handle.close()
-        self._spec_registry.close()
+        self._specs.close()
         self._spec_device.close()
-
-    def __enter__(self) -> "Fleet":
-        self._check_open()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

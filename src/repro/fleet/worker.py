@@ -252,8 +252,8 @@ class ShardHandle:
     """Parent-side endpoint of one shard worker.
 
     Owns the worker process, its pipe and both arenas.  ``call`` is
-    the *only* channel and is not thread-safe by itself -- the fleet
-    gives each shard a single dispatcher thread, which serializes it.
+    the *only* channel and is not thread-safe by itself -- each fleet
+    shard's dispatcher thread is its only caller, which serializes it.
     """
 
     def __init__(self, shard_id: int, config=None,

@@ -100,15 +100,6 @@ __all__ = ["CompiledTrace", "CompiledFaultTrace", "FaultSpec",
 #: A value reference: (SSA value id, complemented).
 _Ref = Tuple[int, bool]
 
-#: Row width (in 64-bit words) above which NumPy replay switches from
-#: the level-batched gather strategy to per-node view execution: narrow
-#: rows are NumPy-call-overhead bound (batch them), wide rows are
-#: memory-bandwidth bound (avoid the gather copies).  With unbuffered
-#: (``mode="clip"``) gathers, batched replay of a coalesced GEMV wave
-#: measured 1.2-2.3x faster at 128-2048 words and level with per-node
-#: execution at 4096 (2-vCPU Xeon).
-_NODE_EXEC_WORDS = 4096
-
 #: Uniforms (draw rows x columns) one fault pre-pass block draws at
 #: most: 2**24 float64s, 128 MiB.  A longer draw schedule -- a large
 #: fused batch on wide rows -- is drawn in several blocks (see
@@ -459,56 +450,35 @@ class CompiledTrace:
     def _build_plan(self, scratch: TraceScratch, n_words: int) -> tuple:
         """NumPy replay plan for one row width: all views precomputed.
 
-        Two strategies:
-
-        * **narrow rows** (call-overhead bound): each dependence level
-          executes as one fancy-indexed gather plus one four-call
-          vectorized majority over all its nodes;
-        * **wide rows** (``>= _NODE_EXEC_WORDS``, bandwidth bound):
-          each node executes on direct row *views* of the value buffer
-          -- no gather copies, operand reads stream straight from the
-          slots.
-
-        The views live in the scratch's plan, never on the trace: a
-        trace replayed through two scratches gets two plans, each
-        writing only into its own buffer.
+        Each dependence level executes as one fancy-indexed gather plus
+        one four-call vectorized majority over all its nodes.  The
+        views live in the scratch's plan, never on the trace: a trace
+        replayed through two scratches gets two plans, each writing
+        only into its own buffer.
         """
-        mode = "batched" if n_words < _NODE_EXEC_WORDS else "node"
         width_max = max([1] + [level.hi - level.lo
                                for level in self.levels])
         n_out = self.out_rows.size
-        n_aux = n_out + (5 * width_max if mode == "batched" else 2)
+        n_aux = n_out + 5 * width_max
         scratch.ensure(self.n_rows, n_aux, n_words)
         vals, aux = scratch.vals, scratch.aux
         out = aux[n_aux - n_out:]
+        gather = aux[:3 * width_max]
+        t1 = aux[3 * width_max:4 * width_max]
+        t2 = aux[4 * width_max:5 * width_max]
         steps = []
-        if mode == "batched":
-            gather = aux[:3 * width_max]
-            t1 = aux[3 * width_max:4 * width_max]
-            t2 = aux[4 * width_max:5 * width_max]
-            for level in self.levels:
-                lo, hi, mb = level.lo, level.hi, level.mirror_lo
-                width = hi - lo
-                g = gather[:3 * width]
-                m = level.n_mirror
-                steps.append((
-                    level.idx, g, g[:width], g[width:2 * width],
-                    g[2 * width:], t1[:width], t2[:width], vals[lo:hi],
-                    vals[lo:lo + m] if m else None,
-                    vals[mb:mb + m] if m else None))
-        else:
-            u, v = aux[0], aux[1]
-            for level in self.levels:
-                lo, mb = level.lo, level.mirror_lo
-                width = level.hi - lo
-                ix = level.idx.tolist()
-                for j in range(width):
-                    steps.append((
-                        vals[ix[j]], vals[ix[width + j]],
-                        vals[ix[2 * width + j]], u, v, vals[lo + j],
-                        vals[mb + j] if j < level.n_mirror else None))
+        for level in self.levels:
+            lo, hi, mb = level.lo, level.hi, level.mirror_lo
+            width = hi - lo
+            g = gather[:3 * width]
+            m = level.n_mirror
+            steps.append((
+                level.idx, g, g[:width], g[width:2 * width],
+                g[2 * width:], t1[:width], t2[:width], vals[lo:hi],
+                vals[lo:lo + m] if m else None,
+                vals[mb:mb + m] if m else None))
         n_slots, im = self.n_slots, self.n_input_mirror
-        plan = (mode, vals, vals[:self.n_inputs],
+        plan = (vals, vals[:self.n_inputs],
                 vals[:im] if im else None,
                 vals[n_slots:n_slots + im] if im else None,
                 tuple(steps), out)
@@ -540,7 +510,7 @@ class CompiledTrace:
         plan = scratch.plans.get(self, _NO_PLANS).get(n_words)
         if plan is None:
             plan = self._build_plan(scratch, n_words)
-        mode, vals, inputs, im_src, im_dst, steps, out = plan
+        vals, inputs, im_src, im_dst, steps, out = plan
         # Gathers call the ndarray.take method, not the np.take wrapper
         # (its dispatch is most of the cost of a small gather), in
         # mode="clip": the compiled indices are in range by
@@ -551,24 +521,15 @@ class CompiledTrace:
         cells.take(self.in_rows, axis=0, out=inputs, mode="clip")
         if im_dst is not None:
             invert(im_src, out=im_dst)
-        if mode == "batched":
-            for idx, g, a, b, c, u, v, dst, m_src, m_dst in steps:
-                take(idx, axis=0, out=g, mode="clip")
-                # MAJ3 in four ufunc calls: (a & (b | c)) | (b & c).
-                or_(b, c, out=u)
-                and_(a, u, out=u)
-                and_(b, c, out=v)
-                or_(u, v, out=dst)
-                if m_dst is not None:
-                    invert(m_src, out=m_dst)
-        else:
-            for a, b, c, u, v, dst, m_dst in steps:
-                or_(b, c, out=u)
-                and_(a, u, out=u)
-                and_(b, c, out=v)
-                or_(u, v, out=dst)
-                if m_dst is not None:
-                    invert(dst, out=m_dst)
+        for idx, g, a, b, c, u, v, dst, m_src, m_dst in steps:
+            take(idx, axis=0, out=g, mode="clip")
+            # MAJ3 in four ufunc calls: (a & (b | c)) | (b & c).
+            or_(b, c, out=u)
+            and_(a, u, out=u)
+            and_(b, c, out=v)
+            or_(u, v, out=dst)
+            if m_dst is not None:
+                invert(m_src, out=m_dst)
         if out.shape[0]:
             take(self.out_slots, axis=0, out=out, mode="clip")
             cells[self.out_rows] = out

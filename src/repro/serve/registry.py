@@ -281,6 +281,11 @@ class ModelRegistry:
             return self._evict_one(exclude=None)
 
     @property
+    def evictions(self) -> int:
+        """Plans parked to free bank budget so far."""
+        return self._evictions
+
+    @property
     def stats(self) -> RegistryStats:
         store = self.device.store.stats()
         return RegistryStats(hits=self._hits, misses=self._misses,

@@ -5,12 +5,12 @@ deployment story implies (many weight-stationary matrices resident in
 one DRAM module, streams of queries from many clients):
 
 * ``submit(model, x)`` enqueues one query and returns a
-  :class:`concurrent.futures.Future`; a single scheduler thread drains
-  the queue, **coalesces concurrent same-model queries into one
+  :class:`concurrent.futures.Future`; a :class:`Dispatcher` thread
+  drains the queue, **coalesces concurrent same-model queries into one
   ``run_many()`` wave** (bank-sharded, broadcast-shared) by
-  :func:`coalesce` -- the one grouping rule the multi-process fleet
-  front door uses too -- and resolves every future with a
-  :class:`Response`.
+  :func:`coalesce` and resolves every future with a
+  :class:`Response`.  The multi-process fleet runs the same
+  dispatcher, submission and wave-resolution code once per shard.
 * All models share one :class:`~repro.serve.pool.BankPool` budget
   through a :class:`~repro.serve.registry.ModelRegistry`: when a wave
   cannot lease banks, the LRU resident plan is parked (counter image
@@ -45,21 +45,20 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.device import Device, EngineConfig
 from repro.dram.energy import DDR5_ENERGY, EnergyModel
 from repro.dram.timing import DDR5_4400_TIMING, TimingParams
-from repro.engine.machine import Counters
 from repro.serve.pool import BankPool
 from repro.serve.registry import ModelRegistry
 from repro.serve.telemetry import (ExecutionReport, LatencyWindow,
                                    TelemetrySummary)
 
-__all__ = ["Server", "Response", "ServerStats", "execute_wave",
-           "coalesce"]
+__all__ = ["Server", "Response", "ServerStats", "Dispatcher",
+           "execute_wave", "coalesce"]
 
 #: Queries one wave will coalesce at most (queue beyond this forms the
 #: next wave; run_many() additionally chunks by its own slot budget).
@@ -101,7 +100,7 @@ def coalesce(drained: Sequence, max_batch: int
     The single coalescing rule of both front doors (:class:`Server`
     and :class:`~repro.fleet.Fleet`).  Every item carries a ``model``
     attribute; a query names its model, anything whose ``model`` is
-    ``None`` (a fleet control job, the stop sentinel) is a *barrier*.
+    ``None`` (a fleet control job) is a *barrier*.
     Returns the execution order as ``(model, items)`` steps:
 
     * between barriers, queries are grouped per model in the order each
@@ -139,12 +138,88 @@ def coalesce(drained: Sequence, max_batch: int
 
 
 class _Pending:
+    """One queued query of either front door."""
+
     __slots__ = ("model", "x", "future")
 
     def __init__(self, model: str, x: np.ndarray):
         self.model = model
         self.x = x
         self.future: Future = Future()
+
+
+class Dispatcher:
+    """One drain -> coalesce -> execute thread over a FIFO queue.
+
+    The single dispatcher of both front doors: a :class:`Server` owns
+    one, every :class:`~repro.fleet.Fleet` shard owns one.  ``put``
+    appends a burst under one hold of the queue's condition lock, so
+    one drain sees all of it; the thread splits each drain with
+    :func:`coalesce` and calls ``step(model, items)`` per step, in
+    order (``model`` is ``None`` for a barrier).  ``step`` must resolve
+    every item's future and never raise.
+
+    ``close()`` stops accepting work, lets the thread drain what is
+    queued, joins it and then rejects anything still queued with
+    ``closed()`` -- the error of the owning front door -- so no future
+    is ever left unresolved.  Idempotent.
+    """
+
+    def __init__(self, name: str,
+                 step: Callable[[Optional[str], list], None],
+                 max_batch: int, closed: Callable[[], Exception]):
+        self._step = step
+        self._max_batch = max_batch
+        self._closed_error = closed
+        self._cv = threading.Condition()
+        self._queue: list = []
+        self._closed = False
+        self._thread = threading.Thread(target=self._loop, daemon=True,
+                                        name=name)
+        self._thread.start()
+
+    def put(self, items: Sequence) -> None:
+        """Enqueue a burst atomically; raises ``closed()`` once closed."""
+        with self._cv:
+            if self._closed:
+                raise self._closed_error()
+            self._queue.extend(items)
+            self._cv.notify()
+
+    def _loop(self) -> None:
+        while True:
+            with self._cv:
+                while not self._queue and not self._closed:
+                    self._cv.wait()
+                if not self._queue:
+                    return
+                drained, self._queue = self._queue, []
+            for model, items in coalesce(drained, self._max_batch):
+                self._step(model, items)
+
+    def _reject_stranded(self) -> None:
+        """Resolve anything still queued after the thread exited.
+
+        ``put`` checks ``_closed`` under the same lock ``close`` sets
+        it under, so nothing can be queued once the thread is gone --
+        but that invariant spans two methods.  This sweep makes
+        shutdown robust by construction: a stranded future is rejected
+        (or confirmed cancelled), never left for a caller to hang on
+        in ``result()``.
+        """
+        with self._cv:
+            stranded, self._queue = self._queue, []
+        for item in stranded:
+            if item.future.set_running_or_notify_cancel():
+                item.future.set_exception(self._closed_error())
+
+    def close(self) -> None:
+        """Refuse new work, drain and join the thread, sweep."""
+        with self._cv:
+            self._closed = True
+            self._cv.notify_all()
+        self._thread.join()
+        self._reject_stranded()
 
 
 def execute_wave(registry: ModelRegistry, model: str, xs: np.ndarray):
@@ -158,38 +233,203 @@ def execute_wave(registry: ModelRegistry, model: str, xs: np.ndarray):
     :class:`Server` scheduler calls it directly, and the fleet's shard
     workers call it inside their own processes and send ``wave`` back
     for the front door to price -- so the two runtimes can never drift
-    in what a wave's telemetry means.
+    in what a wave's telemetry means.  It reads the plan's counter
+    record and broadcast count directly, never a full ``stats``
+    snapshot.
 
-    The stats baseline is captured on the *same* plan object the
-    registry hands the wave (inside the callback), never a second name
-    lookup -- an unregister/re-register racing the dispatch can
-    otherwise split the two resolutions across different plans and
-    zero out the telemetry.
+    The baseline is captured on the *same* plan object the registry
+    hands the wave (inside the callback), never a second name lookup
+    -- an unregister/re-register racing the dispatch can otherwise
+    split the two resolutions across different plans and zero out the
+    telemetry.
     """
-    ev_before = registry.stats.evictions
+    ev_before = registry.evictions
     executed: Dict[str, object] = {}
 
     def wave(plan):
         executed["plan"] = plan
-        executed.setdefault("before", plan.stats)
+        executed.setdefault("before", (plan.counters, plan.broadcasts))
         return plan.run_many(xs)
 
     ys = registry.run(model, wave)
     plan = executed["plan"]
-    before = executed["before"]
-    after = plan.stats
+    counters, broadcasts = executed["before"]
     return ys, dict(
-        counters=Counters.of(after) - Counters.of(before),
-        broadcasts=after.broadcasts - before.broadcasts,
+        counters=plan.counters - counters,
+        broadcasts=plan.broadcasts - broadcasts,
         n_banks=plan.wave_banks,
         # Every plan kind prices its own nominal unit (GEMV: dense
         # multiply-adds; analytics: one op per record), so non-GEMV
         # telemetry never assumes matrix shapes.
         nominal_ops=plan.nominal_query_ops(xs),
-        evictions=registry.stats.evictions - ev_before)
+        evictions=registry.evictions - ev_before)
 
 
-class Server:
+class _FrontDoor:
+    """What :class:`Server` and :class:`~repro.fleet.Fleet` share.
+
+    One submission path (validated against ``specs``, rejections
+    counted), one wave-resolution path (:meth:`_execute`), the
+    scheduler counters and latency window, and one drain-then-close.
+    A front door supplies how a validated burst is queued
+    (``_enqueue``), how a wave's stacked queries become
+    ``(ys, wave)`` (``_run_wave``), its dispatchers, what it releases
+    on close, and its closed error.
+    """
+
+    def __init__(self, specs: ModelRegistry, max_batch: int,
+                 timing: TimingParams, energy: EnergyModel):
+        self._specs = specs
+        self.max_batch = max_batch
+        self.timing = timing
+        self.energy = energy
+        self._lock = threading.Lock()
+        self._closed = False
+        self._waves = 0
+        self._queries = 0
+        self._max_wave = 0
+        self._rejected = 0
+        self._latency = LatencyWindow()
+
+    # ------------------------------------------------------------------
+    # query path
+    # ------------------------------------------------------------------
+    def submit(self, model: str, x: np.ndarray) -> Future:
+        """Enqueue one query; the future resolves to a :class:`Response`.
+
+        Validation errors (unknown model, wrong query shape or domain)
+        and a closed front door raise immediately at submission, never
+        through the future -- a rejected request must not occupy the
+        scheduler.  Only execution itself raises through the future.
+        """
+        return self._admit(model, (x,))[0]
+
+    def submit_many(self, model: str, xs: np.ndarray) -> List[Future]:
+        """Enqueue a burst atomically so it coalesces into waves.
+
+        All queries enter the queue under one lock hold, which is what
+        a burst of concurrent clients looks like to the scheduler.  The
+        leading axis is the query axis; what one query *is* depends on
+        the model's plan kind (a GEMV burst is ``[Q, K]``, a group-by
+        burst ``[Q, L, 2]``).
+        """
+        return self._admit(model, xs, burst=True)
+
+    def query(self, model: str, x: np.ndarray) -> Response:
+        """Submit one query and block for its response."""
+        return self.submit(model, x).result()
+
+    def _admit(self, model: str, xs, burst: bool = False
+               ) -> List[Future]:
+        """Full shape *and domain* validation, then enqueue.
+
+        Delegating to the plan's own ``validate_query`` keeps the two
+        in lockstep: anything the wave would reject mid-flight (wrong
+        length, signed input against a binary plan) is rejected here,
+        so one bad query can never fail the coalesced wave its
+        innocent neighbors ride in.  A burst costs one registry lookup
+        (one lock hold, one LRU touch); per-row validation is
+        plan-local.
+        """
+        self._check_open()
+        try:
+            if burst:
+                xs = np.asarray(xs)
+                if xs.ndim < 2:
+                    raise ValueError("xs must batch queries along its "
+                                     "leading axis")
+            plan = self._specs.get(model)        # KeyError if unknown
+            pendings = [_Pending(model, plan.validate_query(x))
+                        for x in xs]
+        except (KeyError, ValueError):
+            with self._lock:
+                self._rejected += 1
+            raise
+        self._enqueue(model, pendings)
+        return [p.future for p in pendings]
+
+    def _execute(self, model: str, pendings: List[_Pending],
+                 shard=None) -> None:
+        """One coalesced wave: run it, price it, resolve its futures.
+
+        Everything fallible stays inside the try: a failure resolves
+        the wave's futures with the exception instead of unwinding --
+        and killing -- the dispatcher thread.  Marking each future
+        *running* up front also closes the cancel/set_result race: a
+        future that reports cancelled here never resolves, one that
+        does not can no longer be cancelled.
+        """
+        live = [p for p in pendings
+                if p.future.set_running_or_notify_cancel()]
+        if not live:
+            return
+        try:
+            xs = np.stack([p.x for p in live])
+            ys, wave = self._run_wave(model, xs, shard)
+            report = ExecutionReport.from_measured(
+                model=model, batch_size=len(live),
+                timing=self.timing, energy=self.energy, **wave)
+        except BaseException as exc:          # noqa: BLE001 - to futures
+            for pending in live:
+                pending.future.set_exception(exc)
+            return
+        with self._lock:
+            self._waves += 1
+            self._queries += len(live)
+            self._max_wave = max(self._max_wave, len(live))
+            self._latency.observe(report.latency_ns, len(live))
+        for pending, y in zip(live, ys):
+            pending.future.set_result(Response(y=y, report=report))
+
+    # ------------------------------------------------------------------
+    # telemetry + lifecycle
+    # ------------------------------------------------------------------
+    def _summary(self, **dedup: int) -> TelemetrySummary:
+        """Scheduler counters plus p50/p99/mean latency percentiles.
+
+        The latency summary folds every served query's modeled
+        ``latency_ns`` (the wave makespan priced from measured ops)
+        through :meth:`~repro.serve.telemetry.LatencySummary.from_ns`,
+        so fleet-vs-server comparisons read one code path.
+        """
+        with self._lock:
+            return TelemetrySummary(queries=self._queries,
+                                    waves=self._waves,
+                                    max_wave=self._max_wave,
+                                    rejected=self._rejected,
+                                    latency=self._latency.summary(),
+                                    **dedup)
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise self._closed_error()
+
+    def close(self) -> None:
+        """Drain queued work, stop the dispatchers, release everything.
+
+        Idempotent.  Queries already queued complete (their futures
+        resolve); submissions after close raise the front door's
+        closed error; a submission racing the close either completes
+        or raises -- never hangs (each dispatcher's stranded sweep
+        rejects anything left once its thread has exited).
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        for dispatcher in self._dispatchers():
+            dispatcher.close()
+        self._release()
+
+    def __enter__(self):
+        self._check_open()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class Server(_FrontDoor):
     """Shared-pool, plan-cached, batch-scheduled serving runtime.
 
     Parameters
@@ -226,20 +466,13 @@ class Server:
         self.device = Device(config, pool=self.pool, **overrides)
         self.registry = ModelRegistry(self.device,
                                       max_resident=max_resident)
-        self.max_batch = max_batch
-        self.timing = timing
-        self.energy = energy
-        self._cv = threading.Condition()
-        self._queue: List[_Pending] = []
-        self._closed = False
-        self._waves = 0
-        self._queries = 0
-        self._max_wave = 0
-        self._rejected = 0
-        self._latency = LatencyWindow()
-        self._thread = threading.Thread(target=self._loop, daemon=True,
-                                        name="repro-serve-scheduler")
-        self._thread.start()
+        super().__init__(self.registry, max_batch, timing, energy)
+        # The step looks ``_execute`` up on every wave, so a patched
+        # class attribute (the benchmark's tracer) sees every wave.
+        self._dispatcher = Dispatcher(
+            "repro-serve-scheduler",
+            lambda model, pendings: self._execute(model, pendings),
+            max_batch, self._closed_error)
 
     # ------------------------------------------------------------------
     # model management
@@ -269,123 +502,26 @@ class Server:
         return self.registry.names()
 
     # ------------------------------------------------------------------
-    # query path
+    # front-door hooks
     # ------------------------------------------------------------------
-    def submit(self, model: str, x: np.ndarray) -> Future:
-        """Enqueue one query; the future resolves to a :class:`Response`.
+    def _closed_error(self) -> Exception:
+        return RuntimeError("server is closed")
 
-        Validation errors (unknown model, wrong query shape, closed
-        server) raise immediately at submission, never through the
-        future -- a rejected request must not occupy the scheduler.
-        """
-        self._check_open()
-        pending = self._validate(model, x)
-        with self._cv:
-            self._check_open()
-            self._queue.append(pending)
-            self._cv.notify()
-        return pending.future
+    def _enqueue(self, model: str, pendings: List[_Pending]) -> None:
+        self._dispatcher.put(pendings)
 
-    def submit_many(self, model: str, xs: np.ndarray) -> List[Future]:
-        """Enqueue a burst atomically so it coalesces into waves.
+    def _run_wave(self, model: str, xs: np.ndarray, shard):
+        return execute_wave(self.registry, model, xs)
 
-        All queries enter the queue under one lock hold, which is what
-        a burst of concurrent clients looks like to the scheduler --
-        the benchmark's coalesced side uses exactly this.  The leading
-        axis is the query axis; what one query *is* depends on the
-        model's plan kind (a GEMV burst is ``[Q, K]``, a group-by burst
-        ``[Q, L, 2]``).
-        """
-        self._check_open()
-        try:
-            xs = np.asarray(xs)
-            if xs.ndim < 2:
-                raise ValueError("xs must batch queries along its "
-                                 "leading axis")
-            # One registry lookup (one lock hold, one LRU touch) for
-            # the whole burst; per-row validation is plan-local.
-            plan = self.registry.get(model)
-            pendings = [_Pending(model, plan.validate_query(x))
-                        for x in xs]
-        except (KeyError, ValueError):
-            with self._cv:
-                self._rejected += 1
-            raise
-        with self._cv:
-            self._check_open()
-            self._queue.extend(pendings)
-            self._cv.notify()
-        return [p.future for p in pendings]
+    def _dispatchers(self) -> List[Dispatcher]:
+        return [self._dispatcher]
 
-    def query(self, model: str, x: np.ndarray) -> Response:
-        """Submit one query and block for its response."""
-        return self.submit(model, x).result()
-
-    def _validate(self, model: str, x: np.ndarray) -> _Pending:
-        """Full shape *and domain* validation at submission time.
-
-        Delegating to the plan's own ``validate_query`` keeps the two
-        in lockstep: anything the wave would reject mid-flight (wrong
-        length, signed input against a binary plan) is rejected here,
-        so one bad query can never fail the coalesced wave its
-        innocent neighbors ride in.
-        """
-        try:
-            plan = self.registry.get(model)      # KeyError if unknown
-            x = plan.validate_query(x)
-        except (KeyError, ValueError):
-            with self._cv:                       # count under the lock
-                self._rejected += 1
-            raise
-        return _Pending(model, x)
+    def _release(self) -> None:
+        self.registry.close()
+        self.device.close()
 
     # ------------------------------------------------------------------
-    # scheduler
-    # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        while True:
-            with self._cv:
-                while not self._queue and not self._closed:
-                    self._cv.wait()
-                if not self._queue and self._closed:
-                    return
-                drained, self._queue = self._queue, []
-            for model, pendings in coalesce(drained, self.max_batch):
-                self._execute(model, pendings)
-
-    def _execute(self, model: str, pendings: List[_Pending]) -> None:
-        """One coalesced wave: run_many + per-query telemetry.
-
-        Everything fallible stays inside the try: a failure resolves
-        the wave's futures with the exception instead of unwinding --
-        and killing -- the scheduler thread.  Marking each future
-        *running* up front also closes the cancel/set_result race: a
-        future that reports cancelled here never resolves, one that
-        does not can no longer be cancelled.
-        """
-        live = [p for p in pendings
-                if p.future.set_running_or_notify_cancel()]
-        if not live:
-            return
-        try:
-            xs = np.stack([p.x for p in live])
-            ys, wave = execute_wave(self.registry, model, xs)
-            report = ExecutionReport.from_measured(
-                model=model, batch_size=len(live),
-                timing=self.timing, energy=self.energy, **wave)
-        except BaseException as exc:          # noqa: BLE001 - to futures
-            for pending in live:
-                pending.future.set_exception(exc)
-            return
-        self._waves += 1
-        self._queries += len(live)
-        self._max_wave = max(self._max_wave, len(live))
-        self._latency.observe(report.latency_ns, len(live))
-        for pending, y in zip(live, ys):
-            pending.future.set_result(Response(y=y, report=report))
-
-    # ------------------------------------------------------------------
-    # lifecycle
+    # telemetry
     # ------------------------------------------------------------------
     @property
     def stats(self) -> ServerStats:
@@ -394,69 +530,8 @@ class Server:
                            rejected=self._rejected)
 
     def telemetry_summary(self) -> TelemetrySummary:
-        """Scheduler counters plus p50/p99/mean latency percentiles.
-
-        The latency summary folds every served query's modeled
-        ``latency_ns`` (the wave makespan priced from measured ops)
-        through :meth:`~repro.serve.telemetry.LatencySummary.from_ns`
-        -- the same aggregation the multi-process fleet uses, so
-        fleet-vs-server comparisons read one code path.
-        """
+        """Scheduler counters, latency percentiles and row dedup."""
         reg = self.registry.stats
-        return TelemetrySummary(queries=self._queries, waves=self._waves,
-                                max_wave=self._max_wave,
-                                rejected=self._rejected,
-                                latency=self._latency.summary(),
-                                dedup_hits=reg.dedup_hits,
-                                rows_shared=reg.rows_shared,
-                                rows_private=reg.rows_private)
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("server is closed")
-
-    def _reject_stranded(self) -> None:
-        """Deterministically resolve anything still queued after close.
-
-        ``submit`` re-checks ``_closed`` *under the condition lock*, so
-        with the current locking nothing can be enqueued once the
-        scheduler thread has exited -- but that invariant lives in two
-        methods that evolve independently.  This sweep makes shutdown
-        robust by construction: any pending future found in the queue
-        after the scheduler is gone is rejected (or confirmed
-        cancelled) instead of being stranded forever un-resolved,
-        which is what a submitter racing ``close()`` would otherwise
-        observe as a hang in ``future.result()``.
-        """
-        with self._cv:
-            stranded, self._queue = self._queue, []
-        for pending in stranded:
-            if pending.future.set_running_or_notify_cancel():
-                pending.future.set_exception(
-                    RuntimeError("server is closed"))
-
-    def close(self) -> None:
-        """Drain queued work, stop the scheduler, release all plans.
-
-        Idempotent.  Queries already queued complete (their futures
-        resolve); submissions after close raise; a submission racing
-        the close either completes or raises -- never hangs (the
-        stranded-future sweep rejects anything left in the queue once
-        the scheduler thread has exited).
-        """
-        with self._cv:
-            if self._closed:
-                return
-            self._closed = True
-            self._cv.notify_all()
-        self._thread.join()
-        self._reject_stranded()
-        self.registry.close()
-        self.device.close()
-
-    def __enter__(self) -> "Server":
-        self._check_open()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return self._summary(dedup_hits=reg.dedup_hits,
+                             rows_shared=reg.rows_shared,
+                             rows_private=reg.rows_private)

@@ -89,8 +89,8 @@ class LatencyWindow:
     A serving front door observes one latency per query; under heavy
     traffic an unbounded list would grow forever, so the window keeps
     the last ``maxlen`` observations and the summary covers exactly
-    that sliding window.  Appends are GIL-atomic, so the scheduler
-    thread (or asyncio dispatcher) records without locking.
+    that sliding window.  The front doors observe under their counter
+    lock, so the window always agrees with the wave counters.
     """
 
     def __init__(self, maxlen: int = 1 << 16):

@@ -1,5 +1,5 @@
 """The multi-process serve fleet: shm marshalling, placement, shard
-workers, the asyncio front door and fleet-routed campaigns.
+workers, the front door and fleet-routed campaigns.
 
 The load-bearing guarantees pinned here:
 
@@ -370,27 +370,26 @@ class TestFleetServing:
         """One drain of [a, b, a, crash, a]: the queries ahead of the
         crash run as two per-model waves, the crash resolves next, and
         the query behind it fails typed."""
-        from repro.fleet.fleet import _Item
+        from repro.fleet.fleet import _Control
+        from repro.serve.server import _Pending
         fleet = Fleet(n_shards=1, pool_banks=4)
         try:
             fleet.register("a", np.eye(2, dtype=np.uint8), kind="binary")
             fleet.register("b", np.array([[0, 1], [1, 0]], dtype=np.uint8),
                            kind="binary")
-            items = [_Item("query", model="a", x=np.array([1, 2])),
-                     _Item("query", model="b", x=np.array([3, 4])),
-                     _Item("query", model="a", x=np.array([5, 6])),
-                     _Item("control", op="crash"),
-                     _Item("query", model="a", x=np.array([7, 8]))]
+            items = [_Pending("a", np.array([1, 2])),
+                     _Pending("b", np.array([3, 4])),
+                     _Pending("a", np.array([5, 6])),
+                     _Control("crash"),
+                     _Pending("a", np.array([7, 8]))]
             resolved = []
             for i, it in enumerate(items):
                 it.future.add_done_callback(
                     lambda f, i=i: resolved.append(i))
             with fleet._lock:
-                fleet._pending.update(items)
                 fleet._inflight[0] += 4
-            # one _enqueue call: a single drain sees all five items
-            fleet._loop.call_soon_threadsafe(
-                fleet._enqueue, fleet._shards[0], items)
+            # one put: a single drain sees all five items
+            fleet._shards[0].dispatcher.put(items)
 
             assert (items[0].future.result(timeout=30).y == [1, 2]).all()
             assert (items[1].future.result(timeout=30).y == [4, 3]).all()
@@ -417,20 +416,45 @@ class TestFleetServing:
         fleet.close()                       # idempotent
 
     def test_stranded_futures_rejected_not_hung(self, rng):
-        """An item that never reaches a dispatcher is rejected by the
-        close-time sweep with a typed error."""
+        """Items that land in a shard dispatcher's queue after its
+        thread exited are rejected by the stranded sweep with a typed
+        error; a cancelled one stays cancelled."""
+        from repro.serve.server import _Pending
         fleet = Fleet(n_shards=1, pool_banks=4)
         fleet.register("m", np.eye(2, dtype=np.uint8), kind="binary")
-        # forge a stranded item: on the pending books but enqueued
-        # behind the stop sentinel close() pushes
-        from repro.fleet.fleet import _Item
-        item = _Item("query", model="m", x=np.array([1, 2]))
-        with fleet._lock:
-            fleet._pending.add(item)
-            fleet._inflight[0] += 1
+        dispatcher = fleet._shards[0].dispatcher
         fleet.close()
+        stray = _Pending("m", np.array([1, 2]))
+        cancelled = _Pending("m", np.array([1, 2]))
+        cancelled.future.cancel()
+        dispatcher._queue.extend([stray, cancelled])
+        dispatcher.close()                  # idempotent: sweeps again
         with pytest.raises(FleetClosedError):
-            item.future.result(timeout=5)
+            stray.future.result(timeout=5)
+        assert cancelled.future.cancelled()
+        with pytest.raises(FleetClosedError):
+            dispatcher.put([_Pending("m", np.array([1, 2]))])
+
+    @pytest.mark.parametrize("front", ["server", "fleet", "fleet-crashed"])
+    def test_close_leaves_nothing_running(self, front):
+        """After close() no dispatcher thread this front door started
+        is alive and every shard's worker process has exited."""
+        before = set(threading.enumerate())
+        if front == "server":
+            door, handles = Server(pool_banks=4), []
+        else:
+            door = Fleet(n_shards=2, pool_banks=4)
+            handles = [s.handle for s in door._shards.values()]
+        door.register("m", np.eye(2, dtype=np.uint8), kind="binary")
+        assert (door.query("m", np.array([1, 2])).y == [1, 2]).all()
+        if front == "fleet-crashed":
+            door.crash_shard(door.shard_of("m"))
+        door.close()
+        left = [t.name for t in set(threading.enumerate()) - before
+                if t.name.startswith(("repro-serve-", "repro-fleet-"))]
+        assert left == []
+        assert all(not h.process.is_alive() and h.process.exitcode
+                   is not None for h in handles)
 
     def test_move_is_bit_exact_and_routes_flip(self, rng):
         z = rng.integers(0, 2, (4, 6)).astype(np.uint8)

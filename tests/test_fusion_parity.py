@@ -28,10 +28,9 @@ from repro.dram.programs import ProgramStore
 from repro.dram.wordline import (WordlineSubarray, pack_bits, pack_blocks,
                                  pack_rows, unpack_bits)
 from repro.engine import BankCluster, CountingEngine
-from repro.isa.microprogram import MicroProgram, aap, ap, concat
-from repro.isa.trace import (TraceScratch, compile_trace, fusion_disabled,
-                             fusion_enabled, megatrace_disabled,
-                             native_disabled)
+from repro.isa.microprogram import MicroProgram, aap, ap
+from repro.isa.trace import (compile_trace, fusion_disabled,
+                             fusion_enabled, megatrace_disabled)
 
 
 def _subarray_counters(subarray):
@@ -255,28 +254,6 @@ def test_trace_counter_totals_match_program():
     assert trace.n_aap == prog.aap_count
     assert trace.n_ap == prog.ap_count
     assert trace.n_activations == 2 * prog.aap_count + prog.ap_count
-
-
-def test_batched_and_per_node_replay_agree(monkeypatch):
-    """Both NumPy replay strategies (level-batched gathers for narrow
-    rows, per-node row views for wide ones) leave identical cells."""
-    import repro.isa.trace as trace_mod
-    from repro.isa.templates import kary_increment_program
-    sa = WordlineSubarray(n_data_rows=8, n_cols=300)
-    prog = concat("pair", [kary_increment_program([0, 1], 2, 3, [3], 4),
-                           kary_increment_program([5, 6], 2, -2, [3], 7)])
-    trace = compile_trace(prog, sa.resolve)
-    rng = np.random.default_rng(11)
-    start = rng.integers(0, 2**63, sa.cells.shape, dtype=np.uint64)
-    results = []
-    for threshold in (1, 1 << 30):         # force each strategy
-        monkeypatch.setattr(trace_mod, "_NODE_EXEC_WORDS", threshold)
-        cells = start.copy()
-        with native_disabled():
-            trace.execute(cells, TraceScratch())    # fresh scratch: replan
-        results.append(cells)
-    assert (results[0] == results[1]).all()
-    assert not (results[0] == start).all()
 
 
 # ----------------------------------------------------------------------

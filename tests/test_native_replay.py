@@ -1,11 +1,9 @@
 """Native chain replay == NumPy replay == interpreted, cells and counters.
 
 Fault-free traces replay through the C chain kernel of
-:mod:`repro.isa.native` when it could be built.  The NumPy replay stays
-as the fallback and the reference, in its two strategies (level-batched
-gathers for narrow rows, per-node row views for rows of
-``_NODE_EXEC_WORDS`` words and more).  These tests pin all four
-regimes identical -- decoded values, raw counter rows, every command
+:mod:`repro.isa.native` when it could be built.  The NumPy replay
+(level-batched gathers) stays as the fallback and the reference.  These
+tests pin all three regimes identical -- decoded values, raw counter rows, every command
 counter and ``measured_ops`` -- for per-μProgram traces and trace
 chains, and cover what is specific to the kernel:
 
@@ -26,7 +24,6 @@ import sys
 import numpy as np
 import pytest
 
-import repro.isa.trace as trace_mod
 from repro import Device
 from repro.dram.ambit import _C0, _C1
 from repro.dram.wordline import WordlineSubarray, pack_rows
@@ -41,7 +38,7 @@ from repro.isa.trace import (TraceChain, TraceScratch, compile_trace,
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 
-REGIMES = ("native", "batched", "node", "interp")
+REGIMES = ("native", "numpy", "interp")
 
 needs_kernel = pytest.mark.skipif(not native_enabled(),
                                   reason="native kernel not built here")
@@ -49,26 +46,21 @@ needs_kernel = pytest.mark.skipif(not native_enabled(),
 
 @contextlib.contextmanager
 def _regime(mode):
-    """Replay regime: the kernel, NumPy (``"batched"`` and
-    ``"unforced"`` keep the width threshold, ``"node"`` forces per-node
-    replay on narrow rows by a threshold of one word), or interpreted."""
+    """Replay regime: the kernel, NumPy, or interpreted."""
     if mode == "native":
         yield
     elif mode == "interp":
         with fusion_disabled():
             yield
     else:
-        with native_disabled(), pytest.MonkeyPatch.context() as mp:
-            if mode == "node":
-                mp.setattr(trace_mod, "_NODE_EXEC_WORDS", 1)
+        with native_disabled():
             yield
 
 
-def _plan_modes(store) -> set:
-    """NumPy replay strategies of every plan the store's scratch built
-    (the kernel builds none)."""
-    return {plan[0] for plans in store.scratch.plans.values()
-            for plan in plans.values()}
+def _numpy_plans(store) -> int:
+    """NumPy replay plans the store's scratch built (the kernel builds
+    none)."""
+    return sum(len(plans) for plans in store.scratch.plans.values())
 
 
 def _run_waves(mode, kind, n_bits, n_digits, n_lanes, seed, n_waves=6,
@@ -103,22 +95,19 @@ def _run_waves(mode, kind, n_bits, n_digits, n_lanes, seed, n_waves=6,
         "measured_ops": eng.measured_ops,
         "replays": sa.trace_replays + sa.megatrace_replays,
         "megatrace_replays": sa.megatrace_replays,
-        "modes": _plan_modes(eng.programs),
+        "numpy_plans": _numpy_plans(eng.programs),
     }
 
 
-def _assert_four_way(runs, kind, fallback="batched"):
-    """``fallback``: the NumPy strategy the "native" regime runs where
-    the kernel is not built (the one its row width selects)."""
+def _assert_regimes(runs, kind):
     ref = runs["interp"]
-    assert ref["replays"] == 0 and ref["modes"] == set()
-    expect = {"native": set() if native_enabled() else {fallback},
-              "batched": {"batched"}, "node": {"node"}}
-    for mode in ("native", "batched", "node"):
+    assert ref["replays"] == 0 and ref["numpy_plans"] == 0
+    numpy_plans = {"native": not native_enabled(), "numpy": True}
+    for mode in ("native", "numpy"):
         run = runs[mode]
         assert run["replays"] > 0                 # traces really replayed
         assert (run["megatrace_replays"] > 0) == (kind == "mega")
-        assert run["modes"] == expect[mode]
+        assert (run["numpy_plans"] > 0) == numpy_plans[mode]
         assert (run["values"] == ref["values"]).all()
         assert (run["rows"] == ref["rows"]).all()
         assert run["counters"] == ref["counters"]
@@ -130,26 +119,11 @@ def _assert_four_way(runs, kind, fallback="batched"):
     (2, 4, 24, 0), (1, 5, 130, 1), (3, 3, 64 * 5, 2), (2, 3, 1000, 3),
 ])
 def test_four_regimes_identical(kind, n_bits, n_digits, n_lanes, seed):
+    """Kernel, NumPy and interpreted replay agree on values, counter
+    rows and every command counter."""
     runs = {mode: _run_waves(mode, kind, n_bits, n_digits, n_lanes, seed)
             for mode in REGIMES}
-    _assert_four_way(runs, kind)
-
-
-@pytest.mark.parametrize("kind", ["program", "mega"])
-def test_wide_rows_per_node_at_its_own_width(kind):
-    """Rows of ``_NODE_EXEC_WORDS`` words take the NumPy per-node
-    strategy unforced; the kernel and a forced batched replay agree."""
-    n_lanes = 64 * trace_mod._NODE_EXEC_WORDS
-    runs = {mode: _run_waves(mode, kind, 2, 3, n_lanes, 7, n_waves=3)
-            for mode in ("native", "interp")}
-    # NumPy unforced: per-node at this width.
-    runs["node"] = _run_waves("unforced", kind, 2, 3, n_lanes, 7,
-                              n_waves=3)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trace_mod, "_NODE_EXEC_WORDS", 1 << 30)
-        runs["batched"] = _run_waves("batched", kind, 2, 3, n_lanes, 7,
-                                     n_waves=3)
-    _assert_four_way(runs, kind, fallback="node")
+    _assert_regimes(runs, kind)
 
 
 def _random_cells(sa, n_words, rng):
@@ -246,7 +220,6 @@ def test_native_switch_replans_and_agrees():
                 _execute(obj, b, scratch, stream)
             assert (a == b).all()
         assert set(scratch.plans[prog_trace]) == {5}
-        assert scratch.plans[prog_trace][5][0] == "batched"
 
 
 @needs_kernel

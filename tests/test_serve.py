@@ -581,41 +581,37 @@ class TestCloseSubmitRace:
 
     def test_stranded_future_sweep_rejects_deterministically(self, rng):
         """Simulate the race window directly: a pending that slipped
-        into the queue after the scheduler exited gets rejected by the
-        close-time sweep instead of hanging forever."""
+        into the dispatcher's queue after its thread exited gets
+        rejected by the stranded sweep instead of hanging forever."""
         from repro.serve.server import _Pending
         z = rng.integers(-1, 2, (4, 8)).astype(np.int8)
         srv = Server(n_bits=2)
         srv.register("m", z, kind="ternary")
-        with srv._cv:
-            srv._closed = True
-            srv._cv.notify_all()
-        srv._thread.join()
+        dispatcher = srv._dispatcher
+        srv.close()
         # The racing submitter's pending lands after the thread is gone.
         stray = _Pending("m", np.zeros(4, dtype=np.int64))
-        srv._queue.append(stray)
-        srv._reject_stranded()
+        dispatcher._queue.append(stray)
+        dispatcher.close()                  # idempotent: sweeps again
         assert stray.future.done()
         with pytest.raises(RuntimeError, match="closed"):
             stray.future.result(timeout=0)
-        # close() remains idempotent after the manual shutdown.
-        srv.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            dispatcher.put([_Pending("m", np.zeros(4, dtype=np.int64))])
+        srv.close()                         # idempotent
 
     def test_cancelled_stranded_future_is_left_cancelled(self, rng):
         from repro.serve.server import _Pending
         z = rng.integers(-1, 2, (4, 8)).astype(np.int8)
         srv = Server(n_bits=2)
         srv.register("m", z, kind="ternary")
-        with srv._cv:
-            srv._closed = True
-            srv._cv.notify_all()
-        srv._thread.join()
+        dispatcher = srv._dispatcher
+        srv.close()
         stray = _Pending("m", np.zeros(4, dtype=np.int64))
         stray.future.cancel()
-        srv._queue.append(stray)
-        srv._reject_stranded()              # must not raise on cancelled
+        dispatcher._queue.append(stray)
+        dispatcher.close()                  # must not raise on cancelled
         assert stray.future.cancelled()
-        srv.close()
 
     def test_concurrent_submits_racing_close_never_hang(self, rng):
         """Stress the real interleaving: every future a submitter got
