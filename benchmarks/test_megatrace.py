@@ -5,11 +5,11 @@ Pins the PR's performance contract and records it as
 collector):
 
 * **Plan steady state** -- a warm plan streaming a repeated query set
-  executes each query's wave sequence as a handful of trace-chain
-  replays, one native call each (``megatrace_replays`` per pass bounded
-  by the wave count), instead of hundreds of per-uProgram trace
-  replays, with *zero* compiles of any kind per steady-state pass, and
-  beats the interpreted path >= 2x.
+  executes each query's wave sequence as one trace-chain replay, one
+  native call (``megatrace_replays`` per pass equal to the query count
+  and bounded by the wave count), with no single-trace replay and
+  *zero* compiles of any kind per steady-state pass, and beats the
+  interpreted path >= 2x.
 * **Coalesced serve** -- a warm coalesced burst through the
   :class:`~repro.serve.Server` batch axis (one stacked ``run_many``
   wave riding trace chains) costs >= 2x less modeled DRAM time than the
@@ -25,13 +25,12 @@ collector):
   of 512 words against ~178 of 64), so that ratio is recorded and only
   held to >= 1x.
 * **Campaign** -- a fault-injection campaign whose trials ride trace
-  chains matches the per-uProgram path's injected accounting exactly
+  chains matches the interpreted path's injected accounting exactly
   and beats the interpreted campaign >= 2x.
 
 Every regime comparison reruns the *identical* workload under
-``megatrace_disabled()`` (the chain switch) / ``fusion_disabled()``,
-so the before/after compile and replay counters in the JSON are
-measured, not modeled.
+``fusion_disabled()``, so the before/after compile and replay counters
+in the JSON are measured, not modeled.
 
 The whole comparison runs ``ROUNDS`` times, every regime once per
 round, so slow drift on a shared host lands on both sides of each
@@ -48,7 +47,7 @@ import numpy as np
 
 from repro.device import Device
 from repro.dram.timing import time_for_aaps_ns
-from repro.isa.trace import fusion_disabled, megatrace_disabled
+from repro.isa.trace import fusion_disabled
 from repro.reliability import Campaign, FaultPoint
 from repro.serve import Server
 
@@ -61,7 +60,6 @@ WARM = 3           # pass 1 per-wave, pass 2 compiles, pass 3 replays
 ROUNDS = 5         # odd: each gate reads the median round's ratio
 
 REGIMES = [("megatrace", contextlib.nullcontext),
-           ("per-uprogram", megatrace_disabled),
            ("interpreted", fusion_disabled)]
 
 
@@ -207,14 +205,14 @@ def test_megatrace(benchmark, record_bench_json):
     camp = {name: _median_row([r[2][name] for r in rounds], "ms")
             for name, _ in REGIMES}
 
-    mega, plain, interp = (plan[n] for n, _ in REGIMES)
+    mega, interp = (plan[n] for n, _ in REGIMES)
     # Steady state is *pure replay*: no compiles of any kind per pass,
-    # and the whole pass is a handful of chain replays bounded by the
-    # wave count (vs hundreds of per-uProgram replays before).
+    # and the whole pass is one chain replay per query, bounded by the
+    # wave count, with no single-trace replay beside the chains.
     assert mega["megatrace_compiles_steady"] == 0
     assert 0 < mega["megatrace_replays_per_pass"] <= mega["waves_per_pass"]
-    assert mega["trace_replays_per_pass"] < plain["trace_replays_per_pass"]
-    assert plain["megatrace_replays_per_pass"] == 0
+    assert mega["trace_replays_per_pass"] == 0
+    assert mega["megatrace_replays_per_pass"] == QUERIES
     plan_speedup = statistics.median(plan_speedups)
     assert plan_speedup >= 2.0, (
         f"megatrace plan passes only {plan_speedup:.2f}x over interpreted")
@@ -233,7 +231,6 @@ def test_megatrace(benchmark, record_bench_json):
     camp_speedup = statistics.median(camp_speedups)
     assert camp["megatrace"]["megatrace_replays"] > 0
     assert camp["megatrace"]["injected"] == camp["interpreted"]["injected"]
-    assert camp["megatrace"]["injected"] == camp["per-uprogram"]["injected"]
     assert camp_speedup >= 2.0, (
         f"megatrace campaign only {camp_speedup:.2f}x over interpreted")
 
@@ -270,8 +267,8 @@ def test_megatrace(benchmark, record_bench_json):
             f"compiles the segments' traces, pass 3+ replay chains)",
             "steady-state chain passes perform zero compiles; "
             "replays bounded by wave count",
-            "identical workloads rerun under megatrace_disabled / "
-            "fusion_disabled for the before/after counters",
+            "identical workloads rerun under fusion_disabled for the "
+            "before/after counters",
             f"{ROUNDS} interleaved rounds; timings are medians, speedups "
             "the median of the per-round ratios",
             "serve gate: modeled DRAM time (measured ops through "
@@ -286,8 +283,6 @@ def test_megatrace(benchmark, record_bench_json):
         f"{mega['megatrace_replays_per_pass']} chain replays "
         f"({mega['waves_per_pass']} waves), "
         f"{mega['trace_replays_per_pass']} uProgram replays",
-        f"  per-uProgram: {plain['ms_per_pass']:7.2f} ms/pass  "
-        f"{plain['trace_replays_per_pass']} uProgram replays",
         f"  interpreted : {interp['ms_per_pass']:7.2f} ms/pass "
         f"({plan_speedup:.2f}x slower than megatrace)",
         f"Coalesced serve: {serve['megatrace']['ms_per_burst']:7.2f} "

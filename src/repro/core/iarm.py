@@ -103,11 +103,13 @@ class _Stateless:
     input value alone.
 
     ``state()`` returns a hashable snapshot of everything the next
-    events depend on and ``restore(state)`` reinstates one, so a
-    schedule is a pure function of ``(state, values)``.  The engine
-    memoizes whole wave sequences by that key (see :meth:`~repro.
-    engine.machine.CountingEngine.run_waves`); a scheduler without
-    the protocol is simply never memoized.
+    events depend on, except the scheduler's class and digit geometry
+    ``(n_bits, n_digits)``, and ``restore(state)`` reinstates one, so a
+    schedule is a pure function of ``(class, geometry, state,
+    values)``.  The device's program store memoizes whole wave
+    sequences under that key (see :meth:`~repro.engine.machine.
+    CountingEngine.run_waves`), shared by every engine of a layout; a
+    scheduler without the protocol is simply never memoized.
     """
 
     def state(self) -> tuple:

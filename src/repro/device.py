@@ -697,10 +697,9 @@ class GemvPlan(ResidentPlan):
         acquires the *new* content address (which clones the image --
         or re-merges with a tenant that already planted the mutated
         matrix) and drops its reference on the old one.  The next
-        query unparks against the new image with a fresh ``run_waves``
-        memo (store generations stamp engine ``cache_epoch``) and
-        replays the device's warm compiled traces, which read no cell
-        contents and so hold for any row image.
+        query unparks against the new image and replays the device's
+        warm compiled traces and chains, which read no cell contents
+        and so hold for any row image.
         """
         self._check_open()
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))

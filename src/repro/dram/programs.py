@@ -9,7 +9,7 @@ engine body the device builds, so a rebuilt engine (a registry unpark,
 a resize, a co-tenant) replays warm traces instead of re-creating and
 recompiling its programs.
 
-What the store holds -- two tiers and a buffer:
+What the store holds -- three tiers and a buffer:
 
 * **μPrograms**, keyed by *content*: the layout signature ``(n_bits,
   n_digits, n_masks, protected)`` plus the event key -- ``(digit, k,
@@ -23,19 +23,25 @@ What the store holds -- two tiers and a buffer:
   program)``.
   An entry's trace is valid for the :class:`~repro.isa.trace.FaultSpec`
   it was compiled against; a subarray replaying it under a different
-  spec recompiles it in place.  A whole wave sequence adds no tier:
-  it replays as a :class:`~repro.isa.trace.TraceChain` of its
-  segments' entries, held in the engine's ``run_waves`` memo.
+  spec recompiles it in place.
+* **Chains**: whole :meth:`~repro.engine.machine.CountingEngine.
+  run_waves` calls, keyed by the layout signature, the scheduler class,
+  the mask row, the scheduler state, ``flush`` and the magnitudes.
+  Each holds the wave sequence's :class:`~repro.isa.trace.TraceChain`
+  (a tuple of compiled entries), its ``model_ops`` delta and the
+  scheduler state after the call.  IARM's events are a pure function
+  of its digit bounds and the input (paper Sec. 4.5.2), so a rebuilt
+  engine body or a co-tenant of the same layout replays a sequence
+  another engine already scheduled.
 * **Replay scratch**: one :class:`~repro.isa.trace.TraceScratch`, a
   flat buffer carved per row width at replay, so the replay footprint
   is the largest single replay's need -- not a sum over the engines a
   device ever built or the widths it serves.
 
-No key carries the row-image ``cache_epoch``: the trace compiler reads
-no cell contents (it folds only the never-written ``C0``/``C1`` control
-rows), so a compiled trace is valid for any row image.  The per-engine
-``run_waves`` memo keeps its epoch key; its chains hold references to
-the shared entries.
+No key depends on the cells' contents: the trace compiler reads none
+(it folds only the never-written ``C0``/``C1`` control rows) and a
+chain's events read none, so every tier is valid for any row image --
+a copy-on-write row swap keeps replaying warm chains.
 
 The store is not locked: one device executes its plans serially (the
 serving registry has one dispatcher), and separate devices never share
@@ -57,7 +63,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-__all__ = ["ProgramStore", "STORE_BOUND"]
+__all__ = ["ProgramStore", "STORE_BOUND", "CHAIN_BOUND"]
 
 #: Bound on the store's μProgram tier and on its compiled-μProgram
 #: tier (each is one LRU of at most this many entries).  Sized for the
@@ -66,6 +72,19 @@ __all__ = ["ProgramStore", "STORE_BOUND"]
 #: six-tenant serving benchmark).  Entries are small (a μProgram is a
 #: few KB, a compiled trace a few index arrays).
 STORE_BOUND = 1024
+
+#: Bound on the store's chain tier (one LRU).  A chain is far larger
+#: than a μProgram -- its segment entries plus a kernel table of tens
+#: of KB on the skewed serving benchmark -- so this tier keeps 256
+#: whole calls, a few MB, rather than :data:`STORE_BOUND`.
+CHAIN_BOUND = 256
+
+
+def _lru_get(cache: OrderedDict, key):
+    value = cache.get(key)
+    if value is not None:
+        cache.move_to_end(key)
+    return value
 
 
 def _lru_put(cache: OrderedDict, key, value, bound: int) -> None:
@@ -78,15 +97,19 @@ class ProgramStore:
     """Content-keyed programs, compiled traces and replay scratch.
 
     The μProgram and compiled-μProgram tiers are LRUs bounded by
-    :data:`STORE_BOUND` (read at construction).
+    :data:`STORE_BOUND`, the chain tier one bounded by
+    :data:`CHAIN_BOUND` (both read at construction).
     """
 
     def __init__(self):
         self.bound = STORE_BOUND
+        self.chain_bound = CHAIN_BOUND
         # content key -> MicroProgram
         self._programs: "OrderedDict[tuple, object]" = OrderedDict()
         # (n_data_rows, id(program)) -> [program, spec, trace, ops]
         self._compiled: "OrderedDict[tuple, list]" = OrderedDict()
+        # run_waves key -> (chain, model_ops delta, post-call state)
+        self._chains: "OrderedDict[tuple, tuple]" = OrderedDict()
         # repro.isa transitively imports repro.dram: resolve at runtime.
         from repro.isa.trace import TraceScratch
         self.scratch = TraceScratch()  # shared replay buffers
@@ -96,10 +119,7 @@ class ProgramStore:
     # ------------------------------------------------------------------
     def get(self, key):
         """The canonical μProgram stored under ``key``, or ``None``."""
-        prog = self._programs.get(key)
-        if prog is not None:
-            self._programs.move_to_end(key)
-        return prog
+        return _lru_get(self._programs, key)
 
     def put(self, key, program):
         """Store ``program`` as the canonical μProgram for ``key``."""
@@ -134,13 +154,27 @@ class ProgramStore:
         return entry
 
     # ------------------------------------------------------------------
+    # chain tier (whole wave sequences)
+    # ------------------------------------------------------------------
+    def chain(self, key):
+        """The ``(chain, model_ops delta, post state)`` memoized under
+        a ``run_waves`` key, or ``None``."""
+        return _lru_get(self._chains, key)
+
+    def put_chain(self, key, memo: tuple) -> None:
+        """Memoize one ``run_waves`` call's outcome under ``key``."""
+        _lru_put(self._chains, key, memo, self.chain_bound)
+
+    # ------------------------------------------------------------------
     def clear(self) -> None:
-        """Drop every program, compiled entry and the replay buffer."""
+        """Drop every program, compiled entry, chain and the replay
+        buffer."""
         from repro.isa.trace import TraceScratch
         self._programs.clear()
         self._compiled.clear()
+        self._chains.clear()
         self.scratch = TraceScratch()
 
     def __len__(self) -> int:
-        """Entries across both tiers."""
-        return len(self._programs) + len(self._compiled)
+        """Entries across the three tiers."""
+        return len(self._programs) + len(self._compiled) + len(self._chains)

@@ -429,8 +429,7 @@ class WordlineSubarray:
           active fault model on one pre-pass draw for the whole chain;
         * without them (:func:`~repro.isa.trace.native_disabled`), a
           loop over the compiled segment traces;
-        * with chains or fusion off (:func:`~repro.isa.trace.
-          megatrace_disabled`, :func:`~repro.isa.trace.fusion_disabled`),
+        * with fusion off (:func:`~repro.isa.trace.fusion_disabled`),
           the reference per-wave loop over the segments' entries.
 
         Both fused regimes count one ``megatrace_replays``.
@@ -442,7 +441,7 @@ class WordlineSubarray:
                 f"{(chain.n_segments, self.n_words)}")
         trace = _trace_module()
         cells, row = self.cells, chain.stream_row
-        if not (trace.fusion_enabled() and trace.megatrace_enabled()):
+        if not trace.fusion_enabled():
             for i, entry in enumerate(chain.entries):
                 cells[row] = stream[i]
                 self._run_entry(entry)

@@ -17,7 +17,6 @@ Large-shape performance questions go through :mod:`repro.perf` instead.
 from __future__ import annotations
 
 import operator
-from collections import OrderedDict
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -38,17 +37,9 @@ from repro.isa.templates import (kary_increment_program, masked_update_ops,
                                  underflow_check_ops)
 from repro.isa import native as _native
 from repro.isa.microprogram import MicroProgram, aap, concat
-from repro.isa.trace import fusion_enabled, megatrace_enabled, native_enabled
+from repro.isa.trace import fusion_enabled, native_enabled
 
 __all__ = ["CountingEngine", "Counters", "counter_fields"]
-
-#: Bound on the engine's ``run_waves`` memo: whole calls keyed by
-#: scheduler state and magnitudes (see :meth:`CountingEngine.
-#: run_waves`).  A serving process sees one distinct entry per
-#: (resident plan, magnitude profile); the store entries the memoized
-#: trace chains reference live in the shared
-#: :class:`~repro.dram.programs.ProgramStore` under its own bounds.
-ENGINE_MEGATRACE_CACHE = 256
 
 
 class Counters(NamedTuple):
@@ -90,16 +81,18 @@ class Counters(NamedTuple):
                             interpreted and fused paths, zero for
                             fault-free configs.
     ``megatrace_compiles``  Trace chains assembled for whole wave
-                            sequences (a :meth:`CountingEngine.run_waves`
-                            memo miss; nothing is lowered).
+                            sequences (a miss in the store's chain memo,
+                            see :meth:`CountingEngine.run_waves`;
+                            nothing is lowered).
     ``megatrace_replays``   Trace chains replayed: one kernel call, or a
                             loop over compiled segment traces without the
                             kernels.  A warm query's whole wave sequence
                             replays as a handful of chains, so these --
                             not ``trace_replays`` -- carry steady-state
                             replay traffic.  Both chain counters stay
-                            zero on the bit backend, inside
-                            :func:`repro.isa.trace.megatrace_disabled`
+                            zero on the bit backend, on ECC-protected
+                            engines, inside
+                            :func:`repro.isa.trace.fusion_disabled`
                             scopes and on paths that never coalesce waves.
     ======================  ==============================================
     """
@@ -227,15 +220,6 @@ class CountingEngine:
                                           fault_model)
         self.prog_compiles = 0   # store misses: μPrograms built
         self.prog_replays = 0    # store hits: stored μPrograms reused
-        # Memoized run_waves calls keyed by the scheduler state (one
-        # bounded LRU; see run_waves).
-        self._mega_cache: "OrderedDict" = OrderedDict()
-        # Namespace of the run_waves memo.  The row-image store stamps
-        # the owning image's generation here when it builds shared
-        # engines, so a copy-on-write row swap starts a fresh memo.
-        # Store keys carry no epoch: compiled traces read no cell
-        # contents, so they are valid for any row image.
-        self.cache_epoch = 0
         self.scheduler = scheduler or IARMScheduler(n_bits, n_digits)
         if self.fr_checks:
             # Any XOR-homomorphic code works; Hamming (72,64) by default,
@@ -618,24 +602,23 @@ class CountingEngine:
 
         The IARM event stream is a pure function of the scheduler state
         and the magnitudes, so a scheduler exposing ``state()`` /
-        ``restore()`` lets a repeated ``(state, magnitudes, flush)``
-        call skip scheduling altogether: the chain, the ``model_ops``
-        delta and the post-call scheduler state are memoized under that
-        key, and a hit replays the chain and restores the state
-        exactly.  The memo is per engine; a miss schedules wave by wave
-        and assembles a fresh chain from the shared
-        :class:`~repro.dram.programs.ProgramStore`'s entries, so states
-        -- and engines of one device -- that schedule alike replay the
-        same warm traces.  Nothing is compiled per sequence, and the
-        replay scratch holds one segment at a time, however long the
-        sequence.
+        ``restore()`` lets a repeated call skip scheduling altogether:
+        the chain, the ``model_ops`` delta and the post-call scheduler
+        state are memoized in the chain tier of the engine's
+        :class:`~repro.dram.programs.ProgramStore` -- the device's, so
+        every engine body of one layout shares it -- under ``(layout,
+        scheduler class, mask row, state, flush, magnitudes)``, and a
+        hit replays the chain and restores the state exactly.  A miss
+        schedules wave by wave and assembles a fresh chain from the
+        store's compiled entries.  Nothing is compiled per sequence,
+        and the replay scratch holds one segment at a time, however
+        long the sequence.
         """
         n_waves = len(magnitudes)
         if len(packed_masks) != n_waves:
             raise ValueError(f"{len(packed_masks)} packed mask rows for "
                              f"{n_waves} waves")
-        if n_waves == 0 or not (self._fusable and fusion_enabled()
-                                and megatrace_enabled()):
+        if n_waves == 0 or not (self._fusable and fusion_enabled()):
             for w in range(n_waves):
                 self.load_mask_packed(mask_index, packed_masks[w])
                 self.accumulate(int(magnitudes[w]), mask_index)
@@ -646,12 +629,11 @@ class CountingEngine:
         sched = self.scheduler
         memo_key = None
         if hasattr(sched, "state") and hasattr(sched, "restore"):
-            memo_key = ("memo", self.cache_epoch, mask_row, sched,
+            memo_key = (self._layout_key, type(sched), mask_row,
                         sched.state(), flush,
                         np.asarray(magnitudes, dtype=np.int64).tobytes())
-            memo = self._mega_cache.get(memo_key)
+            memo = self.programs.chain(memo_key)
             if memo is not None:
-                self._mega_cache.move_to_end(memo_key)
                 chain, ops, post = memo
                 self.subarray.run_megaprogram(chain, packed_masks)
                 self.model_ops += ops
@@ -674,11 +656,9 @@ class CountingEngine:
         self.subarray.run_megaprogram(chain, packed_masks)
         self._flushed = flush
         if memo_key is not None:
-            self._mega_cache[memo_key] = (chain,
-                                          self.model_ops - ops_before,
-                                          sched.state())
-            while len(self._mega_cache) > ENGINE_MEGATRACE_CACHE:
-                self._mega_cache.popitem(last=False)
+            self.programs.put_chain(memo_key, (chain,
+                                               self.model_ops - ops_before,
+                                               sched.state()))
 
     def flush(self) -> None:
         """Resolve all pending carries (read-out barrier)."""

@@ -65,9 +65,9 @@ data-dependent, and that is computed from the sensed words at replay
 time.  Replay under an active fault model is therefore bit-, counter-
 and fault-stream-identical to the interpreted path and to the bit-level
 backend (``tests/test_fault_fusion_parity.py`` pins all three).
-:func:`fusion_disabled`, :func:`megatrace_disabled` and
-:func:`native_disabled` are the explicit escape hatches (benchmark
-baselines, differential tests).
+:func:`fusion_disabled` (the interpreter, the one reference) and
+:func:`native_disabled` (the NumPy replays) are the explicit escape
+hatches (benchmark baselines, differential tests).
 
 >>> from repro.isa.microprogram import MicroProgram, aap, ap
 >>> from repro.dram.wordline import WordlineSubarray
@@ -94,8 +94,7 @@ from repro.isa import native as _native
 __all__ = ["CompiledTrace", "CompiledFaultTrace", "FaultSpec",
            "TraceScratch", "compile_trace", "fusion_enabled",
            "fusion_disabled", "TraceChain", "compile_megatrace",
-           "megatrace_enabled", "megatrace_disabled", "native_enabled",
-           "native_disabled"]
+           "native_enabled", "native_disabled"]
 
 #: A value reference: (SSA value id, complemented).
 _Ref = Tuple[int, bool]
@@ -108,12 +107,6 @@ _PREDRAW_BLOCK_CELLS = 1 << 24
 
 #: Process-wide fusion switch (see :func:`fusion_disabled`).
 _fusion_on = True
-
-#: Process-wide chain switch (see :func:`megatrace_disabled`).
-#: Independent of the fusion switch so the differential harness can pin
-#: three word-backend regimes: chain replay, per-μProgram fused replay
-#: (chains off), and per-op interpretation (fusion off).
-_megatrace_on = True
 
 #: Process-wide native-kernel switch (see :func:`native_disabled`).
 _native_on = True
@@ -162,36 +155,6 @@ def fusion_disabled():
         yield
     finally:
         _fusion_on = previous
-
-
-def megatrace_enabled() -> bool:
-    """Whether wave sequences may replay as trace chains."""
-    return _megatrace_on
-
-
-@contextmanager
-def megatrace_disabled():
-    """Temporarily force per-wave execution of wave sequences.
-
-    The chain-level escape hatch: with chains off (but fusion on) a
-    coalesced wave sequence schedules and runs wave by wave, one fused
-    μProgram replay per wave, which is what the differential parity
-    harness and the megatrace benchmark compare against.  Composes with
-    :func:`fusion_disabled`, which disables both levels.
-
-    >>> with megatrace_disabled():
-    ...     megatrace_enabled()
-    False
-    >>> megatrace_enabled()
-    True
-    """
-    global _megatrace_on
-    previous = _megatrace_on
-    _megatrace_on = False
-    try:
-        yield
-    finally:
-        _megatrace_on = previous
 
 
 def native_enabled() -> bool:

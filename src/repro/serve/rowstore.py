@@ -25,13 +25,12 @@ embedding blocks -- planting each copy privately wastes both.
   mask rows and the bank budget are shared.
 * Mutating a tenant's Z is copy-on-write: the plan re-derives only the
   diverging rows, acquires the new content address (which may re-merge
-  with another tenant's image) and releases the old one.  Every entry
-  carries a monotonic ``generation``; engines built for an entry adopt
-  it as their ``cache_epoch``, so a swapped image starts a fresh
-  ``run_waves`` memo (and with it the memo's trace chains).  Compiled
-  μPrograms need no such stamp: the device's
-  :class:`~repro.dram.programs.ProgramStore` keys them by content, and a trace reads no cell contents at compile time,
-  so it replays correctly against any row image.
+  with another tenant's image) and releases the old one.  Nothing
+  cached needs invalidating: the device's
+  :class:`~repro.dram.programs.ProgramStore` keys μPrograms, compiled
+  traces and whole wave-sequence chains by content, and none of them
+  reads cell contents, so each replays correctly against any row
+  image.
 
 Counter-state multiplexing is exact because the plan layer already
 resets counters at the start of every query and flushes pending
@@ -81,8 +80,6 @@ class StoreStats:
     image), ``rows_total`` the logical rows all handles reference;
     ``rows_shared`` are logical rows backed by a multi-referenced
     image, ``rows_private`` physical rows referenced exactly once.
-    ``generation`` is the monotonic entry counter the compiled-trace
-    cache epochs derive from.
     """
 
     images: int = 0
@@ -92,7 +89,6 @@ class StoreStats:
     rows_private: int = 0
     dedup_hits: int = 0
     cow_clones: int = 0
-    generation: int = 0
 
 
 class SharedResource:
@@ -242,8 +238,6 @@ class SharedResource:
         self._stash.clear()
         self.active = None
         self._base = self._counters_now()
-        for eng in self._all_engines():
-            eng.cache_epoch = self.entry.generation
 
     def image_of(self, plan):
         """``plan``'s current counter image, without changing state."""
@@ -266,11 +260,10 @@ class _Entry:
     """One content-addressed row image plus its live resources."""
 
     __slots__ = ("digest", "kind", "masks", "flat_masks",
-                 "planted_nonzero", "width", "generation", "handles",
-                 "resources")
+                 "planted_nonzero", "width", "handles", "resources")
 
     def __init__(self, digest: str, kind: str, masks: np.ndarray,
-                 width: int, generation: int):
+                 width: int):
         self.digest = digest
         self.kind = kind
         masks = np.ascontiguousarray(masks, dtype=np.uint8).copy()
@@ -280,7 +273,6 @@ class _Entry:
         flat = masks.reshape(-1, self.width)
         self.flat_masks = flat
         self.planted_nonzero = flat.any(axis=1)
-        self.generation = generation
         self.handles: set = set()
         self.resources: List[SharedResource] = []
 
@@ -329,10 +321,6 @@ class RowImageHandle:
         return self._entry.rows
 
     @property
-    def generation(self) -> int:
-        return self._entry.generation
-
-    @property
     def refcount(self) -> int:
         return len(self._entry.handles)
 
@@ -355,17 +343,10 @@ class RowImageHandle:
     def new_resource(self, token: tuple, n_digits: int, lease,
                      cluster=None,
                      engines: Optional[list] = None) -> SharedResource:
-        """Register a freshly built engine body under this image.
-
-        Its engines adopt the image's generation as their
-        ``cache_epoch`` -- the namespace of their ``run_waves`` memo,
-        so a copy-on-write row swap starts a fresh memo.
-        """
+        """Register a freshly built engine body under this image."""
         res = SharedResource(token, n_digits, self._entry, lease,
                              cluster=cluster, engines=engines)
         self._entry.resources.append(res)
-        for eng in res._all_engines():
-            eng.cache_epoch = self._entry.generation
         return res
 
     def entry_has_live_resources(self) -> bool:
@@ -391,7 +372,6 @@ class RowImageStore:
     def __init__(self):
         self._entries: Dict[str, _Entry] = {}
         self._lock = threading.RLock()
-        self._generation = 0
         self._dedup_hits = 0
         self._cow_clones = 0
 
@@ -406,9 +386,7 @@ class RowImageStore:
             entry = self._entries.get(digest)
             hit = entry is not None
             if entry is None:
-                self._generation += 1
-                entry = _Entry(digest, kind, masks, width,
-                               self._generation)
+                entry = _Entry(digest, kind, masks, width)
                 self._entries[digest] = entry
             else:
                 self._dedup_hits += 1
@@ -433,10 +411,6 @@ class RowImageStore:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def generation(self) -> int:
-        return self._generation
-
     def stats(self) -> StoreStats:
         with self._lock:
             rows_resident = rows_total = rows_shared = rows_private = 0
@@ -454,5 +428,4 @@ class RowImageStore:
                               rows_shared=rows_shared,
                               rows_private=rows_private,
                               dedup_hits=self._dedup_hits,
-                              cow_clones=self._cow_clones,
-                              generation=self._generation)
+                              cow_clones=self._cow_clones)

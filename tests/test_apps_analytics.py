@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.apps.analytics import (GroupByPlan, HistogramPlan,
                                   histogram_fault_trial, radix_sort)
 from repro.device import Device
-from repro.isa.trace import fusion_disabled, megatrace_disabled
+from repro.isa.trace import fusion_disabled
 from repro.reliability import Campaign, FaultPoint
 from repro.serve import Server, UnsupportedPlanKindError
 
@@ -192,7 +192,7 @@ class TestRadixSort:
 
 
 class TestDifferential:
-    """Fused, per-uProgram and interpreted regimes agree bit-exactly."""
+    """Chained and interpreted regimes agree bit-exactly."""
 
     def _run(self, ctx, keys, recs):
         with ctx():
@@ -212,14 +212,13 @@ class TestDifferential:
                          for _ in range(3)])
         import contextlib
         base = self._run(contextlib.nullcontext, keys, recs)
-        for ctx in (megatrace_disabled, fusion_disabled):
-            other = self._run(ctx, keys, recs)
-            for a, b in zip(base[0], other[0]):
-                assert (a == b).all()
-            for a, b in zip(base[1], other[1]):
-                assert (a == b).all()
-            # identical executed command streams, fused or not
-            assert base[2:] == other[2:]
+        other = self._run(fusion_disabled, keys, recs)
+        for a, b in zip(base[0], other[0]):
+            assert (a == b).all()
+        for a, b in zip(base[1], other[1]):
+            assert (a == b).all()
+        # identical executed command streams, fused or not
+        assert base[2:] == other[2:]
 
 
 class TestParkUnpark:

@@ -29,8 +29,7 @@ from repro.dram.wordline import (WordlineSubarray, pack_bits, pack_blocks,
                                  pack_rows, unpack_bits)
 from repro.engine import BankCluster, CountingEngine
 from repro.isa.microprogram import MicroProgram, aap, ap
-from repro.isa.trace import (compile_trace, fusion_disabled,
-                             fusion_enabled, megatrace_disabled)
+from repro.isa.trace import compile_trace, fusion_disabled, fusion_enabled
 
 
 def _subarray_counters(subarray):
@@ -415,18 +414,21 @@ def test_plan_stats_surface_trace_counters(rng):
     assert [getattr(second, f) for f in split] == [0, 1, 2]
     assert third.trace_compiles == second.trace_compiles
     assert [getattr(third, f) for f in split] == [0, 1, 3]
-    # With megatraces off the same queries ride per-μProgram traces
-    # (one fused program per wave plus the separate flush).
-    with megatrace_disabled(), Device(n_bits=2) as dev:
+    # Interpreted, the same queries issue the same commands from the
+    # same stored μPrograms and lower nothing.
+    with fusion_disabled(), Device(n_bits=2) as dev:
         plan = dev.plan_gemv(z, kind="ternary")
         plan(x)
         plan(x)
-        second = plan.stats
+        interp = plan.stats
         plan(x)
-        third = plan.stats
-    assert second.trace_compiles > 0
-    assert third.trace_compiles == second.trace_compiles
-    assert third.trace_replays > second.trace_replays
+        interp_third = plan.stats
+    assert interp.measured_ops == second.measured_ops
+    assert interp_third.measured_ops == third.measured_ops
+    assert interp_third.program_compiles == interp.program_compiles > 0
+    assert interp_third.program_replays > interp.program_replays
+    assert all(getattr(interp_third, f) == 0 for f in
+               ("trace_compiles",) + split)
     # Retired engines keep their counters: park and resume.
     with Device(n_bits=2) as dev:
         plan = dev.plan_gemv(z, kind="ternary")
@@ -457,12 +459,15 @@ def test_serve_report_carries_trace_stats(rng):
     assert [getattr(r1, f) for f in split[1:]] == [0, 1, 1]
     assert [getattr(r2, f) for f in split] == [0, 0, 0, 1]
     assert [getattr(r3, f) for f in split] == [0, 0, 0, 1]
-    # Per-μProgram traces surface the same way with megatraces off.
-    with megatrace_disabled(), Server(n_bits=2) as srv:
+    # Interpreted, each wave reports the same commands, its μProgram
+    # builds and reuses, and no trace work.
+    chained = (r1, r2, r3)
+    with fusion_disabled(), Server(n_bits=2) as srv:
         srv.register("m", z, kind="ternary")
-        r1 = srv.query("m", x).report
-        r2 = srv.query("m", x).report
-        r3 = srv.query("m", x).report
-    assert r1.trace_compiles > 0 and r1.trace_replays == 0
-    assert r2.trace_replays > 0 and r2.trace_compiles == 0
-    assert r3.trace_replays > 0 and r3.trace_compiles == 0
+        reports = [srv.query("m", x).report for _ in range(3)]
+    assert [r.measured_ops for r in reports] == \
+        [r.measured_ops for r in chained]
+    assert reports[0].program_compiles > 0
+    assert all(r.program_compiles == 0 and r.program_replays > 0
+               for r in reports[1:])
+    assert all(getattr(r, f) == 0 for r in reports for f in split)

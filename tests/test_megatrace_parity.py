@@ -1,15 +1,17 @@
-"""Trace chains: a wave sequence's chain == per-μProgram == interpreted == bit.
+"""Trace chains: a wave sequence's chain == per-wave loop == interpreted == bit.
 
 The contract of :meth:`repro.dram.wordline.WordlineSubarray.
 run_megaprogram`: replaying an entire wave sequence -- every host mask
 write and every μProgram of a query, as a chain of the segments'
-compiled traces (one native kernel call when fault-free, a loop over
-the segment traces under faults or with the kernel off) -- must be
-indistinguishable from the three reference regimes:
+compiled traces (one native kernel call, or a loop over the segment
+traces with the kernel off) -- must be indistinguishable from the
+per-wave execution of the same sequence:
 
-* **per-μProgram** (``megatrace_disabled()``): per-μProgram compiled
-  traces with interleaved host mask writes,
-* **interpreted** (``fusion_disabled()``): per-op word execution,
+* **per-wave** (an explicit ``load_mask_packed`` + ``accumulate``
+  loop): one fused μProgram trace per wave with interleaved host mask
+  writes,
+* **interpreted** (``fusion_disabled()``): per-op word execution, the
+  reference,
 * **bit**: the per-bit reference backend,
 
 for cell states and decoded values, every command counter (AAP / AP /
@@ -18,11 +20,11 @@ activations / multi-row / measured ops), the injected-fault stream
 shapes, seeds, ``margin_aware`` on/off, the ``p_read`` regimes that
 select ``corrupt``'s draw sequence, and the kernel on and off.  Also
 pinned here: compile on first sight (a chain's cold segments compile
-before its first replay), the engine memo bound, fault-regime changes between
-queries (no segment trace compiled for the old regime replays), a
-later segment outgrowing the replay scratch, the stream block's shape
-check, and that ``fusion_disabled`` / ``megatrace_disabled`` bypass
-chains without stale-trace leakage.
+before its first replay), the store's chain-tier bound, fault-regime
+changes between queries (no segment trace compiled for the old regime
+replays), a later segment outgrowing the replay scratch, the stream
+block's shape check, and that ``fusion_disabled`` bypasses chains
+without stale-trace leakage.
 """
 
 import contextlib
@@ -33,15 +35,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.isa.trace as trace_mod
+from repro.dram import programs
 from repro.dram.faults import FaultModel
 from repro.dram.programs import ProgramStore
 from repro.dram.wordline import WordlineSubarray, pack_rows
-from repro.engine import CountingEngine, machine
+from repro.engine import CountingEngine
 from repro.isa.microprogram import concat
 from repro.isa.templates import kary_increment_program
 from repro.isa.trace import (FaultSpec, TraceScratch, fusion_disabled,
-                             megatrace_disabled, megatrace_enabled,
-                             native_disabled)
+                             fusion_enabled, native_disabled)
 
 # (n_bits, n_digits, p_cim, read_mode, margin_aware, seed); read_mode
 # picks p_read in {0, p_cim/10, p_cim} -- the three corrupt regimes.
@@ -56,7 +58,7 @@ GRID = [
     (2, 4, 0.0, "any", True, 7),         # p_cim=0, p_read>0: reads only
 ]
 
-MODES = ("mega", "mega_numpy", "plain", "interp", "bit")
+MODES = ("mega", "mega_numpy", "per_wave", "interp", "bit")
 
 
 def _p_read(p_cim: float, mode: str) -> float:
@@ -72,11 +74,16 @@ def _p_read(p_cim: float, mode: str) -> float:
 def _ctx(mode):
     if mode == "mega_numpy":
         return native_disabled()
-    if mode == "plain":
-        return megatrace_disabled()
     if mode == "interp":
         return fusion_disabled()
     return contextlib.nullcontext()
+
+
+def _per_wave(eng, mags, packed):
+    """The per-wave loop ``run_waves`` stands for."""
+    for mag, mask in zip(mags, packed):
+        eng.load_mask_packed(0, mask)
+        eng.accumulate(int(mag))
 
 
 def _stream(n_bits, n_digits, n_lanes, seed, n_waves):
@@ -106,10 +113,11 @@ def _run_waves(mode, n_bits, n_digits, p_cim, p_read, margin_aware,
                          backend=backend)
     mags, packed, _ = _stream(n_bits, n_digits, n_lanes, seed, n_waves)
     injected_stream, per_round_values = [], []
+    run = _per_wave if mode == "per_wave" else CountingEngine.run_waves
     with _ctx(mode):
         for _ in range(rounds):
             eng.reset_counters()           # epoch: resets fm.injected
-            eng.run_waves(mags, packed)
+            run(eng, mags, packed)
             per_round_values.append(
                 eng.read_values(strict=False).copy())
             injected_stream.append(fm.injected)
@@ -159,7 +167,7 @@ def test_megatrace_grid_four_way_identical(n_bits, n_digits, p_cim,
     for mode in ("mega", "mega_numpy"):
         assert runs[mode]["megatrace_compiles"] > 0
         assert runs[mode]["megatrace_replays"] > 0
-    for mode in ("mega_numpy", "plain", "interp", "bit"):
+    for mode in ("mega_numpy", "per_wave", "interp", "bit"):
         if mode != "mega_numpy":
             assert runs[mode]["megatrace_compiles"] == 0
             assert runs[mode]["megatrace_replays"] == 0
@@ -184,7 +192,7 @@ def test_megatrace_drawn_shapes_four_way_identical(n_bits, n_digits,
                              margin, seed, n_lanes=n_lanes,
                              n_waves=n_waves) for mode in MODES}
     assert runs["mega"]["megatrace_replays"] > 0
-    for mode in ("mega_numpy", "plain", "interp", "bit"):
+    for mode in ("mega_numpy", "per_wave", "interp", "bit"):
         _assert_parity(runs["mega"], runs[mode])
 
 
@@ -229,12 +237,10 @@ def test_megatrace_warmup_run_counts():
 
 
 def test_megatrace_lru_bound_respected(monkeypatch):
-    """Chains live in the engine's bounded ``run_waves`` memo, not in a
-    store tier: the memo never exceeds its bound, the store holds only
-    μPrograms and their compiled entries, and a sequence evicted from
-    the memo re-assembles its chain and replays it at once (its
-    segments are still warm)."""
-    monkeypatch.setattr(machine, "ENGINE_MEGATRACE_CACHE", 2)
+    """Chains live in the store's bounded chain tier: it never exceeds
+    its bound, and a sequence evicted from it re-assembles its chain and
+    replays it at once (its segments are still warm)."""
+    monkeypatch.setattr(programs, "CHAIN_BOUND", 2)
     store = ProgramStore()
     eng = CountingEngine(2, 4, 16, backend="word", programs=store)
     rng = np.random.default_rng(0)
@@ -243,8 +249,9 @@ def test_megatrace_lru_bound_respected(monkeypatch):
         mags = np.arange(1, 4) + offset
         for _ in range(3):                 # compile, replay, replay
             _one_pass(eng, mags, masks)
-        assert len(eng._mega_cache) <= 2
-    assert len(store) == len(store._programs) + len(store._compiled)
+        assert len(store._chains) <= 2
+    assert len(store) == (len(store._programs) + len(store._compiled)
+                          + len(store._chains))
     assert eng.subarray.megatrace_compiles == 5
     sa = eng.subarray
     before = (sa.megatrace_compiles, sa.megatrace_replays,
@@ -297,12 +304,11 @@ def test_shape_change_compiles_fresh_megatrace():
 
 
 def test_disabled_scopes_bypass_megatraces_without_stale_leakage():
-    """``megatrace_disabled`` / ``fusion_disabled`` run the per-wave
-    path untouched (no chain assemblies or replays accrue), values
-    stay exact, and re-enabling resumes replay of the memoized chain
-    -- while a regime change *inside* a disabled scope still
-    recompiles the segments on the next enabled run instead of
-    replaying a stale trace."""
+    """``fusion_disabled`` runs the per-wave path untouched (no chain
+    assemblies or replays accrue), values stay exact, and re-enabling
+    resumes replay of the memoized chain -- while a regime change
+    *inside* a disabled scope still recompiles the segments on the next
+    enabled run instead of replaying a stale trace."""
     fm = FaultModel(p_cim=0.0, seed=2)
     eng = CountingEngine(2, 3, 18, fault_model=fm, backend="word")
     mags, packed, _ = _stream(2, 3, 18, seed=2, n_waves=4)
@@ -311,20 +317,17 @@ def test_disabled_scopes_bypass_megatraces_without_stale_leakage():
     compiles = eng.subarray.megatrace_compiles
     replays = eng.subarray.megatrace_replays
     expected = eng.read_values(strict=False)
-    assert megatrace_enabled()
-    for scope in (megatrace_disabled, fusion_disabled):
-        with scope():
-            assert not (scope is megatrace_disabled) or \
-                not megatrace_enabled()
-            _one_pass(eng, mags, packed)
-            assert eng.subarray.megatrace_compiles == compiles
-            assert eng.subarray.megatrace_replays == replays
-            assert (eng.read_values(strict=False) == expected).all()
+    with fusion_disabled():
+        assert not fusion_enabled()
+        _one_pass(eng, mags, packed)
+        assert eng.subarray.megatrace_compiles == compiles
+        assert eng.subarray.megatrace_replays == replays
+        assert (eng.read_values(strict=False) == expected).all()
     _one_pass(eng, mags, packed)           # re-enabled: replay resumes
     assert eng.subarray.megatrace_replays == replays + 1
     assert (eng.read_values(strict=False) == expected).all()
     # Stale-cache leakage: mutate the regime while bypassed ...
-    with megatrace_disabled():
+    with fusion_disabled():
         fm.p_cim = 5e-2
         _one_pass(eng, mags, packed)
     replays = eng.subarray.megatrace_replays

@@ -207,7 +207,7 @@ def _chain_run(scope, regime, n_cols, seed=5, n_waves=6, rounds=3):
     run["values"] = np.stack(values)
     run["counters"] = eng.counters
     run["segment_draws"] = [entry[2].n_draws
-                            for chain, _, _ in eng._mega_cache.values()
+                            for chain, _, _ in eng.programs._chains.values()
                             for entry in chain.entries]
     return run
 

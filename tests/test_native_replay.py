@@ -32,8 +32,8 @@ from repro.isa import native
 from repro.isa.microprogram import concat
 from repro.isa.templates import kary_increment_program
 from repro.isa.trace import (TraceChain, TraceScratch, compile_trace,
-                             fusion_disabled, megatrace_disabled,
-                             native_disabled, native_enabled)
+                             fusion_disabled, native_disabled,
+                             native_enabled)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -67,9 +67,10 @@ def _run_waves(mode, kind, n_bits, n_digits, n_lanes, seed, n_waves=6,
                rounds=3):
     """One fixed signed wave sequence, ``rounds`` times, in one regime.
 
-    ``kind`` is ``"program"`` (per-μProgram traces, chains off) or
-    ``"mega"`` (wave sequences as trace chains).  Round one compiles,
-    rounds two and three are pure replays.
+    ``kind`` is ``"program"`` (per-μProgram traces: an explicit
+    per-wave ``accumulate`` loop) or ``"mega"`` (wave sequences as
+    trace chains, ``run_waves``).  Round one compiles, rounds two and
+    three are pure replays.
     """
     rng = np.random.default_rng(seed)
     budget = (2 * n_bits) ** n_digits - 1
@@ -80,12 +81,15 @@ def _run_waves(mode, kind, n_bits, n_digits, n_lanes, seed, n_waves=6,
                        .astype(np.uint8))
     eng = CountingEngine(n_bits, n_digits, n_lanes, backend="word")
     values = []
-    scope = megatrace_disabled() if kind == "program" else \
-        contextlib.nullcontext()
-    with scope, _regime(mode):
+    with _regime(mode):
         for _ in range(rounds):
             eng.reset_counters()
-            eng.run_waves(mags, packed)
+            if kind == "mega":
+                eng.run_waves(mags, packed)
+            else:
+                for mag, mask in zip(mags, packed):
+                    eng.load_mask_packed(0, mask)
+                    eng.accumulate(int(mag))
             values.append(eng.read_values(strict=False).copy())
     sa = eng.subarray
     return {

@@ -9,8 +9,8 @@ entries across tenants, no sharing across devices, registration during
 a burst) and the property that sharing is invisible: one shared store
 and per-engine private stores produce identical values, command
 counts, per-epoch fault counts and terminal RNG state -- across a
-copy-on-write row mutation, which is what lets the store keys leave
-out the row-image ``cache_epoch``.
+copy-on-write row mutation, which is what lets no store key depend on
+the row image.
 """
 
 import contextlib
@@ -20,12 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.iarm import IARMScheduler
 from repro.device import Device, EngineConfig
 from repro.dram.faults import FaultModel
 from repro.dram import programs
 from repro.dram.programs import ProgramStore
 from repro.engine import CountingEngine
-from repro.serve import Server
+from repro.isa.trace import fusion_disabled
+from repro.serve import ModelRegistry, Server
 
 K, N, X_MAX = 12, 20, 5
 
@@ -79,9 +81,9 @@ def test_unparked_plan_compiles_no_uprogram_traces():
         assert rebuilt is not engine and rebuilt.programs is dev.programs
         assert after.trace_compiles == before.trace_compiles
         assert after.program_compiles == before.program_compiles
-        # The rebuilt engine's memo is empty: it assembles a fresh chain
-        # (nothing lowered) and replays it at once on the warm entries.
-        assert after.megatrace_compiles == before.megatrace_compiles + 1
+        # The rebuilt engine finds the sequence in the device's chain
+        # memo: it assembles nothing and replays the warm chain.
+        assert after.megatrace_compiles == before.megatrace_compiles
         assert after.megatrace_replays == before.megatrace_replays + 1
 
 
@@ -105,7 +107,7 @@ def test_unparked_plan_recompiles_with_private_stores():
 
 def test_same_layout_tenants_share_compiled_entries():
     """A second tenant of the same counter layout (a different Z, so no
-    row-image dedup) finds every program and trace warm."""
+    row-image dedup) finds every program, trace and chain warm."""
     xs = _xs(3, 3)
     with Device(n_bits=2) as dev:
         first = dev.plan_gemv(_z(4), kind="ternary", x_budget=K * X_MAX)
@@ -118,10 +120,11 @@ def test_same_layout_tenants_share_compiled_entries():
             assert np.array_equal(second(x),
                                   x @ _z(5).astype(np.int64))
         stats = second.stats
-        assert stats.program_compiles == 0
+        assert stats.program_compiles == stats.program_replays == 0
         assert stats.trace_compiles == 0
-        # Each new sequence assembles a chain and replays it at once.
-        assert 0 < stats.megatrace_compiles <= len(xs)
+        # The first tenant's chains replay as they are: the same
+        # magnitude profiles schedule alike whatever the Z.
+        assert stats.megatrace_compiles == 0
         assert stats.megatrace_replays == len(xs)
         assert len(dev.programs) == size
         (a,), (b,) = _engines(first), _engines(second)
@@ -175,9 +178,11 @@ def test_register_during_inflight_burst_answers_exactly():
 
 
 def test_store_bound_holds_across_engines(monkeypatch):
-    """One bound covers every engine of the store (no per-engine
-    growth): many distinct wave sequences over several engines."""
+    """One bound per tier covers every engine of the store (no
+    per-engine growth): many distinct wave sequences over several
+    engines."""
     monkeypatch.setattr(programs, "STORE_BOUND", 16)
+    monkeypatch.setattr(programs, "CHAIN_BOUND", 8)
     store = ProgramStore()
     rng = np.random.default_rng(11)
     engines = [CountingEngine(2, 6, 64 * (i + 1), backend="word",
@@ -191,9 +196,98 @@ def test_store_bound_holds_across_engines(monkeypatch):
                 eng.run_waves(mags, masks, flush=True)
             assert (eng.read_values() == mags.sum()).all()
     assert len(store._programs) <= 16 and len(store._compiled) <= 16
-    assert len(store) == len(store._programs) + len(store._compiled)
-    # Every distinct sequence assembled a chain; none lives in the store.
+    assert len(store._chains) == 8
+    assert len(store) == (len(store._programs) + len(store._compiled)
+                          + len(store._chains))
+    # Every distinct sequence assembled one chain, replayed from the
+    # chain tier on its second run.
     assert sum(e.subarray.megatrace_compiles for e in engines) == 36
+    assert sum(e.subarray.megatrace_replays for e in engines) == 72
+
+
+# ----------------------------------------------------------------------
+# chain tier: one run_waves memo per device
+# ----------------------------------------------------------------------
+def _spy_scheduling(mp, calls):
+    for name in ("schedule_value", "flush"):
+        original = getattr(IARMScheduler, name)
+        mp.setattr(IARMScheduler, name,
+                   lambda *a, _f=original, _n=name: (
+                       calls.append(_n), _f(*a))[1])
+
+
+def test_rebuilt_bodies_replay_the_device_chain_without_scheduling(
+        monkeypatch):
+    """Serve a query, then rebuild the engine body -- a registry evict
+    and unpark, and a second tenant of the same layout: the same
+    magnitude profile assembles no chain, schedules nothing and
+    answers exactly."""
+    zs = {"a": _z(1), "b": _z(3)}
+    x = _xs(2, 1)[0]
+    with Device(n_bits=2) as dev:
+        registry = ModelRegistry(dev)
+        for name, z in zs.items():
+            registry.register(name, z, kind="ternary", x_budget=K * X_MAX)
+        registry.run("a", lambda plan: plan(x))
+        first = _engines(registry.get("a"))[0]
+        assert registry.evict("a")
+        calls = []
+        with monkeypatch.context() as mp:
+            _spy_scheduling(mp, calls)
+            for name in ("a", "b"):
+                plan = registry.get(name)
+                before = plan.stats
+                y = registry.run(name, lambda plan: plan(x))
+                after = plan.stats
+                assert np.array_equal(y, x @ zs[name].astype(np.int64))
+                assert after.megatrace_compiles == before.megatrace_compiles
+                assert after.megatrace_replays == \
+                    before.megatrace_replays + 1
+        assert calls == []
+        assert _engines(registry.get("a"))[0] is not first
+        registry.close()
+
+
+def _tenancy_run(scope):
+    """Two same-layout tenants on one seeded faulty device, an evict and
+    unpark cycle of each, and repeated magnitude profiles."""
+    fm = FaultModel(p_cim=1e-3, seed=41)
+    zs = {"a": _z(11), "b": _z(12)}
+    xs = [np.arange(-5, 7), np.full(K, 3)]     # two distinct profiles
+    steps = [("a", 0), ("b", 0), ("evict", "a"), ("a", 0), ("a", 1),
+             ("b", 1), ("evict", "b"), ("b", 0), ("a", 1), ("b", 1)]
+    log = []
+    with scope(), Device(EngineConfig(n_bits=2, fault_model=fm)) as dev:
+        registry = ModelRegistry(dev)
+        for name, z in zs.items():
+            registry.register(name, z, kind="ternary", x_budget=K * X_MAX)
+        for name, arg in steps:
+            if name == "evict":
+                assert registry.evict(arg)
+                continue
+            plan = registry.get(name)
+            before = plan.stats.injected_faults
+            y = registry.run(name, lambda plan: plan(xs[arg]))
+            log.append((name, y.tolist(),
+                        plan.stats.injected_faults - before))
+        stats = [registry.get(name).stats for name in zs]
+        registry.close()
+    return {"log": log, "rng": fm._rng.bit_generator.state,
+            "injected": sum(s.injected_faults for s in stats),
+            "chains": sum(s.megatrace_compiles for s in stats)}
+
+
+def test_shared_chain_memo_keeps_seeded_fault_streams():
+    """Chains replayed across rebuilt bodies and co-tenants draw the
+    interpreter's fault stream: answers, per-query and total injected
+    faults and the terminal RNG state are equal, and the whole device
+    assembled one chain per distinct magnitude profile."""
+    chained = _tenancy_run(contextlib.nullcontext)
+    interp = _tenancy_run(fusion_disabled)
+    assert chained["log"] == interp["log"]
+    assert chained["injected"] == interp["injected"] > 0
+    assert chained["rng"] == interp["rng"]
+    assert chained["chains"] == 2 and interp["chains"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -3,15 +3,16 @@
 A warm ``plan(x)`` is one trace-chain replay plus a decode:
 
 * :meth:`~repro.engine.machine.CountingEngine.run_waves` memoizes whole
-  wave sequences by ``(scheduler state, magnitudes, flush)``.  A hit
-  must be indistinguishable from scheduling afresh from the same state:
-  same events (hence the same chain segments), same ``model_ops``,
-  same post-call scheduler state, same cells.
+  wave sequences in the program store's chain tier, by ``(scheduler
+  state, magnitudes, flush)`` among others.  A hit must be
+  indistinguishable from scheduling afresh from the same state: same
+  events (hence the same chain segments), same ``model_ops``, same
+  post-call scheduler state, same cells.
 * ``flush=True`` folds the carry flush into the chain's tail.  That
   must equal "run the waves, then ``flush()``" -- cells, every command
   counter, ``model_ops``, the injected-fault stream and the terminal
   RNG state -- and ``plan(x)`` built on it must stay bit-exact across
-  chain / plain fused / interpreted execution and the bit backend.
+  chain and interpreted execution and the bit backend.
 """
 
 import contextlib
@@ -27,21 +28,29 @@ from repro.core.opcount import event_ops
 from repro.device import Device, EngineConfig
 from repro.dram.faults import FaultModel
 from repro.dram.wordline import pack_rows
+from repro.dram import programs
 from repro.engine import BankCluster, CountingEngine
-from repro.isa.trace import fusion_disabled, megatrace_disabled
+from repro.isa.trace import fusion_disabled
 from repro.kernels.lowering import ternary_row_masks
 
 SCHEDULERS = {"iarm": IARMScheduler, "unit": UnitScheduler,
               "naive": NaiveKaryScheduler}
-MODES = ("mega", "plain", "interp")
+MODES = ("mega", "interp")
 
 
 def _ctx(mode):
-    if mode == "plain":
-        return megatrace_disabled()
     if mode == "interp":
         return fusion_disabled()
     return contextlib.nullcontext()
+
+
+def _per_wave(eng, mags, masks, flush=False):
+    """The per-wave loop ``run_waves`` stands for: no chain, no memo."""
+    for mag, mask in zip(mags, masks):
+        eng.load_mask_packed(0, mask)
+        eng.accumulate(int(mag))
+    if flush:
+        eng.flush()
 
 
 def _spy_schedule(sched):
@@ -88,10 +97,10 @@ def test_memo_hit_equals_fresh_schedule(kind, prefix, mags, signs, flush,
         return CountingEngine(n_bits, n_digits, n_lanes, backend="word",
                               scheduler=SCHEDULERS[kind](n_bits, n_digits))
 
-    def round_(eng, record=None):
+    def round_(eng, record=None, run=CountingEngine.run_waves):
         """Reset, reach the (possibly mid-stream) start state, run."""
         eng.reset_counters()
-        eng.run_waves(prefix, pre_masks)
+        run(eng, prefix, pre_masks)
         start, ops = eng.scheduler.state(), eng.model_ops
         original = eng.subarray.run_megaprogram
         if record is not None:
@@ -100,7 +109,7 @@ def test_memo_hit_equals_fresh_schedule(kind, prefix, mags, signs, flush,
                 return original(mega, stream)
             eng.subarray.run_megaprogram = spy
         try:
-            eng.run_waves(mags, masks, flush=flush)
+            run(eng, mags, masks, flush=flush)
         finally:
             eng.subarray.run_megaprogram = original
         return (start, eng.model_ops - ops, eng.scheduler.state(),
@@ -111,8 +120,7 @@ def test_memo_hit_equals_fresh_schedule(kind, prefix, mags, signs, flush,
     calls = _spy_schedule(eng.scheduler)
     hits = [round_(eng, record) for record in ([], [], [])]
     assert calls == []                    # every later round was a hit
-    with megatrace_disabled():            # fresh per-wave scheduling
-        fresh = round_(ref)
+    fresh = round_(ref, run=_per_wave)    # fresh per-wave scheduling
     for got in [first] + hits:
         assert got[:3] == fresh[:3]       # start state, model_ops, post
         assert (got[3] == fresh[3]).all()
@@ -146,12 +154,10 @@ def test_memo_restores_the_post_call_state_exactly():
     eng.reset_counters()
     ref.reset_counters()
     eng.run_waves([7, 7, 3], masks)       # hit
-    with megatrace_disabled():
-        ref.run_waves([7, 7, 3], masks)
+    _per_wave(ref, [7, 7, 3], masks)
     assert eng.scheduler.state() == ref.scheduler.state()
     eng.run_waves([5, -2], masks[:2], flush=True)   # sign switch: miss
-    with megatrace_disabled():
-        ref.run_waves([5, -2], masks[:2], flush=True)
+    _per_wave(ref, [5, -2], masks[:2], flush=True)
     assert eng.scheduler.state() == ref.scheduler.state()
     assert eng.model_ops == ref.model_ops
     assert (eng.read_values() == ref.read_values()).all()
@@ -166,8 +172,7 @@ def test_same_magnitudes_from_another_state_miss_the_memo():
     masks = pack_rows(np.ones((3, 16), dtype=np.uint8))
     for _ in range(3):                     # each round from higher bounds
         eng.run_waves([9, 9, 9], masks)
-        with megatrace_disabled():
-            ref.run_waves([9, 9, 9], masks)
+        _per_wave(ref, [9, 9, 9], masks)
         assert eng.scheduler.state() == ref.scheduler.state()
         assert eng.model_ops == ref.model_ops
     assert (eng.read_values() == ref.read_values()).all()
@@ -186,7 +191,7 @@ def test_scheduler_without_state_bypasses_the_memo():
     eng = CountingEngine(2, 4, 8, backend="word", scheduler=sched)
     masks = pack_rows(np.ones((2, 8), dtype=np.uint8))
     eng.run_waves([3, 5], masks)
-    assert not any(key[0] == "memo" for key in eng._mega_cache)
+    assert not eng.programs._chains
     calls = _spy_schedule(sched)
     eng.reset_counters()
     eng.run_waves([3, 5], masks)
@@ -194,28 +199,14 @@ def test_scheduler_without_state_bypasses_the_memo():
 
 
 def test_memo_entries_share_the_megatrace_cache_bound(monkeypatch):
-    """Memo entries live in the engine's one bounded megaprogram LRU."""
-    import repro.engine.machine as machine
-    monkeypatch.setattr(machine, "ENGINE_MEGATRACE_CACHE", 4)
+    """Memo entries live in the store's one bounded chain tier."""
+    monkeypatch.setattr(programs, "CHAIN_BOUND", 4)
     eng = CountingEngine(2, 4, 8, backend="word")
     masks = pack_rows(np.ones((2, 8), dtype=np.uint8))
     for m in range(1, 8):
         eng.reset_counters()
         eng.run_waves([m, m + 1], masks, flush=True)
-        assert len(eng._mega_cache) <= 4
-
-
-def test_cache_epoch_change_misses_the_memo():
-    """A copy-on-write row swap stamps a new cache epoch: the next call
-    must schedule afresh instead of replaying the old chain."""
-    eng = CountingEngine(2, 4, 8, backend="word")
-    masks = pack_rows(np.ones((2, 8), dtype=np.uint8))
-    eng.run_waves([3, 5], masks)
-    eng.reset_counters()
-    eng.cache_epoch += 1
-    calls = _spy_schedule(eng.scheduler)
-    eng.run_waves([3, 5], masks)
-    assert calls == [3, 5]
+        assert len(eng.programs._chains) <= 4
 
 
 # ----------------------------------------------------------------------
@@ -229,13 +220,14 @@ def _engine_run(mode, folded, p_cim, p_read, seed, rounds=3):
     mags = rng.integers(1, 20, 6)
     packed = pack_rows(rng.integers(0, 2, (6, 24)).astype(np.uint8))
     values, injected = [], []
+    run = _per_wave if mode == "per_wave" else CountingEngine.run_waves
     with _ctx(mode):
         for _ in range(rounds):
             eng.reset_counters()
             if folded:
-                eng.run_waves(mags, packed, flush=True)
+                run(eng, mags, packed, flush=True)
             else:
-                eng.run_waves(mags, packed)
+                run(eng, mags, packed)
                 eng.flush()
             values.append(eng.read_values(strict=False))
             injected.append(fm.injected)
@@ -251,7 +243,7 @@ def _engine_run(mode, folded, p_cim, p_read, seed, rounds=3):
     (0.0, 0.0, 0), (2e-2, 0.0, 1), (2e-2, 2e-3, 2), (0.0, 1e-3, 3)])
 def test_folded_flush_equals_separate_flush(p_cim, p_read, seed):
     base = _engine_run("mega", False, p_cim, p_read, seed)
-    for mode in ("mega", "plain", "interp", "bit"):
+    for mode in ("mega", "per_wave", "interp", "bit"):
         got = _engine_run(mode, True, p_cim, p_read, seed)
         assert (got["values"] == base["values"]).all()
         assert (got["rows"] == base["rows"]).all()
@@ -323,12 +315,12 @@ def test_plan_call_bit_exact_across_regimes(p_cim, p_read, seed):
     runs = {mode: _plan_run(mode, p_cim, p_read, seed) for mode in MODES}
     mega = runs["mega"]
     assert mega["stats"].megatrace_replays > 0
-    for mode in ("plain", "interp"):
-        assert runs[mode]["stats"].megatrace_replays == 0
-        assert (runs[mode]["answers"] == mega["answers"]).all()
-        assert runs[mode]["ops"] == mega["ops"]
-        assert runs[mode]["injected"] == mega["injected"]
-        assert runs[mode]["rng"] == mega["rng"]
+    interp = runs["interp"]
+    assert interp["stats"].megatrace_replays == 0
+    assert (interp["answers"] == mega["answers"]).all()
+    assert interp["ops"] == mega["ops"]
+    assert interp["injected"] == mega["injected"]
+    assert interp["rng"] == mega["rng"]
     if p_cim == 0 and p_read == 0:
         golden = np.tile(mega["golden"], (3, 1))
         assert (mega["answers"] == golden).all()

@@ -137,15 +137,14 @@ class TestEngineTrials:
 
     def test_megatrace_path_preserves_campaign_accounting(self,
                                                           workload):
-        """Trials whose repeated queries ride the stitched megatrace
-        path (query 1 warms, query 2 compiles, query 3+ replay) keep
-        the injected / detected / corrected / silent accounting --
-        and the measured op stream -- identical to the per-uProgram
-        fused path and the interpreted path, and stay reproducible
-        from the seed tree when a trial is re-run alone."""
+        """Trials whose repeated queries ride trace chains keep the
+        injected / detected / corrected / silent accounting -- and the
+        measured op stream -- identical to the interpreted path, and
+        stay reproducible from the seed tree when a trial is re-run
+        alone."""
         import contextlib
 
-        from repro.isa.trace import fusion_disabled, megatrace_disabled
+        from repro.isa.trace import fusion_disabled
 
         z, xs = workload
         reps = np.repeat(xs[:1], 4, axis=0)
@@ -157,11 +156,10 @@ class TestEngineTrials:
                 return _campaign(z, reps).run(points, n_trials=3)
 
         mega = run()
-        plain = run(megatrace_disabled)
         interp = run(fusion_disabled)
         # Everything except the cache counters -- including injected,
         # detected, corrected, silent_lanes, measured_ops -- is equal
-        # trial for trial across all three execution paths.
+        # trial for trial across both execution paths.
         drop = {"program_compiles", "program_replays", "trace_compiles",
                 "trace_replays", "megatrace_compiles", "megatrace_replays"}
 
@@ -169,12 +167,12 @@ class TestEngineTrials:
             return [{k: v for k, v in t.metrics.items() if k not in drop}
                     for t in result.trials]
 
-        assert core(mega) == core(plain) == core(interp)
-        # The unprotected point's trials really rode the stitched path.
+        assert core(mega) == core(interp)
+        # The unprotected point's trials really rode trace chains.
         assert all(t.metrics["megatrace_replays"] > 0
                    for t in mega.point_trials(0))
         assert all(t.metrics["megatrace_replays"] == 0
-                   for t in plain.trials + interp.trials)
+                   for t in interp.trials)
         row = mega.rows[0]
         assert row["injected"] > 0
         assert row["megatrace_compiles"] > 0
@@ -183,7 +181,7 @@ class TestEngineTrials:
         # accounting equality is covered by the core() check above.
         assert mega.rows[1]["detected"] > 0
         assert mega.rows[1]["corrected"] > 0
-        # Seed-tree isolation holds on the stitched path too.
+        # Seed-tree isolation holds on the chain path too.
         solo = _campaign(z, reps)._run_point_trial(0, points[0], 1)
         assert solo.metrics == mega.point_trials(0)[1].metrics
 

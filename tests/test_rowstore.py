@@ -284,8 +284,10 @@ class TestCopyOnWrite:
         dev2.close()
 
     def test_no_stale_megatrace_after_mutation(self, rng):
-        """Cache-generation invariant: a compiled whole-batch trace
-        must not replay against swapped rows."""
+        """Content-keyed chain memo: after a copy-on-write row swap an
+        identical query batch hits the chain memoized before the swap,
+        and that chain -- which reads no cell contents -- answers for
+        the new rows."""
         z = _z(rng, k=4, n=6)
         dev = Device(backend="fast")
         plan = dev.plan_gemv(z, kind="ternary", x_budget=64)
@@ -295,10 +297,13 @@ class TestCopyOnWrite:
         z2[0] = rng.integers(-1, 2, size=6)
         z2[2] = rng.integers(-1, 2, size=6)
         plan.mutate_rows([0, 2], z2[[0, 2]])
-        # Identical query batch: same wave signatures, so only the
-        # cache-epoch term separates the old memoized chain from the
-        # new rows.
+        # Identical query batch: same wave signatures, so the memoized
+        # chain replays against the new rows.
+        before = plan.stats
         np.testing.assert_array_equal(plan.run_many(xs), xs @ z2)
+        after = plan.stats
+        assert after.megatrace_compiles == before.megatrace_compiles
+        assert after.megatrace_replays > before.megatrace_replays
         dev.close()
 
     def test_mutation_validates_inputs(self, rng):

@@ -700,12 +700,12 @@ class TestBatchAxisSeam:
     def test_faulted_coalesced_waves_identical_without_megatraces(
             self, rng):
         """Under an active FaultModel the chain batch path must be
-        draw-for-draw identical to the per-wave path: same per-query
-        results, same injected-fault deltas, same terminal RNG state
-        across identically seeded servers."""
+        draw-for-draw identical to the interpreted per-wave path: same
+        per-query results, same injected-fault deltas, same terminal
+        RNG state across identically seeded servers."""
         import contextlib
 
-        from repro.isa.trace import megatrace_disabled
+        from repro.isa.trace import fusion_disabled
 
         z = rng.integers(-1, 2, (8, 12)).astype(np.int8)
         xs = rng.integers(1, 5, (5, 8))
@@ -718,7 +718,7 @@ class TestBatchAxisSeam:
                 return [self._burst(srv, xs) for _ in range(3)], fm
 
         mega_bursts, fm_mega = serve(contextlib.nullcontext())
-        plain_bursts, fm_plain = serve(megatrace_disabled())
+        plain_bursts, fm_plain = serve(fusion_disabled())
         for mega, plain in zip(mega_bursts, plain_bursts):
             assert (np.stack([r.y for r in mega])
                     == np.stack([r.y for r in plain])).all()
