@@ -195,6 +195,8 @@ class WordlineSubarray:
             for name, ports in _b_group_map().items()}
         self._ports["C0"] = ((_C0, False),)
         self._ports["C1"] = ((_C1, False),)
+        # μOp -> its ports as ints, the native lowering's memo.
+        self._op_codes: Dict[tuple, bytes] = {}
         # Resolved row-index tuples (see _data_rows).
         self._row_sets: Dict[tuple, np.ndarray] = {}
         # Resolved op lists, compiled traces and replay scratch live in
@@ -374,8 +376,8 @@ class WordlineSubarray:
         fault model's current :class:`~repro.isa.trace.FaultSpec`, and
         count one ``trace_compiles``; callers use an entry's trace
         as is only while ``entry[1] == spec``."""
-        entry[2] = _trace_module().compile_trace(entry[0], self.resolve,
-                                                 fault=spec)
+        entry[2] = _trace_module().compile_trace(
+            entry[0], self.resolve, fault=spec, codes=self._op_codes)
         entry[1] = spec
         self.trace_compiles += 1
         return entry[2]

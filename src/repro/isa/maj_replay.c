@@ -509,3 +509,399 @@ NO_VECTORIZE int64_t johnson_decode(const uint64_t *words, int64_t n_words,
     }
     return status;
 }
+
+
+/* ------------------------------------------------------------------ */
+/* lower_trace: the lowering of one μProgram into its replay table
+ * (repro.isa.trace.compile_trace), op for op the walk of
+ * repro.isa.trace._lower_python.
+ *
+ * ops holds the n_ops resolved ops back to back, each as
+ *
+ *   n_src, src_ports[n_src], n_dst, dst_ports[n_dst]
+ *
+ * with n_dst -1 for an AP (no destination) and each port 2 row + negated.
+ * c0 and c1 are the constant control rows.  multi_draws is the draw rows
+ * each multi-row sense takes (0: exact, so majorities fold; 1: a CIM
+ * draw; 2: a CIM and a read-rate draw) and read_draws those of a
+ * single-port sense (0 or 1).  Any draw makes the trace a fault trace:
+ * its nodes keep creation order instead of dependence levels, and every
+ * faulty node is live.
+ *
+ * Values are numbered in creation order and a reference is 2 vid +
+ * complemented.  out[cap] receives a 12-slot header
+ *
+ *   n_table, n_in, n_input_mirror, n_slots, n_rows, n_nodes, n_out,
+ *   n_levels, n_draws, n_aap, n_ap, n_multi
+ *
+ * then the one-segment kernel table (chain_replay's format for a
+ * fault-free trace, fault_replay's for a fault trace, stream row -1).
+ * Behind the table, a fault-free trace has each level's operand rows,
+ * level by level as [3, width] blocks, then each level's (lo, hi,
+ * n_mirror, mirror_lo); a fault trace has each draw row's kind, 0 CIM
+ * and 1 read, in op order.  Returns 0, -1 for an
+ * activation of an even number of rows (no defined majority), or -2 for
+ * a negative row, too small a cap or no memory.
+ *
+ * Build cost: the lowering is branchy scalar code, so it is compiled at
+ * -O1.  That lowered a fault_campaign cycle's 151 programs as fast as -O2
+ * or -O3 (~4.6 us a call, ctypes included) and built faster, with a
+ * smaller compiler peak (2-vCPU Xeon). */
+#define LOWERING __attribute__((optimize("O1")))
+
+enum { V_IN, V_MAJ, V_RD };
+
+typedef struct {
+    int64_t *kind, *a, *b, *c, *cim, *rd, *cur;
+    int64_t n, c0, c1;
+} lowering;
+
+/* The current reference of a row; a row's first read makes an input. */
+static LOWERING int64_t lw_read(lowering *L, int64_t row)
+{
+    if (L->cur[row] < 0) {
+        int64_t v = L->n++;
+        L->kind[v] = V_IN;
+        L->a[v] = row;
+        L->cim[v] = L->rd[v] = -1;
+        L->cur[row] = 2 * v;
+    }
+    return L->cur[row];
+}
+
+/* 0 or 1 for a known constant (an entry read of C0 or C1), else -1. */
+static LOWERING int64_t lw_const(const lowering *L, int64_t ref)
+{
+    int64_t v = ref >> 1;
+    if (L->kind[v] != V_IN)
+        return -1;
+    if (L->a[v] == L->c0)
+        return ref & 1;
+    if (L->a[v] == L->c1)
+        return !(ref & 1);
+    return -1;
+}
+
+static LOWERING int64_t lw_node(lowering *L, int64_t kind, int64_t a,
+                                int64_t b, int64_t c)
+{
+    int64_t v = L->n++;
+    L->kind[v] = kind;
+    L->a[v] = a;
+    L->b[v] = b;
+    L->c[v] = c;
+    L->cim[v] = L->rd[v] = -1;
+    return v;
+}
+
+/* MAJ3 with _Builder.maj's folds, pair by pair: identical, complement,
+ * two constants. */
+static LOWERING int64_t lw_maj(lowering *L, int64_t a, int64_t b, int64_t c)
+{
+    const int64_t x[3] = {a, a, b}, y[3] = {b, c, c}, z[3] = {c, b, a};
+    int p;
+    for (p = 0; p < 3; p++) {
+        int64_t cx, cy;
+        if (x[p] == y[p])
+            return x[p];
+        if (x[p] == (y[p] ^ 1))
+            return z[p];
+        cx = lw_const(L, x[p]);
+        cy = lw_const(L, y[p]);
+        if (cx >= 0 && cy >= 0)
+            return cx == cy ? x[p] : z[p];
+    }
+    return 2 * lw_node(L, V_MAJ, a, b, c);
+}
+
+LOWERING int64_t lower_trace(const int64_t *ops, int64_t n_ops, int64_t c0,
+                             int64_t c1, int64_t multi_draws,
+                             int64_t read_draws, int64_t *out, int64_t cap)
+{
+    const int faulty = multi_draws > 0 || read_draws > 0;
+    int64_t n_ports = 0, n_rows_phys = 0, n_vals, i, j, k, v, p;
+    int64_t n_aap = 0, n_ap = 0, n_multi = 0, n_draws = 0, n_levels = 0;
+    int64_t n_in = 0, n_im = 0, n_slots = 0, n_rows, n_nodes = 0, n_out = 0;
+    int64_t n_table, next, *work, *live, *mir, *slot, *comp, *depth, *order;
+    int64_t *kinds, *table, *t;
+    lowering L;
+    const int64_t *op;
+
+    /* sizes: ports, physical rows */
+    for (op = ops, i = 0; i < n_ops; i++) {
+        for (k = 0; k < 2; k++) {
+            int64_t n = *op++;
+            for (j = 0; j < n; j++, op++) {
+                if (op[0] < 0)
+                    return -2;
+                if ((op[0] >> 1) >= n_rows_phys)
+                    n_rows_phys = (op[0] >> 1) + 1;
+            }
+            if (n > 0)
+                n_ports += n;
+        }
+    }
+    n_vals = n_ports + n_ops + 1;
+    work = malloc((size_t)(13 * n_vals + n_rows_phys + 2 * n_ops)
+                  * sizeof(int64_t));
+    if (!work)
+        return -2;
+    L.kind = work;
+    L.a = L.kind + n_vals;
+    L.b = L.a + n_vals;
+    L.c = L.b + n_vals;
+    L.cim = L.c + n_vals;
+    L.rd = L.cim + n_vals;
+    live = L.rd + n_vals;
+    mir = live + n_vals;
+    slot = mir + n_vals;
+    comp = slot + n_vals;
+    depth = comp + n_vals;
+    order = depth + n_vals;          /* 2 n_vals: level keys, then nodes */
+    L.cur = order + 2 * n_vals;
+    kinds = L.cur + n_rows_phys;
+    L.n = 0;
+    L.c0 = c0;
+    L.c1 = c1;
+    for (i = 0; i < n_rows_phys; i++)
+        L.cur[i] = -1;
+
+    /* 1. the value-numbering walk */
+    for (op = ops, i = 0; i < n_ops; i++) {
+        int64_t n_src = *op++, sensed;
+        const int64_t *src = op;
+        op += n_src;
+        if (n_src == 1) {
+            int64_t row = src[0] >> 1, neg = src[0] & 1;
+            sensed = lw_read(&L, row) ^ neg;
+            if (read_draws) {
+                /* faulty plain read: written back, no copy alias */
+                v = lw_node(&L, V_RD, sensed, -1, -1);
+                L.rd[v] = n_draws;
+                kinds[n_draws++] = 1;
+                sensed = 2 * v;
+                L.cur[row] = sensed ^ neg;
+            }
+        } else {
+            int64_t opd[3];
+            if (n_src % 2 == 0) {
+                free(work);
+                return -1;
+            }
+            for (k = 0; k < 3; k++)
+                opd[k] = lw_read(&L, src[k] >> 1) ^ (src[k] & 1);
+            if (!multi_draws) {
+                sensed = lw_maj(&L, opd[0], opd[1], opd[2]);
+            } else {
+                v = lw_node(&L, V_MAJ, opd[0], opd[1], opd[2]);
+                L.cim[v] = n_draws;
+                kinds[n_draws++] = 0;
+                if (multi_draws == 2) {
+                    L.rd[v] = n_draws;
+                    kinds[n_draws++] = 1;
+                }
+                sensed = 2 * v;
+            }
+            n_multi++;
+            for (k = 0; k < n_src; k++)
+                L.cur[src[k] >> 1] = sensed ^ (src[k] & 1);
+        }
+        {
+            int64_t n_dst = *op++;
+            if (n_dst >= 0) {
+                for (k = 0; k < n_dst; k++)
+                    L.cur[op[k] >> 1] = sensed ^ (op[k] & 1);
+                op += n_dst;
+                n_aap++;
+            } else {
+                n_ap++;
+            }
+        }
+    }
+
+    /* 2. liveness: the final row bindings (not a row's own entry
+     * value) and every fault node; operands precede their nodes, so one
+     * backward sweep closes the set */
+    memset(live, 0, (size_t)L.n * sizeof(int64_t));
+    memset(mir, 0, (size_t)L.n * sizeof(int64_t));
+    for (i = 0; i < n_rows_phys; i++) {
+        int64_t ref = L.cur[i];
+        if (ref < 0 || (!(ref & 1) && L.kind[ref >> 1] == V_IN
+                        && L.a[ref >> 1] == i))
+            continue;
+        live[ref >> 1] = 1;
+        mir[ref >> 1] |= ref & 1;
+        n_out++;
+    }
+    for (v = L.n - 1; v >= 0; v--) {
+        if (L.kind[v] == V_RD || L.cim[v] >= 0)
+            live[v] = 1;
+        if (!live[v] || L.kind[v] == V_IN)
+            continue;
+        live[L.a[v] >> 1] = 1;
+        mir[L.a[v] >> 1] |= L.a[v] & 1;
+        if (L.kind[v] == V_MAJ) {
+            live[L.b[v] >> 1] = live[L.c[v] >> 1] = 1;
+            mir[L.b[v] >> 1] |= L.b[v] & 1;
+            mir[L.c[v] >> 1] |= L.c[v] & 1;
+        }
+    }
+
+    /* 3. input slots, the mirrored ones first */
+    for (v = 0; v < L.n; v++) {
+        if (!live[v])
+            continue;
+        n_slots++;
+        if (L.kind[v] != V_IN)
+            n_nodes++;
+        else if (mir[v])
+            n_im++;
+        else
+            n_in++;
+    }
+    n_in += n_im;
+    n_rows = n_slots + n_im;
+    n_table = faulty ? 3 + n_in + 3 + 8 * n_nodes + 1 + 2 * n_out
+                     : 2 + n_in + 3 + 5 * n_nodes + 1 + 2 * n_out;
+    if (12 + n_table + 7 * n_nodes + n_draws > cap) {
+        free(work);
+        return -2;
+    }
+    table = out + 12;
+    t = table;
+    *t++ = -1;
+    if (faulty)
+        *t++ = n_draws;
+    *t++ = n_in;
+    {
+        int64_t m = 0, u = n_im;
+        for (v = 0; v < L.n; v++) {
+            if (!live[v] || L.kind[v] != V_IN)
+                continue;
+            if (mir[v]) {
+                comp[v] = n_slots + m;
+                slot[v] = m++;
+            } else {
+                slot[v] = u++;
+            }
+            t[slot[v]] = L.a[v];
+        }
+    }
+    t += n_in;
+    *t++ = n_im;
+    *t++ = n_slots;
+    *t++ = n_nodes;
+    next = n_in;
+
+#define ROW_OF(ref) ((ref) & 1 ? comp[(ref) >> 1] : slot[(ref) >> 1])
+    if (faulty) {
+        /* 4a. fault nodes in creation order */
+        for (v = 0; v < L.n; v++) {
+            if (!live[v] || L.kind[v] == V_IN)
+                continue;
+            slot[v] = next++;
+            comp[v] = mir[v] ? n_rows++ : -1;
+            if (L.kind[v] == V_RD) {
+                t[0] = 0;
+                t[1] = ROW_OF(L.a[v]);
+                t[2] = t[3] = t[6] = -1;
+            } else {
+                t[0] = L.cim[v] < 0 ? 1 : 2;
+                t[1] = ROW_OF(L.a[v]);
+                t[2] = ROW_OF(L.b[v]);
+                t[3] = ROW_OF(L.c[v]);
+                t[6] = L.cim[v];
+            }
+            t[4] = slot[v];
+            t[5] = comp[v];
+            t[7] = L.rd[v];
+            t += 8;
+        }
+    } else {
+        /* 4b. dependence levels; in each, the mirrored nodes first, as a
+         * counting sort on key 2 (level - 1) + !mirrored */
+        int64_t *count = order, *nodes = order + n_vals, n_keys, *idx, *lv;
+        for (v = 0; v < L.n; v++) {
+            if (!live[v])
+                continue;
+            if (L.kind[v] == V_IN) {
+                depth[v] = 0;
+                continue;
+            }
+            depth[v] = depth[L.a[v] >> 1];
+            if (depth[L.b[v] >> 1] > depth[v])
+                depth[v] = depth[L.b[v] >> 1];
+            if (depth[L.c[v] >> 1] > depth[v])
+                depth[v] = depth[L.c[v] >> 1];
+            depth[v]++;
+            if (depth[v] > n_levels)
+                n_levels = depth[v];
+        }
+        n_keys = 2 * n_levels;
+        memset(count, 0, (size_t)(n_keys + 1) * sizeof(int64_t));
+        for (v = 0; v < L.n; v++)
+            if (live[v] && L.kind[v] != V_IN)
+                count[2 * (depth[v] - 1) + !mir[v] + 1]++;
+        for (k = 0; k < n_keys; k++)
+            count[k + 1] += count[k];
+        for (v = 0; v < L.n; v++)
+            if (live[v] && L.kind[v] != V_IN)
+                nodes[count[2 * (depth[v] - 1) + !mir[v]]++] = v;
+        idx = table + n_table;
+        lv = idx + 3 * n_nodes;
+        for (p = 0, k = 0; k < n_levels; k++) {
+            /* count[2 k + 1] is now where level k ends */
+            int64_t lo = next, mirror_lo = n_rows, width;
+            int64_t end = count[2 * k + 1];
+            for (j = p; j < end; j++) {
+                v = nodes[j];
+                slot[v] = next++;
+                comp[v] = mir[v] ? n_rows++ : -1;
+            }
+            width = end - p;
+            for (j = 0; j < width; j++, t += 5) {
+                v = nodes[p + j];
+                idx[j] = t[0] = ROW_OF(L.a[v]);
+                idx[width + j] = t[1] = ROW_OF(L.b[v]);
+                idx[2 * width + j] = t[2] = ROW_OF(L.c[v]);
+                t[3] = slot[v];
+                t[4] = comp[v];
+            }
+            idx += 3 * width;
+            lv[0] = lo;
+            lv[1] = next;
+            lv[2] = n_rows - mirror_lo;
+            lv[3] = mirror_lo;
+            lv += 4;
+            p = end;
+        }
+    }
+
+    /* 5. the final bindings, by row */
+    *t++ = n_out;
+    for (i = 0, j = 0; i < n_rows_phys; i++) {
+        int64_t ref = L.cur[i];
+        if (ref < 0 || (!(ref & 1) && L.kind[ref >> 1] == V_IN
+                        && L.a[ref >> 1] == i))
+            continue;
+        t[j] = i;
+        t[n_out + j] = ROW_OF(ref);
+        j++;
+    }
+#undef ROW_OF
+    memcpy(table + n_table, kinds, (size_t)n_draws * sizeof(int64_t));
+    out[0] = n_table;
+    out[1] = n_in;
+    out[2] = n_im;
+    out[3] = n_slots;
+    out[4] = n_rows;
+    out[5] = n_nodes;
+    out[6] = n_out;
+    out[7] = n_levels;
+    out[8] = n_draws;
+    out[9] = n_aap;
+    out[10] = n_ap;
+    out[11] = n_multi;
+    free(work);
+    return 0;
+}

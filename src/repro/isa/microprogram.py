@@ -10,6 +10,7 @@ rows) and execute directly on :class:`repro.dram.ambit.AmbitSubarray`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, List, Tuple, Union
 
 from repro.dram.ambit import AmbitSubarray
@@ -19,34 +20,57 @@ __all__ = ["MicroOp", "MicroProgram", "aap", "ap"]
 Address = Union[str, int]
 
 
-@dataclass(frozen=True)
-class MicroOp:
-    """One DRAM command sequence: ``AAP src, dst`` or ``AP target``."""
+class MicroOp(tuple):
+    """One DRAM command sequence: ``AAP src, dst`` or ``AP target``.
 
-    kind: str                  # "AAP" or "AP"
-    src: Address
-    dst: Address = None
+    An immutable ``(kind, src, dst)`` triple (``dst`` is ``None`` for an
+    AP).  μOps are built by the thousand per fault trial, so they are
+    plain tuples underneath: they construct, unpack and hash at tuple
+    speed, and two μOps are equal, and hash alike, exactly when their
+    fields are -- protected blocks key the program store by op tuples.
 
-    def __post_init__(self):
-        if self.kind not in ("AAP", "AP"):
-            raise ValueError(f"unknown μOp kind {self.kind!r}")
-        if self.kind == "AAP" and self.dst is None:
+    >>> aap("B8", 0) == MicroOp("AAP", "B8", 0), ap("B12").render()
+    (True, 'AP  B12')
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, src: Address, dst: Address = None):
+        if kind not in ("AAP", "AP"):
+            raise ValueError(f"unknown μOp kind {kind!r}")
+        if kind == "AAP" and dst is None:
             raise ValueError("AAP needs a destination address")
+        return _new(cls, (kind, src, dst))
+
+    kind = property(itemgetter(0), doc='``"AAP"`` or ``"AP"``.')
+    src = property(itemgetter(1), doc="The activated (sensed) address.")
+    dst = property(itemgetter(2), doc="The AAP's copy destination.")
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"MicroOp(kind={self[0]!r}, src={self[1]!r}, dst={self[2]!r})"
 
     def render(self) -> str:
-        if self.kind == "AAP":
-            return f"AAP {self.src}, {self.dst}"
-        return f"AP  {self.src}"
+        if self[0] == "AAP":
+            return f"AAP {self[1]}, {self[2]}"
+        return f"AP  {self[1]}"
+
+
+_new = tuple.__new__
 
 
 def aap(src: Address, dst: Address) -> MicroOp:
     """Shorthand constructor for an activate-activate-precharge op."""
-    return MicroOp("AAP", src, dst)
+    if dst is None:
+        raise ValueError("AAP needs a destination address")
+    return _new(MicroOp, ("AAP", src, dst))
 
 
 def ap(target: Address) -> MicroOp:
     """Shorthand constructor for an activate-precharge op."""
-    return MicroOp("AP", target)
+    return _new(MicroOp, ("AP", target, None))
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Optional native kernels of the warm query and fault-trial paths.
 
-A warm query spends its host time in three stages, and a fault trial in
-its fault-trace replays, that are each a few dozen small NumPy calls,
-so they are bound by NumPy call overhead, not by their arithmetic.
-This module builds one C file (``maj_replay.c`` beside it) with five
-entry points that run each stage as one call:
+A warm query spends its host time in three stages, and a cold fault
+trial in its fault-trace replays and its lowerings, that are each a few
+dozen small NumPy calls or a walk of many small Python objects, so
+they are bound by interpreter overhead, not by their arithmetic.  This
+module builds one C file (``maj_replay.c`` beside it) with six entry
+points that run each stage as one call:
 
 * ``chain_replay`` -- fault-free replay of a whole chain of compiled
   μProgram traces: per segment it writes the stream row, gathers the
@@ -28,6 +29,12 @@ entry points that run each stage as one call:
   (:meth:`repro.engine.CountingEngine.read_values`).  It reports an
   invalid state or an overflow as a status; the caller re-runs the
   NumPy decoder, which raises.
+* ``lower_trace`` -- the whole lowering of one μProgram
+  (:func:`repro.isa.trace.compile_trace`) from its ops' resolved ports:
+  the value-numbering walk with its folds, liveness, input slots and
+  level scheduling (or, under faults, creation order).  It writes the
+  trace's replay table in the format the two replay kernels read,
+  which the trace's fields are slices of.
 
 The kernels are built when this module is first imported: ``gcc -O3
 -shared -fPIC`` into a temporary directory, loaded with :mod:`ctypes`,
@@ -52,10 +59,13 @@ The kernels load together or not at all.  On any failure -- no
 compiler, a read-only or ``noexec`` temporary directory, a platform
 without ``gcc``, a big-endian host (the packed words' byte order is
 assumed) -- every entry point is ``None`` and each stage keeps its
-NumPy code, which is also the reference the parity tests hold the
-kernels to (``tests/test_native_replay.py``,
+NumPy or Python code, which is also the reference the parity tests
+hold the kernels to (``tests/test_native_replay.py``,
 ``tests/test_native_fault_replay.py``,
-``tests/test_native_deal_decode.py``).  The glue keeps the
+``tests/test_native_deal_decode.py``,
+``tests/test_native_lowering.py``).  :func:`repro.isa.trace.
+native_disabled` switches all six off in-process: the lowering, the
+replays, the deal and pack, and the decode.  The glue keeps the
 per-call cost down: buffers are reused with their addresses cached,
 and :func:`address` reads a fresh array's address in a fraction of
 ``ndarray.ctypes.data``'s time.
@@ -70,7 +80,7 @@ import sys
 import tempfile
 
 __all__ = ["address", "chain_replay", "deal_waves", "fault_replay",
-           "johnson_decode", "pack_waves"]
+           "johnson_decode", "lower_trace", "pack_waves"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "maj_replay.c")
@@ -93,6 +103,8 @@ _SIGNATURES = {
                    _I),
     # (words, n_words, n_bits, n_digits, n_lanes, strict, out) -> status
     "johnson_decode": ((_P, _I, _I, _I, _I, _I, _P), _I),
+    # (ops, n_ops, c0, c1, multi_draws, read_draws, out, cap) -> status
+    "lower_trace": ((_P, _I, _I, _I, _I, _I, _P, _I), _I),
 }
 
 
@@ -137,3 +149,4 @@ fault_replay = _kernels["fault_replay"]
 deal_waves = _kernels["deal_waves"]
 pack_waves = _kernels["pack_waves"]
 johnson_decode = _kernels["johnson_decode"]
+lower_trace = _kernels["lower_trace"]

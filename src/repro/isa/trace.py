@@ -34,16 +34,24 @@ The lowering walks the ops once, value-numbering physical rows:
   consumer reads negated get a complement row, packed after the value
   slots, so DCC port polarity costs an index, not an XOR pass.
 
+Every fault trial builds a fresh device and lowers its programs again,
+so the lowering runs at native speed: one pass in Python encodes each
+op's resolved ports as ints, and one call of the ``lower_trace``
+kernel (:mod:`repro.isa.native`) runs all of the above and writes the
+trace's replay table, whose slices are the trace's fields.  The Python
+walk (:func:`_lower_python`) is the fallback and the reference; both
+build the same trace, field for field.
+
 A whole wave sequence -- a host mask write before each μProgram --
 replays as a :class:`TraceChain` of its segments' traces, assembled by
 :func:`compile_megatrace` without any lowering.  A chain replays in one
 call of a native kernel (:mod:`repro.isa.native`): ``chain_replay``
 fault-free, ``fault_replay`` under an active fault model; a single
 trace is its one-segment chain.  Where the kernels could not be built,
-and under :func:`native_disabled`, a fault-free level replays as a
-single fancy-indexed gather, one vectorized three-way majority over all
-its nodes and one contiguous scatter, and a fault trace as a loop of
-NumPy calls per node.
+and under :func:`native_disabled`, the Python walk lowers, a fault-free
+level replays as a single fancy-indexed gather, one vectorized
+three-way majority over all its nodes and one contiguous scatter, and
+a fault trace as a loop of NumPy calls per node.
 
 Replay is *bit-exact* against the interpreted path, including the
 don't-care tail bits of the last packed word, because every fold above
@@ -66,8 +74,8 @@ time.  Replay under an active fault model is therefore bit-, counter-
 and fault-stream-identical to the interpreted path and to the bit-level
 backend (``tests/test_fault_fusion_parity.py`` pins all three).
 :func:`fusion_disabled` (the interpreter, the one reference) and
-:func:`native_disabled` (the NumPy replays) are the explicit escape
-hatches (benchmark baselines, differential tests).
+:func:`native_disabled` (the Python lowering and the NumPy replays) are
+the explicit escape hatches (benchmark baselines, differential tests).
 
 >>> from repro.isa.microprogram import MicroProgram, aap, ap
 >>> from repro.dram.wordline import WordlineSubarray
@@ -81,10 +89,11 @@ hatches (benchmark baselines, differential tests).
 
 from __future__ import annotations
 
+import struct
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -158,21 +167,22 @@ def fusion_disabled():
 
 
 def native_enabled() -> bool:
-    """Whether replay (fault-free and under faults) runs the native
-    kernels: they were built at import (see :mod:`repro.isa.native`)
-    and are not disabled."""
+    """Whether lowering and replay (fault-free and under faults) run
+    the native kernels: they were built at import (see
+    :mod:`repro.isa.native`) and are not disabled."""
     return _native_on and _native.chain_replay is not None
 
 
 @contextmanager
 def native_disabled():
-    """Temporarily replay traces with the NumPy loops.
+    """Temporarily lower and replay traces without the native kernels.
 
-    The kernel-level escape hatch: the NumPy replay of fault-free and
-    fault traces is the fallback where the kernels cannot be built and
-    the reference the native parity tests compare them with.  Only the
-    replay strategy changes; compilation, the fault stream and the
-    other switches are unaffected.
+    The kernel-level escape hatch: the Python lowering, the NumPy
+    replay of fault-free and fault traces, and the NumPy deal, pack and
+    decode are the fallback where the kernels cannot be built and the
+    reference the native parity tests compare them with.  Only the
+    strategy changes: the traces built, the fault stream and the other
+    switches are unaffected.
 
     >>> with native_disabled():
     ...     native_enabled()
@@ -245,12 +255,16 @@ class FaultSpec:
         return "select" if self.p_read > 0.0 else "contested"
 
 
+def _cells_touched(in_rows: np.ndarray, out_rows: np.ndarray) -> int:
+    """Cell rows a replay touches: the kernels' bounds check."""
+    return 1 + max(in_rows.tolist() + out_rows.tolist(), default=-1)
+
+
 #: Empty per-width plan map of a trace the scratch holds no plan for.
 _NO_PLANS: Dict[int, tuple] = {}
 
 
-@dataclass(frozen=True)
-class _Level:
+class _Level(NamedTuple):
     """One dependence level: ``hi - lo`` independent majority nodes.
 
     ``idx[3 * L]`` holds the operand row of each node's three inputs
@@ -367,9 +381,7 @@ class CompiledTrace:
     def __post_init__(self):
         self._own_scratch = None     # fallback when none is supplied
         self._table = None           # one-segment kernel table, lazily
-        # Cell rows the replay touches: the kernel's bounds check.
-        self.n_cells = 1 + max(self.in_rows.max(initial=-1),
-                               self.out_rows.max(initial=-1))
+        self.n_cells = _cells_touched(self.in_rows, self.out_rows)
 
     @property
     def n_inputs(self) -> int:
@@ -564,8 +576,7 @@ class CompiledFaultTrace:
                           if self.spec.multi_mode in ("contested",
                                                       "select") else 0)
         self._table = None           # one-segment kernel table, lazily
-        self.n_cells = 1 + max(self.in_rows.max(initial=-1),
-                               self.out_rows.max(initial=-1))
+        self.n_cells = _cells_touched(self.in_rows, self.out_rows)
 
     @property
     def n_inputs(self) -> int:
@@ -711,8 +722,11 @@ class CompiledFaultTrace:
 
 
 #: Fault kernel step kinds and ``multi_mode`` codes (see maj_replay.c).
-_STEP_KINDS = {"rd": 0, "mx": 1, "mj": 2}
+_STEP_NAMES = ("rd", "mx", "mj")
+_STEP_KINDS = {name: code for code, name in enumerate(_STEP_NAMES)}
 _KERNEL_MODES = {None: 0, "all": 0, "contested": 1, "select": 2}
+#: Draw rows one multi-row sense takes, by ``multi_mode`` (lower_trace).
+_MULTI_DRAWS = {None: 0, "all": 1, "contested": 1, "select": 2}
 
 
 def _fault_kernel(cells: np.ndarray, scratch: TraceScratch, stream,
@@ -980,10 +994,7 @@ def _walk_ops(builder: _Builder, ops, resolve: Callable,
                 builder.write(row, sensed, neg)
         else:
             if len(src_ports) % 2 == 0:
-                raise ValueError(
-                    "simultaneous activation needs an odd row count for "
-                    "a defined majority; use an AAP destination for "
-                    "copies")
+                raise ValueError(_EVEN_ACTIVATION)
             operands = []
             for row, neg in src_ports[:3]:
                 ref = builder.read(row)
@@ -1036,27 +1047,46 @@ def _assign_input_slots(builder: _Builder, live, mirrored,
     return in_rows, n_input_mirror, len(input_vids)
 
 
-def compile_trace(program, resolve: Callable, fault: FaultSpec = None):
+def compile_trace(program, resolve: Callable, fault: FaultSpec = None,
+                  codes: Dict = None):
     """Lower one μProgram into a :class:`CompiledTrace` (or, under an
     active ``fault`` spec, a :class:`CompiledFaultTrace`) -- the only
     lowering.
 
     ``resolve`` is the word backend's address map
     (:meth:`~repro.dram.wordline.WordlineSubarray.resolve`): it returns
-    ``((physical_row, negated), ...)`` port tuples.  One
-    :class:`_Builder` walks the ops; then one pass finds the final row
-    bindings, the live values and the values read complemented, and
-    the live inputs become the trace's ``in_rows``.  Only node
-    placement forks: without an active ``fault`` spec the live
-    majorities are level-scheduled into a :class:`CompiledTrace`;
-    under one, every node keeps creation order in a
-    :class:`CompiledFaultTrace`.
+    ``((physical_row, negated), ...)`` port tuples.  The walk
+    value-numbers the ops; then one pass finds the final row bindings,
+    the live values and the values read complemented, and the live
+    inputs become the trace's ``in_rows``.  Only node placement forks:
+    without an active ``fault`` spec the live majorities are
+    level-scheduled into a :class:`CompiledTrace`; under one, every
+    node keeps creation order in a :class:`CompiledFaultTrace`.
+
+    With the native kernels the whole lowering is one ``lower_trace``
+    call (:func:`_lower_native`): one pass here encodes every op's
+    resolved ports as ints, and the kernel emits the trace's replay
+    table, from which the trace's fields are slices.  ``codes``, if
+    given, is a dict kept with ``resolve`` (each subarray keeps one) in
+    which those op encodings persist across programs.  Without the
+    kernels, and under :func:`native_disabled`, :func:`_lower_python`
+    runs the same lowering in Python -- the reference the native one is
+    held to, field for field (``tests/test_native_lowering.py``).
     """
     spec = fault if fault is not None and fault.active else None
+    if native_enabled():
+        return _lower_native(program.ops, resolve, spec,
+                             {} if codes is None else codes)
+    return _lower_python(program.ops, resolve, spec)
+
+
+def _lower_python(ops, resolve: Callable, spec: "FaultSpec | None"):
+    """The lowering in Python: one :class:`_Builder` walk
+    (:func:`_walk_ops`), liveness, input slots and node placement."""
     builder = _Builder()
     draw_kinds: List[str] = []        # op-order rows: "cim" | "read"
     fault_meta: Dict[int, tuple] = {}  # vid -> (cim/read draw rows)
-    n_aap, n_ap, n_multi = _walk_ops(builder, program.ops, resolve, spec,
+    n_aap, n_ap, n_multi = _walk_ops(builder, ops, resolve, spec,
                                      draw_kinds, fault_meta)
 
     # Final bindings: skip identity (row still holds its own entry value).
@@ -1170,6 +1200,116 @@ def compile_trace(program, resolve: Callable, fault: FaultSpec = None):
          for kind in draw_kinds], dtype=np.float64)
     return CompiledFaultTrace(spec=spec, steps=tuple(steps),
                               draw_thresholds=thresholds, **common)
+
+
+#: Error text of an activation with no defined majority.
+_EVEN_ACTIVATION = ("simultaneous activation needs an odd row count for a "
+                    "defined majority; use an AAP destination for copies")
+
+#: Header slots ahead of ``lower_trace``'s table (see maj_replay.c).
+_LOWER_HEADER = 12
+
+
+def _op_code(op, resolve: Callable) -> bytes:
+    """One op of ``lower_trace``'s stream, as native int64 bytes:
+    ``n_src``, the sensed ports, ``n_dst`` and the AAP destination
+    ports (``n_dst`` ``-1`` for an AP), each port ``2 * row +
+    negated``.  The sensed address resolves first and an even
+    activation raises before the destination resolves, as in the walk.
+    """
+    ports = resolve(op.src)
+    if len(ports) != 1 and not len(ports) % 2:
+        raise ValueError(_EVEN_ACTIVATION)
+    code = [len(ports)]
+    code += [2 * row + neg for row, neg in ports]
+    if op.kind == "AAP":
+        ports = resolve(op.dst)
+        code.append(len(ports))
+        code += [2 * row + neg for row, neg in ports]
+    else:
+        code.append(-1)
+    return struct.pack(f"={len(code)}q", *code)
+
+
+def _encode_ops(ops, resolve: Callable, codes: Dict) -> bytes:
+    """The ops as ``lower_trace``'s int64 stream (see :func:`_op_code`).
+
+    ``codes`` memoizes each op's code.  The ops it does not hold yet
+    encode in op order, so a bad address or an even activation raises
+    where the walk would raise.
+    """
+    parts = list(map(codes.get, ops))
+    if not all(parts):
+        for i, part in enumerate(parts):
+            if part is None:
+                op = ops[i]
+                part = codes.get(op)
+                if part is None:
+                    part = codes[op] = _op_code(op, resolve)
+                parts[i] = part
+    return b"".join(parts)
+
+
+def _lower_native(ops, resolve: Callable, spec: "FaultSpec | None",
+                  codes: Dict):
+    """The lowering as one ``lower_trace`` kernel call.
+
+    The kernel writes the trace's one-segment replay table -- the bytes
+    :meth:`CompiledTrace.native_table` (or :meth:`CompiledFaultTrace.
+    native_table`) builds -- plus the level bounds and operand blocks
+    or the draw kinds; the trace's arrays are views of one copy of it,
+    and the table is preset as the trace's kernel table.
+    """
+    code = _encode_ops(ops, resolve, codes)
+    if spec is None:
+        multi_draws = read_draws = 0
+    else:
+        multi_draws = _MULTI_DRAWS[spec.multi_mode]
+        read_draws = int(spec.p_read > 0.0)
+    # A bound on the header and every region behind it: with P ports
+    # and N ops, len(code) // 8 == P + 2 N and the need is at most
+    # 19 + 3 P + 17 N (see maj_replay.c).
+    out = np.empty(_LOWER_HEADER + 12 * (len(code) // 8 + 1), np.int64)
+    status = _native.lower_trace(code, len(ops), _C0, _C1, multi_draws,
+                                 read_draws, _native.address(out), out.size)
+    if status:
+        if status == -1:
+            raise ValueError(_EVEN_ACTIVATION)
+        raise MemoryError("lower_trace could not allocate its work space")
+    (n_table, n_in, n_im, n_slots, n_rows, n_nodes, n_out, n_levels,
+     n_draws, n_aap, n_ap, n_multi) = out[:12].tolist()
+    at = _LOWER_HEADER
+    counts = dict(n_input_mirror=n_im, n_slots=n_slots, n_rows=n_rows,
+                  n_aap=n_aap, n_ap=n_ap, n_activations=2 * n_aap + n_ap,
+                  n_multi=n_multi)
+    outs = n_table - 2 * n_out
+    if spec is None:
+        data = out[at:at + n_table + 3 * n_nodes].copy()
+        table, idx = data[:n_table], data[n_table:]
+        at += n_table + 3 * n_nodes
+        bounds = out[at:at + 4 * n_levels].tolist()
+        levels = tuple([
+            _Level(lo, hi, idx[3 * (lo - n_in):3 * (hi - n_in)], m, mirror)
+            for lo, hi, m, mirror in zip(*[iter(bounds)] * 4)])
+        trace = CompiledTrace(in_rows=table[2:2 + n_in], levels=levels,
+                              out_rows=table[outs:outs + n_out],
+                              out_slots=table[outs + n_out:], **counts)
+    else:
+        table = out[at:at + n_table].copy()
+        kinds = out[at + n_table:at + n_table + n_draws]
+        rows = table[6 + n_in:6 + n_in + 8 * n_nodes].reshape(-1, 8)
+        steps = tuple([
+            (_STEP_NAMES[k], a, b, c, dst, mir, crow, rrow) if k
+            else ("rd", a, dst, mir, rrow)
+            for k, a, b, c, dst, mir, crow, rrow in rows.tolist()])
+        trace = CompiledFaultTrace(
+            spec=spec, in_rows=table[3:3 + n_in], steps=steps,
+            out_rows=table[outs:outs + n_out],
+            out_slots=table[outs + n_out:],
+            draw_thresholds=np.array((spec.p_cim, spec.p_read))[kinds],
+            **counts)
+    trace._table = table
+    return trace
 
 
 def compile_megatrace(segments, stream_row: int,
