@@ -539,15 +539,16 @@ NO_VECTORIZE int64_t johnson_decode(const uint64_t *words, int64_t n_words,
  * Behind the table, a fault-free trace has each level's operand rows,
  * level by level as [3, width] blocks, then each level's (lo, hi,
  * n_mirror, mirror_lo); a fault trace has each draw row's kind, 0 CIM
- * and 1 read, in op order.  Returns 0, -1 for an
- * activation of an even number of rows (no defined majority), or -2 for
- * a negative row, too small a cap or no memory.
+ * and 1 read, in op order.  Returns 0; -1 for an activation of an even
+ * number of rows (no defined majority); -2 when the work space cannot be
+ * allocated; -3 for a negative row; -4 for too small a cap.
  *
- * Build cost: the lowering is branchy scalar code, so it is compiled at
- * -O1.  That lowered a fault_campaign cycle's 151 programs as fast as -O2
- * or -O3 (~4.6 us a call, ctypes included) and built faster, with a
- * smaller compiler peak (2-vCPU Xeon). */
-#define LOWERING __attribute__((optimize("O1")))
+ * Build cost: the lowering is branchy scalar code that runs ~15 times a
+ * cold fault trial, so it is compiled at -O0.  Against -O1 that builds
+ * the file ~0.07 s faster and costs ~1.3 us a call (5.7 vs 4.4 us,
+ * ctypes included: ~20 us of a ~5 ms trial); -O2 and -O3 lower no
+ * faster than -O1 and build slower still (2-vCPU Xeon). */
+#define LOWERING __attribute__((optimize("O0")))
 
 enum { V_IN, V_MAJ, V_RD };
 
@@ -633,7 +634,7 @@ LOWERING int64_t lower_trace(const int64_t *ops, int64_t n_ops, int64_t c0,
             int64_t n = *op++;
             for (j = 0; j < n; j++, op++) {
                 if (op[0] < 0)
-                    return -2;
+                    return -3;
                 if ((op[0] >> 1) >= n_rows_phys)
                     n_rows_phys = (op[0] >> 1) + 1;
             }
@@ -765,7 +766,7 @@ LOWERING int64_t lower_trace(const int64_t *ops, int64_t n_ops, int64_t c0,
                      : 2 + n_in + 3 + 5 * n_nodes + 1 + 2 * n_out;
     if (12 + n_table + 7 * n_nodes + n_draws > cap) {
         free(work);
-        return -2;
+        return -4;
     }
     table = out + 12;
     t = table;

@@ -82,7 +82,7 @@ the explicit escape hatches (benchmark baselines, differential tests).
 >>> sa = WordlineSubarray(n_data_rows=2, n_cols=8)
 >>> prog = MicroProgram("and", (aap(0, "B8"), aap("C0", "B9"),
 ...                             aap(1, "B2"), ap("B12"), aap("B2", 1)))
->>> trace = compile_trace(prog, sa.resolve)
+>>> trace = compile_trace(prog, sa.resolve, codes={})
 >>> trace.n_nodes, trace.n_aap, trace.n_ap
 (1, 4, 1)
 """
@@ -1047,8 +1047,8 @@ def _assign_input_slots(builder: _Builder, live, mirrored,
     return in_rows, n_input_mirror, len(input_vids)
 
 
-def compile_trace(program, resolve: Callable, fault: FaultSpec = None,
-                  codes: Dict = None):
+def compile_trace(program, resolve: Callable, fault: FaultSpec = None, *,
+                  codes: Dict):
     """Lower one μProgram into a :class:`CompiledTrace` (or, under an
     active ``fault`` spec, a :class:`CompiledFaultTrace`) -- the only
     lowering.
@@ -1066,17 +1066,18 @@ def compile_trace(program, resolve: Callable, fault: FaultSpec = None,
     With the native kernels the whole lowering is one ``lower_trace``
     call (:func:`_lower_native`): one pass here encodes every op's
     resolved ports as ints, and the kernel emits the trace's replay
-    table, from which the trace's fields are slices.  ``codes``, if
-    given, is a dict kept with ``resolve`` (each subarray keeps one) in
-    which those op encodings persist across programs.  Without the
-    kernels, and under :func:`native_disabled`, :func:`_lower_python`
+    table, from which the trace's fields are slices.  ``codes`` is the
+    memo of those encodings, a dict kept with ``resolve`` (each subarray
+    keeps one): a cold fault trial's programs share most of their ops,
+    and ~90% of the ops a trial encodes hit it.  It needs no bound, as
+    its keys are μOps over one subarray's fixed address space.  Without
+    the kernels, and under :func:`native_disabled`, :func:`_lower_python`
     runs the same lowering in Python -- the reference the native one is
     held to, field for field (``tests/test_native_lowering.py``).
     """
     spec = fault if fault is not None and fault.active else None
     if native_enabled():
-        return _lower_native(program.ops, resolve, spec,
-                             {} if codes is None else codes)
+        return _lower_native(program.ops, resolve, spec, codes)
     return _lower_python(program.ops, resolve, spec)
 
 
@@ -1234,19 +1235,15 @@ def _op_code(op, resolve: Callable) -> bytes:
 def _encode_ops(ops, resolve: Callable, codes: Dict) -> bytes:
     """The ops as ``lower_trace``'s int64 stream (see :func:`_op_code`).
 
-    ``codes`` memoizes each op's code.  The ops it does not hold yet
-    encode in op order, so a bad address or an even activation raises
-    where the walk would raise.
+    ``codes`` memoizes each op's code; ops encode in op order, so a bad
+    address or an even activation raises where the walk would raise.
     """
-    parts = list(map(codes.get, ops))
-    if not all(parts):
-        for i, part in enumerate(parts):
-            if part is None:
-                op = ops[i]
-                part = codes.get(op)
-                if part is None:
-                    part = codes[op] = _op_code(op, resolve)
-                parts[i] = part
+    parts = []
+    for op in ops:
+        part = codes.get(op)
+        if part is None:
+            part = codes[op] = _op_code(op, resolve)
+        parts.append(part)
     return b"".join(parts)
 
 
@@ -1275,7 +1272,12 @@ def _lower_native(ops, resolve: Callable, spec: "FaultSpec | None",
     if status:
         if status == -1:
             raise ValueError(_EVEN_ACTIVATION)
-        raise MemoryError("lower_trace could not allocate its work space")
+        if status == -2:
+            raise MemoryError("lower_trace could not allocate its work space")
+        if status == -3:
+            raise ValueError("lower_trace was given a negative row")
+        raise AssertionError(f"lower_trace needs more than {out.size} "
+                             "output slots; the bound above is wrong")
     (n_table, n_in, n_im, n_slots, n_rows, n_nodes, n_out, n_levels,
      n_draws, n_aap, n_ap, n_multi) = out[:12].tolist()
     at = _LOWER_HEADER

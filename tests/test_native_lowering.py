@@ -82,9 +82,9 @@ def _assert_same(native, python) -> None:
 
 def _lower_both(program, resolve, fault=None):
     """The program lowered both ways, compared; the native trace."""
-    native = compile_trace(program, resolve, fault)
+    native = compile_trace(program, resolve, fault, codes={})
     with native_disabled():
-        python = compile_trace(program, resolve, fault)
+        python = compile_trace(program, resolve, fault, codes={})
     _assert_same(native, python)
     return native
 
@@ -96,11 +96,11 @@ def lowered(monkeypatch):
     names = []
     original = trace_module.compile_trace
 
-    def both(program, resolve, fault=None, codes=None):
+    def both(program, resolve, fault=None, *, codes):
         names.append(program.name)
-        native = original(program, resolve, fault, codes)
+        native = original(program, resolve, fault, codes=codes)
         with native_disabled():
-            python = original(program, resolve, fault)
+            python = original(program, resolve, fault, codes={})
         _assert_same(native, python)
         return native
 
@@ -227,10 +227,10 @@ def test_even_activation_raises_alike(native):
     prog = MicroProgram("even", (aap("B8", "B0"), ap("B8"), aap(9, 0)))
     scope = contextlib.nullcontext if native else native_disabled
     with scope(), pytest.raises(ValueError, match="odd row count"):
-        compile_trace(prog, sa.resolve)
+        compile_trace(prog, sa.resolve, codes={})
     bad = MicroProgram("bad", (aap(0, "B8"), aap(9, 0), ap("B8")))
     with scope(), pytest.raises(IndexError):
-        compile_trace(bad, sa.resolve)
+        compile_trace(bad, sa.resolve, codes={})
 
 
 def test_native_table_is_preset():
@@ -239,8 +239,24 @@ def test_native_table_is_preset():
     sa = WordlineSubarray(n_data_rows=2, n_cols=8)
     prog = MicroProgram("and", (aap(0, "B8"), aap("C0", "B9"),
                                 aap(1, "B2"), ap("B12"), aap("B2", 1)))
-    trace = compile_trace(prog, sa.resolve)
+    trace = compile_trace(prog, sa.resolve, codes={})
     assert (trace._table is not None) == native_enabled()
+
+
+@pytest.mark.skipif(not native_enabled(), reason="needs the native kernels")
+def test_kernel_statuses_are_told_apart():
+    """A negative row and too short an output are reported as what they
+    are, not as the allocation failure."""
+    prog = MicroProgram("copy", (aap(0, 1),))
+    with pytest.raises(ValueError, match="negative row"):
+        trace_module._lower_native(prog.ops, lambda address: ((-1, 0),),
+                                   None, {})
+    sa = WordlineSubarray(n_data_rows=2, n_cols=8)
+    code = trace_module._encode_ops(prog.ops, sa.resolve, {})
+    out = np.empty(trace_module._LOWER_HEADER, np.int64)
+    assert trace_module._native.lower_trace(
+        code, 1, trace_module._C0, trace_module._C1, 0, 0,
+        trace_module._native.address(out), out.size) == -4
 
 
 # ----------------------------------------------------------------------
