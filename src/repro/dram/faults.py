@@ -88,17 +88,33 @@ class FaultModel:
     def predraw(self, n_draws: int, width: int) -> np.ndarray:
         """Take ``n_draws`` activation draws of ``width`` lanes at once.
 
-        One ``Generator.random((n_draws, width))`` call consumes the
-        underlying bit stream exactly as ``n_draws`` sequential
-        ``random(width)`` calls would (row ``i`` equals the ``i``-th
-        sequential draw), so a fused replay that pre-draws its whole
-        program leaves the generator in the same state as the
+        The pre-pass of the NumPy fault replay
+        (:meth:`repro.isa.trace.CompiledFaultTrace.execute` under
+        :func:`~repro.isa.trace.native_disabled`, or without the native
+        kernels); the native kernels draw from :attr:`bit_generator`
+        themselves.  One ``Generator.random((n_draws, width))`` call
+        consumes the underlying bit stream exactly as ``n_draws``
+        sequential ``random(width)`` calls would (row ``i`` equals the
+        ``i``-th sequential draw), so a fused replay that pre-draws its
+        whole program leaves the generator in the same state as the
         interpreted path -- ``tests/test_fault_fusion_parity.py`` pins
         the equivalence.  Returns the raw uniforms; thresholding
         against ``p_cim`` / ``p_read`` is the caller's job because the
         applicable rate varies per draw row.
         """
         return self._rng.random((int(n_draws), int(width)))
+
+    @property
+    def bit_generator(self) -> np.random.BitGenerator:
+        """The generator's bit source, shared with every model drawing
+        from the same ``Generator``.
+
+        The native fault kernels (:mod:`repro.isa.native`) call its
+        ``ctypes`` handles' ``next_double`` under its ``lock``: the
+        calls ``Generator.random`` makes, so the stream and the
+        terminal state are :meth:`predraw`'s.
+        """
+        return self._rng.bit_generator
 
     def reset_counts(self) -> None:
         """Zero the ``injected`` flip counter.

@@ -32,7 +32,12 @@ What the store holds -- three tiers and a buffer:
   scheduler state after the call.  IARM's events are a pure function
   of its digit bounds and the input (paper Sec. 4.5.2), so a rebuilt
   engine body or a co-tenant of the same layout replays a sequence
-  another engine already scheduled.
+  another engine already scheduled.  The same tier holds each
+  ECC-protected event batch a protected engine ran natively, keyed by
+  the layout signature, the mask row and the events: its blocks'
+  compiled entries and check descriptors as one
+  :class:`~repro.isa.trace.ProtectedBatch` (see
+  :meth:`~repro.engine.machine.CountingEngine.execute_events`).
 * **Replay scratch**: one :class:`~repro.isa.trace.TraceScratch`, a
   flat buffer carved per row width at replay, so the replay footprint
   is the largest single replay's need -- not a sum over the engines a
@@ -87,10 +92,14 @@ def _lru_get(cache: OrderedDict, key):
     return value
 
 
-def _lru_put(cache: OrderedDict, key, value, bound: int) -> None:
+def _lru_put(cache: OrderedDict, key, value, bound: int) -> int:
+    """Insert ``key``; returns how many old entries the bound evicted."""
     cache[key] = value
+    evicted = 0
     while len(cache) > bound:
         cache.popitem(last=False)
+        evicted += 1
+    return evicted
 
 
 class ProgramStore:
@@ -108,8 +117,12 @@ class ProgramStore:
         self._programs: "OrderedDict[tuple, object]" = OrderedDict()
         # (n_data_rows, id(program)) -> [program, spec, trace, ops]
         self._compiled: "OrderedDict[tuple, list]" = OrderedDict()
-        # run_waves key -> (chain, model_ops delta, post-call state)
+        # run_waves key -> (chain, model_ops delta, post-call state);
+        # protected batch key -> its assembled batch
         self._chains: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: Entries the μProgram and compiled tiers ever dropped: a memo
+        #: holding their objects is valid while this has not moved.
+        self.evictions = 0
         # repro.isa transitively imports repro.dram: resolve at runtime.
         from repro.isa.trace import TraceScratch
         self.scratch = TraceScratch()  # shared replay buffers
@@ -123,8 +136,23 @@ class ProgramStore:
 
     def put(self, key, program):
         """Store ``program`` as the canonical μProgram for ``key``."""
-        _lru_put(self._programs, key, program, self.bound)
+        self.evictions += _lru_put(self._programs, key, program, self.bound)
         return program
+
+    def discard(self, key) -> None:
+        """Forget the μProgram under ``key`` (a lookup taken back)."""
+        self._programs.pop(key, None)
+
+    def touch(self, keys, programs=(), n_data_rows: int = 0) -> None:
+        """Mark the μPrograms under ``keys``, then the compiled entries
+        of ``programs``, used in that order, as lookups and runs do:
+        what a memo that replays them in one call owes the LRU order."""
+        move = self._programs.move_to_end
+        for key in keys:
+            move(key)
+        move = self._compiled.move_to_end
+        for program in programs:
+            move((n_data_rows, id(program)))
 
     # ------------------------------------------------------------------
     # compiled tier
@@ -149,8 +177,9 @@ class ProgramStore:
             self._compiled.move_to_end(key)
             return entry
         entry = [program, None, None, None]
-        self._compiled.pop(key, None)
-        _lru_put(self._compiled, key, entry, self.bound)
+        if self._compiled.pop(key, None) is not None:
+            self.evictions += 1
+        self.evictions += _lru_put(self._compiled, key, entry, self.bound)
         return entry
 
     # ------------------------------------------------------------------
@@ -158,11 +187,13 @@ class ProgramStore:
     # ------------------------------------------------------------------
     def chain(self, key):
         """The ``(chain, model_ops delta, post state)`` memoized under
-        a ``run_waves`` key, or ``None``."""
+        a ``run_waves`` key (or a protected batch memoized under its
+        key), or ``None``."""
         return _lru_get(self._chains, key)
 
-    def put_chain(self, key, memo: tuple) -> None:
-        """Memoize one ``run_waves`` call's outcome under ``key``."""
+    def put_chain(self, key, memo) -> None:
+        """Memoize one ``run_waves`` call's outcome (or one protected
+        batch) under ``key``."""
         _lru_put(self._chains, key, memo, self.chain_bound)
 
     # ------------------------------------------------------------------

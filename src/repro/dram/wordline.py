@@ -184,6 +184,7 @@ class WordlineSubarray:
         self.cells = np.zeros((_DATA_BASE + self.n_data_rows, self.n_words),
                               dtype=np.uint64)
         self.cells[_C1] = _FULL          # constant-one control row
+        self._checked = None             # see checked_cells
         self.fault_model = fault_model
         self.aap_count = 0
         self.ap_count = 0
@@ -394,6 +395,15 @@ class WordlineSubarray:
             compiled.execute(self.cells, scratch)
         self._accrue(compiled)
 
+    def checked_cells(self) -> np.ndarray:
+        """The cell matrix, checked against the native fault kernels'
+        contract (:func:`repro.isa.trace.check_cells`) once per matrix
+        object rather than at every protected batch."""
+        if self._checked is not self.cells:
+            _trace_module().check_cells(self.cells, self.n_cols)
+            self._checked = self.cells
+        return self.cells
+
     def _accrue(self, replayed) -> None:
         """Add a replayed trace's (or chain's) command totals."""
         self.aap_count += replayed.n_aap
@@ -428,7 +438,7 @@ class WordlineSubarray:
 
         * with the native kernels, **one kernel call** (:meth:`~repro.
           isa.trace.TraceChain.execute`): fault-free, or under an
-          active fault model on one pre-pass draw for the whole chain;
+          active fault model drawing each segment's rows in the kernel;
         * without them (:func:`~repro.isa.trace.native_disabled`), a
           loop over the compiled segment traces;
         * with fusion off (:func:`~repro.isa.trace.fusion_disabled`),

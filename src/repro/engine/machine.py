@@ -29,7 +29,8 @@ from repro.dram.ambit import AmbitSubarray
 from repro.dram.faults import FAULT_FREE, FaultModel
 from repro.dram.programs import ProgramStore
 from repro.dram.wordline import WordlineSubarray, pack_bits
-from repro.ecc.protection import CIMProtection
+from repro.ecc.protection import (CIMProtection, RetryExhaustedError,
+                                  parity_masks)
 from repro.engine.mapping import CounterLayout
 from repro.isa.templates import (kary_increment_program, masked_update_ops,
                                  overflow_check_ops,
@@ -37,9 +38,41 @@ from repro.isa.templates import (kary_increment_program, masked_update_ops,
                                  underflow_check_ops)
 from repro.isa import native as _native
 from repro.isa.microprogram import MicroProgram, aap, concat
-from repro.isa.trace import fusion_enabled, native_enabled
+from repro.isa.trace import (FaultSpec, ProtectedBatch, fusion_enabled,
+                             native_enabled)
 
 __all__ = ["CountingEngine", "Counters", "counter_fields"]
+
+#: Steps of the per-block protection protocol (see
+#: CountingEngine._protected_steps); the first five are the
+#: protected_batch kernel's unit kinds (see maj_replay.c).
+_RUN, _BLOCK_A, _BLOCK_B, _BLOCK_C, _FLAG, _EVENT = range(6)
+
+
+def _event_key(events: Sequence[Event]) -> tuple:
+    """An event batch as a store key."""
+    return tuple((ev.digit, ev.k) if isinstance(ev, Increment)
+                 else ("resolve", ev.digit, ev.direction) for ev in events)
+
+
+class _ProtectedMemo(NamedTuple):
+    """One protected event batch, assembled for the native path.
+
+    ``batch`` holds the blocks' entries and the kernel's unit table;
+    ``tail_only`` the entries run only as FR tails.  ``keys`` are the
+    lookups of the protocol in order, ``marks`` per unit (and once
+    more at the end) ``(lookups, builds, compiles, replays, events)``
+    done or completed before it runs, ``ops`` the cumulative
+    paper-formula ops per completed event, and ``evictions`` the
+    store's count at assembly.
+    """
+
+    batch: ProtectedBatch
+    tail_only: frozenset
+    keys: tuple
+    marks: tuple
+    ops: tuple
+    evictions: int
 
 
 class Counters(NamedTuple):
@@ -234,6 +267,7 @@ class CountingEngine:
             self.protection = None
         self.max_retries = max_retries
         self.model_ops = 0       # paper-formula op accounting
+        self._journal = None     # keys built while assembling (see _program)
         self._flushed = True
         # Static part of the macro-fusion predicate (backend and
         # protection are fixed at construction; only the process-wide
@@ -254,6 +288,15 @@ class CountingEngine:
         # (lenient, every O_next flag set) decode, at most 3 * radix^D.
         acc = np.min_scalar_type(2 * self.radix ** (n_digits + 1))
         self._acc_dtype = acc if acc.itemsize < 8 else np.dtype(np.int64)
+        # The protected batch kernel's check operands: the code's packed
+        # parity-check masks and the lane mask (64-bit ECC words on the
+        # word backend only; see _protected_native).
+        self._check_args = None
+        if (self.protection is not None and self.backend == "word"
+                and self.protection.word_bits == 64):
+            self._parity = parity_masks(self.protection.code)
+            self._check_args = (self._parity.ctypes.data, self._parity.size,
+                                self._tail.ctypes.data)
 
     # ------------------------------------------------------------------
     # operand staging
@@ -302,24 +345,31 @@ class CountingEngine:
     # ------------------------------------------------------------------
     def _program(self, key, build):
         """This layout's stored μProgram for ``key``; a hit counts a
-        replay, a miss builds it (``build()``) and counts a compile."""
+        replay, a miss builds it (``build()``) and counts a compile
+        (and notes the key in ``_journal`` while a protected batch is
+        assembled)."""
         key = (self._layout_key, key)
         prog = self.programs.get(key)
         if prog is None:
             self.prog_compiles += 1
-            return self.programs.put(key, build())
+            prog = self.programs.put(key, build())
+            if self._journal is not None:
+                self._journal.append(key)
+            return prog
         self.prog_replays += 1
         return prog
 
     # ------------------------------------------------------------------
     # protected building blocks
     # ------------------------------------------------------------------
-    # Every protected block is a stored μProgram run through
-    # ``subarray.run_program``, so on the word backend it compiles on
-    # its first run like any other program and replays as a compiled
-    # fault trace.  Validation and retries stay on the host between runs
-    # and read rows in packed form; a retry re-runs the block, so the
-    # fault pre-pass draws its stream exactly as the interpreter would.
+    # Every protected block is a stored μProgram, so on the word backend
+    # it compiles on its first run like any other program and replays
+    # as a compiled (fault) trace.  One generator, _protected_steps,
+    # spells out the per-block protocol of an event batch; the host
+    # reference (_protected_reference) runs it step by step with its
+    # checks and retries in Python, and the native path
+    # (_protected_native) runs the same steps, assembled once per
+    # batch, as one protected_batch kernel call.
     def _protected_blocks(self, dst_row: int, src_row: int, mask_row: int,
                           invert_src: bool) -> tuple:
         """``(A, T2 copy, B, C, FR tail)`` of one protected update.
@@ -333,62 +383,159 @@ class CountingEngine:
         updates sharing a block (every update's T2 copy and FR tail,
         one block C per ``dst``) share one program and its trace.
         """
-        def build():
-            lay = self.layout
-            prog = protected_masked_update_ops(
-                dst_row, src_row, mask_row, invert_src,
-                ir1_row=lay.ir1_row, ir2_row=lay.ir2_row,
-                fr_row=lay.fr_row, t2_row=lay.t2_row)
-            (cp1, cp2), ops = prog.checkpoints, prog.ops
-            return tuple(
-                self._program(("ops", part),
-                              lambda part=part: MicroProgram("block", part))
-                for part in (ops[:cp1 + 1], ops[cp1 + 1:cp1 + 2],
-                             ops[cp1 + 2:cp2 + 1], ops[cp2 + 1:],
-                             ops[cp1 - 4:cp1 + 1]))
+        lay = self.layout
+        prog = protected_masked_update_ops(
+            dst_row, src_row, mask_row, invert_src,
+            ir1_row=lay.ir1_row, ir2_row=lay.ir2_row,
+            fr_row=lay.fr_row, t2_row=lay.t2_row)
+        (cp1, cp2), ops = prog.checkpoints, prog.ops
+        return tuple(
+            self._program(("ops", part),
+                          lambda part=part: MicroProgram("block", part))
+            for part in (ops[:cp1 + 1], ops[cp1 + 1:cp1 + 2],
+                         ops[cp1 + 2:cp2 + 1], ops[cp2 + 1:],
+                         ops[cp1 - 4:cp1 + 1]))
 
-        return self._program(
-            ("protected", dst_row, src_row, mask_row, invert_src), build)
+    def _protected_steps(self, events: Sequence[Event], mask_row: int,
+                         lookup):
+        """The per-block protocol of a protected event batch, as steps.
 
-    def _protected_update(self, dst_row: int, src_row: int, mask_row: int,
-                          invert_src: bool) -> None:
-        """One masked bit update with FR syndrome checks and retries.
+        Per increment (a carry resolve is the next digit's increment
+        masked by the O_next row, then its clear): the cycle saves, the
+        protected per-bit updates -- block A, the T2 copy, block B and
+        block C each -- and the overflow update behind an O_next
+        snapshot (Sec. 6.2 protects the masking ANDs).  Yields, in run
+        order, ``(_RUN, program)``, ``(_BLOCK_A, block, fr_tail,
+        mask_row, src_row, inverted)``, ``(_BLOCK_B, block, fr_tail,
+        dst_row)``, ``(_BLOCK_C, block, dst_row)``, ``(_FLAG, block,
+        onext, snapshot, theta, msb, mask_row, k)`` and after each event
+        ``(_EVENT, paper-formula ops)``.  Stored μPrograms are looked up
+        through ``lookup`` (:meth:`_program`, or a recording wrapper of
+        it) right before the step that first runs them, so the lookups
+        done before any step are the ones the protocol has done by then.
+        """
+        lay, n = self.layout, self.n_bits
+        for ev in events:
+            if isinstance(ev, Increment):
+                digit, k, masked_by = ev.digit, ev.k, mask_row
+            elif isinstance(ev, CarryResolve):
+                digit, k = ev.digit + 1, ev.direction
+                masked_by = lay.onext_rows[ev.digit]
+            else:  # pragma: no cover - defensive
+                raise TypeError(f"unknown event {ev!r}")
+            bit_rows = lay.digit_bit_rows[digit]
+            pattern = transition_pattern(n, k)
+            save_indices = list(pattern.cycle_saves)
+            if n - 1 not in save_indices:
+                save_indices = [n - 1] + save_indices
+            saves = dict(zip(save_indices, lay.scratch_rows))
+            yield _RUN, lookup(("saves", digit, k), lambda: MicroProgram(
+                "cycle_saves", tuple(aap(bit_rows[idx], scratch)
+                                     for idx, scratch in saves.items())))
+            written = set()
+            for a in pattern.assignments:
+                if a.src in saves and (a.src in written or a.src == a.dst):
+                    src_row = saves[a.src]
+                else:
+                    src_row = bit_rows[a.src]
+                dst_row = bit_rows[a.dst]
+                block_a, t2_copy, block_b, block_c, fr_tail = lookup(
+                    ("protected", dst_row, src_row, masked_by, a.inverted),
+                    lambda: self._protected_blocks(dst_row, src_row,
+                                                   masked_by, a.inverted))
+                yield _BLOCK_A, block_a, fr_tail, masked_by, src_row, \
+                    a.inverted
+                yield _RUN, t2_copy
+                yield _BLOCK_B, block_b, fr_tail, dst_row
+                yield _BLOCK_C, block_c, dst_row
+                written.add(a.dst)
+            # The overflow/underflow update reads the old flags from a
+            # snapshot row, so a detected fault simply re-executes it.
+            onext, snap = lay.onext_rows[digit], lay.onext_snapshot_row
+            theta, msb_row = saves[n - 1], bit_rows[-1]
+            checker = overflow_check_ops if k > 0 else underflow_check_ops
+            block = lookup(
+                ("overflow", digit, k, masked_by, theta),
+                lambda: MicroProgram("overflow", tuple(checker(
+                    onext, theta, msb_row, abs(k), n, masked_by,
+                    onext_src=snap))))
+            yield _RUN, lookup(("snapshot", onext), lambda: MicroProgram(
+                "snapshot", (aap(onext, snap),)))
+            yield _FLAG, block, onext, snap, theta, msb_row, masked_by, k
+            if isinstance(ev, CarryResolve):
+                yield _RUN, lookup(("clear", masked_by), lambda: MicroProgram(
+                    "clear_onext", (aap("C0", masked_by),)))
+            yield _EVENT, event_ops(ev, n, fr_checks=self.fr_checks)
+
+    def _protected_reference(self, events: Sequence[Event],
+                             mask_row: int) -> None:
+        """Run a protected batch's steps on the host: every block through
+        ``run_program``, validations and retries between them.
 
         The ECC chip's predicted check bits come from the trusted
         operand rows by XOR homomorphism, taken on their XOR directly
         (``checks(a) ^ checks(b) == checks(a ^ b)``); a complemented
         operand is its bitwise NOT, which the lane mask confines to the
-        row's real lanes.
+        row's real lanes.  The overflow flags are not XOR-embeddable, so
+        their check compares against the host-predicted flag (Alg. 1's
+        expression on trusted reads, as :func:`~repro.core.johnson.
+        overflow_after_step` computes it, here on packed words).  Rows
+        are read through tuples, whose resolved index the subarray
+        caches.
         """
         lay, prot, tail = self.layout, self.protection, self._tail
         run, read = self.subarray.run_program, self.subarray.read_rows_packed
-        block_a, t2_copy, block_b, block_c, fr_tail = self._protected_blocks(
-            dst_row, src_row, mask_row, invert_src)
-        mask, src = read([mask_row, src_row])
-        expect_a = prot.checks_of_packed(
-            mask ^ (~src if invert_src else src), tail)
-        prot.run_protected(lambda: run(block_a),
-                           lambda: self._fr_valid(expect_a, fr_tail),
-                           self.max_retries)
-        run(t2_copy)
+        retries, mask = self.max_retries, None
+        for step in self._protected_steps(events, mask_row, self._program):
+            kind = step[0]
+            if kind == _RUN:
+                run(step[1])
+            elif kind == _BLOCK_A:
+                _, block, fr_tail, masked_by, src_row, inverted = step
+                mask, src = read((masked_by, src_row))
+                expect = prot.checks_of_packed(
+                    mask ^ (~src if inverted else src), tail)
+                prot.run_protected(lambda: run(block),
+                                   lambda: self._fr_valid(expect, fr_tail),
+                                   retries)
+            elif kind == _BLOCK_B:
+                _, block, fr_tail, dst_row = step
+                expect = prot.checks_of_packed(
+                    read((dst_row,))[0] ^ ~mask, tail)
+                prot.run_protected(lambda: run(block),
+                                   lambda: self._fr_valid(expect, fr_tail),
+                                   retries)
+            elif kind == _BLOCK_C:
+                _, block, dst_row = step
+                rows = (lay.t2_row, lay.ir2_row, dst_row)
 
-        dst = read([dst_row])[0]
-        expect_b = prot.checks_of_packed(dst ^ ~mask, tail)
-        prot.run_protected(lambda: run(block_b),
-                           lambda: self._fr_valid(expect_b, fr_tail),
-                           self.max_retries)
+                def c_ok() -> bool:
+                    t2, ir2, out = read(rows)
+                    return prot.verify_packed(
+                        out, prot.checks_of_packed(t2 ^ ir2, tail), tail)
 
-        def c_ok() -> bool:
-            t2, ir2, out = read([lay.t2_row, lay.ir2_row, dst_row])
-            return prot.verify_packed(
-                out, prot.checks_of_packed(t2 ^ ir2, tail), tail)
-
-        prot.run_protected(lambda: run(block_c), c_ok, self.max_retries)
+                prot.run_protected(lambda: run(block), c_ok, retries)
+            elif kind == _FLAG:
+                _, block, onext, snap, theta, msb_row, masked_by, k = step
+                old_flags, old_msb, new_msb, masked = read(
+                    (snap, theta, msb_row, masked_by))
+                if k < 0:    # underflow is overflow of the complemented MSB
+                    old_msb, new_msb = ~old_msb, ~new_msb
+                flag = (old_msb & ~new_msb if abs(k) <= self.n_bits
+                        else old_msb | ~new_msb)
+                expected = old_flags | (flag & masked)
+                prot.run_protected(
+                    lambda: run(block),
+                    lambda: prot.verify_equal(read((onext,))[0], expected,
+                                              tail),
+                    retries)
+            else:
+                self.model_ops += step[1]
 
     def _fr_valid(self, expected, fr_tail) -> bool:
         """Check FR ``fr_checks`` times, recomputing it between checks
         (Tab. 1's repeat knob)."""
-        fr = [self.layout.fr_row]
+        fr = (self.layout.fr_row,)
         for i in range(self.fr_checks):
             if i:
                 self.subarray.run_program(fr_tail)   # recompute FR only
@@ -398,79 +545,178 @@ class CountingEngine:
                 return False
         return True
 
+    def _can_run_protected_natively(self) -> bool:
+        """The protected batch kernel applies on the word backend with
+        64-bit ECC words, while the kernels and fusion are enabled;
+        otherwise :meth:`_protected_reference` runs the batch."""
+        return (self._check_args is not None and fusion_enabled()
+                and native_enabled())
+
+    def _assemble_protected(self, events: Sequence[Event],
+                            mask_row: int) -> tuple:
+        """Walk a batch's steps into a :class:`_ProtectedMemo`; returns
+        it and the keys of the μPrograms the walk built, in order.
+
+        The walk's lookups are the protocol's own (counted, storing
+        what they build); it records, ahead of each unit, how many
+        lookups and builds were done and events completed by then, so
+        a batch stopped at a unit can be accounted as far as the
+        protocol would have got.
+        """
+        sub, store, lay = self.subarray, self.programs, self.layout
+        base = sub._data_row(0)          # layout rows are in range
+        keys = []
+
+        def lookup(key, build):
+            keys.append((self._layout_key, key))
+            return self._program(key, build)
+
+        entries, index = [], {}
+
+        def entry(program) -> int:
+            at = index.get(id(program))
+            if at is None:
+                at = index[id(program)] = len(entries)
+                entries.append(store.compiled(sub.n_data_rows, program))
+            return at
+
+        units, marks, ops = [], [], [0]
+        compiles, replays = self.prog_compiles, self.prog_replays
+        self._journal = journal = []
+        try:
+            for step in self._protected_steps(events, mask_row, lookup):
+                kind = step[0]
+                if kind == _EVENT:
+                    ops.append(ops[-1] + step[1])
+                    continue
+                marks.append((len(keys), len(journal),
+                              self.prog_compiles - compiles,
+                              self.prog_replays - replays, len(ops) - 1))
+                if kind == _RUN:
+                    unit = (kind, entry(step[1]), 0, 0, 0, 0, 0, 0)
+                elif kind == _BLOCK_A:
+                    _, block, fr_tail, masked_by, src_row, inverted = step
+                    unit = (kind, entry(block), entry(fr_tail),
+                            base + masked_by, base + src_row, int(inverted),
+                            0, 0)
+                elif kind == _BLOCK_B:
+                    _, block, fr_tail, dst_row = step
+                    unit = (kind, entry(block), entry(fr_tail),
+                            base + dst_row, 0, 0, 0, 0)
+                elif kind == _BLOCK_C:
+                    _, block, dst_row = step
+                    unit = (kind, entry(block), base + lay.t2_row,
+                            base + lay.ir2_row, base + dst_row, 0, 0, 0)
+                else:
+                    _, block, onext, snap, theta, msb_row, masked_by, k = step
+                    unit = (kind, entry(block), base + onext, base + snap,
+                            base + theta, base + msb_row, base + masked_by,
+                            (k < 0) | (abs(k) > self.n_bits) << 1)
+                units.append(unit)
+        finally:
+            self._journal = None
+        marks.append((len(keys), len(journal), self.prog_compiles - compiles,
+                      self.prog_replays - replays, len(ops) - 1))
+        # Entries only ever run as FR tails need no trace at one check.
+        tails = {u[2] for u in units if u[0] in (_BLOCK_A, _BLOCK_B)}
+        tail_only = frozenset(tails - {u[1] for u in units})
+        batch = ProtectedBatch(entries, units, base + lay.fr_row)
+        return _ProtectedMemo(batch, tail_only, tuple(keys), tuple(marks),
+                              tuple(ops), store.evictions), journal
+
+    def _protected_native(self, events: Sequence[Event],
+                          mask_row: int) -> None:
+        """Run a protected batch as one ``protected_batch`` kernel call,
+        exactly as :meth:`_protected_reference` would.
+
+        The batch is assembled once per ``(layout, mask row, events)``
+        and memoized in the store's chain tier; it is reassembled if
+        the store has since dropped any μProgram or compiled entry, so
+        the memo's programs are always the store's.  Blocks without a
+        trace for the current fault regime compile first.  The kernel
+        reports where it stopped and how often each block ran; from
+        that every counter is brought to the reference's values: the
+        μProgram lookups and ``model_ops`` as far as the protocol got,
+        ``trace_compiles`` for blocks that ran (a block that never ran
+        is left uncompiled again), the replays, command totals, injected
+        flips and :class:`~repro.ecc.protection.ProtectionStats`.  A
+        block that exhausted its retries raises the reference's
+        :class:`~repro.ecc.protection.RetryExhaustedError` there.
+        """
+        sub, store = self.subarray, self.programs
+        key = (self._layout_key, "protected", mask_row, _event_key(events))
+        memo = store.chain(key)
+        fresh = memo is None or memo.evictions != store.evictions
+        if fresh:
+            compiles, replays = self.prog_compiles, self.prog_replays
+            memo, built = self._assemble_protected(events, mask_row)
+        batch = memo.batch
+        spec = FaultSpec.of(sub.fault_model)
+        bare_tail = self.fr_checks < 2
+        traces, compiled = [], []
+        for i, entry in enumerate(batch.entries):
+            if entry[2] is None or entry[1] != spec:
+                if bare_tail and i in memo.tail_only:
+                    traces.append(None)
+                    continue
+                compiled.append((i, entry[1], entry[2]))
+                sub._compile(entry, spec)
+            traces.append(entry[2])
+        out, totals = batch.execute(
+            sub.checked_cells(), store.scratch, tuple(traces), sub.fault_model,
+            sub.n_cols, self._check_args, self.fr_checks, self.max_retries)
+        status, stop, injected = out[:3]
+        runs = out[9:]
+        for i, spec_was, trace_was in compiled:
+            if not runs[i]:                # never ran: never compiled
+                entry = batch.entries[i]
+                entry[1], entry[2] = spec_was, trace_was
+                sub.trace_compiles -= 1
+        sub.trace_replays += sum(runs) - sum(1 for i, _, _ in compiled
+                                             if runs[i])
+        sub.aap_count += totals[0]
+        sub.ap_count += totals[1]
+        sub.activations += totals[2]
+        sub.multi_row_activations += totals[3]
+        sub.fault_injections += injected
+        sub.fault_model.injected += injected
+        stats = self.protection.stats
+        stats.blocks += out[3]
+        stats.checks += out[4]
+        stats.detections += out[5]
+        stats.retries += out[6]
+        stats.corrected += out[7]
+        stats.exhausted += out[8]
+        n_keys, n_built, n_compiles, n_replays, n_events = memo.marks[
+            stop if status else -1]
+        if fresh:
+            if status:                     # take back the lookups not reached
+                self.prog_compiles = compiles + n_compiles
+                self.prog_replays = replays + n_replays
+                for stored in built[n_built:]:
+                    store.discard(stored)
+            else:
+                store.put_chain(key, memo)
+        else:
+            store.touch(memo.keys[:n_keys], [e[0] for e in batch.entries],
+                        sub.n_data_rows)
+            self.prog_replays += n_keys
+        self.model_ops += memo.ops[n_events]
+        if status:
+            raise RetryExhaustedError(f"protected block failed "
+                                      f"{self.max_retries} consecutive "
+                                      f"checks")
+
     # ------------------------------------------------------------------
     # event execution
     # ------------------------------------------------------------------
     def _run_increment(self, digit: int, k: int, mask_row: int) -> None:
         lay = self.layout
-        bit_rows = lay.digit_bit_rows[digit]
-        if not self.fr_checks:
-            self.subarray.run_program(self._program(
-                (digit, k, mask_row),
-                lambda: kary_increment_program(
-                    bit_rows, mask_row, k, lay.scratch_rows,
-                    lay.onext_rows[digit])))
-            return
-
-        # Protected path: cycle saves + protected per-bit updates +
-        # plain overflow check (Sec. 6.2 protects the masking ANDs).
-        pattern = transition_pattern(self.n_bits, k)
-        save_indices = list(pattern.cycle_saves)
-        if self.n_bits - 1 not in save_indices:
-            save_indices = [self.n_bits - 1] + save_indices
-        saves = dict(zip(save_indices, lay.scratch_rows))
         self.subarray.run_program(self._program(
-            ("saves", digit, k),
-            lambda: MicroProgram("cycle_saves", tuple(
-                aap(bit_rows[idx], scratch)
-                for idx, scratch in saves.items()))))
-        written = set()
-        for a in pattern.assignments:
-            if a.src in saves and (a.src in written or a.src == a.dst):
-                src_row = saves[a.src]
-            else:
-                src_row = bit_rows[a.src]
-            self._protected_update(bit_rows[a.dst], src_row, mask_row,
-                                   a.inverted)
-            written.add(a.dst)
-        self._protected_overflow(digit, k, mask_row, saves[self.n_bits - 1])
-
-    def _protected_overflow(self, digit: int, k: int, mask_row: int,
-                            theta_row: int) -> None:
-        """Overflow/underflow update with detect-and-retry.
-
-        The block reads the old flags from a snapshot row, so a detected
-        fault simply re-executes it.  Validation compares against the
-        host-predicted flag (Alg. 1's expression on trusted reads, as
-        :func:`~repro.core.johnson.overflow_after_step` computes it,
-        here on packed words) -- the ECC-engine analogue for the
-        non-XOR-embeddable final OR.
-        """
-        lay = self.layout
-        onext = lay.onext_rows[digit]
-        snap = lay.onext_snapshot_row
-        msb_row = lay.digit_bit_rows[digit][-1]
-        checker = overflow_check_ops if k > 0 else underflow_check_ops
-        block = self._program(
-            ("overflow", digit, k, mask_row, theta_row),
-            lambda: MicroProgram("overflow", tuple(checker(
-                onext, theta_row, msb_row, abs(k), self.n_bits, mask_row,
-                onext_src=snap))))
-        run, read = self.subarray.run_program, self.subarray.read_rows_packed
-        run(self._program(("snapshot", onext), lambda: MicroProgram(
-            "snapshot", (aap(onext, snap),))))
-        old_flags, old_msb, new_msb, mask = read(
-            [snap, theta_row, msb_row, mask_row])
-        if k < 0:           # underflow is overflow of the complemented MSB
-            old_msb, new_msb = ~old_msb, ~new_msb
-        flag = (old_msb & ~new_msb if abs(k) <= self.n_bits
-                else old_msb | ~new_msb)
-        expected = old_flags | (flag & mask)
-        self.protection.run_protected(
-            lambda: run(block),
-            lambda: self.protection.verify_equal(
-                read([onext])[0], expected, self._tail),
-            self.max_retries)
+            (digit, k, mask_row),
+            lambda: kary_increment_program(
+                lay.digit_bit_rows[digit], mask_row, k, lay.scratch_rows,
+                lay.onext_rows[digit])))
 
     def _run_resolve(self, digit: int, direction: int) -> None:
         """Carry ripple: ±1 on the next digit masked by this O_next row."""
@@ -514,10 +760,7 @@ class CountingEngine:
                     raise TypeError(f"unknown event {ev!r}")
             return concat(f"batch[{len(events)}]", parts)
 
-        return self._program(("batch", mask_row) + tuple(
-            (ev.digit, ev.k) if isinstance(ev, Increment)
-            else ("resolve", ev.digit, ev.direction) for ev in events),
-            build)
+        return self._program(("batch", mask_row) + _event_key(events), build)
 
     def _can_fuse_batch(self) -> bool:
         """Macro-fusion applies on the unprotected word path.
@@ -525,9 +768,9 @@ class CountingEngine:
         Exactly the conditions under which the subarray itself would
         fuse each program -- active fault models included, since the
         fault pre-pass draws the per-activation random stream in
-        original op order.  ECC protection (which interleaves host
-        validation and retries between its blocks) runs per event,
-        each block a compiled trace of its own, and an explicit
+        original op order.  ECC protection (which interleaves
+        validation and retries between its blocks) runs each block as a
+        compiled trace of its own, and an explicit
         :func:`repro.isa.trace.fusion_disabled` scope runs per event
         and interprets.
         """
@@ -545,9 +788,26 @@ class CountingEngine:
         identical either way -- concatenation preserves op order and
         the totals are additive -- only the compile/replay cache
         counters see different (per-batch vs per-event) granularity.
+
+        An ECC-protected batch (``fr_checks > 0``) runs the per-block
+        protocol of :meth:`_protected_steps`.  On the word backend with
+        64-bit ECC words it is one native call (:meth:`
+        _protected_native`): checks, retries and fault draws included,
+        with cells, every counter, the protection stats and the fault
+        stream what the host reference (:meth:`_protected_reference`,
+        run under :func:`~repro.isa.trace.native_disabled`, without
+        ``gcc`` and for other word sizes) produces.
         """
         events = list(events)
         mask_row = self.layout.mask_rows[mask_index]
+        if self.fr_checks:
+            if not events:
+                return
+            if self._can_run_protected_natively():
+                self._protected_native(events, mask_row)
+            else:
+                self._protected_reference(events, mask_row)
+            return
         if len(events) > 1 and self._can_fuse_batch():
             self.subarray.run_program(
                 self._fused_batch_program(events, mask_row))

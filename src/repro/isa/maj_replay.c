@@ -3,11 +3,14 @@
  *
  *   chain_replay    fault-free replay of a chain of compiled μProgram
  *                   traces;
- *   fault_replay    replay of a chain of compiled fault traces, from the
- *                   fault pre-pass's raw uniforms;
+ *   fault_replay    replay of a chain of compiled fault traces, its
+ *                   fault draws taken from the model's bit generator;
+ *   protected_batch one ECC-protected event batch, checks and retries
+ *                   included;
  *   deal_waves      the deal of masked updates into broadcast waves;
  *   pack_waves      the wave images of a deal, from a packed mask table;
- *   johnson_decode  the read-out of every lane's Johnson counter.
+ *   johnson_decode  the read-out of every lane's Johnson counter;
+ *   lower_trace     the lowering of one μProgram into its replay table.
  *
  * chain_replay: cells is the subarray's C-contiguous [rows, n_words]
  * uint64 matrix, vals a scratch buffer of at least the largest
@@ -44,42 +47,51 @@ static void maj_row(const uint64_t *restrict a, const uint64_t *restrict b,
     }
 }
 
+/* One fault-free segment from its n_in slot onwards (the host write is
+ * the caller's); returns the table past the segment. */
+static const int64_t *replay_segment(uint64_t *cells, uint64_t *vals,
+                                     const int64_t *table, int64_t n_words)
+{
+    size_t row = (size_t)n_words * sizeof(uint64_t);
+    int64_t i, w, n;
+    /* 2. gather the live inputs */
+    n = *table++;
+    for (i = 0; i < n; i++)
+        memcpy(vals + i * n_words, cells + table[i] * n_words, row);
+    table += n;
+    /* 3. complements of the inputs read negated */
+    n = table[0];
+    for (i = 0; i < n; i++) {
+        const uint64_t *src = vals + i * n_words;
+        uint64_t *dst = vals + (table[1] + i) * n_words;
+        for (w = 0; w < n_words; w++)
+            dst[w] = ~src[w];
+    }
+    table += 2;
+    /* 4. the node table */
+    n = *table++;
+    for (i = 0; i < n; i++, table += 5)
+        maj_row(vals + table[0] * n_words, vals + table[1] * n_words,
+                vals + table[2] * n_words, vals + table[3] * n_words,
+                table[4] < 0 ? 0 : vals + table[4] * n_words, n_words);
+    /* 5. scatter the final row bindings */
+    n = *table++;
+    for (i = 0; i < n; i++)
+        memcpy(cells + table[i] * n_words,
+               vals + table[n + i] * n_words, row);
+    return table + 2 * n;
+}
+
 void chain_replay(uint64_t *cells, uint64_t *vals, const uint64_t *stream,
                   const int64_t *table, int64_t n_segments, int64_t n_words)
 {
     size_t row = (size_t)n_words * sizeof(uint64_t);
-    int64_t s, i, w, n;
+    int64_t s;
     for (s = 0; s < n_segments; s++) {
         /* 1. the host write of the segment's stream row */
         if (table[0] >= 0)
             memcpy(cells + table[0] * n_words, stream + s * n_words, row);
-        table++;
-        /* 2. gather the live inputs */
-        n = *table++;
-        for (i = 0; i < n; i++)
-            memcpy(vals + i * n_words, cells + table[i] * n_words, row);
-        table += n;
-        /* 3. complements of the inputs read negated */
-        n = table[0];
-        for (i = 0; i < n; i++) {
-            const uint64_t *src = vals + i * n_words;
-            uint64_t *dst = vals + (table[1] + i) * n_words;
-            for (w = 0; w < n_words; w++)
-                dst[w] = ~src[w];
-        }
-        table += 2;
-        /* 4. the node table */
-        n = *table++;
-        for (i = 0; i < n; i++, table += 5)
-            maj_row(vals + table[0] * n_words, vals + table[1] * n_words,
-                    vals + table[2] * n_words, vals + table[3] * n_words,
-                    table[4] < 0 ? 0 : vals + table[4] * n_words, n_words);
-        /* 5. scatter the final row bindings */
-        n = *table++;
-        for (i = 0; i < n; i++)
-            memcpy(cells + table[i] * n_words,
-                   vals + table[n + i] * n_words, row);
-        table += 2 * n;
+        table = replay_segment(cells, vals, table + 1, n_words);
     }
 }
 
@@ -88,13 +100,18 @@ void chain_replay(uint64_t *cells, uint64_t *vals, const uint64_t *stream,
 /* fault_replay: replay of a chain of compiled fault traces
  * (repro.isa.trace.CompiledFaultTrace) under an active fault model.
  *
- * uniforms is the fault pre-pass's raw [n_draws, n_cols] block from
- * FaultModel.predraw -- every segment's draw rows, in segment order --
- * and thresholds[n_draws] each draw row's rate (p_cim or p_read).  A
- * draw row is thresholded and packed when its step runs: lane i flips
- * when its uniform is below the threshold, as bit i % 64 of word i / 64,
- * with zero tail bits.  tmp holds three scratch rows.  The int64 table
- * holds the segments back to back, each as
+ * The fault draws are taken here, from the fault model's own bit
+ * generator: state and next_double are numpy's BitGenerator.ctypes
+ * handles (state_address, next_double), and the caller holds the
+ * generator's lock.  Before a segment's steps run, its n_draws rows
+ * of n_cols uniforms are drawn row-major -- exactly the next_double
+ * calls of Generator.random((n_draws, n_cols)), so the stream and the
+ * generator's terminal state are the NumPy pre-pass's -- and each row
+ * is thresholded at its rate (thresholds[n_draws] per segment, p_cim
+ * or p_read) and packed: lane i flips when its uniform is below the
+ * threshold, as bit i % 64 of word i / 64, with zero tail bits.  tmp
+ * holds one zero row, then the packed rows of the largest segment's
+ * draws.  The int64 table holds the segments back to back, each as
  *
  *   stream_row                        -1: no host write
  *   n_draws                           the segment's draw rows
@@ -118,97 +135,295 @@ void chain_replay(uint64_t *cells, uint64_t *vals, const uint64_t *stream,
  * mirror >= 0 gets ~dst.  Every kind is one word loop, mask = r ^ (k &
  * (f ^ r)) with k the contested columns (all ones unless the mode
  * selects), f the step's flips and r the read-rate flips of select
- * (zero rows where a kind has none); rd reads MAJ3(a, a, a) = a.
+ * (the zero row where a kind has none); rd reads MAJ3(a, a, a) = a.
  * Returns the number of injected flips, the popcount of every applied
  * mask (FaultModel.injected's increment).
  *
- * Build cost: every process builds this file at import, so the walk is
- * compiled at -O1 and only the thresholding loop, where the time goes,
- * at -O2.  That replayed a fault_campaign cycle's fault traces as fast
- * as -O3 (~6.5 ms of kernel time either way) and cost about 60% of
- * -O3's compile time (2-vCPU Xeon). */
-static __attribute__((noinline, optimize("O2"))) void flip_row(
-    uint64_t *dst, const double *u, double p, int64_t n_cols)
+ * Build cost: every process builds this file at import, so the fault
+ * kernels are compiled at -O1 (FAULT), as the fault walk was before;
+ * most of their time goes to the generator's next_double calls, one
+ * indirect call per lane of every draw row. */
+#define FAULT __attribute__((optimize("O1")))
+
+typedef double (*next_double_fn)(void *);
+
+/* Draw, threshold and pack n_draws rows of n_cols lanes. */
+static FAULT void draw_flips(uint64_t *flips, const double *thresholds,
+                             int64_t n_draws, int64_t n_cols,
+                             int64_t n_words, void *state,
+                             next_double_fn next)
 {
-    int64_t w, b;
-    for (w = 0; 64 * w < n_cols; w++, u += 64) {
-        int64_t lanes = n_cols - 64 * w < 64 ? n_cols - 64 * w : 64;
-        uint64_t x = 0;
-        for (b = 0; b < lanes; b++)
-            x |= (uint64_t)(u[b] < p) << b;
-        dst[w] = x;
+    int64_t r, w, b;
+    for (r = 0; r < n_draws; r++) {
+        const double p = thresholds[r];
+        for (w = 0; w < n_words; w++) {
+            int64_t lanes = n_cols - 64 * w < 64 ? n_cols - 64 * w : 64;
+            uint64_t x = 0;
+            for (b = 0; b < lanes; b++)
+                x |= (uint64_t)(next(state) < p) << b;
+            *flips++ = x;
+        }
     }
 }
 
-__attribute__((optimize("O1")))
-int64_t fault_replay(uint64_t *cells, uint64_t *vals, uint64_t *tmp,
-                     const uint64_t *stream, const int64_t *table,
-                     int64_t n_segments, const double *uniforms,
-                     const double *thresholds, int64_t mode, int64_t n_cols,
-                     int64_t n_words)
+/* One fault segment from its n_in slot onwards, on its packed draw
+ * rows (the host write and the draws are the caller's); adds its flips
+ * to *injected and returns the table past the segment. */
+static FAULT const int64_t *fault_segment(
+    uint64_t *cells, uint64_t *vals, const uint64_t *flips,
+    const uint64_t *zero, const int64_t *table, int64_t mode,
+    int64_t n_words, int64_t *injected)
 {
     size_t row = (size_t)n_words * sizeof(uint64_t);
-    uint64_t *flips = tmp, *reads = tmp + n_words, *zero = tmp + 2 * n_words;
-    int64_t injected = 0, s, i, w, n;
+    int64_t count = 0, i, w, n;
+    n = *table++;
+    for (i = 0; i < n; i++)
+        memcpy(vals + i * n_words, cells + table[i] * n_words, row);
+    table += n;
+    n = table[0];
+    for (i = 0; i < n; i++) {
+        const uint64_t *src = vals + i * n_words;
+        uint64_t *dst = vals + (table[1] + i) * n_words;
+        for (w = 0; w < n_words; w++)
+            dst[w] = ~src[w];
+    }
+    table += 2;
+    n = *table++;
+    for (i = 0; i < n; i++, table += 8) {
+        const int64_t kind = table[0];
+        const uint64_t *a = vals + table[1] * n_words;
+        const uint64_t *b = kind ? vals + table[2] * n_words : a;
+        const uint64_t *c = kind ? vals + table[3] * n_words : a;
+        const uint64_t *f = zero, *r = zero;
+        const uint64_t all = kind != 2 || mode == 0 ? ~0ULL : 0;
+        uint64_t *d = vals + table[4] * n_words;
+        if (kind != 1)
+            f = flips + (kind == 0 ? table[7] : table[6]) * n_words;
+        if (kind == 2 && mode == 2)
+            r = flips + table[7] * n_words;
+        for (w = 0; w < n_words; w++) {
+            uint64_t k = all | (a[w] ^ b[w]) | (a[w] ^ c[w]);
+            uint64_t m = r[w] ^ (k & (f[w] ^ r[w]));
+            d[w] = ((a[w] & (b[w] | c[w])) | (b[w] & c[w])) ^ m;
+            count += __builtin_popcountll(m);
+        }
+        if (table[5] >= 0) {
+            uint64_t *e = vals + table[5] * n_words;
+            for (w = 0; w < n_words; w++)
+                e[w] = ~d[w];
+        }
+    }
+    n = *table++;
+    for (i = 0; i < n; i++)
+        memcpy(cells + table[i] * n_words,
+               vals + table[n + i] * n_words, row);
+    *injected += count;
+    return table + 2 * n;
+}
+
+FAULT int64_t fault_replay(uint64_t *cells, uint64_t *vals, uint64_t *tmp,
+                           const uint64_t *stream, const int64_t *table,
+                           int64_t n_segments, const double *thresholds,
+                           void *state, next_double_fn next, int64_t mode,
+                           int64_t n_cols, int64_t n_words)
+{
+    size_t row = (size_t)n_words * sizeof(uint64_t);
+    uint64_t *zero = tmp, *flips = tmp + n_words;
+    int64_t injected = 0, s;
     memset(zero, 0, row);
     for (s = 0; s < n_segments; s++) {
         int64_t n_draws = table[1];
         if (table[0] >= 0)
             memcpy(cells + table[0] * n_words, stream + s * n_words, row);
-        table += 2;
-        n = *table++;
-        for (i = 0; i < n; i++)
-            memcpy(vals + i * n_words, cells + table[i] * n_words, row);
-        table += n;
-        n = table[0];
-        for (i = 0; i < n; i++) {
-            const uint64_t *src = vals + i * n_words;
-            uint64_t *dst = vals + (table[1] + i) * n_words;
-            for (w = 0; w < n_words; w++)
-                dst[w] = ~src[w];
-        }
-        table += 2;
-        n = *table++;
-        for (i = 0; i < n; i++, table += 8) {
-            const int64_t kind = table[0];
-            const uint64_t *a = vals + table[1] * n_words;
-            const uint64_t *b = kind ? vals + table[2] * n_words : a;
-            const uint64_t *c = kind ? vals + table[3] * n_words : a;
-            const uint64_t *f = zero, *r = zero;
-            const uint64_t all = kind != 2 || mode == 0 ? ~0ULL : 0;
-            uint64_t *d = vals + table[4] * n_words;
-            int64_t at = kind == 0 ? table[7] : table[6];
-            if (kind != 1) {
-                flip_row(flips, uniforms + at * n_cols, thresholds[at],
-                         n_cols);
-                f = flips;
-            }
-            if (kind == 2 && mode == 2) {
-                flip_row(reads, uniforms + table[7] * n_cols,
-                         thresholds[table[7]], n_cols);
-                r = reads;
-            }
-            for (w = 0; w < n_words; w++) {
-                uint64_t k = all | (a[w] ^ b[w]) | (a[w] ^ c[w]);
-                uint64_t m = r[w] ^ (k & (f[w] ^ r[w]));
-                d[w] = ((a[w] & (b[w] | c[w])) | (b[w] & c[w])) ^ m;
-                injected += __builtin_popcountll(m);
-            }
-            if (table[5] >= 0) {
-                uint64_t *e = vals + table[5] * n_words;
-                for (w = 0; w < n_words; w++)
-                    e[w] = ~d[w];
-            }
-        }
-        n = *table++;
-        for (i = 0; i < n; i++)
-            memcpy(cells + table[i] * n_words,
-                   vals + table[n + i] * n_words, row);
-        table += 2 * n;
-        uniforms += n_draws * n_cols;
+        draw_flips(flips, thresholds, n_draws, n_cols, n_words, state, next);
+        table = fault_segment(cells, vals, flips, zero, table + 2, mode,
+                              n_words, &injected);
         thresholds += n_draws;
     }
     return injected;
+}
+
+
+/* ------------------------------------------------------------------ */
+/* protected_batch: one ECC-protected event batch
+ * (repro.engine.CountingEngine.execute_events with fr_checks > 0), the
+ * per-block protocol of the engine's reference path in one call.
+ *
+ * batch holds
+ *
+ *   n_entries, n_units, fr_row
+ *   at[n_entries]                     each entry's one-segment table
+ *                                     (offset into batch; -1: none)
+ *   thr[n_entries]                    its first threshold in thresholds
+ *   units[n_units][8]                 (kind, entry, p0 .. p5)
+ *   the tables                        fault_replay's format when faulty,
+ *                                     chain_replay's otherwise
+ *
+ * and the units run in order:
+ *
+ *   kind 0  run entry once
+ *   kind 1  update block A: M <- cells[p1] (the mask, kept for block B),
+ *           X <- M ^ (p3 ? ~cells[p2] : cells[p2]); FR-checked block
+ *   kind 2  update block B: X <- cells[p1] ^ ~M; FR-checked block
+ *   kind 3  update block C: checked as syndrome(cells[p2] ^ cells[p0]
+ *           ^ cells[p1]) == 0, the disjoint OR against T2 ^ IR2
+ *   kind 4  overflow block: X <- the host-predicted flags from
+ *           old = cells[p1], theta = cells[p2], msb = cells[p3] and
+ *           mask = cells[p4] (p5 bit 0: k < 0, bit 1: |k| > n_bits);
+ *           checked as cells[p0] == X on the lanes
+ *
+ * where an FR check (kinds 1, 2) runs fr_checks times, the FR tail
+ * (entry p0) recomputing FR between checks, each passing when
+ * syndrome(cells[fr_row] ^ X) == 0.  A syndrome is nonzero when some
+ * word's lanes (tail) have an odd popcount under one of the code's
+ * n_checks parity-check masks: by linearity the check bits of a ^ b
+ * are the XOR of theirs, so this is CIMProtection's comparison of
+ * predicted and actual check bits.  A checked block runs up to
+ * max_retries times until its checks pass; every check counts, a
+ * failing one as a detection and a failed attempt as a retry, and a
+ * block that passes after a retry counts as corrected.  Fault draws
+ * are taken per run, as fault_replay takes them.
+ *
+ * out receives status (0 done, 1 a block exhausted its retries), the
+ * unit it stopped at, the injected flips, the ProtectionStats counts
+ * (blocks, checks, detections, retries, corrected, exhausted) and each
+ * entry's runs.  tmp holds a zero row, M, X, then the largest entry's
+ * packed draw rows. */
+typedef struct {
+    uint64_t *cells, *vals, *zero, *flips;
+    const int64_t *batch, *at, *thr;
+    const double *thresholds;
+    int64_t faulty, mode, n_cols, n_words, injected;
+    void *state;
+    next_double_fn next;
+    int64_t *runs;
+} batch_run;
+
+static FAULT void run_entry(batch_run *B, int64_t e)
+{
+    const int64_t *table = B->batch + B->at[e];
+    B->runs[e]++;
+    if (!B->faulty) {
+        replay_segment(B->cells, B->vals, table + 1, B->n_words);
+        return;
+    }
+    draw_flips(B->flips, B->thresholds + B->thr[e], table[1], B->n_cols,
+               B->n_words, B->state, B->next);
+    fault_segment(B->cells, B->vals, B->flips, B->zero, table + 2, B->mode,
+                  B->n_words, &B->injected);
+}
+
+/* Whether a ^ b ^ c (c may be 0) has a nonzero syndrome on the lanes. */
+static FAULT int syndrome(const uint64_t *a, const uint64_t *b,
+                          const uint64_t *c, const uint64_t *tail,
+                          const uint64_t *masks, int64_t n_checks,
+                          int64_t n_words)
+{
+    int64_t w, j;
+    for (w = 0; w < n_words; w++) {
+        uint64_t v = (a[w] ^ b[w] ^ (c ? c[w] : 0)) & tail[w];
+        if (v)
+            for (j = 0; j < n_checks; j++)
+                if (__builtin_popcountll(v & masks[j]) & 1)
+                    return 1;
+    }
+    return 0;
+}
+
+FAULT int64_t protected_batch(uint64_t *cells, uint64_t *vals, uint64_t *tmp,
+                              const int64_t *batch, const double *thresholds,
+                              const uint64_t *masks, int64_t n_checks,
+                              const uint64_t *tail, int64_t fr_checks,
+                              int64_t max_retries, int64_t faulty,
+                              int64_t mode, int64_t n_cols, int64_t n_words,
+                              void *state, next_double_fn next, int64_t *out)
+{
+    const int64_t n_entries = batch[0], n_units = batch[1];
+    const uint64_t *fr = cells + batch[2] * n_words;
+    const int64_t *unit = batch + 3 + 2 * n_entries;
+    uint64_t *m_row = tmp + n_words, *x_row = tmp + 2 * n_words;
+    int64_t *stats = out + 3, u, w;
+    batch_run B;
+#define ROW(i) (cells + unit[2 + (i)] * n_words)
+    B.cells = cells;
+    B.vals = vals;
+    B.zero = tmp;
+    B.flips = tmp + 3 * n_words;
+    B.batch = batch;
+    B.at = batch + 3;
+    B.thr = batch + 3 + n_entries;
+    B.thresholds = thresholds;
+    B.faulty = faulty;
+    B.mode = mode;
+    B.n_cols = n_cols;
+    B.n_words = n_words;
+    B.injected = 0;
+    B.state = state;
+    B.next = next;
+    B.runs = out + 9;
+    memset(tmp, 0, (size_t)n_words * sizeof(uint64_t));
+    memset(out, 0, (size_t)(9 + n_entries) * sizeof(int64_t));
+    for (u = 0; u < n_units; u++, unit += 8) {
+        const int64_t kind = unit[0];
+        int64_t attempt, i, ok = 0;
+        if (kind == 0) {
+            run_entry(&B, unit[1]);
+            continue;
+        }
+        if (kind == 1) {
+            memcpy(m_row, ROW(1), (size_t)n_words * sizeof(uint64_t));
+            for (w = 0; w < n_words; w++)
+                x_row[w] = m_row[w] ^ (unit[5] ? ~ROW(2)[w] : ROW(2)[w]);
+        } else if (kind == 2) {
+            for (w = 0; w < n_words; w++)
+                x_row[w] = ROW(1)[w] ^ ~m_row[w];
+        } else if (kind == 4) {
+            for (w = 0; w < n_words; w++) {
+                uint64_t was = ROW(2)[w], now = ROW(3)[w], flag;
+                if (unit[7] & 1) {
+                    was = ~was;
+                    now = ~now;
+                }
+                flag = unit[7] & 2 ? was | ~now : was & ~now;
+                x_row[w] = ROW(1)[w] | (flag & ROW(4)[w]);
+            }
+        }
+        stats[0]++;                                   /* blocks */
+        for (attempt = 0; attempt < max_retries && !ok; attempt++) {
+            run_entry(&B, unit[1]);
+            ok = 1;
+            for (i = 0; ok && i < (kind <= 2 ? fr_checks : 1); i++) {
+                if (i)
+                    run_entry(&B, unit[2]);          /* recompute FR */
+                stats[1]++;                           /* checks */
+                if (kind <= 2)
+                    ok = !syndrome(fr, x_row, 0, tail, masks, n_checks,
+                                   n_words);
+                else if (kind == 3)
+                    ok = !syndrome(ROW(2), ROW(0), ROW(1), tail, masks,
+                                   n_checks, n_words);
+                else
+                    for (w = 0; w < n_words; w++)
+                        if ((ROW(0)[w] ^ x_row[w]) & tail[w])
+                            ok = 0;
+            }
+            if (!ok) {
+                stats[2]++;                           /* detections */
+                stats[3]++;                           /* retries */
+            } else if (attempt) {
+                stats[4]++;                           /* corrected */
+            }
+        }
+        if (!ok) {
+            stats[5]++;                               /* exhausted */
+            out[0] = 1;
+            break;
+        }
+    }
+    out[1] = u;
+    out[2] = B.injected;
+    return out[0];
+#undef ROW
 }
 
 

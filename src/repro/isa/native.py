@@ -1,11 +1,12 @@
 """Optional native kernels of the warm query and fault-trial paths.
 
 A warm query spends its host time in three stages, and a cold fault
-trial in its fault-trace replays and its lowerings, that are each a few
-dozen small NumPy calls or a walk of many small Python objects, so
-they are bound by interpreter overhead, not by their arithmetic.  This
-module builds one C file (``maj_replay.c`` beside it) with six entry
-points that run each stage as one call:
+trial in its fault-trace replays, its ECC-protected batches and its
+lowerings, that are each a few dozen small NumPy calls or a walk of
+many small Python objects, so they are bound by interpreter overhead,
+not by their arithmetic.  This module builds one C file
+(``maj_replay.c`` beside it) with seven entry points that run each
+stage as one call:
 
 * ``chain_replay`` -- fault-free replay of a whole chain of compiled
   μProgram traces: per segment it writes the stream row, gathers the
@@ -13,11 +14,24 @@ points that run each stage as one call:
   scatters the outputs (see :class:`repro.isa.trace.TraceChain`).  A
   single μProgram trace is the one-segment chain.
 * ``fault_replay`` -- the same walk for a chain of compiled fault
-  traces (:class:`repro.isa.trace.CompiledFaultTrace`): it thresholds
-  and packs the fault pre-pass's raw uniforms one draw row at a time,
-  applies them per step in all three margin-aware modes and returns
-  the injected flip count.  The draws themselves stay one
-  ``FaultModel.predraw`` call, so the fault stream is unchanged.
+  traces (:class:`repro.isa.trace.CompiledFaultTrace`).  It takes the
+  fault draws itself, from the fault model's own bit generator
+  (numpy's ``BitGenerator.ctypes`` ``state_address`` and
+  ``next_double``, called under ``bit_generator.lock``): per segment
+  the ``n_draws x n_cols`` uniforms ``Generator.random`` would draw,
+  row-major, each thresholded and packed into a flip scratch, so the
+  fault stream and the generator's terminal state are unchanged and
+  no float block is built.  It applies the flips per step in all
+  three margin-aware modes and returns the injected flip count.
+* ``protected_batch`` -- one ECC-protected event batch
+  (:meth:`repro.engine.CountingEngine.execute_events` with
+  ``fr_checks > 0``, see :class:`repro.isa.trace.ProtectedBatch`):
+  the cycle saves, each protected update's blocks with their FR and
+  disjoint-OR syndrome checks, the overflow block with its
+  host-predicted flag check and the carry-resolve clears, retries up
+  to ``max_retries`` and the fault draws included.  It returns where
+  it stopped, the injected flips, the protection counts and each
+  block's runs, from which the engine sets every counter.
 * ``deal_waves`` -- the deal of masked updates into broadcast waves
   (:meth:`repro.engine.BankCluster.deal`) as a counting sort: count
   every (magnitude, slot) queue, prefix-sum, scatter.
@@ -63,9 +77,10 @@ NumPy or Python code, which is also the reference the parity tests
 hold the kernels to (``tests/test_native_replay.py``,
 ``tests/test_native_fault_replay.py``,
 ``tests/test_native_deal_decode.py``,
-``tests/test_native_lowering.py``).  :func:`repro.isa.trace.
-native_disabled` switches all six off in-process: the lowering, the
-replays, the deal and pack, and the decode.  The glue keeps the
+``tests/test_native_lowering.py``, ``tests/test_native_protected.py``).
+:func:`repro.isa.trace.native_disabled` switches all seven off
+in-process: the lowering, the replays, the protected batches, the deal
+and pack, and the decode.  The glue keeps the
 per-call cost down: buffers are reused with their addresses cached,
 and :func:`address` reads a fresh array's address in a fraction of
 ``ndarray.ctypes.data``'s time.
@@ -80,7 +95,7 @@ import sys
 import tempfile
 
 __all__ = ["address", "chain_replay", "deal_waves", "fault_replay",
-           "johnson_decode", "lower_trace", "pack_waves"]
+           "johnson_decode", "lower_trace", "pack_waves", "protected_batch"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "maj_replay.c")
@@ -92,9 +107,14 @@ _P, _I = ctypes.c_void_p, ctypes.c_int64
 _SIGNATURES = {
     # (cells, vals, stream, table, n_segments, n_words)
     "chain_replay": ((_P, _P, _P, _P, _I, _I), None),
-    # (cells, vals, tmp, stream, table, n_segments, uniforms, thresholds,
-    #  mode, n_cols, n_words) -> injected
-    "fault_replay": ((_P, _P, _P, _P, _P, _I, _P, _P, _I, _I, _I), _I),
+    # (cells, vals, tmp, stream, table, n_segments, thresholds, state,
+    #  next_double, mode, n_cols, n_words) -> injected
+    "fault_replay": ((_P, _P, _P, _P, _P, _I, _P, _P, _P, _I, _I, _I), _I),
+    # (cells, vals, tmp, batch, thresholds, masks, n_checks, tail,
+    #  fr_checks, max_retries, faulty, mode, n_cols, n_words, state,
+    #  next_double, out) -> status
+    "protected_batch": ((_P, _P, _P, _P, _P, _P, _I, _P, _I, _I, _I, _I, _I,
+                         _I, _P, _P, _P), _I),
     # (buf, n, banks) -> n_waves | -1
     "deal_waves": ((_P, _I, _I), _I),
     # (image, n_words, lo, hi, n_total, wave, bank, rows, n, table,
@@ -146,6 +166,7 @@ _kernels = _build() or dict.fromkeys(_SIGNATURES)
 #: The loaded kernels, each ``None`` when they could not be built.
 chain_replay = _kernels["chain_replay"]
 fault_replay = _kernels["fault_replay"]
+protected_batch = _kernels["protected_batch"]
 deal_waves = _kernels["deal_waves"]
 pack_waves = _kernels["pack_waves"]
 johnson_decode = _kernels["johnson_decode"]

@@ -47,11 +47,14 @@ replays as a :class:`TraceChain` of its segments' traces, assembled by
 :func:`compile_megatrace` without any lowering.  A chain replays in one
 call of a native kernel (:mod:`repro.isa.native`): ``chain_replay``
 fault-free, ``fault_replay`` under an active fault model; a single
-trace is its one-segment chain.  Where the kernels could not be built,
-and under :func:`native_disabled`, the Python walk lowers, a fault-free
-level replays as a single fancy-indexed gather, one vectorized
-three-way majority over all its nodes and one contiguous scatter, and
-a fault trace as a loop of NumPy calls per node.
+trace is its one-segment chain.  An ECC-protected event batch runs its
+blocks' traces, with the checks and retries between them, as one
+:class:`ProtectedBatch` call of ``protected_batch``.  Where the
+kernels could not be built, and under :func:`native_disabled`, the
+Python walk lowers, a fault-free level replays as a single
+fancy-indexed gather, one vectorized three-way majority over all its
+nodes and one contiguous scatter, and a fault trace as a loop of
+NumPy calls per node.
 
 Replay is *bit-exact* against the interpreted path, including the
 don't-care tail bits of the last packed word, because every fold above
@@ -65,9 +68,11 @@ Fusion is *fault-aware*: fault injection is defined per activation --
 one ``FaultModel.corrupt`` draw sequence per sensed row in program
 order -- but ``corrupt`` draws its Bernoulli masks from shapes and
 flags only, never from the sensed data.  A fault trace therefore
-pre-draws its flip masks in original op order (the fault pre-pass,
-blockwise ``Generator.random`` calls consuming exactly the stream the
-interpreter would) and applies them per node during replay; only the
+draws its flip masks in original op order before its nodes run (the
+native kernels call the model's bit generator exactly as
+``Generator.random`` would; the NumPy replay takes blockwise
+``Generator.random`` calls, the fault pre-pass), consuming exactly the
+stream the interpreter would, and applies them per node; only the
 margin-aware *selection* between the CIM and read-rate masks is
 data-dependent, and that is computed from the sensed words at replay
 time.  Replay under an active fault model is therefore bit-, counter-
@@ -101,17 +106,19 @@ from repro.dram.ambit import _C0, _C1
 from repro.isa import native as _native
 
 __all__ = ["CompiledTrace", "CompiledFaultTrace", "FaultSpec",
-           "TraceScratch", "compile_trace", "fusion_enabled",
-           "fusion_disabled", "TraceChain", "compile_megatrace",
-           "native_enabled", "native_disabled"]
+           "ProtectedBatch", "TraceScratch", "check_cells", "compile_trace",
+           "fusion_enabled", "fusion_disabled", "TraceChain",
+           "compile_megatrace", "native_enabled", "native_disabled"]
 
 #: A value reference: (SSA value id, complemented).
 _Ref = Tuple[int, bool]
 
-#: Uniforms (draw rows x columns) one fault pre-pass block draws at
-#: most: 2**24 float64s, 128 MiB.  A longer draw schedule -- a large
-#: fused batch on wide rows -- is drawn in several blocks (see
-#: :meth:`CompiledFaultTrace._draw_flips`).
+#: Uniforms (draw rows x columns) one block of the NumPy fault
+#: pre-pass draws at most: 2**24 float64s, 128 MiB.  A longer draw
+#: schedule -- a large fused batch on wide rows -- is drawn in several
+#: blocks (see :meth:`CompiledFaultTrace._draw_flips`).  The native
+#: kernels draw no float block: they threshold and pack each draw as
+#: they take it.
 _PREDRAW_BLOCK_CELLS = 1 << 24
 
 #: Process-wide fusion switch (see :func:`fusion_disabled`).
@@ -529,7 +536,7 @@ class CompiledFaultTrace:
       selection that count depends on the contested flags of the
       sensed data -- so every faulty node is kept live and computed,
       in creation (op) order.
-    * **The fault pre-pass.**  Each replay first draws the trace's
+    * **The fault draws.**  Each replay first draws the trace's
       complete uniform block in original op order, which consumes the
       generator's stream exactly as the interpreter's sequential
       per-activation ``random(n_cols)`` calls would (pinned by
@@ -537,9 +544,10 @@ class CompiledFaultTrace:
       thresholded (CIM vs read rate) and packed to ``uint64``, and
       replay applies mask rows per node, computing the margin-aware
       contested-column selection from the sensed words.  The native
-      ``fault_replay`` kernel does all of that in one call from the raw
-      uniforms; the NumPy loop (:meth:`_draw_flips`, then one step at
-      a time) is the fallback and the reference.
+      ``fault_replay`` kernel does all of that in one call, drawing
+      from the model's bit generator itself; the NumPy loop (the
+      :meth:`_draw_flips` pre-pass, then one step at a time) is the
+      fallback and the reference.
 
     The value buffer is laid out as :class:`CompiledTrace`'s: ``n_rows``
     rows, the value slots followed by one packed complement row per
@@ -576,6 +584,7 @@ class CompiledFaultTrace:
                           if self.spec.multi_mode in ("contested",
                                                       "select") else 0)
         self._table = None           # one-segment kernel table, lazily
+        self._args = None            # its and the thresholds' addresses
         self.n_cells = _cells_touched(self.in_rows, self.out_rows)
 
     @property
@@ -639,16 +648,27 @@ class CompiledFaultTrace:
         """Replay against packed cells, injecting one fresh fault epoch.
 
         Returns the flip count (``corrupt``'s ``injected`` delta).  With
-        the native kernel this is one pre-pass draw and one
-        ``fault_replay`` call; the NumPy step loop below is the
-        fallback and the :func:`native_disabled` reference, and also
-        runs a trace whose draws exceed one pre-pass block.
+        the native kernel this is one ``fault_replay`` call, which takes
+        the draws from the model's bit generator itself, on the kernel
+        table and thresholds whose addresses the trace takes once; the
+        cells are checked against the kernel's contract first
+        (:func:`check_cells`).  The NumPy step loop below (one pre-pass
+        draw, then one step at a time) is the fallback and the
+        :func:`native_disabled` reference.
         """
-        if native_enabled() and self.n_draws <= _block_draws(n_cols):
-            return _fault_kernel(cells, scratch, None, self.native_table(),
-                                 1, self.n_rows, self.n_cells,
-                                 self.draw_thresholds, self.spec,
-                                 fault_model, n_cols)
+        if native_enabled():
+            check_cells(cells, n_cols)
+            if cells.shape[0] < self.n_cells:
+                raise ValueError(f"fault trace touches cell row "
+                                 f"{self.n_cells - 1} of {cells.shape[0]}")
+            args = self._args
+            if args is None:
+                table = self.native_table()
+                args = self._args = (table.ctypes.data,
+                                     self.draw_thresholds.ctypes.data)
+            return _fault_kernel(cells, scratch, None, args[0], 1,
+                                 self.n_rows, self.n_draws, args[1],
+                                 self.spec, fault_model, n_cols)
         n_words = cells.shape[1]
         n_out = self.out_rows.size
         n_masked = self._n_masked        # nodes with data-dependent masks
@@ -729,42 +749,44 @@ _KERNEL_MODES = {None: 0, "all": 0, "contested": 1, "select": 2}
 _MULTI_DRAWS = {None: 0, "all": 1, "contested": 1, "select": 2}
 
 
+def check_cells(cells: np.ndarray, n_cols: int) -> None:
+    """The fault kernels' cell contract: a C-contiguous ``uint64``
+    matrix of ``(n_cols + 63) // 64`` words a row (``ValueError``
+    otherwise).  Fault traces and chains check it at every replay, a
+    subarray once for its protected batches
+    (:meth:`~repro.dram.wordline.WordlineSubarray.checked_cells`)."""
+    if (cells.dtype != np.uint64 or not cells.flags.c_contiguous
+            or cells.ndim != 2 or n_cols < 1
+            or cells.shape[1] != (n_cols + 63) // 64):
+        raise ValueError("fault replay needs C-contiguous uint64 cells "
+                         "of (n_cols + 63) // 64 words")
+
+
 def _fault_kernel(cells: np.ndarray, scratch: TraceScratch, stream,
-                  table: np.ndarray, n_segments: int, n_rows: int,
-                  n_cells: int, thresholds: np.ndarray, spec: FaultSpec,
-                  fault_model, n_cols: int) -> int:
+                  table: int, n_segments: int, n_rows: int, n_draws: int,
+                  thresholds: int, spec: FaultSpec, fault_model,
+                  n_cols: int) -> int:
     """One ``fault_replay`` call over ``n_segments`` fault traces.
 
-    Takes the segments' draw rows (``thresholds``, in segment order)
-    as one :meth:`~repro.dram.faults.FaultModel.predraw` block -- the
-    stream the per-trace pre-passes would draw, because
-    ``Generator.random`` fills row-major -- and adds the injected
-    count to ``fault_model.injected``.  ``n_rows`` is the largest
-    segment's value buffer and ``n_cells`` the cell rows the segments
-    touch.  Shapes are checked before the kernel sees a pointer.
+    The kernel draws each segment's rows from the fault model's bit
+    generator itself, holding the generator's lock as
+    ``Generator.random`` does, and the injected count is added to
+    ``fault_model.injected``.  ``table`` and ``thresholds`` are the
+    addresses of the segments' kernel table and draw thresholds (taken
+    once per trace or chain), ``n_rows`` is the largest segment's value
+    buffer and ``n_draws`` its largest draw count; the cells were
+    checked by the caller (:func:`check_cells`).
     """
     n_words = cells.shape[1]
-    if (cells.dtype != np.uint64 or not cells.flags.c_contiguous
-            or cells.shape[0] < n_cells or n_cols < 1
-            or n_words != (n_cols + 63) // 64):
-        raise ValueError("fault replay needs C-contiguous uint64 cells "
-                         "of (n_cols + 63) // 64 words over every row "
-                         "the trace touches")
-    n_draws = thresholds.size
-    uniforms = None
-    if n_draws:
-        uniforms = fault_model.predraw(n_draws, n_cols)
-        if (uniforms.dtype != np.float64 or uniforms.shape != (n_draws, n_cols)
-                or not uniforms.flags.c_contiguous):
-            raise ValueError("predraw must return a C-contiguous "
-                             "[n_draws, n_cols] float64 block")
-    vals = scratch.reserve((n_rows + 3) * n_words)
-    injected = _native.fault_replay(
-        cells.ctypes.data, vals, vals + 8 * n_rows * n_words,
-        None if stream is None else stream.ctypes.data, table.ctypes.data,
-        n_segments, None if uniforms is None else uniforms.ctypes.data,
-        thresholds.ctypes.data, _KERNEL_MODES[spec.multi_mode], n_cols,
-        n_words)
+    vals = scratch.reserve((n_rows + 1 + n_draws) * n_words)
+    bits = fault_model.bit_generator
+    handles = bits.ctypes
+    with bits.lock:
+        injected = _native.fault_replay(
+            _native.address(cells), vals, vals + 8 * n_rows * n_words,
+            stream, table, n_segments, thresholds, handles.state_address,
+            handles.next_double, _KERNEL_MODES[spec.multi_mode], n_cols,
+            n_words)
     fault_model.injected += injected
     return injected
 
@@ -845,7 +867,7 @@ class TraceChain:
 
     __slots__ = ("entries", "stream_row", "n_aap", "n_ap", "n_activations",
                  "n_multi", "_traces", "_table", "_n_rows", "_n_cells",
-                 "_groups")
+                 "_fault_args")
 
     def __init__(self, entries, stream_row: int):
         self.entries = tuple(entries)
@@ -865,7 +887,7 @@ class TraceChain:
         self.n_ap = sum(trace.n_ap for trace in traces)
         self.n_activations = sum(trace.n_activations for trace in traces)
         self.n_multi = sum(trace.n_multi for trace in traces)
-        self._table = self._groups = None
+        self._table = self._fault_args = None
         self._traces = traces
 
     def execute(self, cells: np.ndarray, scratch: TraceScratch, traces,
@@ -875,12 +897,12 @@ class TraceChain:
         C-contiguous ``[n_segments, n_words]`` block); returns the
         injected flip count.
 
-        Fault-free traces replay in one ``chain_replay`` call.  Fault
-        traces replay in one ``fault_replay`` call on one pre-pass
-        draw of all their draw rows, in segment order; a chain whose
-        draws exceed one pre-pass block splits at whole segments, and a
-        segment exceeding a block alone replays on its own (NumPy,
-        blockwise).  The scratch is reserved at every call, so a
+        Fault-free traces replay in one ``chain_replay`` call, fault
+        traces in one ``fault_replay`` call, which draws each segment's
+        rows from the fault model's bit generator as it reaches the
+        segment -- the stream the per-trace pre-passes draw.  The
+        kernel table (and the draw thresholds) are built once per bound
+        set of traces, the scratch is reserved at every call, so a
         reallocation leaves no stale address, and shapes are checked
         before a kernel sees a pointer.
         """
@@ -894,31 +916,26 @@ class TraceChain:
                 or stream.shape != (len(traces), n_words)):
             raise ValueError("chain replay needs C-contiguous uint64 "
                              "cells and a [n_segments, n_words] stream")
+        if self._table is None:
+            self._table = _chain_table(traces, self.stream_row)
+            self._n_rows = max(trace.n_rows for trace in traces)
         if not traces[0].faulty:
-            if self._table is None:
-                self._table = _chain_table(traces, self.stream_row)
-                self._n_rows = max(trace.n_rows for trace in traces)
             _native.chain_replay(
                 cells.ctypes.data, scratch.reserve(self._n_rows * n_words),
                 stream.ctypes.data, self._table.ctypes.data, len(traces),
                 n_words)
             return 0
-        block = _block_draws(n_cols)
-        if self._groups is None or self._groups[0] != block:
-            self._groups = (block, _fault_groups(traces, self.stream_row,
-                                                 block))
-        injected = 0
-        for lo, hi, table, n_rows, thresholds in self._groups[1]:
-            if table is None:                 # one oversized segment
-                cells[self.stream_row] = stream[lo]
-                injected += traces[lo].execute(cells, scratch, fault_model,
-                                               n_cols)
-                continue
-            injected += _fault_kernel(
-                cells, scratch, stream[lo:hi], table, hi - lo, n_rows,
-                self._n_cells, thresholds, traces[0].spec, fault_model,
-                n_cols)
-        return injected
+        check_cells(cells, n_cols)
+        args = self._fault_args
+        if args is None:
+            thresholds = np.concatenate([trace.draw_thresholds
+                                         for trace in traces])
+            args = self._fault_args = (
+                self._table.ctypes.data, thresholds.ctypes.data,
+                max(trace.n_draws for trace in traces), thresholds)
+        return _fault_kernel(cells, scratch, stream.ctypes.data, args[0],
+                             len(traces), self._n_rows, args[2], args[1],
+                             traces[0].spec, fault_model, n_cols)
 
 
 def _chain_table(traces, stream_row: int) -> np.ndarray:
@@ -929,29 +946,108 @@ def _chain_table(traces, stream_row: int) -> np.ndarray:
         for part in ((stream_row,), trace.native_table()[1:])])
 
 
-def _fault_groups(traces, stream_row: int, block: int) -> list:
-    """A fault chain's kernel calls: runs of whole segments whose draw
-    rows fit one pre-pass block, as ``(lo, hi, table, n_rows,
-    thresholds)``; a segment over the block runs alone, with ``table``
-    ``None``."""
-    bounds, lo, draws = [], 0, 0
-    for i, trace in enumerate(traces):
-        if i > lo and draws + trace.n_draws > block:
-            bounds.append((lo, i))
-            lo, draws = i, 0
-        draws += trace.n_draws
-    bounds.append((lo, len(traces)))
-    groups = []
-    for lo, hi in bounds:
-        part = traces[lo:hi]
-        if part[0].n_draws > block:
-            groups.append((lo, hi, None, 0, None))
+class ProtectedBatch:
+    """An ECC-protected event batch as one ``protected_batch`` call.
+
+    ``entries`` are the :class:`~repro.dram.programs.ProgramStore`
+    entries ``[program, spec, trace, ops]`` of the μPrograms the batch
+    runs, and ``units`` its ``[n_units, 8]`` int64 unit table, which
+    names them by index: plain runs and checked blocks with their check
+    operands, in the per-block protocol's order (see ``maj_replay.c``
+    and :meth:`repro.engine.CountingEngine.execute_events`).  ``fr_row``
+    is the physical FR row.  Like a :class:`TraceChain` it holds
+    entries, not traces: the kernel table -- the units, then each bound
+    trace's one-segment table -- and the draw thresholds are built once
+    per bound set of traces.  An entry bound as ``None`` (an FR tail
+    that a single FR check never runs) gets no table.
+    """
+
+    __slots__ = ("entries", "units", "fr_row", "_traces", "_args", "_costs",
+                 "_out", "_keep")
+
+    def __init__(self, entries, units, fr_row: int):
+        self.entries = tuple(entries)
+        self.units = np.asarray(units, dtype=np.int64).reshape(-1, 8)
+        self.fr_row = int(fr_row)
+        self._traces = None
+        out = np.zeros(9 + len(self.entries), np.int64)
+        self._out = (out, _native.address(out))
+
+    def _bind(self, traces) -> None:
+        """Build the kernel table, thresholds and command totals of a
+        set of traces."""
+        bound = [trace for trace in traces if trace is not None]
+        faulty = bound[0].faulty
+        tables = [trace.native_table() for trace in bound]
+        head = [len(traces), len(self.units), self.fr_row]
+        first, n_thresholds = [], 0
+        offset, at = 3 + 2 * len(traces) + self.units.size, iter(tables)
+        for trace in traces:
+            first.append(n_thresholds)
+            if trace is None:
+                head.append(-1)
+                continue
+            head.append(offset)
+            offset += next(at).size
+            if faulty:
+                n_thresholds += trace.n_draws
+        batch = np.concatenate([np.array(head + first, np.int64),
+                                self.units.ravel()] + tables)
+        thresholds = np.concatenate(
+            [trace.draw_thresholds for trace in bound] if faulty
+            else [np.zeros(1)])
+        self._costs = [(0, 0, 0, 0) if trace is None else
+                       (trace.n_aap, trace.n_ap, trace.n_activations,
+                        trace.n_multi) for trace in traces]
+        self._keep = (batch, thresholds)
+        self._args = (_native.address(batch), _native.address(thresholds),
+                      max(trace.n_rows for trace in bound),
+                      max(trace.n_draws for trace in bound) if faulty else 0,
+                      faulty,
+                      _KERNEL_MODES[bound[0].spec.multi_mode if faulty
+                                    else None])
+        self._traces = traces
+
+    def execute(self, cells: np.ndarray, scratch: TraceScratch, traces,
+                fault_model, n_cols: int, checks: tuple, fr_checks: int,
+                max_retries: int) -> tuple:
+        """Run the units on ``traces`` -- the entries' compiled traces,
+        one fault regime, ``None`` for an unbound FR tail -- against
+        cells the caller checked (:func:`check_cells`).
+
+        ``checks`` is ``(masks, n_checks, tail)``: the addresses of the
+        code's packed parity-check masks and of the lane mask, and the
+        mask count.  Fault draws come from the model's bit generator,
+        under its lock.  Returns ``(out, totals)``: the kernel's status,
+        stop unit, injected flips, the six
+        :class:`~repro.ecc.protection.ProtectionStats` counts and each
+        entry's runs as a list, and the runs' ``(aap, ap, activations,
+        multi-row activations)`` totals.
+        """
+        if traces != self._traces:
+            self._bind(traces)
+        batch, thresholds, n_rows, n_draws, faulty, mode = self._args
+        n_words = cells.shape[1]
+        vals = scratch.reserve((n_rows + 3 + n_draws) * n_words)
+        args = (_native.address(cells), vals, vals + 8 * n_rows * n_words,
+                batch, thresholds, checks[0], checks[1], checks[2],
+                fr_checks, max_retries, faulty, mode, n_cols, n_words)
+        out, at = self._out
+        if faulty:
+            bits = fault_model.bit_generator
+            handles = bits.ctypes
+            with bits.lock:
+                _native.protected_batch(*args, handles.state_address,
+                                        handles.next_double, at)
         else:
-            groups.append((lo, hi, _chain_table(part, stream_row),
-                           max(trace.n_rows for trace in part),
-                           np.concatenate([trace.draw_thresholds
-                                           for trace in part])))
-    return groups
+            _native.protected_batch(*args, None, None, at)
+        out = out.tolist()
+        totals = [0, 0, 0, 0]
+        for runs, costs in zip(out[9:], self._costs):
+            if runs:
+                for i in range(4):
+                    totals[i] += runs * costs[i]
+        return out, totals
 
 
 # ----------------------------------------------------------------------

@@ -259,7 +259,10 @@ def _faulty_rounds(stitched, n_lanes=24, rounds=3):
 def test_blockwise_predraw_keeps_the_stream(monkeypatch, stitched):
     """A pre-pass split into many blocks draws exactly the stream one
     block draws: same cells, ``injected`` counts and terminal RNG
-    state, for a per-program fault trace and a stitched one."""
+    state, for a per-program fault trace and a stitched one.  The
+    blocks split the NumPy replay's pre-pass (the native kernels draw
+    for themselves, row by row), which must also equal the native
+    replay."""
     draw_rows = []
     predraw = FaultModel.predraw
 
@@ -268,13 +271,19 @@ def test_blockwise_predraw_keeps_the_stream(monkeypatch, stitched):
         return predraw(self, n_draws, width)
 
     monkeypatch.setattr(FaultModel, "predraw", counting_predraw)
-    whole = _faulty_rounds(stitched)
+    native_run = _faulty_rounds(stitched)
+    with trace_module.native_disabled():
+        whole = _faulty_rounds(stitched)
     whole_calls = len(draw_rows)
     del draw_rows[:]
     # Two draw rows of 24 lanes per block.
     monkeypatch.setattr(trace_module, "_PREDRAW_BLOCK_CELLS", 2 * 24)
-    split = _faulty_rounds(stitched)
+    with trace_module.native_disabled():
+        split = _faulty_rounds(stitched)
     assert whole["replays"] > 0 and split["replays"] > 0
+    assert (native_run["rows"] == whole["rows"]).all()
+    for key in ("injected", "fault_injections", "rng_state"):
+        assert native_run[key] == whole[key], key
     assert max(draw_rows) <= 2 and len(draw_rows) > whole_calls
     assert (whole["rows"] == split["rows"]).all()
     assert whole["injected"] == split["injected"]

@@ -2,9 +2,10 @@
 
 Under an active fault model a compiled fault trace replays through the
 ``fault_replay`` C kernel of :mod:`repro.isa.native` when it could be
-built: one ``FaultModel.predraw`` block of raw uniforms, thresholded,
-packed and applied inside the kernel.  The NumPy step loop stays as
-the fallback and the reference (:func:`native_disabled`).  These tests
+built: the kernel draws every row from the model's bit generator,
+thresholds, packs and applies it.  The NumPy step loop on one
+``FaultModel.predraw`` block stays as the fallback and the reference
+(:func:`native_disabled`).  These tests
 pin the two identical -- cells (tail words included), the returned
 ``injected`` count, ``FaultModel.injected``, the subarray's
 ``fault_injections`` and the generator's terminal state -- over
@@ -12,8 +13,9 @@ pin the two identical -- cells (tail words included), the returned
 * all three multi-row modes (``all``, ``contested``, ``select``), exact
   multi-row senses (``mx``) and faulty plain reads (``rd``);
 * row widths of 1, 63, 64, 100, 1024 and 1030 lanes;
-* a faulty trace chain, one kernel call on one pre-pass draw, against
-  its per-segment loop, whole and split at the pre-pass block;
+* a faulty trace chain, one kernel call drawing for itself, against
+  its per-segment loop, whole and with the loop's pre-pass split into
+  small blocks;
 * ECC-protected blocks whose validations retry.
 
 Without ``gcc`` both sides of each comparison run the NumPy loop, and
@@ -216,14 +218,14 @@ def _chain_run(scope, regime, n_cols, seed=5, n_waves=6, rounds=3):
 @pytest.mark.parametrize("n_cols", (63, 100, 1030))
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 def test_chain_is_one_draw_and_one_call(regime, n_cols, monkeypatch):
-    """A warm faulty chain replays in one kernel call on one predraw
-    of all its segments' draw rows, equal to the per-segment loop
+    """A warm faulty chain replays in one kernel call, which takes its
+    draws itself (no ``predraw``), equal to the per-segment loop
     (kernel off) and to the interpreter."""
     calls = _spy(monkeypatch)
     native_run = _chain_run(contextlib.nullcontext, regime, n_cols)
     if native_enabled():
         assert calls["kernel"] == 3               # one per round
-        assert len(calls["predraw"]) == 3
+        assert calls["predraw"] == []
     del calls["predraw"][:]
     loop = _chain_run(native_disabled, regime, n_cols)
     assert calls["kernel"] == 3 * native_enabled()  # the loop ran NumPy
@@ -245,12 +247,11 @@ def test_chain_is_one_draw_and_one_call(regime, n_cols, monkeypatch):
 
 @pytest.mark.parametrize("block", ["one_draw", "mixed", "pairs"])
 def test_chain_split_at_the_predraw_block(block, monkeypatch):
-    """With a small pre-pass block the chain splits at whole segments
-    -- several kernel calls and draws per replay, segments over the
-    block replaying alone on the NumPy loop -- and still equals the
-    unsplit chain and the per-segment loop.  ``one_draw``: every
-    segment is over the block; ``mixed``: some are; ``pairs``: none
-    is, and a block holds two segments or more."""
+    """A small pre-pass block splits the NumPy loop's draws -- several
+    ``predraw`` calls per segment (``one_draw``), per some segments
+    (``mixed``) or none (``pairs``: a block holds two segments) --
+    and leaves the native chain one kernel call per replay: both still
+    equal the unsplit chain."""
     n_cols = 100
     whole = _chain_run(contextlib.nullcontext, "select", n_cols)
     draws = sorted(whole["segment_draws"])
@@ -261,13 +262,13 @@ def test_chain_split_at_the_predraw_block(block, monkeypatch):
                         block_draws * n_cols)
     calls = _spy(monkeypatch)
     split = _chain_run(contextlib.nullcontext, "select", n_cols)
-    assert max(calls["predraw"]) <= block_draws
-    assert len(calls["predraw"]) > 3
     if native_enabled():
-        kernel_calls = {"one_draw": 0, "mixed": 2 * 3, "pairs": 3 + 1}
-        assert calls["kernel"] >= kernel_calls[block]
-        assert calls["kernel"] < 3 * len(draws)
+        assert calls["kernel"] == 3 and calls["predraw"] == []
     loop = _chain_run(native_disabled, "select", n_cols)
+    assert max(calls["predraw"]) <= block_draws
+    assert len(calls["predraw"]) >= 3 * len(draws)
+    if block == "one_draw":
+        assert len(calls["predraw"]) > 3 * len(draws)
     for other in (split, loop):
         _same(whole, other)
         assert (whole["values"] == other["values"]).all()
