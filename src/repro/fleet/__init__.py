@@ -11,8 +11,9 @@ The fleet scales :mod:`repro.serve` across worker processes:
   placement by accounted bank budget, with load-rebalancing moves.
 * :mod:`repro.fleet.fleet` -- :class:`Fleet`, the front door:
   admission control, one :class:`~repro.serve.server.Dispatcher`
-  thread per shard (the server's drain, coalesce, execute), bit-exact
-  relocation, crash containment and campaign fan-out.
+  thread per shard (the server's drain and coalesce; one message per
+  wave group, one streamed reply per wave), bit-exact relocation,
+  crash containment and campaign fan-out.
 
 Everything is re-exported lazily (PEP 562) so ``import repro.fleet``
 stays cheap -- constructing a :class:`Fleet` is what forks processes,

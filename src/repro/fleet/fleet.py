@@ -7,13 +7,18 @@ see :mod:`repro.fleet.worker`), registered models are placed on shards
 by accounted budget (:mod:`repro.fleet.placement`) and relocated by
 bit-exact park/unpark counter images, and every shard owns one
 :class:`~repro.serve.server.Dispatcher` -- the server's thread -- that
-drains the shard's queue, **coalesces same-model queries into
-per-model ``run_many`` waves** and ships each over the shard's pipe +
-shared-memory arenas, calling :meth:`ShardHandle.call` on its own
-thread.  Grouping is :func:`repro.serve.server.coalesce`: per model
-between control barriers (registration, relocation, status, campaign
-trials, crash), FIFO within a model -- so responses to *different*
-models may resolve out of submission order.
+drains the shard's queue and **coalesces same-model queries into
+per-model ``run_many`` waves**.  Grouping is
+:func:`repro.serve.server.coalesce`: per model between control
+barriers (registration, relocation, status, campaign trials, crash),
+FIFO within a model -- so responses to *different* models may resolve
+out of submission order.  Every wave of a drain up to the next barrier
+ships to the worker as **one** request (one pipe message, the waves'
+queries staged back to back in the request arena), and the worker
+streams one reply per wave back as each finishes: the dispatcher
+prices and resolves wave *i* while the worker computes wave *i+1*.
+:meth:`ShardHandle.call` on the dispatcher's thread is the only
+channel.
 
 The external contract matches the server's on purpose:
 
@@ -27,7 +32,8 @@ The external contract matches the server's on purpose:
   priced from the same :func:`~repro.serve.server.execute_wave`
   deltas (executed worker-side) and resolved by the same wave path as
   the server's -- fleet-vs-server comparisons read one code path.
-* A worker crash mid-wave resolves the affected futures with
+* A worker crash mid-group keeps the waves already answered and
+  resolves every unanswered one with
   :class:`~repro.fleet.worker.WorkerCrashedError` (and retires the
   shard); ``close()`` drains queued work and rejects anything
   stranded with :class:`FleetClosedError`.  Futures never hang.
@@ -59,11 +65,12 @@ from repro.dram.timing import DDR5_4400_TIMING, TimingParams
 from repro.engine.machine import Counters
 from repro.fleet import shm as fshm
 from repro.fleet.placement import Move, Placement
-from repro.fleet.worker import ShardHandle, WorkerCrashedError
+from repro.fleet.worker import (ShardHandle, ShardOpError,
+                                WorkerCrashedError)
 from repro.serve.pool import BankPool
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import (Dispatcher, Response, _DEFAULT_MAX_BATCH,
-                                _FrontDoor, _Pending)
+                                _FrontDoor, _Pending, _fail)
 from repro.serve.telemetry import TelemetrySummary
 
 __all__ = ["Fleet", "FleetStats", "FleetSaturatedError",
@@ -209,7 +216,7 @@ class Fleet(_FrontDoor):
         for sid, shard in self._shards.items():
             shard.dispatcher = Dispatcher(
                 f"repro-fleet-dispatch-{sid}",
-                functools.partial(self._step, shard), max_batch,
+                functools.partial(self._run_steps, shard), max_batch,
                 self._closed_error)
 
     # ------------------------------------------------------------------
@@ -334,33 +341,69 @@ class Fleet(_FrontDoor):
     # ------------------------------------------------------------------
     # dispatcher steps (one thread per shard)
     # ------------------------------------------------------------------
-    def _step(self, shard: _Shard, model: Optional[str],
-              items: list) -> None:
-        """One coalesced step of a shard's dispatcher.
+    def _run_steps(self, shard: _Shard,
+                   steps: List[Tuple[Optional[str], list]]) -> None:
+        """Run one drain's coalesced steps on a shard.
 
-        A query wave runs through the shared wave path
-        (:meth:`_execute`); a control job is a barrier -- every wave
-        queued ahead of it ran first and nothing queued behind it runs
-        before it.  So a relocation export still follows its model's
-        queued queries and a crash still fails everything behind it.
-        Even a crashed shard keeps its dispatcher: items queued after
-        the crash fail promptly through the dead handle, in order.
+        Query waves collect into a group until a control job; the group
+        ships as one request (:meth:`_run_group`) and is fully answered
+        before the control job -- a barrier -- runs.  So a relocation
+        export still follows its model's queued queries and a crash
+        still fails everything behind it.  Even a crashed shard keeps
+        its dispatcher: items queued after the crash fail promptly
+        through the dead handle, in order.
         """
-        if model is None:
-            self._run_control(shard, items[0])
-            return
-        with self._lock:
-            self._inflight[shard.shard_id] -= len(items)
-        self._execute(model, items, shard)
+        group: List[Tuple[str, list]] = []
+        for model, items in steps:
+            if model is None:
+                self._run_group(shard, group)
+                group = []
+                self._run_control(shard, items[0])
+            else:
+                group.append((model, items))
+        self._run_group(shard, group)
 
-    def _run_wave(self, model: str, xs: np.ndarray, shard: _Shard):
+    def _run_group(self, shard: _Shard,
+                   steps: List[Tuple[str, list]]) -> None:
+        """Ship a wave group in one request; resolve each wave's futures
+        as its reply streams back.
+
+        A wave the worker failed gets its own :class:`ShardOpError`.
+        If the worker dies mid-group, the answered waves keep their
+        responses and every unanswered one gets the
+        :class:`~repro.fleet.worker.WorkerCrashedError`.
+        """
+        with self._lock:
+            self._inflight[shard.shard_id] -= sum(
+                len(items) for _, items in steps)
+        waves, xss = [], []
+        for model, items in steps:
+            started = self._start(items)
+            if started is not None:
+                waves.append((model, started[0]))
+                xss.append(started[1])
+        if not waves:
+            return
+        replies = iter(waves)
+
+        def on_reply(reply) -> None:
+            model, live = next(replies)
+            if isinstance(reply, ShardOpError):
+                _fail(live, reply)
+                return
+            wave, (ys,) = reply
+            wave["counters"] = Counters._make(wave["counters"])
+            self._resolve(model, live, ys, wave)
+
         try:
-            wave, (ys,) = shard.handle.call("run", {"model": model}, [xs])
-        except WorkerCrashedError:
-            self._on_crash(shard)
-            raise
-        wave["counters"] = Counters._make(wave["counters"])
-        return ys, wave
+            shard.handle.call("waves",
+                              {"models": [m for m, _ in waves]}, xss,
+                              on_reply=on_reply)
+        except BaseException as exc:          # noqa: BLE001 - to futures
+            if isinstance(exc, WorkerCrashedError):
+                self._on_crash(shard)
+            for _, live in replies:
+                _fail(live, exc)
 
     def _run_control(self, shard: _Shard, item: _Control) -> None:
         if not item.future.set_running_or_notify_cancel():

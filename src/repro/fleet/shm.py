@@ -4,10 +4,18 @@ Every fleet shard worker owns a pair of fixed-size
 :class:`multiprocessing.shared_memory.SharedMemory` arenas: the front
 door stages request payloads (query batches, counter images) into the
 *request* arena and the worker stages results (output batches, exported
-images) into the *response* arena.  Because each shard's command channel
-is strictly one-round-trip-at-a-time (the dispatcher serializes it), a
-single reusable arena per direction needs no further synchronization --
-the pipe message is the fence -- and nothing is allocated per wave.
+images) into the *response* arena.  Each shard has one request in
+flight at a time (its dispatcher serializes them), and a request may
+stream several replies: one per wave of a wave group.  Two rules make a
+single reusable arena per direction safe without locks, with nothing
+allocated per wave:
+
+* within a group, the worker stages each reply after the previous one
+  (reply offsets only grow), so the parent can still be copying reply
+  *i* out while the worker writes reply *i+1*;
+* the parent sends the next request only after it has read every reply
+  of this one, so the worker may restart at offset 0 and the request
+  arena is free again.
 
 Counter images are *bit-row* matrices (uint8 0/1 planes), so they cross
 the process boundary packed 64 lanes per word:
@@ -166,14 +174,22 @@ class Arena:
     def name(self) -> str:
         return self.shm.name
 
-    def stage(self, arrays: Sequence[np.ndarray]) -> Optional[List[tuple]]:
-        """Copy arrays into the arena; descriptors or ``None`` if full."""
-        descs, offset = [], 0
+    def stage(self, arrays: Sequence[np.ndarray], offset: int = 0
+              ) -> Optional[List[tuple]]:
+        """Copy arrays in back to back from ``offset``; descriptors, or
+        ``None`` if they do not all fit."""
+        descs = []
         for a in arrays:
-            a = np.ascontiguousarray(a)
+            a = np.asarray(a)
             if offset + a.nbytes > self.size:
                 return None
-            self.shm.buf[offset:offset + a.nbytes] = a.tobytes()
+            if a.nbytes:
+                # Copy straight into a view of the segment: no
+                # temporary bytes object per staged array.
+                view = np.ndarray(a.shape, a.dtype, buffer=self.shm.buf,
+                                  offset=offset)
+                view[...] = a
+                del view      # release the exported buffer immediately
             descs.append((offset, a.shape, a.dtype.str))
             offset += a.nbytes
         return descs
@@ -206,14 +222,15 @@ class Arena:
         self.shm = None
 
 
-def marshal(arena: Optional[Arena], arrays: Sequence[np.ndarray]):
-    """Stage arrays in the arena, falling back to inline pickling."""
-    arrays = [np.ascontiguousarray(a) for a in arrays]
+def marshal(arena: Optional[Arena], arrays: Sequence[np.ndarray],
+            offset: int = 0):
+    """Stage arrays in the arena from ``offset``, falling back to
+    inline pickling when they do not fit."""
     if arena is not None:
-        descs = arena.stage(arrays)
+        descs = arena.stage(arrays, offset)
         if descs is not None:
             return ("shm", descs)
-    return ("inline", arrays)
+    return ("inline", [np.ascontiguousarray(a) for a in arrays])
 
 
 def unmarshal(arena: Optional[Arena], payload) -> List[np.ndarray]:

@@ -10,13 +10,17 @@ role from the parent).  The command channel is a
 arrays (query batches, result batches, relocation images) ride the
 shard's two shared-memory arenas (:mod:`repro.fleet.shm`).
 
-The protocol is strict request/response: the parent-side
-:class:`ShardHandle` serializes calls, so the worker loop is a plain
-``recv -> execute -> send`` cycle with no concurrency of its own.
-Worker-side exceptions cross back as typed ``("err", ...)`` replies
-and re-raise in the parent as :class:`ShardOpError`; a dead pipe (the
-process crashed mid-call) raises :class:`WorkerCrashedError` instead
-of hanging the caller.
+The parent-side :class:`ShardHandle` keeps one request in flight, so
+the worker loop is a plain ``recv -> execute -> send`` cycle with no
+concurrency of its own.  Every op answers with one reply except
+``waves``: one request carries a whole drained group of
+``(model, xs)`` waves, and the worker sends each wave's reply as soon
+as that wave has run, so the parent resolves wave *i* while the worker
+computes wave *i+1*.  Worker-side exceptions cross back as typed
+``("err", ...)`` replies (per wave, for a group) and surface in the
+parent as :class:`ShardOpError`; a dead pipe (the process crashed
+mid-call) raises :class:`WorkerCrashedError` instead of hanging the
+caller.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import dataclasses
 import multiprocessing as mp
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +58,10 @@ class ShardOpError(RuntimeError):
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
+
+
+#: What :meth:`ShardHandle.call` hands ``on_reply`` per streamed reply.
+Reply = Union[Tuple[dict, List[np.ndarray]], ShardOpError]
 
 
 # ----------------------------------------------------------------------
@@ -93,14 +101,6 @@ def _op_unregister(state: _WorkerState, meta: dict,
                    arrays: List[np.ndarray]):
     state.registry.unregister(meta["name"])
     return {}, []
-
-
-def _op_run(state: _WorkerState, meta: dict, arrays: List[np.ndarray]):
-    from repro.serve.server import execute_wave
-    ys, wave = execute_wave(state.registry, meta["model"], arrays[0])
-    # A plain tuple pickles faster than the record; the fleet rebuilds it.
-    wave["counters"] = tuple(wave["counters"])
-    return wave, [np.ascontiguousarray(ys)]
 
 
 def _op_export_model(state: _WorkerState, meta: dict,
@@ -199,7 +199,6 @@ def _op_sleep(state: _WorkerState, meta: dict,
 _OPS = {
     "register": _op_register,
     "unregister": _op_unregister,
-    "run": _op_run,
     "export_model": _op_export_model,
     "import_model": _op_import_model,
     "status": _op_status,
@@ -209,6 +208,42 @@ _OPS = {
     "ping": _op_ping,
     "sleep": _op_sleep,
 }
+
+
+def _err(exc: BaseException) -> tuple:
+    return ("err", (type(exc).__name__, str(exc)), None)
+
+
+def _serve_waves(conn, state: _WorkerState, models: Sequence[str],
+                 req: fshm.Arena, payload, resp: fshm.Arena) -> None:
+    """Run one wave group, sending each wave's reply as it finishes.
+
+    Exactly one reply per model, in order, whatever fails: a wave that
+    raises answers with its own ``err`` and the next wave still runs.
+    Replies stage back to back in the response arena; one whose ``ys``
+    does not fit what is left ships inline instead.
+    """
+    from repro.serve.server import execute_wave
+    try:
+        xss = fshm.unmarshal(req, payload)
+    except BaseException as exc:            # noqa: BLE001 - to parent
+        for _ in models:
+            conn.send(_err(exc))
+        return
+    offset = 0
+    for model, xs in zip(models, xss):
+        try:
+            ys, wave = execute_wave(state.registry, model, xs)
+            # A plain tuple pickles faster than the record; the fleet
+            # rebuilds it.
+            wave["counters"] = tuple(wave["counters"])
+            out = fshm.marshal(resp, [ys], offset)
+            if out[0] == "shm":
+                offset += ys.nbytes
+            reply = ("ok", wave, out)
+        except BaseException as exc:        # noqa: BLE001 - to parent
+            reply = _err(exc)
+        conn.send(reply)
 
 
 def _worker_main(conn, shard_id: int, config, overrides: dict,
@@ -230,13 +265,17 @@ def _worker_main(conn, shard_id: int, config, overrides: dict,
                 return
             if op == "crash":
                 os._exit(17)                # test hook: die mid-call
+            if op == "waves":
+                _serve_waves(conn, state, meta["models"], req, payload,
+                             resp)
+                continue
             try:
                 arrays = fshm.unmarshal(req, payload)
                 out_meta, out_arrays = _OPS[op](state, meta, arrays)
                 reply = ("ok", out_meta,
                          fshm.marshal(resp, out_arrays))
             except BaseException as exc:    # noqa: BLE001 - to parent
-                reply = ("err", (type(exc).__name__, str(exc)), None)
+                reply = _err(exc)
             conn.send(reply)
     finally:
         state.close()
@@ -281,25 +320,52 @@ class ShardHandle:
         return not self._dead and self.process.is_alive()
 
     def call(self, op: str, meta: Optional[dict] = None,
-             arrays: Sequence[np.ndarray] = ()
-             ) -> Tuple[dict, List[np.ndarray]]:
-        """One synchronous round trip; raises typed errors, never hangs."""
+             arrays: Sequence[np.ndarray] = (),
+             on_reply: Optional[Callable[[Reply], None]] = None
+             ) -> Optional[Tuple[dict, List[np.ndarray]]]:
+        """One request; raises typed errors, never hangs.
+
+        Without ``on_reply`` the op answers once: ``call`` returns its
+        ``(meta, arrays)`` or raises :class:`ShardOpError`.  With it,
+        the op streams one reply per request array (``waves``: one per
+        wave), and ``call`` hands each to ``on_reply`` as it arrives --
+        ``(meta, arrays)``, or a :class:`ShardOpError` for an item that
+        failed -- then returns ``None`` once every reply is read.
+        ``on_reply`` must not raise.  A dead worker raises
+        :class:`WorkerCrashedError`, mid-stream too: the replies
+        delivered before it stand.
+        """
         if self._dead:
             raise WorkerCrashedError(
                 f"shard {self.shard_id} worker is dead")
+        payload = fshm.marshal(self.req_arena, arrays)
         try:
-            payload = fshm.marshal(self.req_arena, list(arrays))
             self._conn.send((op, meta or {}, payload))
+        except (OSError, BrokenPipeError) as exc:
+            raise self._crashed(op, exc) from None
+        if on_reply is None:
+            reply = self._recv(op)
+            if isinstance(reply, ShardOpError):
+                raise reply
+            return reply
+        for _ in range(len(arrays)):
+            on_reply(self._recv(op))
+        return None
+
+    def _recv(self, op: str) -> Reply:
+        try:
             status, out_meta, out_payload = self._conn.recv()
         except (EOFError, OSError, BrokenPipeError) as exc:
-            self._dead = True
-            raise WorkerCrashedError(
-                f"shard {self.shard_id} worker died mid-call "
-                f"(op={op!r}): {exc!r}") from None
+            raise self._crashed(op, exc) from None
         if status == "err":
-            kind, message = out_meta
-            raise ShardOpError(kind, message)
+            return ShardOpError(*out_meta)
         return out_meta, fshm.unmarshal(self.resp_arena, out_payload)
+
+    def _crashed(self, op: str, exc: BaseException) -> WorkerCrashedError:
+        self._dead = True
+        return WorkerCrashedError(
+            f"shard {self.shard_id} worker died mid-call "
+            f"(op={op!r}): {exc!r}")
 
     def crash(self) -> None:
         """Test hook: order the worker to die without replying."""

@@ -155,9 +155,10 @@ class Dispatcher:
     one, every :class:`~repro.fleet.Fleet` shard owns one.  ``put``
     appends a burst under one hold of the queue's condition lock, so
     one drain sees all of it; the thread splits each drain with
-    :func:`coalesce` and calls ``step(model, items)`` per step, in
-    order (``model`` is ``None`` for a barrier).  ``step`` must resolve
-    every item's future and never raise.
+    :func:`coalesce` and calls ``run(steps)`` once with the drain's
+    ``(model, items)`` steps, in order (``model`` is ``None`` for a
+    barrier).  ``run`` must resolve every item's future and never
+    raise.
 
     ``close()`` stops accepting work, lets the thread drain what is
     queued, joins it and then rejects anything still queued with
@@ -166,9 +167,9 @@ class Dispatcher:
     """
 
     def __init__(self, name: str,
-                 step: Callable[[Optional[str], list], None],
+                 run: Callable[[List[Tuple[Optional[str], list]]], None],
                  max_batch: int, closed: Callable[[], Exception]):
-        self._step = step
+        self._run = run
         self._max_batch = max_batch
         self._closed_error = closed
         self._cv = threading.Condition()
@@ -194,8 +195,7 @@ class Dispatcher:
                 if not self._queue:
                     return
                 drained, self._queue = self._queue, []
-            for model, items in coalesce(drained, self._max_batch):
-                self._step(model, items)
+            self._run(coalesce(drained, self._max_batch))
 
     def _reject_stranded(self) -> None:
         """Resolve anything still queued after the thread exited.
@@ -265,16 +265,22 @@ def execute_wave(registry: ModelRegistry, model: str, xs: np.ndarray):
         evictions=registry.evictions - ev_before)
 
 
+def _fail(pendings: Sequence[_Pending], exc: BaseException) -> None:
+    """Resolve running futures with one wave's exception."""
+    for pending in pendings:
+        pending.future.set_exception(exc)
+
+
 class _FrontDoor:
     """What :class:`Server` and :class:`~repro.fleet.Fleet` share.
 
     One submission path (validated against ``specs``, rejections
-    counted), one wave-resolution path (:meth:`_execute`), the
-    scheduler counters and latency window, and one drain-then-close.
-    A front door supplies how a validated burst is queued
-    (``_enqueue``), how a wave's stacked queries become
-    ``(ys, wave)`` (``_run_wave``), its dispatchers, what it releases
-    on close, and its closed error.
+    counted), one wave-resolution path (:meth:`_start` then
+    :meth:`_resolve` or :func:`_fail`), the scheduler counters and
+    latency window, and one drain-then-close.  A front door supplies
+    how a validated burst is queued (``_enqueue``), how its dispatcher
+    runs a drain's steps, its dispatchers, what it releases on close,
+    and its closed error.
     """
 
     def __init__(self, specs: ModelRegistry, max_batch: int,
@@ -348,30 +354,39 @@ class _FrontDoor:
         self._enqueue(model, pendings)
         return [p.future for p in pendings]
 
-    def _execute(self, model: str, pendings: List[_Pending],
-                 shard=None) -> None:
-        """One coalesced wave: run it, price it, resolve its futures.
+    @staticmethod
+    def _start(pendings: List[_Pending]):
+        """Mark a wave's futures running; ``(live, xs)`` or ``None``.
 
-        Everything fallible stays inside the try: a failure resolves
-        the wave's futures with the exception instead of unwinding --
-        and killing -- the dispatcher thread.  Marking each future
-        *running* up front also closes the cancel/set_result race: a
-        future that reports cancelled here never resolves, one that
-        does not can no longer be cancelled.
+        Marking each future *running* up front closes the
+        cancel/set_result race: a future that reports cancelled here
+        never resolves, one that does not can no longer be cancelled.
+        ``None`` means nothing is left to run (every query cancelled,
+        or stacking failed and the live futures now hold the error).
         """
         live = [p for p in pendings
                 if p.future.set_running_or_notify_cancel()]
         if not live:
-            return
+            return None
         try:
-            xs = np.stack([p.x for p in live])
-            ys, wave = self._run_wave(model, xs, shard)
+            return live, np.stack([p.x for p in live])
+        except BaseException as exc:          # noqa: BLE001 - to futures
+            _fail(live, exc)
+            return None
+
+    def _resolve(self, model: str, live: List[_Pending], ys,
+                 wave: dict) -> None:
+        """Price one answered wave, count it and resolve its futures.
+
+        Never raises: a pricing failure resolves the wave's futures
+        with the exception instead of unwinding the dispatcher.
+        """
+        try:
             report = ExecutionReport.from_measured(
                 model=model, batch_size=len(live),
                 timing=self.timing, energy=self.energy, **wave)
         except BaseException as exc:          # noqa: BLE001 - to futures
-            for pending in live:
-                pending.future.set_exception(exc)
+            _fail(live, exc)
             return
         with self._lock:
             self._waves += 1
@@ -467,12 +482,9 @@ class Server(_FrontDoor):
         self.registry = ModelRegistry(self.device,
                                       max_resident=max_resident)
         super().__init__(self.registry, max_batch, timing, energy)
-        # The step looks ``_execute`` up on every wave, so a patched
-        # class attribute (the benchmark's tracer) sees every wave.
-        self._dispatcher = Dispatcher(
-            "repro-serve-scheduler",
-            lambda model, pendings: self._execute(model, pendings),
-            max_batch, self._closed_error)
+        self._dispatcher = Dispatcher("repro-serve-scheduler",
+                                      self._run_steps, max_batch,
+                                      self._closed_error)
 
     # ------------------------------------------------------------------
     # model management
@@ -510,8 +522,28 @@ class Server(_FrontDoor):
     def _enqueue(self, model: str, pendings: List[_Pending]) -> None:
         self._dispatcher.put(pendings)
 
-    def _run_wave(self, model: str, xs: np.ndarray, shard):
-        return execute_wave(self.registry, model, xs)
+    def _run_steps(self, steps: List[Tuple[Optional[str], list]]) -> None:
+        # ``_execute`` is looked up on every wave, so a patched class
+        # attribute (the benchmark's tracer) sees every wave.
+        for model, pendings in steps:
+            self._execute(model, pendings)
+
+    def _execute(self, model: str, pendings: List[_Pending]) -> None:
+        """One coalesced wave: run it in-process, then resolve it.
+
+        A failure resolves the wave's futures with the exception
+        instead of unwinding -- and killing -- the dispatcher thread.
+        """
+        started = self._start(pendings)
+        if started is None:
+            return
+        live, xs = started
+        try:
+            ys, wave = execute_wave(self.registry, model, xs)
+        except BaseException as exc:          # noqa: BLE001 - to futures
+            _fail(live, exc)
+            return
+        self._resolve(model, live, ys, wave)
 
     def _dispatchers(self) -> List[Dispatcher]:
         return [self._dispatcher]

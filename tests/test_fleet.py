@@ -11,12 +11,21 @@ The load-bearing guarantees pinned here:
   continues the stream exactly (both backends).
 * **Crash containment** -- a worker dying mid-request resolves every
   affected future with :class:`WorkerCrashedError`; nothing hangs.
+  Waves of one group answered before the crash keep their responses.
+* **Streamed wave groups** -- one request carries every wave of a drain
+  up to the next control barrier and the worker answers each wave on
+  its own: a failing wave fails alone, replies that overflow the
+  response arena ride inline, and wave *i* resolves before reply *i+1*
+  is read.
 * **Close semantics** -- queued queries complete, stranded futures are
   rejected with :class:`FleetClosedError`, close is idempotent.
 * **Campaign parity** -- fleet-fanned reliability trials reproduce the
   in-process campaign rows exactly.
 """
 
+import os
+import signal
+import sys
 import threading
 import time
 
@@ -47,6 +56,24 @@ def payload_equal(a, b) -> bool:
         return len(a) == len(b) and all(
             payload_equal(x, y) for x, y in zip(a, b))
     return a == b
+
+
+def run_waves(handle, waves):
+    """One ``waves`` request over ``(model, xs)`` pairs; every wave's
+    reply, in order (``(meta, arrays)`` or a :class:`ShardOpError`)."""
+    replies = []
+    handle.call("waves", {"models": [m for m, _ in waves]},
+                [xs for _, xs in waves], on_reply=replies.append)
+    return replies
+
+
+def drain_once(fleet, items, shard_id=0):
+    """Queue items on a shard in one put, so one drain sees them all
+    (with the admission count ``submit`` would have taken)."""
+    with fleet._lock:
+        fleet._inflight[shard_id] += sum(
+            1 for it in items if it.model is not None)
+    fleet._shards[shard_id].dispatcher.put(items)
 
 
 # ----------------------------------------------------------------------
@@ -201,8 +228,8 @@ class TestShardHandle:
             reg = {"name": "m", "kind": "binary", "x_budget": None,
                    "plan_kwargs": {}}
             src.call("register", reg, [z])
-            got = [src.call("run", {"model": "m"}, [x[None]])[1][0][0]
-                   for x in stream[:3]]
+            got = [ys[0] for _, (ys,) in
+                   run_waves(src, [("m", x[None]) for x in stream[:3]])]
             meta, arrays = src.call("export_model", {"name": "m"})
             # the image crossed packed: structure references uint64
             assert any(a.dtype == np.uint64 for a in arrays)
@@ -210,8 +237,8 @@ class TestShardHandle:
             dst.call("import_model",
                      {"name": "m", "structure": meta["structure"]},
                      arrays)
-            got += [dst.call("run", {"model": "m"}, [x[None]])[1][0][0]
-                    for x in stream[3:]]
+            got += [ys[0] for _, (ys,) in
+                    run_waves(dst, [("m", x[None]) for x in stream[3:]])]
             assert all((g == w).all() for g, w in zip(got, want))
             # and the relocated counter image matches the source's
             # pre-export state exactly
@@ -228,9 +255,12 @@ class TestShardHandle:
     def test_worker_error_is_typed_and_survivable(self):
         handle = ShardHandle(0, pool_banks=4)
         try:
+            (reply,) = run_waves(
+                handle, [("ghost", np.zeros((1, 2), dtype=np.int64))])
+            assert isinstance(reply, ShardOpError)
+            assert reply.kind == "KeyError"
             with pytest.raises(ShardOpError, match="KeyError"):
-                handle.call("run", {"model": "ghost"},
-                            [np.zeros((1, 2), dtype=np.int64)])
+                handle.call("no-such-op")
             meta, _ = handle.call("ping")
             assert meta["pid"] == handle.process.pid
         finally:
@@ -249,6 +279,54 @@ class TestShardHandle:
             handle.close()
 
 
+    def test_group_isolates_a_failing_wave(self):
+        """good, ghost, good in one group: the good waves answer, the
+        middle one alone raises, and the shard keeps serving."""
+        handle = ShardHandle(0, pool_banks=4)
+        try:
+            handle.call("register", {"name": "m", "kind": "binary",
+                                     "x_budget": None, "plan_kwargs": {}},
+                        [np.eye(2, dtype=np.uint8)])
+            xs = np.array([[1, 2], [3, 4]])
+            first, ghost, last = run_waves(
+                handle, [("m", xs[:1]), ("ghost", xs), ("m", xs[1:])])
+            assert (first[1][0] == xs[:1]).all()
+            assert isinstance(ghost, ShardOpError)
+            assert ghost.kind == "KeyError"
+            assert (last[1][0] == xs[1:]).all()
+            (again,) = run_waves(handle, [("m", xs)])
+            assert (again[1][0] == xs).all()
+        finally:
+            handle.close()
+
+    def test_response_arena_overflow_mid_group_goes_inline(self, rng):
+        """With a small arena the first replies stage back to back and
+        the rest ship inline -- with the same ys."""
+        z = rng.integers(0, 2, (8, 8)).astype(np.uint8)
+        waves = [("m", rng.integers(0, 6, (4, 8))) for _ in range(4)]
+        handle = ShardHandle(0, pool_banks=4, arena_bytes=512)
+        tags = []
+        recv = handle._conn.recv
+
+        def spy():
+            reply = recv()
+            tags.append(reply[2][0])
+            return reply
+
+        try:
+            handle.call("register", {"name": "m", "kind": "binary",
+                                     "x_budget": None, "plan_kwargs": {}},
+                        [z])
+            handle._conn.recv = spy
+            replies = run_waves(handle, waves)
+            # each ys is 4 x 8 int64 = 256 bytes: two fill the arena
+            assert tags == ["shm", "shm", "inline", "inline"]
+            for (_, xs), (_, (ys,)) in zip(waves, replies):
+                assert (ys == xs @ z.astype(np.int64)).all()
+        finally:
+            handle.close()
+
+
 # ----------------------------------------------------------------------
 # the front door
 # ----------------------------------------------------------------------
@@ -258,7 +336,7 @@ class TestFleetServing:
         """Identical query stream -> identical values, identical
         per-response measured ops, broadcasts and injected faults, and
         identical per-model counter images, fleet vs single-process
-        server."""
+        server; a one-shard fleet matches every report field."""
         z_a = rng.integers(0, 2, (5, 8)).astype(np.uint8)
         z_b = rng.integers(-1, 2, (4, 8)).astype(np.int8)
         stream = [("a", rng.integers(0, 6, 5)) for _ in range(4)] \
@@ -282,11 +360,22 @@ class TestFleetServing:
             for sid in range(fleet.n_shards):
                 got_imgs.update(fleet.counter_images(sid))
 
+        # One shard runs the server's exact stack (one pool, one
+        # program store), so every report field matches, compile and
+        # eviction counts included.
+        with Fleet(n_shards=1, pool_banks=8, backend=backend) as fleet:
+            fleet.register("a", z_a, kind="binary")
+            fleet.register("b", z_b, kind="ternary")
+            lone = [fleet.query(m, x) for m, x in
+                    (stream[i] for i in order)]
+
         assert all((g.y == w.y).all() for g, w in zip(got, want))
         for g, w in zip(got, want):
             for field in ("measured_ops", "broadcasts", "injected_faults"):
                 assert getattr(g.report, field) \
                     == getattr(w.report, field), field
+        assert all((g.y == w.y).all() for g, w in zip(lone, want))
+        assert [g.report for g in lone] == [w.report for w in want]
         for name in ("a", "b"):
             assert payload_equal(got_imgs[name], want_imgs[name]), \
                 f"counter image of {name!r} diverged"
@@ -386,10 +475,8 @@ class TestFleetServing:
             for i, it in enumerate(items):
                 it.future.add_done_callback(
                     lambda f, i=i: resolved.append(i))
-            with fleet._lock:
-                fleet._inflight[0] += 4
             # one put: a single drain sees all five items
-            fleet._shards[0].dispatcher.put(items)
+            drain_once(fleet, items)
 
             assert (items[0].future.result(timeout=30).y == [1, 2]).all()
             assert (items[1].future.result(timeout=30).y == [4, 3]).all()
@@ -401,6 +488,115 @@ class TestFleetServing:
             stats = fleet.stats
             assert (stats.waves, stats.queries, stats.max_wave) == (2, 3, 2)
             assert stats.crashed_shards == 1
+        finally:
+            fleet.close()
+
+    def test_crash_mid_group_keeps_answered_waves(self, rng):
+        """Kill the worker from the first reply of a group: that wave
+        keeps its ys, every unanswered wave fails typed, nothing
+        hangs, and the shard is retired."""
+        from repro.serve.server import _Pending
+        fleet = Fleet(n_shards=1, pool_banks=8)
+        try:
+            fleet.register("a", np.eye(2, dtype=np.uint8), kind="binary")
+            # a cold wave slow enough that the kill lands inside it
+            z = rng.integers(-1, 2, (64, 256)).astype(np.int8)
+            fleet.register("big", z, kind="ternary")
+            fleet.register("c", np.eye(2, dtype=np.uint8), kind="binary")
+            handle = fleet._shards[0].handle
+            call = handle.call
+
+            def killing_call(op, meta=None, arrays=(), on_reply=None):
+                def first_kills(reply):
+                    on_reply(reply)
+                    if not killed:
+                        killed.append(True)
+                        os.kill(handle.process.pid, signal.SIGKILL)
+                        handle.process.join(timeout=30)
+                killed = []
+                return call(op, meta, arrays,
+                            first_kills if on_reply else None)
+
+            handle.call = killing_call
+            items = ([_Pending("a", np.array([1, 2]))]
+                     + [_Pending("big", x)
+                        for x in rng.integers(-8, 9, (32, 64))]
+                     + [_Pending("c", np.array([3, 4]))])
+            drain_once(fleet, items)
+            assert (items[0].future.result(timeout=30).y == [1, 2]).all()
+            for it in items[1:]:
+                with pytest.raises(WorkerCrashedError):
+                    it.future.result(timeout=30)
+            assert fleet.stats.crashed_shards == 1
+            assert fleet.stats.waves == 1
+            with pytest.raises(WorkerCrashedError):
+                fleet.submit("a", np.array([1, 2]))
+        finally:
+            fleet.close()
+
+    def test_wave_resolves_before_next_reply_is_read(self):
+        """Streaming: wave i's futures are done before the dispatcher
+        reads reply i+1 off the pipe."""
+        from repro.serve.server import _Pending
+        fleet = Fleet(n_shards=1, pool_banks=8)
+        try:
+            for name in "abc":
+                fleet.register(name, np.eye(2, dtype=np.uint8),
+                               kind="binary")
+            items = [_Pending(name, np.array([i, i + 1]))
+                     for i, name in enumerate("abcab")]
+            waves = {"a": [0, 3], "b": [1, 4], "c": [2]}
+            conn = fleet._shards[0].handle._conn
+            recv = conn.recv
+            seen = []
+
+            def spy():
+                seen.append({m: all(items[i].future.done() for i in idx)
+                             for m, idx in waves.items()})
+                return recv()
+
+            conn.recv = spy
+            drain_once(fleet, items)
+            for i, it in enumerate(items):
+                assert (it.future.result(timeout=30).y == [i, i + 1]).all()
+            assert seen == [{"a": False, "b": False, "c": False},
+                            {"a": True, "b": False, "c": False},
+                            {"a": True, "b": True, "c": False}]
+            assert fleet.stats.waves == 3
+        finally:
+            fleet.close()
+
+    def test_control_barrier_splits_two_groups(self):
+        """[a, b, ping, a, b] in one drain: two ``waves`` requests of
+        two waves each, with the control round trip between them."""
+        from repro.fleet.fleet import _Control
+        from repro.serve.server import _Pending
+        fleet = Fleet(n_shards=1, pool_banks=8)
+        try:
+            fleet.register("a", np.eye(2, dtype=np.uint8), kind="binary")
+            fleet.register("b", np.eye(2, dtype=np.uint8), kind="binary")
+            handle = fleet._shards[0].handle
+            call = handle.call
+            sent = []
+
+            def spy(op, meta=None, arrays=(), on_reply=None):
+                sent.append((op, (meta or {}).get("models")))
+                return call(op, meta, arrays, on_reply)
+
+            handle.call = spy
+            items = [_Pending("a", np.array([1, 2])),
+                     _Pending("b", np.array([3, 4])),
+                     _Control("ping"),
+                     _Pending("a", np.array([5, 6])),
+                     _Pending("b", np.array([7, 8]))]
+            drain_once(fleet, items)
+            for it in items[:2] + items[3:]:
+                assert (it.future.result(timeout=30).y == it.x).all()
+            assert items[2].future.result(timeout=30)[0]["pid"] \
+                == handle.process.pid
+            assert sent == [("waves", ["a", "b"]), ("ping", None),
+                            ("waves", ["a", "b"])]
+            assert fleet.stats.waves == 4
         finally:
             fleet.close()
 
@@ -497,6 +693,44 @@ class TestFleetServing:
             fleet.register("hist", kind="histogram", n_buckets=4)
             y = fleet.query("hist", np.array([0, 2, 2, 3])).y
             assert (y == [1, 0, 2, 1]).all()
+
+    def test_streamed_groups_stay_exact_under_concurrent_clients(self, rng):
+        """More shards than cores, clients on several threads, a short
+        switch interval and an arena small enough that some replies
+        ride inline: every answer is still ``x @ z``."""
+        zs = {f"m{i}": rng.integers(-1, 2, (6, 40)).astype(np.int8)
+              for i in range(6)}
+        bursts = [(f"m{rng.integers(6)}", rng.integers(-4, 5, (n, 6)))
+                  for n in rng.integers(1, 9, 48)]
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Fleet(n_shards=4, pool_banks=8, max_batch=3,
+                       arena_bytes=1024) as fleet:
+                for name, z in zs.items():
+                    fleet.register(name, z, kind="ternary")
+
+                def client(k):
+                    for model, xs in bursts[k::4]:
+                        futs = fleet.submit_many(model, xs)
+                        want = xs @ zs[model].astype(np.int64)
+                        for f, w in zip(futs, want):
+                            if not (f.result(timeout=60).y == w).all():
+                                errors.append(model)
+
+                threads = [threading.Thread(target=client, args=(k,))
+                           for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert fleet.stats.queries == sum(len(xs)
+                                                  for _, xs in bursts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
 
     def test_aquery_from_caller_event_loop(self, rng):
         import asyncio
