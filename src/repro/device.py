@@ -908,7 +908,9 @@ class Device:
         # Compiled-program scope: one store per device, passed to every
         # engine body its plans build, so parked/unparked and co-tenant
         # plans replay warm traces.  Campaign trials build one device
-        # each, so their trials never share compiled state.
+        # each, so their trials share no store entries or counters;
+        # only immutable lowered traces are shared, process-wide (see
+        # WordlineSubarray._compile).
         self.programs = ProgramStore()
         self._plans: Dict[int, object] = {}
         self._next_handle = 0

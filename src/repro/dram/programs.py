@@ -34,8 +34,8 @@ What the store holds -- three tiers and a buffer:
   engine body or a co-tenant of the same layout replays a sequence
   another engine already scheduled.  The same tier holds each
   ECC-protected event batch a protected engine ran natively, keyed by
-  the layout signature, the mask row and the events: its blocks'
-  compiled entries and check descriptors as one
+  the layout signature, ``fr_checks``, the mask row and the events:
+  its blocks' compiled entries and check descriptors as one
   :class:`~repro.isa.trace.ProtectedBatch` (see
   :meth:`~repro.engine.machine.CountingEngine.execute_events`).
 * **Replay scratch**: one :class:`~repro.isa.trace.TraceScratch`, a
@@ -50,7 +50,12 @@ a copy-on-write row swap keeps replaying warm chains.
 
 The store is not locked: one device executes its plans serially (the
 serving registry has one dispatcher), and separate devices never share
-a store.  An engine or subarray built without a store gets a private
+a store.  They may share *traces*: a compiled entry's trace comes from
+a process-wide memo of lowered traces whenever another store's entry
+already lowered the same ops for the same data-row count and fault
+spec (see :meth:`~repro.dram.wordline.WordlineSubarray._compile`).
+Traces are immutable, so sharing one changes nothing a store counts
+or evicts.  An engine or subarray built without a store gets a private
 one, which keeps standalone behaviour exactly what it is for a single
 engine.
 
@@ -139,20 +144,16 @@ class ProgramStore:
         self.evictions += _lru_put(self._programs, key, program, self.bound)
         return program
 
-    def discard(self, key) -> None:
-        """Forget the μProgram under ``key`` (a lookup taken back)."""
-        self._programs.pop(key, None)
+    def peek(self, key):
+        """The μProgram under ``key``, or ``None``, leaving the LRU
+        order as it is."""
+        return self._programs.get(key)
 
-    def touch(self, keys, programs=(), n_data_rows: int = 0) -> None:
-        """Mark the μPrograms under ``keys``, then the compiled entries
-        of ``programs``, used in that order, as lookups and runs do:
-        what a memo that replays them in one call owes the LRU order."""
-        move = self._programs.move_to_end
-        for key in keys:
-            move(key)
-        move = self._compiled.move_to_end
-        for program in programs:
-            move((n_data_rows, id(program)))
+    def fits(self, n_programs: int, n_entries: int) -> bool:
+        """Whether ``n_programs`` more μPrograms and ``n_entries`` more
+        compiled entries fit without an eviction."""
+        return (len(self._programs) + n_programs <= self.bound
+                and len(self._compiled) + n_entries <= self.bound)
 
     # ------------------------------------------------------------------
     # compiled tier
@@ -181,6 +182,25 @@ class ProgramStore:
             self.evictions += 1
         self.evictions += _lru_put(self._compiled, key, entry, self.bound)
         return entry
+
+    def peek_compiled(self, n_data_rows: int, program):
+        """The compiled entry of a μProgram, or ``None``, leaving the
+        LRU order as it is."""
+        entry = self._compiled.get((n_data_rows, id(program)))
+        return entry if entry is not None and entry[0] is program else None
+
+    def ran(self, n_data_rows: int, entries) -> None:
+        """Mark compiled ``entries`` run, in that order, as the
+        subarray's runs do (:meth:`compiled`): an entry the store lacks
+        -- one taken from :meth:`peek_compiled` as missing -- is stored.
+        What a memo that replays runs in one call owes the store."""
+        for entry in entries:
+            key = (n_data_rows, id(entry[0]))
+            if key in self._compiled:
+                self._compiled.move_to_end(key)
+            else:
+                self.evictions += _lru_put(self._compiled, key, entry,
+                                           self.bound)
 
     # ------------------------------------------------------------------
     # chain tier (whole wave sequences)

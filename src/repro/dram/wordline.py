@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.dram.ambit import _DATA_BASE, _b_group_map, _C0, _C1
 from repro.dram.faults import FAULT_FREE, FaultModel
-from repro.dram.programs import ProgramStore
+from repro.dram.programs import STORE_BOUND, ProgramStore
 
 __all__ = ["WordlineSubarray", "pack_bits", "pack_blocks", "pack_rows",
            "unpack_bits"]
@@ -56,6 +56,18 @@ def _trace_module():
         from repro.isa import trace
         _trace = trace
     return _trace
+
+
+#: Lowered traces of every subarray in the process, keyed by
+#: ``(n_data_rows, ops, spec)`` (see :meth:`WordlineSubarray._compile`).
+#: Emptied whole when it holds :data:`~repro.dram.programs.STORE_BOUND`
+#: traces.  It is changed only by single ``setdefault`` and ``clear``
+#: calls, each atomic under the GIL, so concurrent dispatcher threads
+#: need no lock (and a forked fleet worker inherits none held): two
+#: threads lowering one program keep the first trace stored, and the
+#: bound can be passed only by the inserts of threads racing past the
+#: size check together.
+_LOWERED: Dict[tuple, object] = {}
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -196,8 +208,6 @@ class WordlineSubarray:
             for name, ports in _b_group_map().items()}
         self._ports["C0"] = ((_C0, False),)
         self._ports["C1"] = ((_C1, False),)
-        # μOp -> its ports as ints, the native lowering's memo.
-        self._op_codes: Dict[tuple, bytes] = {}
         # Resolved row-index tuples (see _data_rows).
         self._row_sets: Dict[tuple, np.ndarray] = {}
         # Resolved op lists, compiled traces and replay scratch live in
@@ -324,9 +334,10 @@ class WordlineSubarray:
         :class:`~repro.dram.programs.ProgramStore` (bounded LRU, keyed
         by ``(n_data_rows, program)``), on any engine sharing the store:
         the first run lowers the program by :func:`repro.isa.trace.
-        compile_trace` into a fused trace, and every run executes it as
-        one native kernel call (or batched NumPy operations without the
-        kernel) -- no per-op Python loop at all.  An *active* fault
+        compile_trace` into a fused trace (or takes the one another
+        subarray lowered, see :meth:`_compile`), and every run executes
+        it as one native kernel call (or batched NumPy operations
+        without the kernel) -- no per-op Python loop at all.  An *active* fault
         model fuses too: the trace is compiled against the model's
         :class:`~repro.isa.trace.FaultSpec` and each replay runs the
         fault pre-pass (flip masks pre-drawn in original op order) so
@@ -376,12 +387,29 @@ class WordlineSubarray:
         """(Re)compile a store entry's trace against ``spec``, the
         fault model's current :class:`~repro.isa.trace.FaultSpec`, and
         count one ``trace_compiles``; callers use an entry's trace
-        as is only while ``entry[1] == spec``."""
-        entry[2] = _trace_module().compile_trace(
-            entry[0], self.resolve, fault=spec, codes=self._op_codes)
+        as is only while ``entry[1] == spec``.
+
+        The trace comes from the process-wide memo of lowered traces
+        (:data:`_LOWERED`) when any subarray with this many data rows
+        already lowered the same ops against the same spec: a lowering
+        depends on nothing else (:meth:`resolve` is a function of
+        ``n_data_rows``, and lowering reads no cells), and traces are
+        immutable, so devices that each compile into their own store,
+        such as a campaign's trials, lower a μProgram once.  The count
+        is the store entry's, memo or not.
+        """
+        key = (self.n_data_rows, entry[0].ops, spec)
+        compiled = _LOWERED.get(key)
+        if compiled is None:
+            compiled = _trace_module().compile_trace(entry[0], self.resolve,
+                                                     fault=spec)
+            if len(_LOWERED) >= STORE_BOUND:
+                _LOWERED.clear()
+            compiled = _LOWERED.setdefault(key, compiled)
+        entry[2] = compiled
         entry[1] = spec
         self.trace_compiles += 1
-        return entry[2]
+        return compiled
 
     def _replay(self, compiled) -> None:
         """Execute a compiled trace on the store's shared replay scratch

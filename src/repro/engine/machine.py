@@ -58,18 +58,20 @@ def _event_key(events: Sequence[Event]) -> tuple:
 class _ProtectedMemo(NamedTuple):
     """One protected event batch, assembled for the native path.
 
-    ``batch`` holds the blocks' entries and the kernel's unit table;
-    ``tail_only`` the entries run only as FR tails.  ``keys`` are the
-    lookups of the protocol in order, ``marks`` per unit (and once
-    more at the end) ``(lookups, builds, compiles, replays, events)``
-    done or completed before it runs, ``ops`` the cumulative
-    paper-formula ops per completed event, and ``evictions`` the
-    store's count at assembly.
+    ``batch`` holds the blocks' entries and the kernel's unit table.
+    ``keys`` are the protocol's lookups in order as a warm run does
+    them, ``log`` those of a cold run (a protected update's block
+    lookups come before the lookup that builds them, as
+    :meth:`CountingEngine._program` does them), and ``marks`` per unit
+    (and once more at the end) ``(keys, log, events)``: how many of
+    each were done, and how many events completed, before it runs.
+    ``ops`` are the cumulative paper-formula ops per completed event,
+    and ``evictions`` the store's count at assembly.
     """
 
     batch: ProtectedBatch
-    tail_only: frozenset
     keys: tuple
+    log: tuple
     marks: tuple
     ops: tuple
     evictions: int
@@ -105,7 +107,11 @@ class Counters(NamedTuple):
                             so an engine or tenant whose programs another
                             one already warmed compiles nothing.
     ``trace_compiles``      The same for the word backend's fused traces:
-    ``trace_replays``       μPrograms lowered, and single traces replayed
+    ``trace_replays``       store entries given a trace for their fault
+                            regime (lowered, or taken from the
+                            process-wide memo of lowered traces, so the
+                            count does not depend on what other devices
+                            lowered first), and single traces replayed
                             from the store.  Zero on the bit backend,
                             which never fuses.
     ``injected_faults``     Fault-model bit flips the subarray injected;
@@ -267,7 +273,6 @@ class CountingEngine:
             self.protection = None
         self.max_retries = max_retries
         self.model_ops = 0       # paper-formula op accounting
-        self._journal = None     # keys built while assembling (see _program)
         self._flushed = True
         # Static part of the macro-fusion predicate (backend and
         # protection are fixed at construction; only the process-wide
@@ -345,17 +350,12 @@ class CountingEngine:
     # ------------------------------------------------------------------
     def _program(self, key, build):
         """This layout's stored μProgram for ``key``; a hit counts a
-        replay, a miss builds it (``build()``) and counts a compile
-        (and notes the key in ``_journal`` while a protected batch is
-        assembled)."""
+        replay, a miss builds it (``build()``) and counts a compile."""
         key = (self._layout_key, key)
         prog = self.programs.get(key)
         if prog is None:
             self.prog_compiles += 1
-            prog = self.programs.put(key, build())
-            if self._journal is not None:
-                self._journal.append(key)
-            return prog
+            return self.programs.put(key, build())
         self.prog_replays += 1
         return prog
 
@@ -371,8 +371,9 @@ class CountingEngine:
     # (_protected_native) runs the same steps, assembled once per
     # batch, as one protected_batch kernel call.
     def _protected_blocks(self, dst_row: int, src_row: int, mask_row: int,
-                          invert_src: bool) -> tuple:
-        """``(A, T2 copy, B, C, FR tail)`` of one protected update.
+                          invert_src: bool, lookup) -> tuple:
+        """``(A, T2 copy, B, C, FR tail)`` of one protected update, each
+        looked up through ``lookup`` (see :meth:`_protected_steps`).
 
         Sliced from :func:`~repro.isa.templates.
         protected_masked_update_ops` at its two checkpoints: block A is
@@ -390,8 +391,8 @@ class CountingEngine:
             fr_row=lay.fr_row, t2_row=lay.t2_row)
         (cp1, cp2), ops = prog.checkpoints, prog.ops
         return tuple(
-            self._program(("ops", part),
-                          lambda part=part: MicroProgram("block", part))
+            lookup(("ops", part),
+                   lambda part=part: MicroProgram("block", part))
             for part in (ops[:cp1 + 1], ops[cp1 + 1:cp1 + 2],
                          ops[cp1 + 2:cp2 + 1], ops[cp2 + 1:],
                          ops[cp1 - 4:cp1 + 1]))
@@ -410,9 +411,10 @@ class CountingEngine:
         dst_row)``, ``(_BLOCK_C, block, dst_row)``, ``(_FLAG, block,
         onext, snapshot, theta, msb, mask_row, k)`` and after each event
         ``(_EVENT, paper-formula ops)``.  Stored μPrograms are looked up
-        through ``lookup`` (:meth:`_program`, or a recording wrapper of
-        it) right before the step that first runs them, so the lookups
-        done before any step are the ones the protocol has done by then.
+        through ``lookup`` (:meth:`_program`, or the assembly's peeking
+        one, see :meth:`_assemble_protected`) right before the step that
+        first runs them, so the lookups done before any step are the
+        ones the protocol has done by then.
         """
         lay, n = self.layout, self.n_bits
         for ev in events:
@@ -442,7 +444,8 @@ class CountingEngine:
                 block_a, t2_copy, block_b, block_c, fr_tail = lookup(
                     ("protected", dst_row, src_row, masked_by, a.inverted),
                     lambda: self._protected_blocks(dst_row, src_row,
-                                                   masked_by, a.inverted))
+                                                   masked_by, a.inverted,
+                                                   lookup))
                 yield _BLOCK_A, block_a, fr_tail, masked_by, src_row, \
                     a.inverted
                 yield _RUN, t2_copy
@@ -553,120 +556,141 @@ class CountingEngine:
                 and native_enabled())
 
     def _assemble_protected(self, events: Sequence[Event],
-                            mask_row: int) -> tuple:
-        """Walk a batch's steps into a :class:`_ProtectedMemo`; returns
-        it and the keys of the μPrograms the walk built, in order.
+                            mask_row: int):
+        """Walk a batch's steps into a :class:`_ProtectedMemo`, leaving
+        the store as it is; returns it and the μPrograms the walk built
+        (by key), or ``None`` when the batch's cold run could evict from
+        the store.
 
-        The walk's lookups are the protocol's own (counted, storing
-        what they build); it records, ahead of each unit, how many
-        lookups and builds were done and events completed by then, so
-        a batch stopped at a unit can be accounted as far as the
-        protocol would have got.
+        Lookups peek at the store; a μProgram it lacks is built, not
+        stored, and so is a compiled entry: the run stores what the
+        protocol got to (see :meth:`_protected_native`).  So nothing
+        the batch never reached is ever stored, and a batch whose
+        new μPrograms or entries do not fit below the store's bound --
+        where the protocol's own lookups and runs would evict, in an
+        order only the protocol knows -- is left to the host reference.
+        An FR tail gets an entry only when it runs (``fr_checks > 1``).
         """
         sub, store, lay = self.subarray, self.programs, self.layout
         base = sub._data_row(0)          # layout rows are in range
-        keys = []
+        rows = sub.n_data_rows
+        keys, log, built, depth = [], [], {}, 0
 
         def lookup(key, build):
-            keys.append((self._layout_key, key))
-            return self._program(key, build)
+            nonlocal depth
+            key = (self._layout_key, key)
+            if not depth:                # a nested lookup runs cold only
+                keys.append(key)
+            program = store.peek(key)
+            if program is None:
+                program = built.get(key)
+            if program is None:
+                depth += 1
+                program = built[key] = build()
+                depth -= 1
+            log.append(key)
+            return program
 
-        entries, index = [], {}
+        entries, index, n_new = [], {}, 0
 
         def entry(program) -> int:
+            nonlocal n_new
             at = index.get(id(program))
             if at is None:
                 at = index[id(program)] = len(entries)
-                entries.append(store.compiled(sub.n_data_rows, program))
+                stored = store.peek_compiled(rows, program)
+                if stored is None:
+                    stored = [program, None, None, None]
+                    n_new += 1
+                entries.append(stored)
             return at
 
+        def tail(fr_tail) -> int:
+            return entry(fr_tail) if self.fr_checks > 1 else -1
+
         units, marks, ops = [], [], [0]
-        compiles, replays = self.prog_compiles, self.prog_replays
-        self._journal = journal = []
-        try:
-            for step in self._protected_steps(events, mask_row, lookup):
-                kind = step[0]
-                if kind == _EVENT:
-                    ops.append(ops[-1] + step[1])
-                    continue
-                marks.append((len(keys), len(journal),
-                              self.prog_compiles - compiles,
-                              self.prog_replays - replays, len(ops) - 1))
-                if kind == _RUN:
-                    unit = (kind, entry(step[1]), 0, 0, 0, 0, 0, 0)
-                elif kind == _BLOCK_A:
-                    _, block, fr_tail, masked_by, src_row, inverted = step
-                    unit = (kind, entry(block), entry(fr_tail),
-                            base + masked_by, base + src_row, int(inverted),
-                            0, 0)
-                elif kind == _BLOCK_B:
-                    _, block, fr_tail, dst_row = step
-                    unit = (kind, entry(block), entry(fr_tail),
-                            base + dst_row, 0, 0, 0, 0)
-                elif kind == _BLOCK_C:
-                    _, block, dst_row = step
-                    unit = (kind, entry(block), base + lay.t2_row,
-                            base + lay.ir2_row, base + dst_row, 0, 0, 0)
-                else:
-                    _, block, onext, snap, theta, msb_row, masked_by, k = step
-                    unit = (kind, entry(block), base + onext, base + snap,
-                            base + theta, base + msb_row, base + masked_by,
-                            (k < 0) | (abs(k) > self.n_bits) << 1)
-                units.append(unit)
-        finally:
-            self._journal = None
-        marks.append((len(keys), len(journal), self.prog_compiles - compiles,
-                      self.prog_replays - replays, len(ops) - 1))
-        # Entries only ever run as FR tails need no trace at one check.
-        tails = {u[2] for u in units if u[0] in (_BLOCK_A, _BLOCK_B)}
-        tail_only = frozenset(tails - {u[1] for u in units})
+        for step in self._protected_steps(events, mask_row, lookup):
+            kind = step[0]
+            if kind == _EVENT:
+                ops.append(ops[-1] + step[1])
+                continue
+            marks.append((len(keys), len(log), len(ops) - 1))
+            if kind == _RUN:
+                unit = (kind, entry(step[1]), 0, 0, 0, 0, 0, 0)
+            elif kind == _BLOCK_A:
+                _, block, fr_tail, masked_by, src_row, inverted = step
+                unit = (kind, entry(block), tail(fr_tail),
+                        base + masked_by, base + src_row, int(inverted),
+                        0, 0)
+            elif kind == _BLOCK_B:
+                _, block, fr_tail, dst_row = step
+                unit = (kind, entry(block), tail(fr_tail),
+                        base + dst_row, 0, 0, 0, 0)
+            elif kind == _BLOCK_C:
+                _, block, dst_row = step
+                unit = (kind, entry(block), base + lay.t2_row,
+                        base + lay.ir2_row, base + dst_row, 0, 0, 0)
+            else:
+                _, block, onext, snap, theta, msb_row, masked_by, k = step
+                unit = (kind, entry(block), base + onext, base + snap,
+                        base + theta, base + msb_row, base + masked_by,
+                        (k < 0) | (abs(k) > self.n_bits) << 1)
+            units.append(unit)
+        if not store.fits(len(built), n_new):
+            return None
+        marks.append((len(keys), len(log), len(ops) - 1))
         batch = ProtectedBatch(entries, units, base + lay.fr_row)
-        return _ProtectedMemo(batch, tail_only, tuple(keys), tuple(marks),
-                              tuple(ops), store.evictions), journal
+        return _ProtectedMemo(batch, tuple(keys), tuple(log), tuple(marks),
+                              tuple(ops), store.evictions), built
 
     def _protected_native(self, events: Sequence[Event],
                           mask_row: int) -> None:
         """Run a protected batch as one ``protected_batch`` kernel call,
         exactly as :meth:`_protected_reference` would.
 
-        The batch is assembled once per ``(layout, mask row, events)``
-        and memoized in the store's chain tier; it is reassembled if
-        the store has since dropped any μProgram or compiled entry, so
-        the memo's programs are always the store's.  Blocks without a
-        trace for the current fault regime compile first.  The kernel
-        reports where it stopped and how often each block ran; from
-        that every counter is brought to the reference's values: the
-        μProgram lookups and ``model_ops`` as far as the protocol got,
-        ``trace_compiles`` for blocks that ran (a block that never ran
-        is left uncompiled again), the replays, command totals, injected
-        flips and :class:`~repro.ecc.protection.ProtectionStats`.  A
-        block that exhausted its retries raises the reference's
-        :class:`~repro.ecc.protection.RetryExhaustedError` there.
+        The batch is assembled once per ``(layout, fr_checks, mask row,
+        events)`` and memoized in the store's chain tier; it is
+        reassembled if the store has since dropped any μProgram or
+        compiled entry, so the memo's programs and entries are always
+        the store's.  A batch that does not fit the store runs on the
+        host (see :meth:`_assemble_protected`).  Blocks without a trace
+        for the current fault regime compile first.  The kernel reports
+        where it stopped, how often each block ran and when it last
+        did; from that the run does to the store and the counters what
+        the protocol would: the μProgram lookups as far as it got, in
+        its order (a cold run stores what it built), every entry that
+        ran, in the order of its last run (a new one is stored), the
+        ``trace_compiles`` of blocks that ran (a block that never ran
+        is left uncompiled again), the replays, ``model_ops``, command
+        totals, injected flips and :class:`~repro.ecc.protection.
+        ProtectionStats`.  A block that exhausted its retries raises the
+        reference's :class:`~repro.ecc.protection.RetryExhaustedError`
+        there.
         """
         sub, store = self.subarray, self.programs
-        key = (self._layout_key, "protected", mask_row, _event_key(events))
-        memo = store.chain(key)
-        fresh = memo is None or memo.evictions != store.evictions
-        if fresh:
-            compiles, replays = self.prog_compiles, self.prog_replays
-            memo, built = self._assemble_protected(events, mask_row)
+        key = (self._layout_key, "protected", self.fr_checks, mask_row,
+               _event_key(events))
+        memo, built = store.chain(key), None
+        if memo is None or memo.evictions != store.evictions:
+            assembled = self._assemble_protected(events, mask_row)
+            if assembled is None:
+                self._protected_reference(events, mask_row)
+                return
+            memo, built = assembled
         batch = memo.batch
         spec = FaultSpec.of(sub.fault_model)
-        bare_tail = self.fr_checks < 2
-        traces, compiled = [], []
+        compiled = []
         for i, entry in enumerate(batch.entries):
             if entry[2] is None or entry[1] != spec:
-                if bare_tail and i in memo.tail_only:
-                    traces.append(None)
-                    continue
                 compiled.append((i, entry[1], entry[2]))
                 sub._compile(entry, spec)
-            traces.append(entry[2])
         out, totals = batch.execute(
-            sub.checked_cells(), store.scratch, tuple(traces), sub.fault_model,
+            sub.checked_cells(), store.scratch,
+            tuple([entry[2] for entry in batch.entries]), sub.fault_model,
             sub.n_cols, self._check_args, self.fr_checks, self.max_retries)
         status, stop, injected = out[:3]
-        runs = out[9:]
+        n_entries = len(batch.entries)
+        runs, last = out[9:9 + n_entries], out[9 + n_entries:]
         for i, spec_was, trace_was in compiled:
             if not runs[i]:                # never ran: never compiled
                 entry = batch.entries[i]
@@ -687,20 +711,20 @@ class CountingEngine:
         stats.retries += out[6]
         stats.corrected += out[7]
         stats.exhausted += out[8]
-        n_keys, n_built, n_compiles, n_replays, n_events = memo.marks[
-            stop if status else -1]
-        if fresh:
-            if status:                     # take back the lookups not reached
-                self.prog_compiles = compiles + n_compiles
-                self.prog_replays = replays + n_replays
-                for stored in built[n_built:]:
-                    store.discard(stored)
+        n_keys, n_log, n_events = memo.marks[stop if status else -1]
+        for looked_up in (memo.keys[:n_keys] if built is None
+                          else memo.log[:n_log]):
+            if store.get(looked_up) is None:
+                self.prog_compiles += 1
+                store.put(looked_up, built[looked_up])
             else:
-                store.put_chain(key, memo)
-        else:
-            store.touch(memo.keys[:n_keys], [e[0] for e in batch.entries],
-                        sub.n_data_rows)
-            self.prog_replays += n_keys
+                self.prog_replays += 1
+        store.ran(sub.n_data_rows, [
+            batch.entries[i] for i in sorted(range(n_entries),
+                                             key=last.__getitem__)
+            if runs[i]])
+        if built is not None and not status:
+            store.put_chain(key, memo)
         self.model_ops += memo.ops[n_events]
         if status:
             raise RetryExhaustedError(f"protected block failed "

@@ -1,12 +1,11 @@
 """Optional native kernels of the warm query and fault-trial paths.
 
 A warm query spends its host time in three stages, and a cold fault
-trial in its fault-trace replays, its ECC-protected batches and its
-lowerings, that are each a few dozen small NumPy calls or a walk of
-many small Python objects, so they are bound by interpreter overhead,
-not by their arithmetic.  This module builds one C file
-(``maj_replay.c`` beside it) with seven entry points that run each
-stage as one call:
+trial in its fault-trace replays and its ECC-protected batches, that
+are each a few dozen small NumPy calls, so they are bound by
+interpreter overhead, not by their arithmetic.  This module builds one
+C file (``maj_replay.c`` beside it) with six entry points that run
+each stage as one call:
 
 * ``chain_replay`` -- fault-free replay of a whole chain of compiled
   μProgram traces: per segment it writes the stream row, gathers the
@@ -30,8 +29,9 @@ stage as one call:
   disjoint-OR syndrome checks, the overflow block with its
   host-predicted flag check and the carry-resolve clears, retries up
   to ``max_retries`` and the fault draws included.  It returns where
-  it stopped, the injected flips, the protection counts and each
-  block's runs, from which the engine sets every counter.
+  it stopped, the injected flips, the protection counts, each block's
+  runs and when it last ran, from which the engine sets every counter
+  and the program store's order.
 * ``deal_waves`` -- the deal of masked updates into broadcast waves
   (:meth:`repro.engine.BankCluster.deal`) as a counting sort: count
   every (magnitude, slot) queue, prefix-sum, scatter.
@@ -43,21 +43,21 @@ stage as one call:
   (:meth:`repro.engine.CountingEngine.read_values`).  It reports an
   invalid state or an overflow as a status; the caller re-runs the
   NumPy decoder, which raises.
-* ``lower_trace`` -- the whole lowering of one μProgram
-  (:func:`repro.isa.trace.compile_trace`) from its ops' resolved ports:
-  the value-numbering walk with its folds, liveness, input slots and
-  level scheduling (or, under faults, creation order).  It writes the
-  trace's replay table in the format the two replay kernels read,
-  which the trace's fields are slices of.
+
+The lowering itself stays in Python (:func:`repro.isa.trace.
+compile_trace`): it emits the table the two replay kernels read, and
+each μProgram is lowered once per process for every device that runs
+it (see :meth:`repro.dram.wordline.WordlineSubarray._compile`).
 
 The kernels are built when this module is first imported: ``gcc -O3
 -shared -fPIC`` into a temporary directory, loaded with :mod:`ctypes`,
 and the directory is deleted again (the loaded mapping stays valid).
 ``-O3`` because GCC 12 does not vectorize the replay's word loop at
 ``-O2``: one gemv_single-sized replay (310 nodes, 128 words) took
-~60 µs at ``-O2`` and ~38 µs at ``-O3`` on a 2-vCPU Xeon.  They are
-built at import, and neither lazily nor into an on-disk cache, for
-three reasons:
+~60 µs at ``-O2`` and ~38 µs at ``-O3`` on a 2-vCPU Xeon.  On that
+host the build takes ~0.52 s of ``gcc`` (median of 15), and ``cc1``
+peaks at ~44 MB resident.  The kernels are built at import, and neither
+lazily nor into an on-disk cache, for three reasons:
 
 * **Peak RSS.**  A child process's peak resident set is accounted to
   its parent (``RUSAGE_CHILDREN``), and a child spawned from a large
@@ -76,11 +76,10 @@ assumed) -- every entry point is ``None`` and each stage keeps its
 NumPy or Python code, which is also the reference the parity tests
 hold the kernels to (``tests/test_native_replay.py``,
 ``tests/test_native_fault_replay.py``,
-``tests/test_native_deal_decode.py``,
-``tests/test_native_lowering.py``, ``tests/test_native_protected.py``).
-:func:`repro.isa.trace.native_disabled` switches all seven off
-in-process: the lowering, the replays, the protected batches, the deal
-and pack, and the decode.  The glue keeps the
+``tests/test_native_deal_decode.py``, ``tests/test_native_protected.py``).
+:func:`repro.isa.trace.native_disabled` switches all six off
+in-process: the replays, the protected batches, the deal and pack, and
+the decode.  The glue keeps the
 per-call cost down: buffers are reused with their addresses cached,
 and :func:`address` reads a fresh array's address in a fraction of
 ``ndarray.ctypes.data``'s time.
@@ -95,7 +94,7 @@ import sys
 import tempfile
 
 __all__ = ["address", "chain_replay", "deal_waves", "fault_replay",
-           "johnson_decode", "lower_trace", "pack_waves", "protected_batch"]
+           "johnson_decode", "pack_waves", "protected_batch"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "maj_replay.c")
@@ -123,8 +122,6 @@ _SIGNATURES = {
                    _I),
     # (words, n_words, n_bits, n_digits, n_lanes, strict, out) -> status
     "johnson_decode": ((_P, _I, _I, _I, _I, _I, _P), _I),
-    # (ops, n_ops, c0, c1, multi_draws, read_draws, out, cap) -> status
-    "lower_trace": ((_P, _I, _I, _I, _I, _I, _P, _I), _I),
 }
 
 
@@ -170,4 +167,3 @@ protected_batch = _kernels["protected_batch"]
 deal_waves = _kernels["deal_waves"]
 pack_waves = _kernels["pack_waves"]
 johnson_decode = _kernels["johnson_decode"]
-lower_trace = _kernels["lower_trace"]

@@ -34,13 +34,13 @@ The lowering walks the ops once, value-numbering physical rows:
   consumer reads negated get a complement row, packed after the value
   slots, so DCC port polarity costs an index, not an XOR pass.
 
-Every fault trial builds a fresh device and lowers its programs again,
-so the lowering runs at native speed: one pass in Python encodes each
-op's resolved ports as ints, and one call of the ``lower_trace``
-kernel (:mod:`repro.isa.native`) runs all of the above and writes the
-trace's replay table, whose slices are the trace's fields.  The Python
-walk (:func:`_lower_python`) is the fallback and the reference; both
-build the same trace, field for field.
+The walk also writes the trace's kernel table, whose slices are the
+trace's fields.  A trace depends only on the ops, the subarray's
+data-row count and the fault spec, and is immutable, so the subarrays
+of a process share lowered traces through one memo keyed by those
+(:meth:`~repro.dram.wordline.WordlineSubarray._compile`): every fault
+trial builds a fresh device, yet each of its μPrograms is lowered once
+per process (while the memo holds it), not once per trial.
 
 A whole wave sequence -- a host mask write before each μProgram --
 replays as a :class:`TraceChain` of its segments' traces, assembled by
@@ -50,11 +50,10 @@ fault-free, ``fault_replay`` under an active fault model; a single
 trace is its one-segment chain.  An ECC-protected event batch runs its
 blocks' traces, with the checks and retries between them, as one
 :class:`ProtectedBatch` call of ``protected_batch``.  Where the
-kernels could not be built, and under :func:`native_disabled`, the
-Python walk lowers, a fault-free level replays as a single
-fancy-indexed gather, one vectorized three-way majority over all its
-nodes and one contiguous scatter, and a fault trace as a loop of
-NumPy calls per node.
+kernels could not be built, and under :func:`native_disabled`, a
+fault-free level replays as a single fancy-indexed gather, one
+vectorized three-way majority over all its nodes and one contiguous
+scatter, and a fault trace as a loop of NumPy calls per node.
 
 Replay is *bit-exact* against the interpreted path, including the
 don't-care tail bits of the last packed word, because every fold above
@@ -79,22 +78,21 @@ time.  Replay under an active fault model is therefore bit-, counter-
 and fault-stream-identical to the interpreted path and to the bit-level
 backend (``tests/test_fault_fusion_parity.py`` pins all three).
 :func:`fusion_disabled` (the interpreter, the one reference) and
-:func:`native_disabled` (the Python lowering and the NumPy replays) are
-the explicit escape hatches (benchmark baselines, differential tests).
+:func:`native_disabled` (the NumPy replays) are the explicit escape
+hatches (benchmark baselines, differential tests).
 
 >>> from repro.isa.microprogram import MicroProgram, aap, ap
 >>> from repro.dram.wordline import WordlineSubarray
 >>> sa = WordlineSubarray(n_data_rows=2, n_cols=8)
 >>> prog = MicroProgram("and", (aap(0, "B8"), aap("C0", "B9"),
 ...                             aap(1, "B2"), ap("B12"), aap("B2", 1)))
->>> trace = compile_trace(prog, sa.resolve, codes={})
+>>> trace = compile_trace(prog, sa.resolve)
 >>> trace.n_nodes, trace.n_aap, trace.n_ap
 (1, 4, 1)
 """
 
 from __future__ import annotations
 
-import struct
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -109,9 +107,6 @@ __all__ = ["CompiledTrace", "CompiledFaultTrace", "FaultSpec",
            "ProtectedBatch", "TraceScratch", "check_cells", "compile_trace",
            "fusion_enabled", "fusion_disabled", "TraceChain",
            "compile_megatrace", "native_enabled", "native_disabled"]
-
-#: A value reference: (SSA value id, complemented).
-_Ref = Tuple[int, bool]
 
 #: Uniforms (draw rows x columns) one block of the NumPy fault
 #: pre-pass draws at most: 2**24 float64s, 128 MiB.  A longer draw
@@ -174,22 +169,23 @@ def fusion_disabled():
 
 
 def native_enabled() -> bool:
-    """Whether lowering and replay (fault-free and under faults) run
-    the native kernels: they were built at import (see
-    :mod:`repro.isa.native`) and are not disabled."""
+    """Whether replay (fault-free and under faults) runs the native
+    kernels: they were built at import (see :mod:`repro.isa.native`)
+    and are not disabled."""
     return _native_on and _native.chain_replay is not None
 
 
 @contextmanager
 def native_disabled():
-    """Temporarily lower and replay traces without the native kernels.
+    """Temporarily replay traces without the native kernels.
 
-    The kernel-level escape hatch: the Python lowering, the NumPy
-    replay of fault-free and fault traces, and the NumPy deal, pack and
-    decode are the fallback where the kernels cannot be built and the
-    reference the native parity tests compare them with.  Only the
-    strategy changes: the traces built, the fault stream and the other
-    switches are unaffected.
+    The kernel-level escape hatch: the NumPy replay of fault-free and
+    fault traces, the host protocol of protected batches, and the NumPy
+    deal, pack and decode are the fallback where the kernels cannot be
+    built and the reference the native parity tests compare them with.
+    Only the strategy changes: the lowering (there is one, in Python),
+    the traces it builds, the fault stream and the other switches are
+    unaffected.
 
     >>> with native_disabled():
     ...     native_enabled()
@@ -364,6 +360,13 @@ class CompiledTrace:
     :class:`TraceScratch`, and every word operation writes into
     preallocated buffers: a replay allocates nothing on the hot path.
 
+    The native kernel replays ``table``, the trace as a one-segment
+    chain in its ``int64`` format (see ``maj_replay.c``), stream row
+    ``-1``: the nodes are ``(a, b, c, dst, mirror or -1)`` rows in level
+    order, and ``in_rows``, ``out_rows`` and ``out_slots`` are views of
+    it.  The table holds row indices only -- no buffer address -- so
+    it serves every scratch and row width.
+
     Counter totals (``n_aap``, ``n_ap``, ``n_activations``,
     ``n_multi``) replicate exactly what the interpreted path would have
     accrued.
@@ -376,6 +379,7 @@ class CompiledTrace:
     levels: Tuple[_Level, ...]
     out_rows: np.ndarray             # cells[rows] <- vals[out_slots]
     out_slots: np.ndarray            # (complements name their rows)
+    table: np.ndarray                # one-segment kernel table
     n_aap: int
     n_ap: int
     n_activations: int
@@ -387,7 +391,6 @@ class CompiledTrace:
 
     def __post_init__(self):
         self._own_scratch = None     # fallback when none is supplied
-        self._table = None           # one-segment kernel table, lazily
         self.n_cells = _cells_touched(self.in_rows, self.out_rows)
 
     @property
@@ -402,32 +405,6 @@ class CompiledTrace:
     @property
     def n_levels(self) -> int:
         return len(self.levels)
-
-    def native_table(self) -> np.ndarray:
-        """The trace as a one-segment chain in the kernel's ``int64``
-        table format (see ``maj_replay.c``), stream row ``-1``.
-
-        Nodes become ``(a, b, c, dst, mirror or -1)`` rows in level
-        order.  The table holds row indices only -- no buffer address
-        -- so it is built once per trace and serves every scratch and
-        row width.
-        """
-        if self._table is None:
-            n_in = self.n_inputs
-            nodes = np.full((self.n_nodes, 5), -1, dtype=np.int64)
-            for level in self.levels:
-                lo, hi, m = level.lo, level.hi, level.n_mirror
-                table = nodes[lo - n_in:hi - n_in]
-                table[:, :3] = level.idx.reshape(3, hi - lo).T
-                table[:, 3] = np.arange(lo, hi)
-                table[:m, 4] = np.arange(level.mirror_lo,
-                                         level.mirror_lo + m)
-            self._table = np.concatenate((
-                (-1, n_in), self.in_rows,
-                (self.n_input_mirror, self.n_slots, self.n_nodes),
-                nodes.ravel(), (self.out_rows.size,), self.out_rows,
-                self.out_slots)).astype(np.int64)
-        return self._table
 
     def _build_plan(self, scratch: TraceScratch, n_words: int) -> tuple:
         """NumPy replay plan for one row width: all views precomputed.
@@ -477,15 +454,12 @@ class CompiledTrace:
         n_words = cells.shape[1]
         if (native_enabled() and cells.dtype == np.uint64
                 and cells.flags.c_contiguous):
-            table = self._table
-            if table is None:
-                table = self.native_table()
             if cells.shape[0] < self.n_cells:
                 raise IndexError(f"trace touches cell row "
                                  f"{self.n_cells - 1} of {cells.shape[0]}")
             _native.chain_replay(
                 cells.ctypes.data, scratch.reserve(self.n_rows * n_words),
-                None, table.ctypes.data, 1, n_words)
+                None, self.table.ctypes.data, 1, n_words)
             return
         # One plan per row width: a store-shared trace replays on every
         # width the device serves.
@@ -552,7 +526,10 @@ class CompiledFaultTrace:
     The value buffer is laid out as :class:`CompiledTrace`'s: ``n_rows``
     rows, the value slots followed by one packed complement row per
     value some consumer reads negated (a step's ``mir`` is that row, or
-    ``-1``).
+    ``-1``).  ``table`` is the trace in the fault kernel's ``int64``
+    format (see ``maj_replay.c``), stream row ``-1``: each step one
+    ``(kind, a, b, c, dst, mirror, cim_row, read_row)`` row, kinds
+    ``rd``/``mx``/``mj`` as 0/1/2.
 
     ``execute`` returns the number of injected flips (and adds it to
     ``fault_model.injected``), so the subarray's accounting matches
@@ -568,6 +545,7 @@ class CompiledFaultTrace:
     out_rows: np.ndarray             # cells[rows] <- vals[out_slots]
     out_slots: np.ndarray            # (complements name their rows)
     draw_thresholds: np.ndarray      # per pre-pass draw row, op order
+    table: np.ndarray                # one-segment kernel table
     n_aap: int
     n_ap: int
     n_activations: int
@@ -583,8 +561,7 @@ class CompiledFaultTrace:
         self._n_masked = (sum(1 for s in self.steps if s[0] == "mj")
                           if self.spec.multi_mode in ("contested",
                                                       "select") else 0)
-        self._table = None           # one-segment kernel table, lazily
-        self._args = None            # its and the thresholds' addresses
+        self._args = None            # the table's and thresholds' addresses
         self.n_cells = _cells_touched(self.in_rows, self.out_rows)
 
     @property
@@ -623,26 +600,6 @@ class CompiledFaultTrace:
                                      < thresholds[lo:hi, None])
         return flips
 
-    def native_table(self) -> np.ndarray:
-        """The trace as a one-segment chain in the fault kernel's
-        ``int64`` table format (see ``maj_replay.c``), stream row
-        ``-1``: each step one ``(kind, a, b, c, dst, mirror, cim_row,
-        read_row)`` row, kinds ``rd``/``mx``/``mj`` as 0/1/2."""
-        if self._table is None:
-            steps = np.full((len(self.steps), 8), -1, dtype=np.int64)
-            for i, step in enumerate(self.steps):
-                if step[0] == "rd":
-                    _, src, dst, mir, rrow = step
-                    steps[i] = (0, src, -1, -1, dst, mir, -1, rrow)
-                else:
-                    steps[i] = (_STEP_KINDS[step[0]],) + step[1:]
-            self._table = np.concatenate((
-                (-1, self.n_draws, self.n_inputs), self.in_rows,
-                (self.n_input_mirror, self.n_slots, len(self.steps)),
-                steps.ravel(), (self.out_rows.size,), self.out_rows,
-                self.out_slots)).astype(np.int64)
-        return self._table
-
     def execute(self, cells: np.ndarray, scratch: TraceScratch,
                 fault_model, n_cols: int) -> int:
         """Replay against packed cells, injecting one fresh fault epoch.
@@ -663,8 +620,7 @@ class CompiledFaultTrace:
                                  f"{self.n_cells - 1} of {cells.shape[0]}")
             args = self._args
             if args is None:
-                table = self.native_table()
-                args = self._args = (table.ctypes.data,
+                args = self._args = (self.table.ctypes.data,
                                      self.draw_thresholds.ctypes.data)
             return _fault_kernel(cells, scratch, None, args[0], 1,
                                  self.n_rows, self.n_draws, args[1],
@@ -742,11 +698,8 @@ class CompiledFaultTrace:
 
 
 #: Fault kernel step kinds and ``multi_mode`` codes (see maj_replay.c).
-_STEP_NAMES = ("rd", "mx", "mj")
-_STEP_KINDS = {name: code for code, name in enumerate(_STEP_NAMES)}
+_STEP_KINDS = {"rd": 0, "mx": 1, "mj": 2}
 _KERNEL_MODES = {None: 0, "all": 0, "contested": 1, "select": 2}
-#: Draw rows one multi-row sense takes, by ``multi_mode`` (lower_trace).
-_MULTI_DRAWS = {None: 0, "all": 1, "contested": 1, "select": 2}
 
 
 def check_cells(cells: np.ndarray, n_cols: int) -> None:
@@ -789,65 +742,6 @@ def _fault_kernel(cells: np.ndarray, scratch: TraceScratch, stream,
             n_words)
     fault_model.injected += injected
     return injected
-
-
-class _Builder:
-    """Value-numbering walk over a resolved op stream."""
-
-    def __init__(self):
-        # Value defs: ("in", row) or ("maj", a_ref, b_ref, c_ref).
-        self.defs: List[tuple] = []
-        # Current binding of every physical row touched or read.
-        self.current: Dict[int, _Ref] = {}
-        # Initial (trace-entry) input value of each read-before-write row.
-        self.inputs: Dict[int, int] = {}
-
-    # -- values --------------------------------------------------------
-    def read(self, row: int) -> _Ref:
-        ref = self.current.get(row)
-        if ref is None:
-            vid = self.inputs.get(row)
-            if vid is None:
-                vid = len(self.defs)
-                self.defs.append(("in", row))
-                self.inputs[row] = vid
-            ref = (vid, False)
-            self.current[row] = ref
-        return ref
-
-    def const_of(self, ref: _Ref):
-        """0/1 when ``ref`` is a known constant, else ``None``.
-
-        Only trace-entry reads of the C0/C1 control rows are constant:
-        the engine never writes them, and a (pathological) in-trace
-        overwrite simply rebinds the row to a non-constant value.
-        """
-        definition = self.defs[ref[0]]
-        if definition[0] != "in":
-            return None
-        if definition[1] == _C0:
-            return 1 if ref[1] else 0
-        if definition[1] == _C1:
-            return 0 if ref[1] else 1
-        return None
-
-    def maj(self, a: _Ref, b: _Ref, c: _Ref) -> _Ref:
-        """MAJ3 with per-bit-exact folds (identical / complement /
-        two-constant operand pairs); falls back to a new node."""
-        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-            if x == y:
-                return x                      # MAJ(v, v, w) = v
-            if x == (y[0], not y[1]):
-                return z                      # MAJ(v, ~v, w) = w
-            cx, cy = self.const_of(x), self.const_of(y)
-            if cx is not None and cy is not None:
-                return x if cx == cy else z   # MAJ(k, k, w)=k; (0,1,w)=w
-        vid = len(self.defs)
-        self.defs.append(("maj", a, b, c))
-        return (vid, False)
-
-    def write(self, row: int, ref: _Ref, negated: bool) -> None:
-        self.current[row] = (ref[0], ref[1] ^ negated)
 
 
 class TraceChain:
@@ -943,7 +837,7 @@ def _chain_table(traces, stream_row: int) -> np.ndarray:
     stream row."""
     return np.concatenate([
         part for trace in traces
-        for part in ((stream_row,), trace.native_table()[1:])])
+        for part in ((stream_row,), trace.table[1:])])
 
 
 class ProtectedBatch:
@@ -958,8 +852,7 @@ class ProtectedBatch:
     is the physical FR row.  Like a :class:`TraceChain` it holds
     entries, not traces: the kernel table -- the units, then each bound
     trace's one-segment table -- and the draw thresholds are built once
-    per bound set of traces.  An entry bound as ``None`` (an FR tail
-    that a single FR check never runs) gets no table.
+    per bound set of traces.
     """
 
     __slots__ = ("entries", "units", "fr_row", "_traces", "_args", "_costs",
@@ -970,41 +863,36 @@ class ProtectedBatch:
         self.units = np.asarray(units, dtype=np.int64).reshape(-1, 8)
         self.fr_row = int(fr_row)
         self._traces = None
-        out = np.zeros(9 + len(self.entries), np.int64)
+        out = np.zeros(9 + 2 * len(self.entries), np.int64)
         self._out = (out, _native.address(out))
 
     def _bind(self, traces) -> None:
         """Build the kernel table, thresholds and command totals of a
         set of traces."""
-        bound = [trace for trace in traces if trace is not None]
-        faulty = bound[0].faulty
-        tables = [trace.native_table() for trace in bound]
+        faulty = traces[0].faulty
         head = [len(traces), len(self.units), self.fr_row]
         first, n_thresholds = [], 0
-        offset, at = 3 + 2 * len(traces) + self.units.size, iter(tables)
+        offset = 3 + 2 * len(traces) + self.units.size
         for trace in traces:
-            first.append(n_thresholds)
-            if trace is None:
-                head.append(-1)
-                continue
             head.append(offset)
-            offset += next(at).size
+            offset += trace.table.size
+            first.append(n_thresholds)
             if faulty:
                 n_thresholds += trace.n_draws
         batch = np.concatenate([np.array(head + first, np.int64),
-                                self.units.ravel()] + tables)
+                                self.units.ravel()]
+                               + [trace.table for trace in traces])
         thresholds = np.concatenate(
-            [trace.draw_thresholds for trace in bound] if faulty
+            [trace.draw_thresholds for trace in traces] if faulty
             else [np.zeros(1)])
-        self._costs = [(0, 0, 0, 0) if trace is None else
-                       (trace.n_aap, trace.n_ap, trace.n_activations,
+        self._costs = [(trace.n_aap, trace.n_ap, trace.n_activations,
                         trace.n_multi) for trace in traces]
         self._keep = (batch, thresholds)
         self._args = (_native.address(batch), _native.address(thresholds),
-                      max(trace.n_rows for trace in bound),
-                      max(trace.n_draws for trace in bound) if faulty else 0,
-                      faulty,
-                      _KERNEL_MODES[bound[0].spec.multi_mode if faulty
+                      max(trace.n_rows for trace in traces),
+                      max(trace.n_draws for trace in traces) if faulty
+                      else 0, faulty,
+                      _KERNEL_MODES[traces[0].spec.multi_mode if faulty
                                     else None])
         self._traces = traces
 
@@ -1012,17 +900,18 @@ class ProtectedBatch:
                 fault_model, n_cols: int, checks: tuple, fr_checks: int,
                 max_retries: int) -> tuple:
         """Run the units on ``traces`` -- the entries' compiled traces,
-        one fault regime, ``None`` for an unbound FR tail -- against
-        cells the caller checked (:func:`check_cells`).
+        one fault regime -- against cells the caller checked
+        (:func:`check_cells`).
 
         ``checks`` is ``(masks, n_checks, tail)``: the addresses of the
         code's packed parity-check masks and of the lane mask, and the
         mask count.  Fault draws come from the model's bit generator,
         under its lock.  Returns ``(out, totals)``: the kernel's status,
         stop unit, injected flips, the six
-        :class:`~repro.ecc.protection.ProtectionStats` counts and each
-        entry's runs as a list, and the runs' ``(aap, ap, activations,
-        multi-row activations)`` totals.
+        :class:`~repro.ecc.protection.ProtectionStats` counts, each
+        entry's runs and each entry's last run (a run's sequence number
+        in the batch, ``0`` for none) as a list, and the runs' ``(aap,
+        ap, activations, multi-row activations)`` totals.
         """
         if traces != self._traces:
             self._bind(traces)
@@ -1053,361 +942,267 @@ class ProtectedBatch:
 # ----------------------------------------------------------------------
 # The lowering: one μProgram -> one trace.
 # ----------------------------------------------------------------------
-def _walk_ops(builder: _Builder, ops, resolve: Callable,
-              spec: "FaultSpec | None", draw_kinds: List[str],
-              fault_meta: Dict[int, tuple]) -> tuple:
-    """Value-number a program's op stream; returns (aap, ap, multi).
-
-    Mirrors the interpreted semantics op by op: single-port senses are
-    pure reads, multi-row senses are destructive majorities written
-    back through every activated port, AAP destinations latch the
-    sensed value through each port's polarity.  With ``spec`` ``None``
-    every sense is exact and majorities fold (see :meth:`_Builder.maj`).
-    Under an active spec a multi-row sense (when ``p_cim > 0``) and a
-    single-port sense (when ``p_read > 0``) each allocate a fresh value
-    -- ideal result XOR flip mask -- recorded in ``fault_meta``, and
-    each RNG draw the interpreter would take appends one entry to
-    ``draw_kinds`` in original op order.
-    """
-    n_aap = n_ap = n_multi = 0
-    single_faulty = spec is not None and spec.p_read > 0.0
-    multi_mode = spec.multi_mode if spec is not None else None
-    for op in ops:
-        src_ports = resolve(op.src)
-        if len(src_ports) == 1:
-            row, neg = src_ports[0]
-            ref = builder.read(row)
-            sensed = (ref[0], ref[1] ^ neg)
-            if single_faulty:
-                # Faulty plain read: value ^ read-rate flips, written
-                # back through the port (read disturb), so downstream
-                # consumers see the corrupted value -- no copy alias.
-                vid = len(builder.defs)
-                builder.defs.append(("rd", sensed))
-                fault_meta[vid] = (None, len(draw_kinds))
-                draw_kinds.append("read")
-                sensed = (vid, False)
-                builder.write(row, sensed, neg)
-        else:
-            if len(src_ports) % 2 == 0:
-                raise ValueError(_EVEN_ACTIVATION)
-            operands = []
-            for row, neg in src_ports[:3]:
-                ref = builder.read(row)
-                operands.append((ref[0], ref[1] ^ neg))
-            if multi_mode is None:
-                # Fault-free or p_cim == 0: exact and foldable.
-                sensed = builder.maj(*operands)
-            else:
-                # Faulty majority: never folds -- the output carries
-                # this activation's fresh flip mask.
-                vid = len(builder.defs)
-                builder.defs.append(("maj",) + tuple(operands))
-                cim_row = len(draw_kinds)
-                draw_kinds.append("cim")
-                read_row = None
-                if multi_mode == "select":
-                    read_row = len(draw_kinds)
-                    draw_kinds.append("read")
-                fault_meta[vid] = (cim_row, read_row)
-                sensed = (vid, False)
-            n_multi += 1
-            # Destructive write-back through every activated port.
-            for row, neg in src_ports:
-                builder.write(row, sensed, neg)
-        if op.kind == "AAP":
-            for row, neg in resolve(op.dst):
-                builder.write(row, sensed, neg)
-            n_aap += 1
-        else:
-            n_ap += 1
-    return n_aap, n_ap, n_multi
-
-
-def _assign_input_slots(builder: _Builder, live, mirrored,
-                        slot: Dict[int, int]) -> tuple:
-    """Slot the live ``("in", row)`` inputs, mirrored ones first.
-
-    The mirrored prefix stays contiguous (one prefix invert at replay)
-    and all inputs gather in one ``take``.  Returns ``(in_rows,
-    n_input_mirror, n_inputs)``.
-    """
-    input_vids = [vid for vid in sorted(live)
-                  if builder.defs[vid][0] == "in"]
-    input_vids.sort(key=lambda vid: vid not in mirrored)
-    for position, vid in enumerate(input_vids):
-        slot[vid] = position
-    n_input_mirror = sum(1 for vid in input_vids if vid in mirrored)
-    in_rows = np.asarray([builder.defs[vid][1] for vid in input_vids],
-                         dtype=np.intp)
-    return in_rows, n_input_mirror, len(input_vids)
-
-
-def compile_trace(program, resolve: Callable, fault: FaultSpec = None, *,
-                  codes: Dict):
-    """Lower one μProgram into a :class:`CompiledTrace` (or, under an
-    active ``fault`` spec, a :class:`CompiledFaultTrace`) -- the only
-    lowering.
-
-    ``resolve`` is the word backend's address map
-    (:meth:`~repro.dram.wordline.WordlineSubarray.resolve`): it returns
-    ``((physical_row, negated), ...)`` port tuples.  The walk
-    value-numbers the ops; then one pass finds the final row bindings,
-    the live values and the values read complemented, and the live
-    inputs become the trace's ``in_rows``.  Only node placement forks:
-    without an active ``fault`` spec the live majorities are
-    level-scheduled into a :class:`CompiledTrace`; under one, every
-    node keeps creation order in a :class:`CompiledFaultTrace`.
-
-    With the native kernels the whole lowering is one ``lower_trace``
-    call (:func:`_lower_native`): one pass here encodes every op's
-    resolved ports as ints, and the kernel emits the trace's replay
-    table, from which the trace's fields are slices.  ``codes`` is the
-    memo of those encodings, a dict kept with ``resolve`` (each subarray
-    keeps one): a cold fault trial's programs share most of their ops,
-    and ~90% of the ops a trial encodes hit it.  It needs no bound, as
-    its keys are μOps over one subarray's fixed address space.  Without
-    the kernels, and under :func:`native_disabled`, :func:`_lower_python`
-    runs the same lowering in Python -- the reference the native one is
-    held to, field for field (``tests/test_native_lowering.py``).
-    """
-    spec = fault if fault is not None and fault.active else None
-    if native_enabled():
-        return _lower_native(program.ops, resolve, spec, codes)
-    return _lower_python(program.ops, resolve, spec)
-
-
-def _lower_python(ops, resolve: Callable, spec: "FaultSpec | None"):
-    """The lowering in Python: one :class:`_Builder` walk
-    (:func:`_walk_ops`), liveness, input slots and node placement."""
-    builder = _Builder()
-    draw_kinds: List[str] = []        # op-order rows: "cim" | "read"
-    fault_meta: Dict[int, tuple] = {}  # vid -> (cim/read draw rows)
-    n_aap, n_ap, n_multi = _walk_ops(builder, ops, resolve, spec,
-                                     draw_kinds, fault_meta)
-
-    # Final bindings: skip identity (row still holds its own entry value).
-    finals: Dict[int, _Ref] = {
-        row: ref for row, ref in builder.current.items()
-        if ref[1] or builder.defs[ref[0]] != ("in", row)}
-
-    # Liveness: the final bindings AND every fault node -- the injected
-    # count of a margin-aware activation depends on its contested
-    # columns, so even an overwritten faulty intermediate must compute.
-    live = set()
-    stack = [ref[0] for ref in finals.values()] + list(fault_meta)
-    while stack:
-        vid = stack.pop()
-        if vid in live:
-            continue
-        live.add(vid)
-        definition = builder.defs[vid]
-        if definition[0] in ("maj", "rd"):
-            stack.extend(ref[0] for ref in definition[1:])
-
-    # Which live values does some consumer read complemented?  Their
-    # mirror slots must be materialized at replay.
-    mirrored = {ref[0] for ref in finals.values() if ref[1]}
-    for vid in live:
-        definition = builder.defs[vid]
-        if definition[0] in ("maj", "rd"):
-            mirrored.update(ref[0] for ref in definition[1:] if ref[1])
-
-    slot: Dict[int, int] = {}
-    in_rows, n_input_mirror, next_slot = _assign_input_slots(
-        builder, live, mirrored, slot)
-    n_slots = len(live)              # every live value gets one slot
-    # Complement rows are packed after the value slots, one per value
-    # in ``mirrored``: the mirrored input prefix first (slot s's at
-    # n_slots + s), then the nodes' in slot order as they are placed.
-    complement = {vid: n_slots + s for vid, s in slot.items()
-                  if vid in mirrored}
-    n_rows = n_slots + n_input_mirror
-
-    def row_of(ref: _Ref) -> int:
-        """Operand row: the value's slot or its complement row."""
-        return complement[ref[0]] if ref[1] else slot[ref[0]]
-
-    node_vids = [vid for vid in sorted(live)      # creation = op order
-                 if builder.defs[vid][0] in ("maj", "rd")]
-    if spec is None:
-        # Nodes by (level, mirror-needing first), so each level's
-        # complements fill one contiguous run of rows.
-        depth: Dict[int, int] = {vid: 0 for vid in slot}
-        by_level: Dict[int, List[int]] = {}
-        for vid in node_vids:
-            level = 1 + max(depth[ref[0]] for ref in builder.defs[vid][1:])
-            depth[vid] = level
-            by_level.setdefault(level, []).append(vid)
-        levels: List[_Level] = []
-        for level in sorted(by_level):
-            vids = sorted(by_level[level], key=lambda vid: vid not in mirrored)
-            lo, mirror_lo = next_slot, n_rows
-            for vid in vids:
-                slot[vid] = next_slot
-                next_slot += 1
-                if vid in mirrored:
-                    complement[vid] = n_rows
-                    n_rows += 1
-            idx = np.empty(3 * len(vids), dtype=np.intp)
-            for j, vid in enumerate(vids):
-                for i, ref in enumerate(builder.defs[vid][1:]):
-                    idx[i * len(vids) + j] = row_of(ref)
-            levels.append(_Level(lo, next_slot, idx, n_rows - mirror_lo,
-                                 mirror_lo))
-    else:
-        # Nodes in creation order -- already a topological order, so
-        # every operand is slotted before its consumer.
-        steps: List[tuple] = []
-        for vid in node_vids:
-            slot[vid] = next_slot
-            next_slot += 1
-            mir = -1
-            if vid in mirrored:
-                mir = complement[vid] = n_rows
-                n_rows += 1
-            definition = builder.defs[vid]
-            meta = fault_meta.get(vid)
-            if definition[0] == "rd":
-                steps.append(("rd", row_of(definition[1]), slot[vid],
-                              mir, meta[1]))
-            elif meta is None:
-                steps.append(("mx", row_of(definition[1]),
-                              row_of(definition[2]),
-                              row_of(definition[3]), slot[vid], mir,
-                              -1, -1))
-            else:
-                steps.append(("mj", row_of(definition[1]),
-                              row_of(definition[2]),
-                              row_of(definition[3]), slot[vid], mir,
-                              meta[0], -1 if meta[1] is None else meta[1]))
-
-    out_rows = np.asarray(sorted(finals), dtype=np.intp)
-    out_slots = np.asarray([row_of(finals[row]) for row in out_rows],
-                           dtype=np.intp)
-    common = dict(in_rows=in_rows, n_input_mirror=n_input_mirror,
-                  n_slots=n_slots, n_rows=n_rows, out_rows=out_rows,
-                  out_slots=out_slots,
-                  n_aap=n_aap, n_ap=n_ap, n_activations=2 * n_aap + n_ap,
-                  n_multi=n_multi)
-    if spec is None:
-        return CompiledTrace(levels=tuple(levels), **common)
-    thresholds = np.asarray(
-        [spec.p_cim if kind == "cim" else spec.p_read
-         for kind in draw_kinds], dtype=np.float64)
-    return CompiledFaultTrace(spec=spec, steps=tuple(steps),
-                              draw_thresholds=thresholds, **common)
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only array of a trace: lowered traces are shared by every
+    subarray of the process."""
+    array = np.array(values, dtype)
+    array.flags.writeable = False
+    return array
 
 
 #: Error text of an activation with no defined majority.
 _EVEN_ACTIVATION = ("simultaneous activation needs an odd row count for a "
                     "defined majority; use an AAP destination for copies")
 
-#: Header slots ahead of ``lower_trace``'s table (see maj_replay.c).
-_LOWER_HEADER = 12
 
+def compile_trace(program, resolve: Callable, fault: FaultSpec = None):
+    """Lower one μProgram into a :class:`CompiledTrace` (or, under an
+    active ``fault`` spec, a :class:`CompiledFaultTrace`) -- the only
+    lowering.
 
-def _op_code(op, resolve: Callable) -> bytes:
-    """One op of ``lower_trace``'s stream, as native int64 bytes:
-    ``n_src``, the sensed ports, ``n_dst`` and the AAP destination
-    ports (``n_dst`` ``-1`` for an AP), each port ``2 * row +
-    negated``.  The sensed address resolves first and an even
-    activation raises before the destination resolves, as in the walk.
+    ``resolve`` is the word backend's address map
+    (:meth:`~repro.dram.wordline.WordlineSubarray.resolve`): it returns
+    ``((physical_row, negated), ...)`` port tuples.  One walk
+    value-numbers the ops, mirroring the interpreted semantics op by
+    op: single-port senses are pure reads, multi-row senses are
+    destructive majorities written back through every activated port,
+    AAP destinations latch the sensed value through each port's
+    polarity.  Without an active spec every sense is exact and
+    majorities fold (identical, complementary or two-constant operand
+    pairs).  Under one, a multi-row sense (when ``p_cim > 0``) and a
+    single-port sense (when ``p_read > 0``) each make a fresh value --
+    ideal result XOR flip mask -- that never folds, and each RNG draw
+    the interpreter would take appends one draw row in op order.
+
+    One backward pass then finds the live values (those the final row
+    bindings need, and every fault node) and the values some consumer
+    reads complemented, and the live inputs become the trace's
+    ``in_rows``, the complemented ones first.  Only node placement
+    forks: without an active spec the live majorities are
+    level-scheduled into a :class:`CompiledTrace`; under one, every
+    node keeps creation order in a :class:`CompiledFaultTrace`.  The
+    placement writes the kernel table as it goes.
+
+    A trace depends on nothing but the ops, the data-row count behind
+    ``resolve`` and the spec -- the lowering reads no cells -- so
+    subarrays share lowered traces through a process-wide memo keyed
+    by exactly those (:meth:`~repro.dram.wordline.WordlineSubarray.
+    _compile`).  ``tests/test_native_lowering.py`` holds every trace's
+    replay to the interpreter.
     """
-    ports = resolve(op.src)
-    if len(ports) != 1 and not len(ports) % 2:
-        raise ValueError(_EVEN_ACTIVATION)
-    code = [len(ports)]
-    code += [2 * row + neg for row, neg in ports]
-    if op.kind == "AAP":
-        ports = resolve(op.dst)
-        code.append(len(ports))
-        code += [2 * row + neg for row, neg in ports]
-    else:
-        code.append(-1)
-    return struct.pack(f"={len(code)}q", *code)
+    spec = fault if fault is not None and fault.active else None
+    read_faulty = spec is not None and spec.p_read > 0.0
+    multi_mode = None if spec is None else spec.multi_mode
+    # Values are numbered in creation order, and a reference is
+    # 2 * value + complemented, so a complement is ``ref ^ 1``.
+    operands: List[tuple] = []       # value -> operand refs; () an input
+    entry_row: Dict[int, int] = {}   # input value -> row it was read from
+    current: Dict[int, int] = {}     # row -> the reference it holds now
+    known: Dict[int, int] = {}       # reference -> 0/1: C0/C1 entry reads
+    thresholds: List[float] = []     # per draw row, op order
+    draws: Dict[int, tuple] = {}     # fault value -> (cim, read row | -1)
+    n_aap = n_ap = n_multi = 0
 
+    def first_read(row: int) -> int:
+        """The reference of a new input: a row's entry value, read
+        before anything in the trace wrote the row.  Only entry reads
+        of the never-written control rows are constant: an in-trace
+        overwrite rebinds the row."""
+        vid = len(operands)
+        operands.append(())
+        entry_row[vid] = row
+        ref = current[row] = 2 * vid
+        if row == _C0 or row == _C1:
+            known[ref] = int(row == _C1)
+            known[ref + 1] = int(row == _C0)
+        return ref
 
-def _encode_ops(ops, resolve: Callable, codes: Dict) -> bytes:
-    """The ops as ``lower_trace``'s int64 stream (see :func:`_op_code`).
+    for kind, src, dst in program.ops:
+        ports = resolve(src)
+        if len(ports) == 1:
+            row, neg = ports[0]
+            ref = current.get(row)
+            sensed = (first_read(row) if ref is None else ref) ^ neg
+            if read_faulty:
+                # Faulty plain read: value ^ read-rate flips, written
+                # back through the port (read disturb) -- no copy alias.
+                draws[len(operands)] = (-1, len(thresholds))
+                thresholds.append(spec.p_read)
+                operands.append((sensed,))
+                sensed = 2 * len(operands) - 2
+                current[row] = sensed ^ neg
+        else:
+            if not len(ports) % 2:
+                raise ValueError(_EVEN_ACTIVATION)
+            (r0, n0), (r1, n1), (r2, n2) = ports[:3]
+            a = current.get(r0)
+            a = (first_read(r0) if a is None else a) ^ n0
+            b = current.get(r1)
+            b = (first_read(r1) if b is None else b) ^ n1
+            c = current.get(r2)
+            c = (first_read(r2) if c is None else c) ^ n2
+            sensed = None
+            if multi_mode is None:
+                # Exact, so pair by pair: MAJ(v, v, w) = v,
+                # MAJ(v, ~v, w) = w, MAJ(k, k, w) = k, MAJ(0, 1, w) = w.
+                for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+                    if x == y:
+                        sensed = x
+                        break
+                    if x == y ^ 1:
+                        sensed = z
+                        break
+                    if x in known and y in known:
+                        sensed = x if known[x] == known[y] else z
+                        break
+            if sensed is None:
+                if multi_mode is not None:
+                    # Faulty majority: carries a fresh flip mask.
+                    cim_row = len(thresholds)
+                    thresholds.append(spec.p_cim)
+                    read_row = -1
+                    if multi_mode == "select":
+                        read_row = len(thresholds)
+                        thresholds.append(spec.p_read)
+                    draws[len(operands)] = (cim_row, read_row)
+                operands.append((a, b, c))
+                sensed = 2 * len(operands) - 2
+            n_multi += 1
+            for row, neg in ports:       # destructive write-back
+                current[row] = sensed ^ neg
+        if kind == "AAP":
+            for row, neg in resolve(dst):
+                current[row] = sensed ^ neg
+            n_aap += 1
+        else:
+            n_ap += 1
 
-    ``codes`` memoizes each op's code; ops encode in op order, so a bad
-    address or an even activation raises where the walk would raise.
-    """
-    parts = []
-    for op in ops:
-        part = codes.get(op)
-        if part is None:
-            part = codes[op] = _op_code(op, resolve)
-        parts.append(part)
-    return b"".join(parts)
+    # Final bindings: skip identity (a row still holding its entry value).
+    finals = {row: ref for row, ref in current.items()
+              if ref & 1 or entry_row.get(ref >> 1) != row}
+    # Liveness and complemented use in one pass from the newest value
+    # back, as every operand is older than its node.  Every fault node
+    # is live: the injected count of a margin-aware activation depends
+    # on its contested columns, so even an overwritten one computes.
+    n_values = len(operands)
+    live = [False] * n_values
+    mirrored = [False] * n_values
+    for ref in finals.values():
+        live[ref >> 1] = True
+        mirrored[ref >> 1] |= ref & 1
+    for vid in draws:
+        live[vid] = True
+    for vid in range(n_values - 1, -1, -1):
+        if live[vid]:
+            for ref in operands[vid]:
+                live[ref >> 1] = True
+                mirrored[ref >> 1] |= ref & 1
 
+    # Every live value gets one slot: the inputs first, the mirrored
+    # ones leading (one prefix invert at replay), then the nodes as
+    # they are placed.  Complement rows pack after the slots, in the
+    # same order.  ``rows[ref]`` is a reference's operand row.
+    inputs = [vid for vid in entry_row if live[vid]]
+    inputs = ([vid for vid in inputs if mirrored[vid]]
+              + [vid for vid in inputs if not mirrored[vid]])
+    nodes = [vid for vid in range(n_values) if live[vid] and operands[vid]]
+    n_in = len(inputs)
+    n_slots = n_in + len(nodes)
+    rows = [0] * (2 * n_values)
+    n_input_mirror = 0
+    for at, vid in enumerate(inputs):
+        rows[2 * vid] = at
+        if mirrored[vid]:
+            rows[2 * vid + 1] = n_slots + at
+            n_input_mirror += 1
+    next_slot, n_rows = n_in, n_slots + n_input_mirror
 
-def _lower_native(ops, resolve: Callable, spec: "FaultSpec | None",
-                  codes: Dict):
-    """The lowering as one ``lower_trace`` kernel call.
-
-    The kernel writes the trace's one-segment replay table -- the bytes
-    :meth:`CompiledTrace.native_table` (or :meth:`CompiledFaultTrace.
-    native_table`) builds -- plus the level bounds and operand blocks
-    or the draw kinds; the trace's arrays are views of one copy of it,
-    and the table is preset as the trace's kernel table.
-    """
-    code = _encode_ops(ops, resolve, codes)
+    # The one-segment kernel table (see maj_replay.c), stream row -1.
+    table = [-1, n_in] if spec is None else [-1, len(thresholds), n_in]
+    table += [entry_row[vid] for vid in inputs]
+    table += (n_input_mirror, n_slots, len(nodes))
     if spec is None:
-        multi_draws = read_draws = 0
+        # Nodes by (dependence level, mirror-needing first), so each
+        # level's complements fill one contiguous run of rows.
+        depth = [0] * n_values
+        by_level: List[List[int]] = [[]]
+        for vid in nodes:
+            a, b, c = operands[vid]
+            level = depth[vid] = 1 + max(depth[a >> 1], depth[b >> 1],
+                                         depth[c >> 1])
+            if level == len(by_level):
+                by_level.append([])
+            by_level[level].append(vid)
+        # Each level's operand rows, level by level as [3, width]
+        # blocks of one array (see _Level).
+        idx: List[int] = []
+        bounds = []
+        for vids in by_level[1:]:
+            vids = ([vid for vid in vids if mirrored[vid]]
+                    + [vid for vid in vids if not mirrored[vid]])
+            lo, mirror_lo = next_slot, n_rows
+            a_rows, b_rows, c_rows = [], [], []
+            for vid in vids:
+                a, b, c = operands[vid]
+                a, b, c = rows[a], rows[b], rows[c]
+                a_rows.append(a)
+                b_rows.append(b)
+                c_rows.append(c)
+                rows[2 * vid] = next_slot
+                mir = -1
+                if mirrored[vid]:
+                    mir = rows[2 * vid + 1] = n_rows
+                    n_rows += 1
+                table += (a, b, c, next_slot, mir)
+                next_slot += 1
+            idx += a_rows + b_rows + c_rows
+            bounds.append((lo, next_slot, n_rows - mirror_lo, mirror_lo))
+        idx = _frozen(idx, np.intp)
+        levels = [_Level(lo, hi, idx[3 * (lo - n_in):3 * (hi - n_in)],
+                         n_mirror, mirror_lo)
+                  for lo, hi, n_mirror, mirror_lo in bounds]
     else:
-        multi_draws = _MULTI_DRAWS[spec.multi_mode]
-        read_draws = int(spec.p_read > 0.0)
-    # A bound on the header and every region behind it: with P ports
-    # and N ops, len(code) // 8 == P + 2 N and the need is at most
-    # 19 + 3 P + 17 N (see maj_replay.c).
-    out = np.empty(_LOWER_HEADER + 12 * (len(code) // 8 + 1), np.int64)
-    status = _native.lower_trace(code, len(ops), _C0, _C1, multi_draws,
-                                 read_draws, _native.address(out), out.size)
-    if status:
-        if status == -1:
-            raise ValueError(_EVEN_ACTIVATION)
-        if status == -2:
-            raise MemoryError("lower_trace could not allocate its work space")
-        if status == -3:
-            raise ValueError("lower_trace was given a negative row")
-        raise AssertionError(f"lower_trace needs more than {out.size} "
-                             "output slots; the bound above is wrong")
-    (n_table, n_in, n_im, n_slots, n_rows, n_nodes, n_out, n_levels,
-     n_draws, n_aap, n_ap, n_multi) = out[:12].tolist()
-    at = _LOWER_HEADER
-    counts = dict(n_input_mirror=n_im, n_slots=n_slots, n_rows=n_rows,
-                  n_aap=n_aap, n_ap=n_ap, n_activations=2 * n_aap + n_ap,
-                  n_multi=n_multi)
-    outs = n_table - 2 * n_out
+        # Nodes in creation order -- already a topological order, so
+        # every operand is slotted before its consumer.
+        steps: List[tuple] = []
+        for vid in nodes:
+            dst = rows[2 * vid] = next_slot
+            next_slot += 1
+            mir = -1
+            if mirrored[vid]:
+                mir = rows[2 * vid + 1] = n_rows
+                n_rows += 1
+            refs = operands[vid]
+            cim_row, read_row = draws.get(vid, (-1, -1))
+            if len(refs) == 1:
+                steps.append(("rd", rows[refs[0]], dst, mir, read_row))
+                table += (0, rows[refs[0]], -1, -1, dst, mir, -1, read_row)
+            else:
+                a, b, c = [rows[ref] for ref in refs]
+                step = ("mx" if cim_row < 0 else "mj", a, b, c, dst, mir,
+                        cim_row, read_row)
+                steps.append(step)
+                table += (_STEP_KINDS[step[0]],) + step[1:]
+
+    out_rows = sorted(finals)
+    n_out = len(out_rows)
+    table.append(n_out)
+    table += out_rows
+    table += [rows[finals[row]] for row in out_rows]
+    table = _frozen(table, np.int64)
+    first, end = (2 if spec is None else 3), len(table)
+    common = dict(
+        in_rows=table[first:first + n_in], n_input_mirror=n_input_mirror,
+        n_slots=n_slots, n_rows=n_rows,
+        out_rows=table[end - 2 * n_out:end - n_out],
+        out_slots=table[end - n_out:], table=table, n_aap=n_aap,
+        n_ap=n_ap, n_activations=2 * n_aap + n_ap, n_multi=n_multi)
     if spec is None:
-        data = out[at:at + n_table + 3 * n_nodes].copy()
-        table, idx = data[:n_table], data[n_table:]
-        at += n_table + 3 * n_nodes
-        bounds = out[at:at + 4 * n_levels].tolist()
-        levels = tuple([
-            _Level(lo, hi, idx[3 * (lo - n_in):3 * (hi - n_in)], m, mirror)
-            for lo, hi, m, mirror in zip(*[iter(bounds)] * 4)])
-        trace = CompiledTrace(in_rows=table[2:2 + n_in], levels=levels,
-                              out_rows=table[outs:outs + n_out],
-                              out_slots=table[outs + n_out:], **counts)
-    else:
-        table = out[at:at + n_table].copy()
-        kinds = out[at + n_table:at + n_table + n_draws]
-        rows = table[6 + n_in:6 + n_in + 8 * n_nodes].reshape(-1, 8)
-        steps = tuple([
-            (_STEP_NAMES[k], a, b, c, dst, mir, crow, rrow) if k
-            else ("rd", a, dst, mir, rrow)
-            for k, a, b, c, dst, mir, crow, rrow in rows.tolist()])
-        trace = CompiledFaultTrace(
-            spec=spec, in_rows=table[3:3 + n_in], steps=steps,
-            out_rows=table[outs:outs + n_out],
-            out_slots=table[outs + n_out:],
-            draw_thresholds=np.array((spec.p_cim, spec.p_read))[kinds],
-            **counts)
-    trace._table = table
-    return trace
+        return CompiledTrace(levels=tuple(levels), **common)
+    return CompiledFaultTrace(spec=spec, steps=tuple(steps),
+                              draw_thresholds=_frozen(thresholds,
+                                                      np.float64),
+                              **common)
 
 
 def compile_megatrace(segments, stream_row: int,

@@ -232,7 +232,7 @@ def test_trace_constant_folding_and_dead_writes():
     # AND via C0-fed majority; the C0 copy into B9 folds to a constant.
     prog = MicroProgram("and", (aap(0, "B8"), aap("C0", "B9"),
                                 aap(1, "B2"), ap("B12"), aap("B2", 1)))
-    trace = compile_trace(prog, sa.resolve, codes={})
+    trace = compile_trace(prog, sa.resolve)
     assert trace.n_nodes == 1                      # only the MAJ survives
     assert trace.n_aap == 4 and trace.n_ap == 1
     assert trace.n_activations == 2 * 4 + 1
@@ -240,7 +240,7 @@ def test_trace_constant_folding_and_dead_writes():
     # compiles to zero majority nodes.
     chain = MicroProgram("copies", (aap(0, "B0"), aap("B0", "B1"),
                                     aap("B1", 1)))
-    t2 = compile_trace(chain, sa.resolve, codes={})
+    t2 = compile_trace(chain, sa.resolve)
     assert t2.n_nodes == 0
     assert t2.n_aap == 3
 
@@ -249,7 +249,7 @@ def test_trace_counter_totals_match_program():
     sa = WordlineSubarray(n_data_rows=6, n_cols=8)
     from repro.isa.templates import kary_increment_program
     prog = kary_increment_program([0, 1], 2, 3, [3], 4)
-    trace = compile_trace(prog, sa.resolve, codes={})
+    trace = compile_trace(prog, sa.resolve)
     assert trace.n_aap == prog.aap_count
     assert trace.n_ap == prog.ap_count
     assert trace.n_activations == 2 * prog.aap_count + prog.ap_count

@@ -104,7 +104,7 @@ def test_trace_kernel_equals_numpy(regime, n_cols):
     sa = WordlineSubarray(n_data_rows=10, n_cols=n_cols)
     knobs = REGIMES[regime]
     spec = FaultSpec.of(FaultModel(**knobs))
-    trace = compile_trace(_program(), sa.resolve, fault=spec, codes={})
+    trace = compile_trace(_program(), sa.resolve, fault=spec)
     kinds = {step[0] for step in trace.steps}
     assert ("rd" in kinds) == (knobs.get("p_read", 0) > 0)
     assert ("mx" in kinds) == (knobs["p_cim"] == 0)
@@ -154,8 +154,7 @@ def test_kernel_checks_shapes_before_pointers():
     wrong dtype raise before the kernel runs or a draw is taken."""
     sa = WordlineSubarray(n_data_rows=10, n_cols=100)
     trace = compile_trace(_program(), sa.resolve,
-                          fault=FaultSpec.of(FaultModel(p_cim=0.1)),
-                          codes={})
+                          fault=FaultSpec.of(FaultModel(p_cim=0.1)))
     bad = (np.zeros((sa.cells.shape[0], 3), np.uint64),
            np.zeros((trace.n_cells - 1, 2), np.uint64),
            np.zeros(sa.cells.shape, np.int64))

@@ -1,25 +1,32 @@
-"""Native lowering == Python lowering, field for field.
+"""The lowering's traces replay exactly as the interpreter runs.
 
-:func:`repro.isa.trace.compile_trace` lowers a μProgram in one call of
-the ``lower_trace`` kernel (:mod:`repro.isa.native`) when the kernels
-are built, and with the Python walk -- the fallback and the reference
--- under :func:`~repro.isa.trace.native_disabled`.  The two must build
-the same trace: every field, each level's operand rows, each fault
-step, the draw thresholds, the command counts and the kernel table's
-bytes.  Pinned here over
+:func:`repro.isa.trace.compile_trace` is the one lowering: a Python
+walk that writes each trace's fields and kernel table.  These tests
+hold what it builds to the reference that needs no lowering at all,
+the interpreted per-op path (:func:`~repro.isa.trace.fusion_disabled`):
+a lowered trace replayed on a subarray must leave the same cells and
+the same command counts (AAPs, APs, activations, multi-row
+activations), and under each fault regime also the same injected
+flips and the fault model's terminal generator state.  Each trace
+replays twice: as the host runs it (the native kernels when they are
+built) and with the NumPy replay (:func:`~repro.isa.trace.
+native_disabled`), which reads the level layout the kernel table does
+not.  Pinned here over
 
 * every μProgram an engine builds (increments, carry resolves, fused
   wave batches, ECC-protected blocks, overflow checks and O_next
   snapshots) for 2- to 4-bit digits, fault-free and in every fault
   regime (``multi_mode`` all / contested / select, ``p_read > 0``
-  alone);
+  alone), each on random cells, and each whole engine run against the
+  same run interpreted;
 * hypothesis-drawn op streams on a small subarray: ``C0``/``C1``
   reads, negated DCC ports, triple-row activations, dead writes;
-* the even-row activation, which both lowerings refuse alike;
-* whole seeded fault campaigns, whose trial metrics must not move.
+* a hand-made stream hitting every fold, and the empty program;
+* the even-row activation and a bad address, which the lowering and
+  the interpreter refuse alike.
 
-Without the kernels both sides run the Python lowering and the
-comparisons hold trivially.
+The process-wide memo of lowered traces is pinned in
+``tests/test_trace_memo.py``.
 """
 
 import contextlib
@@ -29,15 +36,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dram import wordline
+from repro.dram.ambit import _C0, _C1
 from repro.dram.faults import FaultModel
 from repro.dram.wordline import WordlineSubarray
 from repro.ecc.bch import BatchedBCH, BCHCode
 from repro.engine import CountingEngine
 from repro.isa import trace as trace_module
 from repro.isa.microprogram import MicroProgram, aap, ap
-from repro.isa.trace import (FaultSpec, compile_trace, native_disabled,
-                             native_enabled)
-from repro.reliability import Campaign, FaultPoint
+from repro.isa.trace import (FaultSpec, compile_trace, fusion_disabled,
+                             native_disabled)
 
 #: Fault regimes by name: None (fault-free) or FaultModel knobs.
 REGIMES = {
@@ -48,64 +56,86 @@ REGIMES = {
     "read_only": dict(p_cim=0.0, p_read=1e-3),
 }
 
+#: Lanes of the replay checks: two words and a tail of don't-care bits.
+N_COLS = 100
+
 
 def _spec(regime):
     knobs = REGIMES[regime]
     return None if knobs is None else FaultSpec.of(FaultModel(**knobs))
 
 
-def _fields(trace) -> dict:
-    """Every field of a compiled trace, arrays with their dtypes."""
-    out = {"type": type(trace).__name__}
-    for name in ("in_rows", "out_rows", "out_slots", "draw_thresholds"):
-        value = getattr(trace, name, None)
-        if value is not None:
-            out[name] = (value.dtype.str, value.shape, value.tolist())
-    for name in ("n_input_mirror", "n_slots", "n_rows", "n_aap", "n_ap",
-                 "n_activations", "n_multi", "n_cells", "spec", "steps"):
-        out[name] = getattr(trace, name, None)
-    out["levels"] = [
-        (level.lo, level.hi, level.idx.dtype.str, level.idx.tolist(),
-         level.n_mirror, level.mirror_lo)
-        for level in getattr(trace, "levels", ())]
-    table = trace.native_table()
-    out["table"] = (table.dtype.str, table.tobytes())
-    return out
+def _knobs(spec) -> dict:
+    return {} if spec is None else dict(
+        p_cim=spec.p_cim, p_read=spec.p_read, margin_aware=spec.margin_aware)
 
 
-def _assert_same(native, python) -> None:
-    a, b = _fields(native), _fields(python)
-    assert a.keys() == b.keys()
-    for key in a:
-        assert a[key] == b[key], key
+def _observed(sa) -> dict:
+    """Cells, command counts, flips and generator state of a run.
+
+    Under faults the interpreter re-packs every sensed row, so only the
+    fault-free path keeps the don't-care tail bits; there the cells are
+    compared raw."""
+    cells, fm = sa.cells.copy(), sa.fault_model
+    if (fm.p_cim > 0.0 or fm.p_read > 0.0) and sa.n_cols % 64:
+        cells[:, -1] &= np.uint64((1 << (sa.n_cols % 64)) - 1)
+    return {"cells": cells.tolist(),
+            "commands": (sa.aap_count, sa.ap_count) + sa.stats(),
+            "injected": (sa.fault_injections, fm.injected),
+            "rng": fm.bit_generator.state}
 
 
-def _lower_both(program, resolve, fault=None):
-    """The program lowered both ways, compared; the native trace."""
-    native = compile_trace(program, resolve, fault, codes={})
-    with native_disabled():
-        python = compile_trace(program, resolve, fault, codes={})
-    _assert_same(native, python)
-    return native
+def _assert_replays_as_interpreted(program, n_data_rows, spec, seed=0):
+    """Lower ``program``, replay its trace on random cells (as the host
+    runs it, then with the NumPy replay), and compare both with the
+    interpreter run on the same cells and the same seed."""
+    trace = compile_trace(program,
+                          WordlineSubarray(n_data_rows, N_COLS).resolve, spec)
+    runs = []
+    for scope in (contextlib.nullcontext, native_disabled, fusion_disabled):
+        fm = FaultModel(seed=seed, **_knobs(spec))
+        sa = WordlineSubarray(n_data_rows, N_COLS, fault_model=fm)
+        rng = np.random.default_rng(seed)
+        rows = [row for row in range(sa.cells.shape[0])
+                if row not in (_C0, _C1)]
+        sa.cells[rows] = rng.integers(0, 2 ** 64, (len(rows), sa.n_words),
+                                      dtype=np.uint64)
+        with scope():
+            if scope is fusion_disabled:
+                sa.run_program(program)
+            else:
+                sa._replay(trace)
+        runs.append(_observed(sa))
+    assert runs[0] == runs[2] and runs[1] == runs[2]
+    return trace
 
 
 @pytest.fixture
 def lowered(monkeypatch):
-    """Within the test every ``compile_trace`` lowers both ways and
-    compares; yields the list of lowered program names."""
+    """Within the test every lowering is checked against the
+    interpreter on random cells; yields the lowered program names.
+    The memo is emptied first, so every program of the test lowers."""
     names = []
     original = trace_module.compile_trace
 
-    def both(program, resolve, fault=None, *, codes):
+    def checked(program, resolve, fault=None):
         names.append(program.name)
-        native = original(program, resolve, fault, codes=codes)
-        with native_disabled():
-            python = original(program, resolve, fault, codes={})
-        _assert_same(native, python)
-        return native
+        _assert_replays_as_interpreted(program, resolve.__self__.n_data_rows,
+                                       fault, seed=len(names))
+        return original(program, resolve, fault)
 
-    monkeypatch.setattr(trace_module, "compile_trace", both)
+    monkeypatch.setattr(trace_module, "compile_trace", checked)
+    wordline._LOWERED.clear()
     return names
+
+
+def _engine_run(build, drive, fused: bool):
+    """One seeded engine run, fused or interpreted, observed whole."""
+    eng = build()
+    with contextlib.nullcontext() if fused else fusion_disabled():
+        drive(eng)
+    return dict(_observed(eng.subarray), measured_ops=eng.measured_ops,
+                values=eng.read_values(strict=False).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -131,13 +161,19 @@ def _drive(eng, rng, n_lanes):
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 @pytest.mark.parametrize("n_bits", [2, 3, 4])
 def test_engine_programs_lower_alike(lowered, n_bits, regime):
-    knobs = REGIMES[regime]
-    fm = FaultModel(seed=n_bits, **(knobs or {}))
     n_lanes = 70
-    eng = CountingEngine(n_bits, 3, n_lanes, fault_model=fm,
-                         backend="word")
-    _drive(eng, np.random.default_rng(n_bits), n_lanes)
+
+    def build():
+        fm = FaultModel(seed=n_bits, **(REGIMES[regime] or {}))
+        return CountingEngine(n_bits, 3, n_lanes, fault_model=fm,
+                              backend="word")
+
+    def drive(eng):
+        _drive(eng, np.random.default_rng(n_bits), n_lanes)
+
+    fused = _engine_run(build, drive, fused=True)
     assert len(lowered) >= 4
+    assert fused == _engine_run(build, drive, fused=False)
 
 
 @pytest.mark.parametrize("code", [None, BatchedBCH(BCHCode(7, 2,
@@ -151,16 +187,23 @@ def test_protected_programs_lower_alike(lowered, n_bits, knobs, code):
     """ECC-protected blocks, cycle saves, O_next snapshots and
     overflow blocks, with their checkpoint retries (rates low enough
     that retries do not run out)."""
-    fm = FaultModel(seed=7, **knobs)
     n_lanes = 64
-    eng = CountingEngine(n_bits, 2, n_lanes, fault_model=fm, fr_checks=1,
-                         protection_code=code, backend="word")
-    rng = np.random.default_rng(n_bits)
-    for _ in range(4):
-        eng.load_mask(0, rng.integers(0, 2, n_lanes).astype(np.uint8))
-        eng.accumulate(int(rng.integers(1, 2 * n_bits)))
-    eng.read_values(strict=False)
+
+    def build():
+        fm = FaultModel(seed=7, **knobs)
+        return CountingEngine(n_bits, 2, n_lanes, fault_model=fm,
+                              fr_checks=1, protection_code=code,
+                              backend="word")
+
+    def drive(eng):
+        rng = np.random.default_rng(n_bits)
+        for _ in range(4):
+            eng.load_mask(0, rng.integers(0, 2, n_lanes).astype(np.uint8))
+            eng.accumulate(int(rng.integers(1, 2 * n_bits)))
+
+    fused = _engine_run(build, drive, fused=True)
     assert lowered
+    assert fused == _engine_run(build, drive, fused=False)
 
 
 # ----------------------------------------------------------------------
@@ -182,11 +225,11 @@ _op = st.one_of(
 
 @settings(deadline=None, max_examples=150)
 @given(ops=st.lists(_op, max_size=40),
-       regime=st.sampled_from(sorted(REGIMES)))
-def test_drawn_streams_lower_alike(ops, regime):
-    sa = WordlineSubarray(n_data_rows=4, n_cols=8)
-    trace = _lower_both(MicroProgram("drawn", ops), sa.resolve,
-                        _spec(regime))
+       regime=st.sampled_from(sorted(REGIMES)),
+       seed=st.integers(0, 2 ** 16))
+def test_drawn_streams_lower_alike(ops, regime, seed):
+    trace = _assert_replays_as_interpreted(MicroProgram("drawn", ops), 4,
+                                           _spec(regime), seed)
     assert trace.n_aap + trace.n_ap == len(ops)
 
 
@@ -196,7 +239,6 @@ def test_folds_and_dead_writes_lower_alike(regime):
     an identical pair, two equal constants read through different rows
     (``C0`` and a complemented ``C1``), a complement pair -- plus an
     unfolded majority and overwritten values."""
-    sa = WordlineSubarray(n_data_rows=4, n_cols=8)
     ops = (aap("C0", "B0"), aap("C1", "B1"), aap(0, "B2"), ap("B12"),
            aap(1, "B8"), aap(1, "B1"), aap(1, "B2"), ap("B12"),
            aap(2, "B0"), aap("B4", "B1"), aap(3, "B2"), ap("B12"),
@@ -205,83 +247,34 @@ def test_folds_and_dead_writes_lower_alike(regime):
            aap("B1", 3),
            aap(0, "B8"), aap(2, "B1"), ap("B11"), aap("B0", 0),
            aap(0, 1), aap(2, 1))
-    trace = _lower_both(MicroProgram("folds", ops), sa.resolve,
-                        _spec(regime))
+    for seed in range(3):
+        trace = _assert_replays_as_interpreted(MicroProgram("folds", ops),
+                                               4, _spec(regime), seed)
     if regime == "fault_free":
         assert trace.n_nodes == 1                 # the others folded
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 def test_empty_program_lowers_alike(regime):
-    sa = WordlineSubarray(n_data_rows=2, n_cols=8)
-    trace = _lower_both(MicroProgram("empty", ()), sa.resolve,
-                        _spec(regime))
-    assert trace.n_slots == 0 and trace.native_table().size
+    trace = _assert_replays_as_interpreted(MicroProgram("empty", ()), 2,
+                                           _spec(regime))
+    assert trace.n_slots == 0 and trace.table.size
 
 
-@pytest.mark.parametrize("native", [True, False])
-def test_even_activation_raises_alike(native):
-    """Two rows have no defined majority; the error comes where the
+@pytest.mark.parametrize("fused", [True, False])
+def test_even_activation_raises_alike(fused):
+    """Two rows have no defined majority, and a data row past the
+    subarray has no row: the fused run (the lowering) and the
+    interpreted one refuse both alike.  The lowering raises where its
     walk meets the op, before a later bad address is resolved."""
     sa = WordlineSubarray(n_data_rows=2, n_cols=8)
-    prog = MicroProgram("even", (aap("B8", "B0"), ap("B8"), aap(9, 0)))
-    scope = contextlib.nullcontext if native else native_disabled
+    scope = contextlib.nullcontext if fused else fusion_disabled
     with scope(), pytest.raises(ValueError, match="odd row count"):
-        compile_trace(prog, sa.resolve, codes={})
+        sa.run_program(MicroProgram("even", (aap("B8", "B0"), ap("B8"))))
     bad = MicroProgram("bad", (aap(0, "B8"), aap(9, 0), ap("B8")))
     with scope(), pytest.raises(IndexError):
-        compile_trace(bad, sa.resolve, codes={})
-
-
-def test_native_table_is_preset():
-    """The native lowering hands the trace its kernel table, and the
-    trace replays from it."""
-    sa = WordlineSubarray(n_data_rows=2, n_cols=8)
-    prog = MicroProgram("and", (aap(0, "B8"), aap("C0", "B9"),
-                                aap(1, "B2"), ap("B12"), aap("B2", 1)))
-    trace = compile_trace(prog, sa.resolve, codes={})
-    assert (trace._table is not None) == native_enabled()
-
-
-@pytest.mark.skipif(not native_enabled(), reason="needs the native kernels")
-def test_kernel_statuses_are_told_apart():
-    """A negative row and too short an output are reported as what they
-    are, not as the allocation failure."""
-    prog = MicroProgram("copy", (aap(0, 1),))
-    with pytest.raises(ValueError, match="negative row"):
-        trace_module._lower_native(prog.ops, lambda address: ((-1, 0),),
-                                   None, {})
-    sa = WordlineSubarray(n_data_rows=2, n_cols=8)
-    code = trace_module._encode_ops(prog.ops, sa.resolve, {})
-    out = np.empty(trace_module._LOWER_HEADER, np.int64)
-    assert trace_module._native.lower_trace(
-        code, 1, trace_module._C0, trace_module._C1, 0, 0,
-        trace_module._native.address(out), out.size) == -4
-
-
-# ----------------------------------------------------------------------
-# whole campaigns
-# ----------------------------------------------------------------------
-def _campaign_metrics():
-    z = np.random.default_rng(5).integers(-1, 2, (12, 40)).astype(np.int8)
-    xs = np.random.default_rng(6).integers(-4, 5, (2, 12))
-    points = [FaultPoint(p_cim=0.0), FaultPoint(p_cim=1e-4),
-              FaultPoint(p_cim=1e-3, p_read=1e-4),
-              FaultPoint(p_cim=1e-4, fr_checks=1)]
-    result = Campaign(z=z, xs=xs, kind="ternary", pool_banks=4,
-                      banks_per_trial=4, base_seed=31).run(points,
-                                                           n_trials=2)
-    return [trial.metrics for trial in result.trials]
-
-
-def test_campaign_trials_identical_under_both_lowerings(monkeypatch):
-    """Seeded trials, native replay both times: only the lowering
-    differs, and no trial metric moves."""
-    native = _campaign_metrics()
-    monkeypatch.setattr(
-        trace_module, "_lower_native",
-        lambda ops, resolve, spec, codes: trace_module._lower_python(
-            ops, resolve, spec))
-    python = _campaign_metrics()
-    assert native == python
-    assert sum(m["trace_compiles"] for m in native) > 0
+        sa.run_program(bad)
+    even_then_bad = MicroProgram("even", (aap("B8", "B0"), ap("B8"),
+                                          aap(9, 0)))
+    with pytest.raises(ValueError, match="odd row count"):
+        compile_trace(even_then_bad, sa.resolve)

@@ -10,10 +10,12 @@ host protocol (``CountingEngine._protected_reference``) stays the
 reference under :func:`native_disabled`.  These tests hold the two
 identical -- cells, decoded values, every ``Counters`` field,
 ``model_ops``, every ``ProtectionStats`` field, ``FaultModel.injected``,
-the error text and the generator's terminal state -- over Hamming and
-BCH codes, 1-3 FR checks, 2-4-bit digits, negative steps, carry
-resolves, fault-free runs, retried blocks and exhausted ones, and
-queries that go on after an exhaustion.
+the error text, the generator's terminal state, and the program
+store's evictions and LRU order in both of its tiers -- over Hamming
+and BCH codes, 1-3 FR checks, 2-4-bit digits, negative steps, carry
+resolves, fault-free runs, retried blocks and exhausted ones, queries
+that go on after an exhaustion, and stores bounded below the run's
+working set.
 
 They also pin the kernels' own fault draws: ``fault_replay`` and
 ``protected_batch`` call the model's bit generator directly, and must
@@ -72,14 +74,17 @@ def _spy(monkeypatch):
 
 def _run(scope, *, code="hamming", fr_checks=1, n_bits=2, p_cim=2e-3,
          p_read=0.0, seed=11, n_lanes=100, rounds=2, max_retries=64,
-         go_on=False):
+         go_on=False, bound=None):
     """Seeded signed updates and a read per round; with ``go_on``
     every update or read that exhausts its retries is skipped, not
-    fatal, and the rounds go on (a campaign's failed queries)."""
+    fatal, and the rounds go on (a campaign's failed queries).
+    ``bound`` overrides the engine's program-store bound."""
     fm = FaultModel(p_cim=p_cim, p_read=p_read, seed=seed)
     eng = CountingEngine(n_bits, 3, n_lanes, n_masks=2, fault_model=fm,
                          fr_checks=fr_checks, protection_code=CODES[code],
                          max_retries=max_retries, backend="word")
+    if bound is not None:
+        eng.programs.bound = bound
     rng = np.random.default_rng(seed)
     full = np.ones(n_lanes, dtype=np.uint8)
     steps = [(0, full, 3 * eng.radix)]
@@ -115,7 +120,11 @@ def _run(scope, *, code="hamming", fr_checks=1, n_bits=2, p_cim=2e-3,
             "protection": (stats.blocks, stats.checks, stats.detections,
                            stats.retries, stats.corrected, stats.exhausted),
             "commands": (sub.aap_count, sub.ap_count) + sub.stats(),
-            "injected": fm.injected, "rng": fm.bit_generator.state}
+            "injected": fm.injected, "rng": fm.bit_generator.state,
+            "evictions": eng.programs.evictions,
+            "store": (list(eng.programs._programs),
+                      [entry[0].ops
+                       for entry in eng.programs._compiled.values()])}
 
 
 def _same(native_run, reference):
@@ -148,6 +157,29 @@ def test_batch_equals_reference(code, fr_checks, n_bits, p_cim,
         assert not reference["errors"]
         assert resolves > 0                          # carries resolved
         assert (detections > 0) == (p_cim > 0)
+
+
+@pytest.mark.parametrize("fr_checks", [1, 2])
+@pytest.mark.parametrize("bound,p_cim", [(16, 0.0), (32, 2e-3), (64, 0.0),
+                                         (64, 2e-3), (24, 0.3)])
+def test_bounded_store_equals_reference(bound, p_cim, fr_checks,
+                                        monkeypatch):
+    """A store bound below the run's working set evicts μPrograms and
+    compiled entries between and inside batches.  A batch that fits
+    runs natively and stores what it ran; one whose lookups and runs
+    would evict runs on the host.  Either way cells, values, every
+    ``Counters`` field, ``model_ops``, every ``ProtectionStats`` field,
+    the injected flips, the generator state and the store's evictions
+    equal the host reference's."""
+    calls = _spy(monkeypatch)
+    native_run = _run(SCOPES[0], fr_checks=fr_checks, p_cim=p_cim,
+                      bound=bound, go_on=True)
+    kernel_calls = calls["kernel"]
+    reference = _run(SCOPES[1], fr_checks=fr_checks, p_cim=p_cim,
+                     bound=bound, go_on=True)
+    _same(native_run, reference)
+    assert reference["evictions"] > 0
+    assert kernel_calls > 0 or not native_enabled()
 
 
 @pytest.mark.parametrize("fr_checks", [1, 2])
@@ -259,7 +291,7 @@ def _reads_trace(n_reads, n_cols, spec):
     sa = WordlineSubarray(n_data_rows=2 * n_reads, n_cols=n_cols)
     program = MicroProgram("reads", tuple(aap(i, n_reads + i)
                                           for i in range(n_reads)))
-    return sa, compile_trace(program, sa.resolve, fault=spec, codes={})
+    return sa, compile_trace(program, sa.resolve, fault=spec)
 
 
 @needs_kernel

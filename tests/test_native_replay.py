@@ -147,7 +147,7 @@ def _traces():
     sa = WordlineSubarray(n_data_rows=8, n_cols=64)
     prog = concat("pair", [kary_increment_program([0, 1], 2, 3, [3], 4),
                            kary_increment_program([5, 6], 2, -2, [3], 7)])
-    trace = compile_trace(prog, sa.resolve, codes={})
+    trace = compile_trace(prog, sa.resolve)
     entry = [prog, None, trace, None]             # a warm store entry
     chain = TraceChain((entry,) * 3, sa.resolve(4)[0][0])
     return sa, trace, chain
