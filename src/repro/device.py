@@ -23,9 +23,10 @@ module is the session-oriented front door:
   ``plan.run_many(X)`` batches whole query groups across bank shards so
   repeated traffic amortizes both planting and command broadcasts (the
   recorded speedup lives in ``benchmarks/results/plan_amortization.txt``);
-  on the word backend ``plan(x)`` is exactly ``run_many(x[None])[0]``,
-  one query path dealt by :meth:`repro.engine.BankCluster.deal` on the
-  plan's one bank cluster.
+  ``plan(x)`` is exactly ``run_many(x[None])[0]`` on both backends, one
+  query path dealt by :meth:`repro.engine.BankCluster.deal` on the
+  plan's one bank cluster (the bit backend runs the same broadcast
+  stream on the bit-level Ambit model).
 * ``plan.park()`` / ``plan.unpark()`` relocate a plan off its banks:
   parking exports the counter image (``export_counters``), detaches
   the engine body and returns the bank lease; unparking (done
@@ -34,11 +35,11 @@ module is the session-oriented front door:
   primitive the :class:`repro.serve.ModelRegistry` plan cache is built
   on.
 * :class:`ResidentPlan` is that lifecycle, written once: the row
-  image, the one engine body and its lease, park/unpark/relocate,
+  image, the one bank cluster and its lease, park/unpark/relocate,
   footprints, ``stats`` and the chunked query runner.  GEMV/GEMM plans
   and the analytics plans (:mod:`repro.apps.analytics`) subclass it
-  and supply only their engine body, their lone-query bank count and
-  their query lowering.
+  and supply only their lone-query bank count and their query
+  lowering.
 
 >>> import numpy as np
 >>> from repro.device import Device
@@ -68,6 +69,7 @@ from repro.dram.faults import FAULT_FREE, FaultModel
 from repro.dram.programs import ProgramStore
 from repro.engine.cluster import BankCluster, chunk_geometry, run_chunked
 from repro.engine.machine import CountingEngine, Counters, counter_fields
+from repro.isa.trace import FaultSpec
 from repro.kernels.lowering import (DEFAULT_BANKS, digits_for_budget,
                                     infer_kind, ternary_row_masks)
 from repro.serve.pool import BankPool
@@ -138,8 +140,10 @@ class EngineConfig:
 
     @property
     def strict_reads(self) -> bool:
-        """Fault-free configs read counters strictly (exact decode)."""
-        return self.fault_model.p_cim == 0
+        """Configs whose fault model can never flip a bit read counters
+        strictly (exact decode); any active rate, read-only included,
+        decodes leniently so corrupted lanes surface as wrong values."""
+        return FaultSpec.of(self.fault_model) is None
 
 
 @dataclass(frozen=True)
@@ -175,12 +179,13 @@ class PlanStats:
 
 class ResidentPlan:
     """The lifecycle every plan kind shares: a resident row image, one
-    engine body on a bank lease, and the park/unpark/relocate path.
+    bank cluster on a bank lease, and the park/unpark/relocate path.
 
     A plan acquires its planted row image from a
     :class:`~repro.serve.rowstore.RowImageStore` and holds at most one
-    :class:`~repro.serve.rowstore.SharedResource` -- an engine body plus
-    its lease from the owning device's
+    :class:`~repro.serve.rowstore.SharedResource` -- a
+    :class:`~repro.engine.cluster.BankCluster` on the configured
+    backend plus its lease from the owning device's
     :class:`~repro.serve.pool.BankPool` -- built lazily by the first
     query, resized in place (or swapped for a same-image tenant's
     bigger body) when a query needs more banks or digits, and never
@@ -189,12 +194,11 @@ class ResidentPlan:
     the plan, so a caller (the serving registry) can evict another
     resident plan and retry.
 
-    A plan kind supplies three things: its engine body
-    (:meth:`_build_body`, a bank cluster by default), the banks a lone
-    query deals over (:meth:`_lone_banks`), and the lowering of its
-    queries onto :meth:`_run` -- per-update ``(value, row, slot)``
-    arrays against its mask table -- plus the reduce of the per-query
-    lane totals ``_run`` returns.
+    A plan kind supplies two things: the banks a lone query deals over
+    (:meth:`_lone_banks`), and the lowering of its queries onto
+    :meth:`_run` -- per-update ``(value, row, slot)`` arrays against
+    its mask table -- plus the reduce of the per-query lane totals
+    ``_run`` returns.
 
     ``x_budget`` declares the largest per-lane total any query will
     accumulate; digits are sized once from it, and a query exceeding
@@ -243,22 +247,22 @@ class ResidentPlan:
         """Banks a lone query deals over (before the pool's clamp)."""
         raise NotImplementedError
 
-    def _build_body(self, n_banks: int, n_digits: int):
-        """Construct an engine body (no lease taken here) as a
-        ``(cluster, engines)`` pair: a bank cluster of ``n_banks``
-        shards, ``width`` lanes each."""
+    # ------------------------------------------------------------------
+    # resource management (store-routed: see repro.serve.rowstore)
+    # ------------------------------------------------------------------
+    def _build_cluster(self, n_banks: int, n_digits: int) -> BankCluster:
+        """The plan's engine body (no lease taken here): a bank cluster
+        of ``n_banks`` shards, ``width`` lanes each, on the configured
+        backend."""
         cfg = self.config
         return BankCluster(
             cfg.n_bits, n_digits, self._width, n_banks=n_banks,
             fault_model=cfg.fault_model, fr_checks=cfg.fr_checks,
             backend=cfg.resolved_backend,
-            programs=self._device.programs), None
+            programs=self._device.programs)
 
-    # ------------------------------------------------------------------
-    # resource management (store-routed: see repro.serve.rowstore)
-    # ------------------------------------------------------------------
     def _live_engines(self) -> List[CountingEngine]:
-        return self._res._all_engines() if self._res is not None else []
+        return [self._res.cluster.engine] if self._res is not None else []
 
     def _token(self) -> tuple:
         """Resource-compatibility key: same-image tenants share an
@@ -273,12 +277,12 @@ class ResidentPlan:
         """Build a body on a fresh ``lease`` and attach to it (the
         lease is returned if the build fails)."""
         try:
-            cluster, engines = self._build_body(lease.n_banks, n_digits)
+            cluster = self._build_cluster(lease.n_banks, n_digits)
         except BaseException:
             lease.release()
             raise
         res = self._image.new_resource(self._token(), n_digits, lease,
-                                       cluster=cluster, engines=engines)
+                                       cluster)
         res.attach(self, stash=stash)
         return res
 
@@ -315,7 +319,7 @@ class ResidentPlan:
             # difference.
             lease = pool.exchange(old.lease, n_banks, owner=self)
             old.replace_body(lease, n_digits,
-                             *self._build_body(n_banks, n_digits))
+                             self._build_cluster(n_banks, n_digits))
             return old
         else:
             res = self._new_resource(pool.lease(n_banks, owner=self),
@@ -625,7 +629,7 @@ class GemvPlan(ResidentPlan):
 
     Created through :meth:`Device.plan_gemv`.  :meth:`run_many`
     streams a batch with cross-query bank sharding; ``plan(x)`` answers
-    one query, on the word backend as exactly ``run_many(x[None])[0]``.
+    one query as exactly ``run_many(x[None])[0]``, on either backend.
     Between queries only counters are reset -- planted masks and
     compiled μPrograms stay resident, which is where the amortized
     speedup over the one-shot kernels comes from.
@@ -633,9 +637,8 @@ class GemvPlan(ResidentPlan):
     ``x_budget`` declares the largest total magnitude ``sum(|x|)`` any
     query will accumulate (pass ``K * max|x|`` when only an element
     bound is known).  Z is planted in the device's row-image store, so
-    tenants sharing a base share its image and, when resident, an
-    engine body -- a bank cluster on the word backend, one engine per
-    sign on the bit backend.
+    tenants sharing a base share its image and, when resident, a bank
+    cluster.
     """
 
     def __init__(self, device: "Device", z: np.ndarray, kind: str,
@@ -669,24 +672,7 @@ class GemvPlan(ResidentPlan):
         return z.astype(np.uint8)
 
     def _lone_banks(self) -> int:
-        if self.config.resolved_backend == "word":
-            return max(1, min(self.config.n_banks, self.k))
-        return 2 if self.kind == "ternary" else 1
-
-    def _build_body(self, n_banks: int, n_digits: int):
-        """A bank cluster on the word backend, ``n_banks`` per-sign
-        reference engines on the bit backend."""
-        cfg = self.config
-        if cfg.resolved_backend == "word":
-            return super()._build_body(n_banks, n_digits)
-        engines = [CountingEngine(cfg.n_bits, n_digits, self.n,
-                                  fault_model=cfg.fault_model,
-                                  fr_checks=cfg.fr_checks, backend="bit",
-                                  programs=self._device.programs)
-                   for _ in range(n_banks)]
-        for eng in engines:
-            eng.reset_counters()
-        return None, engines
+        return max(1, min(self.config.n_banks, self.k))
 
     def mutate_rows(self, rows, values) -> None:
         """Replace ``Z[rows]`` in place -- copy-on-write.
@@ -751,69 +737,25 @@ class GemvPlan(ResidentPlan):
         return x
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Answer one query against the resident Z.
-
-        On the word backend this is exactly ``run_many(x[None])[0]``.
-        The bit backend keeps the per-update reference loop, one
-        engine per sign.
-        """
+        """Answer one query against the resident Z: exactly
+        ``run_many(x[None])[0]``."""
         self._check_open()
-        x = self._validate(x)
-        if self.config.resolved_backend == "word":
-            return self.run_many(x[None])[0]
-        return self._reference_query(x)
-
-    def _reference_query(self, x: np.ndarray) -> np.ndarray:
-        """The bit backend's per-update loop for one validated query."""
-        engines = self._acquire(
-            self._lone_banks(),
-            digits_for_budget(self.config.n_bits,
-                              int(np.abs(x).sum()))).engines
-        for eng in engines:
-            eng.reset_counters()
-        self._queries += 1
-        strict = self.config.strict_reads
-        masks = self._masks
-        if self.kind == "binary":
-            eng = engines[0]
-            for i in range(self.k):
-                if x[i] == 0:
-                    continue                 # zero-skipping (Sec. 7.2.3)
-                eng.load_mask(0, masks[i])
-                eng.accumulate(int(x[i]))
-                self._broadcasts += 1
-            return eng.read_values(strict=strict)
-        pos, neg = engines
-        for i in range(self.k):
-            if x[i] == 0:
-                continue
-            magnitude = int(abs(x[i]))
-            wide = masks[i, 0 if x[i] > 0 else 1]
-            up, down = wide[:self.n], wide[self.n:]
-            if up.any():
-                pos.load_mask(0, up)
-                pos.accumulate(magnitude)
-                self._broadcasts += 1
-            if down.any():
-                neg.load_mask(0, down)
-                neg.accumulate(magnitude)
-                self._broadcasts += 1
-        return (pos.read_values(strict=strict)
-                - neg.read_values(strict=strict))
+        return self.run_many(self._validate(x)[None])[0]
 
     def run_many(self, xs: np.ndarray) -> np.ndarray:
         """Answer a batch of queries ``xs [Q, K]`` -> ``[Q, N]``.
 
-        On the word backend every nonzero input ``x[q, i]`` becomes one
-        update of magnitude ``|x[q, i]|`` against planted row ``i``
-        (ternary: row ``2i`` or ``2i + 1`` by the input's sign; rows
-        whose planted mask is all-zero are skipped), and :meth:`_run`
-        deals them over the plan's one bank cluster: same-magnitude
-        updates from different queries share one broadcast wave and a
-        single read-out retires each chunk.  A lone query deals over
-        ``min(n_banks, K)`` banks.  The bit backend streams queries one
-        by one through the reference loop (it exists for bit-exact
-        reference, not throughput).
+        Every nonzero input ``x[q, i]`` becomes one update of magnitude
+        ``|x[q, i]|`` against planted row ``i`` (ternary: row ``2i`` or
+        ``2i + 1`` by the input's sign; rows whose planted mask is
+        all-zero are skipped), and :meth:`_run` deals them over the
+        plan's one bank cluster: same-magnitude updates from different
+        queries share one broadcast wave and a single read-out retires
+        each chunk.  A lone query deals over ``min(n_banks, K)`` banks.
+        Both backends run this one path; the bit backend executes each
+        wave on the bit-level model (its per-wave ``load_mask_packed``
+        + ``accumulate`` loop, :meth:`~repro.engine.machine.
+        CountingEngine.run_waves`).
         """
         self._check_open()
         xs = np.asarray(xs, dtype=np.int64)
@@ -822,9 +764,6 @@ class GemvPlan(ResidentPlan):
         n_queries = xs.shape[0]
         if n_queries == 0:
             return np.zeros((0, self.n), dtype=np.int64)
-        if self.config.resolved_backend != "word":
-            return np.stack([self._reference_query(self._validate(x))
-                             for x in xs])
         if self.kind == "binary" and (xs < 0).any():
             raise ValueError("binary plans expect non-negative inputs; "
                              "use a ternary plan for signed streams")

@@ -55,13 +55,17 @@ fault-free level replays as a single fancy-indexed gather, one
 vectorized three-way majority over all its nodes and one contiguous
 scatter, and a fault trace as a loop of NumPy calls per node.
 
-Replay is *bit-exact* against the interpreted path, including the
-don't-care tail bits of the last packed word, because every fold above
-is a per-bit identity and the executed word operations are the same
-ones the interpreter would have issued.  Command accounting is exact
-too: the trace carries the stream's AAP/AP/activation totals, so
-``measured_ops``, ``stats()`` and the serving telemetry cannot tell
-which path ran.
+Fault-free replay is *bit-exact* against the interpreted path,
+including the don't-care tail bits of the last packed word, because
+every fold above is a per-bit identity and the executed word
+operations are the same ones the interpreter would have issued.  Under
+an active fault model every lane bit still matches, but the tail bits
+need not: the interpreter unpacks, corrupts and re-packs each sensed
+row, which zeroes them, while the fault replays XOR flips into words
+that keep them.  No lane reads a tail bit, so values never differ.
+Command accounting is exact too: the trace carries the stream's
+AAP/AP/activation totals, so ``measured_ops``, ``stats()`` and the
+serving telemetry cannot tell which path ran.
 
 Fusion is *fault-aware*: fault injection is defined per activation --
 one ``FaultModel.corrupt`` draw sequence per sensed row in program
@@ -74,9 +78,10 @@ native kernels call the model's bit generator exactly as
 stream the interpreter would, and applies them per node; only the
 margin-aware *selection* between the CIM and read-rate masks is
 data-dependent, and that is computed from the sensed words at replay
-time.  Replay under an active fault model is therefore bit-, counter-
+time.  Replay under an active fault model is therefore lane-, counter-
 and fault-stream-identical to the interpreted path and to the bit-level
-backend (``tests/test_fault_fusion_parity.py`` pins all three).
+backend (``tests/test_fault_fusion_parity.py`` pins all three); only
+the don't-care tail bits of a row's last packed word may differ.
 :func:`fusion_disabled` (the interpreter, the one reference) and
 :func:`native_disabled` (the NumPy replays) are the explicit escape
 hatches (benchmark baselines, differential tests).
@@ -390,7 +395,6 @@ class CompiledTrace:
     faulty = False
 
     def __post_init__(self):
-        self._own_scratch = None     # fallback when none is supplied
         self.n_cells = _cells_touched(self.in_rows, self.out_rows)
 
     @property
@@ -444,13 +448,8 @@ class CompiledTrace:
         scratch.plans.setdefault(self, {})[n_words] = plan
         return plan
 
-    def execute(self, cells: np.ndarray,
-                scratch: TraceScratch = None) -> None:
+    def execute(self, cells: np.ndarray, scratch: TraceScratch) -> None:
         """Replay the trace against a packed ``uint64`` cell matrix."""
-        if scratch is None:
-            if self._own_scratch is None:
-                self._own_scratch = TraceScratch()
-            scratch = self._own_scratch
         n_words = cells.shape[1]
         if (native_enabled() and cells.dtype == np.uint64
                 and cells.flags.c_contiguous):

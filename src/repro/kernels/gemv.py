@@ -16,14 +16,19 @@ hold its own plan instead (``device.plan_gemv(z)``) -- planting and
 μProgram compilation then amortize across queries (see
 :mod:`repro.device`).
 
-Two execution paths share these entry points:
+Both backends run one path: the plan deals updates over a
+:class:`~repro.engine.cluster.BankCluster`, grouping same-value updates
+into bank-wide broadcast waves.
 
-* ``backend="fast"`` (default) routes through a :class:`~repro.engine.
-  cluster.BankCluster`: same-value updates are grouped into bank-wide
-  waves and every μProgram executes word-parallel on packed uint64 rows.
-* ``backend="bit"`` is the golden reference: one update at a time on the
-  per-bit :class:`~repro.dram.ambit.AmbitSubarray`.  Fault-free results
-  are integer-exact on both paths, so they agree bit for bit.
+* ``backend="fast"`` (default) executes every μProgram word-parallel on
+  packed uint64 rows (fused trace chains).
+* ``backend="bit"`` is the golden reference: the same waves, one
+  ``load_mask_packed`` + ``accumulate`` at a time on the per-bit
+  :class:`~repro.dram.ambit.AmbitSubarray`.  The command and fault
+  streams are the same, so the two agree bit for bit, faulty or not.
+
+An explicit ``engine=`` (``binary_gemv`` only) streams one update at a
+time on the caller's engine instead, with no plan.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import numpy as np
 
 from repro.dram.faults import FAULT_FREE, FaultModel
 from repro.engine.machine import CountingEngine
+from repro.isa.trace import FaultSpec
 # binary_updates/ternary_updates/DEFAULT_BANKS re-exported for
 # backwards compatibility -- they were public here before moving to the
 # shared lowering module.
@@ -100,7 +106,7 @@ def binary_gemv(x: np.ndarray, z: np.ndarray, n_bits: int = 2,
         raise ValueError("binary_gemv expects non-negative inputs; use "
                          "ternary_gemv for signed streams")
     resolved = _resolve_backend(backend, engine)
-    strict = fault_model.p_cim == 0
+    strict = FaultSpec.of(fault_model) is None
 
     if engine is None:
         with _one_shot_device(n_bits, fault_model, fr_checks, resolved,

@@ -15,8 +15,8 @@ embedding blocks -- planting each copy privately wastes both.
   instead of planting blindly; identical operands share one read-only
   image (a *dedup hit*), and the image is dropped when the last
   handle releases.
-* Live engine resources (clusters, engine lists, their bank leases)
-  hang off the image's entry as :class:`SharedResource` bodies.
+* Live engine bodies (bank clusters and their bank leases) hang off
+  the image's entry as :class:`SharedResource` records.
   Same-digest tenants with matching geometry **attach** to one body --
   the pool is charged once -- and multiplex their *counter state*
   through per-tenant stashes: activating a tenant exports the previous
@@ -92,17 +92,15 @@ class StoreStats:
 
 
 class SharedResource:
-    """One live engine body multiplexed across same-image tenants.
+    """One live bank cluster multiplexed across same-image tenants.
 
-    The body is either a :class:`~repro.engine.cluster.BankCluster`
-    (``cluster``) or a list of bit-backend
-    :class:`~repro.engine.machine.CountingEngine` (``engines``) -- the
-    store never constructs engines itself, it only multiplexes them.
-    The resource owns exactly one :class:`~repro.serve.pool.BankLease`
-    whose bank count (:attr:`n_banks`) is the body's size -- a
-    cluster's banks or the number of engines; the first tenant pays
-    it, later tenants attach for free (:meth:`BankPool.attach`), and
-    the last detach releases it.
+    The body is a :class:`~repro.engine.cluster.BankCluster`
+    (``cluster``) -- the store never constructs it, it only multiplexes
+    it.  The resource owns exactly one
+    :class:`~repro.serve.pool.BankLease` whose bank count
+    (:attr:`n_banks`) is the cluster's; the first tenant pays it, later
+    tenants attach for free (:meth:`BankPool.attach`), and the last
+    detach releases it.
 
     At most one tenant is *active* at a time.  :meth:`activate` swaps
     counter state: the outgoing tenant's counter rows are exported into
@@ -113,16 +111,15 @@ class SharedResource:
     """
 
     __slots__ = ("token", "n_digits", "entry", "lease", "cluster",
-                 "engines", "attached", "active", "_stash", "_base")
+                 "attached", "active", "_stash", "_base")
 
     def __init__(self, token: tuple, n_digits: int, entry: "_Entry",
-                 lease, cluster=None, engines: Optional[list] = None):
+                 lease, cluster):
         self.token = token
         self.n_digits = int(n_digits)
         self.entry = entry
         self.lease = lease
         self.cluster = cluster
-        self.engines = engines or []
         self.attached: List[object] = []
         self.active = None
         self._stash: Dict[int, object] = {}
@@ -140,39 +137,8 @@ class SharedResource:
     def is_sole(self, plan) -> bool:
         return self.attached == [plan]
 
-    def _all_engines(self) -> list:
-        if self.cluster is not None:
-            return [self.cluster.engine]
-        return list(self.engines)
-
     def _counters_now(self) -> Counters:
-        return sum((eng.counters for eng in self._all_engines()),
-                   Counters.zeros())
-
-    def _export(self):
-        if self.cluster is not None:
-            return self.cluster.export_counters()
-        return [eng.export_counters() for eng in self.engines]
-
-    def _import(self, image) -> None:
-        if self.cluster is not None:
-            self.cluster.import_counters(image)
-            return
-        for eng, img in zip(self.engines, image):
-            eng.import_counters(img)
-
-    def _reset(self) -> None:
-        if self.cluster is not None:
-            self.cluster.reset()
-            return
-        for eng in self.engines:
-            eng.reset_counters()
-
-    def _zeros_image(self):
-        """A freshly-reset counter image (shape-only read of the body)."""
-        if self.cluster is not None:
-            return np.zeros_like(self._export())
-        return [np.zeros_like(img) for img in self._export()]
+        return self.cluster.engine.counters
 
     def _credit_active(self) -> None:
         """Retire the active tenant's cost-counter delta into its sink."""
@@ -219,22 +185,21 @@ class SharedResource:
             return
         self._credit_active()
         if self.active is not None:
-            self._stash[id(self.active)] = self._export()
+            self._stash[id(self.active)] = self.cluster.export_counters()
         incoming = self._stash.pop(id(plan), None)
         if incoming is not None:
-            self._import(incoming)
+            self.cluster.import_counters(incoming)
         else:
-            self._reset()
+            self.cluster.reset()
         self.active = plan
 
-    def replace_body(self, lease, n_digits: int, cluster=None,
-                     engines: Optional[list] = None) -> None:
+    def replace_body(self, lease, n_digits: int, cluster) -> None:
         """Swap in a resized body on ``lease`` (a sole tenant's in-place
         re-plan): the active tenant's cost-counter delta is retired
         first, and counter state restarts from zeros."""
         self._credit_active()
         self.lease, self.n_digits = lease, int(n_digits)
-        self.cluster, self.engines = cluster, engines or []
+        self.cluster = cluster
         self._stash.clear()
         self.active = None
         self._base = self._counters_now()
@@ -242,11 +207,12 @@ class SharedResource:
     def image_of(self, plan):
         """``plan``'s current counter image, without changing state."""
         if self.active is plan:
-            return self._export()
+            return self.cluster.export_counters()
         stashed = self._stash.get(id(plan))
         if stashed is not None:
             return stashed
-        return self._zeros_image()
+        # A freshly-reset image (shape-only read of the body).
+        return np.zeros_like(self.cluster.export_counters())
 
     def delta_for(self, plan) -> Counters:
         """Live cost-counter delta attributable to ``plan`` (zeros
@@ -341,11 +307,9 @@ class RowImageHandle:
         return None
 
     def new_resource(self, token: tuple, n_digits: int, lease,
-                     cluster=None,
-                     engines: Optional[list] = None) -> SharedResource:
-        """Register a freshly built engine body under this image."""
-        res = SharedResource(token, n_digits, self._entry, lease,
-                             cluster=cluster, engines=engines)
+                     cluster) -> SharedResource:
+        """Register a freshly built bank cluster under this image."""
+        res = SharedResource(token, n_digits, self._entry, lease, cluster)
         self._entry.resources.append(res)
         return res
 

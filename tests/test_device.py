@@ -65,8 +65,10 @@ class TestEngineConfig:
             EngineConfig(**kwargs)
 
     def test_faulty_config_reads_leniently(self):
-        cfg = EngineConfig(fault_model=FaultModel(p_cim=1e-3, seed=1))
-        assert not cfg.strict_reads
+        for model in (FaultModel(p_cim=1e-3, seed=1),
+                      FaultModel(p_cim=0.0, p_read=1e-3, seed=1)):
+            assert not EngineConfig(fault_model=model).strict_reads
+        assert EngineConfig().strict_reads
 
 
 class TestResetInvariant:

@@ -426,19 +426,21 @@ class TestFleetServing:
             blocker.join()
 
     def test_worker_crash_fails_futures_typed_never_hangs(self, rng):
+        from repro.fleet.fleet import _Control
+        from repro.serve.server import _Pending
         fleet = Fleet(n_shards=2, pool_banks=4)
         try:
             fleet.register("m", np.eye(2, dtype=np.uint8),
                            kind="binary")
             sid = fleet.shard_of("m")
-            # queue: crash control, then queries behind it
-            crasher = threading.Thread(
-                target=lambda: pytest.raises(
-                    WorkerCrashedError, fleet._control, sid, "crash"))
-            crasher.start()
-            futs = [fleet.submit("m", np.array([1, 2]))
-                    for _ in range(3)]
-            crasher.join()
+            # queue: crash control, then queries behind it, in one put
+            # (so the shard cannot retire before the queries are in)
+            crash = _Control("crash")
+            queries = [_Pending("m", np.array([1, 2])) for _ in range(3)]
+            drain_once(fleet, [crash] + queries, shard_id=sid)
+            with pytest.raises(WorkerCrashedError):
+                crash.future.result(timeout=30)
+            futs = [it.future for it in queries]
             for f in futs:
                 with pytest.raises(WorkerCrashedError):
                     f.result(timeout=30)

@@ -29,13 +29,20 @@ def _plan_and_query(dev, kind):
     return dev.plan_gemv(z, kind="ternary"), rng.integers(-3, 4, 12)
 
 
-@pytest.mark.parametrize("n_banks,pool_banks",
-                         [(1, None), (2, None), (8, None), (8, 3)])
+@pytest.mark.parametrize("n_banks,pool_banks,backend", [
+    pytest.param(n_banks, pool_banks, backend,
+                 id=f"{n_banks}-{pool_banks}"
+                 + ("-bit" if backend == "bit" else ""))
+    for n_banks, pool_banks in [(1, None), (2, None), (8, None), (8, 3)]
+    for backend in ("fast", "bit")])
 @pytest.mark.parametrize("kind", KINDS)
-def test_footprint_predicts_the_lone_query_lease(kind, n_banks, pool_banks):
+def test_footprint_predicts_the_lone_query_lease(kind, n_banks, pool_banks,
+                                                 backend):
     """The placement estimate is the lease a lone query then takes,
-    capped by ``n_banks`` and by a bounded pool alike."""
-    with Device(n_banks=n_banks, pool=BankPool(pool_banks)) as dev:
+    capped by ``n_banks`` and by a bounded pool alike, on either
+    backend."""
+    with Device(n_banks=n_banks, pool=BankPool(pool_banks),
+                backend=backend) as dev:
         plan, query = _plan_and_query(dev, kind)
         predicted = plan.footprint_banks_total
         assert plan.footprint_banks == predicted

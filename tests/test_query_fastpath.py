@@ -312,20 +312,22 @@ def _plan_run(mode, p_cim, p_read, seed, rounds=3):
 @pytest.mark.parametrize("p_cim,p_read,seed", [
     (0.0, 0.0, 0), (1e-2, 0.0, 1), (1e-2, 1e-3, 2), (0.0, 1e-3, 3)])
 def test_plan_call_bit_exact_across_regimes(p_cim, p_read, seed):
-    runs = {mode: _plan_run(mode, p_cim, p_read, seed) for mode in MODES}
+    """The chain, the interpreter and the bit backend answer ``plan(x)``
+    identically: answers, ops, per-query injected faults, terminal RNG."""
+    runs = {mode: _plan_run(mode, p_cim, p_read, seed)
+            for mode in MODES + ("bit",)}
     mega = runs["mega"]
     assert mega["stats"].megatrace_replays > 0
-    interp = runs["interp"]
-    assert interp["stats"].megatrace_replays == 0
-    assert (interp["answers"] == mega["answers"]).all()
-    assert interp["ops"] == mega["ops"]
-    assert interp["injected"] == mega["injected"]
-    assert interp["rng"] == mega["rng"]
+    for mode in ("interp", "bit"):
+        other = runs[mode]
+        assert other["stats"].megatrace_replays == 0
+        assert (other["answers"] == mega["answers"]).all()
+        assert other["ops"] == mega["ops"]
+        assert other["injected"] == mega["injected"]
+        assert other["rng"] == mega["rng"]
     if p_cim == 0 and p_read == 0:
         golden = np.tile(mega["golden"], (3, 1))
         assert (mega["answers"] == golden).all()
-        bit = _plan_run("bit", p_cim, p_read, seed)
-        assert (bit["answers"] == golden).all()
     elif p_cim:
         assert sum(mega["injected"]) > 0
 

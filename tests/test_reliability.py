@@ -89,25 +89,36 @@ class TestEngineTrials:
                                                  for t in b.trials]
 
     def test_word_trials_match_bit_backend_outcomes(self, workload):
-        """Same seeds, same backend-visible outcomes: the fused word
-        campaign injects the same flips and corrupts the same lanes as
-        the bit-level reference campaign (command-stream counters are
-        backend-specific and excluded)."""
+        """Same seeds, same outcomes: the fused word campaign runs the
+        bit-level reference campaign's command stream on the same bank
+        cluster geometry, so it injects the same flips, corrupts the
+        same lanes and issues the same commands (only the program
+        store's and the replay tiers' counters are backend-specific)."""
         z, xs = workload
         points = [FaultPoint(p_cim=0.1)]
         word = _campaign(z, xs).run(points, n_trials=2)
-        bit = Campaign(z=z, xs=xs, kind="ternary", backend="bit").run(
-            points, n_trials=2)
+        bit = _campaign(z, xs, backend="bit").run(points, n_trials=2)
         for tw, tb in zip(word.trials, bit.trials):
             assert tw.metrics["injected"] > 0
-            # Engine geometry differs per backend (cluster vs per-sign
-            # engines), so flip counts differ; exactness/structure of
-            # the accounting must agree.
-            for key in ("n_outputs", "retry_exhausted", "detected"):
-                assert tw.metrics[key] == tb.metrics[key]
+            keys = [key for key in tw.metrics if not key.startswith(
+                ("program_", "trace_", "megatrace_"))]
+            assert {k: tw.metrics[k] for k in keys} \
+                == {k: tb.metrics[k] for k in keys}
         assert word.rows[0]["trace_replays"] \
             + word.rows[0]["megatrace_replays"] > 0
         assert bit.rows[0]["trace_replays"] == 0
+
+    def test_read_only_faults_decode_leniently(self):
+        """A model that only flips reads can still corrupt counters, so
+        trials decode leniently: the corruption is reported as silent
+        lanes, never raised as a strict-decode overflow."""
+        rng = np.random.default_rng(3)
+        z = rng.integers(-1, 2, (12, 20)).astype(np.int8)
+        xs = rng.integers(-6, 7, (4, 12))
+        row = Campaign(z=z, xs=xs, kind="ternary").run(
+            [FaultPoint(p_cim=0.0, p_read=1e-2)], n_trials=4).rows[0]
+        assert row["injected"] > 0
+        assert row["silent_lanes"] > 0 and row["failed_lanes"] == 0
 
     def test_wave_admission_respects_pool(self, workload):
         z, xs = workload

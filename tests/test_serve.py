@@ -127,12 +127,20 @@ class TestDevicePoolIntegration:
             assert (plan(xs[0]) == xs[0] @ z).all()
 
     def test_pool_too_small_for_plan_raises(self, rng):
-        """Bit-backend ternary needs two engine banks; budget of 1 fails."""
+        """A pool whose only bank is held elsewhere cannot host the
+        plan: the query raises and leaves the plan undisturbed."""
         z = rng.integers(-1, 2, (4, 5)).astype(np.int8)
-        with Device(pool=BankPool(1), backend="bit") as dev:
+        x = np.array([1, -1, 0, 2])
+        pool = BankPool(1)
+        held = pool.lease(1)
+        with Device(pool=pool, backend="bit") as dev:
             plan = dev.plan_gemv(z, kind="ternary")
             with pytest.raises(PoolExhausted):
-                plan(np.array([1, -1, 0, 2]))
+                plan(x)
+            assert not plan.is_resident and not plan.is_parked
+            assert plan.stats.queries == 0 and pool.banks_leased == 1
+            held.release()
+            assert (plan(x) == x @ z).all()
 
     def test_two_devices_share_one_budget(self, rng):
         pool = BankPool(64)
@@ -265,10 +273,15 @@ class TestRegistry:
     def test_model_too_big_for_pool_propagates(self, rng):
         """Nothing left to evict: the exhaustion reaches the caller."""
         dev, reg = self._registry(1, backend="bit")
+        held = dev.pool.lease(1)                   # not the registry's
         z = rng.integers(-1, 2, (4, 5)).astype(np.int8)
-        reg.register("only", z, kind="ternary")    # needs 2 engine banks
+        x = np.array([1, -1, 0, 2])
+        plan = reg.register("only", z, kind="ternary")
         with pytest.raises(PoolExhausted):
-            reg.run("only", lambda p: p(np.array([1, -1, 0, 2])))
+            reg.run("only", lambda p: p(x))
+        assert not plan.is_resident and plan.stats.queries == 0
+        held.release()
+        assert (reg.run("only", lambda p: p(x)) == x @ z).all()
         dev.close()
 
     def test_max_resident_cap(self, rng):
